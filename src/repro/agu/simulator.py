@@ -1,12 +1,15 @@
 """AGU simulator: execute an address program and audit the cost model.
 
-The simulator runs the generated program for a concrete number of loop
-iterations over a concrete memory layout and checks, access by access,
-that the address register handed to each :class:`~repro.agu.isa.Use`
-holds exactly the address the source program requires.  It also counts
-the unit-cost instructions actually executed, which must equal the
-static per-iteration overhead -- turning the paper's cost model from an
-assumption into a verified property.
+The simulator runs the generated program over a concrete memory layout
+and checks, access by access, that the address register handed to each
+:class:`~repro.agu.isa.Use` holds exactly the address the source
+program requires.  It also counts the unit-cost instructions actually
+executed, which must equal the static per-iteration overhead -- turning
+the paper's cost model from an assumption into a verified property.
+
+The audit costs O(pattern), not O(trip count): it replays the prologue
+and the first :data:`PROOF_ITERATIONS` iterations, which proves every
+later iteration correct (see :func:`simulate`).
 """
 
 from __future__ import annotations
@@ -18,6 +21,11 @@ from repro.agu.isa import LoadMr, Modify, PointTo, Use
 from repro.errors import SimulationError
 from repro.ir.layout import MemoryLayout
 from repro.ir.types import Loop
+
+#: Iterations replayed to prove a loop of any length: iteration 0
+#: (which starts from the prologue state) plus the two that pin the
+#: steady-state affine line.
+PROOF_ITERATIONS = 3
 
 
 @dataclass(frozen=True)
@@ -43,7 +51,7 @@ class SimulationResult:
     overhead_per_iteration: int
     #: One-time prologue instructions.
     prologue_instructions: int
-    #: Number of verified accesses (n_iterations * pattern length).
+    #: Accesses proven correct (n × uses).
     n_accesses_verified: int
     trace: tuple[TraceEntry, ...] = field(repr=False, default=())
 
@@ -59,14 +67,41 @@ def simulate(program: AddressProgram, loop: Loop, layout: MemoryLayout,
              keep_trace: bool = False) -> SimulationResult:
     """Run ``program`` against ``loop``/``layout`` and verify it.
 
+    Only the prologue and iterations ``k = 0, 1, 2`` (fewer for a
+    shorter loop) are executed; the counts are extrapolated to all
+    ``n`` iterations.  That is an exact proof, not a sample:
+
+    * The body is straight-line.  Each instruction either adds a
+      constant to a register (``Modify``, an immediate or MR
+      post-modify) or sets it to a value affine in the loop value
+      (``PointTo``).  So every register value a ``Use`` reads at
+      iteration ``k >= 1`` is affine in ``k``.  Only iteration 0 may
+      see prologue state that lies off that line.
+    * The address the access requires,
+      :meth:`~repro.ir.layout.MemoryLayout.address_of`, is affine in
+      ``k`` as well.
+    * Two affine functions that agree at ``k = 1`` and ``k = 2`` agree
+      for every ``k >= 1``; iteration 0 is checked on its own.  A
+      register or MR left unwritten at iteration ``k`` is unwritten at
+      the same instruction of iteration 0, because registers are
+      only ever written, never cleared.
+
+    The replayed prefix is exactly the start of a full replay, so any
+    mismatch or unwritten-register error a full replay would raise
+    first is raised here, with the same message, and the result is
+    identical.  Every iteration runs the same instructions, hence
+    costs the same, so the dynamic-equals-static overhead check on the
+    replayed iterations holds for all of them.
+
     Parameters
     ----------
     n_iterations:
-        Number of iterations to execute; defaults to the loop's own
+        Number of iterations to verify; defaults to the loop's own
         count and must be supplied when the loop bound is symbolic.
     keep_trace:
-        Record every access in :attr:`SimulationResult.trace`
-        (memory-hungry for long runs; off by default).
+        Record every access in :attr:`SimulationResult.trace`.  This
+        replays every iteration (memory-hungry for long runs; off by
+        default).
 
     Raises
     ------
@@ -85,7 +120,9 @@ def simulate(program: AddressProgram, loop: Loop, layout: MemoryLayout,
                 f"{layout.placement(array).decl.element_size}; the AGU "
                 f"model is word-addressed (element size 1)")
 
-    values = loop.iteration_values(n_iterations)
+    iterations = range(loop.iteration_count(n_iterations))
+    n = len(iterations)
+    replayed = iterations if keep_trace else iterations[:PROOF_ITERATIONS]
     registers: dict[int, int] = {}
     modify_registers: dict[int, int] = {}
     trace: list[TraceEntry] = []
@@ -137,30 +174,31 @@ def simulate(program: AddressProgram, loop: Loop, layout: MemoryLayout,
         return instruction.cost
 
     prologue_cost = 0
-    if values:
+    if n:
         for instruction in program.prologue:
-            prologue_cost += execute(instruction, values[0], 0)
+            prologue_cost += execute(instruction, loop.start, 0)
 
-    loop_cost = 0
-    verified = 0
-    for iteration, loop_value in enumerate(values):
+    replayed_cost = 0
+    for iteration in replayed:
+        loop_value = loop.start + iteration * loop.step
         for instruction in program.body:
-            loop_cost += execute(instruction, loop_value, iteration)
-            if isinstance(instruction, Use):
-                verified += 1
+            replayed_cost += execute(instruction, loop_value, iteration)
+    # Every iteration costs the same, so the replayed cost divides.
+    loop_cost = replayed_cost // len(replayed) * n if n else 0
 
     expected_static = program.overhead_per_iteration
-    if values and loop_cost != expected_static * len(values):
+    if n and loop_cost != expected_static * n:
         raise SimulationError(
-            f"dynamic overhead {loop_cost} over {len(values)} iterations "
+            f"dynamic overhead {loop_cost} over {n} iterations "
             f"disagrees with static per-iteration overhead "
             f"{expected_static}")
 
     return SimulationResult(
-        n_iterations=len(values),
+        n_iterations=n,
         loop_overhead_instructions=loop_cost,
         overhead_per_iteration=expected_static,
         prologue_instructions=prologue_cost,
-        n_accesses_verified=verified,
+        n_accesses_verified=n * sum(isinstance(instruction, Use)
+                                    for instruction in program.body),
         trace=tuple(trace),
     )

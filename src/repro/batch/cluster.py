@@ -477,10 +477,12 @@ class JobServer:
                   "adaptive_lease": self.adaptive_lease})
         self._thread: threading.Thread | None = None
         self._reaper: threading.Thread | None = None
-        # An Event, not a bool: the reaper thread polls this as its
-        # run condition while start/shutdown flip it from the
-        # controlling thread -- the flag itself must be race-free.
+        # Events, not bools: start/shutdown flip them from the
+        # controlling thread while other threads read them.  The
+        # reaper waits on _stop_reaping, so shutdown wakes it at once
+        # instead of blocking for a whole reap interval.
         self._serving = threading.Event()
+        self._stop_reaping = threading.Event()
         self._closing = False
         self._connections: set[socket.socket] = set()
         self._connections_lock = threading.Lock()
@@ -1032,8 +1034,7 @@ class JobServer:
 
         def reap_loop() -> None:
             interval = max(0.1, min(1.0, self.lease_timeout / 4))
-            while self._serving.is_set():
-                time.sleep(interval)
+            while not self._stop_reaping.wait(interval):
                 try:
                     self.run_policies()
                 # repro-lint: disable=BROAD-EXCEPT -- the reaper must outlive any one bad iteration; the failure is logged, not hidden
@@ -1067,6 +1068,7 @@ class JobServer:
         """Stop serving: close the listener and every live connection
         (clients see the drop as a loud batch failure, workers exit
         their loops); idempotent."""
+        self._stop_reaping.set()
         if self._serving.is_set():
             self._server.shutdown()
             self._serving.clear()

@@ -40,7 +40,9 @@ flag, the :class:`~repro.batch.engine.JobResult` payload under
 ``result``, and -- when asked -- the generated AGU code under
 ``listing``.  Failures are ``ok: false`` error frames; an admission
 rejection additionally sets ``busy: true`` so clients can distinguish
-"overloaded, retry" from "wrong, don't".
+"overloaded, retry" from "wrong, don't".  Untrusted work is bounded
+before anything is queued: a request over :data:`MAX_SOURCE_BYTES`,
+:data:`MAX_ACCESSES` or :data:`MAX_ARRAYS` is answered an error frame.
 
 Served output is bit-identical to what a direct
 :class:`~repro.batch.engine.BatchCompiler` run produces for the same
@@ -72,6 +74,16 @@ from repro.batch.service import (
 from repro.core.pipeline import compile_kernel
 from repro.errors import BatchError
 from repro.workloads.kernels import get_kernel
+
+#: Front-door bounds on one ``compile`` request.  Compile cost grows
+#: with the kernel, not the trip count (the simulation audit replays a
+#: fixed three iterations), so these three sizes bound the work a
+#: single untrusted request can pin the dispatcher with.
+MAX_SOURCE_BYTES = 64 * 1024
+#: Array accesses per loop iteration.
+MAX_ACCESSES = 256
+#: Declared arrays.
+MAX_ARRAYS = 32
 
 
 class ServerBusyError(BatchError):
@@ -373,15 +385,14 @@ class CompileService:
             self.stats.requests += 1
         try:
             job = self._job_from_request(request)
-        # repro-lint: disable=BROAD-EXCEPT -- not swallowed: every request-shaping error (missing fields, unknown library kernels, frontend syntax errors) is this request's error frame, never a batch failure that could fail other clients' work
+        # repro-lint: disable=BROAD-EXCEPT -- not swallowed: every request-shaping error (missing fields, unknown library kernels, oversized sources) is this request's error frame, never a batch failure that could fail other clients' work
         except Exception as error:
-            with self._stats_lock:
-                self.stats.failures += 1
-            return {"ok": False,
-                    "error": f"{type(error).__name__}: {error}"}
+            return self._reject(error)
         digest = job_digest(job)
         want_listing = bool(request.get("listing", False))
 
+        # A hit skips the parse: its digest covers the exact source
+        # text, which parsed (within the limits) when it was stored.
         payload = self.cache.get(digest)
         result = JobResult.from_payload(payload, job) \
             if payload is not None else None
@@ -390,6 +401,11 @@ class CompileService:
                 self.stats.served_warm += 1
             return self._answer(job, digest, result.payload(),
                                 cached=True, want_listing=want_listing)
+        try:
+            self._check_kernel(job)
+        # repro-lint: disable=BROAD-EXCEPT -- not swallowed: a frontend syntax error or an over-limit kernel is this request's error frame, never a batch failure that could fail other clients' work
+        except Exception as error:
+            return self._reject(error)
 
         pending = _PendingCompile(job, digest)
         if self._stop.is_set():
@@ -415,6 +431,12 @@ class CompileService:
         return self._answer(job, digest, pending.payload,
                             cached=pending.cached,
                             want_listing=want_listing)
+
+    def _reject(self, error: Exception) -> dict:
+        """Count a request-shaping failure; its error frame."""
+        with self._stats_lock:
+            self.stats.failures += 1
+        return {"ok": False, "error": f"{type(error).__name__}: {error}"}
 
     def _await(self, pending: _PendingCompile) -> None:
         """Block until the dispatcher resolves ``pending`` (with a
@@ -457,9 +479,9 @@ class CompileService:
     def _job_from_request(self, request: dict) -> BatchJob:
         """Shape and *validate* one compile request into a job.
 
-        The kernel is parsed here, on the handler thread, so a syntax
-        error is this request's error frame -- by the time a job
-        reaches the dispatcher it is known to at least parse.
+        Checks every field and the source size, but does not parse:
+        a cache hit needs no parse, and a miss is parsed by
+        :meth:`_check_kernel` before it is queued.
         """
         source = request.get("source")
         library = request.get("kernel")
@@ -473,6 +495,10 @@ class CompileService:
             source = get_kernel(library).source
         if not isinstance(source, str) or not source.strip():
             raise BatchError("'source' must be non-empty frontend text")
+        size = len(source.encode("utf-8"))
+        if size > MAX_SOURCE_BYTES:
+            raise BatchError(f"'source' is {size} bytes; this server "
+                             f"accepts at most {MAX_SOURCE_BYTES}")
         name = request.get("name") or library or "served-kernel"
         if not isinstance(name, str):
             raise BatchError("'name' must be a string")
@@ -489,7 +515,7 @@ class CompileService:
                 or isinstance(iterations, bool) or iterations < 1):
             raise BatchError("'iterations' must be a positive integer "
                              "or null")
-        job = BatchJob(
+        return BatchJob(
             name=name,
             spec=AguSpec(n_registers=registers,
                          modify_range=modify_range),
@@ -497,8 +523,22 @@ class CompileService:
             run_simulation=bool(request.get("simulate", True)),
             n_iterations=iterations,
             include_baseline=bool(request.get("baseline", False)))
-        job.kernel()  # surface syntax errors per-request, pre-batch
-        return job
+
+    @staticmethod
+    def _check_kernel(job: BatchJob) -> None:
+        """Parse a cache miss on the handler thread and bound its size,
+        so a syntax error or an oversized kernel is this request's
+        error frame -- by the time a job reaches the dispatcher it is
+        known to parse, within the limits."""
+        kernel = job.kernel()
+        if len(kernel.pattern) > MAX_ACCESSES:
+            raise BatchError(
+                f"kernel has {len(kernel.pattern)} array accesses per "
+                f"iteration; this server accepts at most {MAX_ACCESSES}")
+        if len(kernel.arrays) > MAX_ARRAYS:
+            raise BatchError(
+                f"kernel declares {len(kernel.arrays)} arrays; this "
+                f"server accepts at most {MAX_ARRAYS}")
 
     # -- the micro-batcher (dispatcher thread) -------------------------
     def _dispatch_forever(self) -> None:

@@ -60,6 +60,10 @@ EVENT_KINDS = frozenset({
 #: Kinds that terminate a lease (exactly one per ``lease`` event).
 LEASE_TERMINAL_KINDS = frozenset({"finish", "expire", "requeue"})
 
+#: Kinds that settle a job for good: its accepted outcome, a drop, or
+#: an engine-side cache hit.  The makespan ends at the last of them.
+JOB_TERMINAL_KINDS = frozenset({"finish", "drop", "cache_hit"})
+
 
 class TraceError(BatchError):
     """A trace file is malformed or does not speak :data:`TRACE_SCHEMA`."""
@@ -321,6 +325,12 @@ class TraceReport:
     #: First and last event timestamps (trace-relative seconds).
     t0: float = 0.0
     t1: float = 0.0
+    #: The batch window: first ``enqueue`` to last job-terminal event
+    #: (:data:`JOB_TERMINAL_KINDS`), falling back to ``t0`` / ``t1``
+    #: when the trace has none.  Fleet start-up and shutdown lie
+    #: outside it.
+    batch_t0: float = 0.0
+    batch_t1: float = 0.0
     #: Jobs enqueued / accepted-complete / accepted-failed.
     n_jobs: int = 0
     n_completed: int = 0
@@ -347,8 +357,9 @@ class TraceReport:
 
     @property
     def makespan(self) -> float:
-        """Seconds from the first to the last event in the trace."""
-        return max(0.0, self.t1 - self.t0)
+        """Seconds from the first ``enqueue`` to the last job-terminal
+        event (the batch window)."""
+        return max(0.0, self.batch_t1 - self.batch_t0)
 
     def to_json(self) -> dict:
         """The report as a JSON-able dict (schema-tagged)."""
@@ -444,7 +455,7 @@ class TraceReport:
 
         ``#`` marks time inside a lease, ``.`` idle time inside the
         lane's span, space outside it; one column spans
-        ``makespan / width`` seconds.
+        ``makespan / width`` seconds from the batch window's start.
         """
         if not self.workers or self.makespan <= 0:
             return "timeline: no worker activity recorded"
@@ -459,12 +470,12 @@ class TraceReport:
                 lo = min(a.start_t for a in spans)
                 hi = max(a.end_t for a in spans)
                 for col in range(width):
-                    t = self.t0 + (col + 0.5) * scale
+                    t = self.batch_t0 + (col + 0.5) * scale
                     if lo <= t <= hi:
                         lane[col] = "."
             for a in spans:
-                first = int((a.start_t - self.t0) / scale)
-                last = int((a.end_t - self.t0) / scale)
+                first = int((a.start_t - self.batch_t0) / scale)
+                last = int((a.end_t - self.batch_t0) / scale)
                 for col in range(max(0, first),
                                  min(width - 1, last) + 1):
                     lane[col] = "#"
@@ -497,8 +508,10 @@ def analyze_trace(trace: Trace, *,
     hop follows the chain "this job ran on worker *w* right after the
     previous job on *w* finished, and was already enqueued by then" --
     i.e. the job was waiting on the *worker*, not on its own arrival.
-    The chain's intervals are disjoint on one timeline, so its length
-    is provably <= the makespan (a property test pins this).
+    The chain's intervals are disjoint on one timeline and each runs
+    from a lease (after its job's ``enqueue``) to a ``finish``, inside
+    the batch window, so its length is provably <= the makespan (a
+    property test pins this).
     """
     report = TraceReport(
         source=trace.source,
@@ -508,6 +521,11 @@ def analyze_trace(trace: Trace, *,
         return report
     report.t0 = min(e["t"] for e in events)
     report.t1 = max(e["t"] for e in events)
+    report.batch_t0 = min((e["t"] for e in events
+                           if e["kind"] == "enqueue"), default=report.t0)
+    report.batch_t1 = max((e["t"] for e in events
+                           if e["kind"] in JOB_TERMINAL_KINDS),
+                          default=report.t1)
 
     enqueue_t: dict[tuple, float] = {}
     names: dict[tuple, Any] = {}

@@ -226,11 +226,9 @@ class Loop:
         """The loop variable's name."""
         return self.pattern.loop_var
 
-    def iteration_values(self, count: int | None = None) -> list[int]:
-        """Loop-variable values for ``count`` iterations.
-
-        ``count`` defaults to the loop's own ``n_iterations``; it must be
-        given when the bound is symbolic.
+    def iteration_count(self, count: int | None = None) -> int:
+        """The iteration count to run: ``count``, else the loop's own
+        ``n_iterations``; it must be given when the bound is symbolic.
         """
         if count is None:
             count = self.n_iterations
@@ -239,7 +237,16 @@ class Loop:
                 "loop bound is symbolic"
                 + (f" ({self.bound_symbol})" if self.bound_symbol else "")
                 + "; supply an explicit iteration count")
-        return [self.start + k * self.step for k in range(count)]
+        return count
+
+    def iteration_values(self, count: int | None = None) -> list[int]:
+        """Loop-variable values for ``count`` iterations.
+
+        ``count`` defaults to the loop's own ``n_iterations``; it must be
+        given when the bound is symbolic.
+        """
+        return [self.start + k * self.step
+                for k in range(self.iteration_count(count))]
 
     def __str__(self) -> str:
         if self.n_iterations is not None:

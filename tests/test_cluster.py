@@ -237,6 +237,15 @@ class TestProtocol:
         with pytest.raises(BatchError):
             JobServer(idle_timeout=0)
 
+    def test_shutdown_returns_promptly(self):
+        """The reaper wakes on shutdown instead of finishing its
+        sleep, so shutdown does not block for a reap interval."""
+        server = JobServer().start()
+        time.sleep(0.05)  # the reaper is inside its wait
+        started = time.monotonic()
+        server.shutdown()
+        assert time.monotonic() - started < 0.2
+
     def test_idle_connection_is_closed_after_the_timeout(self):
         """A connection that never speaks (a stalled or half-open
         peer) is dropped after idle_timeout instead of pinning its

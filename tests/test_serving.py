@@ -11,12 +11,14 @@ import time
 import pytest
 
 from repro.agu.model import AguSpec
+from repro.batch import serving
 from repro.batch.cache import InMemoryLRUCache, TieredCache
 from repro.batch.engine import (
     BatchCompiler,
     Executor,
     JobFailure,
     execute_any,
+    execute_job,
 )
 from repro.batch.jobs import BatchJob
 from repro.batch.serving import (
@@ -27,6 +29,7 @@ from repro.batch.serving import (
 from repro.batch.service import recv_frame, send_frame
 from repro.core.pipeline import compile_kernel
 from repro.errors import BatchError
+from repro.ir.parser import parse_kernel
 from repro.workloads.kernels import get_kernel
 
 SPEC = AguSpec(4, 1)
@@ -240,6 +243,83 @@ class TestServeProtocol:
                        {"busy_retries": -1}, {"busy_backoff": -0.1}):
             with pytest.raises(BatchError):
                 ServeClient("tcp://127.0.0.1:8743", **kwargs)
+
+
+def wide_kernel(n_arrays: int, n_accesses: int) -> str:
+    """Frontend source with the given array and access counts."""
+    decls = ", ".join(f"a{index}[64]" for index in range(n_arrays))
+    body = " ".join(f"a{position % n_arrays}[i];"
+                    for position in range(n_accesses))
+    return f"int {decls}; for (i = 0; i < 8; i++) {{ {body} }}"
+
+
+class TestFrontDoorLimits:
+    """Untrusted requests have bounded cost: oversized ones are
+    answered an error frame before anything is queued."""
+
+    @pytest.mark.parametrize("source, match", [
+        ("/*" + "x" * serving.MAX_SOURCE_BYTES + "*/ "
+         + SOURCES["saxpy"], "bytes"),
+        (wide_kernel(1, serving.MAX_ACCESSES + 1), "array accesses"),
+        (wide_kernel(serving.MAX_ARRAYS + 1, serving.MAX_ARRAYS + 1),
+         "declares"),
+    ])
+    def test_over_limit_request_gets_an_error_frame(self, service,
+                                                    source, match):
+        with socket.create_connection(service.address, timeout=5) as sock:
+            send_frame(sock, {"op": "compile", "source": source})
+            answer = recv_frame(sock)
+            assert answer["ok"] is False
+            assert match in answer["error"]
+            # The connection and the server keep serving.
+            send_frame(sock, compile_request("saxpy"))
+            assert recv_frame(sock)["ok"] is True
+        assert service.stats.failures == 1
+        assert service.stats.batches == 1
+
+    def test_kernels_at_the_limits_compile(self, service, client):
+        at_limit = wide_kernel(serving.MAX_ARRAYS, serving.MAX_ACCESSES)
+        answer = client.compile(at_limit, registers=8)
+        assert answer.result.n_accesses == serving.MAX_ACCESSES
+
+    def test_billion_trip_kernel_is_served_in_under_a_second(
+            self, service, client):
+        source = ("int x[64], y[64]; for (i = 0; i < 1000000000; i++) "
+                  "{ y[i] = x[i+1] + x[i]; }")
+        started = time.perf_counter()
+        served = client.compile(source, name="long", baseline=True)
+        assert time.perf_counter() - started < 1.0
+        direct = execute_job(BatchJob(name="long", spec=SPEC,
+                                      source=source,
+                                      include_baseline=True))
+        assert payload_modulo_timing(served.result) \
+            == payload_modulo_timing(direct)
+
+
+class TestWarmPathSkipsTheParse:
+    def test_only_cache_misses_parse(self, service, client, monkeypatch):
+        calls = []
+
+        def counting_parse(*args, **kwargs):
+            calls.append(args[0])
+            return parse_kernel(*args, **kwargs)
+
+        monkeypatch.setattr("repro.batch.jobs.parse_kernel", counting_parse)
+        client.compile(SOURCES["fir8"], name="fir8")
+        # Cold: once at the front door, once in the compile.
+        assert len(calls) == 2
+        for _ in range(3):
+            assert client.compile(SOURCES["fir8"], name="fir8").cached
+        assert len(calls) == 2
+
+    def test_syntax_errors_still_get_their_own_error_frame(self, service):
+        with socket.create_connection(service.address, timeout=5) as sock:
+            send_frame(sock, {"op": "compile", "source": "for (i = 0;"})
+            answer = recv_frame(sock)
+            assert answer["ok"] is False
+            assert "Error" in answer["error"]
+        assert service.stats.failures == 1
+        assert service.stats.batches == 0
 
 
 class TestAdmissionControl:

@@ -155,6 +155,18 @@ class TestTraceProperties:
 
     @given(schedule=schedules, n_workers=st.integers(1, 3))
     @settings(max_examples=30, deadline=None)
+    def test_makespan_is_within_the_event_span(self, schedule,
+                                               n_workers):
+        """The makespan is the batch window: it never exceeds the
+        first-to-last-event span, which also covers fleet start-up
+        and shutdown."""
+        trace = read_trace(io.StringIO(run_schedule(schedule, n_workers)))
+        times = [event["t"] for event in trace.events]
+        report = analyze_trace(trace)
+        assert report.makespan <= max(times) - min(times) + 1e-9
+
+    @given(schedule=schedules, n_workers=st.integers(1, 3))
+    @settings(max_examples=30, deadline=None)
     def test_trace_round_trips_through_jsonl(
             self, schedule, n_workers):
         """Re-serializing header + events yields the same trace."""
@@ -336,6 +348,26 @@ class TestAnalyzeAndRender:
         assert report.workers == {}
         assert "trace report" in report.render()
         assert "no worker activity" in report.render_timeline()
+
+    def test_makespan_spans_the_batch_not_the_fleet(self):
+        """Fleet start-up before the first ``enqueue`` and shutdown
+        after the last ``finish`` lie outside the makespan."""
+        events = [
+            {"t": 0.0, "kind": "worker_join", "worker": "w1"},
+            {"t": 0.5, "kind": "enqueue", "batch": "b1", "index": 0},
+            {"t": 0.6, "kind": "lease", "batch": "b1", "index": 0,
+             "lease": "l1", "worker": "w1"},
+            {"t": 0.8, "kind": "finish", "batch": "b1", "index": 0,
+             "lease": "l1", "worker": "w1", "outcome": "ok"},
+            {"t": 1.7, "kind": "heartbeat", "queued": 0},
+            {"t": 1.8, "kind": "worker_leave", "worker": "w1"},
+        ]
+        report = analyze_trace(
+            Trace(header={"schema": TRACE_SCHEMA, "source": "t"},
+                  events=events))
+        assert (report.t0, report.t1) == (0.0, 1.8)
+        assert report.makespan == pytest.approx(0.3)
+        assert report.critical_path_seconds == pytest.approx(0.2)
 
     def test_counters_for_cache_hits_and_drops(self):
         """``cache_hit`` / ``drop`` / ``speculate`` events count."""
