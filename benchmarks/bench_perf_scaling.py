@@ -290,19 +290,6 @@ def bench_solver_exact_cover(benchmark):
     assert result.k_tilde == 8 and result.optimal
 
 
-def bench_solver_exact_cover_tight_bounds(benchmark):
-    """The same instance under the opt-in tiling-style bound."""
-    def run():
-        try:
-            return minimum_zero_cost_cover(_SOLVER_COVER_PATTERN, 1,
-                                           tight_bounds=True)
-        except TypeError:  # pre-tight-bounds baseline checkouts
-            return minimum_zero_cost_cover(_SOLVER_COVER_PATTERN, 1)
-
-    result = benchmark(run)
-    assert result.k_tilde == 8 and result.optimal
-
-
 def bench_solver_goa_greedy(benchmark):
     """Greedy GOA local search (the EXP-O1 per-sequence hot path)."""
     from repro.offset.goa import goa_greedy

@@ -23,15 +23,14 @@ loop:
   (``open_executor("tcp://host:port")`` / ``--executor`` on the CLI),
   so every experiment runner gains multi-host execution unchanged.
 
-Wire protocol: the PR-4 length-prefixed JSON framing of
-:mod:`repro.batch.service` (:func:`~repro.batch.service.send_frame` /
-:func:`~repro.batch.service.recv_frame`).  Jobs and results travel as
+Wire protocol: the length-prefixed JSON framing of
+:mod:`repro.batch.service`, served by its
+:class:`~repro.batch.service.FrameServer`.  Jobs and results travel as
 base64-encoded pickles inside the JSON frames; requests carry an
-``op`` (``ping``, ``status``, ``submit``, ``cancel``, ``lease``,
-``complete``, ``fail``), and a submitted batch's results are *pushed*
-to the client as ``event`` frames (``result``, ``failed``,
-``heartbeat``, and the terminals ``done``/``aborted``) in completion
-order.
+``op`` from :attr:`JobServer.OPS` (workers) or
+:attr:`JobServer.STREAM_OPS` (submitting clients), and a submitted
+batch's results are *pushed* to the client as :data:`EVENTS` frames in
+completion order.
 
 Failure philosophy: compute, unlike the cache, is not optional -- a
 dead or unreachable job server fails the batch loudly with a
@@ -58,7 +57,6 @@ import os
 import pickle
 import queue
 import socket
-import socketserver
 import threading
 import time
 from collections import deque
@@ -74,8 +72,11 @@ from repro.batch.engine import (
 )
 from repro.batch.trace import open_tracer, percentile
 from repro.batch.service import (
+    FrameServer,
     FrameTooLargeError,
+    Op,
     _close_socket,
+    field_or,
     format_endpoint,
     parse_endpoint,
     recv_frame,
@@ -88,6 +89,18 @@ _LOGGER = logging.getLogger("repro.batch.cluster")
 #: Hard cap on one blocking lease wait, so a worker poll can never pin
 #: a handler thread indefinitely (workers re-poll in a loop anyway).
 MAX_LEASE_WAIT = 30.0
+
+#: The event frames a ``submit`` connection's result stream carries,
+#: kind -> payload fields beyond ``event``, in completion order until
+#: a terminal ``done`` (every job resolved) or ``aborted`` (the batch
+#: failed, was cancelled, or lost its client).
+EVENTS: dict[str, tuple[str, ...]] = {
+    "result": ("index", "result"),
+    "failed": ("index", "error", "error_type"),
+    "heartbeat": (),
+    "done": (),
+    "aborted": (),
+}
 
 
 def encode_payload(obj: Any) -> str:
@@ -187,158 +200,18 @@ class _Batch:
     durations: deque = field(default_factory=lambda: deque(maxlen=256))
 
 
-class _JobRequestHandler(socketserver.BaseRequestHandler):
-    """One connection: a submitting client or a leasing worker."""
-
-    def handle(self) -> None:
-        server: JobServer = self.server.job_server  # type: ignore
-        server.track_connection(self.request, alive=True)
-        if server.idle_timeout is not None:
-            # A stalled or half-open peer must not pin this thread
-            # forever.  For workers the recv gap spans one job's
-            # execution, so idle_timeout must be sized above the
-            # slowest job (a dropped slow worker costs duplicate
-            # compute via release_worker, never correctness).  Client
-            # result streams are exempt from the read side of this
-            # timeout (see watch_for_cancel); their stall detector is
-            # the heartbeat send.
-            self.request.settimeout(server.idle_timeout)
-        try:
-            try:
-                first = recv_frame(self.request)
-            except (BatchError, OSError):
-                return
-            if first is None:
-                return
-            if first.get("op") == "submit":
-                self._serve_client(server, first)
-            else:
-                self._serve_worker(server, first)
-        finally:
-            server.track_connection(self.request, alive=False)
-
-    # -- worker connections --------------------------------------------
-    def _serve_worker(self, server: "JobServer", request: dict) -> None:
-        owner = self.request  # connection identity for lease ownership
-        try:
-            while True:
-                try:
-                    response = server.handle_worker_request(request,
-                                                            owner)
-                # repro-lint: disable=BROAD-EXCEPT -- not swallowed: the error goes back to the worker as an error frame, keeping the connection alive
-                except Exception as error:
-                    response = {
-                        "ok": False,
-                        "error": f"{type(error).__name__}: {error}"}
-                try:
-                    send_frame(self.request, response)
-                except (BatchError, OSError):
-                    return
-                try:
-                    request = recv_frame(self.request)
-                except (BatchError, OSError):
-                    return
-                if request is None:
-                    return
-        finally:
-            # A vanished worker must not strand its leases: requeue
-            # them so another worker picks the jobs up.
-            server.release_worker(owner)
-
-    # -- client connections --------------------------------------------
-    def _serve_client(self, server: "JobServer", submit: dict) -> None:
-        jobs = submit.get("jobs")
-        if not isinstance(jobs, list) or not jobs or not all(
-                isinstance(payload, str) for payload in jobs):
-            try:
-                send_frame(self.request, {
-                    "ok": False, "error": "'submit' needs a non-empty "
-                                          "list of job payloads"})
-            except (BatchError, OSError):
-                pass
-            return
-        batch = server.create_batch(jobs, hints=submit.get("hints"))
-        try:
-            send_frame(self.request, {
-                "ok": True, "batch": batch.batch_id, "n_jobs": len(jobs),
-                "workers": server.n_connected_workers})
-        except (BatchError, OSError):
-            server.kill_batch(batch.batch_id)
-            return
-
-        # The client may send "cancel" (or just hang up) while results
-        # are being pushed; a side thread watches for both.
-        def watch_for_cancel() -> None:
-            try:
-                while True:
-                    try:
-                        frame = recv_frame(self.request)
-                    except TimeoutError:
-                        # An idle *client* is healthy: it sends nothing
-                        # while results stream back, so the idle
-                        # timeout must not kill its batch.  A truly
-                        # dead client is caught by the heartbeat send
-                        # in _push_events filling the socket buffer.
-                        continue
-                    if frame is None:
-                        break
-                    if frame.get("op") == "cancel":
-                        server.cancel_batch(batch.batch_id)
-            except (BatchError, OSError):
-                pass
-            # EOF or a broken pipe: the client cannot receive results
-            # anymore, so in-flight completions are discarded.
-            server.kill_batch(batch.batch_id)
-
-        watcher = threading.Thread(target=watch_for_cancel,
-                                   name="repro-job-client-watch",
-                                   daemon=True)
-        watcher.start()
-        self._push_events(server, batch)
-
-    def _push_events(self, server: "JobServer", batch: _Batch) -> None:
-        while True:
-            try:
-                event = batch.events.get(timeout=server.heartbeat)
-            except queue.Empty:
-                event = {"event": "heartbeat"}
-            try:
-                send_frame(self.request, event)
-            except FrameTooLargeError:
-                # One oversized result must not desync the stream (no
-                # bytes were sent): report that job as failed instead.
-                try:
-                    send_frame(self.request, {
-                        "event": "failed", "index": event.get("index"),
-                        "error": "result too large for one protocol "
-                                 "frame", "error_type": "FrameTooLarge"})
-                except (BatchError, OSError):
-                    server.kill_batch(batch.batch_id)
-                    return
-            except (BatchError, OSError):
-                server.kill_batch(batch.batch_id)
-                return
-            if event.get("event") in ("done", "aborted"):
-                return
-
-
-class _TcpServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-
-
-class _TcpServer6(_TcpServer):
-    address_family = socket.AF_INET6
-
-
-class JobServer:
+class JobServer(FrameServer):
     """Queue batch jobs and lease them to a fleet of workers over TCP.
+
+    A connection's first frame decides its role: ``submit`` turns it
+    into that batch's result stream (:attr:`STREAM_OPS`,
+    :data:`EVENTS`); anything else makes it a worker (or diagnostic)
+    connection whose frames :attr:`OPS` answers.
 
     Parameters
     ----------
     host, port:
-        Bind address; ``port=0`` picks an ephemeral port (see
-        :attr:`address` / :attr:`endpoint`).
+        As for :class:`~repro.batch.service.FrameServer`.
     lease_timeout:
         Seconds a worker may hold a lease before the job is presumed
         lost and requeued.  Size it above the slowest expected job; a
@@ -409,6 +282,47 @@ class JobServer:
         ...     compiler = BatchCompiler(executor=server.endpoint)
     """
 
+    OPS = {
+        "ping": Op("_op_ping", "Liveness probe.", response=("server",)),
+        "status": Op("_op_status", "Queue, lease, and fleet counters "
+                     "(diagnostic; no in-repo sender).",
+                     response=("workers", "queued", "leased", "batches",
+                               "completed", "failed", "requeued",
+                               "speculated", "stale", "lease_timeout")),
+        "lease": Op("_op_lease", "Lease the next queued job, waiting up "
+                    "to `wait` seconds (>= 0, capped at 30) for one; "
+                    "`idle` when none came.",
+                    optional={"wait": "number"},
+                    response=("lease", "batch", "index", "job", "idle")),
+        "complete": Op("_op_complete", "Report a leased job's result (a "
+                       "base64 pickle); `stale` when the lease was "
+                       "superseded.  A non-numeric `seconds` is dropped.",
+                       required={"lease": "string", "result": "string"},
+                       optional={"seconds": None}, response=("stale",)),
+        "fail": Op("_op_fail", "Report that a leased job raised; `stale` "
+                   "as for `complete`.", required={"lease": "string"},
+                   optional={"error": "string", "error_type": "string",
+                             "seconds": None},
+                   response=("stale",)),
+    }
+    #: The ops of a submitting client's connection.  ``submit`` must be
+    #: its first frame and turns it into the batch's result stream; a
+    #: ``cancel`` may follow at any time.  Not routed through
+    #: :meth:`handle_worker_request`.
+    STREAM_OPS = {
+        "submit": Op("_stream_batch", "Queue a batch of jobs (a non-empty "
+                     "list of base64 pickles) and stream its events back "
+                     "on this connection.  Malformed advisory `hints` "
+                     "(per-job name/size) are ignored.",
+                     required={"jobs": "list"}, optional={"hints": None},
+                     response=("batch", "n_jobs", "workers")),
+        "cancel": Op("cancel_batch", "Stop scheduling the streamed batch: "
+                     "queued jobs drop, leased ones finish and stream "
+                     "back.  Answered by the stream, not a response "
+                     "frame."),
+    }
+    thread_name = "repro-job-server"
+
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
                  lease_timeout: float = 60.0, max_attempts: int = 3,
                  heartbeat: float = 2.0,
@@ -430,10 +344,6 @@ class JobServer:
         if max_attempts < 1:
             raise BatchError(
                 f"max_attempts must be >= 1, got {max_attempts}")
-        if idle_timeout is not None and not idle_timeout > 0:
-            raise BatchError(
-                f"idle_timeout must be > 0 seconds or None, got "
-                f"{idle_timeout}")
         if order not in ("fifo", "size"):
             raise BatchError(
                 f"order must be 'fifo' or 'size', got {order!r}")
@@ -444,7 +354,6 @@ class JobServer:
         self.lease_timeout = float(lease_timeout)
         self.max_attempts = int(max_attempts)
         self.heartbeat = float(heartbeat)
-        self.idle_timeout = idle_timeout
         self.order = order
         self.speculate = bool(speculate)
         self.speculate_factor = float(speculate_factor)
@@ -466,39 +375,19 @@ class JobServer:
         self._worker_ids = itertools.count(1)
         self._durations: deque = deque(maxlen=512)
         self._ids = itertools.count(1)
-        server_class = _TcpServer6 if ":" in host else _TcpServer
-        self._server = server_class((host, port), _JobRequestHandler)
-        self._server.job_server = self  # type: ignore[attr-defined]
+        super().__init__(host, port, idle_timeout)
         self._trace = open_tracer(
             trace, source="job-server", clock=clock,
             meta={"endpoint": self.endpoint,
                   "lease_timeout": self.lease_timeout,
                   "order": self.order, "speculate": self.speculate,
                   "adaptive_lease": self.adaptive_lease})
-        self._thread: threading.Thread | None = None
-        self._reaper: threading.Thread | None = None
-        # Events, not bools: start/shutdown flip them from the
-        # controlling thread while other threads read them.  The
-        # reaper waits on _stop_reaping, so shutdown wakes it at once
-        # instead of blocking for a whole reap interval.
-        self._serving = threading.Event()
+        # The reaper waits on _stop_reaping, so shutdown wakes it at
+        # once instead of blocking for a whole reap interval.
         self._stop_reaping = threading.Event()
-        self._closing = False
-        self._connections: set[socket.socket] = set()
-        self._connections_lock = threading.Lock()
-
-    # -- addressing ----------------------------------------------------
-    @property
-    def address(self) -> tuple[str, int]:
-        """The bound ``(host, port)``."""
-        host, port = self._server.server_address[:2]
-        return str(host), int(port)
-
-    @property
-    def endpoint(self) -> str:
-        """The ``tcp://host:port`` spec clients and workers connect to
-        (IPv6 hosts come bracketed, ready for ``open_executor``)."""
-        return format_endpoint(*self.address)
+        self._reaper = threading.Thread(
+            target=self._reap_forever, name="repro-job-reaper",
+            daemon=True) if self.auto_reap else None
 
     @property
     def n_connected_workers(self) -> int:
@@ -506,19 +395,106 @@ class JobServer:
         with self._lock:
             return len(self._workers)
 
-    # -- connection bookkeeping (mirrors CacheServer) ------------------
-    def track_connection(self, sock: socket.socket, alive: bool) -> None:
-        """Handler bookkeeping so :meth:`shutdown` can close live
-        connections; a connection registering after shutdown started
-        is closed on the spot."""
-        with self._connections_lock:
-            if not alive:
-                self._connections.discard(sock)
+    # -- connections (handler threads) ---------------------------------
+    def handle_connection(self, sock: socket.socket) -> None:
+        """Per-connection hook: a ``submit`` first frame makes this a
+        result stream; any other makes it a worker connection, whose
+        frames the shared frame loop answers and whose leases are
+        requeued when it goes away.
+
+        For workers the idle timeout spans one job's execution (the
+        recv gap), so it must be sized above the slowest job.
+        """
+        try:
+            first = recv_frame(sock)
+        except (BatchError, OSError):
+            return
+        if first is None:
+            return
+        if first.get("op") == "submit":
+            self._stream_batch(sock, first)
+            return
+        try:
+            self.answer_frames(
+                sock, lambda request: self.handle_worker_request(
+                    request, owner=sock), first)
+        finally:
+            # A vanished worker must not strand its leases: requeue
+            # them so another worker picks the jobs up.
+            self.release_worker(sock)
+
+    def _stream_batch(self, sock: socket.socket, submit: dict) -> None:
+        """Queue a submitted batch, then push its events on ``sock``
+        until a terminal one, while a side thread watches for
+        ``cancel`` (or the client hanging up)."""
+        problem = self.STREAM_OPS["submit"].check("submit", submit)
+        jobs = submit.get("jobs")
+        if problem is None and (not jobs or not all(
+                isinstance(payload, str) for payload in jobs)):
+            problem = "'submit' needs a non-empty list of job payloads"
+        if problem is not None:
+            try:
+                send_frame(sock, {"ok": False, "error": problem})
+            except (BatchError, OSError):
+                pass
+            return
+        batch = self.create_batch(jobs, hints=submit.get("hints"))
+        try:
+            send_frame(sock, {
+                "ok": True, "batch": batch.batch_id, "n_jobs": len(jobs),
+                "workers": self.n_connected_workers})
+        except (BatchError, OSError):
+            self.kill_batch(batch.batch_id)
+            return
+
+        def watch_for_cancel() -> None:
+            try:
+                while True:
+                    try:
+                        frame = recv_frame(sock)
+                    except TimeoutError:
+                        # An idle *client* is healthy: it sends nothing
+                        # while results stream back, so the idle
+                        # timeout must not kill its batch.  A truly
+                        # dead client is caught by the heartbeat send
+                        # below filling the socket buffer.
+                        continue
+                    if frame is None:
+                        break
+                    if frame.get("op") == "cancel":
+                        self.cancel_batch(batch.batch_id)
+            except (BatchError, OSError):
+                pass
+            # EOF or a broken pipe: the client cannot receive results
+            # anymore, so in-flight completions are discarded.
+            self.kill_batch(batch.batch_id)
+
+        threading.Thread(target=watch_for_cancel,
+                         name="repro-job-client-watch",
+                         daemon=True).start()
+        while True:
+            try:
+                event = batch.events.get(timeout=self.heartbeat)
+            except queue.Empty:
+                event = {"event": "heartbeat"}
+            try:
+                send_frame(sock, event)
+            except FrameTooLargeError:
+                # One oversized result must not desync the stream (no
+                # bytes were sent): report that job as failed instead.
+                try:
+                    send_frame(sock, {
+                        "event": "failed", "index": event.get("index"),
+                        "error": "result too large for one protocol "
+                                 "frame", "error_type": "FrameTooLarge"})
+                except (BatchError, OSError):
+                    self.kill_batch(batch.batch_id)
+                    return
+            except (BatchError, OSError):
+                self.kill_batch(batch.batch_id)
                 return
-            if not self._closing:
-                self._connections.add(sock)
+            if event.get("event") in ("done", "aborted"):
                 return
-        _close_socket(sock)
 
     def _worker_name_locked(self, owner: object) -> str:
         name = self._worker_names.get(owner)
@@ -679,7 +655,9 @@ class JobServer:
         ignored (the job was requeued or speculatively duplicated and
         already resolved, or its batch is gone).  ``seconds`` is the
         worker's self-timed execution duration; it seeds the adaptive
-        lease timeout and the speculation threshold."""
+        lease timeout and the speculation threshold (anything but a
+        non-negative number falls back to the server-side lease
+        age)."""
         with self._lock:
             now = self._clock()
             lease = self._take_lease_locked(lease_id)
@@ -971,129 +949,70 @@ class JobServer:
     # -- the worker-facing protocol ------------------------------------
     def handle_worker_request(self, request: dict,
                               owner: object) -> dict:
-        """Answer one worker/diagnostic frame (exposed for protocol
-        tests)."""
-        op = request.get("op")
-        if op == "ping":
-            return {"ok": True, "server": "repro-agu job-serve"}
-        if op == "status":
-            with self._lock:
-                queued = sum(
-                    1 for batch_id, index in self._ready
-                    if batch_id in self._batches
-                    and index in self._batches[batch_id].payloads)
-                return {"ok": True, "workers": len(self._workers),
-                        "queued": queued, "leased": len(self._leases),
-                        "batches": len(self._batches),
-                        "completed": self.stats.completed,
-                        "failed": self.stats.failed,
-                        "requeued": self.stats.requeued,
-                        "speculated": self.stats.speculated,
-                        "stale": self.stats.stale,
-                        "lease_timeout":
-                            self._effective_lease_timeout_locked()}
-        if op == "lease":
-            wait = request.get("wait", 0.0)
-            if not isinstance(wait, (int, float)) or wait < 0:
-                return {"ok": False,
-                        "error": "'lease' needs a non-negative 'wait'"}
-            self.register_worker(owner)
-            return self.lease(owner, float(wait))
-        if op == "complete":
-            lease_id = request.get("lease")
-            result = request.get("result")
-            if not isinstance(lease_id, str) \
-                    or not isinstance(result, str):
-                return {"ok": False,
-                        "error": "'complete' needs a string 'lease' "
-                                 "and a string 'result'"}
-            seconds = request.get("seconds")
-            return self.complete(
-                lease_id, result,
-                seconds=seconds
-                if isinstance(seconds, (int, float)) else None)
-        if op == "fail":
-            lease_id = request.get("lease")
-            if not isinstance(lease_id, str):
-                return {"ok": False,
-                        "error": "'fail' needs a string 'lease'"}
-            seconds = request.get("seconds")
-            return self.fail(
-                lease_id,
-                str(request.get("error", "unknown error")),
-                str(request.get("error_type", "Exception")),
-                seconds=seconds
-                if isinstance(seconds, (int, float)) else None)
-        return {"ok": False, "error": f"unknown op {op!r}"}
+        """Answer one worker/diagnostic frame through :attr:`OPS`;
+        ``owner`` is the connection that holds any lease it takes
+        (exposed for protocol tests)."""
+        return self.handle_request(request, owner)
+
+    def _op_ping(self, request: dict, owner: object) -> dict:
+        return {"ok": True, "server": "repro-agu job-serve"}
+
+    def _op_status(self, request: dict, owner: object) -> dict:
+        with self._lock:
+            queued = sum(
+                1 for batch_id, index in self._ready
+                if batch_id in self._batches
+                and index in self._batches[batch_id].payloads)
+            return {"ok": True, "workers": len(self._workers),
+                    "queued": queued, "leased": len(self._leases),
+                    "batches": len(self._batches),
+                    "completed": self.stats.completed,
+                    "failed": self.stats.failed,
+                    "requeued": self.stats.requeued,
+                    "speculated": self.stats.speculated,
+                    "stale": self.stats.stale,
+                    "lease_timeout":
+                        self._effective_lease_timeout_locked()}
+
+    def _op_lease(self, request: dict, owner: object) -> dict:
+        wait = field_or(request, "wait", 0.0)
+        if wait < 0:
+            return {"ok": False,
+                    "error": "'lease' needs a non-negative 'wait'"}
+        self.register_worker(owner)
+        return self.lease(owner, float(wait))
+
+    def _op_complete(self, request: dict, owner: object) -> dict:
+        return self.complete(request["lease"], request["result"],
+                             seconds=request.get("seconds"))
+
+    def _op_fail(self, request: dict, owner: object) -> dict:
+        return self.fail(request["lease"],
+                         field_or(request, "error", "unknown error"),
+                         field_or(request, "error_type", "Exception"),
+                         seconds=request.get("seconds"))
 
     # -- lifecycle -----------------------------------------------------
-    def _start_reaper(self) -> None:
-        # repro-lint: disable=LOCK-DISCIPLINE -- _reaper is a lifecycle attr; only start/serve_forever call this, on the controlling thread
-        if self._reaper is not None or not self.auto_reap:
-            return
+    def _reap_forever(self) -> None:
+        interval = max(0.1, min(1.0, self.lease_timeout / 4))
+        while not self._stop_reaping.wait(interval):
+            try:
+                self.run_policies()
+            # repro-lint: disable=BROAD-EXCEPT -- the reaper must outlive any one bad iteration; the failure is logged, not hidden
+            except Exception:  # pragma: no cover - belt and braces
+                _LOGGER.exception("lease reaper iteration failed")
 
-        def reap_loop() -> None:
-            interval = max(0.1, min(1.0, self.lease_timeout / 4))
-            while not self._stop_reaping.wait(interval):
-                try:
-                    self.run_policies()
-                # repro-lint: disable=BROAD-EXCEPT -- the reaper must outlive any one bad iteration; the failure is logged, not hidden
-                except Exception:  # pragma: no cover - belt and braces
-                    _LOGGER.exception("lease reaper iteration failed")
-
-        self._reaper = threading.Thread(target=reap_loop,
-                                        name="repro-job-reaper",
-                                        daemon=True)
-        self._reaper.start()
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread until :meth:`shutdown`."""
-        self._serving.set()
-        self._start_reaper()
-        self._server.serve_forever(poll_interval=0.1)
-
-    def start(self) -> "JobServer":
-        """Serve on a daemon background thread; returns ``self``."""
-        self._serving.set()
-        self._start_reaper()
-        # repro-lint: disable=LOCK-DISCIPLINE -- _thread is a lifecycle attr; start/shutdown run on one controlling thread
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            kwargs={"poll_interval": 0.1},
-            name="repro-job-server", daemon=True)
-        self._thread.start()
-        return self
-
-    def shutdown(self) -> None:
-        """Stop serving: close the listener and every live connection
-        (clients see the drop as a loud batch failure, workers exit
-        their loops); idempotent."""
-        self._stop_reaping.set()
-        if self._serving.is_set():
-            self._server.shutdown()
-            self._serving.clear()
-        self._server.server_close()
-        with self._connections_lock:
-            self._closing = True
-            live, self._connections = self._connections, set()
-        for sock in live:
-            _close_socket(sock)
-        # repro-lint: disable=LOCK-DISCIPLINE -- _thread is a lifecycle attr; joining under a lock handlers take would deadlock
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        # repro-lint: disable=LOCK-DISCIPLINE -- _reaper join, same single-controlling-thread lifecycle as _thread above
+    def _before_serving(self) -> None:
         if self._reaper is not None:
+            self._reaper.start()
+
+    def _after_shutdown(self) -> None:
+        """Clients see the closed connections as a loud batch failure
+        and workers exit their loops; stop the reaper and the trace."""
+        self._stop_reaping.set()
+        if self._reaper is not None and self._reaper.is_alive():
             self._reaper.join(timeout=5.0)
-            self._reaper = None
         self._trace.close()
-
-    def __enter__(self) -> "JobServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
-
 
 # ----------------------------------------------------------------------
 # The worker loop

@@ -1,8 +1,17 @@
-"""A remote result-cache service for the batch engine.
+"""The batch layer's TCP core, and the remote result-cache service.
+
+:class:`FrameServer` is the one server every service builds on (the
+cache here, :class:`~repro.batch.cluster.JobServer`,
+:class:`~repro.batch.serving.CompileService`): bind, one handler
+thread per connection, the frame loop, idle timeouts, connection
+tracking, and the start/shutdown lifecycle.  A service declares its
+wire schema as an op table of :class:`Op` entries, which the base
+enforces at runtime and ``tools/gen_protocol.py`` renders as
+``docs/PROTOCOL.md``.
 
 The sharded directory store covers shared-*filesystem* deployments;
-this module covers everything else: :class:`CacheServer` exposes any
-:class:`~repro.batch.cache.CacheBackend` over TCP, and
+the cache service covers everything else: :class:`CacheServer` exposes
+any :class:`~repro.batch.cache.CacheBackend` over TCP, and
 :class:`RemoteCache` is the matching client-side backend, so any number
 of :class:`~repro.batch.engine.BatchCompiler` runs -- across processes
 or across hosts -- share one result store and stop recompiling each
@@ -13,10 +22,10 @@ existing store spec.
 Wire protocol (stdlib-only, deliberately boring): every message is one
 *frame* -- a 4-byte big-endian length prefix followed by that many
 bytes of UTF-8 JSON encoding a single object.  Requests carry an
-``op`` (``ping``, ``get``, ``get_many``, ``put``, ``put_many``,
-``stats``); responses carry ``ok`` plus op-specific fields, or
-``ok: false`` with an ``error`` string.  One connection serves any number of frames back
-to back, which is what makes per-result streaming puts cheap.
+``op`` from the server's table; responses carry ``ok`` plus op-specific
+fields, or ``ok: false`` with an ``error`` string.  One connection
+serves any number of frames back to back, which is what makes
+per-result streaming puts cheap.
 
 Failure philosophy: the cache is an optimization, so the *client*
 never lets the network fail a batch.  A dead or unreachable server
@@ -37,6 +46,8 @@ import socketserver
 import struct
 import threading
 import time
+from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.batch.cache import CacheStats
 from repro.errors import BatchError
@@ -191,53 +202,65 @@ def recv_frame(sock: socket.socket) -> dict | None:
 
 
 # ----------------------------------------------------------------------
-# Server
+# The frame server: one TCP core under every service
 # ----------------------------------------------------------------------
-class _CacheRequestHandler(socketserver.BaseRequestHandler):
-    """One connection: frames in, frames out, until the client hangs up."""
+#: The JSON types an op table may declare a request field with, and
+#: the Python values that carry each (a ``bool`` is never a number).
+JSON_TYPES: dict[str, tuple[type, ...]] = {
+    "string": (str,), "integer": (int,), "number": (int, float),
+    "boolean": (bool,), "list": (list,), "object": (dict,)}
 
-    def handle(self) -> None:
-        server: CacheServer = self.server.cache_server  # type: ignore
-        server.track_connection(self.request, alive=True)
-        if server.idle_timeout is not None:
-            # A stalled or half-open client must not pin this thread
-            # forever: the blocking recv below raises TimeoutError (an
-            # OSError) after idle_timeout seconds and the connection
-            # closes cleanly.  Well-behaved clients reconnect
-            # transparently (RemoteCache retries once on a fresh
-            # connection before degrading).
-            self.request.settimeout(server.idle_timeout)
-        try:
-            while True:
-                try:
-                    request = recv_frame(self.request)
-                except (BatchError, OSError):
-                    return
-                if request is None:
-                    return
-                try:
-                    response = server.handle_request(request)
-                # repro-lint: disable=BROAD-EXCEPT -- not swallowed: the error goes back to the client as an error frame, keeping the connection alive
-                except Exception as error:
-                    response = {
-                        "ok": False,
-                        "error": f"{type(error).__name__}: {error}"}
-                try:
-                    send_frame(self.request, response)
-                except FrameTooLargeError as error:
-                    # The *response* outgrew a frame (a get_many over
-                    # huge payloads): answer with an error frame so
-                    # the client sees a miss on a live connection, not
-                    # a dropped one it would misread as a dead server.
-                    try:
-                        send_frame(self.request,
-                                   {"ok": False, "error": str(error)})
-                    except (BatchError, OSError):
-                        return
-                except (BatchError, OSError):
-                    return
-        finally:
-            server.track_connection(self.request, alive=False)
+
+def _a(kind: str) -> str:
+    return f"an {kind}" if kind[0] in "aeiou" else f"a {kind}"
+
+
+def _has_type(value, kind: str) -> bool:
+    if isinstance(value, bool) and kind != "boolean":
+        return False
+    return isinstance(value, JSON_TYPES[kind])
+
+
+def field_or(request: dict, name: str, default):
+    """``request[name]``, or ``default`` when the field is absent or
+    ``null`` (the op tables treat both alike)."""
+    value = request.get(name)
+    return default if value is None else value
+
+
+@dataclass(frozen=True)
+class Op:
+    """One entry of a server's op table: who answers the op, and its
+    wire schema.
+
+    ``handler`` names the server method that answers the request;
+    ``summary`` is its one-line description in ``docs/PROTOCOL.md``.
+    ``required`` and ``optional`` map request fields to a
+    :data:`JSON_TYPES` name, or to ``None`` for a field the handler
+    checks -- or deliberately tolerates malformed -- itself.  A
+    ``null`` value counts as absent.  ``response`` lists the keys an
+    answer may carry beyond the ``ok``/``error`` envelope.
+    """
+
+    handler: str
+    summary: str
+    required: dict[str, str | None] = field(default_factory=dict)
+    optional: dict[str, str | None] = field(default_factory=dict)
+    response: tuple[str, ...] = ()
+
+    def check(self, op: str, request: dict) -> str | None:
+        """Why ``request`` does not fit this schema, or ``None``."""
+        for name, kind in self.required.items():
+            if request.get(name) is None:
+                what = f"{_a(kind)} {name!r}" if kind else repr(name)
+                return f"{op!r} needs {what}"
+        for fields in (self.required, self.optional):
+            for name, kind in fields.items():
+                value = request.get(name)
+                if kind is not None and value is not None \
+                        and not _has_type(value, kind):
+                    return f"{op!r} field {name!r} must be {_a(kind)}"
+        return None
 
 
 class _TcpServer(socketserver.ThreadingTCPServer):
@@ -249,65 +272,64 @@ class _TcpServer6(_TcpServer):
     address_family = socket.AF_INET6
 
 
-class CacheServer:
-    """Serve one :class:`~repro.batch.cache.CacheBackend` over TCP.
+class _FrameHandler(socketserver.BaseRequestHandler):
+    """One accepted connection, handed to its :class:`FrameServer`."""
+
+    def handle(self) -> None:
+        self.server.frame_server.serve_connection(  # type: ignore
+            self.request)
+
+
+class FrameServer:
+    """A threaded TCP server that answers frames through an op table.
+
+    The core every service of the batch layer shares: the bind (IPv6
+    hosts included), one handler thread per connection running the
+    frame loop, the idle timeout, connection tracking, and the
+    ``start`` / ``serve_forever`` / ``shutdown`` lifecycle.  A
+    subclass declares :attr:`OPS` and writes one handler method per
+    op; :meth:`handle_request` rejects unknown ops and requests that
+    miss their op's schema with error frames before any handler runs,
+    so handlers only make the checks a field type cannot express.
+
+    Subclass hooks: :meth:`handle_connection` (what one connection
+    does; the default answers every frame with :meth:`handle_request`),
+    :meth:`_before_serving`, and :meth:`_after_shutdown`.
 
     Parameters
     ----------
-    store:
-        The backing store (any backend ``open_cache`` can produce
-        except another remote).  Access is serialized with a lock, so
-        backends without their own thread safety are fine.
     host, port:
         Bind address; ``port=0`` picks an ephemeral port (see
         :attr:`address` / :attr:`endpoint` for the bound one).
-    readonly:
-        Reject ``put``/``put_many`` with a flagged error response
-        (clients notice the flag and stop sending stores), and turn
-        off the backing store's own corrupt-entry discard -- a
-        read-only server must never write to its store, not even to
-        clean up.
     idle_timeout:
         Seconds a connection may sit idle between frames before the
         server closes it (``None`` disables the timeout).  Stalled or
-        half-open clients would otherwise pin a handler thread forever
+        half-open peers would otherwise pin a handler thread forever
         and wedge graceful shutdown; well-behaved clients that went
         quiet simply reconnect on their next request.
-
-    Run blocking with :meth:`serve_forever` (the CLI does) or on a
-    background thread via :meth:`start` / the context-manager form
-    (tests and in-process sharing do).
     """
 
-    def __init__(self, store, host: str = "127.0.0.1", port: int = 0, *,
-                 readonly: bool = False,
-                 idle_timeout: float | None = 300.0):
-        if isinstance(store, RemoteCache):
-            raise BatchError(
-                "a cache server cannot front another remote cache")
+    #: op name -> :class:`Op`: what :meth:`handle_request` dispatches.
+    OPS: dict[str, Op] = {}
+    #: Name of the background thread :meth:`start` serves on.
+    thread_name = "repro-frame-server"
+
+    def __init__(self, host: str, port: int,
+                 idle_timeout: float | None):
         if idle_timeout is not None and not idle_timeout > 0:
             raise BatchError(
                 f"idle_timeout must be > 0 seconds or None, got "
                 f"{idle_timeout}")
-        self.store = store
-        self.readonly = readonly
         self.idle_timeout = idle_timeout
-        self._lock = threading.Lock()
         # A colon in the host is an IPv6 literal (e.g. "::1"), which
         # needs an AF_INET6 listening socket.
         server_class = _TcpServer6 if ":" in host else _TcpServer
-        self._server = server_class((host, port), _CacheRequestHandler)
-        self._server.cache_server = self  # type: ignore[attr-defined]
-        # Only after the bind succeeded: read-only must mean *no*
-        # writes, including the store's own corrupt-entry cleanup on
-        # the get path.  Restored on shutdown -- the caller's store is
-        # borrowed, not owned (and a failed bind must not leave it
-        # mutated).
-        self._restore_discard = False
-        if readonly and getattr(store, "discard_corrupt", None):
-            store.discard_corrupt = False
-            self._restore_discard = True
-        self._thread: threading.Thread | None = None
+        self._server = server_class((host, port), _FrameHandler)
+        self._server.frame_server = self  # type: ignore[attr-defined]
+        self._thread = threading.Thread(
+            target=self._server.serve_forever,
+            kwargs={"poll_interval": 0.1}, name=self.thread_name,
+            daemon=True)
         # An Event, not a bool: shutdown() consults it from whatever
         # thread tears the server down while serve_forever runs
         # elsewhere, so the flag itself must be race-free.
@@ -316,6 +338,20 @@ class CacheServer:
         self._connections_lock = threading.Lock()
         self._closing = False
 
+    @property
+    def address(self) -> tuple[str, int]:
+        """The bound ``(host, port)``."""
+        host, port = self._server.server_address[:2]
+        return str(host), int(port)
+
+    @property
+    def endpoint(self) -> str:
+        """The ``tcp://host:port`` spec clients should open (IPv6
+        hosts come bracketed, ready for ``open_cache`` /
+        ``open_executor``)."""
+        return format_endpoint(*self.address)
+
+    # -- connections (handler threads) ---------------------------------
     def track_connection(self, sock: socket.socket,
                          alive: bool) -> None:
         """Handler bookkeeping so :meth:`shutdown` can close live
@@ -332,66 +368,224 @@ class CacheServer:
                 return
         _close_socket(sock)
 
-    @property
-    def address(self) -> tuple[str, int]:
-        """The bound ``(host, port)``."""
-        host, port = self._server.server_address[:2]
-        return str(host), int(port)
+    def serve_connection(self, sock: socket.socket) -> None:
+        """Run one accepted connection on its handler thread."""
+        self.track_connection(sock, alive=True)
+        if self.idle_timeout is not None:
+            # A blocking recv raises TimeoutError (an OSError) after
+            # idle_timeout seconds and the connection closes cleanly.
+            sock.settimeout(self.idle_timeout)
+        try:
+            self.handle_connection(sock)
+        finally:
+            self.track_connection(sock, alive=False)
 
-    @property
-    def endpoint(self) -> str:
-        """The ``tcp://host:port`` spec clients should open (IPv6
-        hosts come bracketed, ready for ``open_cache``)."""
-        return format_endpoint(*self.address)
+    def handle_connection(self, sock: socket.socket) -> None:
+        """Per-connection hook: answer every frame with
+        :meth:`handle_request` until the peer hangs up."""
+        self.answer_frames(sock)
 
-    def handle_request(self, request: dict) -> dict:
-        """Answer one protocol request (exposed for protocol tests)."""
-        op = request.get("op")
-        if op == "ping":
-            return {"ok": True, "server": "repro-agu cache-serve",
-                    "readonly": self.readonly}
-        if op == "get":
-            digest = request.get("digest")
-            if not isinstance(digest, str):
-                return {"ok": False, "error": "'get' needs a string "
-                                              "'digest'"}
-            with self._lock:
-                payload = self.store.get(digest)
-            return {"ok": True, "payload": payload}
-        if op == "get_many":
-            digests = request.get("digests")
-            if not isinstance(digests, list) or not all(
-                    isinstance(digest, str) for digest in digests):
-                return {"ok": False, "error": "'get_many' needs a list "
-                                              "of string digests"}
-            with self._lock:
-                payloads = {digest: self.store.get(digest)
-                            for digest in digests}
-            return {"ok": True,
-                    "payloads": {digest: payload
-                                 for digest, payload in payloads.items()
-                                 if isinstance(payload, dict)}}
-        if op == "put":
-            digest, payload = request.get("digest"), request.get("payload")
-            if not isinstance(digest, str) or not isinstance(payload, dict):
-                return {"ok": False, "error": "'put' needs a string "
-                                              "'digest' and a dict "
-                                              "'payload'"}
-            return self._store_entries({digest: payload})
-        if op == "put_many":
-            entries = request.get("entries")
-            if not isinstance(entries, dict) or not all(
-                    isinstance(digest, str) and isinstance(payload, dict)
-                    for digest, payload in entries.items()):
-                return {"ok": False, "error": "'put_many' needs a dict "
-                                              "of digest -> payload"}
-            return self._store_entries(entries)
-        if op == "stats":
-            with self._lock:
-                stats = self.store.stats
-                return {"ok": True, "hits": stats.hits,
-                        "misses": stats.misses, "stores": stats.stores}
-        return {"ok": False, "error": f"unknown op {op!r}"}
+    def answer_frames(self, sock: socket.socket,
+                      answer: Callable[[dict], dict] | None = None,
+                      request: dict | None = None) -> None:
+        """The frame loop: receive a request, send ``answer(request)``
+        (default :meth:`handle_request`), repeat until the peer hangs
+        up or breaks the protocol.  ``request`` is a first frame the
+        caller already received.  A handler crash becomes an error
+        frame on the live connection."""
+        while True:
+            if request is None:
+                try:
+                    request = recv_frame(sock)
+                except (BatchError, OSError):
+                    return
+                if request is None:
+                    return
+            try:
+                response = (answer or self.handle_request)(request)
+            # repro-lint: disable=BROAD-EXCEPT -- not swallowed: the error goes back to the peer as an error frame, keeping the connection alive
+            except Exception as error:
+                response = {"ok": False,
+                            "error": f"{type(error).__name__}: {error}"}
+            request = None
+            try:
+                send_frame(sock, response)
+            except FrameTooLargeError as error:
+                # The *response* outgrew a frame (a get_many over huge
+                # payloads, a giant listing): answer an error frame so
+                # the peer sees a failed request on a live connection,
+                # not a dropped one it would misread as a dead server.
+                try:
+                    send_frame(sock, {"ok": False, "error": str(error)})
+                except (BatchError, OSError):
+                    return
+            except (BatchError, OSError):
+                return
+
+    def handle_request(self, request: dict, *context) -> dict:
+        """Answer one request frame through :attr:`OPS`: the op's
+        handler is called as ``handler(request, *context)`` once the
+        request fits the op's schema (exposed for protocol tests)."""
+        name = request.get("op")
+        op = self.OPS.get(name) if isinstance(name, str) else None
+        if op is None:
+            return {"ok": False, "error": f"unknown op {name!r}"}
+        problem = op.check(name, request)
+        if problem is not None:
+            return {"ok": False, "error": problem}
+        return getattr(self, op.handler)(request, *context)
+
+    # -- lifecycle (the controlling thread) ----------------------------
+    def _before_serving(self) -> None:
+        """Hook: start the subclass's own background threads."""
+
+    def _after_shutdown(self) -> None:
+        """Hook: stop what :meth:`_before_serving` started, once the
+        listener and every connection are closed."""
+
+    def serve_forever(self) -> None:
+        """Serve on the calling thread until :meth:`shutdown`."""
+        self._serving.set()
+        self._before_serving()
+        self._server.serve_forever(poll_interval=0.1)
+
+    def start(self) -> "FrameServer":
+        """Serve on a daemon background thread; returns ``self``."""
+        self._serving.set()
+        self._before_serving()
+        self._thread.start()
+        return self
+
+    def shutdown(self) -> None:
+        """Stop serving (idempotent): close the listener and every
+        live connection, so no handler thread keeps answering
+        afterwards, then run the subclass teardown."""
+        if self._serving.is_set():
+            self._server.shutdown()
+            self._serving.clear()
+        self._server.server_close()
+        with self._connections_lock:
+            self._closing = True
+            live, self._connections = self._connections, set()
+        for sock in live:
+            _close_socket(sock)
+        if self._thread.is_alive():
+            self._thread.join(timeout=5.0)
+        self._after_shutdown()
+
+    def __enter__(self):
+        return self.start()
+
+    def __exit__(self, *exc_info) -> None:
+        self.shutdown()
+
+
+# ----------------------------------------------------------------------
+# The cache server
+# ----------------------------------------------------------------------
+class CacheServer(FrameServer):
+    """Serve one :class:`~repro.batch.cache.CacheBackend` over TCP.
+
+    Parameters
+    ----------
+    store:
+        The backing store (any backend ``open_cache`` can produce
+        except another remote).  Access is serialized with a lock, so
+        backends without their own thread safety are fine.
+    host, port, idle_timeout:
+        As for :class:`FrameServer`.
+    readonly:
+        Reject ``put``/``put_many`` with a flagged error response
+        (clients notice the flag and stop sending stores), and turn
+        off the backing store's own corrupt-entry discard -- a
+        read-only server must never write to its store, not even to
+        clean up.
+
+    Run blocking with :meth:`serve_forever` (the CLI does) or on a
+    background thread via :meth:`start` / the context-manager form
+    (tests and in-process sharing do).
+    """
+
+    OPS = {
+        "ping": Op("_op_ping", "Liveness probe; says whether the store "
+                   "is read-only.", response=("server", "readonly")),
+        "get": Op("_op_get", "One payload by digest (`null` on a miss).",
+                  required={"digest": "string"}, response=("payload",)),
+        "get_many": Op("_op_get_many", "The cached payloads among "
+                       "`digests` (strings); misses are absent.",
+                       required={"digests": "list"},
+                       response=("payloads",)),
+        "put": Op("_op_put", "Store one payload.",
+                  required={"digest": "string", "payload": "object"},
+                  response=("stored", "readonly")),
+        "put_many": Op("_op_put_many", "Store `entries`, a dict of "
+                       "digest -> payload.",
+                       required={"entries": "object"},
+                       response=("stored", "readonly")),
+        "stats": Op("_op_stats", "The store's own counters.",
+                    response=("hits", "misses", "stores")),
+    }
+    thread_name = "repro-cache-server"
+
+    def __init__(self, store, host: str = "127.0.0.1", port: int = 0, *,
+                 readonly: bool = False,
+                 idle_timeout: float | None = 300.0):
+        if isinstance(store, RemoteCache):
+            raise BatchError(
+                "a cache server cannot front another remote cache")
+        super().__init__(host, port, idle_timeout)
+        self.store = store
+        self.readonly = readonly
+        self._lock = threading.Lock()
+        # Only after the bind succeeded: read-only must mean *no*
+        # writes, including the store's own corrupt-entry cleanup on
+        # the get path.  Restored on shutdown -- the caller's store is
+        # borrowed, not owned (and a failed bind must not leave it
+        # mutated).
+        self._restore_discard = bool(
+            readonly and getattr(store, "discard_corrupt", None))
+        if self._restore_discard:
+            store.discard_corrupt = False
+
+    def _op_ping(self, request: dict) -> dict:
+        return {"ok": True, "server": "repro-agu cache-serve",
+                "readonly": self.readonly}
+
+    def _op_get(self, request: dict) -> dict:
+        with self._lock:
+            payload = self.store.get(request["digest"])
+        return {"ok": True, "payload": payload}
+
+    def _op_get_many(self, request: dict) -> dict:
+        digests = request["digests"]
+        if not all(isinstance(digest, str) for digest in digests):
+            return {"ok": False, "error": "'get_many' needs a list of "
+                                          "string digests"}
+        with self._lock:
+            payloads = {digest: self.store.get(digest)
+                        for digest in digests}
+        return {"ok": True,
+                "payloads": {digest: payload
+                             for digest, payload in payloads.items()
+                             if isinstance(payload, dict)}}
+
+    def _op_put(self, request: dict) -> dict:
+        return self._store_entries({request["digest"]:
+                                    request["payload"]})
+
+    def _op_put_many(self, request: dict) -> dict:
+        entries = request["entries"]
+        if not all(isinstance(digest, str) and isinstance(payload, dict)
+                   for digest, payload in entries.items()):
+            return {"ok": False, "error": "'put_many' needs a dict of "
+                                          "digest -> payload"}
+        return self._store_entries(entries)
+
+    def _op_stats(self, request: dict) -> dict:
+        with self._lock:
+            stats = self.store.stats
+            return {"ok": True, "hits": stats.hits,
+                    "misses": stats.misses, "stores": stats.stores}
 
     def _store_entries(self, entries: dict) -> dict:
         if self.readonly:
@@ -406,48 +600,9 @@ class CacheServer:
                     self.store.put(digest, payload)
         return {"ok": True, "stored": len(entries)}
 
-    def serve_forever(self) -> None:
-        """Serve on the calling thread until :meth:`shutdown`."""
-        self._serving.set()
-        self._server.serve_forever(poll_interval=0.1)
-
-    def start(self) -> "CacheServer":
-        """Serve on a daemon background thread; returns ``self``."""
-        self._serving.set()
-        # repro-lint: disable=LOCK-DISCIPLINE -- _thread is a lifecycle attr; start/shutdown run on one controlling thread
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, kwargs={"poll_interval": 0.1},
-            name="repro-cache-server", daemon=True)
-        self._thread.start()
-        return self
-
-    def shutdown(self) -> None:
-        """Stop serving: close the listening socket *and* every live
-        connection, so no handler thread keeps answering afterwards
-        (idempotent)."""
-        if self._serving.is_set():
-            self._server.shutdown()
-            self._serving.clear()
-        self._server.server_close()
-        with self._connections_lock:
-            self._closing = True
-            live, self._connections = self._connections, set()
-        for sock in live:
-            _close_socket(sock)
-        # repro-lint: disable=LOCK-DISCIPLINE -- _restore_discard is only touched here and in __init__, on the controlling thread
+    def _after_shutdown(self) -> None:
         if self._restore_discard:
             self.store.discard_corrupt = True
-            self._restore_discard = False
-        # repro-lint: disable=LOCK-DISCIPLINE -- _thread is a lifecycle attr; joining under a lock handlers take would deadlock
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-
-    def __enter__(self) -> "CacheServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
 
 
 # ----------------------------------------------------------------------

@@ -29,7 +29,8 @@ The service is three thin layers over machinery that already exists:
    so hot kernels are answered from memory without touching the
    backing store (or the wire, for a remote store).
 
-Wire protocol (one JSON object per frame, shared framing limits):
+Wire protocol (one JSON object per frame, shared framing limits, the
+schema declared in :attr:`CompileService.OPS`):
 requests carry ``op`` = ``ping`` | ``stats`` | ``compile``; a compile
 request names its kernel either inline (``source``: frontend text) or
 from the bundled library (``kernel``: a library name), plus the spec
@@ -53,7 +54,6 @@ from __future__ import annotations
 
 import queue
 import socket
-import socketserver
 import threading
 import time
 from dataclasses import dataclass
@@ -64,8 +64,10 @@ from repro.batch.digest import job_digest
 from repro.batch.engine import BatchCompiler, Executor, JobResult
 from repro.batch.jobs import BatchJob
 from repro.batch.service import (
-    FrameTooLargeError,
+    FrameServer,
+    Op,
     _close_socket,
+    field_or,
     format_endpoint,
     parse_endpoint,
     recv_frame,
@@ -103,7 +105,8 @@ class ServerBusyError(BatchError):
 class ServeStats:
     """Request counters over one :class:`CompileService` lifetime."""
 
-    #: Compile requests accepted off the wire (valid or not).
+    #: Compile requests that passed the op table's field checks (a
+    #: missing or wrongly typed field is answered before counting).
     requests: int = 0
     #: Compile requests answered straight from the cache's warm path,
     #: without entering the in-flight queue.
@@ -168,60 +171,7 @@ class _PendingCompile:
         self.ready.set()
 
 
-class _ServeRequestHandler(socketserver.BaseRequestHandler):
-    """One connection: frames in, frames out, until the client hangs
-    up (or goes idle past the server's idle timeout)."""
-
-    def handle(self) -> None:
-        server: CompileService = self.server.compile_service  # type: ignore
-        server.track_connection(self.request, alive=True)
-        if server.idle_timeout is not None:
-            # Same rationale as the cache/job servers: a stalled or
-            # half-open client must not pin this thread forever.
-            self.request.settimeout(server.idle_timeout)
-        try:
-            while True:
-                try:
-                    request = recv_frame(self.request)
-                except (BatchError, OSError):
-                    return
-                if request is None:
-                    return
-                try:
-                    response = server.handle_request(request)
-                # repro-lint: disable=BROAD-EXCEPT -- not swallowed: the error goes back to the client as an error frame, keeping the connection alive
-                except Exception as error:
-                    response = {
-                        "ok": False,
-                        "error": f"{type(error).__name__}: {error}"}
-                try:
-                    send_frame(self.request, response)
-                except FrameTooLargeError as error:
-                    # The response outgrew a frame (a giant listing):
-                    # answer an error frame so the client sees a
-                    # request failure on a live connection, not a
-                    # dropped one.
-                    try:
-                        send_frame(self.request,
-                                   {"ok": False, "error": str(error)})
-                    except (BatchError, OSError):
-                        return
-                except (BatchError, OSError):
-                    return
-        finally:
-            server.track_connection(self.request, alive=False)
-
-
-class _TcpServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-
-
-class _TcpServer6(_TcpServer):
-    address_family = socket.AF_INET6
-
-
-class CompileService:
+class CompileService(FrameServer):
     """Serve single-kernel compile requests over TCP.
 
     Parameters
@@ -234,9 +184,8 @@ class CompileService:
         in a :class:`~repro.batch.cache.TieredCache` of
         ``warm_capacity`` entries, so hot kernels never touch the
         backing store.
-    host, port:
-        Bind address; ``port=0`` picks an ephemeral port (see
-        :attr:`address` / :attr:`endpoint`).
+    host, port, idle_timeout:
+        As for :class:`~repro.batch.service.FrameServer`.
     executor, n_workers:
         Where cache misses compile -- the same seam as
         :class:`~repro.batch.engine.BatchCompiler` (which is what runs
@@ -256,10 +205,6 @@ class CompileService:
         answered with a ``busy`` error frame instead of queueing.
     warm_capacity:
         Entry bound of the warm in-process LRU tier.
-    idle_timeout:
-        Seconds a connection may sit idle between frames before the
-        server closes it (``None`` disables the timeout), mirroring
-        :class:`~repro.batch.service.CacheServer`.
 
     Run blocking with :meth:`serve_forever` (the CLI does) or on a
     background thread via :meth:`start` / the context-manager form
@@ -270,6 +215,27 @@ class CompileService:
         ...     client = ServeClient(service.endpoint)
         ...     answer = client.compile(kernel="fir")
     """
+
+    OPS = {
+        "ping": Op("_op_ping", "Liveness probe; reports the executor's "
+                   "parallelism width.", response=("server", "workers")),
+        "stats": Op("_op_stats", "The `ServeStats` counters, plus the "
+                    "tiered cache's hits/misses/stores under `cache`.",
+                    response=("requests", "served_warm",
+                              "busy_rejections", "batches", "compiled",
+                              "failures", "cache")),
+        "compile": Op(
+            "_op_compile", "Compile one kernel, named by exactly one of "
+            "`source` (frontend text) and `kernel` (a library name); "
+            "`busy` marks an admission rejection.",
+            optional={"source": "string", "kernel": "string",
+                      "name": "string", "registers": "integer",
+                      "modify_range": "integer", "iterations": "integer",
+                      "simulate": "boolean", "baseline": "boolean",
+                      "listing": "boolean"},
+            response=("digest", "cached", "result", "listing", "busy")),
+    }
+    thread_name = "repro-compile-service"
 
     def __init__(self, cache: CacheBackend | str | None = None, *,
                  host: str = "127.0.0.1", port: int = 0,
@@ -287,10 +253,6 @@ class CompileService:
         if max_pending < 1:
             raise BatchError(
                 f"max_pending must be >= 1, got {max_pending}")
-        if idle_timeout is not None and not idle_timeout > 0:
-            raise BatchError(
-                f"idle_timeout must be > 0 seconds or None, got "
-                f"{idle_timeout}")
         backend = open_cache(cache) if isinstance(cache, str) else cache
         self.cache = TieredCache(backend, capacity=warm_capacity)
         # The compiler is driven only by the dispatcher thread; the
@@ -301,95 +263,56 @@ class CompileService:
         self.batch_window = float(batch_window)
         self.max_batch = int(max_batch)
         self.max_pending = int(max_pending)
-        self.idle_timeout = idle_timeout
         self.stats = ServeStats()
         self._stats_lock = threading.Lock()
-        self._queue: queue.Queue[_PendingCompile] = queue.Queue(
+        # None is shutdown's wake-up call for an idle dispatcher.
+        self._queue: queue.Queue[_PendingCompile | None] = queue.Queue(
             maxsize=max_pending)
         self._stop = threading.Event()
-        server_class = _TcpServer6 if ":" in host else _TcpServer
-        self._server = server_class((host, port), _ServeRequestHandler)
-        self._server.compile_service = self  # type: ignore[attr-defined]
+        super().__init__(host, port, idle_timeout)
         # Only after the bind succeeded -- a failed construction must
         # not leak a dispatcher thread.
         self._dispatcher = threading.Thread(
             target=self._dispatch_forever, name="repro-serve-dispatch",
             daemon=True)
         self._dispatcher.start()
-        self._thread: threading.Thread | None = None
-        # An Event, not a bool: shutdown() consults it from whatever
-        # thread tears the server down while serve_forever runs
-        # elsewhere.
-        self._serving = threading.Event()
-        self._connections: set[socket.socket] = set()
-        self._connections_lock = threading.Lock()
-        self._closing = False
-
-    # -- addressing ----------------------------------------------------
-    @property
-    def address(self) -> tuple[str, int]:
-        """The bound ``(host, port)``."""
-        host, port = self._server.server_address[:2]
-        return str(host), int(port)
-
-    @property
-    def endpoint(self) -> str:
-        """The ``tcp://host:port`` spec clients should connect to."""
-        return format_endpoint(*self.address)
 
     @property
     def n_workers(self) -> int:
         """The underlying executor's parallelism width."""
         return self._compiler.n_workers
 
-    # -- connection bookkeeping (mirrors CacheServer) ------------------
-    def track_connection(self, sock: socket.socket, alive: bool) -> None:
-        """Handler bookkeeping so :meth:`shutdown` can close live
-        connections; a connection registering after shutdown started
-        is closed on the spot."""
-        with self._connections_lock:
-            if not alive:
-                self._connections.discard(sock)
-                return
-            if not self._closing:
-                self._connections.add(sock)
-                return
-        _close_socket(sock)
-
     # -- request handling (handler threads) ----------------------------
-    def handle_request(self, request: dict) -> dict:
-        """Answer one protocol request (exposed for protocol tests)."""
-        op = request.get("op")
-        if op == "ping":
-            return {"ok": True, "server": "repro-agu serve",
-                    "workers": self.n_workers}
-        if op == "stats":
-            with self._stats_lock:
-                counters = {
-                    "requests": self.stats.requests,
-                    "served_warm": self.stats.served_warm,
-                    "busy_rejections": self.stats.busy_rejections,
-                    "batches": self.stats.batches,
-                    "compiled": self.stats.compiled,
-                    "failures": self.stats.failures}
-            cache = self.cache.stats
-            return {"ok": True, **counters,
-                    "cache": {"hits": cache.hits, "misses": cache.misses,
-                              "stores": cache.stores}}
-        if op == "compile":
-            return self._handle_compile(request)
-        return {"ok": False, "error": f"unknown op {op!r}"}
+    def _op_ping(self, request: dict) -> dict:
+        return {"ok": True, "server": "repro-agu serve",
+                "workers": self.n_workers}
 
-    def _handle_compile(self, request: dict) -> dict:
+    def _op_stats(self, request: dict) -> dict:
+        with self._stats_lock:
+            counters = {
+                "requests": self.stats.requests,
+                "served_warm": self.stats.served_warm,
+                "busy_rejections": self.stats.busy_rejections,
+                "batches": self.stats.batches,
+                "compiled": self.stats.compiled,
+                "failures": self.stats.failures}
+        cache = self.cache.stats
+        return {"ok": True, **counters,
+                "cache": {"hits": cache.hits, "misses": cache.misses,
+                          "stores": cache.stores}}
+
+    def _op_compile(self, request: dict) -> dict:
         with self._stats_lock:
             self.stats.requests += 1
         try:
             job = self._job_from_request(request)
-        # repro-lint: disable=BROAD-EXCEPT -- not swallowed: every request-shaping error (missing fields, unknown library kernels, oversized sources) is this request's error frame, never a batch failure that could fail other clients' work
+        # Not swallowed: every request-shaping error (an unknown
+        # library kernel, an oversized source) is this request's error
+        # frame, never a batch failure that could fail other work.
         except Exception as error:
             return self._reject(error)
         digest = job_digest(job)
-        want_listing = bool(request.get("listing", False))
+        want_listing = bool(request.get("listing"))
 
         # A hit skips the parse: its digest covers the exact source
         # text, which parsed (within the limits) when it was stored.
@@ -403,7 +326,8 @@ class CompileService:
                                 cached=True, want_listing=want_listing)
         try:
             self._check_kernel(job)
-        # repro-lint: disable=BROAD-EXCEPT -- not swallowed: a frontend syntax error or an over-limit kernel is this request's error frame, never a batch failure that could fail other clients' work
+        # Not swallowed either: a frontend syntax error or an
+        # over-limit kernel is this request's error frame.
         except Exception as error:
             return self._reject(error)
 
@@ -477,10 +401,11 @@ class CompileService:
         return artifacts.listing
 
     def _job_from_request(self, request: dict) -> BatchJob:
-        """Shape and *validate* one compile request into a job.
+        """Shape one compile request into a job.
 
-        Checks every field and the source size, but does not parse:
-        a cache hit needs no parse, and a miss is parsed by
+        The op table already checked every field's type; this checks
+        what a type cannot say and the source size, but does not
+        parse: a cache hit needs no parse, and a miss is parsed by
         :meth:`_check_kernel` before it is queued.
         """
         source = request.get("source")
@@ -490,39 +415,26 @@ class CompileService:
                              "(frontend text) and 'kernel' (a library "
                              "kernel name)")
         if library is not None:
-            if not isinstance(library, str):
-                raise BatchError("'kernel' must be a string kernel name")
             source = get_kernel(library).source
-        if not isinstance(source, str) or not source.strip():
+        if not source.strip():
             raise BatchError("'source' must be non-empty frontend text")
         size = len(source.encode("utf-8"))
         if size > MAX_SOURCE_BYTES:
             raise BatchError(f"'source' is {size} bytes; this server "
                              f"accepts at most {MAX_SOURCE_BYTES}")
-        name = request.get("name") or library or "served-kernel"
-        if not isinstance(name, str):
-            raise BatchError("'name' must be a string")
-        registers = request.get("registers", 4)
-        modify_range = request.get("modify_range", 1)
-        if not isinstance(registers, int) or isinstance(registers, bool):
-            raise BatchError("'registers' must be an integer")
-        if not isinstance(modify_range, int) \
-                or isinstance(modify_range, bool):
-            raise BatchError("'modify_range' must be an integer")
         iterations = request.get("iterations")
-        if iterations is not None and (
-                not isinstance(iterations, int)
-                or isinstance(iterations, bool) or iterations < 1):
+        if iterations is not None and iterations < 1:
             raise BatchError("'iterations' must be a positive integer "
                              "or null")
         return BatchJob(
-            name=name,
-            spec=AguSpec(n_registers=registers,
-                         modify_range=modify_range),
+            name=request.get("name") or library or "served-kernel",
+            spec=AguSpec(n_registers=field_or(request, "registers", 4),
+                         modify_range=field_or(request, "modify_range",
+                                               1)),
             source=source,
-            run_simulation=bool(request.get("simulate", True)),
+            run_simulation=field_or(request, "simulate", True),
             n_iterations=iterations,
-            include_baseline=bool(request.get("baseline", False)))
+            include_baseline=field_or(request, "baseline", False))
 
     @staticmethod
     def _check_kernel(job: BatchJob) -> None:
@@ -546,6 +458,8 @@ class CompileService:
             try:
                 first = self._queue.get(timeout=0.2)
             except queue.Empty:
+                first = None
+            if first is None:  # idle, or shutdown's wake-up call
                 if self._stop.is_set():
                     break
                 continue
@@ -556,9 +470,12 @@ class CompileService:
                 if remaining <= 0:
                     break
                 try:
-                    batch.append(self._queue.get(timeout=remaining))
+                    entry = self._queue.get(timeout=remaining)
                 except queue.Empty:
                     break
+                if entry is None:
+                    break
+                batch.append(entry)
             self._run_batch(batch)
         # Shutdown drain: everything still queued gets an error
         # outcome so no handler thread is left waiting.
@@ -567,7 +484,8 @@ class CompileService:
                 pending = self._queue.get_nowait()
             except queue.Empty:
                 break
-            pending.fail("compile service is shutting down")
+            if pending is not None:
+                pending.fail("compile service is shutting down")
 
     def _run_batch(self, batch: list[_PendingCompile]) -> None:
         """One micro-batch through the engine, with per-culprit
@@ -605,7 +523,8 @@ class CompileService:
                              if entry not in culprits]
                 pending = survivors
                 continue
-            # repro-lint: disable=BROAD-EXCEPT -- dispatcher last resort: an unexpected error resolves every waiting request instead of stranding its handler thread
+            # Dispatcher last resort: an unexpected error resolves every
+            # waiting request instead of stranding its handler thread.
             except Exception as error:
                 for entry in pending:
                     entry.fail(f"{type(error).__name__}: {error}")
@@ -616,51 +535,20 @@ class CompileService:
                 entry.resolve(result.payload(), result.from_cache)
             return
 
-    # -- lifecycle (mirrors CacheServer) -------------------------------
-    def serve_forever(self) -> None:
-        """Serve on the calling thread until :meth:`shutdown`."""
-        self._serving.set()
-        self._server.serve_forever(poll_interval=0.1)
-
-    def start(self) -> "CompileService":
-        """Serve on a daemon background thread; returns ``self``."""
-        self._serving.set()
-        # repro-lint: disable=LOCK-DISCIPLINE -- _thread is a lifecycle attr; start/shutdown run on one controlling thread
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            kwargs={"poll_interval": 0.1},
-            name="repro-compile-service", daemon=True)
-        self._thread.start()
-        return self
-
-    def shutdown(self) -> None:
-        """Stop serving (idempotent): close the listener and every
-        live connection first (no new work can arrive), then stop the
-        dispatcher.  Admission is a promise: requests already in the
-        bounded queue are compiled and resolved before the dispatcher
-        exits; only a request that slips in after its final pass is
-        failed with a shutdown error."""
-        if self._serving.is_set():
-            self._server.shutdown()
-            self._serving.clear()
-        self._server.server_close()
-        with self._connections_lock:
-            self._closing = True
-            live, self._connections = self._connections, set()
-        for sock in live:
-            _close_socket(sock)
+    # -- lifecycle -----------------------------------------------------
+    def _after_shutdown(self) -> None:
+        """No new work can arrive once the listener and connections are
+        closed, so stop the dispatcher.  Admission is a promise:
+        requests already in the bounded queue are compiled and
+        resolved before the dispatcher exits; only a request that
+        slips in after its final pass is failed with a shutdown
+        error."""
         self._stop.set()
+        try:
+            self._queue.put_nowait(None)  # wake an idle dispatcher now
+        except queue.Full:
+            pass  # a busy dispatcher sees the stop after the drain
         self._dispatcher.join(timeout=10.0)
-        # repro-lint: disable=LOCK-DISCIPLINE -- _thread is a lifecycle attr; joining under a lock handlers take would deadlock
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-
-    def __enter__(self) -> "CompileService":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
 
 
 # ----------------------------------------------------------------------

@@ -23,18 +23,7 @@ Pruning:
   element is a dead end;
 * **bootstrap** -- the matching lower bound and the greedy upper bound
   (sections on refs [2] and the heuristic) initialise the incumbent;
-  search stops as soon as the incumbent meets the lower bound;
-* **forced-open suffix bound** (opt-in, ``tight_bounds=True``) -- every
-  unassigned access with no intra-iteration predecessor must open a
-  path of its own, so ``open + forced(position) >= best`` subtrees are
-  dead.  This is the tiling-style register-pressure bound ("A Tiling
-  Perspective for Register Optimization" frames pressure search as
-  tiling with exactly this kind of occupancy floor): it only removes
-  subtrees that cannot improve the incumbent, hence the cover, its
-  size, and the ``optimal`` flag are unchanged -- but the node count
-  (and with it budget-exhaustion behaviour on huge instances) differs,
-  which is why the legacy node-for-node search order stays the default
-  (experiment goldens pin ``nodes_explored``).
+  search stops as soon as the incumbent meets the lower bound.
 
 Accesses to different arrays (or with different index coefficients)
 share no zero-cost edges, so the instance decomposes into independent
@@ -88,15 +77,8 @@ def minimum_zero_cost_cover(
         pattern: AccessPattern,
         modify_range: int,
         node_budget: int = DEFAULT_NODE_BUDGET,
-        tight_bounds: bool = False,
 ) -> CoverSearchResult:
     """Compute ``K~`` and a witnessing zero-cost cover for a pattern.
-
-    ``tight_bounds=True`` enables the forced-open suffix bound (see
-    the module docstring): identical cover and ``k_tilde``, strictly
-    fewer-or-equal nodes explored.  It stays opt-in because the
-    explored node count itself is part of the EXP-A1 experiment's
-    published (and golden-pinned) measurements.
 
     Raises
     ------
@@ -127,8 +109,7 @@ def minimum_zero_cost_cover(
         sub_pattern = AccessPattern(pattern.subsequence(positions),
                                     step=pattern.step,
                                     loop_var=pattern.loop_var)
-        outcome = _search_group(sub_pattern, modify_range, node_budget,
-                                tight_bounds)
+        outcome = _search_group(sub_pattern, modify_range, node_budget)
         lower_bound += outcome.lower_bound
         upper_bound += outcome.upper_bound
         nodes_total += outcome.nodes_explored
@@ -170,8 +151,7 @@ class _OpenPath:
 
 
 def _search_group(pattern: AccessPattern, modify_range: int,
-                  node_budget: int,
-                  tight_bounds: bool = False) -> CoverSearchResult:
+                  node_budget: int) -> CoverSearchResult:
     graph = cached_access_graph(pattern, modify_range)
     n = graph.n_nodes
     lower_bound = intra_cover_lower_bound(graph)
@@ -208,15 +188,6 @@ def _search_group(pattern: AccessPattern, modify_range: int,
     # (an intra edge implies same array / coefficient / loop variable).
     offsets = [access.offset for access in pattern]
 
-    # forced[p]: accesses at positions >= p that no intra edge can ever
-    # reach -- each must open a path of its own (the tiling-style
-    # occupancy floor used by the opt-in tight bound).
-    forced = [0] * (n + 1)
-    if tight_bounds:
-        predecessors = graph._predecessors
-        for p in range(n - 1, -1, -1):
-            forced[p] = forced[p + 1] + (not predecessors[p])
-
     best_size = incumbent.n_paths if incumbent is not None else n + 1
     best_paths: list[tuple[int, ...]] | None = (
         [tuple(path) for path in incumbent] if incumbent is not None else None)
@@ -250,8 +221,6 @@ def _search_group(pattern: AccessPattern, modify_range: int,
             return
 
         if n_open >= best_size:
-            return
-        if tight_bounds and n_open + forced[position] >= best_size:
             return
         for path in open_paths:
             if path.deadline < position:

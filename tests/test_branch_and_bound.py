@@ -136,52 +136,6 @@ class TestFeasibilityEdgeCases:
             minimum_zero_cost_cover(pattern, 1)
 
 
-class TestTightBounds:
-    """The opt-in forced-open suffix bound (``tight_bounds=True``)."""
-
-    def test_same_answer_with_fewer_or_equal_nodes(self, rng):
-        """The tight bound may only remove provably fruitless
-        subtrees: identical cover size, bounds and optimality, and a
-        node count that never grows."""
-        legacy_nodes = 0
-        tight_nodes = 0
-        for seed in range(30):
-            case_rng = random.Random(seed)
-            offsets = random_offsets(case_rng,
-                                     case_rng.randint(4, 16),
-                                     span=case_rng.randint(2, 6))
-            pattern = pattern_from_offsets(offsets)
-            modify_range = case_rng.randint(1, 3)
-            try:
-                legacy = minimum_zero_cost_cover(pattern, modify_range)
-            except InfeasibleZeroCostCover:
-                with pytest.raises(InfeasibleZeroCostCover):
-                    minimum_zero_cost_cover(pattern, modify_range,
-                                            tight_bounds=True)
-                continue
-            tight = minimum_zero_cost_cover(pattern, modify_range,
-                                            tight_bounds=True)
-            assert tight.k_tilde == legacy.k_tilde
-            assert tight.optimal == legacy.optimal
-            assert tight.lower_bound == legacy.lower_bound
-            assert tight.upper_bound == legacy.upper_bound
-            assert tight.nodes_explored <= legacy.nodes_explored
-            legacy_nodes += legacy.nodes_explored
-            tight_nodes += tight.nodes_explored
-        assert tight_nodes <= legacy_nodes
-
-    def test_default_search_is_legacy(self, rng):
-        """``tight_bounds`` stays opt-in: the default node count is
-        part of EXP-A1's golden-pinned measurements."""
-        offsets = random_offsets(random.Random(7), 14, span=4)
-        pattern = pattern_from_offsets(offsets)
-        default = minimum_zero_cost_cover(pattern, 1)
-        explicit = minimum_zero_cost_cover(pattern, 1,
-                                           tight_bounds=False)
-        assert default.nodes_explored == explicit.nodes_explored
-        assert default.k_tilde == explicit.k_tilde
-
-
 class TestBudget:
     def test_tiny_budget_still_returns_greedy_quality(self, rng):
         offsets = random_offsets(rng, 18, span=5)

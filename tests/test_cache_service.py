@@ -170,15 +170,11 @@ class TestServerSideFraming:
             send_frame(sock, {"op": "ping"})
             assert recv_frame(sock)["ok"] is True
 
-    def test_idle_connection_is_closed_after_the_timeout(self):
+    def test_client_rides_out_an_idle_close(self):
+        """The reconnect-once client survives the server closing its
+        idle connection (the close itself is pinned for every server
+        in test_frame_servers.py)."""
         with CacheServer(InMemoryLRUCache(), idle_timeout=0.2) as server:
-            with socket.create_connection(server.address,
-                                          timeout=5) as sock:
-                send_frame(sock, {"op": "ping"})
-                assert recv_frame(sock)["ok"] is True
-                sock.settimeout(5.0)
-                assert sock.recv(1) == b""  # idle past the timeout
-            # The reconnect-once client rides out an idle close.
             remote = RemoteCache(*server.address)
             remote.put("k", {"v": 1})
             time.sleep(0.3)  # server closes the idle connection
@@ -458,17 +454,6 @@ class TestGracefulDegradation:
             assert client.get("fat") is None
             assert client._down_since is None  # not degraded
         assert client.get("fat") == {"v": "z" * 400}
-
-    def test_late_connection_after_shutdown_is_closed(self):
-        """A handler that lands in the accept/shutdown race window
-        must be closed on registration, not left serving."""
-        server = CacheServer(InMemoryLRUCache()).start()
-        server.shutdown()
-        left, right = socket.socketpair()
-        with left:
-            server.track_connection(right, alive=True)
-            left.settimeout(1.0)
-            assert left.recv(1) == b""  # right was hard-closed
 
     def test_degradation_mid_batch_never_raises_into_the_engine(self):
         server = CacheServer(InMemoryLRUCache()).start()

@@ -1,14 +1,14 @@
 #!/usr/bin/env python
-"""Generate ``docs/PROTOCOL.md`` from the statically extracted wire model.
+"""Generate ``docs/PROTOCOL.md`` from the servers' declared op tables.
 
-The repro-lint project model (``tools/lint``) already parses every
-client and server in ``src/`` and recovers the wire protocol: which
-ops each dispatcher handles, which request fields the handlers read,
-which response keys each branch can answer with, who sends each op,
-and which event kinds stream over batch subscriptions.  This script
-renders that model as markdown so the protocol reference can never
-drift from the code -- CI runs ``--check`` and fails when the
-committed document no longer matches the sources::
+Every server of the batch layer declares its wire schema: the op
+tables (``OPS``, and the job server's ``STREAM_OPS``) of the
+:class:`~repro.batch.service.FrameServer` subclasses, and the job
+server's result-stream ``EVENTS``.  The servers validate requests
+against those tables at runtime; this script renders the same tables
+as markdown, so the protocol reference cannot drift from the code --
+CI runs ``--check`` and fails when the committed document no longer
+matches::
 
     python tools/gen_protocol.py           # rewrite docs/PROTOCOL.md
     python tools/gen_protocol.py --check   # exit 1 on drift (CI gate)
@@ -22,23 +22,33 @@ import argparse
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
+REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from lint.project import FunctionUnit, project_model  # noqa: E402
-from lint.runner import (  # noqa: E402
-    DEFAULT_TARGETS, REPO_ROOT, _collect_files, _load_module)
-from lint.registry import Module  # noqa: E402
-from lint.wiremodel import (  # noqa: E402
-    ENVELOPE_FIELDS, Handler, WireModel, build_wire_model)
+from repro.batch.cluster import EVENTS, JobServer  # noqa: E402
+from repro.batch.service import CacheServer, Op  # noqa: E402
+from repro.batch.serving import CompileService  # noqa: E402
 
 OUTPUT = REPO_ROOT / "docs" / "PROTOCOL.md"
+
+#: (section title, module, what serves it, op table), in document order.
+SERVERS = [
+    ("CacheServer", "repro.batch.service", "`repro-agu cache-serve`",
+     CacheServer.OPS),
+    ("JobServer", "repro.batch.cluster", "`repro-agu job-serve`, to "
+     "workers and diagnostic probes", JobServer.OPS),
+    ("JobServer result stream", "repro.batch.cluster",
+     "`repro-agu job-serve`, to submitting clients", JobServer.STREAM_OPS),
+    ("CompileService", "repro.batch.serving", "`repro-agu serve`",
+     CompileService.OPS),
+]
 
 HEADER = """\
 # Wire protocol reference
 
 <!-- GENERATED FILE -- do not edit by hand.
-     Source of truth: the dispatchers and clients in src/, statically
-     extracted by the repro-lint project model (tools/lint/wiremodel.py).
+     Source of truth: the op tables (OPS, STREAM_OPS) and EVENTS
+     declared in src/repro/batch/{service,cluster,serving}.py.
      Regenerate with:  python tools/gen_protocol.py
      CI gates drift:   python tools/gen_protocol.py --check -->
 
@@ -48,152 +58,68 @@ keys, UTF-8 encoded, and prefixed with a big-endian 4-byte length
 (`struct ">I"`); frames above 64 MiB are rejected on both sides
 (`send_frame` / `recv_frame` in `src/repro/batch/service.py`).
 
-Responses share an **ok/error envelope**: every reply carries an `ok`
-boolean, and the serving loops synthesize `{"ok": false, "error": ...}`
-for unknown ops and handler crashes, so clients may always read `ok`
-and (on failure) `error` even when a handler branch does not spell
-them out.  The tables below list the keys each handler branch answers
-with *in addition to* that envelope.
+Requests are routed on the `"op"` key through the server's op table
+(`FrameServer.handle_request`).  Responses share an **ok/error
+envelope**: every reply carries an `ok` boolean, and a failed one an
+`error` string.  The server answers an error frame without running any
+handler for an unknown op, a missing required field, or a field of the
+wrong JSON type; a `null` value counts as absent.  A field typed `any`
+is checked by its handler, or deliberately tolerated when malformed.
+A handler crash, or a response too large for one frame, also becomes
+an error frame on the live connection.  The tables below list the keys
+each op may answer with *in addition to* that envelope.
 
-Requests are routed on the `"op"` key; streamed batch notifications
-are routed on the `"event"` key (see [Event frames](#event-frames)).
-This document is generated from the same model the `WIRE-PROTOCOL`
-lint rule checks, so a mismatch between a client and a server shows up
-twice: here as a wrong table, and in CI as a lint finding.
+Streamed batch notifications are routed on the `"event"` key instead
+(see [Event frames](#event-frames)).  The `WIRE-PROTOCOL` lint rule
+checks every in-repo `{"op": ...}` and `{"event": ...}` literal against
+the same tables.
 """
 
 
-def _load_project_modules() -> list[Module]:
-    modules: list[Module] = []
-    targets = [REPO_ROOT / target for target in DEFAULT_TARGETS]
-    for path in _collect_files(targets):
-        loaded = _load_module(path, REPO_ROOT)
-        if isinstance(loaded, Module):
-            modules.append(loaded)
-    return modules
-
-
-def _site_ref(unit: FunctionUnit, node) -> str:
-    line = getattr(node, "lineno", None)
-    suffix = f":{line}" if line else ""
-    return f"`{unit.label}` ({unit.module.relpath}{suffix})"
-
-
-def _field_rows(handler: Handler) -> list[str]:
-    rows = []
-    for name in sorted(handler.required_fields):
-        rows.append(f"| `{name}` | required |")
-    for name in sorted(handler.optional_fields
-                       - handler.required_fields):
-        rows.append(f"| `{name}` | optional (`.get`) |")
-    return rows
-
-
-def _render_op(op: str, handler: Handler, model: WireModel) -> list[str]:
-    lines = [f"### `op: \"{op}\"`", ""]
-    lines.append(f"Handled by {_site_ref(handler.unit, handler.node)}.")
-    lines.append("")
-    rows = _field_rows(handler)
+def _render_op(name: str, op: Op) -> list[str]:
+    lines = [f'### `op: "{name}"`', "", op.summary, ""]
+    rows = sorted([(field, kind, "required")
+                   for field, kind in op.required.items()]
+                  + [(field, kind, "optional")
+                     for field, kind in op.optional.items()])
     if rows:
-        lines.append("| request field | requiredness |")
-        lines.append("| --- | --- |")
-        lines.extend(rows)
+        lines += ["| request field | type | requiredness |",
+                  "| --- | --- | --- |"]
+        lines += [f"| `{field}` | {kind or 'any'} | {need} |"
+                  for field, kind, need in rows]
     else:
         lines.append("Takes no request fields beyond `op`.")
     lines.append("")
-    keys: set[str] = set()
-    open_resp = False
-    for literal in handler.responses:
-        keys |= literal.keys
-        open_resp = open_resp or literal.open
-    keys -= ENVELOPE_FIELDS
-    if keys:
-        rendered = ", ".join(f"`{key}`" for key in sorted(keys))
-        qualifier = " (plus dynamically built keys)" if open_resp else ""
-        lines.append(f"Response keys beyond the envelope: "
-                     f"{rendered}{qualifier}.")
-    elif open_resp:
-        lines.append("Response shape is built dynamically (not a "
-                     "literal the extractor can enumerate).")
-    else:
-        lines.append("Responds with the bare envelope.")
-    senders = [site for site in model.request_sites
-               if site.kinds is not None and op in site.kinds]
-    if senders:
-        refs = sorted(_site_ref(site.unit, site.node)
-                      for site in senders)
-        lines.append(f"Sent by: {'; '.join(refs)}.")
-    else:
-        lines.append("No in-repo sender (external/diagnostic op).")
+    keys = ", ".join(f"`{key}`" for key in sorted(op.response))
+    lines.append(f"Response keys beyond the envelope: {keys or 'none'}.")
     lines.append("")
     return lines
 
 
-def render(model: WireModel) -> str:
+def render() -> str:
+    """The whole document, from the declared tables."""
     lines = [HEADER]
-    # Group ops by dispatcher so each server reads as one section.
-    by_dispatcher: dict[str, list[tuple[str, Handler]]] = {}
-    for op, handlers in model.handlers.items():
-        for handler in handlers:
-            key = f"{handler.unit.module.relpath}::{handler.unit.label}"
-            by_dispatcher.setdefault(key, []).append((op, handler))
-    for key in sorted(by_dispatcher):
-        pairs = sorted(by_dispatcher[key], key=lambda pair: pair[0])
-        unit = pairs[0][1].unit
-        lines.append(f"## Dispatcher `{unit.label}` "
-                     f"(`{unit.module.relpath}`)")
-        lines.append("")
-        ops = ", ".join(f"`{op}`" for op, _ in pairs)
-        lines.append(f"Routes ops: {ops}.")
-        lines.append("")
-        for op, handler in pairs:
-            lines.extend(_render_op(op, handler, model))
-    lines.append("## Event frames")
-    lines.append("")
-    lines.append(
-        "Batch subscriptions stream JSON frames routed on the "
-        "`\"event\"` key instead of `\"op\"`.  Producers push; "
-        "consumers iterate until a terminal `done`/`aborted` frame.")
-    lines.append("")
-    kinds: dict[str, tuple[set[str], list[str], bool]] = {}
-    for site in model.event_producers:
-        for kind in sorted(site.kinds or ()):
-            fields, refs, open_fields = kinds.setdefault(
-                kind, (set(), [], False))
-            fields |= site.fields
-            refs.append(_site_ref(site.unit, site.node))
-            kinds[kind] = (fields, refs, open_fields or site.open_fields)
-    lines.append("| event | payload fields | produced by |")
-    lines.append("| --- | --- | --- |")
-    for kind in sorted(kinds):
-        fields, refs, open_fields = kinds[kind]
-        rendered = ", ".join(f"`{name}`" for name in sorted(fields)) \
-            or "(none)"
-        if open_fields:
-            rendered += " (+ dynamic)"
-        lines.append(f"| `{kind}` | {rendered} | "
-                     f"{'; '.join(sorted(set(refs)))} |")
-    lines.append("")
-    if model.event_consumers:
-        lines.append("Consumers and the fields they read per kind:")
-        lines.append("")
-        for consumer in sorted(
-                model.event_consumers,
-                key=lambda c: (c.unit.module.relpath, c.unit.label)):
-            per_kind = ", ".join(
-                f"`{kind}`" + (
-                    " ({})".format(", ".join(
-                        f"`{f}`" for f in sorted(reads)))
-                    if reads else "")
-                for kind, reads in sorted(
-                    consumer.reads_by_kind.items()))
-            lines.append(f"- {_site_ref(consumer.unit, consumer.node)}"
-                         f" -- {per_kind}")
-        lines.append("")
+    for title, module, served_by, table in SERVERS:
+        ops = ", ".join(f"`{name}`" for name in table)
+        lines += [f"## {title} (`{module}`)", "",
+                  f"Served by {served_by}.  Ops: {ops}.", ""]
+        for name, op in table.items():
+            lines += _render_op(name, op)
+    lines += [
+        "## Event frames", "",
+        "After its `submit` is acknowledged, a client connection "
+        "receives the batch's events as frames routed on the "
+        "`\"event\"` key, in completion order, until a terminal `done` "
+        "or `aborted` (`EVENTS` in `repro.batch.cluster`).", "",
+        "| event | payload fields |", "| --- | --- |"]
+    for kind, fields in EVENTS.items():
+        rendered = ", ".join(f"`{field}`" for field in fields)
+        lines.append(f"| `{kind}` | {rendered or '(none)'} |")
     return "\n".join(lines).rstrip() + "\n"
 
 
 def main(argv: list[str] | None = None) -> int:
+    """CLI entry point; returns a process exit code."""
     parser = argparse.ArgumentParser(
         prog="gen-protocol", description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -205,8 +131,7 @@ def main(argv: list[str] | None = None) -> int:
         help="write the document here (default: docs/PROTOCOL.md)")
     args = parser.parse_args(argv)
 
-    model = build_wire_model(project_model(_load_project_modules()))
-    document = render(model)
+    document = render()
     if args.check:
         committed = args.output.read_text(encoding="utf-8") \
             if args.output.exists() else ""

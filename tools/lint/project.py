@@ -1,10 +1,10 @@
 """The inter-procedural project model whole-project rules build on.
 
 Per-module rules see one AST at a time; the flagship project rules
-(LOCK-ORDER, WIRE-PROTOCOL, and the inter-procedural half of
-LOCK-DISCIPLINE) need to reason *across* files: which class a
+(LOCK-ORDER and the inter-procedural half of LOCK-DISCIPLINE) need
+to reason *across* files: which class a
 ``self.cache = TieredCache(...)`` attribute is, which method a
-``self._serve_client(...)`` call lands in, and which locks that callee
+``self._stream_batch(...)`` call lands in, and which locks that callee
 acquires.  This module builds that shared picture once per lint run:
 
 * **Name resolution** -- every scanned file gets a dotted module name
@@ -33,7 +33,7 @@ acquires.  This module builds that shared picture once per lint run:
 Everything stays syntactic and conservative: an unresolvable call
 contributes nothing, so the analyses under-approximate rather than
 guess.  The model is memoized per ``modules`` list, so the rules that
-share it (and :mod:`lint.wiremodel`) pay for one build per run.
+share it pay for one build per run.
 """
 
 from __future__ import annotations
@@ -669,8 +669,8 @@ def _build_lock_model(project: Project) -> LockModel:
     return model
 
 
-#: One-slot memo: building the model twice per run (LOCK-DISCIPLINE +
-#: LOCK-ORDER + WIRE-PROTOCOL share it) would only waste time.  Keyed
+#: One-slot memo: building the model twice per run (LOCK-DISCIPLINE and
+#: LOCK-ORDER share it) would only waste time.  Keyed
 #: on the identity of the modules list the runner passes around.
 _PROJECT_MEMO: dict[str, tuple[tuple[int, ...], Project]] = {}
 

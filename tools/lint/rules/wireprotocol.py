@@ -1,209 +1,102 @@
-"""WIRE-PROTOCOL: clients and servers must agree on the frame schema.
+"""WIRE-PROTOCOL: clients send only declared ops and fields.
 
-Contract: the cache, cluster, and serving services speak one framing
-(:func:`~repro.batch.service.send_frame` length-prefixed JSON), but
-the *schema* -- which ops exist, which fields a request carries, what
-a response looks like -- lives only in code, split across server
-dispatch branches and client literals in different modules.  A client
-sending an op no server handles, a handler reading a field no client
-sends, or a response branch missing the ``ok`` envelope are all bugs
-the type system cannot see and the runtime tests only catch when the
-exact path is exercised.
+Contract: every server of the batch layer declares its wire schema --
+the op tables (``OPS``, and the job server's ``STREAM_OPS``) of the
+:class:`~repro.batch.service.FrameServer` subclasses, plus the job
+server's result-stream ``EVENTS`` -- and validates each request
+against its table at runtime.  This rule holds the sending side to the
+same tables statically: every ``{"op": ...}`` dict literal must name a
+declared op and carry only fields some table declares for it, and
+every ``{"event": ...}`` literal must name a declared event kind and
+carry only its fields.  A misspelt op or field then fails CI instead
+of the one request path the tests did not exercise.
 
-This rule extracts both sides statically (:mod:`lint.wiremodel`, the
-same model ``tools/gen_protocol.py`` renders as ``docs/PROTOCOL.md``)
-and cross-checks them:
-
-* every ``{"op": ...}`` a client sends has a server dispatch branch;
-* every request field a handler reads is attached by at least one
-  in-repo sender of that op (skipped for ops with no in-repo sender
-  -- diagnostic probes -- or with senders whose shape is dynamic);
-* every response field a client reads appears in some handler
-  response literal for that op, the ``ok``/``error`` envelope
-  excepted (the handler loops synthesize error frames for crashes
-  and unknown ops, so those two fields are always live);
-* handler response literals carry ``ok``, and a literal ``"ok":
-  False`` also carries ``error`` (the shape every client's rejection
-  path formats);
-* pushed ``{"event": ...}`` frames: every kind a consumer dispatches
-  on is produced, every produced kind is consumed somewhere, and
-  per-kind consumer reads are fields some producer of that kind
-  sends.
-
-Unresolvable shapes (dynamic op names, ``**``-spread responses)
-disable only the checks that need them -- the rule under-approximates
-rather than guesses.
+The rule imports the tables from ``src/`` (the same ones
+``tools/gen_protocol.py`` renders as ``docs/PROTOCOL.md``).  Literals
+whose op or kind is computed, or that spread ``**`` another dict, are
+skipped.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Iterator, Sequence
+import functools
+import sys
+from pathlib import Path
+from typing import Iterable
 
 from lint.diagnostics import Diagnostic
-from lint.project import project_model
-from lint.registry import Module, ProjectRule, register
-from lint.wiremodel import ENVELOPE_FIELDS, WireModel, build_wire_model
+from lint.registry import Module, Rule, register
+
+SRC = Path(__file__).resolve().parents[3] / "src"
+
+
+@functools.lru_cache(maxsize=1)
+def declared_fields() -> dict[str, dict[str, set[str]]]:
+    """Routing key -> name -> allowed fields: ``op`` over every
+    server's op tables, ``event`` over ``EVENTS``."""
+    if str(SRC) not in sys.path:
+        sys.path.insert(0, str(SRC))
+    from repro.batch.cluster import EVENTS, JobServer
+    from repro.batch.service import CacheServer
+    from repro.batch.serving import CompileService
+
+    ops: dict[str, set[str]] = {}
+    for table in (CacheServer.OPS, JobServer.OPS, JobServer.STREAM_OPS,
+                  CompileService.OPS):
+        for name, op in table.items():
+            ops.setdefault(name, {"op"}).update(op.required, op.optional)
+    events = {kind: {"event", *fields} for kind, fields in EVENTS.items()}
+    return {"op": ops, "event": events}
+
+
+def _constant_keys(node: ast.Dict) -> dict[str, ast.expr] | None:
+    """A dict literal's string keys -> values; ``None`` when a key is
+    computed or a ``**`` spread."""
+    keys: dict[str, ast.expr] = {}
+    for key, value in zip(node.keys, node.values):
+        if not (isinstance(key, ast.Constant)
+                and isinstance(key.value, str)):
+            return None
+        keys[key.value] = value
+    return keys
 
 
 @register
-class WireProtocolRule(ProjectRule):
-    """Cross-check client request literals against server dispatch."""
+class WireProtocolRule(Rule):
+    """Check op and event literals against the declared tables."""
 
     rule_id = "WIRE-PROTOCOL"
-    description = ("client `{\"op\": ...}` literals, server dispatch "
-                   "branches, response shapes, and event frames must "
-                   "agree across modules")
-    rationale = ("the frame schema exists only as convention between "
-                 "service modules; a missing handler or misspelled "
-                 "field fails at runtime on exactly the path the "
-                 "tests did not exercise")
+    description = ("`{\"op\": ...}` / `{\"event\": ...}` literals must "
+                   "name a declared op or event kind and carry only its "
+                   "declared fields")
+    rationale = ("the servers enforce their op tables at runtime; a "
+                 "misspelt op or field fails exactly the request path "
+                 "the tests did not exercise")
 
-    def check_project(self,
-                      modules: Sequence[Module]) -> Iterable[Diagnostic]:
-        model = build_wire_model(project_model(modules))
-        yield from self._check_unhandled_ops(model)
-        yield from self._check_handler_reads(model)
-        yield from self._check_response_reads(model)
-        yield from self._check_ok_shape(model)
-        yield from self._check_events(model)
-
-    # -- requests ------------------------------------------------------
-    def _check_unhandled_ops(self,
-                             model: WireModel) -> Iterator[Diagnostic]:
-        if not model.handlers:
-            return  # no server side in scope; nothing to check against
-        for site in model.request_sites:
-            if site.kinds is None:
+    def check_module(self, module: Module) -> Iterable[Diagnostic]:
+        declared = declared_fields()
+        for node in ast.walk(module.tree):
+            if not isinstance(node, ast.Dict):
                 continue
-            for op in sorted(site.kinds):
-                if op not in model.handlers:
-                    known = ", ".join(sorted(model.handlers))
-                    yield self.diagnostic(
-                        site.unit.module, site.node,
-                        f"{site.unit.label} sends op {op!r} but no "
-                        f"server dispatch branch handles it (handled "
-                        f"ops: {known}); the server will answer an "
-                        f"unknown-op error frame")
-
-    def _check_handler_reads(self,
-                             model: WireModel) -> Iterator[Diagnostic]:
-        for op, handlers in sorted(model.handlers.items()):
-            sent, is_open, n_senders = model.sender_fields(op)
-            if n_senders == 0 or is_open:
+            keys = _constant_keys(node)
+            if keys is None:
                 continue
-            for handler in handlers:
-                for field in sorted(handler.fields_read - sent):
-                    yield self.diagnostic(
-                        handler.unit.module, handler.node,
-                        f"{handler.unit.label} handles op {op!r} and "
-                        f"reads request field {field!r}, but no "
-                        f"in-repo sender of {op!r} attaches it (sent "
-                        f"fields: {', '.join(sorted(sent)) or 'none'})")
-
-    # -- responses -----------------------------------------------------
-    def _check_response_reads(self,
-                              model: WireModel) -> Iterator[Diagnostic]:
-        for site in model.request_sites:
-            if site.kinds is None or not site.has_response:
-                continue
-            answered: set[str] = set()
-            checkable = True
-            for op in site.kinds:
-                keys, is_open = model.response_keys(op)
-                if is_open:
-                    checkable = False
-                    break
-                answered |= keys
-            if not checkable:
-                continue
-            unmet = site.response_reads - answered - ENVELOPE_FIELDS
-            for field in sorted(unmet):
-                yield self.diagnostic(
-                    site.unit.module, site.node,
-                    f"{site.unit.label} reads response field "
-                    f"{field!r} of op "
-                    f"{'/'.join(sorted(site.kinds))}, but no handler "
-                    f"response literal carries it (answered fields: "
-                    f"{', '.join(sorted(answered | ENVELOPE_FIELDS))})")
-
-    def _check_ok_shape(self,
-                        model: WireModel) -> Iterator[Diagnostic]:
-        for op, handlers in sorted(model.handlers.items()):
-            for handler in handlers:
-                for literal in handler.responses:
-                    if literal.open:
-                        continue
-                    if "ok" not in literal.keys:
-                        yield self.diagnostic(
-                            literal.unit.module, literal.node,
-                            f"response literal for op {op!r} in "
-                            f"{literal.unit.label} has no 'ok' field; "
-                            f"every response must carry the "
-                            f"ok/error envelope")
-                        continue
-                    ok = literal.ok_value
-                    if isinstance(ok, ast.Constant) \
-                            and ok.value is False \
-                            and "error" not in literal.keys:
-                        yield self.diagnostic(
-                            literal.unit.module, literal.node,
-                            f"'ok': False response for op {op!r} in "
-                            f"{literal.unit.label} carries no "
-                            f"'error' field; rejection frames must "
-                            f"say why")
-
-    # -- event frames --------------------------------------------------
-    def _check_events(self, model: WireModel) -> Iterator[Diagnostic]:
-        if not model.event_consumers:
-            return
-        produced: set[str] = set()
-        any_open_kinds = False
-        fields_by_kind: dict[str, set[str]] = {}
-        open_by_kind: dict[str, bool] = {}
-        for producer in model.event_producers:
-            if producer.kinds is None:
-                any_open_kinds = True
-                continue
-            for kind in producer.kinds:
-                produced.add(kind)
-                fields_by_kind.setdefault(kind, set()).update(
-                    producer.fields)
-                open_by_kind[kind] = open_by_kind.get(kind, False) \
-                    or producer.open_fields
-        consumed: set[str] = set()
-        for consumer in model.event_consumers:
-            consumed |= set(consumer.reads_by_kind)
-        if not any_open_kinds:
-            for consumer in model.event_consumers:
-                for kind in sorted(set(consumer.reads_by_kind)
-                                   - produced):
-                    yield self.diagnostic(
-                        consumer.unit.module, consumer.node,
-                        f"{consumer.unit.label} dispatches on event "
-                        f"kind {kind!r}, which no producer emits "
-                        f"(produced: "
-                        f"{', '.join(sorted(produced)) or 'none'})")
-        for producer in model.event_producers:
-            if producer.kinds is None:
-                continue
-            for kind in sorted(set(producer.kinds) - consumed):
-                yield self.diagnostic(
-                    producer.unit.module, producer.node,
-                    f"{producer.unit.label} emits event kind "
-                    f"{kind!r}, which no consumer dispatches on "
-                    f"(consumed: "
-                    f"{', '.join(sorted(consumed)) or 'none'})")
-        for consumer in model.event_consumers:
-            for kind, reads in sorted(consumer.reads_by_kind.items()):
-                if kind not in fields_by_kind \
-                        or open_by_kind.get(kind):
+            for route, table in declared.items():
+                value = keys.get(route)
+                if not (isinstance(value, ast.Constant)
+                        and isinstance(value.value, str)):
                     continue
-                sent = fields_by_kind[kind]
-                for field in sorted(reads - sent):
+                name = value.value
+                if name not in table:
                     yield self.diagnostic(
-                        consumer.unit.module, consumer.node,
-                        f"{consumer.unit.label} reads field "
-                        f"{field!r} of event kind {kind!r}, but no "
-                        f"producer of that kind sends it (sent: "
-                        f"{', '.join(sorted(sent)) or 'none'})")
+                        module, node,
+                        f"{route} {name!r} is not declared by any server "
+                        f"table (declared: {', '.join(sorted(table))})")
+                    continue
+                for extra in sorted(set(keys) - table[name]):
+                    yield self.diagnostic(
+                        module, node,
+                        f"{route} {name!r} does not declare field "
+                        f"{extra!r} (declared: "
+                        f"{', '.join(sorted(table[name]))})")
