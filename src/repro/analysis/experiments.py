@@ -22,17 +22,16 @@ Every experiment is seeded and returns a frozen summary dataclass that
 :func:`repro.analysis.reports.save_report` can archive.
 
 Every experiment executes through the batch engine
-(:class:`~repro.batch.engine.BatchCompiler`): EXP-S1 as
-:class:`~repro.batch.jobs.StatisticalGridJob` grid points, EXP-K1 as
-per-kernel compilation jobs, and the ablations (EXP-A1..A3, EXP-O1,
-EXP-X1..X3) as the registered
+(:class:`~repro.batch.engine.BatchCompiler`): EXP-K1 as per-kernel
+compilation jobs, and every other experiment (EXP-S1, EXP-S3,
+EXP-A1..A3, EXP-O1, EXP-X1..X3) as the registered
 :class:`~repro.batch.jobs.ExperimentPointJob` points of
-:mod:`repro.analysis.points`, all via :func:`run_experiment`.  Every
-``run_*`` entry point therefore takes ``n_workers=`` (process-pool
-fan-out), ``cache=`` (persistent, resumable point results),
-``progress=`` (per-point streaming callback), and ``executor=`` (an
-explicit execution backend -- ``"tcp://host:port"`` runs the points on
-a multi-host worker fleet; see
+:mod:`repro.analysis.points`, via :func:`run_experiment`.  Every
+registered ``run_*`` entry point therefore takes ``n_workers=``
+(process-pool fan-out), ``cache=`` (persistent, resumable point
+results), ``progress=`` (per-point streaming callback), and
+``executor=`` (an explicit execution backend -- ``"tcp://host:port"``
+runs the points on a multi-host worker fleet; see
 :func:`~repro.batch.engine.open_executor`).
 """
 
@@ -129,49 +128,6 @@ class StatisticalSummary:
     n_points_cached: int = 0
 
 
-def statistical_grid_jobs(config: StatisticalConfig) -> list:
-    """One picklable :class:`~repro.batch.jobs.StatisticalGridJob` per
-    (N, M, K) grid point, carrying this point's derived seeds."""
-    from repro.batch.jobs import (
-        NAIVE_SEED_STRIDE,
-        PATTERN_SEED_STRIDE,
-        StatisticalGridJob,
-    )
-
-    naive_base = config.naive_seed_base \
-        if config.naive_seed_base is not None else config.seed
-    return [
-        StatisticalGridJob(
-            name=f"s1-n{n}-m{m}-k{k}", n=n, m=m, k=k,
-            patterns_per_config=config.patterns_per_config,
-            offset_span=config.offset_span,
-            distribution=config.distribution,
-            pattern_seed=config.seed + PATTERN_SEED_STRIDE * grid_index,
-            naive_seed=naive_base + NAIVE_SEED_STRIDE * (grid_index + 1),
-            naive_repeats=config.naive_repeats,
-            cost_model=config.cost_model,
-            exact_cover_limit=config.exact_cover_limit,
-            cover_node_budget=config.cover_node_budget)
-        for grid_index, (n, m, k) in enumerate(config.grid())
-    ]
-
-
-def statistical_rows_from_results(results) -> tuple[StatisticalRow, ...]:
-    """Lower :class:`~repro.batch.jobs.GridPointResult`s (in grid
-    order) to the summary's :class:`StatisticalRow`s."""
-    return tuple(
-        StatisticalRow(
-            n=result.n, m=result.m, k=result.k,
-            n_patterns=result.n_patterns,
-            mean_k_tilde=result.mean_k_tilde,
-            constrained_fraction=result.constrained_fraction,
-            mean_optimized=result.mean_optimized,
-            mean_naive=result.mean_naive,
-            reduction_pct=percent_reduction(result.mean_naive,
-                                            result.mean_optimized))
-        for result in results)
-
-
 def run_statistical_comparison(
         config: StatisticalConfig | None = None, *,
         n_workers: int = 1, cache=None,
@@ -179,59 +135,15 @@ def run_statistical_comparison(
         trace=None) -> StatisticalSummary:
     """EXP-S1: reproduce the paper's ≈40 % average-reduction claim.
 
-    The grid is sharded through the batch engine
-    (:class:`~repro.batch.engine.BatchCompiler`): one cacheable job per
-    grid point, fanned out over ``n_workers`` processes -- or over an
-    explicit ``executor`` backend (``"tcp://host:port"`` leases the
-    points to a multi-host worker fleet; see
-    :func:`~repro.batch.engine.open_executor`) -- with results
-    streamed back as they finish.  Pass a ``cache`` backend (see
-    :mod:`repro.batch.cache`) to persist grid points across runs -- a
-    re-run then recomputes only what is missing.  ``progress``, when
-    given, is called as ``progress(done, total, result)`` after every
-    grid point.  The summary is bit-identical for any worker count,
-    any executor, and for cached re-runs: each point's statistics
-    depend only on its own seeds, and rows are assembled in grid
-    order.  ``trace``, when given, records structured scheduling
-    events (see :mod:`repro.batch.trace`) -- a JSONL path or an open
-    tracer -- at zero cost when ``None``.
+    Sharded through the batch engine (see :func:`run_experiment`): one
+    cacheable job per (N, M, K) grid point, each carrying its own
+    pattern and naive-baseline seeds (scheme on
+    :class:`StatisticalConfig`).  The summary is bit-identical for any
+    worker count, any executor, and for cached re-runs.
     """
-    from repro.batch.engine import BatchCompiler
-
-    if config is None:
-        config = StatisticalConfig()
-    started = time.perf_counter()
-    jobs = statistical_grid_jobs(config)
-    compiler = BatchCompiler(cache=cache, n_workers=n_workers,
-                             executor=executor, trace=trace)
-
-    results = [None] * len(jobs)
-    done = 0
-    for index, result in compiler.as_completed(jobs):
-        results[index] = result
-        done += 1
-        if progress is not None:
-            progress(done, len(jobs), result)
-    assert all(result is not None for result in results)
-
-    rows = statistical_rows_from_results(results)
-    sum_optimized = 0.0
-    sum_naive = 0.0
-    for result in results:
-        sum_optimized += result.sum_optimized
-        sum_naive += result.sum_naive
-
-    informative = [row.reduction_pct for row in rows if row.mean_naive > 0]
-    average = mean(informative) if informative else 0.0
-    overall = percent_reduction(sum_naive, sum_optimized)
-    return StatisticalSummary(
-        config=config, rows=rows,
-        average_reduction_pct=average,
-        overall_reduction_pct=overall,
-        elapsed_seconds=time.perf_counter() - started,
-        n_points_compiled=sum(1 for r in results if not r.from_cache),
-        n_points_cached=sum(1 for r in results if r.from_cache),
-    )
+    return run_experiment("stats", config, n_workers=n_workers,
+                          cache=cache, progress=progress,
+                          executor=executor, trace=trace)
 
 
 def marginalize(summary, axis: str) -> list[StatisticalRow]:
@@ -239,16 +151,12 @@ def marginalize(summary, axis: str) -> list[StatisticalRow]:
 
     ``axis`` is ``"n"``, ``"m"`` or ``"k"``.  ``summary`` is a
     :class:`StatisticalSummary`, or directly an iterable of
-    :class:`StatisticalRow` /
-    :class:`~repro.batch.jobs.GridPointResult` (as streamed by the
-    batch engine).  Returns synthetic rows whose other two parameters
-    are set to -1 (meaning "all").
+    :class:`StatisticalRow`.  Returns synthetic rows whose other two
+    parameters are set to -1 (meaning "all").
     """
     if axis not in ("n", "m", "k"):
         raise ExperimentError(f"axis must be 'n', 'm' or 'k', got {axis!r}")
     rows = list(getattr(summary, "rows", summary))
-    if rows and not isinstance(rows[0], StatisticalRow):
-        rows = list(statistical_rows_from_results(rows))
     buckets: dict[int, list[StatisticalRow]] = {}
     for row in rows:
         buckets.setdefault(getattr(row, axis), []).append(row)
@@ -958,47 +866,14 @@ def run_distribution_sensitivity(
 
     Repeats EXP-S1 under every offset distribution of the random
     generator.  The paper does not specify its distribution; a robust
-    reproduction should win under all of them.  Every repetition runs
-    through the sharded batch engine (see
-    :func:`run_statistical_comparison`); ``progress`` counts points
-    across all distributions.
+    reproduction should win under all of them.  Sharded through the
+    batch engine (see :func:`run_experiment`): one cacheable job per
+    (distribution, N, M, K) point; ``progress`` counts points across
+    all distributions.
     """
-    from repro.batch.jobs import DISTRIBUTION_SEED_SPAN, NAIVE_SEED_STRIDE
-
-    if config is None:
-        config = DistributionSensitivityConfig()
-    started = time.perf_counter()
-    rows: list[DistributionSensitivityRow] = []
-    summaries: list[StatisticalSummary] = []
-    for dist_index, distribution in enumerate(config.distributions):
-        stats_config = StatisticalConfig(
-            n_values=config.n_values, m_values=config.m_values,
-            k_values=config.k_values,
-            patterns_per_config=config.patterns_per_config,
-            distribution=distribution, seed=config.seed,
-            naive_seed_base=config.seed + NAIVE_SEED_STRIDE
-            * DISTRIBUTION_SEED_SPAN * (dist_index + 1))
-        grid_size = len(stats_config.grid())
-        total = grid_size * len(config.distributions)
-        offset = grid_size * dist_index
-        summary = run_statistical_comparison(
-            stats_config, n_workers=n_workers, cache=cache,
-            progress=None if progress is None else
-            (lambda done, _total, result, _offset=offset:
-             progress(_offset + done, total, result)))
-        summaries.append(summary)
-        rows.append(DistributionSensitivityRow(
-            distribution=distribution,
-            average_reduction_pct=summary.average_reduction_pct,
-            overall_reduction_pct=summary.overall_reduction_pct,
-            mean_optimized=mean([row.mean_optimized
-                                 for row in summary.rows]),
-            mean_naive=mean([row.mean_naive for row in summary.rows]),
-        ))
-    return DistributionSensitivitySummary(
-        config, tuple(rows), time.perf_counter() - started,
-        n_points_compiled=sum(s.n_points_compiled for s in summaries),
-        n_points_cached=sum(s.n_points_cached for s in summaries))
+    return run_experiment("distributions", config, n_workers=n_workers,
+                          cache=cache, progress=progress,
+                          executor=executor)
 
 
 def quick_statistical_config() -> StatisticalConfig:

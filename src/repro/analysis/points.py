@@ -1,5 +1,5 @@
-"""The registered per-point experiment definitions (EXP-A1..A3,
-EXP-O1, EXP-X1..X3).
+"""The registered per-point experiment definitions (EXP-S1, EXP-S3,
+EXP-A1..A3, EXP-O1, EXP-X1..X3).
 
 Each experiment that used to run as an ad-hoc sequential loop in
 :mod:`repro.analysis.experiments` is decomposed here into the registry
@@ -15,7 +15,7 @@ contract of :mod:`repro.batch.registry`:
   enumeration order -- back into the experiment's summary dataclass,
   bit-identically to what the retired sequential loop produced.
 
-The module registers all seven definitions at import time;
+The module registers all nine definitions at import time;
 :data:`repro.batch.registry.AUTOLOAD_MODULES` imports it on first
 lookup, so CLI processes and pool workers alike resolve experiment ids
 without any setup.
@@ -34,6 +34,9 @@ from repro.analysis.experiments import (
     CostModelAblationConfig,
     CostModelAblationRow,
     CostModelAblationSummary,
+    DistributionSensitivityConfig,
+    DistributionSensitivityRow,
+    DistributionSensitivitySummary,
     MergingAblationConfig,
     MergingAblationRow,
     MergingAblationSummary,
@@ -50,9 +53,19 @@ from repro.analysis.experiments import (
     ReorderAblationConfig,
     ReorderAblationRow,
     ReorderAblationSummary,
+    StatisticalConfig,
+    StatisticalRow,
+    StatisticalSummary,
+    quick_statistical_config,
 )
 from repro.analysis.stats import mean, percent_reduction
-from repro.batch.jobs import NAIVE_SEED_STRIDE, naive_baseline_seed
+from repro.batch.jobs import (
+    DISTRIBUTION_SEED_SPAN,
+    NAIVE_SEED_STRIDE,
+    PATTERN_SEED_STRIDE,
+    naive_baseline_seed,
+    statistical_point,
+)
 from repro.batch.registry import (
     ExperimentDefinition,
     register_experiment,
@@ -71,6 +84,83 @@ from repro.workloads.random_patterns import (
     RandomPatternConfig,
     generate_batch,
 )
+
+
+# ======================================================================
+# EXP-S1: the paper's statistical comparison (best-pair vs naive)
+# ======================================================================
+def _stats_points(config: StatisticalConfig) -> list[dict]:
+    naive_base = config.naive_seed_base \
+        if config.naive_seed_base is not None else config.seed
+    return [
+        {"n": n, "m": m, "k": k, "patterns": config.patterns_per_config,
+         "offset_span": config.offset_span,
+         "distribution": config.distribution,
+         "pattern_seed": config.seed + PATTERN_SEED_STRIDE * grid_index,
+         "naive_seed": naive_base + NAIVE_SEED_STRIDE * (grid_index + 1),
+         "naive_repeats": config.naive_repeats,
+         "cost_model": config.cost_model.value,
+         "exact_cover_limit": config.exact_cover_limit,
+         "cover_node_budget": config.cover_node_budget}
+        for grid_index, (n, m, k) in enumerate(config.grid())
+    ]
+
+
+def _stats_rows(results) -> tuple[tuple[StatisticalRow, ...], float,
+                                  float]:
+    """EXP-S1 rows plus the average and the overall (cost-weighted)
+    reduction over one grid's point results, in grid order."""
+    rows = []
+    sum_optimized = 0.0
+    sum_naive = 0.0
+    for result in results:
+        values = dict(result.values)
+        sum_optimized += values.pop("sum_optimized")
+        sum_naive += values.pop("sum_naive")
+        rows.append(StatisticalRow(
+            **values, reduction_pct=percent_reduction(
+                values["mean_naive"], values["mean_optimized"])))
+    informative = [row.reduction_pct for row in rows if row.mean_naive > 0]
+    average = mean(informative) if informative else 0.0
+    return tuple(rows), average, percent_reduction(sum_naive,
+                                                   sum_optimized)
+
+
+# ======================================================================
+# EXP-S3: EXP-S1 once per offset distribution
+# ======================================================================
+def _distribution_points(
+        config: DistributionSensitivityConfig) -> list[dict]:
+    # One EXP-S1 grid per distribution: paired pattern streams, but
+    # each its own naive-baseline base (scheme on the config).
+    return [
+        params
+        for dist_index, distribution in enumerate(config.distributions)
+        for params in _stats_points(StatisticalConfig(
+            n_values=config.n_values, m_values=config.m_values,
+            k_values=config.k_values,
+            patterns_per_config=config.patterns_per_config,
+            distribution=distribution, seed=config.seed,
+            naive_seed_base=config.seed + NAIVE_SEED_STRIDE
+            * DISTRIBUTION_SEED_SPAN * (dist_index + 1)))
+    ]
+
+
+def _distribution_assemble(config: DistributionSensitivityConfig,
+                           results) -> DistributionSensitivitySummary:
+    grid_size = len(results) // len(config.distributions)
+    rows = []
+    for dist_index, distribution in enumerate(config.distributions):
+        stats_rows, average, overall = _stats_rows(
+            results[grid_size * dist_index:grid_size * (dist_index + 1)])
+        rows.append(DistributionSensitivityRow(
+            distribution=distribution,
+            average_reduction_pct=average,
+            overall_reduction_pct=overall,
+            mean_optimized=mean([row.mean_optimized
+                                 for row in stats_rows]),
+            mean_naive=mean([row.mean_naive for row in stats_rows])))
+    return DistributionSensitivitySummary(config, tuple(rows), 0.0)
 
 
 # ======================================================================
@@ -520,6 +610,45 @@ def _arraylayout_assemble(config: ArrayLayoutAblationConfig,
 # ======================================================================
 # Registration
 # ======================================================================
+register_experiment(ExperimentDefinition(
+    experiment="stats",
+    title="EXP-S1: best-pair vs naive merging on random patterns",
+    config_type=StatisticalConfig,
+    default_config=StatisticalConfig,
+    quick_config=quick_statistical_config,
+    enumerate_points=_stats_points,
+    run_point=statistical_point,
+    assemble=lambda config, results:
+        StatisticalSummary(config, *_stats_rows(results), 0.0),
+    point_label=lambda params:
+        f"n{params['n']}-m{params['m']}-k{params['k']}",
+    render=lambda summary: (
+        render.statistical_table(summary),
+        *(render.statistical_marginal_table(summary, axis)
+          for axis in ("n", "m", "k"))),
+    headline=lambda summary:
+        f"average reduction: {summary.average_reduction_pct:.1f} % "
+        f"(paper: about 40 %); overall "
+        f"{summary.overall_reduction_pct:.1f} %",
+))
+
+register_experiment(ExperimentDefinition(
+    experiment="distributions",
+    title="EXP-S3: EXP-S1 under every offset distribution",
+    config_type=DistributionSensitivityConfig,
+    default_config=DistributionSensitivityConfig,
+    quick_config=lambda: DistributionSensitivityConfig(
+        n_values=(10, 15), m_values=(1,), k_values=(2,),
+        patterns_per_config=6),
+    enumerate_points=_distribution_points,
+    run_point=statistical_point,
+    assemble=_distribution_assemble,
+    point_label=lambda params:
+        f"{params['distribution']}-n{params['n']}-m{params['m']}"
+        f"-k{params['k']}",
+    render=lambda summary: (render.distribution_table(summary),),
+))
+
 register_experiment(ExperimentDefinition(
     experiment="pathcover",
     title="EXP-A1: exact K~ vs greedy cover vs matching lower bound",

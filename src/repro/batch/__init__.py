@@ -4,8 +4,8 @@ The scaling layer on top of :func:`repro.core.pipeline.compile_kernel`:
 
 * :mod:`repro.batch.jobs` -- picklable :class:`BatchJob` units, the
   factories that mass-produce them (suites, kernel lists, random
-  families, spec/config matrices), and :class:`StatisticalGridJob`
-  (one EXP-S1 grid point as a cacheable work unit);
+  families, spec/config matrices), and :class:`ExperimentPointJob`
+  (one point of a registered experiment as a cacheable work unit);
 * :mod:`repro.batch.registry` -- the experiment registry:
   :class:`ExperimentDefinition` contracts that let any experiment
   shard as :class:`ExperimentPointJob` points;
@@ -76,8 +76,6 @@ from repro.batch.jobs import (
     BatchJob,
     ExperimentPointJob,
     ExperimentPointResult,
-    GridPointResult,
-    StatisticalGridJob,
     job_matrix,
     jobs_from_kernels,
     jobs_from_random,
@@ -99,7 +97,6 @@ __all__ = [
     "ExperimentDefinition",
     "ExperimentPointJob",
     "ExperimentPointResult",
-    "GridPointResult",
     "InMemoryLRUCache",
     "InlineExecutor",
     "JobResult",
@@ -112,7 +109,6 @@ __all__ = [
     "ServeStats",
     "ServerBusyError",
     "ShardedDirectoryCache",
-    "StatisticalGridJob",
     "TieredCache",
     "Worker",
     "execute_any",

@@ -129,7 +129,7 @@ def job_digest(job) -> str:
     """The content-addressed cache key of a batch job.
 
     A job class may define its own key payload via a ``cache_key()``
-    method (e.g. :class:`~repro.batch.jobs.StatisticalGridJob`, whose
+    method (e.g. :class:`~repro.batch.jobs.ExperimentPointJob`, whose
     outcome is determined by grid parameters and seeds rather than a
     kernel); plain :class:`~repro.batch.jobs.BatchJob` compilation
     units digest the kernel + spec + config + options layout below.

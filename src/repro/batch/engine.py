@@ -26,8 +26,8 @@ Two delivery modes share the cache/fan-out machinery:
 :meth:`BatchCompiler.run_iter` stream results as workers finish, for
 live progress and incremental persistence.  Both run any job type that
 offers the ``execute()``/``payload()`` protocol -- compilation units
-(:class:`~repro.batch.jobs.BatchJob`) and statistical grid points
-(:class:`~repro.batch.jobs.StatisticalGridJob`) alike.
+(:class:`~repro.batch.jobs.BatchJob`) and experiment points
+(:class:`~repro.batch.jobs.ExperimentPointJob`) alike.
 
 *Where* cache misses execute is an :class:`Executor`: inline on the
 calling process (:class:`InlineExecutor`), on a ``concurrent.futures``
@@ -150,7 +150,7 @@ def execute_any(job) -> Any:
     """Run one job of any supported type (the pool's submit target).
 
     Job classes that define their own ``execute()`` (e.g.
-    :class:`~repro.batch.jobs.StatisticalGridJob`) run it; plain
+    :class:`~repro.batch.jobs.ExperimentPointJob`) run it; plain
     :class:`~repro.batch.jobs.BatchJob` compilation units go through
     :func:`execute_job`.
     """

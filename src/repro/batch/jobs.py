@@ -16,14 +16,13 @@ Factories cover the common batch shapes:
 * :func:`job_matrix` -- the cross product of a job list with an
   ``AguSpec`` x ``AllocatorConfig`` grid, for sweep-style batches.
 
-Besides compilation units, the module defines two experiment-point job
-types: :class:`StatisticalGridJob` -- one (N, M, K) grid point of the
-paper's statistical comparison (EXP-S1) as a self-contained, cacheable
-work unit -- and the generic :class:`ExperimentPointJob`, which turns
-one point of any experiment registered in
-:mod:`repro.batch.registry` into the same kind of unit.  Both shard
-over the same engine, process pool, and result caches as kernel
-suites do.
+Besides compilation units, the module defines the generic
+:class:`ExperimentPointJob`, which turns one point of any experiment
+registered in :mod:`repro.batch.registry` into the same kind of unit,
+sharded over the same engine, process pool, and result caches as
+kernel suites are.  It also holds the seed scheme and the point
+function (:func:`statistical_point`) of the paper's statistical
+comparison (EXP-S1), which :mod:`repro.analysis.points` registers.
 """
 
 from __future__ import annotations
@@ -162,7 +161,7 @@ def jobs_from_random(pattern_config: RandomPatternConfig, count: int,
 
 
 # ----------------------------------------------------------------------
-# EXP-S1 grid points as batch jobs
+# EXP-S1 grid points: seed scheme and point function
 # ----------------------------------------------------------------------
 #: Seed strides of the EXP-S1 grid.  Each grid point's *patterns* come
 #: from the stream ``seed + PATTERN_SEED_STRIDE * grid_index``; its
@@ -200,6 +199,65 @@ def naive_baseline_seed(naive_seed: int, pattern_index: int,
     return naive_seed + NAIVE_PATTERN_STRIDE * pattern_index + repeat
 
 
+def statistical_point(params: dict) -> dict:
+    """One (N, M, K) grid point of EXP-S1: best-pair vs naive merging.
+
+    ``params`` carries the pattern family (``n``, ``patterns``,
+    ``offset_span``, ``distribution``), the point's two derived seeds
+    (``pattern_seed``, ``naive_seed``), ``naive_repeats``, and the
+    allocator settings.  ``sum_optimized``/``sum_naive`` keep the exact
+    per-point cost sums so the grid-level (cost-weighted) reduction
+    reassembles bit-identically from shards.
+    """
+    n, m, k = params["n"], params["m"], params["k"]
+    cost_model = CostModel(params["cost_model"])
+    allocator = AddressRegisterAllocator(
+        AguSpec(k, m),
+        AllocatorConfig(cost_model=cost_model,
+                        exact_cover_limit=params["exact_cover_limit"],
+                        cover_node_budget=params["cover_node_budget"]))
+    patterns = generate_batch(
+        RandomPatternConfig(n, offset_span=params["offset_span"],
+                            distribution=params["distribution"]),
+        params["patterns"], seed=params["pattern_seed"])
+
+    optimized_costs: list[float] = []
+    naive_costs: list[float] = []
+    k_tildes: list[float] = []
+    constrained = 0
+    for pattern_index, pattern in enumerate(patterns):
+        cover, k_tilde, _feasible, _optimal = \
+            allocator.initial_cover(pattern)
+        k_tildes.append(float(k_tilde if k_tilde is not None
+                              else cover.n_paths))
+        if cover.n_paths <= k:
+            cost = cover_cost(cover, pattern, m, cost_model)
+            optimized_costs.append(float(cost))
+            naive_costs.append(float(cost))
+            continue
+        constrained += 1
+        merged = best_pair_merge(cover, k, pattern, m, cost_model)
+        optimized_costs.append(float(merged.total_cost))
+        repeats = [
+            naive_merge(cover, k, pattern, m, cost_model,
+                        strategy="random",
+                        seed=naive_baseline_seed(
+                            params["naive_seed"], pattern_index,
+                            repeat)).total_cost
+            for repeat in range(params["naive_repeats"])
+        ]
+        naive_costs.append(sum(repeats) / len(repeats))
+
+    count = len(patterns)
+    return {"n": n, "m": m, "k": k, "n_patterns": count,
+            "mean_k_tilde": sum(k_tildes) / count,
+            "constrained_fraction": constrained / count,
+            "mean_optimized": sum(optimized_costs) / count,
+            "mean_naive": sum(naive_costs) / count,
+            "sum_optimized": sum(optimized_costs),
+            "sum_naive": sum(naive_costs)}
+
+
 class CacheableResult:
     """The cache round-trip protocol shared by engine result types.
 
@@ -225,135 +283,6 @@ class CacheableResult:
             return None
 
 
-@dataclass(frozen=True)
-class GridPointResult(CacheableResult):
-    """Per-grid-point summary of EXP-S1 (picklable, JSON-able).
-
-    The statistical twin of :class:`~repro.batch.engine.JobResult`:
-    what the engine caches and streams for a
-    :class:`StatisticalGridJob`.  ``sum_optimized``/``sum_naive`` keep
-    the exact per-point cost sums so the grid-level (cost-weighted)
-    reduction can be reassembled bit-identically from shards.
-    """
-
-    name: str
-    digest: str
-    n: int
-    m: int
-    k: int
-    n_patterns: int
-    mean_k_tilde: float
-    #: Fraction of patterns where merging was needed at all (K~ > K).
-    constrained_fraction: float
-    mean_optimized: float
-    mean_naive: float
-    sum_optimized: float
-    sum_naive: float
-    wall_seconds: float
-    from_cache: bool = False
-
-
-@dataclass(frozen=True)
-class StatisticalGridJob:
-    """One (N, M, K) grid point of EXP-S1 as a cacheable batch job.
-
-    Self-contained and picklable: carries the pattern-family and
-    allocator parameters plus this point's two seeds, so the engine can
-    fan grid points out over a process pool and content-address their
-    results.  ``name`` is a display label only; it does not enter the
-    cache key.
-    """
-
-    name: str
-    n: int
-    m: int
-    k: int
-    patterns_per_config: int
-    offset_span: int
-    distribution: str
-    #: Seed of this point's random-pattern family.
-    pattern_seed: int
-    #: Base seed of this point's naive-baseline merge orders.
-    naive_seed: int
-    naive_repeats: int
-    cost_model: CostModel = CostModel.STEADY_STATE
-    exact_cover_limit: int = 24
-    cover_node_budget: int = 30_000
-
-    result_type = GridPointResult
-
-    @property
-    def size_hint(self) -> float | None:
-        """Advisory size estimate for size-aware scheduling: solver
-        cost grows with the pattern length N (dominant) and linearly
-        with the patterns per point.  Never enters the cache key."""
-        return float(self.n * self.patterns_per_config)
-
-    def cache_key(self) -> dict:
-        """The digest payload: everything but the display name."""
-        record = dataclasses.asdict(self)
-        del record["name"]
-        return {"v": DIGEST_VERSION,
-                "experiment": "exp-s1-grid-point", **record}
-
-    def execute(self) -> GridPointResult:
-        """Run this grid point on the calling process."""
-        started = time.perf_counter()
-        allocator = AddressRegisterAllocator(
-            AguSpec(self.k, self.m),
-            AllocatorConfig(cost_model=self.cost_model,
-                            exact_cover_limit=self.exact_cover_limit,
-                            cover_node_budget=self.cover_node_budget))
-        patterns = generate_batch(
-            RandomPatternConfig(self.n, offset_span=self.offset_span,
-                                distribution=self.distribution),
-            self.patterns_per_config, seed=self.pattern_seed)
-
-        optimized_costs: list[float] = []
-        naive_costs: list[float] = []
-        k_tildes: list[float] = []
-        constrained = 0
-        for pattern_index, pattern in enumerate(patterns):
-            cover, k_tilde, _feasible, _optimal = \
-                allocator.initial_cover(pattern)
-            k_tildes.append(float(k_tilde if k_tilde is not None
-                                  else cover.n_paths))
-            if cover.n_paths <= self.k:
-                cost = cover_cost(cover, pattern, self.m, self.cost_model)
-                optimized_costs.append(float(cost))
-                naive_costs.append(float(cost))
-                continue
-            constrained += 1
-            merged = best_pair_merge(cover, self.k, pattern, self.m,
-                                     self.cost_model)
-            optimized_costs.append(float(merged.total_cost))
-            repeats = [
-                naive_merge(cover, self.k, pattern, self.m,
-                            self.cost_model, strategy="random",
-                            seed=naive_baseline_seed(
-                                self.naive_seed, pattern_index,
-                                repeat)).total_cost
-                for repeat in range(self.naive_repeats)
-            ]
-            naive_costs.append(sum(repeats) / len(repeats))
-
-        count = len(patterns)
-        if count == 0:
-            raise BatchError(
-                f"grid point {self.name!r}: patterns_per_config must "
-                f"be >= 1")
-        return GridPointResult(
-            name=self.name, digest=job_digest(self),
-            n=self.n, m=self.m, k=self.k, n_patterns=count,
-            mean_k_tilde=sum(k_tildes) / count,
-            constrained_fraction=constrained / count,
-            mean_optimized=sum(optimized_costs) / count,
-            mean_naive=sum(naive_costs) / count,
-            sum_optimized=sum(optimized_costs),
-            sum_naive=sum(naive_costs),
-            wall_seconds=time.perf_counter() - started)
-
-
 # ----------------------------------------------------------------------
 # Generic experiment points as batch jobs
 # ----------------------------------------------------------------------
@@ -361,10 +290,10 @@ class StatisticalGridJob:
 class ExperimentPointResult(CacheableResult):
     """One experiment point's measurements (picklable, JSON-able).
 
-    The generic twin of :class:`GridPointResult`: what the engine
-    caches and streams for an :class:`ExperimentPointJob`.  ``values``
-    holds whatever the experiment's point function measured, already in
-    JSON-canonical form (dicts, lists, scalars -- see
+    What the engine caches and streams for an
+    :class:`ExperimentPointJob`.  ``values`` holds whatever the
+    experiment's point function measured, already in JSON-canonical
+    form (dicts, lists, scalars -- see
     :meth:`ExperimentPointJob.execute`), so a result rebuilt from any
     cache backend is bit-identical to the freshly computed one.
     """

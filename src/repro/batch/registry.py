@@ -150,7 +150,7 @@ def experiment_point_jobs(experiment: str | ExperimentDefinition,
     for index, params in enumerate(definition.enumerate_points(config)):
         # Catch empty-work configs up front with the offending knob
         # named, instead of dying mid-experiment on an empty mean.
-        for count_key in ("patterns", "sequences"):
+        for count_key in ("patterns", "sequences", "naive_repeats"):
             if count_key in params and params[count_key] < 1:
                 raise BatchError(
                     f"experiment {definition.experiment!r}: "

@@ -16,14 +16,15 @@ batch
     Compile a whole kernel suite through the batch engine: process-pool
     fan-out, content-addressed result caching, aggregate report.
 stats
-    Run the EXP-S1 statistical grid sharded through the batch engine,
-    with live streaming progress, worker fan-out, and a persistent
-    (optionally shared) grid-point cache.
+    Run the EXP-S1 statistical grid: shorthand for ``ablate stats``
+    with the grid axes, pattern/repeat counts, seed, and distribution
+    as flags.
 ablate
-    Run any registered ablation experiment (EXP-A1..A3, EXP-O1,
+    Run any registered experiment (EXP-S1, EXP-S3, EXP-A1..A3, EXP-O1,
     EXP-X1..X3) sharded through the batch engine: per-point streaming
-    progress, grid overrides (``--set``), persistent point caches, and
-    zero-recompile cached re-runs.
+    progress, grid overrides (``--set``), worker fan-out, persistent
+    (optionally shared) point caches, and zero-recompile cached
+    re-runs.
 cache-serve
     Run a remote result-cache server in front of any cache store, so
     batch/stats/ablate runs on other processes or hosts can share one
@@ -57,10 +58,7 @@ from repro.analysis import reports
 from repro.analysis import render
 from repro.analysis.experiments import (
     KernelComparisonConfig,
-    StatisticalConfig,
-    quick_statistical_config,
     run_kernel_comparison,
-    run_statistical_comparison,
 )
 from repro.core.pipeline import compile_kernel
 from repro.errors import ReproError
@@ -483,61 +481,22 @@ def _int_tuple(text: str) -> tuple[int, ...]:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    from repro.analysis.stats import percent_reduction
-    from repro.batch.cache import open_cache
+    from repro.batch.registry import get_experiment
 
-    config = quick_statistical_config() if args.quick \
-        else StatisticalConfig()
-    overrides: dict = {}
-    if args.n_values:
-        overrides["n_values"] = args.n_values
-    if args.m_values:
-        overrides["m_values"] = args.m_values
-    if args.k_values:
-        overrides["k_values"] = args.k_values
-    if args.patterns is not None:
-        overrides["patterns_per_config"] = args.patterns
-    if args.repeats is not None:
-        overrides["naive_repeats"] = args.repeats
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.distribution is not None:
-        overrides["distribution"] = args.distribution
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
-
-    def progress(done: int, total: int, result) -> None:
-        state = "cached" if result.from_cache \
-            else f"{1000 * result.wall_seconds:.0f} ms"
-        reduction = percent_reduction(result.mean_naive,
-                                      result.mean_optimized)
-        print(f"[{done}/{total}] n={result.n} m={result.m} "
-              f"k={result.k}: best-pair {result.mean_optimized:.2f} vs "
-              f"naive {result.mean_naive:.2f} "
-              f"({reduction:+.1f} %) [{state}]", flush=True)
-
-    summary = run_statistical_comparison(
-        config, n_workers=args.workers,
-        cache=open_cache(args.cache) if args.cache else None,
-        progress=None if args.no_progress else progress,
-        executor=_executor_from_args(args), trace=args.trace)
-
-    print()
-    print(render.statistical_table(summary).render())
-    for axis in ("n", "m", "k"):
-        print(render.statistical_marginal_table(summary, axis).render())
-    print(f"average reduction: {summary.average_reduction_pct:.1f} % "
-          f"(paper: about 40 %); overall "
-          f"{summary.overall_reduction_pct:.1f} %")
-    print(f"{len(summary.rows)} grid point(s): "
-          f"{summary.n_points_compiled} compiled, "
-          f"{summary.n_points_cached} cache hit(s); "
-          f"{summary.elapsed_seconds:.3f} s on "
-          f"{args.executor or f'{args.workers} worker(s)'}")
-    if args.json:
-        path = reports.save_report(summary, args.json)
-        print(f"(report saved to {path})")
-    return 0
+    definition = get_experiment("stats")
+    config = definition.quick_config() if args.quick \
+        else definition.default_config()
+    overrides = {
+        key: value for key, value in (
+            ("n_values", args.n_values), ("m_values", args.m_values),
+            ("k_values", args.k_values),
+            ("patterns_per_config", args.patterns),
+            ("naive_repeats", args.repeats), ("seed", args.seed),
+            ("distribution", args.distribution))
+        if value is not None}
+    return _run_and_print(args, definition,
+                          dataclasses.replace(config, **overrides),
+                          unit="grid point")
 
 
 def _convert_override(current, text: str):
@@ -587,8 +546,6 @@ def _apply_overrides(config, assignments):
 
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
-    from repro.analysis.experiments import run_experiment
-    from repro.batch.cache import open_cache
     from repro.batch.registry import get_experiment
 
     definition = get_experiment(args.which)
@@ -596,6 +553,16 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
         else definition.default_config()
     if args.set:
         config = _apply_overrides(config, args.set)
+    return _run_and_print(args, definition, config)
+
+
+def _run_and_print(args: argparse.Namespace, definition, config,
+                   unit: str = "point") -> int:
+    """Run a registered experiment sharded through the batch engine as
+    the CLI flags ask (workers, executor, cache, progress, trace), then
+    print its tables, headline, and point accounting."""
+    from repro.analysis.experiments import run_experiment
+    from repro.batch.cache import open_cache
 
     def progress(done: int, total: int, result) -> None:
         state = "cached" if result.from_cache \
@@ -603,7 +570,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
         print(f"[{done}/{total}] {result.name} [{state}]", flush=True)
 
     summary = run_experiment(
-        args.which, config, n_workers=args.workers,
+        definition.experiment, config, n_workers=args.workers,
         cache=open_cache(args.cache) if args.cache else None,
         progress=None if args.no_progress else progress,
         executor=_executor_from_args(args), trace=args.trace)
@@ -615,7 +582,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     if definition.headline is not None:
         print(definition.headline(summary))
     n_points = summary.n_points_compiled + summary.n_points_cached
-    print(f"{n_points} point(s): "
+    print(f"{n_points} {unit}(s): "
           f"{summary.n_points_compiled} compiled, "
           f"{summary.n_points_cached} cache hit(s); "
           f"{summary.elapsed_seconds:.3f} s on "
@@ -627,30 +594,19 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def _experiment_choices() -> tuple[str, ...]:
-    """`experiment` subcommand ids: the two engine-native experiments
-    plus whatever the registry holds (a newly registered experiment
-    appears here and under `ablate` automatically)."""
+    """`experiment` subcommand ids: the suite-level EXP-K1 plus
+    whatever the registry holds (a newly registered experiment appears
+    here and under `ablate` automatically)."""
     from repro.batch.registry import registered_experiments
 
-    return ("stats", "kernels") + registered_experiments()
+    return ("kernels",) + registered_experiments()
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     from repro.batch.registry import registered_experiments
 
     tables = []
-    if args.which == "stats":
-        config = quick_statistical_config() if args.quick \
-            else StatisticalConfig()
-        summary = run_statistical_comparison(config)
-        tables.append(render.statistical_table(summary))
-        for axis in ("n", "m", "k"):
-            tables.append(render.statistical_marginal_table(summary, axis))
-        headline = (f"average reduction: "
-                    f"{summary.average_reduction_pct:.1f} % "
-                    f"(paper: about 40 %); overall "
-                    f"{summary.overall_reduction_pct:.1f} %")
-    elif args.which == "kernels":
+    if args.which == "kernels":
         summary = run_kernel_comparison(KernelComparisonConfig())
         tables.append(render.kernel_table(summary))
         headline = (f"mean addressing-overhead reduction "
@@ -659,7 +615,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
                     f"{summary.mean_speed_improvement_pct:.1f} %")
     elif args.which in registered_experiments():
         # The registry is the single source of presentation truth for
-        # the per-point ablations ('ablate' and 'experiment' agree).
+        # the per-point experiments ('ablate' and 'experiment' agree).
         from repro.analysis.experiments import run_experiment
         from repro.batch.registry import get_experiment
 
@@ -731,8 +687,8 @@ def build_parser() -> argparse.ArgumentParser:
     experiment_parser.add_argument("which",
                                    choices=_experiment_choices())
     experiment_parser.add_argument("--quick", action="store_true",
-                                   help="scaled-down grid (stats and the "
-                                        "registered ablations)")
+                                   help="scaled-down grid (registered "
+                                        "experiments)")
     experiment_parser.add_argument("--json", default=None,
                                    help="also save the summary as JSON")
     experiment_parser.set_defaults(func=_cmd_experiment)
@@ -813,8 +769,8 @@ def build_parser() -> argparse.ArgumentParser:
     from repro.batch.registry import get_experiment, registered_experiments
 
     ablate_parser = commands.add_parser(
-        "ablate", help="run a registered ablation experiment sharded "
-                       "through the batch engine")
+        "ablate", help="run a registered experiment sharded through "
+                       "the batch engine")
     ablate_parser.add_argument(
         "which", choices=registered_experiments(),
         help="experiment id; descriptions: " + "; ".join(

@@ -1,11 +1,12 @@
 """Differential tests of the sharded experiment-point framework.
 
-For every registered experiment (EXP-A1..A3, EXP-O1, EXP-X1..X3) the
-suite proves the *sharding migration* off the ad-hoc sequential loops
-changed nothing: result tables are bit-identical across worker counts,
-across cold vs cached runs and cache backends, and against pinned
-golden snapshots (``tests/golden/experiment_goldens.json``) captured
-by running the retired sequential loops one last time, pre-sharding.
+For every registered experiment (EXP-S1, EXP-S3, EXP-A1..A3, EXP-O1,
+EXP-X1..X3) the suite proves the *sharding migration* off the ad-hoc
+loops changed nothing: result tables are bit-identical across worker
+counts, across cold vs cached runs and cache backends, and against
+pinned golden snapshots (``tests/golden/experiment_goldens.json``)
+captured by running the retired loops one last time, pre-migration.
+Every registered experiment must have a golden and a pinned digest.
 
 Golden provenance caveat: the snapshots were captured *after* this
 PR's seed-reuse audit fixes landed in the sequential code, so for
@@ -53,9 +54,8 @@ from repro.batch.registry import (
 )
 from repro.errors import BatchError
 
-#: Every per-point experiment this PR migrated off a sequential loop.
-EXPERIMENTS = ("pathcover", "costmodel", "merging", "offset", "modreg",
-               "reorder", "arraylayout")
+#: Every registered experiment (each must have a golden and a pin).
+EXPERIMENTS = registered_experiments()
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden" /
@@ -70,6 +70,8 @@ PINNED_DIGESTS = {
         "bf2278ffc946ddc26d8080bdf5cff379a26cc43599b77937670f9638aa802a04",
     "costmodel":
         "96739a4d549decbcf46785a8ebe52d8ac8c5a4e71111caa270691856cfcdeae1",
+    "distributions":
+        "ddf8176541cb776dd21ae455f0e132f0cd8a6c0e489513a2bc4ad4393109ba9c",
     "merging":
         "8b59b80e588c2336b2b0cd266acdc53d6607012c7dda0829f7f796f94eacfd84",
     "modreg":
@@ -80,6 +82,8 @@ PINNED_DIGESTS = {
         "a8e51038af32e21d055868d238bef3adfd018f7571e33b07f7107c37cfc3dd92",
     "reorder":
         "f4466442e8076eb5de459b61cc23e6fc9c1ad53d2fccbdbae161e86ba0495ff3",
+    "stats":
+        "0886893df216e64c8db4bf834f8c95f269a204618f8f5575ebfccce4563f87df",
 }
 
 
@@ -101,8 +105,11 @@ def baseline_summary(experiment: str):
 
 
 class TestRegistry:
-    def test_exactly_the_seven_experiments_are_registered(self):
-        assert registered_experiments() == tuple(sorted(EXPERIMENTS))
+    def test_goldens_pins_and_registry_cover_the_same_experiments(self):
+        """A newly registered experiment cannot land without a golden
+        summary and a pinned digest (and neither can outlive it)."""
+        assert set(GOLDEN) == set(PINNED_DIGESTS) \
+            == set(registered_experiments())
 
     def test_unknown_experiment_fails_loudly(self):
         with pytest.raises(BatchError, match="unknown experiment"):
@@ -419,44 +426,27 @@ class TestDistributionSeedScheme:
     draws its own naive-baseline streams."""
 
     def test_distribution_naive_streams_are_disjoint(self):
-        from repro.analysis.experiments import (
-            DistributionSensitivityConfig,
-            StatisticalConfig,
-            statistical_grid_jobs,
-        )
-        from repro.batch.jobs import (
-            DISTRIBUTION_SEED_SPAN,
-            NAIVE_SEED_STRIDE,
-        )
-
-        config = DistributionSensitivityConfig()
-        per_distribution = []
-        for dist_index, distribution in enumerate(config.distributions):
-            jobs = statistical_grid_jobs(StatisticalConfig(
-                n_values=config.n_values, m_values=config.m_values,
-                k_values=config.k_values,
-                patterns_per_config=config.patterns_per_config,
-                distribution=distribution, seed=config.seed,
-                naive_seed_base=config.seed + NAIVE_SEED_STRIDE
-                * DISTRIBUTION_SEED_SPAN * (dist_index + 1)))
-            per_distribution.append(
-                {job.naive_seed for job in jobs})
-        for i, first in enumerate(per_distribution):
-            for second in per_distribution[i + 1:]:
+        config = get_experiment("distributions").default_config()
+        per_distribution: dict[str, set] = {}
+        for job in experiment_point_jobs("distributions", config):
+            per_distribution.setdefault(
+                job.params["distribution"], set()).add(
+                    job.params["naive_seed"])
+        assert list(per_distribution) == list(config.distributions)
+        streams = list(per_distribution.values())
+        for i, first in enumerate(streams):
+            for second in streams[i + 1:]:
                 assert not first & second
 
-    def test_default_statistical_jobs_unchanged_by_base_field(self):
-        """``naive_seed_base=None`` must reproduce the PR-2 seeding
-        exactly (EXP-S1 cache entries stay valid)."""
-        from repro.analysis.experiments import (
-            StatisticalConfig,
-            statistical_grid_jobs,
-        )
+    def test_default_statistical_points_unchanged_by_base_field(self):
+        """``naive_seed_base=None`` must reproduce the per-grid seeding
+        exactly (the derived point seeds never change)."""
+        from repro.analysis.experiments import StatisticalConfig
         from repro.batch.jobs import NAIVE_SEED_STRIDE
 
         config = StatisticalConfig(n_values=(10,), m_values=(1,),
                                    k_values=(2, 3), seed=77)
-        jobs = statistical_grid_jobs(config)
+        jobs = experiment_point_jobs("stats", config)
         for grid_index, job in enumerate(jobs):
-            assert job.naive_seed \
+            assert job.params["naive_seed"] \
                 == config.seed + NAIVE_SEED_STRIDE * (grid_index + 1)

@@ -214,7 +214,7 @@ class TestPickleJob:
 
     def test_subclass_chain_is_tracked(self):
         result = lint_source(
-            "class Base(StatisticalGridJob):\n"
+            "class Base(ExperimentPointJob):\n"
             "    pass\n"
             "class Derived(Base):\n"
             "    def __init__(self):\n"

@@ -1,4 +1,11 @@
-"""Tests of the sharded EXP-S1 grid: jobs, seeds, streaming, caching."""
+"""Tests of the sharded EXP-S1/EXP-S3 grids: seeds, up-front config
+checks, executor pass-through, and the streaming engine.
+
+Job shape, digests, bit-identity across workers/executors/caches, and
+the pinned goldens of both experiments (registry ids ``stats`` and
+``distributions``) are covered by the parametrized registry suite in
+``tests/test_experiment_sharding.py``.
+"""
 
 from __future__ import annotations
 
@@ -8,192 +15,142 @@ import pytest
 
 from repro.agu.model import AguSpec
 from repro.analysis.experiments import (
+    DistributionSensitivityConfig,
     StatisticalConfig,
-    StatisticalRow,
-    marginalize,
+    run_distribution_sensitivity,
     run_statistical_comparison,
-    statistical_grid_jobs,
-    statistical_rows_from_results,
 )
-from repro.batch.cache import JsonFileCache, ShardedDirectoryCache
-from repro.batch.digest import job_digest
-from repro.batch.engine import BatchCompiler, execute_any
+from repro.batch.engine import BatchCompiler, InlineExecutor
 from repro.batch.jobs import (
     NAIVE_PATTERN_STRIDE,
     NAIVE_SEED_STRIDE,
     PATTERN_SEED_STRIDE,
-    StatisticalGridJob,
+    jobs_from_suite,
     naive_baseline_seed,
+    statistical_point,
 )
-from repro.batch.jobs import jobs_from_suite
+from repro.batch.registry import experiment_point_jobs
+from repro.errors import BatchError
 
 TINY = StatisticalConfig(n_values=(10, 14), m_values=(1, 2), k_values=(2,),
                          patterns_per_config=5, naive_repeats=3, seed=11)
 
 
 @pytest.fixture(scope="module")
-def tiny_jobs() -> list[StatisticalGridJob]:
-    return statistical_grid_jobs(TINY)
+def tiny_points() -> list[dict]:
+    return [job.params for job in experiment_point_jobs("stats", TINY)]
 
 
-@pytest.fixture(scope="module")
-def tiny_summary():
-    return run_statistical_comparison(TINY)
+class RecordingExecutor(InlineExecutor):
+    """Runs jobs inline and records every job it was handed."""
 
+    def __init__(self):
+        self.jobs: list = []
 
-class TestGridJobs:
-    def test_one_job_per_grid_point(self, tiny_jobs):
-        assert len(tiny_jobs) == len(TINY.grid())
-        assert [(job.n, job.m, job.k) for job in tiny_jobs] == TINY.grid()
-        assert len({job.name for job in tiny_jobs}) == len(tiny_jobs)
-
-    def test_digests_are_unique_and_name_free(self, tiny_jobs):
-        digests = [job_digest(job) for job in tiny_jobs]
-        assert len(set(digests)) == len(digests)
-        renamed = dataclasses.replace(tiny_jobs[0], name="other-label")
-        assert job_digest(renamed) == digests[0]
-
-    def test_digest_tracks_every_grid_parameter(self, tiny_jobs):
-        base = tiny_jobs[0]
-        for change in (dict(n=base.n + 1), dict(k=base.k + 1),
-                       dict(m=base.m + 1),
-                       dict(patterns_per_config=9),
-                       dict(naive_repeats=base.naive_repeats + 1),
-                       dict(pattern_seed=base.pattern_seed + 1),
-                       dict(naive_seed=base.naive_seed + 1),
-                       dict(distribution="sweep"),
-                       dict(exact_cover_limit=5)):
-            assert job_digest(dataclasses.replace(base, **change)) \
-                != job_digest(base)
-
-    def test_execute_through_generic_dispatch(self, tiny_jobs):
-        result = execute_any(tiny_jobs[0])
-        assert result.n_patterns == TINY.patterns_per_config
-        assert result.digest == job_digest(tiny_jobs[0])
-        assert not result.from_cache
+    def run(self, jobs):
+        self.jobs.extend(jobs)
+        return super().run(jobs)
 
 
 class TestSeedScheme:
     def test_pattern_and_naive_seeds_advance_per_grid_point(self,
-                                                            tiny_jobs):
-        for grid_index, job in enumerate(tiny_jobs):
-            assert job.pattern_seed \
+                                                            tiny_points):
+        for grid_index, params in enumerate(tiny_points):
+            assert params["pattern_seed"] \
                 == TINY.seed + PATTERN_SEED_STRIDE * grid_index
-            assert job.naive_seed \
+            assert params["naive_seed"] \
                 == TINY.seed + NAIVE_SEED_STRIDE * (grid_index + 1)
 
-    def test_pattern_seeds_never_alias_naive_streams(self, tiny_jobs):
+    def test_pattern_seeds_never_alias_naive_streams(self, tiny_points):
         """A pattern RNG and a merge-order RNG must never share a seed
         (grid point 0's pattern seed used to equal its first naive
         seed)."""
-        pattern_seeds = {job.pattern_seed for job in tiny_jobs}
+        pattern_seeds = {params["pattern_seed"] for params in tiny_points}
         naive_seeds = {
-            naive_baseline_seed(job.naive_seed, pattern_index, repeat)
-            for job in tiny_jobs
-            for pattern_index in range(job.patterns_per_config)
-            for repeat in range(job.naive_repeats)}
+            naive_baseline_seed(params["naive_seed"], pattern_index,
+                                repeat)
+            for params in tiny_points
+            for pattern_index in range(params["patterns"])
+            for repeat in range(params["naive_repeats"])}
         assert not pattern_seeds & naive_seeds
 
     def test_naive_streams_are_disjoint_across_grid_points(self,
-                                                           tiny_jobs):
-        """The PR-2 seeding fix: no two grid points may ever hand the
+                                                           tiny_points):
+        """The grid-term seeding fix: no two grid points may ever hand the
         naive baseline the same merge-order seed."""
         streams = []
-        for job in tiny_jobs:
+        for params in tiny_points:
             streams.append({
-                naive_baseline_seed(job.naive_seed, pattern_index, repeat)
-                for pattern_index in range(job.patterns_per_config)
-                for repeat in range(job.naive_repeats)})
+                naive_baseline_seed(params["naive_seed"], pattern_index,
+                                    repeat)
+                for pattern_index in range(params["patterns"])
+                for repeat in range(params["naive_repeats"])})
         for i, first in enumerate(streams):
             for second in streams[i + 1:]:
                 assert not first & second
 
-    def test_naive_streams_are_injective_within_a_point(self, tiny_jobs):
-        job = tiny_jobs[0]
-        seeds = [naive_baseline_seed(job.naive_seed, pattern_index, repeat)
+    def test_naive_streams_are_injective_within_a_point(self,
+                                                        tiny_points):
+        naive_seed = tiny_points[0]["naive_seed"]
+        seeds = [naive_baseline_seed(naive_seed, pattern_index, repeat)
                  for pattern_index in range(147)
                  for repeat in range(NAIVE_PATTERN_STRIDE // 147)]
         assert len(seeds) == len(set(seeds))
-        assert max(seeds) - job.naive_seed < NAIVE_SEED_STRIDE
+        assert max(seeds) - naive_seed < NAIVE_SEED_STRIDE
 
-    def test_naive_baselines_differ_across_grid_index(self, tiny_jobs):
+    def test_naive_baselines_differ_across_grid_index(self, tiny_points):
         """Same patterns, different grid position: the naive baseline
         must resample instead of replaying the other point's orders."""
-        base = dataclasses.replace(tiny_jobs[0], n=20, k=2, m=1,
-                                   patterns_per_config=8)
-        shifted = dataclasses.replace(
-            base, naive_seed=base.naive_seed + NAIVE_SEED_STRIDE)
-        first, second = base.execute(), shifted.execute()
+        base = {**tiny_points[0], "n": 20, "k": 2, "m": 1, "patterns": 8}
+        shifted = {**base,
+                   "naive_seed": base["naive_seed"] + NAIVE_SEED_STRIDE}
+        first, second = statistical_point(base), statistical_point(shifted)
         # Identical pattern family => identical optimized side...
-        assert first.mean_optimized == second.mean_optimized
-        assert first.mean_k_tilde == second.mean_k_tilde
+        assert first["mean_optimized"] == second["mean_optimized"]
+        assert first["mean_k_tilde"] == second["mean_k_tilde"]
         # ...but independent naive merge orders.
-        assert first.mean_naive != second.mean_naive
+        assert first["mean_naive"] != second["mean_naive"]
 
 
-class TestShardedStatisticalComparison:
-    def test_rows_bit_identical_across_workers_and_cache(self, tmp_path,
-                                                         tiny_summary):
-        """The PR-2 acceptance criterion: workers=1, workers=4, and a
-        fully cached re-run agree row-for-row, bit-for-bit."""
-        cache = JsonFileCache(tmp_path / "s1.json")
-        parallel = run_statistical_comparison(TINY, n_workers=4,
-                                              cache=cache)
-        cached = run_statistical_comparison(
-            TINY, n_workers=4, cache=JsonFileCache(cache.path))
-        assert parallel.rows == tiny_summary.rows
-        assert cached.rows == tiny_summary.rows
-        assert cached.average_reduction_pct \
-            == tiny_summary.average_reduction_pct
-        assert cached.overall_reduction_pct \
-            == tiny_summary.overall_reduction_pct
-        # The warm run recompiles nothing.
-        assert parallel.n_points_compiled == len(tiny_summary.rows)
-        assert cached.n_points_compiled == 0
-        assert cached.n_points_cached == len(tiny_summary.rows)
+class TestEmptyConfigsFailUpFront:
+    """A zero-count or empty-axis EXP-S1 config is rejected before any
+    point is scheduled, with the offending knob named."""
 
-    def test_matches_direct_sequential_execution(self, tiny_jobs,
-                                                 tiny_summary):
-        """Differential vs the engine-free seed path: executing every
-        grid job inline reproduces the sharded summary exactly."""
-        direct = statistical_rows_from_results(
-            [job.execute() for job in tiny_jobs])
-        assert direct == tiny_summary.rows
+    def assert_rejected(self, match: str, **change) -> None:
+        executor = RecordingExecutor()
+        progress: list = []
+        with pytest.raises(BatchError, match=match):
+            run_statistical_comparison(
+                dataclasses.replace(TINY, **change), executor=executor,
+                progress=lambda *event: progress.append(event))
+        assert executor.jobs == []
+        assert progress == []
 
-    def test_progress_callback_streams_every_point(self):
-        seen = []
-        run_statistical_comparison(
-            TINY, progress=lambda done, total, result:
-            seen.append((done, total, result.name)))
-        assert [done for done, _, _ in seen] \
-            == list(range(1, len(TINY.grid()) + 1))
-        assert all(total == len(TINY.grid()) for _, total, _ in seen)
-        assert len({name for _, _, name in seen}) == len(TINY.grid())
+    def test_zero_naive_repeats(self):
+        self.assert_rejected("naive_repeats per point must be >= 1",
+                             naive_repeats=0)
 
-    def test_sharded_directory_cache_backend(self, tmp_path):
-        store = ShardedDirectoryCache(tmp_path / "grid")
-        cold = run_statistical_comparison(TINY, cache=store)
-        warm = run_statistical_comparison(
-            TINY, cache=ShardedDirectoryCache(store.root))
-        assert warm.rows == cold.rows
-        assert warm.n_points_compiled == 0
-        assert len(store) == len(TINY.grid())
+    def test_zero_patterns_per_config(self):
+        self.assert_rejected("patterns per point must be >= 1",
+                             patterns_per_config=0)
 
-    def test_partial_cache_only_computes_whats_missing(self, tmp_path,
-                                                       tiny_jobs):
-        store = ShardedDirectoryCache(tmp_path / "grid")
-        compiler = BatchCompiler(cache=store)
-        list(compiler.as_completed(tiny_jobs[:2]))
-        summary = run_statistical_comparison(TINY, cache=store)
-        assert summary.n_points_cached == 2
-        assert summary.n_points_compiled == len(tiny_jobs) - 2
+    def test_empty_grid_axis(self):
+        self.assert_rejected("zero points -- check the grid axes",
+                             n_values=())
 
-    def test_marginalize_accepts_grid_results(self, tiny_jobs,
-                                              tiny_summary):
-        results = [job.execute() for job in tiny_jobs]
-        by_m = marginalize(results, "m")
-        assert by_m == marginalize(tiny_summary, "m")
-        assert all(isinstance(row, StatisticalRow) for row in by_m)
+
+class TestDistributionSensitivityExecutor:
+    def test_every_point_runs_on_the_given_executor(self):
+        """EXP-S3 must run where it is told to (a fleet run used to
+        compute silently on the calling process)."""
+        config = DistributionSensitivityConfig(
+            n_values=(10,), m_values=(1,), k_values=(2,),
+            patterns_per_config=2)
+        executor = RecordingExecutor()
+        summary = run_distribution_sensitivity(config, executor=executor)
+        assert [job.params["distribution"] for job in executor.jobs] \
+            == list(config.distributions)
+        assert summary.n_points_compiled == len(config.distributions)
 
 
 class TestStreamingEngine:

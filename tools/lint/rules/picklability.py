@@ -28,8 +28,7 @@ from lint.diagnostics import Diagnostic
 from lint.registry import Module, Rule, register
 
 #: Class names whose (transitive, same-file) subclasses are job types.
-JOB_BASE_NAMES = {"BatchJob", "StatisticalGridJob",
-                  "ExperimentPointJob"}
+JOB_BASE_NAMES = {"BatchJob", "ExperimentPointJob"}
 
 #: Module-level call spellings producing mutable containers.
 _MUTABLE_FACTORIES = {"list", "dict", "set", "collections.deque",
