@@ -517,8 +517,8 @@ def _worker_fleet(n_workers: int, **server_kwargs):
     """A JobServer plus in-process worker threads (real TCP + framing,
     in-thread execution), so the benches measure protocol and
     scheduling overhead without fork noise.  Keyword arguments pass
-    through to :class:`JobServer` (the sched benches set the
-    scheduling-policy flags and a trace sink)."""
+    through to :class:`JobServer` (the sched benches set a trace
+    sink)."""
     import threading
 
     from repro.batch.cluster import JobServer, Worker
@@ -572,7 +572,7 @@ def bench_cluster_suite_throughput(benchmark):
 
 
 # ----------------------------------------------------------------------
-# Scheduling policies + trace observability (-k sched)
+# Job scheduling + trace observability (-k sched)
 # ----------------------------------------------------------------------
 class SchedSleepJob:
     """A picklable cluster job whose runtime *is* its size hint.
@@ -599,22 +599,23 @@ class SchedSleepJob:
 
 def _sched_jobs() -> list:
     """The sched bench mix: eleven 15 ms points and one 120 ms
-    straggler submitted *last* -- the worst case for FIFO on a
-    two-worker fleet, and exactly what ``--order size`` fixes."""
+    straggler submitted *last* -- the worst case for first-come
+    dispatch on a two-worker fleet, and what the job server's
+    largest-hint-first order fixes."""
     jobs = [SchedSleepJob(f"small{i}", 0.015) for i in range(11)]
     jobs.append(SchedSleepJob("big", 0.12))
     return jobs
 
 
-def _run_sched_batch(benchmark, **server_kwargs):
+def _run_sched_batch(benchmark):
     """One traced batch of :func:`_sched_jobs` through a two-worker
-    fleet under ``server_kwargs``; trace-derived makespan, critical
-    path, and per-worker utilization land in ``extra_info``."""
+    fleet; trace-derived makespan, critical path, and per-worker
+    utilization land in ``extra_info``."""
     from repro.batch.cluster import ClusterExecutor
     from repro.batch.trace import analyze_trace, read_trace
 
     sink = io.StringIO()
-    with _worker_fleet(2, trace=sink, **server_kwargs) as server:
+    with _worker_fleet(2, trace=sink) as server:
         executor = ClusterExecutor(*server.address)
 
         def run():
@@ -630,28 +631,12 @@ def _run_sched_batch(benchmark, **server_kwargs):
     benchmark.extra_info["trace_utilization"] = {
         name: round(worker.utilization, 3)
         for name, worker in sorted(report.workers.items())}
-    return report
-
-
-def bench_sched_fifo_baseline(benchmark):
-    """The straggler-last mix under plain FIFO: the big job starts
-    after the queue drains, so one worker idles while it runs."""
-    _run_sched_batch(benchmark)
 
 
 def bench_sched_size_ordered(benchmark):
-    """The same mix under ``--order size``: the hinted straggler
-    leases first and the small points pack around it."""
-    _run_sched_batch(benchmark, order="size")
-
-
-def bench_sched_policies_enabled(benchmark):
-    """The same mix with every policy on (size order + speculation +
-    adaptive lease): what the trace-informed flags cost when nothing
-    goes wrong (speculation has nothing to duplicate)."""
-    report = _run_sched_batch(benchmark, order="size", speculate=True,
-                              adaptive_lease=True)
-    assert report.n_failed == 0
+    """The straggler-last mix: the hinted straggler leases first and
+    the small points pack around it on the other worker."""
+    _run_sched_batch(benchmark)
 
 
 def bench_sched_trace_analyze(benchmark):

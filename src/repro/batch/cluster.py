@@ -6,7 +6,7 @@ loop:
 
 * :class:`JobServer` -- a TCP broker (the ``repro-agu job-serve``
   subcommand) that queues picklable batch jobs and leases them out,
-  first come first served, to any number of connected workers.  Leases
+  largest size hint first, to any number of connected workers.  Leases
   carry a timeout: a worker that dies mid-job (its connection drops) or
   goes silent (the lease expires) gets its job requeued and re-leased
   to the next free worker, so a batch survives worker loss.  The
@@ -53,6 +53,7 @@ from __future__ import annotations
 import base64
 import itertools
 import logging
+import math
 import os
 import pickle
 import queue
@@ -70,7 +71,7 @@ from repro.batch.engine import (
     execute_any,
     job_size_hint,
 )
-from repro.batch.trace import open_tracer, percentile
+from repro.batch.trace import open_tracer
 from repro.batch.service import (
     FrameServer,
     FrameTooLargeError,
@@ -144,8 +145,6 @@ class ClusterStats:
     requeued: int = 0
     #: Jobs dropped unrun (batch cancelled, failed, or abandoned).
     dropped: int = 0
-    #: Speculative duplicate leases issued for suspected stragglers.
-    speculated: int = 0
     #: Worker reports that arrived after their lease was superseded.
     stale: int = 0
 
@@ -153,7 +152,7 @@ class ClusterStats:
         return (f"{self.batches} batch(es), {self.jobs} job(s): "
                 f"{self.completed} completed, {self.failed} failed, "
                 f"{self.requeued} requeued, {self.dropped} dropped, "
-                f"{self.speculated} speculated, {self.stale} stale")
+                f"{self.stale} stale")
 
 
 @dataclass
@@ -192,12 +191,6 @@ class _Batch:
     attempts: dict[int, int] = field(default_factory=dict)
     #: Optional per-index display names from the submit frame's hints.
     names: list | None = None
-    #: Optional per-index size hints (bigger = slower; ordering input).
-    sizes: list | None = None
-    #: Indices with a live speculative duplicate (queued or leased).
-    speculating: set[int] = field(default_factory=set)
-    #: Accepted execution seconds (feeds the speculation threshold).
-    durations: deque = field(default_factory=lambda: deque(maxlen=256))
 
 
 class JobServer(FrameServer):
@@ -214,9 +207,10 @@ class JobServer(FrameServer):
         As for :class:`~repro.batch.service.FrameServer`.
     lease_timeout:
         Seconds a worker may hold a lease before the job is presumed
-        lost and requeued.  Size it above the slowest expected job; a
-        too-small value costs duplicate compute, never correctness
-        (stale completions are ignored).
+        lost and requeued.  Size it above the slowest expected job: a
+        healthy job that outlives it is re-run elsewhere (its late
+        result is acknowledged stale), and one that outlives it
+        ``max_attempts`` times fails the batch with ``WorkerLost``.
     max_attempts:
         Lease attempts per job before the server gives up and reports
         the job failed (guards against a job that kills every worker
@@ -234,29 +228,6 @@ class JobServer(FrameServer):
         result streams are not subject to the read timeout -- an idle
         submitting client is normal; a dead one is detected when the
         heartbeat send backs up.
-    order:
-        Job scheduling order: ``"fifo"`` (the default, submission
-        order) or ``"size"`` (largest size hint first, so one big job
-        cannot land last and serialize the tail of the batch; jobs
-        without a hint keep FIFO order after the hinted ones).  Size
-        hints ride in the submit frame -- the server still never
-        unpickles a payload.
-    speculate:
-        Speculative re-lease of stragglers: when the ready queue is
-        drained and a lease has been out longer than
-        ``speculate_factor`` times the batch's observed p95 execution
-        time (needs ``speculate_min_samples`` completions first), a
-        duplicate copy of the job is requeued for an idle worker.
-        First result wins -- the loser is acknowledged as stale and
-        discarded -- so results stay bit-identical; the cost is only
-        duplicate compute.  Off by default.
-    adaptive_lease:
-        Derive the effective lease timeout from observed execution
-        times (``adaptive_factor`` times the p95 across the last
-        completions, floored at ``adaptive_floor`` seconds) once
-        ``adaptive_min_samples`` completions exist, instead of the
-        static ``lease_timeout``.  Lost workers are then detected in
-        proportion to real job durations.  Off by default.
     trace:
         Trace sink (path, stream, or a shared
         :class:`~repro.batch.trace.Tracer`); ``None`` disables
@@ -265,9 +236,15 @@ class JobServer(FrameServer):
     clock:
         Monotonic clock; injectable for deterministic tests.
     auto_reap:
-        Start the background policy thread (lease reaping +
-        speculation).  Tests pass ``False`` and drive
-        :meth:`run_policies` by hand under a virtual clock.
+        Start the background lease reaper.  Tests pass ``False`` and
+        drive :meth:`reap_expired_leases` by hand under a virtual
+        clock.
+
+    Jobs are leased largest size hint first, so one big job cannot
+    land last and serialize the tail of its batch.  Size hints ride in
+    the submit frame (the server still never unpickles a payload);
+    jobs without a usable hint keep submission order after the hinted
+    ones, so an unhinted batch is served first come first served.
 
     Run blocking with :meth:`serve_forever` (the CLI does) or on a
     background thread via :meth:`start` / the context-manager form
@@ -288,7 +265,7 @@ class JobServer(FrameServer):
                      "(diagnostic; no in-repo sender).",
                      response=("workers", "queued", "leased", "batches",
                                "completed", "failed", "requeued",
-                               "speculated", "stale", "lease_timeout")),
+                               "stale", "lease_timeout")),
         "lease": Op("_op_lease", "Lease the next queued job, waiting up "
                     "to `wait` seconds (>= 0, capped at 30) for one; "
                     "`idle` when none came.",
@@ -296,7 +273,8 @@ class JobServer(FrameServer):
                     response=("lease", "batch", "index", "job", "idle")),
         "complete": Op("_op_complete", "Report a leased job's result (a "
                        "base64 pickle); `stale` when the lease was "
-                       "superseded.  A non-numeric `seconds` is dropped.",
+                       "superseded.  A `seconds` that is not a finite "
+                       "non-negative number is ignored.",
                        required={"lease": "string", "result": "string"},
                        optional={"seconds": None}, response=("stale",)),
         "fail": Op("_op_fail", "Report that a leased job raised; `stale` "
@@ -327,14 +305,6 @@ class JobServer(FrameServer):
                  lease_timeout: float = 60.0, max_attempts: int = 3,
                  heartbeat: float = 2.0,
                  idle_timeout: float | None = 600.0,
-                 order: str = "fifo",
-                 speculate: bool = False,
-                 speculate_factor: float = 2.0,
-                 speculate_min_samples: int = 3,
-                 adaptive_lease: bool = False,
-                 adaptive_factor: float = 3.0,
-                 adaptive_min_samples: int = 5,
-                 adaptive_floor: float = 1.0,
                  trace: Any = None,
                  clock: Callable[[], float] = time.monotonic,
                  auto_reap: bool = True):
@@ -344,24 +314,9 @@ class JobServer(FrameServer):
         if max_attempts < 1:
             raise BatchError(
                 f"max_attempts must be >= 1, got {max_attempts}")
-        if order not in ("fifo", "size"):
-            raise BatchError(
-                f"order must be 'fifo' or 'size', got {order!r}")
-        if speculate_factor <= 0 or adaptive_factor <= 0:
-            raise BatchError("policy factors must be > 0")
-        if speculate_min_samples < 1 or adaptive_min_samples < 1:
-            raise BatchError("policy min_samples must be >= 1")
         self.lease_timeout = float(lease_timeout)
         self.max_attempts = int(max_attempts)
         self.heartbeat = float(heartbeat)
-        self.order = order
-        self.speculate = bool(speculate)
-        self.speculate_factor = float(speculate_factor)
-        self.speculate_min_samples = int(speculate_min_samples)
-        self.adaptive_lease = bool(adaptive_lease)
-        self.adaptive_factor = float(adaptive_factor)
-        self.adaptive_min_samples = int(adaptive_min_samples)
-        self.adaptive_floor = float(adaptive_floor)
         self.auto_reap = bool(auto_reap)
         self.stats = ClusterStats()
         self._clock = clock
@@ -373,15 +328,12 @@ class JobServer(FrameServer):
         self._workers: set[object] = set()
         self._worker_names: dict[object, str] = {}
         self._worker_ids = itertools.count(1)
-        self._durations: deque = deque(maxlen=512)
         self._ids = itertools.count(1)
         super().__init__(host, port, idle_timeout)
         self._trace = open_tracer(
             trace, source="job-server", clock=clock,
             meta={"endpoint": self.endpoint,
-                  "lease_timeout": self.lease_timeout,
-                  "order": self.order, "speculate": self.speculate,
-                  "adaptive_lease": self.adaptive_lease})
+                  "lease_timeout": self.lease_timeout})
         # The reaper waits on _stop_reaping, so shutdown wakes it at
         # once instead of blocking for a whole reap interval.
         self._stop_reaping = threading.Event()
@@ -552,21 +504,21 @@ class JobServer(FrameServer):
             sizes = None
         return names, sizes
 
-    def _schedule_order(self, sizes: list | None,
-                        n_jobs: int) -> list[int]:
+    @staticmethod
+    def _schedule_order(sizes: list | None, n_jobs: int) -> list[int]:
         indices = list(range(n_jobs))
-        if self.order != "size" or not sizes:
+        if not sizes:
             return indices
-        # Largest hinted job first; unhinted jobs keep FIFO order
-        # after every hinted one (the sort is stable).
+        # Largest hinted job first; unhinted jobs keep submission
+        # order after every hinted one (the sort is stable).
         indices.sort(key=lambda index: (
             0, -sizes[index]) if sizes[index] is not None else (1, 0))
         return indices
 
     def create_batch(self, payloads: Sequence[str],
                      hints: Any = None) -> _Batch:
-        """Register a submitted batch and queue its jobs (FIFO, or
-        largest-hint-first under ``order="size"``)."""
+        """Register a submitted batch and queue its jobs, largest
+        size hint first."""
         names, sizes = self._normalize_hints(hints, len(payloads))
         with self._lock:
             batch_id = f"b{next(self._ids)}"
@@ -575,7 +527,7 @@ class JobServer(FrameServer):
                 payloads=dict(enumerate(payloads)),
                 unresolved=set(range(len(payloads))),
                 events=queue.Queue(),
-                names=names, sizes=sizes)
+                names=names)
             self._batches[batch_id] = batch
             order = self._schedule_order(sizes, len(payloads))
             self._ready.extend((batch_id, index) for index in order)
@@ -649,37 +601,40 @@ class JobServer(FrameServer):
             self._trace.emit("stale_result", **fields)
         return {"ok": True, "stale": True}
 
+    @staticmethod
+    def _worker_seconds(seconds: Any) -> float | None:
+        """A worker-reported ``seconds`` when it is a finite,
+        non-negative, non-bool number, else ``None`` -- so a trace line
+        never carries ``Infinity``/``NaN`` (not valid JSON)."""
+        if isinstance(seconds, (int, float)) \
+                and not isinstance(seconds, bool) \
+                and math.isfinite(seconds) and seconds >= 0:
+            return float(seconds)
+        return None
+
     def complete(self, lease_id: str, result_payload: str,
                  seconds: float | None = None) -> dict:
         """Accept a worker's result; stale leases are acknowledged but
-        ignored (the job was requeued or speculatively duplicated and
-        already resolved, or its batch is gone).  ``seconds`` is the
-        worker's self-timed execution duration; it seeds the adaptive
-        lease timeout and the speculation threshold (anything but a
-        non-negative number falls back to the server-side lease
-        age)."""
+        ignored (the job was requeued and already resolved, or its
+        batch is gone).  ``seconds`` is the worker's self-timed
+        execution duration, recorded in the trace (anything
+        unusable falls back to the server-side lease age)."""
         with self._lock:
-            now = self._clock()
             lease = self._take_lease_locked(lease_id)
             if lease is None:
                 return self._stale_locked(lease_id, None)
             batch = self._batches.get(lease.batch_id)
             if batch is None or lease.index not in batch.unresolved:
                 return self._stale_locked(lease_id, lease)
-            elapsed = (float(seconds)
-                       if isinstance(seconds, (int, float))
-                       and not isinstance(seconds, bool)
-                       and seconds >= 0
-                       else max(0.0, now - lease.leased_at))
-            if batch is not None:
-                batch.durations.append(elapsed)
-            self._durations.append(elapsed)
             self.stats.completed += 1
             if batch.state != "dead":
                 batch.events.put({"event": "result",
                                   "index": lease.index,
                                   "result": result_payload})
             if self._trace.enabled:
+                elapsed = self._worker_seconds(seconds)
+                if elapsed is None:
+                    elapsed = max(0.0, self._clock() - lease.leased_at)
                 self._trace.emit(
                     "finish", batch=lease.batch_id, index=lease.index,
                     lease=lease_id,
@@ -714,10 +669,9 @@ class JobServer(FrameServer):
                     "lease": lease_id,
                     "worker": self._worker_names.get(lease.owner),
                     "outcome": "failed", "error_type": error_type}
-                if isinstance(seconds, (int, float)) \
-                        and not isinstance(seconds, bool) \
-                        and seconds >= 0:
-                    fields["seconds"] = round(float(seconds), 9)
+                elapsed = self._worker_seconds(seconds)
+                if elapsed is not None:
+                    fields["seconds"] = round(elapsed, 9)
                 self._trace.emit("finish", **fields)
             self._resolve_locked(batch, lease.index)
             return {"ok": True}
@@ -747,14 +701,8 @@ class JobServer(FrameServer):
             batch.events.put({"event": "aborted"})
 
     def _drop_queued_locked(self, batch: _Batch) -> None:
-        leased_live = {lease.index for lease in self._leases.values()
-                       if lease.batch_id == batch.batch_id}
         for index in list(batch.payloads):
             del batch.payloads[index]
-            if index in leased_live:
-                # A speculative queue copy: the live lease still
-                # resolves this slot, so only the duplicate is gone.
-                continue
             batch.unresolved.discard(index)
             self.stats.dropped += 1
             if self._trace.enabled:
@@ -762,11 +710,6 @@ class JobServer(FrameServer):
                                  index=index)
 
     def _resolve_locked(self, batch: _Batch, index: int) -> None:
-        # A resolved index must leave the ready queue too: under
-        # speculation a duplicate copy may still be queued, and
-        # re-leasing a finished job would waste a worker.
-        batch.payloads.pop(index, None)
-        batch.speculating.discard(index)
         batch.unresolved.discard(index)
         self._check_terminal_locked(batch)
 
@@ -796,8 +739,7 @@ class JobServer(FrameServer):
         if self._leases.pop(lease.lease_id, None) is None:
             return  # already resolved or requeued by another path
         batch = self._batches.get(lease.batch_id)
-        if batch is None or lease.index not in batch.unresolved \
-                or lease.index in batch.payloads:
+        if batch is None or lease.index not in batch.unresolved:
             self._trace_lease_end_locked(
                 lease, expired=expired, reason=reason, requeued=False)
             return
@@ -836,115 +778,31 @@ class JobServer(FrameServer):
         self._ready.appendleft((lease.batch_id, lease.index))
         self._work.notify()
 
-    def _effective_lease_timeout_locked(self) -> float:
-        if not self.adaptive_lease \
-                or len(self._durations) < self.adaptive_min_samples:
-            return self.lease_timeout
-        return max(self.adaptive_floor,
-                   self.adaptive_factor
-                   * percentile(self._durations, 95.0))
-
-    def effective_lease_timeout(self) -> float:
-        """The lease timeout currently in force: the static
-        ``lease_timeout``, or the adaptive p95-derived one once
-        enough completions have been observed."""
-        with self._lock:
-            return self._effective_lease_timeout_locked()
+    def _queued_locked(self) -> int:
+        return sum(1 for batch_id, index in self._ready
+                   if batch_id in self._batches
+                   and index in self._batches[batch_id].payloads)
 
     def reap_expired_leases(self) -> int:
-        """Requeue every lease older than the effective lease timeout;
-        returns how many were reaped (the policy thread calls this;
-        tests may call it directly for determinism)."""
-        now = self._clock()
+        """One scheduler maintenance sweep: requeue every lease older
+        than ``lease_timeout`` and trace a ``heartbeat``.  The
+        background reaper calls this periodically; deterministic tests
+        call it directly after advancing their virtual clock.  Returns
+        how many leases were reaped."""
         with self._lock:
-            timeout = self._effective_lease_timeout_locked()
+            now = self._clock()
             expired = [lease for lease in self._leases.values()
-                       if now - lease.leased_at > timeout]
+                       if now - lease.leased_at > self.lease_timeout]
             for lease in expired:
                 self._requeue_locked(lease, reason="lease expired",
                                      expired=True)
-            return len(expired)
-
-    def _has_ready_work_locked(self) -> bool:
-        return any(
-            batch_id in self._batches
-            and index in self._batches[batch_id].payloads
-            for batch_id, index in self._ready)
-
-    def speculate_stragglers(self) -> int:
-        """Queue a duplicate copy of every suspected straggler.
-
-        A lease is a suspected straggler when the ready queue is
-        drained (an idle worker exists to absorb the duplicate), its
-        batch has at least ``speculate_min_samples`` observed
-        completions, and the lease is older than ``speculate_factor``
-        times the batch's p95 execution time.  At most one duplicate
-        per job is ever live; first result wins, the other is
-        acknowledged stale.  Returns how many duplicates were queued.
-        No-op unless ``speculate`` is on.
-        """
-        if not self.speculate:
-            return 0
-        now = self._clock()
-        queued = 0
-        with self._lock:
-            if self._has_ready_work_locked():
-                return 0
-            for lease in list(self._leases.values()):
-                batch = self._batches.get(lease.batch_id)
-                if batch is None or batch.state != "running":
-                    continue
-                if lease.index not in batch.unresolved \
-                        or lease.index in batch.speculating \
-                        or lease.index in batch.payloads:
-                    continue
-                if len(batch.durations) < self.speculate_min_samples:
-                    continue
-                threshold = self.speculate_factor * percentile(
-                    batch.durations, 95.0)
-                age = now - lease.leased_at
-                if age <= threshold:
-                    continue
-                _LOGGER.info(
-                    "speculatively re-leasing job %d of batch %s "
-                    "(lease %s out %.3f s > %.3f s)", lease.index,
-                    lease.batch_id, lease.lease_id, age, threshold)
-                batch.speculating.add(lease.index)
-                batch.payloads[lease.index] = lease.payload
-                self._ready.append((lease.batch_id, lease.index))
-                self.stats.speculated += 1
-                queued += 1
-                if self._trace.enabled:
-                    self._trace.emit(
-                        "speculate", batch=lease.batch_id,
-                        index=lease.index, lease=lease.lease_id,
-                        age=round(age, 6),
-                        threshold=round(threshold, 6))
-            if queued:
-                self._work.notify_all()
-        return queued
-
-    def run_policies(self) -> dict[str, int]:
-        """One scheduler maintenance sweep: reap expired leases, then
-        speculate on stragglers.  The background policy thread calls
-        this periodically; deterministic tests call it directly after
-        advancing their virtual clock.  Returns the per-policy
-        action counts."""
-        reaped = self.reap_expired_leases()
-        speculated = self.speculate_stragglers()
-        if self._trace.enabled:
-            with self._lock:
-                queued = sum(
-                    1 for batch_id, index in self._ready
-                    if batch_id in self._batches
-                    and index in self._batches[batch_id].payloads)
+            if self._trace.enabled:
                 self._trace.emit(
-                    "heartbeat", queued=queued,
+                    "heartbeat", queued=self._queued_locked(),
                     leased=len(self._leases),
                     workers=len(self._workers),
-                    lease_timeout=round(
-                        self._effective_lease_timeout_locked(), 6))
-        return {"reaped": reaped, "speculated": speculated}
+                    lease_timeout=self.lease_timeout)
+            return len(expired)
 
     # -- the worker-facing protocol ------------------------------------
     def handle_worker_request(self, request: dict,
@@ -959,20 +817,15 @@ class JobServer(FrameServer):
 
     def _op_status(self, request: dict, owner: object) -> dict:
         with self._lock:
-            queued = sum(
-                1 for batch_id, index in self._ready
-                if batch_id in self._batches
-                and index in self._batches[batch_id].payloads)
             return {"ok": True, "workers": len(self._workers),
-                    "queued": queued, "leased": len(self._leases),
+                    "queued": self._queued_locked(),
+                    "leased": len(self._leases),
                     "batches": len(self._batches),
                     "completed": self.stats.completed,
                     "failed": self.stats.failed,
                     "requeued": self.stats.requeued,
-                    "speculated": self.stats.speculated,
                     "stale": self.stats.stale,
-                    "lease_timeout":
-                        self._effective_lease_timeout_locked()}
+                    "lease_timeout": self.lease_timeout}
 
     def _op_lease(self, request: dict, owner: object) -> dict:
         wait = field_or(request, "wait", 0.0)
@@ -997,7 +850,7 @@ class JobServer(FrameServer):
         interval = max(0.1, min(1.0, self.lease_timeout / 4))
         while not self._stop_reaping.wait(interval):
             try:
-                self.run_policies()
+                self.reap_expired_leases()
             # repro-lint: disable=BROAD-EXCEPT -- the reaper must outlive any one bad iteration; the failure is logged, not hidden
             except Exception:  # pragma: no cover - belt and braces
                 _LOGGER.exception("lease reaper iteration failed")
@@ -1039,10 +892,9 @@ class Worker:
     max_jobs:
         Exit after the server *accepts* this many job outcomes
         (``None`` = run forever).  Stale outcomes -- results the
-        server already got elsewhere after a lease expiry or a
-        speculative re-lease -- do not consume slots, so a fleet
-        sized ``max_jobs = len(batch)`` cannot exit early and strand
-        the batch.
+        server already got elsewhere after a lease expiry -- do not
+        consume slots, so a fleet sized ``max_jobs = len(batch)``
+        cannot exit early and strand the batch.
     idle_exit:
         Exit after this many consecutive seconds without *accepted*
         work (``None`` = run forever); what CI smokes and tests use.

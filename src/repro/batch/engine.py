@@ -171,8 +171,8 @@ def job_size_hint(job) -> float | None:
     Jobs expose it as a ``size_hint`` attribute or property; anything
     non-numeric, non-finite, or raising is treated as "no hint" --
     scheduling hints are advisory and must never break a run.  The
-    cluster client ships this to the job server for size-aware
-    ordering (``job-serve --order size``).
+    cluster client ships this to the job server, which leases the
+    largest hinted job first.
     """
     try:
         hint = getattr(job, "size_hint", None)

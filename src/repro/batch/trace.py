@@ -26,7 +26,9 @@ Event vocabulary (producers annotate; unknown *fields* are carried
 through, unknown *kinds* are rejected at read time so schema drift is
 loud): ``enqueue``, ``lease``, ``start``, ``finish``, ``requeue``,
 ``expire``, ``speculate``, ``stale_result``, ``cache_hit``, ``drop``,
-``heartbeat``, ``worker_join``, ``worker_leave``.  The lease-lifecycle
+``heartbeat``, ``worker_join``, ``worker_leave``.  (``speculate`` is
+no longer emitted; it stays readable so traces recorded while the job
+server still speculated keep analyzing.)  The lease-lifecycle
 invariant -- every ``lease`` gets exactly one terminal ``finish`` /
 ``expire`` / ``requeue`` -- is what the analyzer's interval model and
 the property tests in ``tests/test_trace_events.py`` rely on.
@@ -72,9 +74,8 @@ class TraceError(BatchError):
 def percentile(values: Sequence[float], pct: float) -> float:
     """Nearest-rank percentile of ``values`` (``pct`` in 0..100).
 
-    The same estimator the adaptive-lease and speculation policies use
-    server-side, exposed so analyzer output matches policy decisions.
-    Raises :class:`ValueError` on an empty sequence.
+    The analyzer's estimator for the median execution time that
+    straggler detection compares against.  Raises :class:`ValueError` on an empty sequence.
     """
     if not values:
         raise ValueError("percentile() of an empty sequence")

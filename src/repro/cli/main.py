@@ -358,9 +358,6 @@ def _cmd_job_serve(args: argparse.Namespace) -> int:
                            lease_timeout=args.lease_timeout,
                            max_attempts=args.max_attempts,
                            idle_timeout=args.idle_timeout or None,
-                           order=args.order,
-                           speculate=args.speculate,
-                           adaptive_lease=args.adaptive_lease,
                            trace=args.trace)
     except OSError as error:
         # Port in use, unresolvable host, privileged port, ...
@@ -371,12 +368,6 @@ def _cmd_job_serve(args: argparse.Namespace) -> int:
           f"repro-agu worker {server.endpoint}; point runs at it with "
           f"--executor {server.endpoint}; stop with SIGINT/SIGTERM",
           flush=True)
-    policies = [name for name, on in
-                (("order=size", args.order == "size"),
-                 ("speculate", args.speculate),
-                 ("adaptive-lease", args.adaptive_lease)) if on]
-    if policies:
-        print(f"scheduling policies: {', '.join(policies)}", flush=True)
     if args.trace:
         print(f"tracing scheduler events to {args.trace} "
               f"(analyze with: repro-agu trace {args.trace})", flush=True)
@@ -853,26 +844,6 @@ def build_parser() -> argparse.ArgumentParser:
                                        "0 disables; size above the "
                                        "slowest job and the lease "
                                        "timeout)")
-    job_serve_parser.add_argument("--order", choices=("fifo", "size"),
-                                  default="fifo",
-                                  help="job dispatch order: fifo "
-                                       "(default, submission order) or "
-                                       "size (largest size hint first, "
-                                       "shrinking the straggler tail)")
-    job_serve_parser.add_argument("--speculate", action="store_true",
-                                  help="re-lease stragglers to idle "
-                                       "workers once a job's lease age "
-                                       "passes a trace-derived "
-                                       "duration percentile "
-                                       "(first result wins; default "
-                                       "off)")
-    job_serve_parser.add_argument("--adaptive-lease",
-                                  action="store_true",
-                                  help="derive the effective lease "
-                                       "timeout from observed job "
-                                       "durations instead of the "
-                                       "static --lease-timeout "
-                                       "(default off)")
     _add_trace_argument(job_serve_parser)
     job_serve_parser.set_defaults(func=_cmd_job_serve)
 

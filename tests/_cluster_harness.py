@@ -3,7 +3,7 @@ injectable faults.
 
 The real fleet tests (``thread_fleet`` in ``_cluster_jobs``) exercise
 TCP framing and thread interleavings, but anything involving lease
-expiry, speculation, or idle timers used to need real ``sleep`` calls.
+expiry or idle timers used to need real ``sleep`` calls.
 This module removes the clock from the equation:
 
 * :class:`VirtualClock` -- an injectable monotonic clock
@@ -13,8 +13,8 @@ This module removes the clock from the equation:
   with ``auto_reap=False`` under a virtual clock, driven entirely
   through :class:`ScriptedWorker` objects that speak the worker
   protocol via ``handle_worker_request`` (no sockets, no threads, no
-  real time).  Policy sweeps run exactly when the test calls
-  ``server.run_policies()``.
+  real time).  Reaper sweeps run exactly when the test calls
+  ``server.reap_expired_leases()``.
 * Fault injection: a stalled worker is simply one that never reports
   (advance the clock past the lease timeout instead); a killed worker
   is :meth:`ScriptedWorker.kill`; a slow network or slow job is a
@@ -156,8 +156,9 @@ class ScriptedCluster:
 def scripted_cluster(**server_kwargs):
     """A deterministic cluster: virtual clock, no reaper thread, no
     listener traffic.  Keyword arguments pass through to
-    :class:`JobServer` (tests typically set ``lease_timeout`` and the
-    policy flags); ``clock``/``auto_reap`` are fixed by the harness.
+    :class:`JobServer` (tests typically set ``lease_timeout``,
+    ``max_attempts`` or ``trace``); ``clock``/``auto_reap`` are fixed
+    by the harness.
     """
     clock = VirtualClock()
     server = JobServer(port=0, clock=clock, auto_reap=False,

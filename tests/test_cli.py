@@ -355,3 +355,16 @@ class TestExperiment:
         assert "average reduction" in out
         payload = json.loads(target.read_text())
         assert "rows" in payload and "average_reduction_pct" in payload
+
+
+class TestJobServe:
+    def test_help_offers_no_scheduling_policy_flags(self, capsys):
+        """The job server has one schedule: no order, speculation, or
+        adaptive-lease switches on the command line."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["job-serve", "--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert "--lease-timeout" in out and "--max-attempts" in out
+        for removed in ("--order", "--speculate", "--adaptive-lease"):
+            assert removed not in out

@@ -11,6 +11,8 @@ death mid-job (lease requeue, bit-identical results).
 
 from __future__ import annotations
 
+import io
+import json
 import os
 import signal
 import socket
@@ -550,23 +552,24 @@ class TestLeaseRecovery:
 
 
 class TestSchedulingPolicies:
-    """The trace-informed scheduling policies, deterministically (all
-    off by default; every test opts in explicitly)."""
+    """The one schedule: largest size hint first under the static
+    lease timeout, deterministically under a virtual clock."""
 
-    def test_fifo_is_the_default_and_ignores_hints(self):
+    def test_no_size_hints_keeps_submission_order(self):
+        """A batch without size hints is served first come first
+        served (names alone do not reorder anything)."""
         with scripted_cluster() as cluster:
-            hints = [{"name": f"j{i}", "size": float(10 - i)}
-                     for i in range(3)]
             cluster.submit([TinyJob(name=f"j{i}", value=i)
-                            for i in range(3)], hints=hints)
+                            for i in range(3)],
+                           hints=[{"name": f"j{i}"} for i in range(3)])
             worker = cluster.worker()
             assert [worker.lease()["index"] for _ in range(3)] \
                 == [0, 1, 2]
 
     def test_size_order_leases_largest_hinted_first(self):
-        """order="size": hinted jobs go largest-first; unhinted jobs
-        keep FIFO order after every hinted one."""
-        with scripted_cluster(order="size") as cluster:
+        """Hinted jobs go largest-first; unhinted jobs keep submission
+        order after every hinted one."""
+        with scripted_cluster() as cluster:
             hints = [{"name": "j0", "size": 1.0},
                      {"name": "j1", "size": 5.0},
                      {"name": "j2", "size": 3.0},
@@ -578,9 +581,9 @@ class TestSchedulingPolicies:
                 == [1, 2, 0, 3]
 
     def test_size_order_survives_malformed_hints(self):
-        """Hints are advisory: garbage falls back to FIFO instead of
-        failing the batch."""
-        with scripted_cluster(order="size") as cluster:
+        """Hints are advisory: garbage falls back to submission order
+        instead of failing the batch."""
+        with scripted_cluster() as cluster:
             cluster.submit([TinyJob(name=f"j{i}", value=i)
                             for i in range(2)],
                            hints=[{"size": "huge"}, "nonsense"])
@@ -588,138 +591,80 @@ class TestSchedulingPolicies:
             assert [worker.lease()["index"] for _ in range(2)] \
                 == [0, 1]
 
-    def test_adaptive_lease_timeout_follows_observed_durations(self):
-        """The effective timeout stays static until enough samples
-        exist, then tracks factor x p95 of observed durations -- and
-        the reaper enforces the adaptive value."""
-        with scripted_cluster(lease_timeout=60.0, adaptive_lease=True,
-                              adaptive_min_samples=2,
-                              adaptive_factor=3.0,
-                              adaptive_floor=0.5) as cluster:
-            server = cluster.server
-            assert server.effective_lease_timeout() == 60.0
+    def test_fast_jobs_never_shrink_the_lease_timeout(self):
+        """Five 0.1 s jobs, then a healthy sixth that stays leased
+        across four 1.5 s reaper sweeps: under the static default
+        timeout nothing is reaped and the job completes.  (A timeout
+        derived from the fast jobs' p95 -- 1 s -- reaped it three
+        times and failed the batch with ``WorkerLost``.)"""
+        sink = io.StringIO()
+        with scripted_cluster(trace=sink) as cluster:
+            worker = cluster.worker()
+            batch = cluster.submit([TinyJob(name=f"j{i}", value=i)
+                                    for i in range(6)])
+            for _ in range(5):
+                assert worker.run_one(seconds=0.1) is not None
+            leased = worker.lease()
+            assert leased["index"] == 5
+            for _ in range(4):
+                cluster.clock.advance(1.5)
+                assert cluster.server.reap_expired_leases() == 0
+            result = decode_payload(leased["job"]).execute()
+            assert worker.complete(leased, result, seconds=6.0) \
+                == {"ok": True}
+            events = cluster.drain_events(batch)
+            assert [event["event"] for event in events] \
+                == ["result"] * 6 + ["done"]
+            assert cluster.server.stats.requeued == 0
+            assert cluster.server.stats.completed == 6
+        kinds = [json.loads(line).get("kind")
+                 for line in sink.getvalue().splitlines()]
+        assert "heartbeat" in kinds
+        assert "expire" not in kinds and "requeue" not in kinds
+
+    def test_status_reports_the_static_lease_timeout(self):
+        """Observed durations never change the lease timeout in
+        force, and ``status`` carries no speculation counter."""
+        with scripted_cluster(lease_timeout=7.5) as cluster:
+            worker = cluster.worker()
+            cluster.submit([TinyJob(name=f"j{i}", value=i)
+                            for i in range(6)])
+            for _ in range(6):
+                assert worker.run_one(seconds=0.01) is not None
+            status = worker.request({"op": "status"})
+            assert status["lease_timeout"] == 7.5
+            assert status["completed"] == 6
+            assert "speculated" not in status
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"),
+                                     float("nan")])
+    def test_unusable_seconds_keep_the_trace_valid_json(self, bad):
+        """A worker reporting ``seconds`` as Infinity, a negative
+        number, or NaN must not put a non-JSON literal into the trace:
+        ``complete`` falls back to the lease age and ``fail`` omits
+        the field."""
+        def reject_constant(name):
+            raise ValueError(f"non-JSON constant {name} in trace")
+
+        sink = io.StringIO()
+        with scripted_cluster(trace=sink) as cluster:
             worker = cluster.worker()
             cluster.submit([TinyJob(name=f"j{i}", value=i)
                             for i in range(2)])
-            for _ in range(2):
-                leased = worker.lease()
-                worker.complete(
-                    leased, decode_payload(leased["job"]).execute(),
-                    seconds=1.0)
-            assert server.effective_lease_timeout() \
-                == pytest.approx(3.0)
-            # A lease older than the adaptive timeout (but far younger
-            # than the static one) is reaped.
-            cluster.submit([TinyJob(name="late", value=9)])
-            assert worker.lease() is not None
-            cluster.clock.advance(3.5)
-            assert server.reap_expired_leases() == 1
-
-    def test_adaptive_lease_timeout_respects_the_floor(self):
-        """Sub-floor job durations cannot shrink the timeout into
-        hair-trigger territory."""
-        with scripted_cluster(lease_timeout=60.0, adaptive_lease=True,
-                              adaptive_min_samples=1,
-                              adaptive_factor=3.0,
-                              adaptive_floor=0.5) as cluster:
-            worker = cluster.worker()
-            cluster.submit([TinyJob(name="quick", value=1)])
             leased = worker.lease()
-            worker.complete(
-                leased, decode_payload(leased["job"]).execute(),
-                seconds=0.001)
-            assert cluster.server.effective_lease_timeout() == 0.5
-
-    def test_speculative_re_lease_first_wins(self):
-        """The headline speculation scenario: a straggling lease gets
-        a duplicate once the queue drains; the duplicate's result is
-        accepted, the straggler's late result is acknowledged stale,
-        and the client sees each index exactly once."""
-        with scripted_cluster(lease_timeout=60.0, speculate=True,
-                              speculate_min_samples=1,
-                              speculate_factor=2.0) as cluster:
-            fast, slow, helper = (cluster.worker(), cluster.worker(),
-                                  cluster.worker())
-            batch = cluster.submit([TinyJob(name="quick", value=1),
-                                    TinyJob(name="drag", value=2)])
-            quick_lease = fast.lease()
-            drag_lease = slow.lease()
-            assert (quick_lease["index"], drag_lease["index"]) == (0, 1)
-            result0 = decode_payload(quick_lease["job"]).execute()
-            assert fast.complete(quick_lease, result0, seconds=0.05) \
-                == {"ok": True}
-            # Queue drained, one sample (p95 = 0.05 s): a lease older
-            # than 0.1 s is a straggler.
-            cluster.clock.advance(1.0)
-            assert cluster.server.run_policies() \
-                == {"reaped": 0, "speculated": 1}
-            # At most one live duplicate per job: a second sweep adds
-            # nothing.
-            assert cluster.server.speculate_stragglers() == 0
-            duplicate = helper.lease()
-            assert duplicate["index"] == 1
-            result1 = decode_payload(duplicate["job"]).execute()
-            assert helper.complete(duplicate, result1, seconds=0.05) \
-                == {"ok": True}
-            # The straggler finally reports: first result won.
-            assert slow.complete(drag_lease, result1) \
-                == {"ok": True, "stale": True}
-            events = cluster.drain_events(batch)
-            assert [event["event"] for event in events] \
-                == ["result", "result", "done"]
-            assert sorted(event["index"] for event in events[:2]) \
-                == [0, 1]
-            stats = cluster.server.stats
-            assert (stats.completed, stats.speculated, stats.stale,
-                    stats.requeued) == (2, 1, 1, 0)
-
-    def test_speculation_waits_for_samples_and_an_idle_queue(self):
-        """No duplicates before ``speculate_min_samples`` completions,
-        and none while ready work remains for idle workers."""
-        with scripted_cluster(lease_timeout=60.0, speculate=True,
-                              speculate_min_samples=2,
-                              speculate_factor=2.0) as cluster:
-            worker = cluster.worker()
-            cluster.submit([TinyJob(name=f"j{i}", value=i)
-                            for i in range(3)])
-            leased = worker.lease()
-            cluster.clock.advance(100.0)
-            # Ready work remains: never speculate.
-            assert cluster.server.speculate_stragglers() == 0
-            worker.complete(
-                leased, decode_payload(leased["job"]).execute(),
-                seconds=0.05)
-            assert worker.lease() is not None
-            assert worker.lease() is not None
-            cluster.clock.advance(100.0)
-            # Queue drained but only one sample (< min_samples).
-            assert cluster.server.speculate_stragglers() == 0
-
-    def test_speculation_after_resolve_never_reruns_the_job(self):
-        """A duplicate still queued when the original lease completes
-        must not be leased afterwards (the resolved index leaves the
-        ready queue)."""
-        with scripted_cluster(lease_timeout=60.0, speculate=True,
-                              speculate_min_samples=1,
-                              speculate_factor=2.0) as cluster:
-            worker, helper = cluster.worker(), cluster.worker()
-            cluster.submit([TinyJob(name="quick", value=1),
-                            TinyJob(name="drag", value=2)])
-            quick_lease = worker.lease()
-            drag_lease = worker.lease()
-            worker.complete(
-                quick_lease,
-                decode_payload(quick_lease["job"]).execute(),
-                seconds=0.05)
-            cluster.clock.advance(1.0)
-            assert cluster.server.speculate_stragglers() == 1
-            # The original finishes before anyone leases the duplicate.
+            cluster.clock.advance(0.25)
             assert worker.complete(
-                drag_lease,
-                decode_payload(drag_lease["job"]).execute()) \
-                == {"ok": True}
-            assert helper.lease() is None
-            assert cluster.server.stats.completed == 2
+                leased, decode_payload(leased["job"]).execute(),
+                seconds=bad) == {"ok": True}
+            leased = worker.lease()
+            assert worker.fail(leased, seconds=bad) == {"ok": True}
+        finishes = []
+        for line in sink.getvalue().splitlines():
+            record = json.loads(line, parse_constant=reject_constant)
+            if record.get("kind") == "finish":
+                finishes.append(record)
+        assert [record.get("seconds") for record in finishes] \
+            == [0.25, None]
 
 
 class TestStatisticalGridAcrossExecutors:
@@ -751,28 +696,6 @@ class TestStatisticalGridAcrossExecutors:
         assert self.summary_key(inline) == self.summary_key(cached)
         assert cached.n_points_compiled == 0
         assert cached.n_points_cached == len(inline.rows)
-
-    def test_summary_bit_identical_with_policies_enabled(self):
-        """Regression for speculative re-lease first-wins semantics:
-        with every scheduling policy on and speculation tuned to fire
-        on essentially any in-flight lease, duplicate completions are
-        resolved first-wins and the summary stays bit-identical to
-        the inline run."""
-        inline = run_statistical_comparison(self.CONFIG)
-        with thread_fleet(n_workers=2, order="size", speculate=True,
-                          speculate_min_samples=1,
-                          speculate_factor=0.01,
-                          adaptive_lease=True, adaptive_min_samples=1,
-                          lease_timeout=2.0,
-                          max_attempts=5) as server:
-            clustered = run_statistical_comparison(
-                self.CONFIG,
-                executor=ClusterExecutor(*server.address))
-            stats = server.stats
-        assert self.summary_key(inline) == self.summary_key(clustered)
-        # Every job resolved exactly once client-side, whatever the
-        # duplicate-lease churn server-side.
-        assert stats.completed == len(inline.rows)
 
     def test_summary_bit_identical_after_worker_kill(self, tmp_path):
         """Kill one of two subprocess workers mid-run: the summary

@@ -81,7 +81,7 @@ def run_schedule(schedule, n_workers):
                 leased = worker.lease()
                 assert leased is not None
                 cluster.clock.advance(LEASE_TIMEOUT + seconds)
-                assert cluster.server.run_policies()["reaped"] == 1
+                assert cluster.server.reap_expired_leases() == 1
                 worker = workers[(i + 1) % n_workers]
                 leased = worker.lease()
             else:

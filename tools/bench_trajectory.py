@@ -40,8 +40,8 @@ TRAJECTORY_SCHEMA = 1
 #: The default bench selection: the solver hot-path micro-suite, the
 #: cold EXP-S1 grid (the end-to-end number the solvers feed), the
 #: compile-service latency benches (whose p50/p95/p99 SLO numbers ride
-#: along in ``extra_info``), and the cluster scheduling-policy benches
-#: (whose trace-derived makespan/utilization ride along the same way).
+#: along in ``extra_info``), and the cluster scheduling benches (whose
+#: trace-derived makespan/utilization ride along the same way).
 DEFAULT_SELECTION = "solver or stats_grid_cold or bench_serve or sched"
 
 #: The bench module every trajectory run executes.
