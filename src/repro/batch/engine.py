@@ -13,7 +13,9 @@ and produces a :class:`BatchReport`.  Per job it either
 
 Identical jobs inside one batch (same digest) are compiled once and
 fanned back out to every slot, so a sweep that repeats a configuration
-pays for it a single time.
+pays for it a single time.  Likewise each distinct source text is
+parsed once per batch (:func:`~repro.batch.jobs.parse_scope`), however
+many specs it is swept over.
 
 The engine aggregates summaries, not full artifacts: a
 :class:`JobResult` is a small picklable/JSON-able record, which is what
@@ -63,7 +65,12 @@ from repro.agu.model import AguSpec
 from repro.agu.simulator import simulate
 from repro.batch.cache import InMemoryLRUCache
 from repro.batch.digest import job_digest
-from repro.batch.jobs import BatchJob, CacheableResult, jobs_from_suite
+from repro.batch.jobs import (
+    BatchJob,
+    CacheableResult,
+    jobs_from_suite,
+    parse_scope,
+)
 from repro.core.config import AllocatorConfig
 from repro.batch.trace import NULL_TRACER, open_tracer
 from repro.core.pipeline import (
@@ -531,6 +538,22 @@ class BatchReport:
                 f"({self.jobs_per_second:.1f} jobs/s)")
 
 
+def _scoped_steps(stream: ExecutionStream) -> Iterator[tuple[int, Any]]:
+    """Iterate ``stream`` with one :func:`~repro.batch.jobs.parse_scope`
+    over the whole batch, open only while the stream steps: a scope
+    held across a ``yield`` would leak into the consumer's code, and
+    interleaved streams would unwind each other's scopes out of order.
+    """
+    kernels: dict = {}
+    steps = iter(stream)
+    while True:
+        with parse_scope(kernels):
+            step = next(steps, None)
+        if step is None:
+            return
+        yield step
+
+
 class BatchCompiler:
     """Compile many kernels at once, with caching and parallelism.
 
@@ -654,7 +677,9 @@ class BatchCompiler:
             pending_jobs.setdefault(digest, jobs[index])
 
         digests = list(pending)
-        compiled = self._run([pending_jobs[digest] for digest in digests])
+        with parse_scope():
+            compiled = self._run([pending_jobs[digest]
+                                  for digest in digests])
         self._store({digest: result.payload()
                      for digest, result in zip(digests, compiled)})
         for digest, result in zip(digests, compiled):
@@ -800,7 +825,7 @@ class BatchCompiler:
         stream = self.executor.run([pending_jobs[digest]
                                     for digest in digests])
         try:
-            for position, result in stream:
+            for position, result in _scoped_steps(stream):
                 self._trace_job(
                     "finish", position, pending_jobs[digests[position]],
                     outcome="ok",

@@ -29,9 +29,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.agu.model import AguSpec
 from repro.batch.digest import DIGEST_VERSION, job_digest
@@ -49,6 +52,47 @@ from repro.workloads.random_patterns import (
     generate_batch,
 )
 from repro.workloads.suite import suite_kernels
+
+
+#: The open parse scope's kernels by exact source text, or ``None``
+#: outside any scope.  Context-local, so each thread (and each serve
+#: dispatcher) sees only the scope it opened itself.
+_PARSE_SCOPE: ContextVar[dict[str, Kernel] | None] = ContextVar(
+    "repro_parse_scope", default=None)
+# A forked process (a pool worker) starts outside any scope: workers
+# parse per job, in their own process.
+os.register_at_fork(after_in_child=lambda: _PARSE_SCOPE.set(None))
+
+
+@contextmanager
+def parse_scope(kernels: dict[str, Kernel] | None = None
+                ) -> Iterator[dict[str, Kernel]]:
+    """Parse each distinct source text at most once while open.
+
+    A kernel's parse does not depend on the AGU spec, yet a sweep
+    holds one job per (source, spec) pair.  Inside the scope,
+    :meth:`BatchJob.kernel` parses a source the first time it meets it
+    and reuses that kernel, renamed to the job, for every later job
+    with the same text.  A source that fails to parse is never
+    remembered, so each job with a bad source still raises on its own.
+
+    ``kernels`` (keyed by :attr:`~repro.ir.types.Kernel.source`) seeds
+    the scope with already parsed kernels and then holds everything the
+    scope parses, so a caller can reopen the same scope later; without
+    it, nothing outlives the scope.  Scopes nest: an inner scope joins
+    the open one, adding its seeds to it.
+    """
+    outer = _PARSE_SCOPE.get()
+    if outer is not None:
+        outer.update(kernels or {})
+        yield outer
+        return
+    memo = kernels if kernels is not None else {}
+    token = _PARSE_SCOPE.set(memo)
+    try:
+        yield memo
+    finally:
+        _PARSE_SCOPE.reset(token)
 
 
 @dataclass(frozen=True)
@@ -95,9 +139,19 @@ class BatchJob:
         return None
 
     def kernel(self) -> Kernel:
-        """The job's kernel: parsed from source, or wrapped pattern."""
+        """The job's kernel: parsed from source (once per source text
+        inside a :func:`parse_scope`), or wrapped pattern."""
         if self.source is not None:
-            return parse_kernel(self.source, name=self.name)
+            memo = _PARSE_SCOPE.get()
+            if memo is None:
+                return parse_kernel(self.source, name=self.name)
+            kernel = memo.get(self.source)
+            if kernel is None:
+                kernel = memo[self.source] = parse_kernel(
+                    self.source, name=self.name)
+            elif kernel.name != self.name:
+                kernel = replace(kernel, name=self.name)
+            return kernel
         pattern = self.pattern
         assert pattern is not None
         # Start the loop variable high enough that no access touches a

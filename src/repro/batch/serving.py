@@ -62,7 +62,7 @@ from repro.agu.model import AguSpec
 from repro.batch.cache import CacheBackend, TieredCache, open_cache
 from repro.batch.digest import job_digest
 from repro.batch.engine import BatchCompiler, Executor, JobResult
-from repro.batch.jobs import BatchJob
+from repro.batch.jobs import BatchJob, parse_scope
 from repro.batch.service import (
     FrameServer,
     Op,
@@ -75,6 +75,7 @@ from repro.batch.service import (
 )
 from repro.core.pipeline import compile_kernel
 from repro.errors import BatchError
+from repro.ir.types import Kernel
 from repro.workloads.kernels import get_kernel
 
 #: Front-door bounds on one ``compile`` request.  Compile cost grows
@@ -147,13 +148,16 @@ class ServeResult:
 class _PendingCompile:
     """One admitted compile request, in flight between a handler
     thread (which waits on ``ready``) and the dispatcher (which sets
-    the outcome, then ``ready``)."""
+    the outcome, then ``ready``).  ``kernel`` is the handler's parse of
+    the job's source, so the dispatcher need not parse it again."""
 
-    __slots__ = ("job", "digest", "payload", "cached", "error", "ready")
+    __slots__ = ("job", "digest", "kernel", "payload", "cached", "error",
+                 "ready")
 
-    def __init__(self, job: BatchJob, digest: str):
+    def __init__(self, job: BatchJob, digest: str, kernel: Kernel):
         self.job = job
         self.digest = digest
+        self.kernel = kernel
         self.payload: dict | None = None
         self.cached = False
         self.error: str | None = None
@@ -325,13 +329,13 @@ class CompileService(FrameServer):
             return self._answer(job, digest, result.payload(),
                                 cached=True, want_listing=want_listing)
         try:
-            self._check_kernel(job)
+            kernel = self._check_kernel(job)
         # Not swallowed either: a frontend syntax error or an
         # over-limit kernel is this request's error frame.
         except Exception as error:
             return self._reject(error)
 
-        pending = _PendingCompile(job, digest)
+        pending = _PendingCompile(job, digest, kernel)
         if self._stop.is_set():
             with self._stats_lock:
                 self.stats.failures += 1
@@ -354,7 +358,7 @@ class CompileService(FrameServer):
                                               "result"}
         return self._answer(job, digest, pending.payload,
                             cached=pending.cached,
-                            want_listing=want_listing)
+                            want_listing=want_listing, kernel=kernel)
 
     def _reject(self, error: Exception) -> dict:
         """Count a request-shaping failure; its error frame."""
@@ -374,29 +378,32 @@ class CompileService(FrameServer):
                 return
 
     def _answer(self, job: BatchJob, digest: str, payload: dict, *,
-                cached: bool, want_listing: bool) -> dict:
+                cached: bool, want_listing: bool,
+                kernel: Kernel | None = None) -> dict:
         # Display metadata follows the request being served, not
         # whoever stored the cache entry -- engine semantics.
         response = {"ok": True, "digest": digest, "cached": cached,
                     "result": {**payload, "name": job.name}}
         if want_listing:
-            response["listing"] = self._listing_for(job, digest)
+            response["listing"] = self._listing_for(job, digest, kernel)
         return response
 
-    def _listing_for(self, job: BatchJob, digest: str) -> str:
+    def _listing_for(self, job: BatchJob, digest: str,
+                     kernel: Kernel | None) -> str:
         """The job's generated AGU code, cached under its own key.
 
         Batch results are small summaries by design, so the listing is
         produced on demand -- an allocation-only rerun of the pipeline
         (no simulation), deterministic and therefore cacheable next to
-        the result payload.
+        the result payload.  ``kernel`` is the request's parse, when
+        it has one (a warm hit does not).
         """
         key = f"{digest}/listing"
         stored = self.cache.get(key)
         if stored is not None and isinstance(stored.get("listing"), str):
             return stored["listing"]
-        artifacts = compile_kernel(job.kernel(), job.spec, job.config,
-                                   run_simulation=False)
+        artifacts = compile_kernel(kernel or job.kernel(), job.spec,
+                                   job.config, run_simulation=False)
         self.cache.put(key, {"listing": artifacts.listing})
         return artifacts.listing
 
@@ -437,11 +444,12 @@ class CompileService(FrameServer):
             include_baseline=field_or(request, "baseline", False))
 
     @staticmethod
-    def _check_kernel(job: BatchJob) -> None:
+    def _check_kernel(job: BatchJob) -> Kernel:
         """Parse a cache miss on the handler thread and bound its size,
         so a syntax error or an oversized kernel is this request's
         error frame -- by the time a job reaches the dispatcher it is
-        known to parse, within the limits."""
+        known to parse, within the limits.  Returns the kernel, which
+        the request carries on so that it is parsed only here."""
         kernel = job.kernel()
         if len(kernel.pattern) > MAX_ACCESSES:
             raise BatchError(
@@ -451,6 +459,7 @@ class CompileService(FrameServer):
             raise BatchError(
                 f"kernel declares {len(kernel.arrays)} arrays; this "
                 f"server accepts at most {MAX_ARRAYS}")
+        return kernel
 
     # -- the micro-batcher (dispatcher thread) -------------------------
     def _dispatch_forever(self) -> None:
@@ -498,14 +507,19 @@ class CompileService(FrameServer):
         simply *rerun* -- which the cache answers as hits, costing one
         scan, not a recompile.  Each round removes at least one
         request, so the loop terminates.
+
+        Every round runs in a parse scope seeded with the handlers'
+        kernels, so no admitted request is parsed a second time.
         """
         with self._stats_lock:
             self.stats.batches += 1
         pending = list(batch)
+        kernels = {entry.kernel.source: entry.kernel for entry in batch}
         while pending:
             try:
-                report = self._compiler.compile(
-                    [entry.job for entry in pending])
+                with parse_scope(kernels):
+                    report = self._compiler.compile(
+                        [entry.job for entry in pending])
             except BatchError as error:
                 digest = getattr(error, "digest", None)
                 culprits = [entry for entry in pending

@@ -4,20 +4,23 @@ The language is the minimal C subset the paper writes its examples in:
 ``int`` declarations, one counted ``for`` loop, and expression/assignment
 statements over array references ``A[i+1]`` and scalar variables.  Both
 ``/* ... */`` and ``// ...`` comments are accepted.
+
+Tokens are ASCII: integer literals are ``[0-9]+`` and identifiers are
+C's ``[A-Za-z_][A-Za-z0-9_]*``.  Whitespace is anything ``str.isspace``
+accepts, and comments may hold any text.  Any other character -- a
+Unicode digit such as ``'²'`` included -- is a :class:`ParseError`
+naming its line and column.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum, unique
 
 from repro.errors import ParseError
 
 KEYWORDS = frozenset({"for", "int"})
-
-#: Multi-character operators, longest first so maximal munch works.
-_MULTI_CHAR = ("<=", ">=", "==", "!=", "++", "--", "+=", "-=", "*=", "/=")
-_SINGLE_CHAR = "+-*/%<>=;,(){}[]"
 
 
 @unique
@@ -46,104 +49,58 @@ class Token:
         return f"{self.value!r}"
 
 
-class Lexer:
-    """Hand-written scanner producing a list of :class:`Token`."""
+#: The whole token language as one pattern, tried at each position in
+#: turn.  Comments come before operators so ``//`` and ``/*`` never scan
+#: as division, and two-character operators before their one-character
+#: prefixes (maximal munch).  Whatever starts no token is ``bad``.
+_TOKEN_PATTERN = re.compile(r"""
+      (?P<space>\s+)
+    | (?P<comment>//[^\n]*|/\*.*?\*/)
+    | (?P<open_comment>/\*)
+    | (?P<int>[0-9]+)(?P<int_suffix>[A-Za-z_])?
+    | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<op><=|>=|==|!=|\+\+|--|\+=|-=|\*=|/=|[-+*/%<>=;,(){}\[\]])
+    | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
 
-    def __init__(self, source: str):
-        self._source = source
-        self._pos = 0
-        self._line = 1
-        self._column = 1
-
-    # ------------------------------------------------------------------
-    # Character-level helpers
-    # ------------------------------------------------------------------
-    def _peek(self, ahead: int = 0) -> str:
-        index = self._pos + ahead
-        return self._source[index] if index < len(self._source) else ""
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self._pos >= len(self._source):
-                return
-            if self._source[self._pos] == "\n":
-                self._line += 1
-                self._column = 1
-            else:
-                self._column += 1
-            self._pos += 1
-
-    def _skip_whitespace_and_comments(self) -> None:
-        while self._pos < len(self._source):
-            char = self._peek()
-            if char.isspace():
-                self._advance()
-            elif char == "/" and self._peek(1) == "/":
-                while self._pos < len(self._source) and self._peek() != "\n":
-                    self._advance()
-            elif char == "/" and self._peek(1) == "*":
-                open_line, open_column = self._line, self._column
-                self._advance(2)
-                while self._pos < len(self._source):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    raise ParseError("unterminated /* comment",
-                                     open_line, open_column)
-            else:
-                return
-
-    # ------------------------------------------------------------------
-    # Tokenization
-    # ------------------------------------------------------------------
-    def tokens(self) -> list[Token]:
-        """Scan the whole input; always ends with an EOF token."""
-        result: list[Token] = []
-        while True:
-            self._skip_whitespace_and_comments()
-            if self._pos >= len(self._source):
-                result.append(Token(TokenType.EOF, "", self._line,
-                                    self._column))
-                return result
-            result.append(self._next_token())
-
-    def _next_token(self) -> Token:
-        line, column = self._line, self._column
-        char = self._peek()
-
-        if char.isdigit():
-            start = self._pos
-            while self._peek().isdigit():
-                self._advance()
-            if self._peek().isalpha() or self._peek() == "_":
-                raise ParseError(
-                    f"malformed number near "
-                    f"{self._source[start:self._pos + 1]!r}", line, column)
-            return Token(TokenType.INT, self._source[start:self._pos],
-                         line, column)
-
-        if char.isalpha() or char == "_":
-            start = self._pos
-            while self._peek().isalnum() or self._peek() == "_":
-                self._advance()
-            text = self._source[start:self._pos]
-            kind = TokenType.KEYWORD if text in KEYWORDS else TokenType.IDENT
-            return Token(kind, text, line, column)
-
-        for op in _MULTI_CHAR:
-            if self._source.startswith(op, self._pos):
-                self._advance(len(op))
-                return Token(TokenType.OP, op, line, column)
-
-        if char in _SINGLE_CHAR:
-            self._advance()
-            return Token(TokenType.OP, char, line, column)
-
-        raise ParseError(f"unexpected character {char!r}", line, column)
+#: Error message templates of the pattern's error groups, formatted
+#: with the matched text.
+_ERRORS = {"int_suffix": "malformed number near {!r}",
+           "open_comment": "unterminated /* comment",
+           "bad": "unexpected character {!r}"}
 
 
 def tokenize(source: str) -> list[Token]:
-    """Convenience wrapper: scan ``source`` into tokens."""
-    return Lexer(source).tokens()
+    """Scan ``source`` into tokens; the list always ends with EOF.
+
+    Raises
+    ------
+    ParseError
+        On an unterminated ``/*`` comment (at its opening), a number
+        run into a letter, or a character that starts no token.
+    """
+    tokens: list[Token] = []
+    line = 1
+    line_start = 0  # index of the first character of ``line``
+    for match in _TOKEN_PATTERN.finditer(source):
+        kind = match.lastgroup
+        text = match.group()
+        if kind == "space" or kind == "comment":
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = match.start() + text.rindex("\n") + 1
+            continue
+        column = match.start() - line_start + 1
+        if kind == "op":
+            tokens.append(Token(TokenType.OP, text, line, column))
+        elif kind == "word":
+            tokens.append(Token(TokenType.KEYWORD if text in KEYWORDS
+                                else TokenType.IDENT, text, line, column))
+        elif kind == "int":
+            tokens.append(Token(TokenType.INT, text, line, column))
+        else:
+            raise ParseError(_ERRORS[kind].format(text), line, column)
+    tokens.append(Token(TokenType.EOF, "", line,
+                        len(source) - line_start + 1))
+    return tokens

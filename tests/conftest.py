@@ -8,6 +8,7 @@ import pytest
 
 from repro.graph.access_graph import AccessGraph
 from repro.ir.builder import loop_from_offsets, pattern_from_offsets
+from repro.ir.parser import parse_kernel
 from repro.ir.types import AccessPattern
 
 #: The offsets of the paper's section-2 example loop (Figure 1).
@@ -41,3 +42,16 @@ def random_offsets(rng: random.Random, n: int, span: int = 6) -> list[int]:
 def rng() -> random.Random:
     """A deterministic RNG per test."""
     return random.Random(0xC0FFEE)
+
+
+@pytest.fixture
+def parse_calls(monkeypatch):
+    """Every source parsed through the batch layer, in call order."""
+    calls = []
+
+    def counting_parse(*args, **kwargs):
+        calls.append(args[0])
+        return parse_kernel(*args, **kwargs)
+
+    monkeypatch.setattr("repro.batch.jobs.parse_kernel", counting_parse)
+    return calls

@@ -8,17 +8,28 @@ import pytest
 
 from repro.agu.model import AguSpec
 from repro.analysis.reports import to_jsonable
-from repro.batch.engine import BatchCompiler, BatchReport, execute_job
+from repro.batch.cache import InMemoryLRUCache
+from repro.batch.digest import job_digest
+from repro.batch.engine import (
+    BatchCompiler,
+    BatchReport,
+    LocalPoolExecutor,
+    execute_job,
+)
 from repro.batch.jobs import (
     BatchJob,
     job_matrix,
     jobs_from_kernels,
     jobs_from_random,
     jobs_from_suite,
+    parse_scope,
 )
 from repro.core.config import AllocatorConfig
-from repro.errors import BatchError, WorkloadError
+from repro.core.pipeline import compile_kernel
+from repro.errors import BatchError, ParseError, WorkloadError
 from repro.ir.builder import pattern_from_offsets
+from repro.ir.parser import parse_kernel
+from repro.workloads.kernels import KERNELS
 from repro.workloads.random_patterns import RandomPatternConfig
 from repro.workloads.suite import SUITES
 
@@ -130,6 +141,115 @@ class TestBatchCompiler:
         for tight, rich in zip(report.results[0::2],
                                report.results[1::2]):
             assert rich.total_cost <= tight.total_cost
+
+
+#: The library workload's spec grid.
+LIBRARY_SPECS = [AguSpec(2, 1), AguSpec(2, 2), AguSpec(4, 1), AguSpec(4, 2)]
+
+#: A source with a syntax error.
+BROKEN = "for (i = 0; i < 8; i++) { A[i] = ; }"
+
+
+@pytest.fixture(scope="module")
+def library_matrix() -> list[BatchJob]:
+    return job_matrix(jobs_from_kernels(sorted(KERNELS), SPEC,
+                                        n_iterations=4), LIBRARY_SPECS)
+
+
+def without_timing(result) -> dict:
+    payload = result.payload()
+    del payload["wall_seconds"]
+    return payload
+
+
+class TestParseScope:
+    """A batch parses each distinct source once, and nothing more."""
+
+    def test_a_library_sweep_parses_each_source_once(
+            self, library_matrix, parse_calls):
+        report = BatchCompiler().compile(library_matrix)
+        assert report.n_compiled == len(KERNELS) * len(LIBRARY_SPECS)
+        assert sorted(parse_calls) == sorted(
+            entry.source for entry in KERNELS.values())
+
+    def test_the_scope_does_not_outlive_the_batch(
+            self, library_matrix, parse_calls):
+        BatchCompiler().compile(library_matrix)
+        BatchCompiler(cache=InMemoryLRUCache()).compile(library_matrix)
+        assert len(parse_calls) == 2 * len(KERNELS)
+
+    def test_streaming_parses_once_and_keeps_the_scope_to_itself(
+            self, library_matrix, parse_calls):
+        seen = 0
+        for _result in BatchCompiler().run_iter(library_matrix):
+            # The consumer's code between results runs outside the
+            # batch's scope: this parse is not served from it.
+            library_matrix[0].kernel()
+            seen += 1
+        assert seen == len(library_matrix)
+        assert len(parse_calls) == len(KERNELS) + seen
+
+    def test_payloads_and_listings_match_per_job_parsing(
+            self, library_matrix):
+        scoped = BatchCompiler().compile(library_matrix)
+        for job, result in zip(library_matrix, scoped.results):
+            assert result.name == job.name
+            assert without_timing(result) == without_timing(
+                execute_job(job))
+        with parse_scope():
+            kernels = [job.kernel() for job in library_matrix]
+        for job, kernel in zip(library_matrix, kernels):
+            assert kernel == parse_kernel(job.source, name=job.name)
+            assert compile_kernel(kernel, job.spec).listing \
+                == compile_kernel(job.source, job.spec,
+                                  name=job.name).listing
+
+    def test_a_shared_syntax_error_fails_with_the_culprits_digest(
+            self, parse_calls):
+        first, second = job_matrix(
+            [BatchJob(name="broken", spec=SPEC, source=BROKEN)],
+            [AguSpec(2, 1), AguSpec(4, 1)])
+        compiler = BatchCompiler()
+        with pytest.raises(BatchError) as info:
+            compiler.compile([first, second])
+        assert info.value.digest == job_digest(first)
+        assert isinstance(info.value.__cause__, ParseError)
+        # Never memoised: the other job still raises, on its own.
+        with pytest.raises(BatchError) as info:
+            compiler.compile([second])
+        assert info.value.digest == job_digest(second)
+        assert parse_calls == [BROKEN, BROKEN]
+
+    def test_parse_errors_are_not_remembered_inside_a_scope(
+            self, parse_calls):
+        job = BatchJob(name="broken", spec=SPEC, source=BROKEN)
+        with parse_scope() as kernels:
+            for _attempt in range(2):
+                with pytest.raises(ParseError):
+                    job.kernel()
+        assert kernels == {}
+        assert parse_calls == [BROKEN, BROKEN]
+
+    def test_scopes_nest_and_take_seeds(self, parse_calls):
+        source = KERNELS["fir8"].source
+        seed = parse_kernel(source, name="seed")
+        job = BatchJob(name="fir8@K4M1", spec=SPEC, source=source)
+        with parse_scope({source: seed}) as outer:
+            with parse_scope() as inner:
+                assert inner is outer
+                kernel = job.kernel()
+        assert parse_calls == []
+        assert kernel.name == job.name
+        assert kernel.loop is seed.loop
+        job.kernel()  # closed: parses afresh
+        assert parse_calls == [source]
+
+    def test_a_process_pool_batch_is_bit_identical(self, library_matrix):
+        inline = BatchCompiler().compile(library_matrix)
+        pooled = BatchCompiler(executor=LocalPoolExecutor(2)).compile(
+            library_matrix)
+        assert [without_timing(result) for result in pooled.results] \
+            == [without_timing(result) for result in inline.results]
 
 
 class TestBatchReport:

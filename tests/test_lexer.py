@@ -1,9 +1,14 @@
 """Unit tests for the kernel-language tokenizer."""
 
+import socket
+
 import pytest
 
+from repro.batch.service import recv_frame, send_frame
+from repro.batch.serving import CompileService
 from repro.errors import ParseError
 from repro.ir.lexer import Token, TokenType, tokenize
+from repro.ir.parser import parse_kernel
 
 
 def kinds(source: str) -> list[tuple[TokenType, str]]:
@@ -92,3 +97,41 @@ class TestErrors:
         assert "xyz" in str(token)
         eof = tokenize("")[0]
         assert str(eof) == "end of input"
+
+
+class TestNonAsciiDigits:
+    """``str.isdigit`` accepts Unicode digits that ``int()`` rejects or
+    reads as ASCII; integer literals are ``[0-9]+`` only."""
+
+    def test_superscript_bound_is_a_parse_error(self):
+        with pytest.raises(ParseError) as info:
+            parse_kernel("for (i = 0; i < ²; i++) { A[i]; }")
+        assert "unexpected character '²'" in str(info.value)
+        assert (info.value.line, info.value.column) == (1, 17)
+
+    def test_arabic_indic_digit_is_not_read_as_a_digit(self):
+        # Not 13 iterations: the literal stops at the ASCII '1'.
+        with pytest.raises(ParseError) as info:
+            parse_kernel("for (i = 0; i < 1٣; i++) { A[i]; }")
+        assert "unexpected character '٣'" in str(info.value)
+        assert (info.value.line, info.value.column) == (1, 18)
+
+    @pytest.mark.parametrize("digit", ["٣", "²", "０", "߁"])
+    def test_unicode_digit_positions(self, digit):
+        with pytest.raises(ParseError) as info:
+            tokenize(f"A[i]\n  x = {digit};")
+        assert (info.value.line, info.value.column) == (2, 7)
+
+    def test_ascii_literals_still_scan(self):
+        assert kinds("0 1234567890")[:2] == [
+            (TokenType.INT, "0"), (TokenType.INT, "1234567890")]
+
+    def test_serve_answers_a_parse_error_frame(self):
+        with CompileService() as service, socket.create_connection(
+                service.address, timeout=30.0) as sock:
+            send_frame(sock, {"op": "compile", "source":
+                              "for (i = 0; i < ²; i++) { A[i]; }"})
+            answer = recv_frame(sock)
+        assert answer["ok"] is False
+        assert answer["error"] == ("ParseError: line 1, column 17: "
+                                   "unexpected character '²'")

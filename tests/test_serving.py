@@ -29,7 +29,6 @@ from repro.batch.serving import (
 from repro.batch.service import recv_frame, send_frame
 from repro.core.pipeline import compile_kernel
 from repro.errors import BatchError
-from repro.ir.parser import parse_kernel
 from repro.workloads.kernels import get_kernel
 
 SPEC = AguSpec(4, 1)
@@ -288,20 +287,24 @@ class TestFrontDoorLimits:
 
 
 class TestWarmPathSkipsTheParse:
-    def test_only_cache_misses_parse(self, service, client, monkeypatch):
-        calls = []
-
-        def counting_parse(*args, **kwargs):
-            calls.append(args[0])
-            return parse_kernel(*args, **kwargs)
-
-        monkeypatch.setattr("repro.batch.jobs.parse_kernel", counting_parse)
+    def test_only_cache_misses_parse(self, service, client, parse_calls):
         client.compile(SOURCES["fir8"], name="fir8")
-        # Cold: once at the front door, once in the compile.
-        assert len(calls) == 2
+        # Cold: once at the front door; the compile reuses that kernel.
+        assert len(parse_calls) == 1
         for _ in range(3):
             assert client.compile(SOURCES["fir8"], name="fir8").cached
-        assert len(calls) == 2
+        assert len(parse_calls) == 1
+
+    def test_a_cold_listing_request_parses_once(self, service, client,
+                                                parse_calls):
+        cold = client.compile(SOURCES["energy"], name="energy",
+                              listing=True)
+        assert not cold.cached and cold.listing
+        assert parse_calls == [SOURCES["energy"]]
+        warm = client.compile(SOURCES["energy"], name="energy",
+                              listing=True)
+        assert warm.cached and warm.listing == cold.listing
+        assert parse_calls == [SOURCES["energy"]]
 
     def test_syntax_errors_still_get_their_own_error_frame(self, service):
         with socket.create_connection(service.address, timeout=5) as sock:
