@@ -372,21 +372,6 @@ def bench_remote_cache_roundtrip_served(benchmark):
         assert benchmark(roundtrip) == _REMOTE_PAYLOAD
 
 
-@pytest.mark.parametrize("batch_size", [1, 64, 256])
-def bench_remote_put_many_batched(benchmark, batch_size):
-    """Batched-put throughput vs frames-per-batch: 256 entries pushed
-    through the service in ``batch_size``-entry protocol frames."""
-    from repro.batch.service import CacheServer, RemoteCache
-
-    entries = {f"{index:064d}": dict(_REMOTE_PAYLOAD, total_cost=index)
-               for index in range(256)}
-    with CacheServer(InMemoryLRUCache(capacity=4096)) as server:
-        client = RemoteCache(*server.address, batch_size=batch_size)
-        benchmark(client.put_many, entries)
-        assert client.get("0" * 61 + "255") == dict(_REMOTE_PAYLOAD,
-                                                    total_cost=255)
-
-
 def bench_remote_warm_suite_through_server(benchmark):
     """A fully cached suite run served entirely over the wire."""
     from repro.batch.service import CacheServer, RemoteCache

@@ -39,7 +39,6 @@ from repro.batch import (
     InMemoryLRUCache,
     JobResult,
     JobServer,
-    JsonFileCache,
     RemoteCache,
     ShardedDirectoryCache,
     Worker,
@@ -119,7 +118,6 @@ __all__ = [
     "InMemoryLRUCache",
     "JobResult",
     "JobServer",
-    "JsonFileCache",
     "Kernel",
     "Loop",
     "LoopBuilder",

@@ -11,14 +11,14 @@ The scaling layer on top of :func:`repro.core.pipeline.compile_kernel`:
   shard as :class:`ExperimentPointJob` points;
 * :mod:`repro.batch.digest` -- stable content digests that key the
   result cache;
-* :mod:`repro.batch.cache` -- in-memory LRU, on-disk JSON, and sharded
-  multi-host directory stores behind one backend protocol;
+* :mod:`repro.batch.cache` -- in-memory LRU and sharded multi-host
+  directory stores behind one backend protocol;
 * :mod:`repro.batch.service` -- the remote cache service:
   :class:`CacheServer` fronts any store over TCP (the ``repro-agu
   cache-serve`` subcommand) and :class:`RemoteCache` is the matching
   ``tcp://host:port`` client backend;
 * :mod:`repro.batch.engine` -- :class:`BatchCompiler` (cache
-  orchestration, streaming ``as_completed``/``run_iter`` delivery),
+  orchestration, streaming ``as_completed`` delivery),
   the aggregated :class:`BatchReport`, and the :class:`Executor` seam
   (:class:`InlineExecutor`, :class:`LocalPoolExecutor`,
   :func:`open_executor`) that decides where cache misses run;
@@ -39,7 +39,6 @@ from repro.batch.cache import (
     CacheBackend,
     CacheStats,
     InMemoryLRUCache,
-    JsonFileCache,
     ShardedDirectoryCache,
     TieredCache,
     open_cache,
@@ -101,7 +100,6 @@ __all__ = [
     "InlineExecutor",
     "JobResult",
     "JobServer",
-    "JsonFileCache",
     "LocalPoolExecutor",
     "RemoteCache",
     "ServeClient",

@@ -1,23 +1,18 @@
 """Result caches for the batch compilation engine.
 
-Three stores share one tiny mapping-style protocol (``get``/``put``
+Two local stores share one tiny mapping-style protocol (``get``/``put``
 plus hit/miss statistics; see :class:`CacheBackend`):
 
 * :class:`InMemoryLRUCache` -- bounded, process-local; the default of
   :class:`~repro.batch.engine.BatchCompiler`, good for repeated runs
   inside one experiment process.
-* :class:`JsonFileCache` -- an on-disk JSON store, so benchmark and
-  experiment re-runs across process restarts skip recompilation.
-  Writes are atomic (temp file + rename) and a corrupt or missing
-  store degrades to empty instead of failing the batch.
-* :class:`ShardedDirectoryCache` -- one file per entry under sharded
-  subdirectories; because every write is an independent atomic rename,
-  many processes (or many hosts over a shared mounted path) can work
-  against one store concurrently without coordination.
+* :class:`ShardedDirectoryCache` -- the on-disk store: one file per
+  entry under sharded subdirectories, so re-runs across process
+  restarts skip recompilation.  Because every write is an independent
+  atomic rename, many processes (or many hosts over a shared mounted
+  path) can work against one store concurrently without coordination.
 
-A store may additionally offer ``put_many(entries)`` to persist a
-whole batch in one write; the engine prefers it when present, so a
-large batch costs one file rewrite instead of one per job.
+The engine stores each result with one ``put`` the moment it exists.
 
 Payloads are plain JSON-able dicts (the lowered
 :class:`~repro.batch.engine.JobResult`); keys are the content digests
@@ -26,14 +21,12 @@ copies*: mutating a payload after ``put`` or a dict returned by
 ``get`` never reaches the cached state.
 
 :func:`open_cache` maps a CLI-style spec string (``mem``,
-``json:PATH``, ``dir:PATH``, ``tcp://HOST:PORT``, or a bare path) to a
-backend.  Only *known* schemes are treated as schemes, so bare paths
+``dir:PATH``, ``tcp://HOST:PORT``, or a bare path) to a backend.  Only *known* schemes are treated as schemes, so bare paths
 containing a colon (``C:\\cache``, ``./odd:name``) open as paths.
 
 Stats accounting is uniform across backends: every ``get`` counts
 exactly one hit or one miss (``hits + misses == lookups``), every
-entry actually persisted counts one store (``put_many`` counts per
-entry, not per call), and a corrupt or unreadable on-disk entry counts
+entry actually persisted counts one store, and a corrupt or unreadable on-disk entry counts
 a miss instead of raising into the batch -- provably corrupt entries
 are additionally removed so the recompiled result can take their
 place (transient read errors are not, to protect shared stores).
@@ -85,8 +78,8 @@ class CacheBackend(Protocol):
 
     Any object with these two methods (plus a ``stats`` attribute for
     reporting) plugs into :class:`~repro.batch.engine.BatchCompiler`;
-    ``put_many(entries)`` and ``get_many(digests) -> dict`` are
-    optional batching optimizations the engine prefers when present.
+    ``get_many(digests) -> dict`` is an optional batched lookup the
+    engine's cache scan prefers when present.
     """
 
     def get(self, digest: str) -> dict | None: ...
@@ -150,76 +143,6 @@ class InMemoryLRUCache:
         self.stats.stores += 1
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
-
-    def put_many(self, entries: dict[str, dict]) -> None:
-        """Store a batch; counts one store per entry, like every backend."""
-        for digest, payload in entries.items():
-            self.put(digest, payload)
-
-
-class JsonFileCache:
-    """A persistent result cache backed by one JSON file.
-
-    The whole store is loaded on construction and rewritten atomically
-    on every :meth:`put`, which is plenty for suite-sized batches (tens
-    of entries) and keeps concurrent readers consistent.
-    """
-
-    def __init__(self, path: str | Path, *,
-                 entries: dict[str, dict] | None = None):
-        self.path = Path(path)
-        self.stats = CacheStats()
-        # ``entries``: pre-parsed store content (open_cache's
-        # existing-file adoption path), so the file is not read and
-        # parsed a second time.  Same per-entry salvage as _load.
-        self._entries: dict[str, dict] = self._load() \
-            if entries is None else {
-                digest: value for digest, value in entries.items()
-                if isinstance(value, dict)}
-
-    def _load(self) -> dict[str, dict]:
-        try:
-            raw = json.loads(self.path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return {}
-        if not isinstance(raw, dict):
-            return {}
-        # Per-entry salvage: one corrupt value (a crashed writer, a
-        # hand-edited store) must cost that entry a recompile, not the
-        # whole store.
-        return {digest: value for digest, value in raw.items()
-                if isinstance(value, dict)}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, digest: str) -> dict | None:
-        """A copy of the payload under ``digest``, or ``None`` on a
-        miss."""
-        payload = self._entries.get(digest)
-        if payload is None:
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        return copy.deepcopy(payload)
-
-    def put(self, digest: str, payload: dict) -> None:
-        """Store a copy of ``payload`` and rewrite the file atomically.
-        """
-        self._entries[digest] = copy.deepcopy(payload)
-        self.stats.stores += 1
-        self._flush()
-
-    def put_many(self, entries: dict[str, dict]) -> None:
-        """Store a whole batch with a single atomic file rewrite."""
-        if not entries:
-            return
-        self._entries.update(copy.deepcopy(entries))
-        self.stats.stores += len(entries)
-        self._flush()
-
-    def _flush(self) -> None:
-        _atomic_write_json(self.path, self._entries)
 
 
 #: Digests that can be used verbatim as file names; anything else is
@@ -312,11 +235,6 @@ class ShardedDirectoryCache:
         rename."""
         _atomic_write_json(self._entry_path(digest), payload)
         self.stats.stores += 1
-
-    def put_many(self, entries: dict[str, dict]) -> None:
-        """Store a batch; counts one store per entry via :meth:`put`."""
-        for digest, payload in entries.items():
-            self.put(digest, payload)
 
 
 class TieredCache:
@@ -424,30 +342,12 @@ class TieredCache:
             with self._backend_lock:
                 self.backend.put(digest, payload)
 
-    def put_many(self, entries: dict[str, dict]) -> None:
-        """Store a batch in both tiers (one backend batch write when
-        the backend supports it); counts one store per entry."""
-        if not entries:
-            return
-        with self._warm_lock:
-            for digest, payload in entries.items():
-                self._warm.put(digest, payload)
-            self.stats.stores += len(entries)
-        if self.backend is not None:
-            with self._backend_lock:
-                put_many = getattr(self.backend, "put_many", None)
-                if put_many is not None:
-                    put_many(entries)
-                else:
-                    for digest, payload in entries.items():
-                        self.backend.put(digest, payload)
-
 
 #: The spec schemes :func:`open_cache` understands.  Matching is
 #: restricted to this set on purpose: a bare path that happens to
 #: contain a colon (``C:\cache``, ``./odd:name``) must open as a path,
 #: not be misparsed as a scheme-prefixed spec.
-KNOWN_CACHE_SCHEMES = ("mem", "json", "dir", "tcp")
+KNOWN_CACHE_SCHEMES = ("mem", "dir", "tcp")
 
 #: Anything shaped like ``scheme://...``; used only to *reject* unknown
 #: schemes loudly (a typo like ``redis://...`` should not silently
@@ -473,64 +373,21 @@ def _open_remote(text: str) -> CacheBackend:
     return RemoteCache(host, port, **options)
 
 
-def _open_file_store(path: Path, text: str, *,
-                     salvage_corrupt: bool) -> JsonFileCache:
-    """Open a bare-path single-file store, refusing to adopt a file
-    that is provably someone else's data.
-
-    A store is a JSON object whose values are all payload objects;
-    anything that parses to something else -- a list, a scalar, or an
-    object with scalar values like a ``package.json`` -- is refused
-    rather than silently rewritten on the first ``put``.  That
-    deliberately also refuses a *store* whose file grew non-dict
-    values (hand edits): the two are indistinguishable, data loss is
-    the worse failure, and the error points at the ``json:PATH``
-    escape hatch, which skips this check and salvages per entry.
-    Unparseable content is a corrupt store only for ``.json``-suffixed
-    paths (``salvage_corrupt``, the documented degrade-to-empty
-    behavior); for suffix-less files it is refused too.  The single
-    read+parse here is handed to the store, so an adopted file is not
-    parsed twice per open.
-    """
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        return JsonFileCache(text)  # the common new-store case
-    except OSError as error:
-        # Exists but unreadable (permissions, I/O error): adopting it
-        # would let the first put rename cache JSON over data we could
-        # not even inspect.
-        raise BatchError(
-            f"cache spec {text!r} is an existing file that cannot be "
-            f"read ({error}); refusing to touch it")
-    try:
-        existing = json.loads(raw)
-    except ValueError:
-        if salvage_corrupt:
-            return JsonFileCache(text)
-        raise _refuse_overwrite(text)
-    if isinstance(existing, dict) and all(
-            isinstance(value, dict) for value in existing.values()):
-        return JsonFileCache(text, entries=existing)
-    raise _refuse_overwrite(text)
-
-
-def _refuse_overwrite(text: str) -> BatchError:
+def _no_file_store(text: str) -> BatchError:
+    """The error for a spec naming a single-file store (or any file)."""
     return BatchError(
-        f"cache spec {text!r} is an existing file that does not look "
-        f"like a JSON store; refusing to touch it (if it really is "
-        f"one -- e.g. a store with damaged entries -- pass "
-        f"json:{text} to open it anyway with per-entry salvage)")
+        f"cache spec {text!r} names a single-file store, which is not "
+        f"supported; pass dir:PATH with PATH a directory (e.g. "
+        f"dir:results/cache) -- results cached in an old file store "
+        f"recompile once into it")
 
 
 def open_cache(spec: str | Path) -> CacheBackend:
     """Open a cache backend from a spec string.
 
     * ``mem`` or ``mem:CAPACITY`` -- process-local LRU;
-    * ``json:PATH``, or any path ending in ``.json`` -- single-file
-      :class:`JsonFileCache`;
-    * ``dir:PATH``, or any other path -- :class:`ShardedDirectoryCache`
-      (the shared-filesystem choice);
+    * ``dir:PATH``, or a bare path -- :class:`ShardedDirectoryCache`
+      (the on-disk, shared-filesystem choice);
     * ``tcp://HOST:PORT`` -- a :class:`~repro.batch.service.RemoteCache`
       client against a running ``repro-agu cache-serve`` (the
       multi-process / multi-host choice).
@@ -538,14 +395,17 @@ def open_cache(spec: str | Path) -> CacheBackend:
     Only the schemes above are treated as schemes; any other spec is a
     bare path, even when it contains a colon.  An unknown
     ``scheme://...`` spec is rejected loudly instead of being opened as
-    an oddly named directory store.
+    an oddly named directory store.  An empty path, a ``json:``
+    spec, a bare path ending in ``.json`` and a path naming an existing
+    file are rejected too: the directory store would otherwise land in
+    the working directory or trip over a file.
     """
     text = str(spec)
     if text == "mem":
         return InMemoryLRUCache()
     # URL-style specs first: only tcp:// is a URL.  This also catches
-    # URL-style typos of the *known* schemes (json://PATH would
-    # otherwise slip through the json: prefix check below and open a
+    # URL-style typos of the *known* schemes (dir://PATH would
+    # otherwise slip through the dir: prefix check below and open a
     # store at //PATH -- the filesystem root).
     match = _URL_LIKE.match(text)
     if match is not None:
@@ -568,21 +428,16 @@ def open_cache(spec: str | Path) -> CacheBackend:
         except ValueError:
             raise BatchError(f"invalid cache capacity in spec {text!r}")
         return InMemoryLRUCache(capacity=capacity)
-    if text.startswith("json:"):
-        return JsonFileCache(text[len("json:"):])
-    if text.startswith("dir:"):
-        return ShardedDirectoryCache(text[len("dir:"):])
     if text.startswith("tcp:"):
         return _open_remote(text)
-    # Bare path heuristics.  A ``.json`` suffix means a single-file
-    # store; an existing file *without* the suffix opens as one only
-    # if it already is one (e.g. written before the suffix
-    # convention).  Either way an existing file that is provably not a
-    # store -- someone's data -- is refused rather than overwritten
-    # (see _open_file_store).  Everything else is a sharded directory.
-    path = Path(text)
-    if text.endswith(".json"):
-        return _open_file_store(path, text, salvage_corrupt=True)
-    if path.is_file():
-        return _open_file_store(path, text, salvage_corrupt=False)
-    return ShardedDirectoryCache(text)
+    if text.startswith("json:"):
+        raise _no_file_store(text)
+    explicit = text.startswith("dir:")
+    root = text[len("dir:"):] if explicit else text
+    if not root:
+        raise BatchError(
+            f"cache spec {text!r} names no path; a directory store "
+            f"needs one (e.g. dir:results/cache)")
+    if (not explicit and root.endswith(".json")) or Path(root).is_file():
+        raise _no_file_store(text)
+    return ShardedDirectoryCache(root)

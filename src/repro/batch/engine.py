@@ -22,12 +22,11 @@ The engine aggregates summaries, not full artifacts: a
 makes both the process pool and the on-disk cache cheap.  Callers that
 need listings or simulation traces compile those kernels individually.
 
-Two delivery modes share the cache/fan-out machinery:
-:meth:`BatchCompiler.compile` gathers a whole batch into a
-:class:`BatchReport`; :meth:`BatchCompiler.as_completed` /
-:meth:`BatchCompiler.run_iter` stream results as workers finish, for
-live progress and incremental persistence.  Both run any job type that
-offers the ``execute()``/``payload()`` protocol -- compilation units
+There is one delivery path: :meth:`BatchCompiler.as_completed`
+streams results as they finish and stores each in the cache the moment
+it exists; :meth:`BatchCompiler.compile` collects that stream into a
+:class:`BatchReport` in job order.  Both run any job type that offers
+the ``execute()``/``payload()`` protocol -- compilation units
 (:class:`~repro.batch.jobs.BatchJob`) and experiment points
 (:class:`~repro.batch.jobs.ExperimentPointJob`) alike.
 
@@ -46,6 +45,7 @@ the engine's callers cannot tell them apart except by speed.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import dataclasses
 import logging
@@ -61,17 +61,10 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.agu.codegen import generate_unoptimized_code
-from repro.agu.model import AguSpec
 from repro.agu.simulator import simulate
 from repro.batch.cache import InMemoryLRUCache
 from repro.batch.digest import job_digest
-from repro.batch.jobs import (
-    BatchJob,
-    CacheableResult,
-    jobs_from_suite,
-    parse_scope,
-)
-from repro.core.config import AllocatorConfig
+from repro.batch.jobs import BatchJob, CacheableResult, parse_scope
 from repro.batch.trace import NULL_TRACER, open_tracer
 from repro.core.pipeline import (
     DEFAULT_SIMULATION_ITERATIONS,
@@ -564,8 +557,9 @@ class BatchCompiler:
         ``put(digest, dict)`` (see :mod:`repro.batch.cache`).  Defaults
         to a fresh :class:`InMemoryLRUCache`, so repeated calls on one
         compiler already skip recompilation.  Pass a
-        :class:`~repro.batch.cache.JsonFileCache` to persist across
-        process restarts.
+        :class:`~repro.batch.cache.ShardedDirectoryCache` (for example
+        ``open_cache("dir:results/cache")``) to persist across process
+        restarts.
     n_workers:
         Process-pool width for cache misses; ``1`` compiles inline on
         the calling process (deterministic ordering, no fork cost).
@@ -658,123 +652,32 @@ class BatchCompiler:
         return scanned
 
     def compile(self, jobs: Iterable[BatchJob]) -> BatchReport:
-        """Run a batch; results come back in job order."""
+        """Run a batch; results come back in job order.
+
+        Collects :meth:`as_completed` into a :class:`BatchReport`, so a
+        gathered batch and a streamed one share one cache, dedup and
+        failure contract: every result is stored the moment it exists,
+        and a failing batch raises only after everything that
+        completed is persisted.
+        """
         jobs = list(jobs)
         started = time.perf_counter()
-        slots: list[JobResult | None] = [None] * len(jobs)
-
-        # Digest-deduplicated work list: cache hits are served
-        # immediately, identical misses compile once.
-        pending: dict[str, list[int]] = {}
-        pending_jobs: dict[str, BatchJob] = {}
-        for index, (digest, result) in enumerate(self._scan(jobs)):
-            if result is not None:
+        slots: list[Any] = [None] * len(jobs)
+        with contextlib.closing(self.as_completed(jobs)) as stream:
+            for index, result in stream:
                 slots[index] = result
-                self._trace_job("cache_hit", index, jobs[index],
-                                digest=digest)
-                continue
-            pending.setdefault(digest, []).append(index)
-            pending_jobs.setdefault(digest, jobs[index])
-
-        digests = list(pending)
-        with parse_scope():
-            compiled = self._run([pending_jobs[digest]
-                                  for digest in digests])
-        self._store({digest: result.payload()
-                     for digest, result in zip(digests, compiled)})
-        for digest, result in zip(digests, compiled):
-            first, *duplicates = pending[digest]
-            slots[first] = result
-            for index in duplicates:
-                slots[index] = dataclasses.replace(
-                    result, name=jobs[index].name, from_cache=True)
-
-        assert all(slot is not None for slot in slots)
         return BatchReport(
-            results=tuple(slots),  # type: ignore[arg-type]
+            results=tuple(slots),
             n_workers=self.n_workers,
             elapsed_seconds=time.perf_counter() - started)
-
-    def _store(self, entries: dict[str, dict]) -> None:
-        """Persist payloads, with one batched write when the backend
-        offers ``put_many`` (per-entry puts otherwise)."""
-        if not entries:
-            return
-        store_batch = getattr(self.cache, "put_many", None)
-        if store_batch is not None:
-            store_batch(entries)
-            return
-        for digest, payload in entries.items():
-            self.cache.put(digest, payload)
-
-    def _persist(self, jobs: Sequence[BatchJob], results) -> None:
-        """Best-effort store of completed results for ``jobs`` (a
-        failing batch's salvage path -- :meth:`compile` only persists
-        after ``_run`` returns whole, so completed work must be saved
-        before the failure propagates or a re-run would recompute it).
-
-        Best-effort because it only ever runs while a job failure or
-        interrupt is already propagating: a cache write error here
-        (disk full, dead server) must cost the salvage, never displace
-        the primary error and its culprit attribution.
-        """
-        try:
-            self._store({job_digest(job): result.payload()
-                         for job, result in zip(jobs, results)
-                         if result is not None})
-        # repro-lint: disable=BROAD-EXCEPT -- best-effort persist while a batch failure is already propagating; logged, and the primary error keeps its attribution
-        except Exception:
-            _LOGGER.warning(
-                "failed to persist completed results while a batch "
-                "failure was propagating; the re-run will recompute "
-                "them", exc_info=True)
-
-    def _run(self, jobs: Sequence[BatchJob]) -> list[JobResult]:
-        """Execute ``jobs`` on the configured executor, results in
-        job order.
-
-        The failure contract, uniform across executors: a job failure
-        (or a died worker) first drains and persists everything that
-        completed, then raises a :class:`~repro.errors.BatchError`
-        naming the culprit; a ``KeyboardInterrupt`` gets the same
-        salvage but propagates as itself.
-        """
-        slots: list[JobResult | None] = [None] * len(jobs)
-        for position, job in enumerate(jobs):
-            self._trace_job("enqueue", position, job)
-        stream = self.executor.run(jobs)
-        try:
-            for position, result in stream:
-                slots[position] = result
-                self._trace_job(
-                    "finish", position, jobs[position], outcome="ok",
-                    seconds=getattr(result, "wall_seconds", None))
-        except BaseException as error:
-            # Stop paying for what never started, persist everything
-            # that did complete (including in-flight completions the
-            # shutdown drains), and -- for a job failure, as opposed
-            # to a KeyboardInterrupt -- name the culprit.
-            for position, result in stream.shutdown().items():
-                slots[position] = result
-            self._persist(jobs, slots)
-            if isinstance(error, JobFailure):
-                failing = jobs[error.index]
-                self._trace_job("finish", error.index, failing,
-                                outcome="failed")
-                raise _job_failure(failing, job_digest(failing),
-                                   error.cause) from error.cause
-            raise
-        stream.shutdown()  # release executor resources (no-op salvage)
-        assert all(slot is not None for slot in slots)
-        return slots  # type: ignore[return-value]
 
     def as_completed(self, jobs: Iterable) -> Iterator[tuple[int, Any]]:
         """Stream ``(index, result)`` pairs in completion order.
 
-        The streaming counterpart of :meth:`compile`: cache hits are
-        yielded immediately during the initial scan; misses fan out
-        (over the process pool when ``n_workers > 1``) and are yielded
-        as workers finish.  Identical jobs inside the batch (same
+        The engine's one delivery path (:meth:`compile` collects it
+        into job order): cache hits are yielded immediately during the
+        initial scan; misses fan out on the executor and are yielded as
+        they finish.  Identical jobs inside the batch (same
         digest) compute once -- the duplicate slots are yielded as
         cache hits when the first copy lands.
 
@@ -845,12 +748,12 @@ class BatchCompiler:
             # a re-run against the same cache resumes exactly where
             # this one stopped.  (A clean finish passes through here
             # too; its salvage is empty by construction.)
-            salvage = {
-                digests[position]: result.payload()
-                for position, result in stream.shutdown().items()
-                if digests[position] not in persisted}
+            salvage = {digests[position]: result
+                       for position, result in stream.shutdown().items()
+                       if digests[position] not in persisted}
             try:
-                self._store(salvage)
+                for digest, result in salvage.items():
+                    self.cache.put(digest, result.payload())
             # repro-lint: disable=BROAD-EXCEPT -- teardown salvage is best-effort; a cache write error must not displace what is propagating
             except Exception:
                 # Teardown salvage is best-effort: a cache write
@@ -860,28 +763,3 @@ class BatchCompiler:
                     "failed to persist %d completed result(s) "
                     "during stream teardown", len(salvage),
                     exc_info=True)
-
-    def run_iter(self, jobs: Iterable) -> Iterator[Any]:
-        """Stream results in job order, each as soon as it is ready.
-
-        A reorder buffer over :meth:`as_completed`: result ``i`` is
-        held back until every result before it has been yielded, so
-        callers get streaming delivery with deterministic ordering.
-        """
-        buffered: dict[int, Any] = {}
-        next_index = 0
-        for index, result in self.as_completed(jobs):
-            buffered[index] = result
-            while next_index in buffered:
-                yield buffered.pop(next_index)
-                next_index += 1
-
-    def compile_suite(self, suite: str, spec: AguSpec,
-                      config: AllocatorConfig | None = None, *,
-                      run_simulation: bool = True,
-                      n_iterations: int | None = None,
-                      include_baseline: bool = False) -> BatchReport:
-        """Compile a named kernel suite in one batch."""
-        return self.compile(jobs_from_suite(
-            suite, spec, config, run_simulation=run_simulation,
-            n_iterations=n_iterations, include_baseline=include_baseline))

@@ -495,7 +495,7 @@ class CacheServer(FrameServer):
     host, port, idle_timeout:
         As for :class:`FrameServer`.
     readonly:
-        Reject ``put``/``put_many`` with a flagged error response
+        Reject ``put`` with a flagged error response
         (clients notice the flag and stop sending stores), and turn
         off the backing store's own corrupt-entry discard -- a
         read-only server must never write to its store, not even to
@@ -518,10 +518,6 @@ class CacheServer(FrameServer):
         "put": Op("_op_put", "Store one payload.",
                   required={"digest": "string", "payload": "object"},
                   response=("stored", "readonly")),
-        "put_many": Op("_op_put_many", "Store `entries`, a dict of "
-                       "digest -> payload.",
-                       required={"entries": "object"},
-                       response=("stored", "readonly")),
         "stats": Op("_op_stats", "The store's own counters.",
                     response=("hits", "misses", "stores")),
     }
@@ -570,35 +566,18 @@ class CacheServer(FrameServer):
                              if isinstance(payload, dict)}}
 
     def _op_put(self, request: dict) -> dict:
-        return self._store_entries({request["digest"]:
-                                    request["payload"]})
-
-    def _op_put_many(self, request: dict) -> dict:
-        entries = request["entries"]
-        if not all(isinstance(digest, str) and isinstance(payload, dict)
-                   for digest, payload in entries.items()):
-            return {"ok": False, "error": "'put_many' needs a dict of "
-                                          "digest -> payload"}
-        return self._store_entries(entries)
+        if self.readonly:
+            return {"ok": False, "readonly": True,
+                    "error": "store is read-only"}
+        with self._lock:
+            self.store.put(request["digest"], request["payload"])
+        return {"ok": True, "stored": 1}
 
     def _op_stats(self, request: dict) -> dict:
         with self._lock:
             stats = self.store.stats
             return {"ok": True, "hits": stats.hits,
                     "misses": stats.misses, "stores": stats.stores}
-
-    def _store_entries(self, entries: dict) -> dict:
-        if self.readonly:
-            return {"ok": False, "readonly": True,
-                    "error": "store is read-only"}
-        with self._lock:
-            put_many = getattr(self.store, "put_many", None)
-            if put_many is not None:
-                put_many(entries)
-            else:
-                for digest, payload in entries.items():
-                    self.store.put(digest, payload)
-        return {"ok": True, "stored": len(entries)}
 
     def _after_shutdown(self) -> None:
         if self._restore_discard:
@@ -612,14 +591,12 @@ class RemoteCache:
     """Client backend for a :class:`CacheServer`.
 
     Implements the :class:`~repro.batch.cache.CacheBackend` protocol
-    (``get``/``put`` plus the batched ``get_many``/``put_many`` and
-    ``stats``), so it plugs into
-    :class:`~repro.batch.engine.BatchCompiler` and every experiment
-    runner unchanged.  One TCP connection is kept open and reused
-    across requests; ``get_many``/``put_many`` batch digests and
-    entries into frames of ``batch_size``, so a whole batch scan or
-    persist costs one round trip per ``batch_size`` entries instead of
-    one per job.
+    (``get``/``put`` plus the batched ``get_many`` and ``stats``), so
+    it plugs into :class:`~repro.batch.engine.BatchCompiler` and every
+    experiment runner unchanged.  One TCP connection is kept open and
+    reused across requests; ``get_many`` batches digests into frames
+    of ``batch_size``, so a whole batch's cache scan costs one round
+    trip per ``batch_size`` digests instead of one per job.
 
     A server that cannot be reached *never* raises into the batch:
     the client logs one warning, serves misses (and drops stores) for
@@ -827,28 +804,6 @@ class RemoteCache:
             return
         if self._accepted(response):
             self.stats.stores += 1
-
-    def put_many(self, entries: dict[str, dict]) -> None:
-        """Store a batch, ``batch_size`` entries per protocol frame."""
-        if self._stores_disabled() or not entries:
-            return
-        items = list(entries.items())
-        for start in range(0, len(items), self.batch_size):
-            chunk = dict(items[start:start + self.batch_size])
-            try:
-                response = self._request({"op": "put_many",
-                                          "entries": chunk})
-            except FrameTooLargeError as error:
-                _LOGGER.warning(
-                    "dropping oversized cache store batch of %d "
-                    "entr(ies): %s", len(chunk), error)
-                continue
-            if self._accepted(response):
-                self.stats.stores += len(chunk)
-            elif response is None or self._stores_disabled():
-                # Degraded, or the server just revealed itself as
-                # read-only: drop the remaining chunks too.
-                return
 
     def _accepted(self, response: dict | None) -> bool:
         """Whether a store response means "persisted"; notes read-only

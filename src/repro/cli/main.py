@@ -700,9 +700,10 @@ def build_parser() -> argparse.ArgumentParser:
                                    "compile inline)")
     _add_executor_argument(batch_parser)
     batch_parser.add_argument("--cache", default=None,
-                              help="result cache spec: PATH.json, a "
-                                   "directory, or tcp://HOST:PORT (a "
-                                   "running cache-serve); re-runs skip "
+                              help="result cache spec: a directory "
+                                   "(dir:PATH), mem[:CAPACITY], or "
+                                   "tcp://HOST:PORT (a running "
+                                   "cache-serve); re-runs skip "
                                    "recompilation")
     batch_parser.add_argument("--iterations", type=int, default=None,
                               help="simulated iterations per kernel")
@@ -744,12 +745,11 @@ def build_parser() -> argparse.ArgumentParser:
                                    "compute inline)")
     _add_executor_argument(stats_parser)
     stats_parser.add_argument("--cache", default=None,
-                              help="grid-point cache: PATH.json (single "
-                                   "JSON store), a directory (sharded "
-                                   "store, shareable across hosts), or "
-                                   "tcp://HOST:PORT (a running "
-                                   "cache-serve); re-runs skip solved "
-                                   "points")
+                              help="grid-point cache: a directory "
+                                   "(dir:PATH; sharded store, shareable "
+                                   "across hosts) or tcp://HOST:PORT (a "
+                                   "running cache-serve); re-runs skip "
+                                   "solved points")
     stats_parser.add_argument("--no-progress", action="store_true",
                               help="suppress per-point streaming output")
     stats_parser.add_argument("--json", default=None,
@@ -779,12 +779,11 @@ def build_parser() -> argparse.ArgumentParser:
                                     "compute inline)")
     _add_executor_argument(ablate_parser)
     ablate_parser.add_argument("--cache", default=None,
-                               help="point cache: PATH.json (single JSON "
-                                    "store), a directory (sharded "
-                                    "store, shareable across hosts), or "
-                                    "tcp://HOST:PORT (a running "
-                                    "cache-serve); re-runs skip solved "
-                                    "points")
+                               help="point cache: a directory "
+                                    "(dir:PATH; sharded store, shareable "
+                                    "across hosts) or tcp://HOST:PORT (a "
+                                    "running cache-serve); re-runs skip "
+                                    "solved points")
     ablate_parser.add_argument("--no-progress", action="store_true",
                                help="suppress per-point streaming output")
     ablate_parser.add_argument("--json", default=None,
@@ -796,9 +795,9 @@ def build_parser() -> argparse.ArgumentParser:
         "cache-serve", help="serve a shared result cache over TCP for "
                             "multi-process / multi-host runs")
     serve_parser.add_argument("--store", default="mem:65536",
-                              help="backing store spec: mem[:CAPACITY], "
-                                   "PATH.json, json:PATH, or a directory "
-                                   "(default mem:65536)")
+                              help="backing store spec: mem[:CAPACITY] "
+                                   "or a directory (dir:PATH) (default "
+                                   "mem:65536)")
     serve_parser.add_argument("--host", default="127.0.0.1",
                               help="bind address (default 127.0.0.1; "
                                    "use 0.0.0.0 to serve other hosts)")
@@ -880,8 +879,8 @@ def build_parser() -> argparse.ArgumentParser:
                       "(compile-as-a-service front door)")
     compile_serve_parser.add_argument(
         "--cache", default=None,
-        help="result store behind the warm tier: PATH.json, a "
-             "directory, or tcp://HOST:PORT (a running cache-serve); "
+        help="result store behind the warm tier: a directory "
+             "(dir:PATH) or tcp://HOST:PORT (a running cache-serve); "
              "default: warm in-process LRU only")
     compile_serve_parser.add_argument(
         "--host", default="127.0.0.1",

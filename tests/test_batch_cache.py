@@ -15,8 +15,8 @@ from repro.agu.model import AguSpec
 from repro.batch.cache import (
     CacheStats,
     InMemoryLRUCache,
-    JsonFileCache,
     ShardedDirectoryCache,
+    TieredCache,
     open_cache,
 )
 from repro.batch.digest import job_digest
@@ -172,82 +172,18 @@ class TestInMemoryLRUCache:
         with pytest.raises(BatchError):
             InMemoryLRUCache(capacity=0)
 
-    def test_put_many_counts_one_store_per_entry(self):
-        cache = InMemoryLRUCache()
-        cache.put_many({"a": {"v": 1}, "b": {"v": 2}})
-        assert cache.stats.stores == 2
-        assert cache.get("a") == {"v": 1}
-        cache.put_many({})
-        assert cache.stats.stores == 2
-
     def test_stats_str(self):
         assert "0 hit(s)" in str(CacheStats())
 
 
-class TestJsonFileCache:
-    def test_persists_across_instances(self, tmp_path):
-        path = tmp_path / "cache.json"
-        first = JsonFileCache(path)
-        first.put("k", {"x": 1})
-        assert path.exists()
-        second = JsonFileCache(path)
-        assert second.get("k") == {"x": 1}
-        assert second.stats.hits == 1
-
-    def test_corrupt_store_degrades_to_empty(self, tmp_path):
-        path = tmp_path / "cache.json"
-        path.write_text("{ not json")
-        cache = JsonFileCache(path)
-        assert len(cache) == 0
-        cache.put("k", {"x": 1})
-        assert JsonFileCache(path).get("k") == {"x": 1}
-
-    def test_non_mapping_store_degrades_to_empty(self, tmp_path):
-        path = tmp_path / "cache.json"
-        path.write_text(json.dumps(["not", "a", "mapping"]))
-        assert len(JsonFileCache(path)) == 0
-
-    def test_corrupt_entry_costs_only_itself(self, tmp_path):
-        """Per-entry salvage: one bad value must not nuke the store."""
-        path = tmp_path / "cache.json"
-        path.write_text(json.dumps({"good": {"x": 1}, "bad": "oops",
-                                    "worse": [1, 2]}))
-        cache = JsonFileCache(path)
-        assert len(cache) == 1
-        assert cache.get("good") == {"x": 1}
-        assert cache.get("bad") is None
-        assert cache.stats.hits == 1 and cache.stats.misses == 1
-
-    def test_store_is_sorted_json(self, tmp_path):
-        path = tmp_path / "cache.json"
-        cache = JsonFileCache(path)
-        cache.put("b", {"x": 1})
-        cache.put("a", {"x": 2})
-        assert list(json.loads(path.read_text())) == ["a", "b"]
-
-    def test_put_many_is_one_write(self, tmp_path, monkeypatch):
-        cache = JsonFileCache(tmp_path / "cache.json")
-        flushes = []
-        monkeypatch.setattr(cache, "_flush",
-                            lambda: flushes.append(True))
-        cache.put_many({"a": {"x": 1}, "b": {"x": 2}})
-        assert len(flushes) == 1
-        assert cache.stats.stores == 2
-        cache.put_many({})
-        assert len(flushes) == 1
-
-    def test_engine_persists_a_batch_with_one_write(self, tmp_path,
-                                                    monkeypatch):
-        cache = JsonFileCache(tmp_path / "cache.json")
-        flushes = []
-        real_flush = cache._flush
-        monkeypatch.setattr(
-            cache, "_flush",
-            lambda: (flushes.append(True), real_flush())[1])
-        jobs = jobs_from_suite("core8", AguSpec(4, 1), n_iterations=4)
-        BatchCompiler(cache=cache).compile(jobs)
-        assert len(flushes) == 1
-        assert len(JsonFileCache(cache.path)) == len(jobs)
+#: Every store that remains, built fresh under a test's tmp_path.
+STORES = {
+    "lru": lambda root: InMemoryLRUCache(),
+    "dir": lambda root: ShardedDirectoryCache(root / "store"),
+    "tiered": lambda root: TieredCache(),
+    "tiered-dir": lambda root: TieredCache(
+        ShardedDirectoryCache(root / "store")),
+}
 
 
 class TestCachePayloadIsolation:
@@ -259,48 +195,40 @@ class TestCachePayloadIsolation:
         payload["x"] = 99
         payload["nested"]["y"] = 99
 
-    def test_lru_get_returns_a_defensive_copy(self):
-        cache = InMemoryLRUCache()
-        cache.put("k", dict(self.PAYLOAD))
+    @pytest.mark.parametrize("store", sorted(STORES))
+    def test_get_returns_a_defensive_copy(self, tmp_path, store):
+        cache = STORES[store](tmp_path)
+        cache.put("k", {"x": 1, "nested": {"y": 2}})
         self._mutate(cache.get("k"))
         assert cache.get("k") == self.PAYLOAD
 
-    def test_lru_put_detaches_from_the_caller(self):
-        cache = InMemoryLRUCache()
+    @pytest.mark.parametrize("store", sorted(STORES))
+    def test_put_detaches_from_the_caller(self, tmp_path, store):
+        cache = STORES[store](tmp_path)
         payload = {"x": 1, "nested": {"y": 2}}
         cache.put("k", payload)
         self._mutate(payload)
         assert cache.get("k") == self.PAYLOAD
 
-    def test_json_get_returns_a_defensive_copy(self, tmp_path):
-        cache = JsonFileCache(tmp_path / "cache.json")
+    @pytest.mark.parametrize("store", ["dir", "tiered-dir"])
+    def test_mutation_never_reaches_disk(self, tmp_path, store):
+        cache = STORES[store](tmp_path)
         cache.put("k", {"x": 1, "nested": {"y": 2}})
         self._mutate(cache.get("k"))
-        assert cache.get("k") == self.PAYLOAD
-
-    def test_json_mutation_never_reaches_disk(self, tmp_path):
-        path = tmp_path / "cache.json"
-        cache = JsonFileCache(path)
-        cache.put("k", {"x": 1, "nested": {"y": 2}})
-        self._mutate(cache.get("k"))
-        cache.put("other", {"z": 3})  # rewrites the whole store
-        assert json.loads(path.read_text())["k"] == self.PAYLOAD
-
-    def test_json_put_many_detaches_from_the_caller(self, tmp_path):
-        cache = JsonFileCache(tmp_path / "cache.json")
-        entries = {"k": {"x": 1, "nested": {"y": 2}}}
-        cache.put_many(entries)
-        self._mutate(entries["k"])
-        assert cache.get("k") == self.PAYLOAD
+        cache.put("other", {"z": 3})
+        assert ShardedDirectoryCache(tmp_path / "store").get("k") \
+            == self.PAYLOAD
 
 
 class TestFlushFailure:
+    """Directory-store writes go through one atomic temp-file write."""
+
     def test_original_error_survives_cleanup_failure(self, tmp_path,
                                                      monkeypatch):
         """A failing temp-file unlink must not mask the write error."""
         import repro.batch.cache as cache_module
 
-        cache = JsonFileCache(tmp_path / "cache.json")
+        cache = ShardedDirectoryCache(tmp_path / "store")
 
         def explode(*args, **kwargs):
             raise ValueError("original write error")
@@ -311,21 +239,23 @@ class TestFlushFailure:
         monkeypatch.setattr(cache_module.json, "dump", explode)
         monkeypatch.setattr(cache_module.os, "unlink", bad_unlink)
         with pytest.raises(ValueError, match="original write error"):
-            cache.put("k", {"x": 1})
+            cache.put("k" * 64, {"x": 1})
+        assert cache.stats.stores == 0
 
     def test_failed_flush_removes_its_temp_file(self, tmp_path,
                                                 monkeypatch):
         import repro.batch.cache as cache_module
 
-        cache = JsonFileCache(tmp_path / "cache.json")
+        cache = ShardedDirectoryCache(tmp_path / "store")
 
         def explode(*args, **kwargs):
             raise ValueError("boom")
 
         monkeypatch.setattr(cache_module.json, "dump", explode)
         with pytest.raises(ValueError):
-            cache.put("k", {"x": 1})
-        assert not list(tmp_path.glob("*.tmp"))
+            cache.put("k" * 64, {"x": 1})
+        assert not list(tmp_path.rglob("*.tmp"))
+        assert cache.get("k" * 64) is None
 
 
 class TestShardedDirectoryCache:
@@ -340,6 +270,39 @@ class TestShardedDirectoryCache:
         assert second.get(digest) == {"x": 1}
         assert second.stats.hits == 1
         assert len(second) == 1
+
+    def test_entry_is_sorted_json(self, tmp_path):
+        cache = ShardedDirectoryCache(tmp_path / "store")
+        digest = "ab" * 32
+        cache.put(digest, {"b": 1, "a": {"d": 2, "c": 3}})
+        stored = json.loads(cache._entry_path(digest).read_text())
+        assert list(stored) == ["a", "b"]
+        assert list(stored["a"]) == ["c", "d"]
+
+    def test_corrupt_entry_costs_only_itself(self, tmp_path):
+        """Per-entry salvage: one bad entry must not nuke the store."""
+        cache = ShardedDirectoryCache(tmp_path / "store")
+        good, bad = "aa" * 32, "ab" * 32
+        cache.put(good, {"x": 1})
+        cache.put(bad, {"x": 2})
+        cache._entry_path(bad).write_text("oops")
+        assert cache.get(good) == {"x": 1}
+        assert cache.get(bad) is None
+        assert len(cache) == 1
+        assert cache.stats.hits == 1 and cache.stats.misses == 1
+
+    def test_engine_persists_each_computed_result_with_one_put(
+            self, tmp_path):
+        """Every distinct miss is stored once, as it lands; an in-batch
+        duplicate and a pre-warmed job are never written again."""
+        jobs = jobs_from_suite("core8", AguSpec(4, 1), n_iterations=4)
+        cache = ShardedDirectoryCache(tmp_path / "store")
+        BatchCompiler(cache=cache).compile(jobs[:1])
+        assert cache.stats.stores == 1
+        report = BatchCompiler(cache=cache).compile([*jobs, jobs[1]])
+        assert cache.stats.stores == len(jobs)
+        assert report.n_cache_hits == 2
+        assert len(ShardedDirectoryCache(cache.root)) == len(jobs)
 
     def test_miss_on_empty_and_corrupt_entries(self, tmp_path):
         cache = ShardedDirectoryCache(tmp_path / "store")
@@ -401,13 +364,6 @@ class TestShardedDirectoryCache:
         assert cache.stats.misses == 1
         assert entry.exists()
 
-    def test_put_many_counts_one_store_per_entry(self, tmp_path):
-        cache = ShardedDirectoryCache(tmp_path / "store")
-        cache.put_many({"a" * 64: {"v": 1}, "b" * 64: {"v": 2},
-                        "c" * 64: {"v": 3}})
-        assert cache.stats.stores == 3
-        assert len(cache) == 3
-
     def test_unsafe_keys_are_hashed_to_file_names(self, tmp_path):
         cache = ShardedDirectoryCache(tmp_path / "store")
         # Slashes, leading dots: anything that could leave the root.
@@ -449,10 +405,6 @@ class TestOpenCache:
         sized = open_cache("mem:16")
         assert isinstance(sized, InMemoryLRUCache)
         assert sized.capacity == 16
-        assert isinstance(open_cache(str(tmp_path / "store.json")),
-                          JsonFileCache)
-        assert isinstance(open_cache(f"json:{tmp_path / 'x'}"),
-                          JsonFileCache)
         assert isinstance(open_cache(str(tmp_path / "store")),
                           ShardedDirectoryCache)
         assert isinstance(open_cache(f"dir:{tmp_path / 'y.json'}"),
@@ -465,8 +417,6 @@ class TestOpenCache:
         (r"C:\cache", ShardedDirectoryCache),
         ("./odd:name", ShardedDirectoryCache),
         ("relative/plain", ShardedDirectoryCache),
-        ("odd:name.json", JsonFileCache),
-        (r"C:\cache\results.json", JsonFileCache),
         ("store.v2:final", ShardedDirectoryCache),
     ]
 
@@ -475,108 +425,36 @@ class TestOpenCache:
                                                     expected):
         cache = open_cache(spec)
         assert isinstance(cache, expected)
-        target = cache.root if expected is ShardedDirectoryCache \
-            else cache.path
-        assert target == Path(spec)
+        assert cache.root == Path(spec)
 
-    def test_existing_file_opens_as_a_json_store_regardless_of_name(
-            self, tmp_path):
-        """Backward compatibility: a store file written before the
-        .json-suffix convention must keep opening as a file store (and
-        keep its entries), not become a directory root that crashes on
-        the first put."""
-        legacy = tmp_path / "mycache"
-        JsonFileCache(legacy).put("k", {"v": 1})
-        reopened = open_cache(str(legacy))
-        assert isinstance(reopened, JsonFileCache)
-        assert reopened.get("k") == {"v": 1}
+    @pytest.mark.parametrize("spec", ["", "dir:"])
+    def test_an_empty_path_is_rejected(self, spec, tmp_path,
+                                       monkeypatch):
+        """An empty path must not open the working directory as a
+        store (the first put would shard entries all over it)."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(BatchError, match="names no path"):
+            open_cache(spec)
+        assert not list(tmp_path.iterdir())
 
-    def test_existing_non_store_file_is_refused_not_overwritten(
-            self, tmp_path):
-        """A typo'd bare-path spec naming a real user file must fail
-        loudly, not silently replace the file with cache JSON."""
+    @pytest.mark.parametrize("spec", [
+        "json:results/cache.json", "json:results/cache",
+        "results/cache.json", "odd:name.json", r"C:\cache\results.json",
+    ])
+    def test_single_file_specs_point_at_a_directory_store(self, spec):
+        with pytest.raises(BatchError, match="dir:PATH"):
+            open_cache(spec)
+
+    @pytest.mark.parametrize("prefix", ["", "dir:"])
+    def test_an_existing_file_is_refused_not_overwritten(
+            self, tmp_path, prefix):
+        """A spec naming a real file -- an old single-file store or a
+        typo'd path to user data -- fails loudly and leaves it be."""
         precious = tmp_path / "notes.txt"
         precious.write_text("do not lose this")
-        with pytest.raises(BatchError, match="refusing to touch"):
-            open_cache(str(precious))
+        with pytest.raises(BatchError, match="dir:PATH"):
+            open_cache(f"{prefix}{precious}")
         assert precious.read_text() == "do not lose this"
-        # Leading "{" proves nothing for suffix-less files: Nix/JSON5/
-        # TeX-style content must be refused too, not salvaged-to-empty.
-        nixish = tmp_path / "config.nix"
-        nixish.write_text("{ pkgs, ... }: { services.x.enable = true; }")
-        with pytest.raises(BatchError, match="refusing to touch"):
-            open_cache(str(nixish))
-        assert nixish.read_text().startswith("{ pkgs")
-
-    def test_json_suffixed_non_store_data_is_refused_too(self,
-                                                         tmp_path):
-        """The .json suffix is no license to destroy user data: valid
-        JSON that is not a store-shaped object (all values objects) is
-        someone's file.  (Unparseable .json content still opens --
-        that is the documented corrupt-store degrade-to-empty
-        salvage.)"""
-        data = tmp_path / "results.json"
-        data.write_text(json.dumps(["precious", "user", "data"]))
-        with pytest.raises(BatchError, match="refusing to touch"):
-            open_cache(str(data))
-        assert json.loads(data.read_text()) == ["precious", "user",
-                                                "data"]
-        # Object-shaped but with scalar values: a package.json, not a
-        # store.
-        pkg = tmp_path / "pkg.json"
-        pkg.write_text(json.dumps({"name": "my-app", "version": "1.0",
-                                   "scripts": {"build": "make"}}))
-        with pytest.raises(BatchError, match="refusing to touch"):
-            open_cache(str(pkg))
-        assert json.loads(pkg.read_text())["name"] == "my-app"
-        corrupt = tmp_path / "store.json"
-        corrupt.write_text("{ not json")
-        assert isinstance(open_cache(str(corrupt)), JsonFileCache)
-
-    def test_unreadable_existing_path_is_refused_not_adopted(
-            self, tmp_path):
-        """A path that exists but cannot be read as a file must not be
-        adopted as an empty store (the first put would rename cache
-        JSON over data we could not even inspect)."""
-        weird = tmp_path / "dir.json"
-        weird.mkdir()
-        with pytest.raises(BatchError, match="cannot be read"):
-            open_cache(str(weird))
-        secret = tmp_path / "secret.json"
-        secret.write_text("who knows")
-        secret.chmod(0)
-        try:
-            if not os.access(secret, os.R_OK):  # root reads anything
-                with pytest.raises(BatchError, match="cannot be read"):
-                    open_cache(str(secret))
-        finally:
-            secret.chmod(0o644)
-        assert secret.read_text() == "who knows"
-
-    def test_damaged_store_refusal_has_a_salvaging_escape_hatch(
-            self, tmp_path):
-        """A store whose file grew a non-dict value is refused on the
-        bare path (indistinguishable from user data) -- but the
-        json:PATH form the error suggests opens it with the usual
-        per-entry salvage, so resume is never actually blocked."""
-        damaged = tmp_path / "grid.json"
-        damaged.write_text(json.dumps({"good": {"v": 1}, "bad": None}))
-        with pytest.raises(BatchError, match="json:"):
-            open_cache(str(damaged))
-        salvaged = open_cache(f"json:{damaged}")
-        assert isinstance(salvaged, JsonFileCache)
-        assert salvaged.get("good") == {"v": 1}
-        assert salvaged.get("bad") is None
-
-    def test_adopted_store_file_serves_its_entries(self, tmp_path):
-        """The existing-file path hands its parse to the store: the
-        entries are served without a second load."""
-        legacy = tmp_path / "grid.json"
-        JsonFileCache(legacy).put_many({"a": {"v": 1}, "b": {"v": 2}})
-        adopted = open_cache(str(legacy))
-        assert isinstance(adopted, JsonFileCache)
-        assert len(adopted) == 2
-        assert adopted.get("a") == {"v": 1}
 
     def test_tcp_scheme_opens_a_remote_client(self):
         from repro.batch.service import RemoteCache
@@ -645,25 +523,24 @@ class TestEngineCacheBehaviour:
         assert report.n_compiled == len(tighter)
 
     def test_disk_cache_spans_engine_instances(self, tmp_path):
-        path = tmp_path / "results.json"
+        spec = f"dir:{tmp_path / 'results'}"
         jobs = jobs_from_suite("core8", self.SPEC, n_iterations=4)
-        cold = BatchCompiler(cache=JsonFileCache(path)).compile(jobs)
+        cold = BatchCompiler(cache=open_cache(spec)).compile(jobs)
         assert cold.n_compiled == len(jobs)
-        warm = BatchCompiler(cache=JsonFileCache(path)).compile(jobs)
+        warm = BatchCompiler(cache=open_cache(spec)).compile(jobs)
         assert warm.n_cache_hits == len(jobs)
         assert warm.n_compiled == 0
         assert [r.total_cost for r in warm.results] \
             == [r.total_cost for r in cold.results]
 
     def test_malformed_cache_payload_is_recompiled(self, tmp_path):
-        path = tmp_path / "results.json"
+        root = tmp_path / "results"
         jobs = jobs_from_suite("core8", self.SPEC, n_iterations=4)
-        BatchCompiler(cache=JsonFileCache(path)).compile(jobs)
-        store = json.loads(path.read_text())
-        for digest in store:
-            store[digest] = {"garbage": True}
-        path.write_text(json.dumps(store))
-        report = BatchCompiler(cache=JsonFileCache(path)).compile(jobs)
+        BatchCompiler(cache=ShardedDirectoryCache(root)).compile(jobs)
+        for entry in root.glob("*/*.json"):
+            entry.write_text(json.dumps({"garbage": True}))
+        report = BatchCompiler(
+            cache=ShardedDirectoryCache(root)).compile(jobs)
         assert report.n_cache_hits == 0
         assert report.all_audits_ok
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -112,9 +113,9 @@ class TestBatchCompiler:
         with pytest.raises(BatchError):
             BatchCompiler(n_workers=0)
 
-    def test_compile_suite_shorthand(self):
-        report = BatchCompiler().compile_suite("core8", SPEC,
-                                               n_iterations=4)
+    def test_compile_a_named_suite(self):
+        report = BatchCompiler().compile(
+            jobs_from_suite("core8", SPEC, n_iterations=4))
         assert report.n_jobs == len(SUITES["core8"])
         assert report.all_audits_ok
 
@@ -181,7 +182,7 @@ class TestParseScope:
     def test_streaming_parses_once_and_keeps_the_scope_to_itself(
             self, library_matrix, parse_calls):
         seen = 0
-        for _result in BatchCompiler().run_iter(library_matrix):
+        for _step in BatchCompiler().as_completed(library_matrix):
             # The consumer's code between results runs outside the
             # batch's scope: this parse is not served from it.
             library_matrix[0].kernel()
@@ -252,11 +253,38 @@ class TestParseScope:
             == [without_timing(result) for result in inline.results]
 
 
+class TestOneDeliveryPath:
+    def test_compile_equals_collected_as_completed(self, library_matrix):
+        """``compile()`` is ``as_completed()`` collected into job order:
+        same payloads and provenance, with a pre-warmed third of the
+        library and a twin of a cold job in the batch."""
+        jobs = [*library_matrix,
+                dataclasses.replace(library_matrix[5], name="twin")]
+        warm = library_matrix[::3]
+
+        def warmed() -> BatchCompiler:
+            compiler = BatchCompiler(cache=InMemoryLRUCache())
+            compiler.compile(warm)
+            return compiler
+
+        report = warmed().compile(jobs)
+        streamed = [None] * len(jobs)
+        for index, result in warmed().as_completed(jobs):
+            assert streamed[index] is None
+            streamed[index] = result
+        assert [without_timing(result) for result in report.results] \
+            == [without_timing(result) for result in streamed]
+        assert [result.from_cache for result in report.results] \
+            == [result.from_cache for result in streamed]
+        assert report.n_cache_hits == len(warm) + 1  # + the twin
+        assert report.result("twin").from_cache
+
+
 class TestBatchReport:
     @pytest.fixture(scope="class")
     def report(self) -> BatchReport:
-        return BatchCompiler().compile_suite("core8", SPEC,
-                                             n_iterations=4)
+        return BatchCompiler().compile(
+            jobs_from_suite("core8", SPEC, n_iterations=4))
 
     def test_aggregates(self, report):
         assert report.n_jobs == 8

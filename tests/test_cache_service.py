@@ -19,7 +19,6 @@ from repro.analysis.experiments import (
 from repro.batch.cache import (
     CacheStats,
     InMemoryLRUCache,
-    JsonFileCache,
     ShardedDirectoryCache,
     TieredCache,
     open_cache,
@@ -156,8 +155,8 @@ class TestServerSideFraming:
         client serves it as misses); it must not kill the handler."""
         import repro.batch.service as service_module
 
-        client.put_many({"fat-1": {"v": "x" * 200},
-                         "fat-2": {"v": "y" * 200}})
+        client.put("fat-1", {"v": "x" * 200})
+        client.put("fat-2", {"v": "y" * 200})
         with socket.create_connection(server.address, timeout=5) as sock:
             with monkeypatch.context() as patch:
                 patch.setattr(service_module, "MAX_FRAME_BYTES", 300)
@@ -196,16 +195,9 @@ class TestServerProtocol:
         stats = client.server_stats()
         assert (stats.hits, stats.misses, stats.stores) == (1, 1, 1)
 
-    def test_put_many_batches_into_frames(self, server):
-        remote = RemoteCache(*server.address, batch_size=10)
-        entries = {f"digest-{i:03d}": {"v": i} for i in range(25)}
-        remote.put_many(entries)
-        assert remote.stats.stores == 25
-        assert server.store.stats.stores == 25
-        assert remote.get("digest-024") == {"v": 24}
-
     def test_get_many_mixed_hits_and_misses(self, server, client):
-        client.put_many({"present-1": {"v": 1}, "present-2": {"v": 2}})
+        client.put("present-1", {"v": 1})
+        client.put("present-2", {"v": 2})
         found = client.get_many(["present-1", "absent", "present-2"])
         assert found == {"present-1": {"v": 1}, "present-2": {"v": 2}}
         assert client.stats.hits == 2
@@ -237,13 +229,12 @@ class TestServerProtocol:
     def test_unknown_op_and_malformed_requests_answer_errors(self,
                                                              server):
         with socket.create_connection(server.address, timeout=5) as sock:
-            send_frame(sock, {"op": "frobnicate"})
-            assert "unknown op" in recv_frame(sock)["error"]
+            for op in ("frobnicate", "put_many"):
+                send_frame(sock, {"op": op})
+                assert "unknown op" in recv_frame(sock)["error"]
             send_frame(sock, {"op": "get"})  # missing digest
             assert recv_frame(sock)["ok"] is False
             send_frame(sock, {"op": "put", "digest": "d", "payload": 3})
-            assert recv_frame(sock)["ok"] is False
-            send_frame(sock, {"op": "put_many", "entries": {"d": []}})
             assert recv_frame(sock)["ok"] is False
             # ...and the connection is still alive afterwards:
             send_frame(sock, {"op": "ping"})
@@ -294,15 +285,14 @@ class TestReadonlyServer:
             remote = RemoteCache(*server.address)
             assert remote.get("warm") == {"v": 1}
             remote.put("new", {"v": 2})
-            remote.put_many({"more": {"v": 3}})
             assert remote.stats.stores == 0
             assert store.stats.stores == 1  # only the seed entry
             assert remote.get("new") is None
 
-    def test_put_many_stops_after_the_first_readonly_response(self,
-                                                              monkeypatch):
-        """One rejected frame is enough: the client must not keep
-        serializing and sending the rest of a large batch."""
+    def test_puts_stop_after_the_first_readonly_response(self,
+                                                         monkeypatch):
+        """One rejected store is enough: the client must not keep
+        sending the rest of a batch's results."""
         with CacheServer(InMemoryLRUCache(), readonly=True) as server:
             requests = []
             real_handle = server.handle_request
@@ -310,11 +300,10 @@ class TestReadonlyServer:
                 server, "handle_request",
                 lambda request: (requests.append(request["op"]),
                                  real_handle(request))[1])
-            remote = RemoteCache(*server.address, batch_size=5)
-            remote.put_many({f"k{i}": {"v": i} for i in range(50)})
-            assert requests == ["put_many"]  # 1 frame, not 10
-            remote.put_many({"later": {"v": 1}})  # now known read-only
-            assert requests == ["put_many"]
+            remote = RemoteCache(*server.address)
+            for index in range(10):
+                remote.put(f"k{index}", {"v": index})
+            assert requests == ["put"]  # 1 frame, not 10
             assert remote.stats.stores == 0
 
     def test_readonly_server_never_writes_its_store(self, tmp_path):
@@ -367,7 +356,6 @@ class TestGracefulDegradation:
         with caplog.at_level(logging.WARNING, "repro.batch.service"):
             assert remote.get("a" * 64) is None
             remote.put("a" * 64, {"x": 1})
-            remote.put_many({"b" * 64: {"x": 2}})
             assert not remote.ping()
             assert remote.server_stats() is None
         assert any("degrading" in record.message
@@ -405,7 +393,6 @@ class TestGracefulDegradation:
         with monkeypatch.context() as patch:
             patch.setattr(service_module, "MAX_FRAME_BYTES", 64)
             client.put("big", {"v": "x" * 200})
-            client.put_many({"big-2": {"v": "y" * 200}})
         assert client.stats.stores == 1  # only the small one
         assert client._down_since is None  # not degraded
         assert client.get("small") == {"v": 1}
@@ -581,17 +568,11 @@ class TestStatsInvariants:
                 expected = model.get(key)
                 assert cache.get(key) == expected
                 hits += expected is not None
-            elif action < 0.8:
+            else:
                 payload = {"v": rng.randrange(100)}
                 cache.put(key, payload)
                 model[key] = payload
                 stores += 1
-            else:
-                entries = {rng.choice(keys): {"v": rng.randrange(100)}
-                           for _ in range(rng.randrange(1, 4))}
-                cache.put_many(entries)
-                model.update(entries)
-                stores += len(entries)
         assert cache.stats.hits == hits
         assert cache.stats.misses == gets - hits
         assert cache.stats.lookups == gets
@@ -602,16 +583,17 @@ class TestStatsInvariants:
         self.exercise(InMemoryLRUCache(), seed)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_json_file(self, tmp_path, seed):
-        self.exercise(JsonFileCache(tmp_path / "store.json"), seed)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_sharded_directory(self, tmp_path, seed):
         self.exercise(ShardedDirectoryCache(tmp_path / "store"), seed)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_tiered(self, seed):
         self.exercise(TieredCache(InMemoryLRUCache()), seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_tiered_over_a_directory(self, tmp_path, seed):
+        self.exercise(
+            TieredCache(ShardedDirectoryCache(tmp_path / "store")), seed)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_tiered_without_a_backend(self, seed):

@@ -103,7 +103,7 @@ class TestBatch:
         assert "2 job(s)" in out and "base/iter" in out
 
     def test_disk_cache_makes_second_run_hit(self, tmp_path, capsys):
-        cache = str(tmp_path / "cache.json")
+        cache = f"dir:{tmp_path / 'cache'}"
         assert main(["batch", "--suite", "core8", "--iterations", "2",
                      "--cache", cache]) == 0
         capsys.readouterr()
@@ -266,6 +266,19 @@ class TestCacheServe:
     def test_rejects_an_unknown_store_scheme(self, capsys):
         assert main(["cache-serve", "--store", "redis://x:1"]) == 1
         assert "unknown cache scheme" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("store, message", [
+        ("", "names no path"), ("dir:", "names no path"),
+        ("results.json", "dir:PATH"), ("json:results", "dir:PATH")])
+    def test_rejects_an_empty_or_single_file_store(
+            self, store, message, tmp_path, monkeypatch, capsys):
+        """Refused before binding, and nothing lands in the working
+        directory."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["cache-serve", "--store", store, "--port",
+                     "0"]) == 1
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_port_in_use_reports_a_clean_error(self, capsys):
         from repro.batch.cache import InMemoryLRUCache

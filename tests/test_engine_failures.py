@@ -26,7 +26,15 @@ from repro.agu.model import AguSpec
 from repro.batch.cache import InMemoryLRUCache, ShardedDirectoryCache
 from repro.batch.cluster import ClusterExecutor
 from repro.batch.digest import job_digest
-from repro.batch.engine import BatchCompiler
+from repro.batch.engine import (
+    BatchCompiler,
+    ExecutionStream,
+    Executor,
+    InlineExecutor,
+    JobFailure,
+    LocalPoolExecutor,
+    execute_any,
+)
 from repro.batch.jobs import jobs_from_suite
 from repro.errors import BatchError
 
@@ -75,6 +83,51 @@ class WorkerKillerJob:
         os._exit(13)
 
 
+class DrainingExecutor(Executor):
+    """Fails the batch's last job before delivering anything, then
+    hands every other job's result to the teardown salvage -- a pool
+    draining its in-flight work, made deterministic."""
+
+    def run(self, jobs):
+        class Stream(ExecutionStream):
+            def __iter__(self):
+                raise JobFailure(len(jobs) - 1,
+                                 RuntimeError("injected crash"))
+                yield  # pragma: no cover - makes this a generator
+
+            def shutdown(self):
+                return {index: execute_any(job)
+                        for index, job in enumerate(jobs[:-1])}
+
+        return Stream()
+
+
+class RecordingExecutor(Executor):
+    """Wraps an executor and records every job that completed: the
+    ones its stream delivered and the ones its teardown drained."""
+
+    def __init__(self, inner: Executor):
+        self.inner = inner
+        self.n_workers = inner.n_workers
+        self.completed: list = []
+
+    def run(self, jobs):
+        stream, completed = self.inner.run(jobs), self.completed
+
+        class Stream(ExecutionStream):
+            def __iter__(self):
+                for index, result in stream:
+                    completed.append(jobs[index])
+                    yield index, result
+
+            def shutdown(self):
+                salvage = stream.shutdown()
+                completed.extend(jobs[index] for index in salvage)
+                return salvage
+
+        return Stream()
+
+
 def good_jobs(count: int = 6):
     return jobs_from_suite("full", SPEC, n_iterations=4)[:count]
 
@@ -107,19 +160,19 @@ class TestCrashingJobInline:
         error = BatchError("n_workers must be >= 1")
         assert error.job_name is None and error.digest is None
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_salvage_failure_does_not_mask_the_culprit(self, workers):
-        """A cache that cannot take the salvage writes (disk full,
-        dead server) must not displace the job failure -- the caller
-        still gets the BatchError naming the poison job."""
+    def test_salvage_failure_does_not_mask_the_culprit(self, caplog):
+        """A cache that cannot take the teardown salvage writes (disk
+        full, dead server) must not displace the job failure -- the
+        caller still gets the BatchError naming the poison job."""
         cache = InMemoryLRUCache()
         def refuse(*args, **kwargs):
             raise OSError("disk full")
-        cache.put = cache.put_many = refuse
+        cache.put = refuse
         with pytest.raises(BatchError) as caught:
-            BatchCompiler(cache=cache, n_workers=workers).compile(
+            BatchCompiler(cache=cache, executor=DrainingExecutor()).compile(
                 [*good_jobs(2), CrashingJob(name="poison")])
         assert caught.value.job_name == "poison"
+        assert "failed to persist 2 completed result(s)" in caplog.text
 
 
 class TestCrashingJobPooled:
@@ -174,6 +227,32 @@ class TestCrashingJobPooled:
             cache=ShardedDirectoryCache(store.root)).compile(survivors)
         assert resumed.n_cache_hits == len(store)
         assert resumed.n_compiled == len(survivors) - len(store)
+
+
+@pytest.mark.parametrize("make_executor", [
+    InlineExecutor, lambda: LocalPoolExecutor(2)],
+    ids=["inline", "local-pool-2"])
+class TestFailingCompilePersistsEverything:
+    """compile() is as_completed() collected: a failing batch stores
+    every result that completed -- delivered or drained -- and names
+    the culprit's digest."""
+
+    def test_every_completed_result_is_persisted(self, tmp_path,
+                                                 make_executor):
+        survivors = good_jobs(6)
+        poison = CrashingJob(name="poison")
+        store = ShardedDirectoryCache(tmp_path / "store")
+        executor = RecordingExecutor(make_executor())
+        with pytest.raises(BatchError) as caught:
+            BatchCompiler(cache=store, executor=executor).compile(
+                [*survivors[:2], poison, *survivors[2:]])
+        assert caught.value.digest == job_digest(poison)
+        assert caught.value.job_name == "poison"
+        completed = {job_digest(job) for job in executor.completed}
+        assert completed
+        assert len(store) == len(completed)
+        for digest in completed:
+            assert store.get(digest) is not None
 
 
 class TestBrokenProcessPool:
@@ -255,21 +334,30 @@ class TestKeyboardInterrupt:
         assert resumed.n_cache_hits == len(store)
         assert resumed.n_compiled == len(survivors) - len(store)
 
-    def test_interrupted_run_iter_resumes(self, tmp_path):
+    def test_interrupt_in_a_pooled_persist_resumes(self, tmp_path):
+        """Ctrl-C landing in the engine itself (here: while it stores
+        a pooled result) propagates as-is, shuts the pool down, and
+        leaves what was stored resumable."""
         jobs = good_jobs(5)
         store = ShardedDirectoryCache(tmp_path / "store")
-        stream = BatchCompiler(cache=store, n_workers=2).run_iter(jobs)
+        put = store.put
+        calls = []
+
+        def interrupt_second_put(digest, payload):
+            calls.append(digest)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            put(digest, payload)
+
+        store.put = interrupt_second_put
         with pytest.raises(KeyboardInterrupt):
-            try:
-                for delivered, _result in enumerate(stream, start=1):
-                    if delivered >= 2:
-                        raise KeyboardInterrupt
-            finally:
-                stream.close()
+            BatchCompiler(cache=store, n_workers=2).compile(jobs)
+        stored = len(store)
+        assert stored >= 1
         resumed = BatchCompiler(
             cache=ShardedDirectoryCache(store.root)).compile(jobs)
-        assert resumed.n_cache_hits >= 1
-        assert resumed.n_cache_hits == len(store)
+        assert resumed.n_cache_hits == stored
+        assert resumed.n_compiled == len(jobs) - stored
 
 
 @contextmanager

@@ -35,11 +35,7 @@ import pytest
 from _sharding_util import config_from_kwargs, normalize_summary
 
 from repro.analysis.experiments import run_experiment
-from repro.batch.cache import (
-    InMemoryLRUCache,
-    JsonFileCache,
-    ShardedDirectoryCache,
-)
+from repro.batch.cache import InMemoryLRUCache, ShardedDirectoryCache
 from repro.batch.digest import job_digest
 from repro.batch.engine import BatchCompiler, execute_any
 from repro.batch.jobs import (
@@ -201,11 +197,11 @@ class TestPointJobs:
         name/index, not whatever position stored the entry."""
         cache = InMemoryLRUCache()
         jobs = experiment_point_jobs("reorder", tiny_config("reorder"))
-        list(BatchCompiler(cache=cache).run_iter(jobs))
+        BatchCompiler(cache=cache).compile(jobs)
         reordered = [dataclasses.replace(job, index=position,
                                          name=f"renamed-{position}")
                      for position, job in enumerate(reversed(jobs))]
-        results = list(BatchCompiler(cache=cache).run_iter(reordered))
+        results = BatchCompiler(cache=cache).compile(reordered).results
         assert all(result.from_cache for result in results)
         assert [result.index for result in results] \
             == [job.index for job in reordered]
@@ -343,7 +339,6 @@ class TestCachePayloadIsolation:
 
     def _backends(self, tmp_path):
         return (InMemoryLRUCache(),
-                JsonFileCache(tmp_path / "points.json"),
                 ShardedDirectoryCache(tmp_path / "points"))
 
     def test_mutating_results_never_reaches_the_cache(self, tmp_path):
@@ -351,13 +346,13 @@ class TestCachePayloadIsolation:
         reference = execute_any(job).values
         for cache in self._backends(tmp_path):
             compiler = BatchCompiler(cache=cache)
-            (cold,) = list(compiler.run_iter([job]))
+            ((_, cold),) = list(compiler.as_completed([job]))
             cold.values.clear()  # caller mutates the streamed payload
-            (warm,) = list(compiler.run_iter([job]))
+            (warm,) = compiler.compile([job]).results
             assert warm.from_cache, type(cache).__name__
             assert warm.values == reference, type(cache).__name__
             warm.values["mean_fixed_order"] = -1.0
-            (again,) = list(compiler.run_iter([job]))
+            ((_, again),) = list(compiler.as_completed([job]))
             assert again.values == reference, type(cache).__name__
 
     def test_cache_get_returns_isolated_payloads(self, tmp_path):

@@ -396,8 +396,7 @@ class TestProtocolDoc:
         text = (ROOT / "docs" / "PROTOCOL.md").read_text(
             encoding="utf-8")
         assert "GENERATED FILE" in text
-        for op in ("lease", "submit", "compile", "get_many",
-                   "put_many"):
+        for op in ("lease", "submit", "compile", "get_many"):
             assert f'`op: "{op}"`' in text
         assert "## Event frames" in text
         for kind in ("result", "failed", "heartbeat", "done",

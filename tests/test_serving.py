@@ -612,8 +612,8 @@ class TestTieredCache:
     def test_writes_reach_both_tiers(self):
         backend = CountingBackend()
         tiered = TieredCache(backend)
-        tiered.put("a", {"v": 1})
-        tiered.put_many({"b": {"v": 2}, "c": {"v": 3}})
+        for key, value in (("a", 1), ("b", 2), ("c", 3)):
+            tiered.put(key, {"v": value})
         assert backend.stores == 3
         assert backend.inner.get("b") == {"v": 2}
         assert tiered.stats.stores == 3

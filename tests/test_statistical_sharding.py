@@ -171,15 +171,16 @@ class TestStreamingEngine:
         again = dict(compiler.as_completed(jobs))
         assert all(result.from_cache for result in again.values())
 
-    def test_run_iter_preserves_job_order(self):
+    def test_pooled_compile_preserves_job_order(self):
         jobs = jobs_from_suite("core8", self.SPEC, n_iterations=4)
         compiler = BatchCompiler(n_workers=2)
-        names = [result.name for result in compiler.run_iter(jobs)]
+        names = [result.name for result in compiler.compile(jobs).results]
         assert names == [job.name for job in jobs]
 
     def test_streaming_matches_compile(self):
         jobs = jobs_from_suite("core8", self.SPEC, n_iterations=4)
-        streamed = list(BatchCompiler(n_workers=2).run_iter(jobs))
+        slots = dict(BatchCompiler(n_workers=2).as_completed(jobs))
+        streamed = [slots[index] for index in range(len(jobs))]
         compiled = BatchCompiler().compile(jobs).results
         assert [(r.name, r.total_cost, r.k_tilde) for r in streamed] \
             == [(r.name, r.total_cost, r.k_tilde) for r in compiled]
