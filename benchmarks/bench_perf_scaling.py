@@ -14,7 +14,8 @@ concurrent-load latency SLO -- p50/p95/p99 into ``extra_info`` --
 
 The ``-k solver`` micro-suite times the single-point hot paths (access
 graph construction and memoized lookup, the exact branch-and-bound,
-greedy GOA, the SOA oracle, and job-payload digesting); it is what
+best-pair and naive merging, greedy GOA, the SOA oracle, and
+job-payload digesting); it is what
 ``tools/bench_trajectory.py`` records into the repo's ``BENCH_*.json``
 perf trajectory and what ``tools/check_bench_regression.py`` gates in
 CI -- see ``docs/BENCHMARKS.md``.
@@ -46,6 +47,7 @@ from repro.ir.layout import MemoryLayout
 from repro.ir.parser import parse_kernel
 from repro.ir.types import ArrayDecl, Loop
 from repro.merging.greedy import best_pair_merge
+from repro.merging.naive import naive_merge
 from repro.pathcover.branch_and_bound import minimum_zero_cost_cover
 from repro.pathcover.heuristic import greedy_zero_cost_cover
 from repro.pathcover.lower_bound import intra_cover_lower_bound
@@ -288,6 +290,30 @@ def bench_solver_exact_cover(benchmark):
     """The phase-1 branch-and-bound on a search-heavy instance."""
     result = benchmark(minimum_zero_cost_cover, _SOLVER_COVER_PATTERN, 1)
     assert result.k_tilde == 8 and result.optimal
+
+
+#: An EXP-S1-grid-shaped phase-2 instance: N=40 (span 8, uniform) at
+#: M=1 merged down to K=2 from the greedy cover, as the grid's N=40
+#: rows start phase 2 (they exceed the exact-cover limit).
+_SOLVER_MERGE_PATTERN = generate_pattern(
+    RandomPatternConfig(40, offset_span=8), seed=12)
+_SOLVER_MERGE_COVER = greedy_zero_cost_cover(
+    AccessGraph(_SOLVER_MERGE_PATTERN, 1))
+
+
+def bench_solver_best_pair_merge(benchmark):
+    """Phase 2's best-pair merge (the paper's heuristic)."""
+    result = benchmark(best_pair_merge, _SOLVER_MERGE_COVER, 2,
+                       _SOLVER_MERGE_PATTERN, 1)
+    assert result.n_registers == 2
+    assert len(result.steps) == _SOLVER_MERGE_COVER.n_paths - 2
+
+
+def bench_solver_naive_merge(benchmark):
+    """Phase 2's random naive merge (EXP-S1's baseline)."""
+    result = benchmark(naive_merge, _SOLVER_MERGE_COVER, 2,
+                       _SOLVER_MERGE_PATTERN, 1)
+    assert result.n_registers == 2
 
 
 def bench_solver_goa_greedy(benchmark):

@@ -17,17 +17,36 @@ Two variants are provided:
 
 Transitions whose distance is not a compile-time constant (different
 arrays, different index coefficients) always cost one unit.
+
+Every cost here runs on one kernel, :func:`cost_kernel`.  It encodes
+the pattern once, in O(N), and then costs any sorted position sequence
+with one loop over integers instead of re-deriving each transition from
+the :mod:`repro.graph.distance` definitions.  Per position it stores:
+
+* the *intra group*: ``(array, coefficient, var)``, with ``var`` only
+  when the coefficient is non-zero -- two accesses have a constant
+  :func:`~repro.graph.distance.intra_distance` exactly when their intra
+  groups agree, and it is then their offset difference;
+* the *wrap group*: ``(array, coefficient)`` -- the same rule for
+  :func:`~repro.graph.distance.wrap_distance`, whose constant value is
+  ``coefficient * step + offset_first - offset_last``;
+* the offset, and ``coefficient * step``.
+
+A transition then costs 1 when the groups differ, and otherwise when
+its distance ``d`` has ``|d| > M`` and ``d`` is not in ``free_deltas``
+-- :func:`~repro.graph.distance.transition_cost`'s rule.  Building the
+kernel validates ``M >= 0``, so every entry point rejects a negative
+modify range, even on paths with no transition to cost.
 """
 
 from __future__ import annotations
 
 from enum import Enum, unique
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
-from repro.graph.distance import transition_cost
+from repro.errors import GraphError, PathCoverError
 from repro.ir.types import AccessPattern
 from repro.pathcover.paths import Path, PathCover
-from repro.pathcover.verify import path_intra_distances, path_wrap_distance
 
 
 @unique
@@ -40,6 +59,68 @@ class CostModel(Enum):
     STEADY_STATE = "steady_state"
 
 
+def cost_kernel(pattern: AccessPattern, modify_range: int,
+                model: CostModel = CostModel.STEADY_STATE,
+                free_deltas: frozenset[int] = frozenset(),
+                ) -> Callable[[Sequence[int]], int]:
+    """The cost function ``C`` over one pattern's positions.
+
+    The returned function takes a strictly increasing, non-empty
+    sequence of positions (a path's indices, or the sorted union of two
+    paths' indices) and returns its cost under ``model``.  Raises
+    :class:`~repro.errors.GraphError` for a negative ``modify_range``.
+    """
+    if modify_range < 0:
+        raise GraphError(f"modify range must be >= 0, got {modify_range}")
+    intra_ids: dict[tuple, int] = {}
+    wrap_ids: dict[tuple[str, int], int] = {}
+    intra_group: list[int] = []
+    wrap_group: list[int] = []
+    offset: list[int] = []
+    stride: list[int] = []
+    for access in pattern:
+        index = access.index
+        coefficient = index.coefficient
+        intra_group.append(intra_ids.setdefault(
+            (access.array, coefficient, index.var if coefficient else None),
+            len(intra_ids)))
+        wrap_group.append(wrap_ids.setdefault(
+            (access.array, coefficient), len(wrap_ids)))
+        offset.append(index.offset)
+        stride.append(coefficient * pattern.step)
+    n_accesses = len(pattern)
+    steady = model is CostModel.STEADY_STATE
+
+    def cost(indices: Sequence[int]) -> int:
+        first, last = indices[0], indices[-1]
+        if last >= n_accesses:
+            raise PathCoverError(
+                f"path position {last} out of range for pattern of "
+                f"length {n_accesses}")
+        total = 0
+        previous = first
+        for position in indices[1:]:
+            if intra_group[previous] != intra_group[position]:
+                total += 1
+            else:
+                distance = offset[position] - offset[previous]
+                if (distance > modify_range or distance < -modify_range) \
+                        and distance not in free_deltas:
+                    total += 1
+            previous = position
+        if steady:
+            if wrap_group[last] != wrap_group[first]:
+                total += 1
+            else:
+                distance = stride[first] + offset[first] - offset[last]
+                if (distance > modify_range or distance < -modify_range) \
+                        and distance not in free_deltas:
+                    total += 1
+        return total
+
+    return cost
+
+
 def path_cost(path: Path, pattern: AccessPattern, modify_range: int,
               model: CostModel = CostModel.STEADY_STATE,
               free_deltas: frozenset[int] = frozenset()) -> int:
@@ -50,12 +131,8 @@ def path_cost(path: Path, pattern: AccessPattern, modify_range: int,
     steady-state loop.  ``free_deltas`` extends the free set for AGUs
     with modify registers (see :mod:`repro.modreg`).
     """
-    cost = sum(transition_cost(distance, modify_range, free_deltas)
-               for distance in path_intra_distances(path, pattern))
-    if model is CostModel.STEADY_STATE:
-        cost += transition_cost(path_wrap_distance(path, pattern),
-                                modify_range, free_deltas)
-    return cost
+    return cost_kernel(pattern, modify_range, model,
+                       free_deltas)(path.indices)
 
 
 def cover_cost(paths: PathCover | Iterable[Path], pattern: AccessPattern,
@@ -65,10 +142,10 @@ def cover_cost(paths: PathCover | Iterable[Path], pattern: AccessPattern,
     """Total unit-cost address computations of an allocation.
 
     The allocation's cost is simply the sum of its path costs: registers
-    are independent of each other.
+    are independent of each other.  ``paths`` is iterated once.
     """
-    return sum(path_cost(path, pattern, modify_range, model, free_deltas)
-               for path in paths)
+    cost = cost_kernel(pattern, modify_range, model, free_deltas)
+    return sum(cost(path.indices) for path in paths)
 
 
 def merge_cost(first: Path, second: Path, pattern: AccessPattern,

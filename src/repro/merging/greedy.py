@@ -10,10 +10,13 @@ first access position), so results are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
+from itertools import combinations
+from typing import Callable, Sequence
 
 from repro.errors import AllocationError
 from repro.ir.types import AccessPattern
-from repro.merging.cost import CostModel, cover_cost, path_cost
+from repro.merging.cost import CostModel, cost_kernel
 from repro.pathcover.paths import Path, PathCover
 
 
@@ -67,30 +70,43 @@ def best_pair_merge(cover: PathCover, n_registers: int,
             f"cover is over {cover.n_accesses} accesses but the pattern "
             f"has {len(pattern)}")
 
-    paths: list[Path] = list(cover)
+    cost = cost_kernel(pattern, modify_range, model, free_deltas)
+    # Every pair is costed once; after a merge only the new path is
+    # costed against the survivors.  Heap entries are keyed
+    # (merged cost, first_i, first_j) with first_i < first_j -- the
+    # deterministic tie-break of the paper's all-pairs minimum -- and
+    # carry the two paths' ids; an entry whose path has since been
+    # merged away is stale and skipped.
+    paths: dict[int, Path] = dict(enumerate(cover))
     steps: list[MergeStep] = []
+    heap: list[tuple[int, int, int, int, int]] = []
+    if len(paths) > n_registers:
+        heap = [_candidate(cost, i, paths[i], j, paths[j])
+                for i, j in combinations(paths, 2)]
+        heapify(heap)
     while len(paths) > n_registers:
-        best_pair: tuple[int, int] | None = None
-        best_key: tuple[int, int, int] | None = None
-        # Canonical order makes tie-breaking deterministic.
-        paths.sort(key=lambda path: path.first)
-        for i in range(len(paths)):
-            for j in range(i + 1, len(paths)):
-                merged_cost = path_cost(paths[i].merge(paths[j]), pattern,
-                                        modify_range, model, free_deltas)
-                key = (merged_cost, paths[i].first, paths[j].first)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_pair = (i, j)
-        assert best_pair is not None and best_key is not None
-        i, j = best_pair
-        merged = paths[i].merge(paths[j])
-        steps.append(MergeStep(paths[i], paths[j], merged, best_key[0]))
-        # Remove j first (j > i) so i's index stays valid.
-        del paths[j]
-        del paths[i]
-        paths.append(merged)
+        merged_cost, _, _, i, j = heappop(heap)
+        if i not in paths or j not in paths:
+            continue
+        left, right = paths.pop(i), paths.pop(j)
+        merged = left.merge(right)
+        merged_id = cover.n_paths + len(steps)
+        steps.append(MergeStep(left, right, merged, merged_cost))
+        for other_id, other in paths.items():
+            heappush(heap, _candidate(cost, merged_id, merged,
+                                      other_id, other))
+        paths[merged_id] = merged
 
-    final = PathCover(tuple(paths), cover.n_accesses)
-    total = cover_cost(final, pattern, modify_range, model, free_deltas)
+    final = PathCover(tuple(paths.values()), cover.n_accesses)
+    total = sum(cost(path.indices) for path in final)
     return MergeResult(final, total, tuple(steps), strategy="best_pair")
+
+
+def _candidate(cost: Callable[[Sequence[int]], int], i: int, first: Path,
+               j: int, second: Path) -> tuple[int, int, int, int, int]:
+    """Heap entry for merging paths ``i`` and ``j``, costed on the raw
+    sorted union (no :class:`Path` is built for a candidate)."""
+    if second.first < first.first:
+        i, first, j, second = j, second, i, first
+    merged_cost = cost(sorted(first.indices + second.indices))
+    return (merged_cost, first.first, second.first, i, j)

@@ -18,7 +18,7 @@ from typing import Callable
 
 from repro.errors import AllocationError
 from repro.ir.types import AccessPattern
-from repro.merging.cost import CostModel, cover_cost
+from repro.merging.cost import CostModel, cost_kernel
 from repro.merging.greedy import MergeResult, MergeStep
 from repro.pathcover.paths import Path, PathCover
 
@@ -70,6 +70,7 @@ def naive_merge(cover: PathCover, n_registers: int, pattern: AccessPattern,
             f"unknown naive strategy {strategy!r}; available: "
             f"{sorted(NAIVE_STRATEGIES)}") from None
 
+    cost = cost_kernel(pattern, modify_range, model)
     rng = random.Random(seed)
     paths: list[Path] = list(cover)
     steps: list[MergeStep] = []
@@ -80,13 +81,13 @@ def naive_merge(cover: PathCover, n_registers: int, pattern: AccessPattern,
             raise AllocationError(
                 f"strategy {strategy!r} picked invalid pair ({i}, {j})")
         merged = paths[i].merge(paths[j])
-        merged_cost = cover_cost([merged], pattern, modify_range, model)
-        steps.append(MergeStep(paths[i], paths[j], merged, merged_cost))
+        steps.append(MergeStep(paths[i], paths[j], merged,
+                               cost(merged.indices)))
         del paths[j]
         del paths[i]
         paths.append(merged)
 
     final = PathCover(tuple(paths), cover.n_accesses)
-    total = cover_cost(final, pattern, modify_range, model)
+    total = sum(cost(path.indices) for path in final)
     return MergeResult(final, total, tuple(steps),
                        strategy=f"naive/{strategy}")

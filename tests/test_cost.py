@@ -1,11 +1,25 @@
 """Unit tests for path costs C(P) and the two cost models."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from repro.errors import PathCoverError
+from repro.errors import GraphError, PathCoverError
 from repro.ir.builder import LoopBuilder, pattern_from_offsets
-from repro.merging.cost import CostModel, cover_cost, merge_cost, path_cost
+from repro.ir.expr import AffineExpr
+from repro.ir.types import AccessPattern, ArrayAccess
+from repro.merging.cost import (
+    CostModel,
+    cost_kernel,
+    cover_cost,
+    merge_cost,
+    path_cost,
+)
+from repro.merging.greedy import best_pair_merge
+from repro.merging.naive import naive_merge
 from repro.pathcover.paths import Path, PathCover
+
+from _reference_merge import reference_path_cost
 
 
 class TestIntraModel:
@@ -68,6 +82,13 @@ class TestCoverCost:
         paths = [Path((0, 2, 4)), Path((1, 3, 5)), Path((6,))]
         assert cover_cost(paths, paper_pattern, 1) == 0
 
+    def test_accepts_a_one_shot_generator(self, paper_pattern):
+        paths = [Path((0, 3, 6)), Path((1, 2)), Path((4, 5))]
+        expected = cover_cost(paths, paper_pattern, 1)
+        assert expected > 0
+        assert cover_cost((path for path in paths), paper_pattern,
+                          1) == expected
+
 
 class TestMergeCost:
     def test_matches_merged_path_cost(self, paper_pattern):
@@ -114,3 +135,99 @@ class TestValidation:
     def test_out_of_range_path_rejected(self, paper_pattern):
         with pytest.raises(PathCoverError):
             path_cost(Path((0, 99)), paper_pattern, 1)
+
+
+#: Every cost and merge entry point, under the INTRA model and on
+#: singleton paths, so no transition is costed (except by merge_cost,
+#: whose merged path always has one).
+NEGATIVE_RANGE_CALLS = {
+    "cost_kernel": lambda pattern: cost_kernel(
+        pattern, -1, CostModel.INTRA),
+    "path_cost": lambda pattern: path_cost(
+        Path((0,)), pattern, -1, CostModel.INTRA),
+    "cover_cost": lambda pattern: cover_cost(
+        PathCover.finest(2), pattern, -1, CostModel.INTRA),
+    "merge_cost": lambda pattern: merge_cost(
+        Path((0,)), Path((1,)), pattern, -1, CostModel.INTRA),
+    "best_pair_merge": lambda pattern: best_pair_merge(
+        PathCover.finest(2), 2, pattern, -1, CostModel.INTRA),
+    "naive_merge": lambda pattern: naive_merge(
+        PathCover.finest(2), 2, pattern, -1, CostModel.INTRA),
+}
+
+
+class TestNegativeModifyRange:
+    @pytest.mark.parametrize("entry_point", sorted(NEGATIVE_RANGE_CALLS))
+    def test_rejected_without_costing_a_transition(self, entry_point):
+        pattern = pattern_from_offsets([0, 5])
+        with pytest.raises(GraphError, match="modify range"):
+            NEGATIVE_RANGE_CALLS[entry_point](pattern)
+
+
+# ----------------------------------------------------------------------
+# The encoded kernel against the distance definitions
+# ----------------------------------------------------------------------
+@st.composite
+def mixed_patterns(draw):
+    """Patterns over several arrays, coefficients 0/1/2 and two loop
+    variables (``var`` is irrelevant at coefficient 0 for intra
+    distances and ignored by wrap distances, which the kernel must
+    reproduce)."""
+    accesses = draw(st.lists(
+        st.builds(lambda array, coefficient, offset, var: ArrayAccess(
+                      array, AffineExpr(coefficient, offset, var)),
+                  st.sampled_from("ABC"), st.sampled_from((0, 1, 2)),
+                  st.integers(-6, 6), st.sampled_from("ij")),
+        min_size=1, max_size=12))
+    return AccessPattern(tuple(accesses),
+                         step=draw(st.sampled_from((-1, 1, 2))))
+
+
+@st.composite
+def kernel_cases(draw):
+    """A pattern, a path over it, and a cost configuration."""
+    pattern = draw(mixed_patterns())
+    positions = draw(st.sets(st.integers(0, len(pattern) - 1),
+                             min_size=1))
+    return (pattern, Path(tuple(sorted(positions))),
+            draw(st.integers(0, 3)),
+            draw(st.sampled_from(list(CostModel))),
+            draw(st.frozensets(st.integers(-9, 9), min_size=1,
+                               max_size=4)))
+
+
+class TestKernelMatchesDefinitions:
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_cases())
+    def test_path_cost(self, case):
+        pattern, path, modify_range, model, free_deltas = case
+        expected = reference_path_cost(path, pattern, modify_range, model,
+                                       free_deltas)
+        assert path_cost(path, pattern, modify_range, model,
+                         free_deltas) == expected
+        assert cost_kernel(pattern, modify_range, model,
+                           free_deltas)(path.indices) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_patterns(), st.data())
+    def test_cover_and_merge_cost(self, pattern, data):
+        modify_range = data.draw(st.integers(0, 3))
+        model = data.draw(st.sampled_from(list(CostModel)))
+        free_deltas = data.draw(st.frozensets(st.integers(-9, 9),
+                                              min_size=1, max_size=4))
+        owner = data.draw(st.lists(st.integers(0, 2),
+                                   min_size=len(pattern),
+                                   max_size=len(pattern)))
+        groups = [[p for p, g in enumerate(owner) if g == group]
+                  for group in sorted(set(owner))]
+        cover = PathCover.from_lists(groups, len(pattern))
+        assert cover_cost(cover, pattern, modify_range, model,
+                          free_deltas) == sum(
+            reference_path_cost(path, pattern, modify_range, model,
+                                free_deltas) for path in cover)
+        if cover.n_paths >= 2:
+            first, second = cover.paths[:2]
+            assert merge_cost(first, second, pattern, modify_range, model,
+                              free_deltas) == reference_path_cost(
+                first.merge(second), pattern, modify_range, model,
+                free_deltas)

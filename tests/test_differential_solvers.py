@@ -10,7 +10,9 @@ them:
 * phase 2: every merging strategy's cost dominates the exhaustive
   optimum, all strategies agree when no merging is needed, and each
   strategy's incremental cost bookkeeping matches a from-scratch
-  ``cover_cost`` recomputation.
+  ``cover_cost`` recomputation;
+* phase 2 against its all-pairs reference (``_reference_merge.py``):
+  best-pair and naive merging return the identical ``MergeResult``.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import pytest
 
 from repro.graph.access_graph import AccessGraph
+from repro.ir.builder import pattern_from_offsets
 from repro.merging.cost import CostModel, cover_cost
 from repro.merging.exhaustive import optimal_allocation
 from repro.merging.greedy import best_pair_merge
@@ -25,9 +28,15 @@ from repro.merging.naive import NAIVE_STRATEGIES, naive_merge
 from repro.pathcover.branch_and_bound import minimum_zero_cost_cover
 from repro.pathcover.heuristic import greedy_zero_cost_cover
 from repro.pathcover.lower_bound import intra_cover_lower_bound
+from repro.pathcover.paths import PathCover
 from repro.workloads.random_patterns import (
     RandomPatternConfig,
     generate_pattern,
+)
+
+from _reference_merge import (
+    reference_best_pair_merge,
+    reference_naive_merge,
 )
 
 #: Seeds of the differential corpus (sizes and shapes cycle per seed).
@@ -149,3 +158,63 @@ class TestPhase2MergingChain:
                 assert optimum.total_cost == cover_cost(
                     optimum.cover, pattern, self.M,
                     CostModel.STEADY_STATE)
+
+
+class TestMergersMatchReference:
+    """The incremental best-pair merge and the encoded naive merges
+    return exactly the all-pairs reference's ``MergeResult``: cover,
+    every step with its ``merged_cost``, and total."""
+
+    def corpus_covers(self):
+        """Each corpus pattern with its exact, greedy and finest cover."""
+        for seed in CORPUS_SEEDS:
+            pattern = corpus_pattern(seed)
+            yield seed, pattern, minimum_zero_cost_cover(pattern, 1).cover
+            yield seed, pattern, greedy_zero_cost_cover(
+                AccessGraph(pattern, 2))
+            yield seed, pattern, PathCover.finest(len(pattern))
+
+    @pytest.mark.parametrize("cost_model",
+                             [CostModel.INTRA, CostModel.STEADY_STATE])
+    def test_best_pair_over_the_corpus(self, cost_model):
+        merged = 0
+        for seed, pattern, cover in self.corpus_covers():
+            for k, m in ((1, 1), (2, 1), (3, 2)):
+                result = best_pair_merge(cover, k, pattern, m, cost_model)
+                assert result == reference_best_pair_merge(
+                    cover, k, pattern, m, cost_model), f"seed {seed}"
+                merged += bool(result.steps)
+        assert merged > 0
+
+    def test_best_pair_all_ties(self):
+        """Every pair merges at the same cost, so the whole order comes
+        from the (first_i, first_j) tie-break."""
+        pattern = pattern_from_offsets([0] * 8)
+        cover = PathCover.finest(8)
+        for k in (1, 3, 5):
+            result = best_pair_merge(cover, k, pattern, 1)
+            assert {step.merged_cost for step in result.steps} == {0}
+            assert result == reference_best_pair_merge(cover, k, pattern, 1)
+
+    def test_best_pair_with_free_deltas(self):
+        """The modify-register metric: extra free distances."""
+        pattern = pattern_from_offsets([0, 10, 20, 0, 10, 20, 5, -7])
+        cover = PathCover.finest(8)
+        for free_deltas in (frozenset({10}), frozenset({10, -20, -19}),
+                            frozenset({-5, 12, 7})):
+            for k in (1, 2, 3):
+                result = best_pair_merge(cover, k, pattern, 1,
+                                         free_deltas=free_deltas)
+                assert result == reference_best_pair_merge(
+                    cover, k, pattern, 1, free_deltas=free_deltas)
+
+    @pytest.mark.parametrize("strategy", sorted(NAIVE_STRATEGIES))
+    def test_naive_over_the_corpus(self, strategy):
+        for seed, pattern, cover in self.corpus_covers():
+            for k, m in ((1, 1), (2, 1), (3, 2)):
+                for cost_model in CostModel:
+                    result = naive_merge(cover, k, pattern, m, cost_model,
+                                         strategy=strategy, seed=seed)
+                    assert result == reference_naive_merge(
+                        cover, k, pattern, m, cost_model,
+                        strategy=strategy, seed=seed), f"seed {seed}"
