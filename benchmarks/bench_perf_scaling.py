@@ -169,7 +169,7 @@ def bench_batch_full_suite_parallel(benchmark, workers):
     report = run_once(
         benchmark,
         lambda: BatchCompiler(cache=InMemoryLRUCache(),
-                              n_workers=workers).compile(jobs))
+                              executor=f"local:{workers}").compile(jobs))
     assert report.n_jobs == len(jobs) and report.all_audits_ok
 
 
@@ -204,8 +204,8 @@ def bench_stats_grid_parallel(benchmark, workers):
     """EXP-S1 grid throughput vs process-pool width (cold cache)."""
     summary = run_once(
         benchmark,
-        lambda: run_statistical_comparison(_STATS_GRID,
-                                           n_workers=workers))
+        lambda: run_statistical_comparison(
+            _STATS_GRID, executor=f"local:{workers}"))
     assert len(summary.rows) == len(_STATS_GRID.grid())
     assert summary.n_points_compiled == len(_STATS_GRID.grid())
 
@@ -247,7 +247,8 @@ def bench_ablate_grid_parallel(benchmark, workers):
     config = get_experiment("pathcover").quick_config()
     summary = run_once(
         benchmark,
-        lambda: run_experiment("pathcover", config, n_workers=workers))
+        lambda: run_experiment("pathcover", config,
+                               executor=f"local:{workers}"))
     assert summary.n_points_compiled > 0
 
 
@@ -524,7 +525,7 @@ def bench_serve_latency_slo(benchmark):
 # Distributed execution service (-k cluster)
 # ----------------------------------------------------------------------
 @contextmanager
-def _worker_fleet(n_workers: int, **server_kwargs):
+def _worker_fleet(size: int, **server_kwargs):
     """A JobServer plus in-process worker threads (real TCP + framing,
     in-thread execution), so the benches measure protocol and
     scheduling overhead without fork noise.  Keyword arguments pass
@@ -536,7 +537,7 @@ def _worker_fleet(n_workers: int, **server_kwargs):
 
     with JobServer(**server_kwargs) as server:
         workers = [Worker(*server.address, poll=0.05)
-                   for _ in range(n_workers)]
+                   for _ in range(size)]
         threads = [threading.Thread(target=worker.run, daemon=True)
                    for worker in workers]
         for thread in threads:

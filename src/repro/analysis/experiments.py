@@ -27,12 +27,12 @@ compilation jobs, and every other experiment (EXP-S1, EXP-S3,
 EXP-A1..A3, EXP-O1, EXP-X1..X3) as the registered
 :class:`~repro.batch.jobs.ExperimentPointJob` points of
 :mod:`repro.analysis.points`, via :func:`run_experiment`.  Every
-registered ``run_*`` entry point therefore takes ``n_workers=``
-(process-pool fan-out), ``cache=`` (persistent, resumable point
-results), ``progress=`` (per-point streaming callback), and
-``executor=`` (an explicit execution backend -- ``"tcp://host:port"``
-runs the points on a multi-host worker fleet; see
-:func:`~repro.batch.engine.open_executor`).
+registered ``run_*`` entry point therefore takes ``executor=`` (where
+the points run: inline by default, ``"local:N"`` for an ``N``-process
+pool, ``"tcp://host:port"`` for a multi-host worker fleet; see
+:func:`~repro.batch.engine.open_executor`), ``cache=`` (persistent,
+resumable point results), and ``progress=`` (per-point streaming
+callback).
 """
 
 from __future__ import annotations
@@ -130,8 +130,7 @@ class StatisticalSummary:
 
 def run_statistical_comparison(
         config: StatisticalConfig | None = None, *,
-        n_workers: int = 1, cache=None,
-        progress=None, executor=None,
+        cache=None, progress=None, executor=None,
         trace=None) -> StatisticalSummary:
     """EXP-S1: reproduce the paper's ≈40 % average-reduction claim.
 
@@ -141,9 +140,9 @@ def run_statistical_comparison(
     :class:`StatisticalConfig`).  The summary is bit-identical for any
     worker count, any executor, and for cached re-runs.
     """
-    return run_experiment("stats", config, n_workers=n_workers,
-                          cache=cache, progress=progress,
-                          executor=executor, trace=trace)
+    return run_experiment("stats", config, cache=cache,
+                          progress=progress, executor=executor,
+                          trace=trace)
 
 
 def marginalize(summary, axis: str) -> list[StatisticalRow]:
@@ -194,8 +193,6 @@ class KernelComparisonConfig:
     cost_model: CostModel = CostModel.STEADY_STATE
     #: Iterations for the simulator audit of both programs.
     simulate_iterations: int = 32
-    #: Process-pool width of the underlying batch engine (1 = inline).
-    n_workers: int = 1
 
 
 @dataclass(frozen=True)
@@ -250,7 +247,7 @@ def run_kernel_comparison(
     jobs = jobs_from_kernels(
         names, config.spec, AllocatorConfig(cost_model=config.cost_model),
         n_iterations=config.simulate_iterations, include_baseline=True)
-    report = BatchCompiler(n_workers=config.n_workers).compile(jobs)
+    report = BatchCompiler().compile(jobs)
 
     rows: list[KernelComparisonRow] = []
     for result in report.results:
@@ -290,15 +287,15 @@ def run_kernel_comparison(
 # ======================================================================
 # The generic sharded experiment runner
 # ======================================================================
-def run_experiment(experiment: str, config=None, *, n_workers: int = 1,
-                   cache=None, progress=None, executor=None, trace=None):
+def run_experiment(experiment: str, config=None, *, cache=None,
+                   progress=None, executor=None, trace=None):
     """Run a registered experiment sharded through the batch engine.
 
     The uniform execution path behind every ``run_*`` ablation below:
     the experiment's points (see :mod:`repro.batch.registry` and
-    :mod:`repro.analysis.points`) fan out over ``n_workers`` processes
-    -- or over an explicit ``executor`` backend such as
-    ``"tcp://host:port"`` (a multi-host worker fleet; see
+    :mod:`repro.analysis.points`) fan out over the ``executor``
+    backend -- inline by default, ``"local:N"`` for a process pool,
+    ``"tcp://host:port"`` for a multi-host worker fleet (see
     :func:`~repro.batch.engine.open_executor`) -- via
     :class:`~repro.batch.engine.BatchCompiler`, every computed
     point is persisted to ``cache`` the moment it exists (interrupted
@@ -319,8 +316,7 @@ def run_experiment(experiment: str, config=None, *, n_workers: int = 1,
         config = definition.default_config()
     started = time.perf_counter()
     jobs = experiment_point_jobs(definition, config)
-    compiler = BatchCompiler(cache=cache, n_workers=n_workers,
-                             executor=executor, trace=trace)
+    compiler = BatchCompiler(cache=cache, executor=executor, trace=trace)
 
     results = [None] * len(jobs)
     done = 0
@@ -391,16 +387,15 @@ class PathCoverAblationSummary:
 
 def run_path_cover_ablation(
         config: PathCoverAblationConfig | None = None, *,
-        n_workers: int = 1, cache=None,
-        progress=None, executor=None) -> PathCoverAblationSummary:
+        cache=None, progress=None,
+        executor=None) -> PathCoverAblationSummary:
     """EXP-A1: how tight are the bounds, how costly is exactness.
 
     Sharded through the batch engine (see :func:`run_experiment`):
     one cacheable job per (N, M) grid point.
     """
-    return run_experiment("pathcover", config, n_workers=n_workers,
-                          cache=cache, progress=progress,
-                          executor=executor)
+    return run_experiment("pathcover", config, cache=cache,
+                          progress=progress, executor=executor)
 
 
 # ======================================================================
@@ -452,17 +447,16 @@ class CostModelAblationSummary:
 
 def run_cost_model_ablation(
         config: CostModelAblationConfig | None = None, *,
-        n_workers: int = 1, cache=None,
-        progress=None, executor=None) -> CostModelAblationSummary:
+        cache=None, progress=None,
+        executor=None) -> CostModelAblationSummary:
     """EXP-A2: merging with the literal intra-only ``C(P)`` leaves the
     wrap-around costs on the table; quantify how much.
 
     Sharded through the batch engine (see :func:`run_experiment`):
     one cacheable job per (N, M, K) grid point.
     """
-    return run_experiment("costmodel", config, n_workers=n_workers,
-                          cache=cache, progress=progress,
-                          executor=executor)
+    return run_experiment("costmodel", config, cache=cache,
+                          progress=progress, executor=executor)
 
 
 # ======================================================================
@@ -523,8 +517,8 @@ class MergingAblationSummary:
 
 def run_merging_ablation(
         config: MergingAblationConfig | None = None, *,
-        n_workers: int = 1, cache=None,
-        progress=None, executor=None) -> MergingAblationSummary:
+        cache=None, progress=None,
+        executor=None) -> MergingAblationSummary:
     """EXP-A3: position the paper's heuristic between naive and optimal.
 
     Sharded through the batch engine (see :func:`run_experiment`):
@@ -532,9 +526,8 @@ def run_merging_ablation(
     pattern and naive-baseline seeds (scheme on
     :class:`MergingAblationConfig`).
     """
-    return run_experiment("merging", config, n_workers=n_workers,
-                          cache=cache, progress=progress,
-                          executor=executor)
+    return run_experiment("merging", config, cache=cache,
+                          progress=progress, executor=executor)
 
 
 # ======================================================================
@@ -602,8 +595,8 @@ class OffsetComparisonSummary:
 
 def run_offset_comparison(
         config: OffsetComparisonConfig | None = None, *,
-        n_workers: int = 1, cache=None,
-        progress=None, executor=None) -> OffsetComparisonSummary:
+        cache=None, progress=None,
+        executor=None) -> OffsetComparisonSummary:
     """EXP-O1: SOA heuristics vs the OFU baseline (and GOA over k ARs).
 
     Context for the paper's "complementary" citation of refs [4, 5]:
@@ -612,9 +605,8 @@ def run_offset_comparison(
     the batch engine (see :func:`run_experiment`): one cacheable job
     per (V, length) grid point, covering its SOA row and GOA rows.
     """
-    return run_experiment("offset", config, n_workers=n_workers,
-                          cache=cache, progress=progress,
-                          executor=executor)
+    return run_experiment("offset", config, cache=cache,
+                          progress=progress, executor=executor)
 
 
 # ======================================================================
@@ -666,8 +658,8 @@ class ModRegAblationSummary:
 
 def run_modreg_ablation(
         config: ModRegAblationConfig | None = None, *,
-        n_workers: int = 1, cache=None,
-        progress=None, executor=None) -> ModRegAblationSummary:
+        cache=None, progress=None,
+        executor=None) -> ModRegAblationSummary:
     """EXP-X1: addressing cost vs the number of modify registers.
 
     Extension experiment (not in the paper): quantifies how much of the
@@ -678,9 +670,8 @@ def run_modreg_ablation(
     (N, K, MR) point; the reduction-vs-no-MR column is reassembled
     against each (N, K) pair's MR=0 point.
     """
-    return run_experiment("modreg", config, n_workers=n_workers,
-                          cache=cache, progress=progress,
-                          executor=executor)
+    return run_experiment("modreg", config, cache=cache,
+                          progress=progress, executor=executor)
 
 
 # ======================================================================
@@ -730,8 +721,8 @@ class ReorderAblationSummary:
 
 def run_reorder_ablation(
         config: ReorderAblationConfig | None = None, *,
-        n_workers: int = 1, cache=None,
-        progress=None, executor=None) -> ReorderAblationSummary:
+        cache=None, progress=None,
+        executor=None) -> ReorderAblationSummary:
     """EXP-X2: what scheduling freedom buys on top of the paper.
 
     Extension experiment (not in the paper): random patterns with
@@ -741,9 +732,8 @@ def run_reorder_ablation(
     batch engine (see :func:`run_experiment`): one cacheable job per
     (N, K) grid point.
     """
-    return run_experiment("reorder", config, n_workers=n_workers,
-                          cache=cache, progress=progress,
-                          executor=executor)
+    return run_experiment("reorder", config, cache=cache,
+                          progress=progress, executor=executor)
 
 
 # ======================================================================
@@ -793,8 +783,8 @@ class ArrayLayoutAblationSummary:
 
 def run_array_layout_ablation(
         config: ArrayLayoutAblationConfig | None = None, *,
-        n_workers: int = 1, cache=None,
-        progress=None, executor=None) -> ArrayLayoutAblationSummary:
+        cache=None, progress=None,
+        executor=None) -> ArrayLayoutAblationSummary:
     """EXP-X3: what choosing array base addresses buys.
 
     Extension experiment (ref [1]'s layout angle, not in the paper):
@@ -804,9 +794,8 @@ def run_array_layout_ablation(
     engine (see :func:`run_experiment`): one cacheable job per (N, K)
     grid point.
     """
-    return run_experiment("arraylayout", config, n_workers=n_workers,
-                          cache=cache, progress=progress,
-                          executor=executor)
+    return run_experiment("arraylayout", config, cache=cache,
+                          progress=progress, executor=executor)
 
 
 # ======================================================================
@@ -860,8 +849,8 @@ class DistributionSensitivitySummary:
 
 def run_distribution_sensitivity(
         config: DistributionSensitivityConfig | None = None, *,
-        n_workers: int = 1, cache=None,
-        progress=None, executor=None) -> DistributionSensitivitySummary:
+        cache=None, progress=None,
+        executor=None) -> DistributionSensitivitySummary:
     """EXP-S3: is the ≈40 % claim an artifact of one offset shape?
 
     Repeats EXP-S1 under every offset distribution of the random
@@ -871,9 +860,8 @@ def run_distribution_sensitivity(
     (distribution, N, M, K) point; ``progress`` counts points across
     all distributions.
     """
-    return run_experiment("distributions", config, n_workers=n_workers,
-                          cache=cache, progress=progress,
-                          executor=executor)
+    return run_experiment("distributions", config, cache=cache,
+                          progress=progress, executor=executor)
 
 
 def quick_statistical_config() -> StatisticalConfig:

@@ -217,7 +217,7 @@ class JobServer(FrameServer):
         it touches).
     heartbeat:
         Quiet-connection keepalive interval of the client result
-        stream.
+        stream, in seconds (> 0).
     idle_timeout:
         Seconds a connection may sit idle between frames before the
         server closes it (``None`` disables the timeout).  Size it
@@ -311,6 +311,9 @@ class JobServer(FrameServer):
         if lease_timeout <= 0:
             raise BatchError(
                 f"lease_timeout must be > 0 seconds, got {lease_timeout}")
+        if heartbeat <= 0:
+            raise BatchError(
+                f"heartbeat must be > 0 seconds, got {heartbeat}")
         if max_attempts < 1:
             raise BatchError(
                 f"max_attempts must be >= 1, got {max_attempts}")
@@ -885,8 +888,8 @@ class Worker:
     host, port:
         The job server to serve.
     poll:
-        Seconds one blocking lease request waits server-side before
-        answering "idle" (the worker then immediately re-polls).
+        Seconds (>= 0) one blocking lease request waits server-side
+        before answering "idle" (the worker then immediately re-polls).
     timeout:
         Per-request socket timeout; must exceed ``poll``.
     max_jobs:
@@ -933,6 +936,8 @@ class Worker:
         if not 1 <= int(port) <= 65535:
             raise BatchError(
                 f"job server port must be in 1..65535, got {port}")
+        if poll < 0:
+            raise BatchError(f"poll must be >= 0 seconds, got {poll}")
         if timeout <= poll:
             raise BatchError(
                 f"timeout ({timeout}) must exceed poll ({poll})")

@@ -8,8 +8,9 @@ and produces a :class:`BatchReport`.  Per job it either
   :mod:`repro.batch.digest`, so *what* is compiled, not what it is
   called, decides -- or
 * compiles through :func:`repro.core.pipeline.compile_kernel`, on the
-  calling process (``n_workers=1``) or a ``concurrent.futures`` process
-  pool, and stores the summary back into the cache.
+  calling process (``executor="inline"``, the default) or a
+  ``concurrent.futures`` process pool (``executor="local:N"``), and
+  stores the summary back into the cache.
 
 Identical jobs inside one batch (same digest) are compiled once and
 fanned back out to every slot, so a sweep that repeats a configuration
@@ -299,8 +300,8 @@ class _InlineStream(ExecutionStream):
 class InlineExecutor(Executor):
     """Run every job serially on the calling process.
 
-    The ``n_workers=1`` backend: deterministic ordering, no fork cost,
-    and exceptions keep their original tracebacks.
+    The default backend: deterministic ordering, no fork cost, and
+    exceptions keep their original tracebacks.
 
     Example::
 
@@ -361,11 +362,11 @@ class LocalPoolExecutor(Executor):
         >>> compiler = BatchCompiler(executor=LocalPoolExecutor(4))
     """
 
-    def __init__(self, n_workers: int):
-        if n_workers < 1:
+    def __init__(self, width: int):
+        if width < 1:
             raise BatchError(
-                f"n_workers must be >= 1, got {n_workers}")
-        self.n_workers = n_workers
+                f"a local pool needs a worker count >= 1, got {width}")
+        self.n_workers = width
 
     def run(self, jobs: Sequence) -> ExecutionStream:
         """Fan ``jobs`` out over the pool (single-job batches run
@@ -429,10 +430,14 @@ def open_executor(spec) -> Executor:
         except ValueError:
             raise BatchError(
                 f"invalid worker count in executor spec {text!r}")
+        if width < 1:
+            raise BatchError(
+                f"executor spec {text!r} needs a worker count >= 1")
         return LocalPoolExecutor(width)
+    hint = f"; did you mean 'local:{text}'?" if text.isdigit() else ""
     raise BatchError(
         f"unknown executor spec {text!r} (expected inline, local[:N], "
-        f"or tcp://HOST:PORT)")
+        f"or tcp://HOST:PORT{hint})")
 
 
 @dataclass(frozen=True)
@@ -560,16 +565,12 @@ class BatchCompiler:
         :class:`~repro.batch.cache.ShardedDirectoryCache` (for example
         ``open_cache("dir:results/cache")``) to persist across process
         restarts.
-    n_workers:
-        Process-pool width for cache misses; ``1`` compiles inline on
-        the calling process (deterministic ordering, no fork cost).
-        Shorthand for the matching local :class:`Executor`.
     executor:
-        An explicit execution backend -- an :class:`Executor` instance
-        or an :func:`open_executor` spec string such as
-        ``"tcp://host:port"`` for a multi-host worker fleet.  Mutually
-        exclusive with a non-default ``n_workers`` (an executor carries
-        its own width).
+        Where cache misses execute -- an :class:`Executor` instance or
+        an :func:`open_executor` spec string: ``"local:N"`` for an
+        ``N``-process pool, ``"tcp://host:port"`` for a multi-host
+        worker fleet.  ``None`` (the default) compiles inline on the
+        calling process (deterministic ordering, no fork cost).
     trace:
         Trace sink (path, stream, or a shared
         :class:`~repro.batch.trace.Tracer`): the engine emits
@@ -579,20 +580,12 @@ class BatchCompiler:
         tracing at zero cost.
     """
 
-    def __init__(self, *, cache=None, n_workers: int = 1,
+    def __init__(self, *, cache=None,
                  executor: Executor | str | None = None,
                  trace=None):
-        if n_workers < 1:
-            raise BatchError(f"n_workers must be >= 1, got {n_workers}")
-        if executor is not None and n_workers != 1:
-            raise BatchError(
-                "pass either n_workers or executor, not both (an "
-                "executor carries its own parallelism width)")
         self.cache = cache if cache is not None else InMemoryLRUCache()
-        if executor is None:
-            executor = InlineExecutor() if n_workers == 1 \
-                else LocalPoolExecutor(n_workers)
-        self.executor = open_executor(executor)
+        self.executor = InlineExecutor() if executor is None \
+            else open_executor(executor)
         self.trace = open_tracer(trace, source="engine")
 
     @property

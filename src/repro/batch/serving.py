@@ -87,6 +87,9 @@ MAX_SOURCE_BYTES = 64 * 1024
 MAX_ACCESSES = 256
 #: Declared arrays.
 MAX_ARRAYS = 32
+#: Entry bound of the warm in-process LRU tier in front of the result
+#: store.
+WARM_CAPACITY = 4096
 
 
 class ServerBusyError(BatchError):
@@ -186,16 +189,17 @@ class CompileService(FrameServer):
         spec string (``dir:PATH``, ``tcp://HOST:PORT``, ...).  ``None``
         serves from the warm LRU alone.  Whatever is given is wrapped
         in a :class:`~repro.batch.cache.TieredCache` of
-        ``warm_capacity`` entries, so hot kernels never touch the
+        :data:`WARM_CAPACITY` entries, so hot kernels never touch the
         backing store.
     host, port, idle_timeout:
         As for :class:`~repro.batch.service.FrameServer`.
-    executor, n_workers:
+    executor:
         Where cache misses compile -- the same seam as
         :class:`~repro.batch.engine.BatchCompiler` (which is what runs
-        underneath): inline, a local process pool, or a
-        ``tcp://HOST:PORT`` worker fleet.  Mutually exclusive, like
-        the engine's own arguments.
+        underneath): an :class:`~repro.batch.engine.Executor` or an
+        ``open_executor`` spec -- ``"local:N"`` for a process pool,
+        ``"tcp://HOST:PORT"`` for a worker fleet.  ``None`` (the
+        default) compiles inline.
     batch_window:
         Seconds the dispatcher waits, after the first queued request,
         for more requests to coalesce into one engine batch.  Bounds
@@ -207,8 +211,6 @@ class CompileService(FrameServer):
         Bound of the in-flight queue -- admission control.  A request
         arriving with ``max_pending`` compiles already queued is
         answered with a ``busy`` error frame instead of queueing.
-    warm_capacity:
-        Entry bound of the warm in-process LRU tier.
 
     Run blocking with :meth:`serve_forever` (the CLI does) or on a
     background thread via :meth:`start` / the context-manager form
@@ -244,9 +246,8 @@ class CompileService(FrameServer):
     def __init__(self, cache: CacheBackend | str | None = None, *,
                  host: str = "127.0.0.1", port: int = 0,
                  executor: Executor | str | None = None,
-                 n_workers: int = 1,
                  batch_window: float = 0.005, max_batch: int = 16,
-                 max_pending: int = 64, warm_capacity: int = 4096,
+                 max_pending: int = 64,
                  idle_timeout: float | None = 300.0):
         if batch_window < 0:
             raise BatchError(
@@ -258,11 +259,10 @@ class CompileService(FrameServer):
             raise BatchError(
                 f"max_pending must be >= 1, got {max_pending}")
         backend = open_cache(cache) if isinstance(cache, str) else cache
-        self.cache = TieredCache(backend, capacity=warm_capacity)
+        self.cache = TieredCache(backend, capacity=WARM_CAPACITY)
         # The compiler is driven only by the dispatcher thread; the
         # (thread-safe) tiered cache is what handler threads share.
         self._compiler = BatchCompiler(cache=self.cache,
-                                       n_workers=n_workers,
                                        executor=executor)
         self.batch_window = float(batch_window)
         self.max_batch = int(max_batch)

@@ -89,28 +89,12 @@ def _spec_from_args(args: argparse.Namespace) -> AguSpec:
                    args.modify_range if args.modify_range is not None else 1)
 
 
-def _executor_from_args(args: argparse.Namespace):
-    """The ``executor=`` value for a batch-engine entry point.
-
-    ``--executor`` and a non-default ``-j/--workers`` are mutually
-    exclusive (an executor spec carries its own parallelism width);
-    reject the combination here with CLI-flavored wording instead of
-    letting the engine's generic error surface.
-    """
-    if args.executor is not None and args.workers != 1:
-        raise ReproError(
-            "--executor and -j/--workers are mutually exclusive: an "
-            "executor spec carries its own width (use --executor "
-            f"local:{args.workers} for a local pool)")
-    return args.executor
-
-
 def _add_executor_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--executor", default=None,
-                        help="execution backend: inline, local:N "
-                             "(process pool), or tcp://HOST:PORT (a "
-                             "running job-serve with workers); "
-                             "overrides -j/--workers")
+                        help="execution backend: inline (the "
+                             "default), local:N (an N-process pool), "
+                             "or tcp://HOST:PORT (a running job-serve "
+                             "with workers)")
 
 
 def _add_trace_argument(parser: argparse.ArgumentParser) -> None:
@@ -300,8 +284,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                                n_iterations=args.iterations,
                                include_baseline=args.baseline)
     cache = open_cache(args.cache) if args.cache else None
-    compiler = BatchCompiler(cache=cache, n_workers=args.workers,
-                             executor=_executor_from_args(args),
+    compiler = BatchCompiler(cache=cache, executor=args.executor,
                              trace=args.trace)
     report = compiler.compile(jobs)
     title = f"batch: {args.kernels or args.suite} on {spec}"
@@ -396,10 +379,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         service = CompileService(
             args.cache, host=args.host, port=args.port,
-            executor=_executor_from_args(args), n_workers=args.workers,
+            executor=args.executor,
             batch_window=args.batch_window, max_batch=args.max_batch,
             max_pending=args.max_pending,
-            warm_capacity=args.warm_capacity,
             idle_timeout=args.idle_timeout or None)
     except OSError as error:
         # Port in use, unresolvable host, privileged port, ...
@@ -550,7 +532,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
 def _run_and_print(args: argparse.Namespace, definition, config,
                    unit: str = "point") -> int:
     """Run a registered experiment sharded through the batch engine as
-    the CLI flags ask (workers, executor, cache, progress, trace), then
+    the CLI flags ask (executor, cache, progress, trace), then
     print its tables, headline, and point accounting."""
     from repro.analysis.experiments import run_experiment
     from repro.batch.cache import open_cache
@@ -561,10 +543,10 @@ def _run_and_print(args: argparse.Namespace, definition, config,
         print(f"[{done}/{total}] {result.name} [{state}]", flush=True)
 
     summary = run_experiment(
-        definition.experiment, config, n_workers=args.workers,
+        definition.experiment, config,
         cache=open_cache(args.cache) if args.cache else None,
         progress=None if args.no_progress else progress,
-        executor=_executor_from_args(args), trace=args.trace)
+        executor=args.executor, trace=args.trace)
 
     print()
     if definition.render is not None:
@@ -577,7 +559,7 @@ def _run_and_print(args: argparse.Namespace, definition, config,
           f"{summary.n_points_compiled} compiled, "
           f"{summary.n_points_cached} cache hit(s); "
           f"{summary.elapsed_seconds:.3f} s on "
-          f"{args.executor or f'{args.workers} worker(s)'}")
+          f"{args.executor or 'inline'}")
     if args.json:
         path = reports.save_report(summary, args.json)
         print(f"(report saved to {path})")
@@ -695,9 +677,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    "(overrides --suite; see the "
                                    "'kernels' subcommand)")
     _add_spec_arguments(batch_parser)
-    batch_parser.add_argument("-j", "--workers", type=int, default=1,
-                              help="process-pool width (default 1: "
-                                   "compile inline)")
     _add_executor_argument(batch_parser)
     batch_parser.add_argument("--cache", default=None,
                               help="result cache spec: a directory "
@@ -740,9 +719,6 @@ def build_parser() -> argparse.ArgumentParser:
     stats_parser.add_argument("--distribution", default=None,
                               choices=sorted(DISTRIBUTIONS),
                               help="offset distribution")
-    stats_parser.add_argument("-j", "--workers", type=int, default=1,
-                              help="process-pool width (default 1: "
-                                   "compute inline)")
     _add_executor_argument(stats_parser)
     stats_parser.add_argument("--cache", default=None,
                               help="grid-point cache: a directory "
@@ -774,9 +750,6 @@ def build_parser() -> argparse.ArgumentParser:
                                help="override a config field (repeatable; "
                                     "grid axes take comma-separated "
                                     "values, e.g. --set n_values=8,12)")
-    ablate_parser.add_argument("-j", "--workers", type=int, default=1,
-                               help="process-pool width (default 1: "
-                                    "compute inline)")
     _add_executor_argument(ablate_parser)
     ablate_parser.add_argument("--cache", default=None,
                                help="point cache: a directory "
@@ -890,10 +863,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8743,
         help="TCP port (default 8743; 0 picks an ephemeral port, "
              "printed on startup)")
-    compile_serve_parser.add_argument(
-        "-j", "--workers", type=int, default=1,
-        help="process-pool width for cache misses (default 1: "
-             "compile inline)")
     _add_executor_argument(compile_serve_parser)
     compile_serve_parser.add_argument(
         "--batch-window", type=float, default=0.005,
@@ -906,9 +875,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-pending", type=int, default=64,
         help="bound of the in-flight queue; further requests get an "
              "explicit busy rejection (default 64)")
-    compile_serve_parser.add_argument(
-        "--warm-capacity", type=int, default=4096,
-        help="entries in the warm in-process cache tier (default 4096)")
     compile_serve_parser.add_argument(
         "--idle-timeout", type=float, default=300.0,
         help="seconds an idle connection may sit between requests "

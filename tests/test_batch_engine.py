@@ -111,7 +111,7 @@ class TestJobFactories:
 class TestBatchCompiler:
     def test_rejects_non_positive_workers(self):
         with pytest.raises(BatchError):
-            BatchCompiler(n_workers=0)
+            BatchCompiler(executor="local:0")
 
     def test_compile_a_named_suite(self):
         report = BatchCompiler().compile(
@@ -122,8 +122,8 @@ class TestBatchCompiler:
     def test_parallel_equals_inline(self):
         """Differential: the process pool changes wall time only."""
         jobs = jobs_from_suite("core8", SPEC, n_iterations=4)
-        inline = BatchCompiler(n_workers=1).compile(jobs)
-        pooled = BatchCompiler(n_workers=2).compile(jobs)
+        inline = BatchCompiler().compile(jobs)
+        pooled = BatchCompiler(executor="local:2").compile(jobs)
         assert pooled.n_workers == 2
         for lhs, rhs in zip(inline.results, pooled.results):
             assert lhs.name == rhs.name

@@ -523,7 +523,7 @@ class TestRemoteDifferential:
                 as server:
             for workers in (1, 2):
                 remote = run_statistical_comparison(
-                    GRID, n_workers=workers,
+                    GRID, executor=f"local:{workers}",
                     cache=open_cache(server.endpoint))
                 assert remote.rows == baseline.rows
                 assert remote.average_reduction_pct \
@@ -539,7 +539,7 @@ class TestRemoteDifferential:
                 GRID, cache=open_cache(server.endpoint))
             assert first.n_points_compiled == len(GRID.grid())
             second = run_statistical_comparison(
-                GRID, n_workers=2, cache=open_cache(server.endpoint))
+                GRID, executor="local:2", cache=open_cache(server.endpoint))
             assert second.n_points_compiled == 0
             assert second.n_points_cached == len(GRID.grid())
             assert second.rows == baseline.rows

@@ -108,7 +108,7 @@ class TestBatch:
                      "--cache", cache]) == 0
         capsys.readouterr()
         assert main(["batch", "--suite", "core8", "--iterations", "2",
-                     "--cache", cache, "--workers", "2"]) == 0
+                     "--cache", cache, "--executor", "local:2"]) == 0
         out = capsys.readouterr().out
         assert "0 compiled, 8 cache hit(s)" in out
 
@@ -123,6 +123,19 @@ class TestBatch:
     def test_unknown_suite_fails_cleanly(self, capsys):
         assert main(["batch", "--suite", "nope"]) == 1
         assert "unknown suite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["batch", "stats", "ablate", "serve"])
+def test_executor_is_the_one_placement_flag(command, capsys):
+    """Where jobs run is chosen by --executor alone: no -j/--workers
+    shorthand, and serve's warm tier has no size flag."""
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert "--executor" in out and "local:N" in out
+    for removed in ("[-j", "--workers", "--warm-capacity"):
+        assert removed not in out
 
 
 class TestStats:
@@ -147,8 +160,8 @@ class TestStats:
         cache = str(tmp_path / "grid-cache")
         assert main([*self.TINY, "--cache", cache]) == 0
         capsys.readouterr()
-        assert main([*self.TINY, "--cache", cache, "--workers",
-                     "2"]) == 0
+        assert main([*self.TINY, "--cache", cache, "--executor",
+                     "local:2"]) == 0
         out = capsys.readouterr().out
         assert "0 compiled, 2 cache hit(s)" in out
         assert "[cached]" in out
@@ -188,8 +201,8 @@ class TestAblate:
         cache = str(tmp_path / "point-cache")
         assert main([*self.TINY, "--cache", cache]) == 0
         capsys.readouterr()
-        assert main([*self.TINY, "--cache", cache, "--workers",
-                     "2"]) == 0
+        assert main([*self.TINY, "--cache", cache, "--executor",
+                     "local:2"]) == 0
         out = capsys.readouterr().out
         assert "0 compiled, 2 cache hit(s)" in out
         assert "[cached]" in out
@@ -303,7 +316,7 @@ class TestCacheServe:
             first = capsys.readouterr().out
             assert "2 grid point(s): 2 compiled" in first
             assert main([*TestStats.TINY, "--cache", spec,
-                         "--workers", "2"]) == 0
+                         "--executor", "local:2"]) == 0
             second = capsys.readouterr().out
             assert "0 compiled, 2 cache hit(s)" in second
             assert "[cached]" in second

@@ -126,6 +126,19 @@ class TestSpecParsing:
         with pytest.raises(BatchError):
             open_executor(spec)
 
+    @pytest.mark.parametrize("spec, message", [
+        ("local:0", "executor spec 'local:0' needs a worker count >= 1"),
+        ("local:-2", "executor spec 'local:-2' needs a worker count >= 1"),
+        ("4", "did you mean 'local:4'"),
+    ])
+    def test_bad_spec_errors_name_the_spec(self, spec, message):
+        """Errors quote what the caller typed; a bare worker count
+        points at the ``local:N`` spelling."""
+        with pytest.raises(BatchError) as caught:
+            open_executor(spec)
+        assert message in str(caught.value)
+        assert "n_workers" not in str(caught.value)
+
     def test_parse_endpoint_options(self):
         host, port, options = parse_endpoint(
             "tcp://[::1]:9000?timeout=2.5", {"timeout": float})
@@ -146,10 +159,6 @@ class TestSpecParsing:
             ClusterExecutor("h", 0)
         with pytest.raises(BatchError):
             ClusterExecutor("h", 80, timeout=0)
-
-    def test_compiler_rejects_workers_plus_executor(self):
-        with pytest.raises(BatchError):
-            BatchCompiler(n_workers=2, executor="inline")
 
     def test_compiler_accepts_spec_strings(self):
         report = BatchCompiler(executor="inline").compile(suite_jobs(2))
@@ -238,6 +247,11 @@ class TestProtocol:
             JobServer(max_attempts=0)
         with pytest.raises(BatchError):
             JobServer(idle_timeout=0)
+        # A negative heartbeat would crash the result-stream loop's
+        # events.get(timeout=...); zero would busy-loop it.
+        for heartbeat in (0.0, -1.0):
+            with pytest.raises(BatchError, match="heartbeat"):
+                JobServer(heartbeat=heartbeat, auto_reap=False)
 
     def test_fleet_keeps_working_while_silent_peers_are_dropped(self):
         """A connection that never speaks is dropped after
@@ -678,7 +692,8 @@ class TestStatisticalGridAcrossExecutors:
 
     def test_summary_bit_identical_across_executors(self, tmp_path):
         inline = run_statistical_comparison(self.CONFIG)
-        pooled = run_statistical_comparison(self.CONFIG, n_workers=2)
+        pooled = run_statistical_comparison(self.CONFIG,
+                                            executor="local:2")
         with thread_fleet(n_workers=2) as server:
             clustered = run_statistical_comparison(
                 self.CONFIG,
@@ -903,6 +918,10 @@ class TestWorkerLoop:
             Worker("h", 0)
         with pytest.raises(BatchError):
             Worker("h", 80, poll=5.0, timeout=5.0)
+        # The server refuses a negative lease wait, so such a worker
+        # would die on its first lease.
+        with pytest.raises(BatchError, match="poll"):
+            Worker("h", 80, poll=-1.0)
 
 
 class TestWorkerCli:
@@ -925,14 +944,6 @@ class TestWorkerCli:
         assert process.returncode == 0
         assert "[executed] cli-job" in out
         assert "worker stopped; 1 job(s) executed" in out
-
-    def test_executor_and_workers_flags_are_exclusive(self, capsys):
-        from repro.cli.main import main
-
-        assert main(["stats", "--quick", "--executor", "inline",
-                     "-j", "2"]) == 1
-        err = capsys.readouterr().err
-        assert "mutually exclusive" in err
 
     def test_stats_cli_through_executor_spec(self, capsys):
         """`--executor local:2` drives the same code path as a cluster

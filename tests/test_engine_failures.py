@@ -157,7 +157,7 @@ class TestCrashingJobInline:
         assert caught.value.digest is not None
 
     def test_configuration_errors_keep_a_bare_batch_error(self):
-        error = BatchError("n_workers must be >= 1")
+        error = BatchError("max_batch must be >= 1, got 0")
         assert error.job_name is None and error.digest is None
 
     def test_salvage_failure_does_not_mask_the_culprit(self, caplog):
@@ -185,7 +185,7 @@ class TestCrashingJobPooled:
         store = ShardedDirectoryCache(tmp_path / "store")
         with pytest.raises(BatchError) as caught:
             for _ in BatchCompiler(cache=store,
-                                   n_workers=2).as_completed(jobs):
+                                   executor="local:2").as_completed(jobs):
                 pass
         assert caught.value.job_name == "poison"
 
@@ -206,7 +206,7 @@ class TestCrashingJobPooled:
 
     def test_pooled_compile_names_the_failing_job(self):
         with pytest.raises(BatchError) as caught:
-            BatchCompiler(n_workers=2).compile(
+            BatchCompiler(executor="local:2").compile(
                 [*good_jobs(3), CrashingJob(name="poison")])
         assert caught.value.job_name == "poison"
         assert isinstance(caught.value.__cause__, RuntimeError)
@@ -220,7 +220,7 @@ class TestCrashingJobPooled:
         survivors = good_jobs(4)
         store = ShardedDirectoryCache(tmp_path / "store")
         with pytest.raises(BatchError):
-            BatchCompiler(cache=store, n_workers=workers).compile(
+            BatchCompiler(cache=store, executor=f"local:{workers}").compile(
                 [*survivors, CrashingJob(name="poison")])
         assert len(store) >= 1
         resumed = BatchCompiler(
@@ -261,7 +261,7 @@ class TestBrokenProcessPool:
         jobs = [WorkerKillerJob(name="killer"), *good_jobs(2)]
         with pytest.raises(BatchError) as caught:
             for _ in BatchCompiler(cache=store,
-                                   n_workers=2).as_completed(jobs):
+                                   executor="local:2").as_completed(jobs):
                 pass
         # Every victim future carries BrokenProcessPool; whichever
         # surfaces first is named -- hedged as "in flight", since the
@@ -273,10 +273,10 @@ class TestBrokenProcessPool:
 
     def test_engine_usable_after_a_broken_pool(self):
         with pytest.raises(BatchError):
-            BatchCompiler(n_workers=2).compile(
+            BatchCompiler(executor="local:2").compile(
                 [WorkerKillerJob(name="killer"), *good_jobs(2)])
         # The pool was shut down, not orphaned: a fresh run works.
-        report = BatchCompiler(n_workers=2).compile(good_jobs(4))
+        report = BatchCompiler(executor="local:2").compile(good_jobs(4))
         assert report.n_jobs == 4 and report.all_audits_ok
 
 
@@ -301,7 +301,7 @@ class TestKeyboardInterrupt:
     def test_interrupt_then_resume(self, tmp_path, workers):
         jobs = good_jobs(6)
         store = ShardedDirectoryCache(tmp_path / "store")
-        compiler = BatchCompiler(cache=store, n_workers=workers)
+        compiler = BatchCompiler(cache=store, executor=f"local:{workers}")
         delivered = self.interrupt_after(compiler, jobs, 2)
         assert delivered == 2
         # Everything delivered (plus any in-flight completion the
@@ -309,7 +309,7 @@ class TestKeyboardInterrupt:
         assert len(store) >= delivered
         resumed = BatchCompiler(
             cache=ShardedDirectoryCache(store.root),
-            n_workers=workers).compile(jobs)
+            executor=f"local:{workers}").compile(jobs)
         assert resumed.n_cache_hits >= delivered
         assert resumed.n_compiled <= len(jobs) - delivered
         fresh = BatchCompiler().compile(jobs)
@@ -326,7 +326,7 @@ class TestKeyboardInterrupt:
         survivors = good_jobs(4)
         store = ShardedDirectoryCache(tmp_path / "store")
         with pytest.raises(KeyboardInterrupt):
-            BatchCompiler(cache=store, n_workers=workers).compile(
+            BatchCompiler(cache=store, executor=f"local:{workers}").compile(
                 [*survivors, InterruptingJob(name="ctrl-c")])
         assert len(store) >= 1
         resumed = BatchCompiler(
@@ -351,7 +351,7 @@ class TestKeyboardInterrupt:
 
         store.put = interrupt_second_put
         with pytest.raises(KeyboardInterrupt):
-            BatchCompiler(cache=store, n_workers=2).compile(jobs)
+            BatchCompiler(cache=store, executor="local:2").compile(jobs)
         stored = len(store)
         assert stored >= 1
         resumed = BatchCompiler(

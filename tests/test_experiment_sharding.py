@@ -240,7 +240,7 @@ class TestBitIdentity:
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
     def test_bit_identical_across_worker_counts(self, experiment):
         parallel = run_experiment(experiment, tiny_config(experiment),
-                                  n_workers=2)
+                                  executor="local:2")
         assert normalize_summary(parallel) \
             == normalize_summary(baseline_summary(experiment))
         assert parallel.n_points_cached == 0

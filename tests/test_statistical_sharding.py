@@ -158,7 +158,7 @@ class TestStreamingEngine:
 
     def test_as_completed_covers_every_slot_once(self):
         jobs = jobs_from_suite("core8", self.SPEC, n_iterations=4)
-        compiler = BatchCompiler(n_workers=2)
+        compiler = BatchCompiler(executor="local:2")
         streamed = dict(compiler.as_completed(jobs))
         assert sorted(streamed) == list(range(len(jobs)))
         assert {result.name for result in streamed.values()} \
@@ -173,13 +173,13 @@ class TestStreamingEngine:
 
     def test_pooled_compile_preserves_job_order(self):
         jobs = jobs_from_suite("core8", self.SPEC, n_iterations=4)
-        compiler = BatchCompiler(n_workers=2)
+        compiler = BatchCompiler(executor="local:2")
         names = [result.name for result in compiler.compile(jobs).results]
         assert names == [job.name for job in jobs]
 
     def test_streaming_matches_compile(self):
         jobs = jobs_from_suite("core8", self.SPEC, n_iterations=4)
-        slots = dict(BatchCompiler(n_workers=2).as_completed(jobs))
+        slots = dict(BatchCompiler(executor="local:2").as_completed(jobs))
         streamed = [slots[index] for index in range(len(jobs))]
         compiled = BatchCompiler().compile(jobs).results
         assert [(r.name, r.total_cost, r.k_tilde) for r in streamed] \

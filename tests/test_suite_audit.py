@@ -23,7 +23,7 @@ from repro.workloads.suite import SUITES
 @pytest.fixture(scope="module")
 def full_suite_runs():
     """The full suite compiled twice on one compiler, >= 2 workers."""
-    compiler = BatchCompiler(n_workers=2)
+    compiler = BatchCompiler(executor="local:2")
     jobs = jobs_from_suite("full", AguSpec(4, 1), n_iterations=4)
     first = compiler.compile(jobs)
     second = compiler.compile(jobs)
