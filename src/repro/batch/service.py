@@ -352,6 +352,12 @@ class FrameServer:
         return format_endpoint(*self.address)
 
     # -- connections (handler threads) ---------------------------------
+    @property
+    def n_connections(self) -> int:
+        """Number of client connections open right now."""
+        with self._connections_lock:
+            return len(self._connections)
+
     def track_connection(self, sock: socket.socket,
                          alive: bool) -> None:
         """Handler bookkeeping so :meth:`shutdown` can close live

@@ -17,7 +17,8 @@ The service is three thin layers over machinery that already exists:
    server in the batch layer.
 2. **Micro-batcher** -- one dispatcher thread collects the requests
    that arrive within a small window (``batch_window`` seconds, up to
-   ``max_batch`` requests) and runs them as *one*
+   ``max_batch`` requests; no wait while only one client is connected)
+   and runs them as *one*
    :class:`~repro.batch.engine.BatchCompiler` batch through the
    existing :class:`~repro.batch.engine.Executor` seam.  Concurrent
    load therefore reuses the digest dedup, the cache orchestration,
@@ -204,7 +205,9 @@ class CompileService(FrameServer):
         Seconds the dispatcher waits, after the first queued request,
         for more requests to coalesce into one engine batch.  Bounds
         the latency cost of micro-batching; ``0`` batches only what
-        is already queued.
+        is already queued.  While at most one client connection is
+        open the dispatcher does not wait: a lone client has no one
+        to batch with.
     max_batch:
         Upper bound on requests per micro-batch.
     max_pending:
@@ -473,13 +476,14 @@ class CompileService(FrameServer):
                     break
                 continue
             batch = [first]
-            deadline = time.monotonic() + self.batch_window
+            # A lone client has no one to batch with: waiting would only
+            # delay it.  Requests already queued still join the batch.
+            window = self.batch_window if self.n_connections > 1 else 0.0
+            deadline = time.monotonic() + window
             while len(batch) < self.max_batch:
                 remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
                 try:
-                    entry = self._queue.get(timeout=remaining)
+                    entry = self._queue.get(timeout=max(0.0, remaining))
                 except queue.Empty:
                     break
                 if entry is None:

@@ -14,13 +14,23 @@ A zero-cost allocation of all accesses to ``K`` registers corresponds to
 covering the intra-iteration graph with ``K`` node-disjoint paths whose
 wrap-around (last node back to first node) is also an inter-iteration
 edge -- see :mod:`repro.pathcover`.
+
+Representation: the graph stores one integer bitmask per node for each
+edge kind -- ``succ_bits[p]`` holds the free intra successors of ``p``
+and ``wrap_bits[q]`` the free wrap targets of ``q`` -- plus
+``max_wrap_source``, the latest free wrap source of every node.  Phase 1
+reads these directly (one shift-and-test per edge probe).  The edge sets
+and neighbour tuples (:attr:`AccessGraph.intra_edges`,
+:meth:`AccessGraph.successors`, ...) are derived from the bitmasks the
+first time they are read, so a memoized graph that only ever feeds the
+solvers never holds them.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 from repro.errors import GraphError
@@ -45,6 +55,20 @@ class AccessGraph:
         The loop iteration's access sequence (carries the loop step).
     modify_range:
         The AGU auto-modify range ``M``.
+
+    Attributes
+    ----------
+    succ_bits:
+        ``succ_bits[p]`` has bit ``q`` set iff the intra edge
+        ``p -> q`` is free.
+    wrap_bits:
+        ``wrap_bits[q]`` has bit ``p`` set iff the wrap-around
+        ``q -> p`` is free.
+    max_wrap_source:
+        ``max_wrap_source[p]``: the latest position whose wrap-around
+        to ``p`` is free, or -1 when none is.
+    offsets:
+        The constant index offset of every access, in program order.
     """
 
     def __init__(self, pattern: AccessPattern, modify_range: int):
@@ -59,62 +83,57 @@ class AccessGraph:
         # accesses to the same array with the same index coefficient
         # (intra distances additionally require the same loop variable
         # when the coefficient is non-zero).  Edges therefore only ever
-        # connect group members whose offsets fall within a +-M window,
-        # which a per-group offset sort + bisect enumerates in
-        # O(E + n log n) instead of the naive O(n^2) distance tests.
-        intra_groups: dict[tuple, list[int]] = {}
-        inter_groups: dict[tuple[str, int], list[int]] = {}
+        # connect group members whose offsets fall within a +-M window.
+        # Sorting a group by offset turns every window into a slice,
+        # and prefix ORs of the members' bits turn a slice into one
+        # bitmask: O(n log n) big-integer operations per graph.
+        groups: dict[tuple[str, int], list[int]] = {}
         offsets = [0] * n
         for position, access in enumerate(pattern):
             offsets[position] = access.offset
-            coefficient = access.coefficient
-            variable = access.index.var if coefficient != 0 else None
-            intra_groups.setdefault(
-                (access.array, coefficient, variable), []).append(position)
-            inter_groups.setdefault(
-                (access.array, coefficient), []).append(position)
+            groups.setdefault(access.group_key, []).append(position)
 
-        successors: list[list[int]] = [[] for _ in range(n)]
-        predecessors: list[list[int]] = [[] for _ in range(n)]
-        for positions in intra_groups.values():
-            by_offset = sorted((offsets[p], p) for p in positions)
-            sorted_offsets = [offset for offset, _ in by_offset]
-            for offset, p in by_offset:
-                low = bisect_left(sorted_offsets, offset - modify_range)
-                high = bisect_right(sorted_offsets, offset + modify_range)
-                for index in range(low, high):
-                    q = by_offset[index][1]
-                    if q > p:
-                        successors[p].append(q)
-                        predecessors[q].append(p)
-
-        inter: set[tuple[int, int]] = set()
+        succ_bits = [0] * n
+        wrap_bits = [0] * n
+        max_wrap_source = [-1] * n
         step = pattern.step
-        for (_array, coefficient), positions in inter_groups.items():
+        for (_array, coefficient), positions in groups.items():
             by_offset = sorted((offsets[p], p) for p in positions)
             sorted_offsets = [offset for offset, _ in by_offset]
-            # wrap distance q -> p is c*S + offset_p - offset_q; it is
-            # free iff offset_p lands in [offset_q - c*S -+ M].
+            prefix = [0]
+            for _offset, p in by_offset:
+                prefix.append(prefix[-1] | 1 << p)
+            # Intra edges also need a common loop variable, so a
+            # coefficient-c group splits by variable; c = 0 does not.
+            same_variable = _variable_masks(pattern, positions) \
+                if coefficient != 0 else None
+            # The wrap distance q -> p is c*S + offset_p - offset_q; it
+            # is free iff offset_p lies within M of offset_q - c*S.
             home = coefficient * step
-            for offset, q in by_offset:
-                low = bisect_left(sorted_offsets,
-                                  offset - home - modify_range)
-                high = bisect_right(sorted_offsets,
-                                    offset - home + modify_range)
-                for index in range(low, high):
-                    inter.add((q, by_offset[index][1]))
+            for offset, p in by_offset:
+                window = (prefix[bisect_right(sorted_offsets,
+                                              offset + modify_range)]
+                          ^ prefix[bisect_left(sorted_offsets,
+                                               offset - modify_range)])
+                if same_variable is not None:
+                    window &= same_variable[p]
+                succ_bits[p] = window >> (p + 1) << (p + 1)
+                wrap_bits[p] = (
+                    prefix[bisect_right(sorted_offsets,
+                                        offset - home + modify_range)]
+                    ^ prefix[bisect_left(sorted_offsets,
+                                         offset - home - modify_range)])
+                sources = (
+                    prefix[bisect_right(sorted_offsets,
+                                        offset + home + modify_range)]
+                    ^ prefix[bisect_left(sorted_offsets,
+                                         offset + home - modify_range)])
+                max_wrap_source[p] = sources.bit_length() - 1
 
-        intra: list[tuple[int, int]] = []
-        for p in range(n):
-            successors[p].sort()
-            predecessors[p].sort()
-            for q in successors[p]:
-                intra.append((p, q))
-
-        self._intra_edges = frozenset(intra)
-        self._inter_edges = frozenset(inter)
-        self._successors = tuple(tuple(s) for s in successors)
-        self._predecessors = tuple(tuple(p) for p in predecessors)
+        self.succ_bits: tuple[int, ...] = tuple(succ_bits)
+        self.wrap_bits: tuple[int, ...] = tuple(wrap_bits)
+        self.max_wrap_source: tuple[int, ...] = tuple(max_wrap_source)
+        self.offsets: tuple[int, ...] = tuple(offsets)
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -143,35 +162,50 @@ class AccessGraph:
         return self._pattern.label(node)
 
     # ------------------------------------------------------------------
-    # Edges
+    # Edge views (derived from the bitmasks on first read)
     # ------------------------------------------------------------------
-    @property
+    @cached_property
     def intra_edges(self) -> frozenset[tuple[int, int]]:
         """Zero-cost intra-iteration edges ``(p, q)``, ``p < q``."""
-        return self._intra_edges
+        return frozenset((p, q) for p, successors in
+                         enumerate(self._successor_tuples)
+                         for q in successors)
 
-    @property
+    @cached_property
     def inter_edges(self) -> frozenset[tuple[int, int]]:
         """Zero-cost inter-iteration (wrap-around) edges ``(q, p)``."""
-        return self._inter_edges
+        return frozenset((q, p) for q, mask in enumerate(self.wrap_bits)
+                         for p in set_bits(mask))
 
     def has_intra_edge(self, p: int, q: int) -> bool:
         """Whether ``a_{p+1} -> a_{q+1}`` is free within an iteration."""
-        return (p, q) in self._intra_edges
+        return (p, q) in self.intra_edges
 
     def has_inter_edge(self, q: int, p: int) -> bool:
         """Whether wrap-around ``a_{q+1} -> a_{p+1}'`` is free."""
-        return (q, p) in self._inter_edges
+        return (q, p) in self.inter_edges
 
     def successors(self, node: int) -> tuple[int, ...]:
         """Intra-iteration successors of ``node`` (later positions)."""
         self._check_node(node)
-        return self._successors[node]
+        return self._successor_tuples[node]
 
     def predecessors(self, node: int) -> tuple[int, ...]:
         """Intra-iteration predecessors of ``node`` (earlier positions)."""
         self._check_node(node)
-        return self._predecessors[node]
+        return self._predecessor_tuples[node]
+
+    @cached_property
+    def _successor_tuples(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(set_bits(mask)) for mask in self.succ_bits)
+
+    @cached_property
+    def _predecessor_tuples(self) -> tuple[tuple[int, ...], ...]:
+        predecessors: list[list[int]] = [[] for _ in self.succ_bits]
+        for p, successors in enumerate(self._successor_tuples):
+            for q in successors:
+                predecessors[q].append(p)
+        return tuple(tuple(nodes) for nodes in predecessors)
 
     def _check_node(self, node: int) -> None:
         if not 0 <= node < self.n_nodes:
@@ -183,8 +217,9 @@ class AccessGraph:
     # ------------------------------------------------------------------
     def stats(self) -> GraphStats:
         """Node/edge counts."""
-        return GraphStats(self.n_nodes, len(self._intra_edges),
-                          len(self._inter_edges))
+        return GraphStats(
+            self.n_nodes, sum(mask.bit_count() for mask in self.succ_bits),
+            sum(mask.bit_count() for mask in self.wrap_bits))
 
     def paths_from(self, node: int) -> Iterator[tuple[int, ...]]:
         """Enumerate all simple intra-iteration paths starting at ``node``.
@@ -196,7 +231,7 @@ class AccessGraph:
         while stack:
             path = stack.pop()
             yield path
-            for succ in self._successors[path[-1]]:
+            for succ in self._successor_tuples[path[-1]]:
                 stack.append(path + (succ,))
 
     def __repr__(self) -> str:
@@ -204,6 +239,29 @@ class AccessGraph:
         return (f"AccessGraph(n={stats.n_nodes}, "
                 f"intra={stats.n_intra_edges}, inter={stats.n_inter_edges}, "
                 f"M={self._modify_range})")
+
+
+def set_bits(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    positions = []
+    while mask:
+        low = mask & -mask
+        positions.append(low.bit_length() - 1)
+        mask ^= low
+    return positions
+
+
+def _variable_masks(pattern: AccessPattern,
+                    positions: list[int]) -> dict[int, int] | None:
+    """For each position, the bitmask of the positions whose index uses
+    the same loop variable -- or ``None`` when all of them do."""
+    by_variable: dict[str, int] = {}
+    for p in positions:
+        variable = pattern[p].index.var
+        by_variable[variable] = by_variable.get(variable, 0) | 1 << p
+    if len(by_variable) == 1:
+        return None
+    return {p: by_variable[pattern[p].index.var] for p in positions}
 
 
 @lru_cache(maxsize=512)

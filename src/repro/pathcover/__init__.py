@@ -2,7 +2,9 @@
 
 Given the access graph, compute the minimum number ``K~`` of "virtual"
 address registers for which every address computation is free
-(section 3.1).  The subpackage provides:
+(section 3.1).  Every solver here reads the graph's per-node edge
+bitmasks (:class:`~repro.graph.access_graph.AccessGraph`).  The
+subpackage provides:
 
 * :mod:`repro.pathcover.paths` -- the :class:`Path`/:class:`PathCover`
   datatypes shared by the whole library.
@@ -11,12 +13,17 @@ address registers for which every address computation is free
 * :mod:`repro.pathcover.lower_bound` -- the matching-based lower bound
   on ``K~`` (role of ref [2]) and the exact minimum *intra-iteration*
   path cover it induces.
+* :mod:`repro.pathcover.assignment` -- the stronger cycle-cover lower
+  bound: a min-cost assignment in which each wrap-around costs 1,
+  warm-started from the matching.
 * :mod:`repro.pathcover.heuristic` -- a wrap-aware greedy cover giving a
   tight upper bound.
 * :mod:`repro.pathcover.branch_and_bound` -- the exact search of the
-  companion paper [3], bootstrapped by the two bounds.
+  companion paper [3], settled by the bounds where they meet and
+  bounded by the cycle-cover bound where they do not.
 """
 
+from repro.pathcover.assignment import cycle_cover_bound
 from repro.pathcover.branch_and_bound import (
     CoverSearchResult,
     minimum_zero_cost_cover,
@@ -39,6 +46,7 @@ __all__ = [
     "HopcroftKarp",
     "Path",
     "PathCover",
+    "cycle_cover_bound",
     "greedy_zero_cost_cover",
     "intra_cover_lower_bound",
     "is_zero_cost_path",

@@ -21,9 +21,16 @@ Pruning:
 * **wrap feasibility** -- an open path whose wrap-around is not yet free
   and for which no remaining access could serve as a free-wrapping last
   element is a dead end;
-* **bootstrap** -- the matching lower bound and the greedy upper bound
-  (sections on refs [2] and the heuristic) initialise the incumbent;
-  search stops as soon as the incumbent meets the lower bound.
+* **bootstrap** -- the greedy cover is the first incumbent.  The
+  matching lower bound (ref [2]) is tried first: if the greedy meets
+  it, there is nothing to search.  Otherwise the cycle-cover bound
+  (:mod:`repro.pathcover.assignment`, warm-started from that matching)
+  is computed: no perfect assignment proves infeasibility without a
+  search, a greedy that meets it is returned, and else it is the
+  search's lower bound -- the search stops as soon as the incumbent
+  meets it.  The incumbent is replaced only on a strict improvement
+  and the branch order never depends on the bound, so a stronger
+  bound only stops the search earlier, on the same cover.
 
 Accesses to different arrays (or with different index coefficients)
 share no zero-cost edges, so the instance decomposes into independent
@@ -39,8 +46,9 @@ from operator import itemgetter
 from repro.errors import InfeasibleZeroCostCover, SearchBudgetExceeded
 from repro.graph.access_graph import cached_access_graph
 from repro.ir.types import AccessPattern
+from repro.pathcover.assignment import cycle_cover_bound
 from repro.pathcover.heuristic import greedy_zero_cost_cover
-from repro.pathcover.lower_bound import intra_cover_lower_bound
+from repro.pathcover.lower_bound import intra_matching
 from repro.pathcover.paths import Path, PathCover
 
 #: Default cap on explored search nodes per independent subproblem.
@@ -60,7 +68,9 @@ class CoverSearchResult:
     optimal:
         True when the search proved minimality (no budget exhaustion).
     lower_bound, upper_bound:
-        The bootstrap bounds (matching LB, greedy UB).
+        The matching lower bound and the greedy upper bound, each
+        summed over the independent groups.  A group the greedy
+        cannot cover counts the size of the cover the search found.
     nodes_explored:
         Total branch-and-bound nodes over all subproblems.
     """
@@ -154,39 +164,32 @@ def _search_group(pattern: AccessPattern, modify_range: int,
                   node_budget: int) -> CoverSearchResult:
     graph = cached_access_graph(pattern, modify_range)
     n = graph.n_nodes
-    lower_bound = intra_cover_lower_bound(graph)
+    matching = intra_matching(graph)
+    matching_bound = n - matching.size
 
     incumbent: PathCover | None
     try:
         incumbent = greedy_zero_cost_cover(graph)
-        upper_bound = incumbent.n_paths
     except InfeasibleZeroCostCover:
         incumbent = None
-        upper_bound = n + 1  # sentinel: any real cover beats it
+    if incumbent is not None and incumbent.n_paths == matching_bound:
+        return CoverSearchResult(incumbent, incumbent.n_paths, True,
+                                 matching_bound, incumbent.n_paths, 0)
 
+    # Only now pay for the stronger bound, warm-started from the
+    # matching: most groups are settled by the matching bound alone.
+    lower_bound = cycle_cover_bound(graph, matching)
+    if lower_bound is None:
+        raise _infeasible(pattern, modify_range)
     if incumbent is not None and incumbent.n_paths == lower_bound:
-        return CoverSearchResult(incumbent, lower_bound, True, lower_bound,
-                                 upper_bound, 0)
+        return CoverSearchResult(incumbent, incumbent.n_paths, True,
+                                 matching_bound, incumbent.n_paths, 0)
 
-    # max_wrap_source[f]: latest position whose wrap-around to f is free.
-    max_wrap_source = [-1] * n
-    for source, target in graph.inter_edges:
-        if source > max_wrap_source[target]:
-            max_wrap_source[target] = source
-
-    # Bitmask adjacency: bit q of succ_bits[p] is the intra edge p -> q,
-    # bit p of inter_bits[q] the wrap edge q -> p.  Single shift-and-test
-    # probes replace tuple-in-frozenset lookups in the search core.
-    succ_bits = [0] * n
-    for p, q in graph.intra_edges:
-        succ_bits[p] |= 1 << q
-    inter_bits = [0] * n
-    for q, p in graph.inter_edges:
-        inter_bits[q] |= 1 << p
-
+    succ_bits, wrap_bits = graph.succ_bits, graph.wrap_bits
+    max_wrap_source = graph.max_wrap_source
     # Offsets are valid distance material between intra-adjacent nodes
     # (an intra edge implies same array / coefficient / loop variable).
-    offsets = [access.offset for access in pattern]
+    offsets = graph.offsets
 
     best_size = incumbent.n_paths if incumbent is not None else n + 1
     best_paths: list[tuple[int, ...]] | None = (
@@ -197,7 +200,7 @@ def _search_group(pattern: AccessPattern, modify_range: int,
     sort_key = itemgetter(0)
 
     def deadline_of(path: _OpenPath) -> int:
-        if inter_bits[path.last] >> path.first & 1:
+        if wrap_bits[path.last] >> path.first & 1:
             return _NO_DEADLINE
         return max_wrap_source[path.first]
 
@@ -233,7 +236,7 @@ def _search_group(pattern: AccessPattern, modify_range: int,
             last = path.last
             if not succ_bits[last] >> position & 1:
                 continue
-            closes = inter_bits[position] >> path.first & 1
+            closes = wrap_bits[position] >> path.first & 1
             candidates.append(
                 ((0 if closes else 1, abs(position_offset - offsets[last]),
                   -last), path))
@@ -264,11 +267,17 @@ def _search_group(pattern: AccessPattern, modify_range: int,
             raise SearchBudgetExceeded(
                 f"no zero-cost cover found within {node_budget} nodes "
                 f"(N={n}, M={modify_range})")
-        raise InfeasibleZeroCostCover(
-            f"no zero-cost cover exists for this group "
-            f"(N={n}, M={modify_range}, step={pattern.step})")
+        raise _infeasible(pattern, modify_range)
 
     cover = PathCover.from_lists(best_paths, n)
+    upper_bound = incumbent.n_paths if incumbent is not None \
+        else cover.n_paths
     return CoverSearchResult(cover, cover.n_paths, not budget_hit,
-                             lower_bound, min(upper_bound, cover.n_paths),
-                             nodes)
+                             matching_bound, upper_bound, nodes)
+
+
+def _infeasible(pattern: AccessPattern,
+                modify_range: int) -> InfeasibleZeroCostCover:
+    return InfeasibleZeroCostCover(
+        f"no zero-cost cover exists for this group "
+        f"(N={len(pattern)}, M={modify_range}, step={pattern.step})")

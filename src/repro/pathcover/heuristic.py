@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from repro.errors import InfeasibleZeroCostCover
 from repro.graph.access_graph import AccessGraph
-from repro.graph.distance import intra_distance
 from repro.pathcover.lower_bound import min_intra_path_cover
 from repro.pathcover.paths import PathCover
 
@@ -45,54 +44,46 @@ def greedy_zero_cost_cover(graph: AccessGraph) -> PathCover:
 # ----------------------------------------------------------------------
 def _scan_cover(graph: AccessGraph) -> PathCover:
     pattern = graph.pattern
-    n = graph.n_nodes
+    modify_range = graph.modify_range
+    succ_bits, wrap_bits = graph.succ_bits, graph.wrap_bits
+    max_wrap_source = graph.max_wrap_source
+    offsets = graph.offsets
 
-    # max_wrap_source[f]: latest position whose wrap-around to f is free.
-    max_wrap_source = [-1] * n
-    for source, target in graph.inter_edges:
-        if source > max_wrap_source[target]:
-            max_wrap_source[target] = source
-
-    open_paths: list[list[int]] = []
-    for position in range(n):
+    # Each open path with its home: the offset its last access must lie
+    # within M of for a free wrap-around (first offset + c*S).
+    open_paths: list[tuple[list[int], int]] = []
+    for position, offset in enumerate(offsets):
+        closes_mask = wrap_bits[position]
         best: list[int] | None = None
         best_key: tuple[int, int, int, int] | None = None
-        for path in open_paths:
+        for path, home in open_paths:
             tail = path[-1]
-            if not graph.has_intra_edge(tail, position):
+            if not succ_bits[tail] >> position & 1:
                 continue
-            closes = graph.has_inter_edge(position, path[0])
-            if not closes and max_wrap_source[path[0]] < position:
+            first = path[0]
+            closes = closes_mask >> first & 1
+            if not closes and max_wrap_source[first] < position:
                 # Attaching would make a free wrap unreachable forever.
                 continue
-            distance = intra_distance(pattern[tail], pattern[position])
-            assert distance is not None  # implied by the intra edge
-            home = _home_gap(graph, path[0], position)
-            key = (0 if closes else 1, home, abs(distance), -tail)
+            # The intra edge puts both accesses in one group, so offset
+            # differences are their address distances; the home gap is
+            # 0 exactly when the candidate could close the path.
+            key = (0 if closes else 1,
+                   max(0, abs(offset - home) - modify_range),
+                   abs(offset - offsets[tail]), -tail)
             if best_key is None or key < best_key:
                 best, best_key = path, key
         if best is not None:
             best.append(position)
         else:
-            open_paths.append([position])
+            open_paths.append(
+                ([position],
+                 offset + pattern[position].coefficient * pattern.step))
 
     repaired: list[list[int]] = []
-    for path in open_paths:
+    for path, _home in open_paths:
         repaired.extend(_repair_wrap(path, graph))
-    return PathCover.from_lists(repaired, n)
-
-
-def _home_gap(graph: AccessGraph, first: int, candidate: int) -> int:
-    """How far ``candidate``'s offset is from the path's home window.
-
-    The home window is where a path starting at ``first`` must end for a
-    free wrap-around.  0 means the candidate could close the path.
-    """
-    pattern = graph.pattern
-    first_access = pattern[first]
-    candidate_access = pattern[candidate]
-    home = first_access.offset + first_access.coefficient * pattern.step
-    return max(0, abs(candidate_access.offset - home) - graph.modify_range)
+    return PathCover.from_lists(repaired, graph.n_nodes)
 
 
 # ----------------------------------------------------------------------
@@ -136,4 +127,4 @@ def _repair_wrap(indices: list[int], graph: AccessGraph) -> list[list[int]]:
 
 
 def _wrap_ok(indices: list[int], graph: AccessGraph) -> bool:
-    return graph.has_inter_edge(indices[-1], indices[0])
+    return graph.wrap_bits[indices[-1]] >> indices[0] & 1 == 1

@@ -8,21 +8,26 @@ the wrap-around requirement only removes constraints), hence::
 
     minimum intra cover size  <=  K~
 
-which is the lower bound used to bootstrap the branch-and-bound.  As a
-by-product the matching yields an actual minimum intra-iteration cover,
-which is also the allocator's fallback starting point when no zero-cost
-steady-state cover exists (``M`` smaller than the per-iteration step).
+This is the cheap first bound of the branch-and-bound; the matching
+that proves it is also the warm start of the stronger cycle-cover bound
+(:mod:`repro.pathcover.assignment`).  As a by-product the matching
+yields an actual minimum intra-iteration cover, which is also the
+allocator's fallback starting point when no zero-cost steady-state cover
+exists (``M`` smaller than the per-iteration step).
 """
 
 from __future__ import annotations
 
-from repro.graph.access_graph import AccessGraph
+from repro.graph.access_graph import AccessGraph, set_bits
 from repro.pathcover.matching import HopcroftKarp
 from repro.pathcover.paths import Path, PathCover
 
 
-def _solved_matching(graph: AccessGraph) -> HopcroftKarp:
-    adjacency = [list(graph.successors(node)) for node in graph.nodes()]
+def intra_matching(graph: AccessGraph) -> HopcroftKarp:
+    """A solved maximum matching of the intra DAG's split graph: left
+    node ``p`` may match right node ``q`` iff the intra edge ``p -> q``
+    is free."""
+    adjacency = [set_bits(mask) for mask in graph.succ_bits]
     solver = HopcroftKarp(graph.n_nodes, graph.n_nodes, adjacency)
     solver.solve()
     return solver
@@ -33,7 +38,7 @@ def intra_cover_lower_bound(graph: AccessGraph) -> int:
 
     This equals ``N - |maximum matching|`` and lower-bounds ``K~``.
     """
-    solver = _solved_matching(graph)
+    solver = intra_matching(graph)
     return graph.n_nodes - solver.size
 
 
@@ -45,7 +50,7 @@ def min_intra_path_cover(graph: AccessGraph) -> PathCover:
     considered here -- see :func:`repro.pathcover.minimum_zero_cost_cover`
     for the full phase-1 problem.
     """
-    solver = _solved_matching(graph)
+    solver = intra_matching(graph)
     next_of = solver.match_left
     has_predecessor = [right != -1 for right in solver.match_right]
 

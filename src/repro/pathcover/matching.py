@@ -38,13 +38,14 @@ class HopcroftKarp:
             raise ValueError("node counts must be >= 0")
         self._n_left = n_left
         self._n_right = n_right
+        if isinstance(adjacency, Mapping):
+            rows = [adjacency.get(left, ()) for left in range(n_left)]
+        else:
+            rows = [adjacency[left] if left < len(adjacency) else ()
+                    for left in range(n_left)]
         self._adjacency: list[tuple[int, ...]] = []
-        for left in range(n_left):
-            if isinstance(adjacency, Mapping):
-                neighbors = tuple(adjacency.get(left, ()))
-            else:
-                neighbors = tuple(adjacency[left]) if left < len(adjacency) \
-                    else ()
+        for row in rows:
+            neighbors = tuple(row)
             for right in neighbors:
                 if not 0 <= right < n_right:
                     raise ValueError(

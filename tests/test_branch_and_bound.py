@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from repro.errors import InfeasibleZeroCostCover
+from repro.errors import InfeasibleZeroCostCover, SearchBudgetExceeded
 from repro.graph.access_graph import AccessGraph
 from repro.ir.builder import LoopBuilder, pattern_from_offsets
+from repro.pathcover.assignment import cycle_cover_bound
 from repro.pathcover.branch_and_bound import minimum_zero_cost_cover
 from repro.pathcover.heuristic import greedy_zero_cost_cover
 from repro.pathcover.lower_bound import intra_cover_lower_bound
@@ -14,6 +15,10 @@ from repro.pathcover.paths import Path
 from repro.pathcover.verify import is_zero_cost_path
 
 from conftest import random_offsets
+
+#: Offsets (loop step 4, M=2) of a group whose cycle-cover bound, 2,
+#: is below its K~, 3.
+GAP_OFFSETS = (0, 2, 1, 1, 2, -1, -2, -2, 2, 1, 0, 2)
 
 
 def brute_force_k_tilde(pattern, modify_range) -> int | None:
@@ -56,6 +61,13 @@ class TestPaperExample:
     def test_bounds_bracket_the_answer(self, paper_pattern):
         result = minimum_zero_cost_cover(paper_pattern, 1)
         assert result.lower_bound <= result.k_tilde <= result.upper_bound
+
+    def test_upper_bound_is_the_greedy_bound(self, paper_pattern):
+        # The greedy leaves all 7 accesses on their own paths; the
+        # search finds 3.  upper_bound reports the greedy, not K~.
+        result = minimum_zero_cost_cover(paper_pattern, 1)
+        assert result.upper_bound == 7
+        assert result.k_tilde == 3
 
     def test_wider_range_collapses_cover(self, paper_pattern):
         result = minimum_zero_cost_cover(paper_pattern, 4)
@@ -146,12 +158,26 @@ class TestBudget:
         assert result.k_tilde <= greedy_zero_cost_cover(graph).n_paths
         assert result.k_tilde >= intra_cover_lower_bound(graph)
 
-    def test_budget_exhaustion_flagged(self, rng):
-        # A large instance with a tight budget should report non-proven
-        # optimality (unless greedy already matches the lower bound).
-        offsets = random_offsets(rng, 30, span=3)
-        pattern = pattern_from_offsets(offsets)
-        result = minimum_zero_cost_cover(pattern, 1, node_budget=3)
-        graph = AccessGraph(pattern, 1)
-        if result.k_tilde != intra_cover_lower_bound(graph):
-            assert not result.optimal
+    def test_budget_exhaustion_flagged(self, paper_pattern):
+        # The greedy cover (7 paths) is above the cycle-cover bound (3),
+        # so the search must run, and 3 nodes cannot reach a leaf of a
+        # 7-access instance: the greedy incumbent comes back unproven.
+        graph = AccessGraph(paper_pattern, 1)
+        assert cycle_cover_bound(graph) == 3
+        result = minimum_zero_cost_cover(paper_pattern, 1, node_budget=3)
+        assert not result.optimal
+        assert result.k_tilde == 7
+
+    def test_search_proves_k_tilde_above_the_cycle_bound(self):
+        # The cheapest assignment uses 2 wraps, but no 2-path zero-cost
+        # cover exists: K~ is 3.  The search must exhaust its tree to
+        # prove 3 instead of stopping at the bound.  The greedy finds
+        # no cover, so a budget too small to reach any leaf raises.
+        pattern = pattern_from_offsets(GAP_OFFSETS, step=4)
+        assert cycle_cover_bound(AccessGraph(pattern, 2)) == 2
+        result = minimum_zero_cost_cover(pattern, 2)
+        assert result.optimal
+        assert result.k_tilde == 3
+        assert result.nodes_explored > 0
+        with pytest.raises(SearchBudgetExceeded):
+            minimum_zero_cost_cover(pattern, 2, node_budget=3)

@@ -6,7 +6,8 @@ this module pits them against each other over a corpus of seeded
 random patterns and asserts the invariants that must hold between
 them:
 
-* phase 1: ``greedy cover >= exact K~ >= matching lower bound``;
+* phase 1: ``greedy cover >= exact K~ >= cycle-cover bound >=
+  matching lower bound``;
 * phase 2: every merging strategy's cost dominates the exhaustive
   optimum, all strategies agree when no merging is needed, and each
   strategy's incremental cost bookkeeping matches a from-scratch
@@ -25,6 +26,7 @@ from repro.merging.cost import CostModel, cover_cost
 from repro.merging.exhaustive import optimal_allocation
 from repro.merging.greedy import best_pair_merge
 from repro.merging.naive import NAIVE_STRATEGIES, naive_merge
+from repro.pathcover.assignment import cycle_cover_bound
 from repro.pathcover.branch_and_bound import minimum_zero_cost_cover
 from repro.pathcover.heuristic import greedy_zero_cost_cover
 from repro.pathcover.lower_bound import intra_cover_lower_bound
@@ -78,6 +80,23 @@ class TestPhase1CoverChain:
         # throughout; a budget regression would silently weaken the
         # chain above, so pin it.
         assert exact_proofs == len(CORPUS_SEEDS)
+
+    @pytest.mark.parametrize("modify_range", [1, 2])
+    def test_matching_cycle_exact_chain(self, modify_range):
+        """matching bound <= cycle-cover bound <= exact K~."""
+        stronger = 0
+        for seed in CORPUS_SEEDS:
+            pattern = corpus_pattern(seed)
+            graph = AccessGraph(pattern, modify_range)
+            matching = intra_cover_lower_bound(graph)
+            cycle = cycle_cover_bound(graph)
+            outcome = minimum_zero_cost_cover(pattern, modify_range)
+            assert cycle is not None, f"seed {seed}: cover exists"
+            assert matching <= cycle <= outcome.k_tilde, \
+                f"seed {seed}: chain violated"
+            stronger += cycle > matching
+        # The corpus must tell the two bounds apart somewhere.
+        assert stronger > 0
 
     def test_both_covers_are_zero_cost(self):
         """Exact and greedy phase-1 covers both cost nothing intra."""

@@ -448,6 +448,17 @@ class TestMicroBatching:
             assert service.stats.batches == 2
             assert service.stats.compiled == 5
 
+    def test_a_lone_client_does_not_wait_out_the_window(self):
+        """With one connection open nobody can join the batch, so a
+        cold request is dispatched at once, not after batch_window."""
+        with CompileService(batch_window=30.0) as service:
+            with ServeClient(service.endpoint, timeout=60.0) as client:
+                started = time.monotonic()
+                answer = client.compile(kernel="fir8")
+                elapsed = time.monotonic() - started
+        assert not answer.cached
+        assert elapsed < 5.0
+
     def test_failed_job_only_fails_its_own_requests(self):
         """Failure isolation inside a micro-batch: the culprit's
         request gets the error frame; batch-mates are rerun and
