@@ -21,10 +21,6 @@ perf trajectory and what ``tools/check_bench_regression.py`` gates in
 CI -- see ``docs/BENCHMARKS.md``.
 """
 
-import io
-import time
-from contextlib import contextmanager
-
 import pytest
 
 from _bench_util import run_once
@@ -519,150 +515,3 @@ def bench_serve_latency_slo(benchmark):
     benchmark.extra_info["p50_ms"] = round(p50, 3)
     benchmark.extra_info["p95_ms"] = round(p95, 3)
     benchmark.extra_info["p99_ms"] = round(p99, 3)
-
-
-# ----------------------------------------------------------------------
-# Distributed execution service (-k cluster)
-# ----------------------------------------------------------------------
-@contextmanager
-def _worker_fleet(size: int, **server_kwargs):
-    """A JobServer plus in-process worker threads (real TCP + framing,
-    in-thread execution), so the benches measure protocol and
-    scheduling overhead without fork noise.  Keyword arguments pass
-    through to :class:`JobServer` (the sched benches set a trace
-    sink)."""
-    import threading
-
-    from repro.batch.cluster import JobServer, Worker
-
-    with JobServer(**server_kwargs) as server:
-        workers = [Worker(*server.address, poll=0.05)
-                   for _ in range(size)]
-        threads = [threading.Thread(target=worker.run, daemon=True)
-                   for worker in workers]
-        for thread in threads:
-            thread.start()
-        try:
-            yield server
-        finally:
-            for worker in workers:
-                worker.stop()
-            for thread in threads:
-                thread.join(timeout=10.0)
-
-
-def bench_cluster_job_roundtrip(benchmark):
-    """One trivial job through submit -> lease -> execute -> stream:
-    the per-job floor the execution service adds over inline."""
-    from repro.batch.cluster import ClusterExecutor
-
-    jobs = jobs_from_suite("core8", AguSpec(4, 1), n_iterations=4)[:1]
-    with _worker_fleet(1) as server:
-        executor = ClusterExecutor(*server.address)
-
-        def roundtrip():
-            return BatchCompiler(executor=executor).compile(jobs)
-
-        report = benchmark(roundtrip)
-        assert report.n_jobs == 1
-
-
-def bench_cluster_suite_throughput(benchmark):
-    """The core8 suite through a job server with two workers (compare
-    with bench_batch_suite_cold for the inline baseline)."""
-    from repro.batch.cluster import ClusterExecutor
-
-    jobs = jobs_from_suite("core8", AguSpec(4, 1), n_iterations=4)
-    with _worker_fleet(2) as server:
-        executor = ClusterExecutor(*server.address)
-
-        def run():
-            return BatchCompiler(executor=executor).compile(jobs)
-
-        report = benchmark(run)
-        assert report.n_jobs == len(jobs) and report.all_audits_ok
-
-
-# ----------------------------------------------------------------------
-# Job scheduling + trace observability (-k sched)
-# ----------------------------------------------------------------------
-class SchedSleepJob:
-    """A picklable cluster job whose runtime *is* its size hint.
-
-    ``sleep`` releases the GIL, so a two-thread fleet overlaps these
-    even on a one-core CI box -- the makespan measures the *schedule*,
-    not the interpreter.
-    """
-
-    def __init__(self, name: str, seconds: float):
-        self.name = name
-        self.seconds = seconds
-
-    @property
-    def size_hint(self) -> float:
-        """Advisory size estimate: the declared runtime."""
-        return self.seconds
-
-    def execute(self) -> str:
-        """Sleep for the declared duration; the name is the result."""
-        time.sleep(self.seconds)
-        return self.name
-
-
-def _sched_jobs() -> list:
-    """The sched bench mix: eleven 15 ms points and one 120 ms
-    straggler submitted *last* -- the worst case for first-come
-    dispatch on a two-worker fleet, and what the job server's
-    largest-hint-first order fixes."""
-    jobs = [SchedSleepJob(f"small{i}", 0.015) for i in range(11)]
-    jobs.append(SchedSleepJob("big", 0.12))
-    return jobs
-
-
-def _run_sched_batch(benchmark):
-    """One traced batch of :func:`_sched_jobs` through a two-worker
-    fleet; trace-derived makespan, critical path, and per-worker
-    utilization land in ``extra_info``."""
-    from repro.batch.cluster import ClusterExecutor
-    from repro.batch.trace import analyze_trace, read_trace
-
-    sink = io.StringIO()
-    with _worker_fleet(2, trace=sink) as server:
-        executor = ClusterExecutor(*server.address)
-
-        def run():
-            return dict(executor.run(_sched_jobs()))
-
-        results = run_once(benchmark, run)
-    assert len(results) == 12
-    report = analyze_trace(read_trace(io.StringIO(sink.getvalue())))
-    assert report.n_completed == 12
-    benchmark.extra_info["trace_makespan_s"] = round(report.makespan, 4)
-    benchmark.extra_info["trace_critical_path_s"] = \
-        round(report.critical_path_seconds, 4)
-    benchmark.extra_info["trace_utilization"] = {
-        name: round(worker.utilization, 3)
-        for name, worker in sorted(report.workers.items())}
-
-
-def bench_sched_size_ordered(benchmark):
-    """The straggler-last mix: the hinted straggler leases first and
-    the small points pack around it on the other worker."""
-    _run_sched_batch(benchmark)
-
-
-def bench_sched_trace_analyze(benchmark):
-    """Analyzer throughput: lowering a recorded two-worker trace to a
-    report (the ``repro-agu trace`` hot path)."""
-    from repro.batch.cluster import ClusterExecutor
-    from repro.batch.trace import analyze_trace, read_trace
-
-    sink = io.StringIO()
-    with _worker_fleet(2, trace=sink) as server:
-        executor = ClusterExecutor(*server.address)
-        results = dict(executor.run(_sched_jobs()))
-        assert len(results) == 12
-    trace = read_trace(io.StringIO(sink.getvalue()))
-
-    report = benchmark(analyze_trace, trace)
-    assert report.n_completed == 12 and report.workers

@@ -35,13 +35,10 @@ from repro.batch import (
     BatchJob,
     BatchReport,
     CacheServer,
-    ClusterExecutor,
     InMemoryLRUCache,
     JobResult,
-    JobServer,
     RemoteCache,
     ShardedDirectoryCache,
-    Worker,
     job_digest,
     job_matrix,
     jobs_from_kernels,
@@ -112,12 +109,10 @@ __all__ = [
     "BatchJob",
     "BatchReport",
     "CacheServer",
-    "ClusterExecutor",
     "CompilationArtifacts",
     "CostModel",
     "InMemoryLRUCache",
     "JobResult",
-    "JobServer",
     "Kernel",
     "Loop",
     "LoopBuilder",
@@ -129,7 +124,6 @@ __all__ = [
     "RemoteCache",
     "ShardedDirectoryCache",
     "SimulationResult",
-    "Worker",
     "allocate_with_modify_registers",
     "best_pair_merge",
     "compile_kernel",

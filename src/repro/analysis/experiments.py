@@ -29,10 +29,9 @@ EXP-A1..A3, EXP-O1, EXP-X1..X3) as the registered
 :mod:`repro.analysis.points`, via :func:`run_experiment`.  Every
 registered ``run_*`` entry point therefore takes ``executor=`` (where
 the points run: inline by default, ``"local:N"`` for an ``N``-process
-pool, ``"tcp://host:port"`` for a multi-host worker fleet; see
-:func:`~repro.batch.engine.open_executor`), ``cache=`` (persistent,
-resumable point results), and ``progress=`` (per-point streaming
-callback).
+pool; see :func:`~repro.batch.engine.open_executor`), ``cache=``
+(persistent, resumable point results), and ``progress=`` (per-point
+streaming callback).
 """
 
 from __future__ import annotations
@@ -294,17 +293,17 @@ def run_experiment(experiment: str, config=None, *, cache=None,
     The uniform execution path behind every ``run_*`` ablation below:
     the experiment's points (see :mod:`repro.batch.registry` and
     :mod:`repro.analysis.points`) fan out over the ``executor``
-    backend -- inline by default, ``"local:N"`` for a process pool,
-    ``"tcp://host:port"`` for a multi-host worker fleet (see
-    :func:`~repro.batch.engine.open_executor`) -- via
+    backend -- inline by default, ``"local:N"`` for a process pool
+    (see :func:`~repro.batch.engine.open_executor`) -- via
     :class:`~repro.batch.engine.BatchCompiler`, every computed
     point is persisted to ``cache`` the moment it exists (interrupted
     runs resume; warm re-runs recompute nothing), ``progress(done,
     total, result)`` fires per point, and the experiment's summary
     dataclass is reassembled from the streamed results bit-identically
     to what the retired sequential loops produced -- whatever executor
-    computed them.  ``trace``, when given, records structured
-    scheduling events (see :mod:`repro.batch.trace`) as JSONL.
+    computed them.  ``trace``, when given, records the engine's
+    per-job events (see :mod:`repro.batch.trace`) as JSONL; a trace
+    file opened from a path is closed when the run ends.
     """
     import dataclasses as _dataclasses
 
@@ -320,11 +319,14 @@ def run_experiment(experiment: str, config=None, *, cache=None,
 
     results = [None] * len(jobs)
     done = 0
-    for index, result in compiler.as_completed(jobs):
-        results[index] = result
-        done += 1
-        if progress is not None:
-            progress(done, len(jobs), result)
+    try:
+        for index, result in compiler.as_completed(jobs):
+            results[index] = result
+            done += 1
+            if progress is not None:
+                progress(done, len(jobs), result)
+    finally:
+        compiler.close()
     assert all(result is not None for result in results)
 
     summary = definition.assemble(config, results)

@@ -22,11 +22,6 @@ The scaling layer on top of :func:`repro.core.pipeline.compile_kernel`:
   the aggregated :class:`BatchReport`, and the :class:`Executor` seam
   (:class:`InlineExecutor`, :class:`LocalPoolExecutor`,
   :func:`open_executor`) that decides where cache misses run;
-* :mod:`repro.batch.cluster` -- the distributed execution service:
-  :class:`JobServer` (the ``repro-agu job-serve`` subcommand) leases
-  jobs to :class:`Worker` processes (``repro-agu worker``) on any
-  number of hosts, and :class:`ClusterExecutor` is the matching
-  ``tcp://host:port`` execution backend;
 * :mod:`repro.batch.serving` -- compile-as-a-service:
   :class:`CompileService` (the ``repro-agu serve`` subcommand) answers
   single-kernel compile requests over TCP -- admission-controlled,
@@ -62,7 +57,6 @@ from repro.batch.engine import (
     execute_job,
     open_executor,
 )
-from repro.batch.cluster import ClusterExecutor, JobServer, Worker
 from repro.batch.service import CacheServer, RemoteCache
 from repro.batch.serving import (
     CompileService,
@@ -89,7 +83,6 @@ __all__ = [
     "CacheBackend",
     "CacheServer",
     "CacheStats",
-    "ClusterExecutor",
     "CompileService",
     "DIGEST_VERSION",
     "Executor",
@@ -99,7 +92,6 @@ __all__ = [
     "InMemoryLRUCache",
     "InlineExecutor",
     "JobResult",
-    "JobServer",
     "LocalPoolExecutor",
     "RemoteCache",
     "ServeClient",
@@ -108,7 +100,6 @@ __all__ = [
     "ServerBusyError",
     "ShardedDirectoryCache",
     "TieredCache",
-    "Worker",
     "execute_any",
     "experiment_point_jobs",
     "get_experiment",

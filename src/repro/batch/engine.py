@@ -32,16 +32,20 @@ the ``execute()``/``payload()`` protocol -- compilation units
 (:class:`~repro.batch.jobs.ExperimentPointJob`) alike.
 
 *Where* cache misses execute is an :class:`Executor`: inline on the
-calling process (:class:`InlineExecutor`), on a ``concurrent.futures``
-process pool (:class:`LocalPoolExecutor`), or leased out to a fleet of
-``repro-agu worker`` processes on any number of hosts
-(:class:`~repro.batch.cluster.ClusterExecutor`).  :func:`open_executor`
-maps CLI-style spec strings (``inline``, ``local:N``,
-``tcp://HOST:PORT``) to executors, mirroring
-:func:`~repro.batch.cache.open_cache`; every executor honors the same
-failure contract (a :class:`~repro.errors.BatchError` naming the
-failing job, completed work persisted before the error propagates), so
-the engine's callers cannot tell them apart except by speed.
+calling process (:class:`InlineExecutor`) or on a
+``concurrent.futures`` process pool (:class:`LocalPoolExecutor`).
+:func:`open_executor` maps CLI-style spec strings (``inline``,
+``local:N``) to executors, mirroring
+:func:`~repro.batch.cache.open_cache`; both honor the same failure
+contract (a :class:`~repro.errors.BatchError` naming the failing job,
+completed work persisted before the error propagates), so the
+engine's callers cannot tell them apart except by speed.  Runs on
+several processes or hosts share work through a common result store
+(a ``dir:`` store, or ``cache-serve``), not through the executor.
+
+With ``trace=`` the engine records one ``enqueue`` and one ``finish``
+event per computed job and one ``cache_hit`` per slot that did not
+execute (see :mod:`repro.batch.trace`).
 """
 
 from __future__ import annotations
@@ -50,7 +54,6 @@ import contextlib
 import copy
 import dataclasses
 import logging
-import math
 import os
 import re
 import time
@@ -166,28 +169,6 @@ def _result_type(job) -> type:
     return getattr(job, "result_type", JobResult)
 
 
-def job_size_hint(job) -> float | None:
-    """A job's advisory size estimate (bigger = slower), or ``None``.
-
-    Jobs expose it as a ``size_hint`` attribute or property; anything
-    non-numeric, non-finite, or raising is treated as "no hint" --
-    scheduling hints are advisory and must never break a run.  The
-    cluster client ships this to the job server, which leases the
-    largest hinted job first.
-    """
-    try:
-        hint = getattr(job, "size_hint", None)
-        if callable(hint):
-            hint = hint()
-    # repro-lint: disable=BROAD-EXCEPT -- a broken size hint must degrade to "no hint", never fail the batch
-    except Exception:
-        return None
-    if isinstance(hint, bool) or not isinstance(hint, (int, float)):
-        return None
-    value = float(hint)
-    return value if math.isfinite(value) else None
-
-
 def _job_failure(job, digest: str, error: Exception) -> BatchError:
     """A :class:`BatchError` naming the batch job whose execution
     failed (``raise ... from error`` at the call site keeps the
@@ -257,10 +238,9 @@ class Executor:
     An executor decides *where* a batch's cache misses run; the engine
     owns everything else (digests, dedup, caching, salvage, failure
     attribution).  Implementations: :class:`InlineExecutor` (the
-    calling process), :class:`LocalPoolExecutor` (a process pool), and
-    :class:`~repro.batch.cluster.ClusterExecutor` (a multi-host worker
-    fleet behind a job server).  Construct one directly or from a spec
-    string via :func:`open_executor`.
+    calling process) and :class:`LocalPoolExecutor` (a process pool).
+    Construct one directly or from a spec string via
+    :func:`open_executor`.
 
     Example::
 
@@ -268,9 +248,7 @@ class Executor:
         >>> compiler = BatchCompiler(executor=open_executor("local:2"))
     """
 
-    #: Best-effort parallelism width, for reports.  The cluster
-    #: executor updates it per run from the server's connected-worker
-    #: count; local executors pin it at construction.
+    #: Parallelism width, for reports; pinned at construction.
     n_workers: int = 1
 
     def run(self, jobs: Sequence) -> ExecutionStream:
@@ -380,7 +358,7 @@ class LocalPoolExecutor(Executor):
 #: :data:`~repro.batch.cache.KNOWN_CACHE_SCHEMES`, matching is
 #: restricted so unknown specs fail loudly instead of silently
 #: executing somewhere unintended.
-KNOWN_EXECUTOR_SCHEMES = ("inline", "local", "tcp")
+KNOWN_EXECUTOR_SCHEMES = ("inline", "local")
 
 _EXECUTOR_URL_LIKE = re.compile(r"^(?P<scheme>[A-Za-z][A-Za-z0-9+.-]*)://")
 
@@ -390,10 +368,7 @@ def open_executor(spec) -> Executor:
 
     * ``inline`` -- run jobs serially on the calling process;
     * ``local`` or ``local:N`` -- a process pool of ``N`` workers
-      (``local`` alone uses every CPU);
-    * ``tcp://HOST:PORT`` -- a
-      :class:`~repro.batch.cluster.ClusterExecutor` client against a
-      running ``repro-agu job-serve`` (the multi-host choice).
+      (``local`` alone uses every CPU).
 
     An :class:`Executor` instance passes through unchanged, so APIs
     can accept either form.  Unknown schemes and malformed specs are
@@ -411,11 +386,6 @@ def open_executor(spec) -> Executor:
     text = str(spec)
     match = _EXECUTOR_URL_LIKE.match(text)
     if match is not None:
-        scheme = match["scheme"].lower()
-        if scheme == "tcp":
-            from repro.batch.cluster import cluster_executor_from_spec
-
-            return cluster_executor_from_spec(text)
         raise BatchError(
             f"unknown executor scheme {match['scheme']!r} in spec "
             f"{text!r} (known schemes: "
@@ -436,8 +406,8 @@ def open_executor(spec) -> Executor:
         return LocalPoolExecutor(width)
     hint = f"; did you mean 'local:{text}'?" if text.isdigit() else ""
     raise BatchError(
-        f"unknown executor spec {text!r} (expected inline, local[:N], "
-        f"or tcp://HOST:PORT{hint})")
+        f"unknown executor spec {text!r} (expected inline or "
+        f"local[:N]{hint})")
 
 
 @dataclass(frozen=True)
@@ -568,16 +538,16 @@ class BatchCompiler:
     executor:
         Where cache misses execute -- an :class:`Executor` instance or
         an :func:`open_executor` spec string: ``"local:N"`` for an
-        ``N``-process pool, ``"tcp://host:port"`` for a multi-host
-        worker fleet.  ``None`` (the default) compiles inline on the
-        calling process (deterministic ordering, no fork cost).
+        ``N``-process pool.  ``None`` (the default) compiles inline on
+        the calling process (deterministic ordering, no fork cost).
     trace:
         Trace sink (path, stream, or a shared
         :class:`~repro.batch.trace.Tracer`): the engine emits
-        ``cache_hit``/``enqueue``/``finish`` events per job, so
-        "where did the wall-clock go" is answerable for local runs
-        too, not just cluster ones.  ``None`` (the default) disables
-        tracing at zero cost.
+        ``cache_hit``/``enqueue``/``finish`` events per job.  A path
+        opens a tracer the compiler owns (see :meth:`close`); a
+        :class:`~repro.batch.trace.Tracer` passed in stays the
+        caller's.  ``None`` (the default) disables tracing at zero
+        cost.
     """
 
     def __init__(self, *, cache=None,
@@ -587,6 +557,13 @@ class BatchCompiler:
         self.executor = InlineExecutor() if executor is None \
             else open_executor(executor)
         self.trace = open_tracer(trace, source="engine")
+        self._owns_trace = self.trace is not trace
+
+    def close(self) -> None:
+        """Close the trace file this compiler opened from a path
+        (idempotent); a tracer the caller passed in stays open."""
+        if self._owns_trace:
+            self.trace.close()
 
     @property
     def n_workers(self) -> int:
@@ -602,9 +579,6 @@ class BatchCompiler:
         name = getattr(job, "name", None)
         if name is not None:
             fields["name"] = str(name)
-        size = job_size_hint(job)
-        if size is not None and kind == "enqueue":
-            fields["size"] = size
         fields.update({key: value for key, value in extra.items()
                        if value is not None})
         self.trace.emit(kind, **fields)
@@ -711,6 +685,8 @@ class BatchCompiler:
             first, *duplicates = pending[digest]
             yield first, result
             for index in duplicates:
+                self._trace_job("cache_hit", index, jobs[index],
+                                digest=digest)
                 yield index, dataclasses.replace(
                     result, name=jobs[index].name, from_cache=True)
 

@@ -125,19 +125,6 @@ class BatchJob:
                 f"job {self.name!r}: n_iterations must be >= 1, got "
                 f"{self.n_iterations}")
 
-    @property
-    def size_hint(self) -> float | None:
-        """Advisory size estimate (bigger = slower) for size-aware
-        scheduling; pattern length, or an access-count proxy for
-        source kernels.  Never enters the cache key."""
-        if self.pattern is not None:
-            return float(len(self.pattern))
-        if self.source is not None:
-            # Array accesses dominate compile cost; their bracketed
-            # subscripts are a cheap, parse-free proxy.
-            return float(self.source.count("["))
-        return None
-
     def kernel(self) -> Kernel:
         """The job's kernel: parsed from source (once per source text
         inside a :func:`parse_scope`), or wrapped pattern."""
@@ -406,35 +393,6 @@ class ExperimentPointJob:
     params: dict = field(default_factory=dict)
 
     result_type = ExperimentPointResult
-
-    @property
-    def size_hint(self) -> float | None:
-        """Advisory size estimate for size-aware scheduling.
-
-        Delegates to the experiment definition's ``size_hint``
-        callable when the registry provides one; otherwise falls back
-        to a generic proxy (the point's ``n`` parameter, scaled by
-        its pattern count when present).  ``None`` when nothing can
-        be estimated.  Never enters the cache key.
-        """
-        from repro.batch.registry import get_experiment
-
-        try:
-            definition = get_experiment(self.experiment)
-        except BatchError:
-            definition = None
-        if definition is not None \
-                and definition.size_hint is not None:
-            return definition.size_hint(dict(self.params))
-        n = self.params.get("n")
-        if isinstance(n, bool) or not isinstance(n, (int, float)):
-            return None
-        patterns = self.params.get("patterns_per_config",
-                                   self.params.get("patterns", 1))
-        if isinstance(patterns, bool) \
-                or not isinstance(patterns, (int, float)):
-            patterns = 1
-        return float(n) * float(patterns)
 
     def cache_key(self) -> dict:
         """The digest payload: experiment id + point parameters."""

@@ -75,11 +75,6 @@ class ExperimentDefinition:
     render: Callable[[Any], tuple] | None = None
     #: summary -> one-line headline (optional; used by the CLI).
     headline: Callable[[Any], str] | None = None
-    #: params -> advisory size estimate (bigger = slower) for
-    #: size-aware cluster scheduling (optional; see
-    #: :meth:`repro.batch.jobs.ExperimentPointJob.size_hint` for the
-    #: generic fallback used when this is ``None``).
-    size_hint: Callable[[dict], float | None] | None = None
 
 
 _REGISTRY: dict[str, ExperimentDefinition] = {}

@@ -1,12 +1,11 @@
 """The batch layer's TCP core, and the remote result-cache service.
 
-:class:`FrameServer` is the one server every service builds on (the
-cache here, :class:`~repro.batch.cluster.JobServer`,
-:class:`~repro.batch.serving.CompileService`): bind, one handler
-thread per connection, the frame loop, idle timeouts, connection
-tracking, and the start/shutdown lifecycle.  A service declares its
-wire schema as an op table of :class:`Op` entries, which the base
-enforces at runtime and ``tools/gen_protocol.py`` renders as
+:class:`FrameServer` is the one server both services build on (the
+cache here and :class:`~repro.batch.serving.CompileService`): bind,
+one handler thread per connection, the frame loop, idle timeouts,
+connection tracking, and the start/shutdown lifecycle.  A service
+declares its wire schema as an op table of :class:`Op` entries, which
+the base enforces at runtime and ``tools/gen_protocol.py`` renders as
 ``docs/PROTOCOL.md``.
 
 The sharded directory store covers shared-*filesystem* deployments;
@@ -47,7 +46,6 @@ import struct
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.batch.cache import CacheStats
 from repro.errors import BatchError
@@ -88,8 +86,8 @@ def _close_socket(sock: socket.socket) -> None:
 
 def format_endpoint(host: str, port: int) -> str:
     """``host``/``port`` as a ``tcp://`` spec, bracketing IPv6 hosts
-    so the result feeds straight back into ``open_cache`` /
-    ``open_executor``."""
+    so the result feeds straight back into ``open_cache`` or
+    ``ServeClient``."""
     if ":" in host:
         return f"tcp://[{host}]:{port}"
     return f"tcp://{host}:{port}"
@@ -101,11 +99,10 @@ def parse_endpoint(text: str, options: dict | None = None,
     converted options.
 
     The shared grammar of every TCP spec in the batch layer: cache
-    clients (``open_cache``), executor clients (``open_executor``),
-    and the ``worker`` / ``job-serve`` CLI arguments.  ``options``
-    maps allowed ``?key=value`` names to converters; unknown keys,
-    unparsable values, and any URL decoration beyond host/port/query
-    are rejected loudly.
+    clients (``open_cache``) and compile clients (``ServeClient``).
+    ``options`` maps allowed ``?key=value`` names to converters;
+    unknown keys, unparsable values, and any URL decoration beyond
+    host/port/query are rejected loudly.
     """
     from urllib.parse import parse_qsl, urlsplit
 
@@ -236,29 +233,26 @@ class Op:
     ``handler`` names the server method that answers the request;
     ``summary`` is its one-line description in ``docs/PROTOCOL.md``.
     ``required`` and ``optional`` map request fields to a
-    :data:`JSON_TYPES` name, or to ``None`` for a field the handler
-    checks -- or deliberately tolerates malformed -- itself.  A
-    ``null`` value counts as absent.  ``response`` lists the keys an
-    answer may carry beyond the ``ok``/``error`` envelope.
+    :data:`JSON_TYPES` name.  A ``null`` value counts as absent.
+    ``response`` lists the keys an answer may carry beyond the
+    ``ok``/``error`` envelope.
     """
 
     handler: str
     summary: str
-    required: dict[str, str | None] = field(default_factory=dict)
-    optional: dict[str, str | None] = field(default_factory=dict)
+    required: dict[str, str] = field(default_factory=dict)
+    optional: dict[str, str] = field(default_factory=dict)
     response: tuple[str, ...] = ()
 
     def check(self, op: str, request: dict) -> str | None:
         """Why ``request`` does not fit this schema, or ``None``."""
         for name, kind in self.required.items():
             if request.get(name) is None:
-                what = f"{_a(kind)} {name!r}" if kind else repr(name)
-                return f"{op!r} needs {what}"
+                return f"{op!r} needs {_a(kind)} {name!r}"
         for fields in (self.required, self.optional):
             for name, kind in fields.items():
                 value = request.get(name)
-                if kind is not None and value is not None \
-                        and not _has_type(value, kind):
+                if value is not None and not _has_type(value, kind):
                     return f"{op!r} field {name!r} must be {_a(kind)}"
         return None
 
@@ -291,10 +285,7 @@ class FrameServer:
     op; :meth:`handle_request` rejects unknown ops and requests that
     miss their op's schema with error frames before any handler runs,
     so handlers only make the checks a field type cannot express.
-
-    Subclass hooks: :meth:`handle_connection` (what one connection
-    does; the default answers every frame with :meth:`handle_request`),
-    :meth:`_before_serving`, and :meth:`_after_shutdown`.
+    :meth:`_after_shutdown` is the one subclass hook.
 
     Parameters
     ----------
@@ -375,63 +366,52 @@ class FrameServer:
         _close_socket(sock)
 
     def serve_connection(self, sock: socket.socket) -> None:
-        """Run one accepted connection on its handler thread."""
+        """Run one accepted connection on its handler thread: receive
+        a request, send :meth:`handle_request`'s answer, repeat until
+        the peer hangs up or breaks the protocol.  A handler crash
+        becomes an error frame on the live connection."""
         self.track_connection(sock, alive=True)
         if self.idle_timeout is not None:
             # A blocking recv raises TimeoutError (an OSError) after
             # idle_timeout seconds and the connection closes cleanly.
             sock.settimeout(self.idle_timeout)
         try:
-            self.handle_connection(sock)
-        finally:
-            self.track_connection(sock, alive=False)
-
-    def handle_connection(self, sock: socket.socket) -> None:
-        """Per-connection hook: answer every frame with
-        :meth:`handle_request` until the peer hangs up."""
-        self.answer_frames(sock)
-
-    def answer_frames(self, sock: socket.socket,
-                      answer: Callable[[dict], dict] | None = None,
-                      request: dict | None = None) -> None:
-        """The frame loop: receive a request, send ``answer(request)``
-        (default :meth:`handle_request`), repeat until the peer hangs
-        up or breaks the protocol.  ``request`` is a first frame the
-        caller already received.  A handler crash becomes an error
-        frame on the live connection."""
-        while True:
-            if request is None:
+            while True:
                 try:
                     request = recv_frame(sock)
                 except (BatchError, OSError):
                     return
                 if request is None:
                     return
-            try:
-                response = (answer or self.handle_request)(request)
-            # repro-lint: disable=BROAD-EXCEPT -- not swallowed: the error goes back to the peer as an error frame, keeping the connection alive
-            except Exception as error:
-                response = {"ok": False,
-                            "error": f"{type(error).__name__}: {error}"}
-            request = None
-            try:
-                send_frame(sock, response)
-            except FrameTooLargeError as error:
-                # The *response* outgrew a frame (a get_many over huge
-                # payloads, a giant listing): answer an error frame so
-                # the peer sees a failed request on a live connection,
-                # not a dropped one it would misread as a dead server.
                 try:
-                    send_frame(sock, {"ok": False, "error": str(error)})
+                    # Through the instance, so a handle_request wrapped
+                    # on the class (as profilers do) sees every request.
+                    response = self.handle_request(request)
+                # repro-lint: disable=BROAD-EXCEPT -- not swallowed: the error goes back to the peer as an error frame, keeping the connection alive
+                except Exception as error:
+                    response = {"ok": False,
+                                "error": f"{type(error).__name__}: {error}"}
+                try:
+                    send_frame(sock, response)
+                except FrameTooLargeError as error:
+                    # The *response* outgrew a frame (a get_many over
+                    # huge payloads, a giant listing): answer an error
+                    # frame so the peer sees a failed request on a live
+                    # connection, not a dropped one it would misread as
+                    # a dead server.
+                    try:
+                        send_frame(sock, {"ok": False, "error": str(error)})
+                    except (BatchError, OSError):
+                        return
                 except (BatchError, OSError):
                     return
-            except (BatchError, OSError):
-                return
+        finally:
+            self.track_connection(sock, alive=False)
 
-    def handle_request(self, request: dict, *context) -> dict:
+    def handle_request(self, request: dict) -> dict:
         """Answer one request frame through :attr:`OPS`: the op's
-        handler is called as ``handler(request, *context)`` once the
-        request fits the op's schema (exposed for protocol tests)."""
+        handler is called as ``handler(request)`` once the request
+        fits the op's schema (exposed for protocol tests)."""
         name = request.get("op")
         op = self.OPS.get(name) if isinstance(name, str) else None
         if op is None:
@@ -439,26 +419,21 @@ class FrameServer:
         problem = op.check(name, request)
         if problem is not None:
             return {"ok": False, "error": problem}
-        return getattr(self, op.handler)(request, *context)
+        return getattr(self, op.handler)(request)
 
     # -- lifecycle (the controlling thread) ----------------------------
-    def _before_serving(self) -> None:
-        """Hook: start the subclass's own background threads."""
-
     def _after_shutdown(self) -> None:
-        """Hook: stop what :meth:`_before_serving` started, once the
-        listener and every connection are closed."""
+        """Hook: the subclass's own teardown, once the listener and
+        every connection are closed."""
 
     def serve_forever(self) -> None:
         """Serve on the calling thread until :meth:`shutdown`."""
         self._serving.set()
-        self._before_serving()
         self._server.serve_forever(poll_interval=0.1)
 
     def start(self) -> "FrameServer":
         """Serve on a daemon background thread; returns ``self``."""
         self._serving.set()
-        self._before_serving()
         self._thread.start()
         return self
 

@@ -22,8 +22,7 @@ The service is three thin layers over machinery that already exists:
    :class:`~repro.batch.engine.BatchCompiler` batch through the
    existing :class:`~repro.batch.engine.Executor` seam.  Concurrent
    load therefore reuses the digest dedup, the cache orchestration,
-   and -- with a ``tcp://`` executor -- the whole worker fleet,
-   unchanged.
+   and -- with a ``local:N`` executor -- the process pool, unchanged.
 3. **Warm tier** -- the service's cache is a
    :class:`~repro.batch.cache.TieredCache`: a process-local LRU in
    front of whatever ``open_cache()`` backend the operator configured,
@@ -198,9 +197,8 @@ class CompileService(FrameServer):
         Where cache misses compile -- the same seam as
         :class:`~repro.batch.engine.BatchCompiler` (which is what runs
         underneath): an :class:`~repro.batch.engine.Executor` or an
-        ``open_executor`` spec -- ``"local:N"`` for a process pool,
-        ``"tcp://HOST:PORT"`` for a worker fleet.  ``None`` (the
-        default) compiles inline.
+        ``open_executor`` spec -- ``"local:N"`` for a process pool.
+        ``None`` (the default) compiles inline.
     batch_window:
         Seconds the dispatcher waits, after the first queued request,
         for more requests to coalesce into one engine batch.  Bounds

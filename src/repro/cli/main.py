@@ -22,22 +22,13 @@ stats
 ablate
     Run any registered experiment (EXP-S1, EXP-S3, EXP-A1..A3, EXP-O1,
     EXP-X1..X3) sharded through the batch engine: per-point streaming
-    progress, grid overrides (``--set``), worker fan-out, persistent
-    (optionally shared) point caches, and zero-recompile cached
-    re-runs.
+    progress, grid overrides (``--set``), process-pool fan-out
+    (``--executor local:N``), persistent (optionally shared) point
+    caches, and zero-recompile cached re-runs.
 cache-serve
     Run a remote result-cache server in front of any cache store, so
     batch/stats/ablate runs on other processes or hosts can share one
     store via ``--cache tcp://HOST:PORT``.
-job-serve
-    Run the distributed execution service: a job server that queues
-    batch jobs and leases them to connected workers (with lease
-    timeouts and requeue on worker death), so batch/stats/ablate runs
-    can execute on many hosts via ``--executor tcp://HOST:PORT``.
-worker
-    Serve a running job server: lease jobs, execute them with the
-    standard engine contract, stream results back; any number of
-    workers on any number of hosts may serve one server.
 serve
     Run the compile-as-a-service front door: a persistent TCP endpoint
     that answers single-kernel compile requests -- admission-controlled
@@ -92,17 +83,16 @@ def _spec_from_args(args: argparse.Namespace) -> AguSpec:
 def _add_executor_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--executor", default=None,
                         help="execution backend: inline (the "
-                             "default), local:N (an N-process pool), "
-                             "or tcp://HOST:PORT (a running job-serve "
-                             "with workers)")
+                             "default) or local:N (an N-process pool)")
 
 
 def _add_trace_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trace", default=None, metavar="PATH",
-                        help="append structured scheduler events as "
-                             "JSONL to PATH (analyze with "
-                             "'repro-agu trace PATH'; default: off, "
-                             "zero overhead)")
+                        help="write the engine's per-job events as "
+                             "JSONL to PATH, replacing any earlier "
+                             "trace there (analyze with 'repro-agu "
+                             "trace PATH'; default: off, zero "
+                             "overhead)")
 
 
 def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
@@ -149,23 +139,18 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cluster_trace_report(args: argparse.Namespace, text: str) -> int:
-    """Analyze a JSONL scheduler trace (see :mod:`repro.batch.trace`)."""
+def _engine_trace_report(args: argparse.Namespace, text: str) -> int:
+    """Analyze a JSONL engine trace (see :mod:`repro.batch.trace`)."""
     import io
     import json
 
     from repro.batch.trace import analyze_trace, read_trace
 
-    trace = read_trace(io.StringIO(text))
-    report = analyze_trace(trace,
-                           straggler_factor=args.straggler_factor)
+    report = analyze_trace(read_trace(io.StringIO(text)))
     if args.json:
         print(json.dumps(report.to_json(), indent=2, sort_keys=True))
         return 0
-    print(report.render(top=args.top))
-    if args.timeline:
-        print()
-        print(report.render_timeline())
+    print(report.render())
     return 0
 
 
@@ -174,11 +159,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.workloads.trace import parse_trace
 
     text = _read_source(args.file)
-    # Two trace dialects share this subcommand: JSONL scheduler traces
+    # Two trace dialects share this subcommand: JSONL engine traces
     # (every line a JSON object, so the file starts with '{') and the
     # legacy plain-text access traces (which never do).
     if text.lstrip().startswith("{"):
-        return _cluster_trace_report(args, text)
+        return _engine_trace_report(args, text)
     pattern = parse_trace(text)
     spec = _spec_from_args(args)
     allocator = AddressRegisterAllocator(spec)
@@ -286,7 +271,10 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     cache = open_cache(args.cache) if args.cache else None
     compiler = BatchCompiler(cache=cache, executor=args.executor,
                              trace=args.trace)
-    report = compiler.compile(jobs)
+    try:
+        report = compiler.compile(jobs)
+    finally:
+        compiler.close()
     title = f"batch: {args.kernels or args.suite} on {spec}"
     print(report.render(title=title))
     print(report.summary())
@@ -330,46 +318,6 @@ def _cmd_cache_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_job_serve(args: argparse.Namespace) -> int:
-    """Run the distributed execution service's job server."""
-    import signal
-
-    from repro.batch.cluster import JobServer
-
-    try:
-        server = JobServer(args.host, args.port,
-                           lease_timeout=args.lease_timeout,
-                           max_attempts=args.max_attempts,
-                           idle_timeout=args.idle_timeout or None,
-                           trace=args.trace)
-    except OSError as error:
-        # Port in use, unresolvable host, privileged port, ...
-        raise ReproError(
-            f"cannot serve on tcp://{args.host}:{args.port}: {error}")
-    print(f"job server at {server.endpoint} (lease timeout "
-          f"{args.lease_timeout:.0f} s); start workers with: "
-          f"repro-agu worker {server.endpoint}; point runs at it with "
-          f"--executor {server.endpoint}; stop with SIGINT/SIGTERM",
-          flush=True)
-    if args.trace:
-        print(f"tracing scheduler events to {args.trace} "
-              f"(analyze with: repro-agu trace {args.trace})", flush=True)
-
-    def terminate(signum, frame):
-        raise KeyboardInterrupt
-
-    previous = signal.signal(signal.SIGTERM, terminate)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        signal.signal(signal.SIGTERM, previous)
-        server.shutdown()
-        print(f"job server stopped; {server.stats}", flush=True)
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the compile-as-a-service front door."""
     import signal
@@ -406,44 +354,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         service.shutdown()
         print(f"compile service stopped; {service.stats}; cache: "
               f"{service.cache.stats}", flush=True)
-    return 0
-
-
-def _cmd_worker(args: argparse.Namespace) -> int:
-    """Serve a job server: lease, execute, stream results back."""
-    import signal
-
-    from repro.batch.cluster import Worker, parse_endpoint
-
-    host, port, _options = parse_endpoint(args.server, options={})
-
-    def on_event(kind: str, detail: str) -> None:
-        if args.quiet:
-            return
-        if kind == "connected":
-            print(f"worker serving {detail}; leasing jobs "
-                  f"(stop with SIGINT/SIGTERM)", flush=True)
-        elif kind in ("executed", "failed"):
-            print(f"[{kind}] {detail}", flush=True)
-
-    worker = Worker(host, port, poll=args.poll, max_jobs=args.max_jobs,
-                    idle_exit=args.idle_exit,
-                    connect_retry=args.connect_retry, on_event=on_event,
-                    trace=args.trace)
-
-    def terminate(signum, frame):
-        worker.stop()
-
-    previous = signal.signal(signal.SIGTERM, terminate)
-    try:
-        worker.run()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        signal.signal(signal.SIGTERM, previous)
-        worker.close()
-        print(f"worker stopped; {worker.jobs_executed} job(s) executed",
-              flush=True)
     return 0
 
 
@@ -787,66 +697,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    "closes it (default 300; 0 disables)")
     serve_parser.set_defaults(func=_cmd_cache_serve)
 
-    job_serve_parser = commands.add_parser(
-        "job-serve", help="serve a job queue to a fleet of workers for "
-                          "multi-host batch execution")
-    job_serve_parser.add_argument("--host", default="127.0.0.1",
-                                  help="bind address (default "
-                                       "127.0.0.1; use 0.0.0.0 to "
-                                       "serve other hosts)")
-    job_serve_parser.add_argument("--port", type=int, default=8742,
-                                  help="TCP port (default 8742; 0 "
-                                       "picks an ephemeral port, "
-                                       "printed on startup)")
-    job_serve_parser.add_argument("--lease-timeout", type=float,
-                                  default=60.0,
-                                  help="seconds a worker may hold a "
-                                       "job before it is requeued "
-                                       "(default 60; size above the "
-                                       "slowest expected job)")
-    job_serve_parser.add_argument("--max-attempts", type=int, default=3,
-                                  help="leases per job before the "
-                                       "server gives up on it "
-                                       "(default 3)")
-    job_serve_parser.add_argument("--idle-timeout", type=float,
-                                  default=600.0,
-                                  help="seconds an idle connection may "
-                                       "sit between frames before the "
-                                       "server closes it (default 600; "
-                                       "0 disables; size above the "
-                                       "slowest job and the lease "
-                                       "timeout)")
-    _add_trace_argument(job_serve_parser)
-    job_serve_parser.set_defaults(func=_cmd_job_serve)
-
-    worker_parser = commands.add_parser(
-        "worker", help="execute jobs leased from a running job-serve")
-    worker_parser.add_argument("server",
-                               help="the job server, as tcp://HOST:PORT "
-                                    "(printed by job-serve on startup)")
-    worker_parser.add_argument("--poll", type=float, default=2.0,
-                               help="seconds one lease request waits "
-                                    "for work before re-polling "
-                                    "(default 2)")
-    worker_parser.add_argument("--max-jobs", type=int, default=None,
-                               help="exit after executing this many "
-                                    "jobs (default: run until "
-                                    "stopped)")
-    worker_parser.add_argument("--idle-exit", type=float, default=None,
-                               help="exit after this many consecutive "
-                                    "idle seconds (default: run until "
-                                    "stopped)")
-    worker_parser.add_argument("--connect-retry", type=float,
-                               default=10.0,
-                               help="seconds to keep retrying the "
-                                    "initial connection, so workers "
-                                    "may start before their server "
-                                    "(default 10)")
-    worker_parser.add_argument("--quiet", action="store_true",
-                               help="suppress per-job log lines")
-    _add_trace_argument(worker_parser)
-    worker_parser.set_defaults(func=_cmd_worker)
-
     compile_serve_parser = commands.add_parser(
         "serve", help="serve single-kernel compile requests over TCP "
                       "(compile-as-a-service front door)")
@@ -905,27 +755,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace_parser = commands.add_parser(
         "trace", help="allocate registers for a plain-text access "
-                      "trace, or analyze a JSONL scheduler trace "
+                      "trace, or analyze a JSONL engine trace "
                       "(from --trace; auto-detected)")
     trace_parser.add_argument("file", help="trace file ('-' = stdin)")
     _add_spec_arguments(trace_parser)
     trace_parser.add_argument("--listing", action="store_true",
                               help="also print the address-code listing")
     trace_parser.add_argument("--json", action="store_true",
-                              help="scheduler traces: emit the report "
+                              help="engine traces: emit the report "
                                    "as JSON instead of text")
-    trace_parser.add_argument("--top", type=int, default=5,
-                              help="scheduler traces: stragglers and "
-                                   "critical-path jobs to list "
-                                   "(default 5)")
-    trace_parser.add_argument("--straggler-factor", type=float,
-                              default=2.0,
-                              help="scheduler traces: flag jobs slower "
-                                   "than this multiple of the median "
-                                   "execution time (default 2.0)")
-    trace_parser.add_argument("--timeline", action="store_true",
-                              help="scheduler traces: also render the "
-                                   "per-worker busy/idle timeline")
     trace_parser.set_defaults(func=_cmd_trace)
 
     report_parser = commands.add_parser(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 
 import pytest
 
@@ -14,8 +15,10 @@ from repro.batch.digest import job_digest
 from repro.batch.engine import (
     BatchCompiler,
     BatchReport,
+    InlineExecutor,
     LocalPoolExecutor,
     execute_job,
+    open_executor,
 )
 from repro.batch.jobs import (
     BatchJob,
@@ -106,6 +109,61 @@ class TestJobFactories:
             job_matrix(base, [])
         with pytest.raises(BatchError):
             job_matrix(base, specs, [])
+
+
+class TestSpecParsing:
+    def test_open_executor_inline(self):
+        assert isinstance(open_executor("inline"), InlineExecutor)
+
+    def test_open_executor_local_pool(self):
+        executor = open_executor("local:3")
+        assert isinstance(executor, LocalPoolExecutor)
+        assert executor.n_workers == 3
+
+    def test_open_executor_local_defaults_to_cpu_count(self):
+        executor = open_executor("local")
+        assert executor.n_workers == (os.cpu_count() or 1)
+
+    def test_tcp_is_an_unknown_executor_scheme(self):
+        """Jobs run inline or on a local pool; a ``tcp://`` spec is
+        rejected like any other unknown scheme, naming the known
+        ones."""
+        with pytest.raises(BatchError) as caught:
+            open_executor("tcp://127.0.0.1:8742")
+        message = str(caught.value)
+        assert "unknown executor scheme 'tcp'" in message
+        assert "known schemes: inline, local" in message
+
+    def test_instances_pass_through(self):
+        executor = InlineExecutor()
+        assert open_executor(executor) is executor
+
+    @pytest.mark.parametrize("spec", [
+        "pool", "local:x", "local:0", "redis://h:1", "tcp://nope",
+        "tcp://h:1/path", "tcp://127.0.0.1:1?bogus=1",
+        "tcp://127.0.0.1:1?timeout=x",
+    ])
+    def test_bad_specs_fail_loudly(self, spec):
+        with pytest.raises(BatchError):
+            open_executor(spec)
+
+    @pytest.mark.parametrize("spec, message", [
+        ("local:0", "executor spec 'local:0' needs a worker count >= 1"),
+        ("local:-2", "executor spec 'local:-2' needs a worker count >= 1"),
+        ("4", "did you mean 'local:4'"),
+    ])
+    def test_bad_spec_errors_name_the_spec(self, spec, message):
+        """Errors quote what the caller typed; a bare worker count
+        points at the ``local:N`` spelling."""
+        with pytest.raises(BatchError) as caught:
+            open_executor(spec)
+        assert message in str(caught.value)
+        assert "n_workers" not in str(caught.value)
+
+    def test_compiler_accepts_spec_strings(self):
+        report = BatchCompiler(executor="inline").compile(
+            jobs_from_suite("full", SPEC, n_iterations=4)[:2])
+        assert report.n_jobs == 2
 
 
 class TestBatchCompiler:

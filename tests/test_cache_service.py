@@ -127,6 +127,23 @@ class TestFraming:
         assert isinstance(bad_value.value.__cause__, ValueError)
 
 
+    def test_parse_endpoint_options(self):
+        from repro.batch.service import parse_endpoint
+
+        host, port, options = parse_endpoint(
+            "tcp://[::1]:9000?timeout=2.5", {"timeout": float})
+        assert (host, port) == ("::1", 9000)
+        assert options == {"timeout": 2.5}
+
+    def test_parse_endpoint_rejects_unknown_options(self):
+        """Cache specs parse through one grammar that refuses options
+        it was not told about."""
+        from repro.batch.service import parse_endpoint
+
+        with pytest.raises(BatchError, match="unknown option"):
+            parse_endpoint("tcp://h:1?bogus=1", {"timeout": float})
+
+
 class TestServerSideFraming:
     """The server's half of the framing contract: a peer that stops
     speaking the protocol gets its connection closed; a response that

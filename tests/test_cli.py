@@ -383,14 +383,67 @@ class TestExperiment:
         assert "rows" in payload and "average_reduction_pct" in payload
 
 
-class TestJobServe:
-    def test_help_offers_no_scheduling_policy_flags(self, capsys):
-        """The job server has one schedule: no order, speculation, or
-        adaptive-lease switches on the command line."""
+class TestNoFleet:
+    def test_subcommands_are_the_single_host_set(self, capsys):
+        """No subcommand queues jobs for, or runs as, a remote
+        worker."""
+        import argparse
+
+        from repro.cli.main import build_parser
+
+        commands = next(
+            action.choices for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction))
+        assert set(commands) == {
+            "compile", "graph", "kernels", "experiment", "batch",
+            "stats", "ablate", "cache-serve", "serve", "verify",
+            "sweep", "selftest", "trace", "report"}
         with pytest.raises(SystemExit) as exit_info:
-            main(["job-serve", "--help"])
+            main(["--help"])
         assert exit_info.value.code == 0
+        assert "worker" not in capsys.readouterr().out
+
+    def test_tcp_executor_fails_before_any_point_runs(self, capsys):
+        assert main(["stats", "--quick", "--patterns", "2",
+                     "--executor", "tcp://127.0.0.1:1"]) != 0
+        captured = capsys.readouterr()
+        assert "unknown executor scheme 'tcp'" in captured.err
+        assert "known schemes: inline, local" in captured.err
+        assert "[1/" not in captured.out
+
+
+class TestEngineTraceCli:
+    RUN = ["stats", "--quick", "--patterns", "2", "--repeats", "2",
+           "--no-progress"]
+
+    def test_rerun_with_the_same_trace_path_stays_readable(
+            self, tmp_path, capsys):
+        """One run owns one trace file: a second run replaces it, so
+        the analyzer reads exactly that run's jobs."""
+        path = str(tmp_path / "t.jsonl")
+        for _ in range(2):
+            assert main([*self.RUN, "--trace", path]) == 0
+        capsys.readouterr()
+        assert main(["trace", path, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["schema"] == "repro.batch.trace-report/2"
+        assert payload["jobs"]["enqueued"] == 8
+        assert payload["jobs"]["completed"] == 8
+        assert payload["jobs"]["cache_hits"] == 0
+
+    def test_text_report(self, tmp_path, capsys):
+        path = str(tmp_path / "t.jsonl")
+        assert main(["batch", "--kernels", "fir8,fir8", "--no-sim",
+                     "--trace", path]) == 0
+        capsys.readouterr()
+        assert main(["trace", path]) == 0
         out = capsys.readouterr().out
-        assert "--lease-timeout" in out and "--max-attempts" in out
-        for removed in ("--order", "--speculate", "--adaptive-lease"):
+        assert "1 enqueued, 1 completed, 0 failed, 1 cache hit(s)" in out
+
+    def test_help_offers_no_scheduler_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["trace", "--help"])
+        out = capsys.readouterr().out
+        assert "--json" in out
+        for removed in ("--top", "--straggler-factor", "--timeline"):
             assert removed not in out

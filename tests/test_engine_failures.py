@@ -8,23 +8,19 @@ orphaned, and every point that completed stays persisted -- so a
 re-run against the same cache resumes instead of starting over.
 
 ``TestFailureContractAcrossExecutors`` is the executor differential:
-the same contract, byte for byte, whether the jobs ran inline, on a
-local process pool, or on a worker fleet behind a job server.
+the same contract, byte for byte, whether the jobs ran inline or on a
+local process pool.
 """
 
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import pytest
 
-from _cluster_jobs import thread_fleet
-
 from repro.agu.model import AguSpec
 from repro.batch.cache import InMemoryLRUCache, ShardedDirectoryCache
-from repro.batch.cluster import ClusterExecutor
 from repro.batch.digest import job_digest
 from repro.batch.engine import (
     BatchCompiler,
@@ -360,42 +356,29 @@ class TestKeyboardInterrupt:
         assert resumed.n_compiled == len(jobs) - stored
 
 
-@contextmanager
-def open_test_executor(kind: str):
-    """An executor backend by differential kind: an ``open_executor``
-    spec for the local ones, a live thread-fleet cluster otherwise."""
-    if kind == "cluster":
-        with thread_fleet(n_workers=2) as server:
-            yield ClusterExecutor(*server.address)
-        return
-    yield kind
-
-
-@pytest.mark.parametrize("kind", ["inline", "local:2", "cluster"])
+@pytest.mark.parametrize("executor", ["inline", "local:2"])
 class TestFailureContractAcrossExecutors:
     """The executor differential: `BatchError` attribution, completed-
     work persistence, and cache resumability are byte-identical across
     every execution backend."""
 
-    def test_crash_attribution_is_identical(self, tmp_path, kind):
+    def test_crash_attribution_is_identical(self, tmp_path, executor):
         store = ShardedDirectoryCache(tmp_path / "store")
-        with open_test_executor(kind) as executor:
-            with pytest.raises(BatchError) as caught:
-                BatchCompiler(cache=store, executor=executor).compile(
-                    [*good_jobs(4), CrashingJob(name="poison")])
+        with pytest.raises(BatchError) as caught:
+            BatchCompiler(cache=store, executor=executor).compile(
+                [*good_jobs(4), CrashingJob(name="poison")])
         assert caught.value.job_name == "poison"
         assert caught.value.digest == job_digest(CrashingJob("poison"))
         assert "poison" in str(caught.value)
         assert caught.value.digest in str(caught.value)
         assert "injected crash" in str(caught.value)
 
-    def test_completed_work_persists_and_resumes(self, tmp_path, kind):
+    def test_completed_work_persists_and_resumes(self, tmp_path, executor):
         survivors = good_jobs(4)
         store = ShardedDirectoryCache(tmp_path / "store")
-        with open_test_executor(kind) as executor:
-            with pytest.raises(BatchError):
-                BatchCompiler(cache=store, executor=executor).compile(
-                    [*survivors, CrashingJob(name="poison")])
+        with pytest.raises(BatchError):
+            BatchCompiler(cache=store, executor=executor).compile(
+                [*survivors, CrashingJob(name="poison")])
         assert len(store) >= 1
         fresh = BatchCompiler().compile(survivors)
         resumed = BatchCompiler(
@@ -408,34 +391,32 @@ class TestFailureContractAcrossExecutors:
                 for r in fresh.results]
 
     def test_streaming_failure_salvages_delivered_prefix(
-            self, tmp_path, kind):
+            self, tmp_path, executor):
         store = ShardedDirectoryCache(tmp_path / "store")
         streamed = []
-        with open_test_executor(kind) as executor:
-            compiler = BatchCompiler(cache=store, executor=executor)
-            with pytest.raises(BatchError) as caught:
-                for _index, result in compiler.as_completed(
-                        [*good_jobs(3), CrashingJob(name="poison")]):
-                    streamed.append(result)
+        compiler = BatchCompiler(cache=store, executor=executor)
+        with pytest.raises(BatchError) as caught:
+            for _index, result in compiler.as_completed(
+                    [*good_jobs(3), CrashingJob(name="poison")]):
+                streamed.append(result)
         assert caught.value.job_name == "poison"
         # Everything delivered before the failure is in the store.
         assert len(store) >= len(streamed)
 
-    def test_interrupted_stream_resumes(self, tmp_path, kind):
+    def test_interrupted_stream_resumes(self, tmp_path, executor):
         jobs = good_jobs(6)
         store = ShardedDirectoryCache(tmp_path / "store")
-        with open_test_executor(kind) as executor:
-            compiler = BatchCompiler(cache=store, executor=executor)
-            stream = compiler.as_completed(jobs)
-            delivered = 0
-            with pytest.raises(KeyboardInterrupt):
-                try:
-                    for _index, _result in stream:
-                        delivered += 1
-                        if delivered >= 2:
-                            raise KeyboardInterrupt
-                finally:
-                    stream.close()
+        compiler = BatchCompiler(cache=store, executor=executor)
+        stream = compiler.as_completed(jobs)
+        delivered = 0
+        with pytest.raises(KeyboardInterrupt):
+            try:
+                for _index, _result in stream:
+                    delivered += 1
+                    if delivered >= 2:
+                        raise KeyboardInterrupt
+            finally:
+                stream.close()
         assert delivered == 2
         persisted = len(store)
         assert persisted >= delivered

@@ -286,43 +286,24 @@ class TestBitIdentity:
 
 class TestBitIdentityAcrossExecutors:
     """The executor differential: the summary every experiment
-    assembles is bit-identical whether its points ran inline, on a
-    local pool spec, or on a worker fleet behind a job server."""
+    assembles is bit-identical whether its points ran inline or on a
+    local pool spec."""
 
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
-    def test_bit_identical_through_cluster_executor(self, experiment):
-        from _cluster_jobs import thread_fleet
-
-        from repro.batch.cluster import ClusterExecutor
-
-        with thread_fleet(n_workers=2) as server:
-            clustered = run_experiment(
-                experiment, tiny_config(experiment),
-                executor=ClusterExecutor(*server.address))
-        assert normalize_summary(clustered) \
-            == normalize_summary(baseline_summary(experiment))
-        assert clustered.n_points_cached == 0
-
-    def test_bit_identical_through_local_pool_spec(self):
-        summary = run_experiment("modreg", tiny_config("modreg"),
+    def test_bit_identical_through_local_pool_spec(self, experiment):
+        summary = run_experiment(experiment, tiny_config(experiment),
                                  executor="local:2")
         assert normalize_summary(summary) \
-            == normalize_summary(baseline_summary("modreg"))
+            == normalize_summary(baseline_summary(experiment))
+        assert summary.n_points_cached == 0
 
-    def test_cluster_run_persists_into_a_resumable_cache(
-            self, tmp_path):
-        """A cluster run warms the same cache a local run resumes
+    def test_pool_run_persists_into_a_resumable_cache(self, tmp_path):
+        """A pool run warms the same cache an inline run resumes
         from -- compute location never leaks into cache identity."""
-        from _cluster_jobs import thread_fleet
-
-        from repro.batch.cluster import ClusterExecutor
-
         store = ShardedDirectoryCache(tmp_path / "points")
         config = tiny_config("reorder")
-        with thread_fleet(n_workers=2) as server:
-            warmed = run_experiment(
-                "reorder", config, cache=store,
-                executor=ClusterExecutor(*server.address))
+        warmed = run_experiment("reorder", config, cache=store,
+                                executor="local:2")
         cached = run_experiment(
             "reorder", config,
             cache=ShardedDirectoryCache(store.root))

@@ -1,28 +1,29 @@
 """One lifecycle contract for every server built on ``FrameServer``.
 
-``CacheServer``, ``JobServer`` and ``CompileService`` share their bind,
-frame loop, idle timeout, connection tracking and shutdown, so each
-case here runs against all three: idle connections close, late
-registrations close, shutdown is prompt and closes live connections,
-a handler crash is an error frame, and op-table violations are error
-frames on a connection that stays usable.
+``CacheServer`` and ``CompileService`` share their bind, frame loop,
+idle timeout, connection tracking and shutdown, so each case here runs
+against both: idle connections close, late registrations close,
+shutdown is prompt, idempotent and closes live connections, a handler
+crash is an error frame, op-table violations are error frames on a
+connection that stays usable, and a peer that breaks the framing is
+hung up on without disturbing anyone else.
 """
 
 from __future__ import annotations
 
 import socket
+import struct
 import time
 
 import pytest
 
 from repro.batch.cache import InMemoryLRUCache
-from repro.batch.cluster import JobServer
 from repro.batch.service import CacheServer, recv_frame, send_frame
 from repro.batch.serving import CompileService
+from repro.errors import BatchError
 
 SERVERS = {
     "cache": lambda **kwargs: CacheServer(InMemoryLRUCache(), **kwargs),
-    "job": JobServer,
     "serve": CompileService,
 }
 
@@ -33,9 +34,6 @@ BAD_REQUESTS = {
     "cache": [({"op": "get"}, "'get' needs a string 'digest'"),
               ({"op": "put", "digest": "d", "payload": 3},
                "'put' field 'payload' must be an object")],
-    "job": [({"op": "fail"}, "'fail' needs a string 'lease'"),
-            ({"op": "lease", "wait": "soon"},
-             "'lease' field 'wait' must be a number")],
     "serve": [({"op": "compile"}, "exactly one of"),
               ({"op": "compile", "kernel": "fir8", "registers": "four"},
                "'compile' field 'registers' must be an integer")],
@@ -106,3 +104,64 @@ def test_op_table_violations_answer_errors_on_a_live_connection(kind):
                 assert answer["ok"] is False
                 assert expected in answer["error"]
             assert ask(sock, {"op": "ping"})["ok"] is True
+
+
+def test_requests_on_one_connection_are_answered_in_order(kind):
+    """Frames sent back to back are answered one by one, in order."""
+    with SERVERS[kind]() as server:
+        with socket.create_connection(server.address, timeout=5) as sock:
+            for request in ({"op": "ping"}, {"op": "frobnicate"},
+                            {"op": "ping"}):
+                send_frame(sock, request)
+            answers = [recv_frame(sock) for _ in range(3)]
+    assert [answer["ok"] for answer in answers] == [True, False, True]
+    assert answers[1]["error"] == "unknown op 'frobnicate'"
+
+
+def test_a_non_string_op_is_an_unknown_op(kind):
+    with SERVERS[kind]() as server:
+        with socket.create_connection(server.address, timeout=5) as sock:
+            assert ask(sock, {"op": 3}) == {"ok": False,
+                                            "error": "unknown op 3"}
+            assert ask(sock, {}) == {"ok": False,
+                                     "error": "unknown op None"}
+
+
+@pytest.mark.parametrize("raw", [
+    struct.pack(">I", 2) + b"[]",            # JSON, but not an object
+    struct.pack(">I", 5) + b"{oops",         # not JSON
+    struct.pack(">I", 0xFFFFFFFF),           # announces an oversized body
+], ids=["non-object", "undecodable", "oversized"])
+def test_a_protocol_violation_closes_only_that_connection(kind, raw):
+    """A peer that stops speaking the protocol is hung up on; the
+    server keeps serving everyone else."""
+    with SERVERS[kind]() as server:
+        with socket.create_connection(server.address, timeout=5) as bad:
+            bad.sendall(raw)
+            assert bad.recv(1) == b""
+        with socket.create_connection(server.address, timeout=5) as sock:
+            assert ask(sock, {"op": "ping"})["ok"] is True
+
+
+def test_endpoint_names_the_bound_address(kind):
+    with SERVERS[kind]() as server:
+        host, port = server.address
+        assert host == "127.0.0.1"
+        assert port > 0
+        assert server.endpoint == f"tcp://127.0.0.1:{port}"
+
+
+def test_shutdown_is_idempotent_and_drops_every_connection(kind):
+    server = SERVERS[kind]().start()
+    with socket.create_connection(server.address, timeout=5) as sock:
+        assert ask(sock, {"op": "ping"})["ok"] is True
+        assert server.n_connections == 1
+        server.shutdown()
+        server.shutdown()
+        assert server.n_connections == 0
+
+
+@pytest.mark.parametrize("idle_timeout", [0, -1.0])
+def test_a_non_positive_idle_timeout_is_rejected(kind, idle_timeout):
+    with pytest.raises(BatchError, match="idle_timeout must be > 0"):
+        SERVERS[kind](idle_timeout=idle_timeout)

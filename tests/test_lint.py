@@ -580,23 +580,8 @@ class TestWireProtocol:
             "    send_frame(sock, {'op': 'ping'})\n"
             "    send_frame(sock, {'op': 'get', 'digest': digest})\n"
             "    send_frame(sock, {'op': 'compile', 'source': source,\n"
-            "                      'listing': True})\n"
-            "    send_frame(sock, {'op': 'submit', 'jobs': [],\n"
-            "                      'hints': []})\n")
+            "                      'listing': True})\n")
         assert result.clean
-
-    def test_event_kinds_and_fields_are_checked(self):
-        result = wire_lint(
-            "def push(sock, index, value):\n"
-            "    send_frame(sock, {'event': 'progress'})\n"
-            "    send_frame(sock, {'event': 'result', 'index': index,\n"
-            "                      'value': value})\n"
-            "    send_frame(sock, {'event': 'result', 'index': index,\n"
-            "                      'result': value})\n")
-        messages = [diag.message for diag in result.diagnostics]
-        assert len(messages) == 2
-        assert "event 'progress' is not declared" in messages[0]
-        assert "does not declare field 'value'" in messages[1]
 
     def test_computed_op_and_spread_literals_are_skipped(self):
         result = wire_lint("def call(sock, op, extra):\n"

@@ -396,9 +396,7 @@ class TestProtocolDoc:
         text = (ROOT / "docs" / "PROTOCOL.md").read_text(
             encoding="utf-8")
         assert "GENERATED FILE" in text
-        for op in ("lease", "submit", "compile", "get_many"):
+        for op in ("get", "get_many", "put", "compile", "stats"):
             assert f'`op: "{op}"`' in text
-        assert "## Event frames" in text
-        for kind in ("result", "failed", "heartbeat", "done",
-                     "aborted"):
-            assert f"`{kind}`" in text
+        for gone in ("lease", "submit", "Event frames"):
+            assert gone not in text

@@ -1,176 +1,196 @@
-"""Trace invariants: property tests over random scripted schedules
-plus unit coverage of the :mod:`repro.batch.trace` reader/analyzer.
+"""Engine traces: exact event counts, properties over random job mixes
+run through a real :class:`~repro.batch.engine.BatchCompiler`, and unit
+coverage of the :mod:`repro.batch.trace` writer, reader and analyzer.
 
-The properties pin the contracts the analyzer's interval model relies
-on -- every ``lease`` gets exactly one terminal (``finish`` /
-``expire`` / ``requeue``), per-worker utilization lands in [0, 1], the
-critical path never exceeds the makespan, and a trace round-trips
-through its JSONL encoding -- across randomized schedules with
-injected faults (expired leases, killed workers, duplicate
-completions) executed on the deterministic scripted cluster.
+The contract: every computed job leaves one ``enqueue`` and one
+``finish``, every slot that did not execute leaves one ``cache_hit``,
+so :func:`~repro.batch.trace.analyze_trace` counts what the batch's
+:class:`~repro.batch.engine.BatchReport` counts; and a trace
+round-trips through its JSONL encoding.
 """
 
 from __future__ import annotations
 
 import io
 import json
+from dataclasses import dataclass
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from _cluster_harness import VirtualClock, scripted_cluster
-from _cluster_jobs import TinyJob
-
+from repro.agu.model import AguSpec
+from repro.batch.cache import InMemoryLRUCache
+from repro.batch.engine import BatchCompiler
+from repro.batch.jobs import BatchJob
 from repro.batch.trace import (
     EVENT_KINDS,
-    LEASE_TERMINAL_KINDS,
     NULL_TRACER,
+    REPORT_SCHEMA,
     TRACE_SCHEMA,
     Trace,
     TraceError,
     Tracer,
     analyze_trace,
-    job_label,
     open_tracer,
-    percentile,
     read_trace,
 )
+from repro.errors import BatchError
+from repro.ir.builder import pattern_from_offsets
 
-# ----------------------------------------------------------------------
-# Random fault schedules on the scripted cluster
-# ----------------------------------------------------------------------
-#: Per-job faults the schedule strategy can inject.  ``ok`` is a clean
-#: completion; ``duplicate`` reports the same lease twice; ``expire``
-#: lets the lease time out (stalled worker) before a re-lease
-#: completes it; ``kill`` drops the leasing worker (SIGKILL) so the
-#: job requeues.
-FAULTS = ("ok", "duplicate", "expire", "kill")
+SPEC = AguSpec(2, 1)
 
-#: One job = (fault, duration ticks); a tick is 10 virtual ms.
-schedules = st.lists(
-    st.tuples(st.sampled_from(FAULTS), st.integers(1, 40)),
-    min_size=1, max_size=6)
-
-#: The static lease timeout the scripted runs use (virtual seconds).
-LEASE_TIMEOUT = 5.0
+#: Small distinct patterns; a job mix draws from them, so duplicates
+#: (same digest under another name) are common.
+OFFSETS = ([1, 0, 2, -1, 1, 0, -2], [0, 3, 1, 4], [2, 2, -1, 0, 5],
+           [0, 1, 2, 3, 4, 5])
 
 
-def run_schedule(schedule, n_workers):
-    """Execute ``schedule`` on a scripted cluster; returns the raw
-    JSONL trace text.  Jobs run one at a time (the schedule is a
-    script, not a race), with the virtual clock advanced by each job's
-    duration and by fault-specific amounts."""
+def pattern_job(name: str, which: int) -> BatchJob:
+    """A cheap compile job over one of :data:`OFFSETS`."""
+    return BatchJob(name=name, spec=SPEC,
+                    pattern=pattern_from_offsets(OFFSETS[which]),
+                    run_simulation=False)
+
+
+@dataclass(frozen=True)
+class PoisonJob:
+    """A job whose execution raises."""
+
+    name: str
+
+    def cache_key(self) -> dict:
+        return {"v": 0, "poison": self.name}
+
+    def execute(self):
+        raise RuntimeError(f"poisoned {self.name}")
+
+
+def traced_batch(jobs, warm=()):
+    """Compile ``warm`` untraced, then ``jobs`` traced on the same
+    cache; returns ``(report, trace text)``."""
+    cache = InMemoryLRUCache()
+    BatchCompiler(cache=cache).compile(list(warm))
     sink = io.StringIO()
-    with scripted_cluster(lease_timeout=LEASE_TIMEOUT, max_attempts=20,
-                          trace=sink) as cluster:
-        workers = [cluster.worker() for _ in range(n_workers)]
-        jobs = [TinyJob(name=f"j{i}") for i in range(len(schedule))]
-        cluster.submit(jobs)
-        for i, (fault, ticks) in enumerate(schedule):
-            seconds = ticks * 0.01
-            worker = workers[i % n_workers]
-            if fault == "kill":
-                victim = cluster.worker()
-                leased = victim.lease()
-                assert leased is not None
-                cluster.clock.advance(seconds)
-                victim.kill()  # SIGKILL: the lease requeues
-                leased = worker.lease()
-            elif fault == "expire":
-                leased = worker.lease()
-                assert leased is not None
-                cluster.clock.advance(LEASE_TIMEOUT + seconds)
-                assert cluster.server.reap_expired_leases() == 1
-                worker = workers[(i + 1) % n_workers]
-                leased = worker.lease()
-            else:
-                leased = worker.lease()
-            assert leased is not None
-            cluster.clock.advance(seconds)
-            reply = worker.complete(leased, "result", seconds=seconds)
-            assert reply.get("stale") is not True
-            if fault == "duplicate":
-                stale = worker.complete(leased, "result",
-                                        seconds=seconds)
-                assert stale.get("stale") is True
-    return sink.getvalue()
+    report = BatchCompiler(cache=cache, trace=sink).compile(jobs)
+    return report, sink.getvalue()
+
+
+def kinds(text: str) -> list[str]:
+    return [event["kind"]
+            for event in read_trace(io.StringIO(text)).events]
+
+
+# ----------------------------------------------------------------------
+# Exact counts from a real engine
+# ----------------------------------------------------------------------
+class TestEngineTrace:
+    """What ``BatchCompiler(trace=...)`` writes, event by event."""
+
+    def test_cold_batch_with_a_duplicate_and_a_warm_job(self):
+        """Two distinct cold jobs, a duplicate of one of them, and a
+        pre-warmed job: 2 enqueue + 2 finish, and 2 cache hits (the
+        duplicate and the warm job)."""
+        warm = pattern_job("warm", 3)
+        jobs = [pattern_job("a", 0), pattern_job("b", 1),
+                pattern_job("a-again", 0), pattern_job("warm-too", 3)]
+        report, text = traced_batch(jobs, warm=[warm])
+        seen = kinds(text)
+        assert seen.count("enqueue") == 2
+        assert seen.count("finish") == 2
+        assert seen.count("cache_hit") == 2
+        assert len(seen) == 6
+        assert (report.n_compiled, report.n_cache_hits) == (2, 2)
+        analyzed = analyze_trace(read_trace(io.StringIO(text)))
+        assert analyzed.n_jobs == report.n_compiled
+        assert analyzed.n_completed == report.n_compiled
+        assert analyzed.n_failed == 0
+        assert analyzed.n_cache_hits == report.n_cache_hits
+        assert analyzed.source == "engine"
+
+    def test_events_name_their_jobs(self):
+        report, text = traced_batch([pattern_job("only", 2)])
+        events = read_trace(io.StringIO(text)).events
+        assert [(e["kind"], e["name"]) for e in events] == [
+            ("enqueue", "only"), ("finish", "only")]
+        assert events[1]["outcome"] == "ok"
+        assert events[0]["digest"] == report.results[0].digest
+
+    def test_a_poison_job_finishes_failed_and_is_counted(self):
+        sink = io.StringIO()
+        with pytest.raises(BatchError, match="poison"):
+            BatchCompiler(trace=sink).compile(
+                [pattern_job("good", 0), PoisonJob("poison")])
+        events = read_trace(io.StringIO(sink.getvalue())).events
+        failed = [e for e in events
+                  if e["kind"] == "finish" and e["outcome"] == "failed"]
+        assert [e["name"] for e in failed] == ["poison"]
+        report = analyze_trace(read_trace(io.StringIO(sink.getvalue())))
+        assert report.n_failed == 1
+        assert report.n_jobs == 2
+        assert report.n_completed == 1
+
+    def test_report_json_carries_the_new_schema(self):
+        _report, text = traced_batch(
+            [pattern_job("a", 0), pattern_job("b", 0)])
+        payload = analyze_trace(read_trace(io.StringIO(text))).to_json()
+        assert payload["schema"] == REPORT_SCHEMA \
+            == "repro.batch.trace-report/2"
+        assert payload["jobs"] == {"enqueued": 1, "completed": 1,
+                                   "failed": 0, "cache_hits": 1}
+        assert payload["makespan_seconds"] >= 0.0
+        json.dumps(payload)  # JSON-able end to end
+
+
+# ----------------------------------------------------------------------
+# Properties over random job mixes
+# ----------------------------------------------------------------------
+#: One job mix: per slot, which pattern it compiles and whether that
+#: pattern was compiled before the traced batch (a warm cache entry).
+job_mixes = st.lists(
+    st.tuples(st.integers(0, len(OFFSETS) - 1), st.booleans()),
+    min_size=1, max_size=8)
+
+
+def run_mix(mix):
+    jobs = [pattern_job(f"j{slot}", which)
+            for slot, (which, _warm) in enumerate(mix)]
+    warm = [pattern_job(f"w{which}", which)
+            for which, is_warm in mix if is_warm]
+    return traced_batch(jobs, warm=warm)
 
 
 class TestTraceProperties:
-    """Hypothesis properties over randomized fault schedules."""
+    """Hypothesis properties over random engine batches."""
 
-    @given(schedule=schedules, n_workers=st.integers(1, 3))
+    @given(mix=job_mixes)
     @settings(max_examples=30, deadline=None)
-    def test_every_lease_gets_exactly_one_terminal(
-            self, schedule, n_workers):
-        """Lease-lifecycle invariant: each ``lease`` event is closed
-        by exactly one ``finish`` / ``expire`` / ``requeue``."""
-        text = run_schedule(schedule, n_workers)
+    def test_counts_match_the_batch_report(self, mix):
+        """One ``enqueue``/``finish`` per distinct cold pattern, one
+        ``cache_hit`` per other slot -- what the report counts."""
+        report, text = run_mix(mix)
+        analyzed = analyze_trace(read_trace(io.StringIO(text)))
+        cold = {which for which, _ in mix} \
+            - {which for which, warm in mix if warm}
+        assert analyzed.n_jobs == analyzed.n_completed == len(cold) \
+            == report.n_compiled
+        assert analyzed.n_cache_hits == report.n_cache_hits \
+            == len(mix) - len(cold)
+
+    @given(mix=job_mixes)
+    @settings(max_examples=30, deadline=None)
+    def test_makespan_is_within_the_event_span(self, mix):
+        _report, text = run_mix(mix)
         trace = read_trace(io.StringIO(text))
-        leases = [e["lease"] for e in trace.events
-                  if e["kind"] == "lease"]
-        terminals = [e["lease"] for e in trace.events
-                     if e["kind"] in LEASE_TERMINAL_KINDS]
-        assert sorted(leases) == sorted(terminals)
-        # And each terminal comes at or after its lease.
-        start_t = {e["lease"]: e["t"] for e in trace.events
-                   if e["kind"] == "lease"}
-        for event in trace.events:
-            if event["kind"] in LEASE_TERMINAL_KINDS:
-                assert event["t"] >= start_t[event["lease"]]
-
-    @given(schedule=schedules, n_workers=st.integers(1, 3))
-    @settings(max_examples=30, deadline=None)
-    def test_fault_accounting_matches_the_schedule(
-            self, schedule, n_workers):
-        """The analyzer's churn counters equal the injected faults."""
-        report = analyze_trace(
-            read_trace(io.StringIO(run_schedule(schedule, n_workers))))
-        n_expire = sum(1 for fault, _ in schedule if fault == "expire")
-        n_kill = sum(1 for fault, _ in schedule if fault == "kill")
-        n_dup = sum(1 for fault, _ in schedule
-                    if fault == "duplicate")
-        assert report.n_jobs == len(schedule)
-        assert report.n_completed == len(schedule)
-        assert report.n_failed == 0
-        assert report.n_expired == n_expire
-        assert report.n_requeued == n_expire + n_kill
-        assert report.n_stale == n_dup
-
-    @given(schedule=schedules, n_workers=st.integers(1, 3))
-    @settings(max_examples=30, deadline=None)
-    def test_utilization_and_critical_path_bounds(
-            self, schedule, n_workers):
-        """Utilization lands in [0, 1]; critical path <= makespan."""
-        report = analyze_trace(
-            read_trace(io.StringIO(run_schedule(schedule, n_workers))))
-        assert report.workers
-        for worker in report.workers.values():
-            assert 0.0 <= worker.utilization <= 1.0
-            assert worker.busy_seconds <= worker.span_seconds + 1e-9
-        assert 0.0 <= report.critical_path_seconds \
-            <= report.makespan + 1e-9
-        assert report.makespan >= 0.0
-
-    @given(schedule=schedules, n_workers=st.integers(1, 3))
-    @settings(max_examples=30, deadline=None)
-    def test_makespan_is_within_the_event_span(self, schedule,
-                                               n_workers):
-        """The makespan is the batch window: it never exceeds the
-        first-to-last-event span, which also covers fleet start-up
-        and shutdown."""
-        trace = read_trace(io.StringIO(run_schedule(schedule, n_workers)))
         times = [event["t"] for event in trace.events]
         report = analyze_trace(trace)
-        assert report.makespan <= max(times) - min(times) + 1e-9
+        assert 0.0 <= report.makespan <= max(times) - min(times) + 1e-9
 
-    @given(schedule=schedules, n_workers=st.integers(1, 3))
+    @given(mix=job_mixes)
     @settings(max_examples=30, deadline=None)
-    def test_trace_round_trips_through_jsonl(
-            self, schedule, n_workers):
+    def test_trace_round_trips_through_jsonl(self, mix):
         """Re-serializing header + events yields the same trace."""
-        text = run_schedule(schedule, n_workers)
+        _report, text = run_mix(mix)
         first = read_trace(io.StringIO(text))
         lines = [json.dumps(first.header, separators=(",", ":"),
                             sort_keys=True)]
@@ -185,6 +205,13 @@ class TestTraceProperties:
 # ----------------------------------------------------------------------
 # Reader validation
 # ----------------------------------------------------------------------
+#: The kinds a scheduler trace of the retired job fleet carried; an
+#: old fleet trace must be rejected, not half-read.
+RETIRED_KINDS = ("lease", "start", "requeue", "expire", "speculate",
+                 "stale_result", "drop", "heartbeat", "worker_join",
+                 "worker_leave")
+
+
 def header_line(**overrides) -> str:
     """A valid JSONL trace header line (fields overridable)."""
     header = {"schema": TRACE_SCHEMA, "source": "test", "wall": 0.0,
@@ -220,10 +247,12 @@ class TestReadTraceValidation:
         with pytest.raises(TraceError, match="not a JSON object"):
             read_trace(io.StringIO(text))
 
-    def test_unknown_event_kind_is_rejected(self):
-        """Schema drift (a new kind) fails at read time."""
+    @pytest.mark.parametrize("kind", ["teleport", *RETIRED_KINDS])
+    def test_unknown_event_kind_is_rejected(self, kind):
+        """Schema drift (a new kind, or any kind the retired job
+        scheduler wrote) fails at read time."""
         text = header_line() + "\n" \
-            + json.dumps({"t": 0.0, "kind": "teleport"}) + "\n"
+            + json.dumps({"t": 0.0, "kind": kind}) + "\n"
         with pytest.raises(TraceError, match="unknown event kind"):
             read_trace(io.StringIO(text))
 
@@ -232,13 +261,13 @@ class TestReadTraceValidation:
     def test_bad_timestamps_are_rejected(self, t):
         """Events need a finite non-negative numeric ``t``."""
         text = header_line() + "\n" \
-            + json.dumps({"t": t, "kind": "heartbeat"}) + "\n"
+            + json.dumps({"t": t, "kind": "enqueue"}) + "\n"
         with pytest.raises(TraceError, match="'t'"):
             read_trace(io.StringIO(text))
 
     def test_valid_trace_parses_with_unknown_fields_carried(self):
         """Unknown *fields* (not kinds) pass through untouched."""
-        event = {"t": 1.25, "kind": "heartbeat", "custom": [1, 2]}
+        event = {"t": 1.25, "kind": "cache_hit", "custom": [1, 2]}
         text = header_line() + "\n" + json.dumps(event) + "\n"
         trace = read_trace(io.StringIO(text))
         assert trace.source == "test"
@@ -247,7 +276,7 @@ class TestReadTraceValidation:
     def test_reader_accepts_paths_and_line_iterables(self, tmp_path):
         """The reader takes a path, a StringIO, or any line iterable."""
         lines = [header_line(),
-                 json.dumps({"t": 0.5, "kind": "heartbeat"})]
+                 json.dumps({"t": 0.5, "kind": "enqueue"})]
         path = tmp_path / "trace.jsonl"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         from_path = read_trace(path)
@@ -264,36 +293,37 @@ class TestTracer:
     def test_header_is_written_eagerly_and_events_are_relative(self):
         """The header lands at construction; event ``t`` counts from
         the tracer's monotonic origin, not from zero."""
-        clock = VirtualClock(start=100.0)
+        ticks = iter([100.0, 101.5])
         sink = io.StringIO()
-        tracer = Tracer(sink, source="unit", clock=clock)
-        clock.advance(1.5)
-        tracer.emit("heartbeat", queued=3)
+        tracer = Tracer(sink, source="unit", clock=lambda: next(ticks))
+        tracer.emit("enqueue", index=3)
         trace = read_trace(io.StringIO(sink.getvalue()))
         assert trace.header["schema"] == TRACE_SCHEMA
         assert trace.header["source"] == "unit"
         assert trace.header["monotonic"] == 100.0
         assert trace.events == [
-            {"t": 1.5, "kind": "heartbeat", "queued": 3}]
+            {"t": 1.5, "kind": "enqueue", "index": 3}]
 
-    def test_path_sink_is_opened_appended_and_closed(self, tmp_path):
-        """A path sink appends (two tracers share one artifact) and
-        ``close`` is idempotent."""
+    def test_path_sink_is_truncated_per_run_and_closed(self, tmp_path):
+        """A path sink belongs to one run: a second tracer on the same
+        path replaces the first one's file, leaving exactly one header
+        and its own events; ``close`` is idempotent."""
         path = tmp_path / "deep" / "trace.jsonl"
         with Tracer(path, source="one") as tracer:
-            tracer.emit("worker_join", worker="w1")
+            tracer.emit("enqueue", index=0)
         tracer.close()  # idempotent after the context exit
         with Tracer(path, source="two") as tracer:
-            tracer.emit("worker_leave", worker="w1")
+            tracer.emit("cache_hit", index=1)
         lines = [json.loads(line) for line
                  in path.read_text(encoding="utf-8").splitlines()]
         assert [r.get("schema", r.get("kind")) for r in lines] == [
-            TRACE_SCHEMA, "worker_join", TRACE_SCHEMA, "worker_leave"]
+            TRACE_SCHEMA, "cache_hit"]
+        assert read_trace(path).source == "two"
 
     def test_null_tracer_is_disabled_and_inert(self):
         """The null tracer reports disabled and swallows everything."""
         assert NULL_TRACER.enabled is False
-        NULL_TRACER.emit("heartbeat", anything="goes")
+        NULL_TRACER.emit("enqueue", anything="goes")
         NULL_TRACER.close()
         with NULL_TRACER as tracer:
             assert tracer is NULL_TRACER
@@ -309,34 +339,75 @@ class TestTracer:
         assert read_trace(tmp_path / "t.jsonl").source == "z"
 
 
-# ----------------------------------------------------------------------
-# Analyzer helpers and rendering
-# ----------------------------------------------------------------------
-class TestPercentile:
-    """The nearest-rank estimator shared with the server policies."""
+@pytest.fixture
+def opened_tracers(monkeypatch):
+    """Every :class:`Tracer` constructed during the test, in order."""
+    from repro.batch import trace as trace_module
 
-    def test_nearest_rank_values(self):
-        """Nearest-rank picks actual samples, never interpolates."""
-        assert percentile([4.0, 1.0, 3.0, 2.0], 50.0) == 2.0
-        assert percentile([4.0, 1.0, 3.0, 2.0], 100.0) == 4.0
-        assert percentile([7.0], 95.0) == 7.0
-        assert percentile(list(map(float, range(1, 11))), 95.0) == 10.0
-        assert percentile([5.0, 6.0], 0.0) == 5.0
+    opened = []
 
-    def test_empty_sequence_raises(self):
-        """An empty sample set has no percentile."""
-        with pytest.raises(ValueError, match="empty"):
-            percentile([], 50.0)
+    class Recording(trace_module.Tracer):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            opened.append(self)
+
+    monkeypatch.setattr(trace_module, "Tracer", Recording)
+    return opened
 
 
-class TestAnalyzeAndRender:
-    """Deterministic analyzer output on synthetic and scripted traces."""
+class TestTraceOwnership:
+    """Who closes a trace file: whoever opened it."""
 
-    def test_job_label_forms(self):
-        """Labels degrade gracefully without a batch or a name."""
-        assert job_label("b1", 3, "grid-n20") == "b1[3] grid-n20"
-        assert job_label("b1", 3) == "b1[3]"
-        assert job_label(None, 2) == "[2]"
+    def test_run_experiment_closes_the_file_it_opened(self, tmp_path,
+                                                      opened_tracers):
+        from repro.analysis import experiments
+
+        experiments.run_experiment("arraylayout",
+                                   trace=tmp_path / "run.jsonl")
+        assert len(opened_tracers) == 1
+        assert opened_tracers[0]._stream.closed
+        assert analyze_trace(read_trace(tmp_path / "run.jsonl")).n_jobs
+
+    def test_a_failing_run_still_closes_the_file_it_opened(
+            self, tmp_path, opened_tracers):
+        from repro.analysis.experiments import run_experiment
+
+        def interrupt(done, total, result):
+            raise RuntimeError("stop after the first point")
+
+        with pytest.raises(RuntimeError, match="first point"):
+            run_experiment("arraylayout", progress=interrupt,
+                           trace=tmp_path / "run.jsonl")
+        assert len(opened_tracers) == 1
+        assert opened_tracers[0]._stream.closed
+        assert analyze_trace(read_trace(tmp_path / "run.jsonl")).n_jobs
+
+    def test_batch_cli_closes_the_file_it_opened(self, tmp_path,
+                                                 opened_tracers, capsys):
+        from repro.cli.main import main
+
+        path = tmp_path / "batch.jsonl"
+        assert main(["batch", "--kernels", "fir8,fir8", "--no-sim",
+                     "--iterations", "2", "--trace", str(path)]) == 0
+        capsys.readouterr()
+        assert len(opened_tracers) == 1
+        assert opened_tracers[0]._stream.closed
+        report = analyze_trace(read_trace(path))
+        assert (report.n_jobs, report.n_cache_hits) == (1, 1)
+
+    def test_a_tracer_passed_in_stays_open(self):
+        from repro.analysis.experiments import run_experiment
+
+        sink = io.StringIO()
+        tracer = Tracer(sink, source="caller")
+        run_experiment("arraylayout", trace=tracer)
+        tracer.emit("cache_hit", index=0)  # still writable
+        assert not sink.closed
+        assert kinds(sink.getvalue())[-1] == "cache_hit"
+
+
+class TestAnalyzer:
+    """Deterministic analyzer output on synthetic traces."""
 
     def test_empty_event_stream_yields_a_zero_report(self):
         """A header-only trace analyzes to an all-zero report that
@@ -344,89 +415,41 @@ class TestAnalyzeAndRender:
         trace = read_trace(io.StringIO(header_line() + "\n"))
         report = analyze_trace(trace)
         assert report.makespan == 0.0
-        assert report.n_jobs == 0
-        assert report.workers == {}
+        assert (report.n_jobs, report.n_completed, report.n_failed,
+                report.n_cache_hits) == (0, 0, 0, 0)
         assert "trace report" in report.render()
-        assert "no worker activity" in report.render_timeline()
 
-    def test_makespan_spans_the_batch_not_the_fleet(self):
-        """Fleet start-up before the first ``enqueue`` and shutdown
-        after the last ``finish`` lie outside the makespan."""
+    def test_makespan_spans_the_events(self):
         events = [
-            {"t": 0.0, "kind": "worker_join", "worker": "w1"},
-            {"t": 0.5, "kind": "enqueue", "batch": "b1", "index": 0},
-            {"t": 0.6, "kind": "lease", "batch": "b1", "index": 0,
-             "lease": "l1", "worker": "w1"},
-            {"t": 0.8, "kind": "finish", "batch": "b1", "index": 0,
-             "lease": "l1", "worker": "w1", "outcome": "ok"},
-            {"t": 1.7, "kind": "heartbeat", "queued": 0},
-            {"t": 1.8, "kind": "worker_leave", "worker": "w1"},
-        ]
-        report = analyze_trace(
-            Trace(header={"schema": TRACE_SCHEMA, "source": "t"},
-                  events=events))
-        assert (report.t0, report.t1) == (0.0, 1.8)
-        assert report.makespan == pytest.approx(0.3)
-        assert report.critical_path_seconds == pytest.approx(0.2)
-
-    def test_counters_for_cache_hits_and_drops(self):
-        """``cache_hit`` / ``drop`` / ``speculate`` events count."""
-        events = [
-            {"t": 0.0, "kind": "cache_hit", "index": 0},
-            {"t": 0.1, "kind": "cache_hit", "index": 1},
-            {"t": 0.2, "kind": "drop", "batch": "b1", "index": 2},
-            {"t": 0.3, "kind": "speculate", "batch": "b1", "index": 3},
+            {"t": 0.5, "kind": "cache_hit", "index": 0},
+            {"t": 0.6, "kind": "enqueue", "index": 0},
+            {"t": 0.9, "kind": "finish", "index": 0, "outcome": "ok"},
         ]
         report = analyze_trace(
             Trace(header={"schema": TRACE_SCHEMA, "source": "engine"},
                   events=events))
-        assert report.n_cache_hits == 2
-        assert report.n_dropped == 1
-        assert report.n_speculated == 1
+        assert report.makespan == pytest.approx(0.4)
 
-    def test_straggler_detection_against_the_median(self):
-        """A job >2x the median of >=3 completions is flagged."""
-        events = []
-        for i, seconds in enumerate([0.1, 0.1, 0.1, 0.9]):
-            t0 = i * 1.0
-            events.append({"t": t0, "kind": "enqueue",
-                           "batch": "b1", "index": i, "name": f"j{i}"})
-            events.append({"t": t0, "kind": "lease", "batch": "b1",
-                           "index": i, "lease": f"l{i}",
-                           "worker": "w1"})
-            events.append({"t": t0 + seconds, "kind": "finish",
-                           "batch": "b1", "index": i,
-                           "lease": f"l{i}", "worker": "w1",
-                           "outcome": "ok", "seconds": seconds})
+    def test_counters_and_render(self):
+        """Every kind counts; a truncated trace (an ``enqueue`` with
+        no ``finish``) counts as enqueued only."""
+        events = [
+            {"t": 0.0, "kind": "cache_hit", "index": 0},
+            {"t": 0.1, "kind": "cache_hit", "index": 1},
+            {"t": 0.2, "kind": "enqueue", "index": 0},
+            {"t": 0.2, "kind": "enqueue", "index": 1},
+            {"t": 0.3, "kind": "enqueue", "index": 2},
+            {"t": 0.4, "kind": "finish", "index": 0, "outcome": "ok"},
+            {"t": 0.5, "kind": "finish", "index": 1,
+             "outcome": "failed"},
+        ]
         report = analyze_trace(
-            Trace(header={"schema": TRACE_SCHEMA, "source": "t"},
+            Trace(header={"schema": TRACE_SCHEMA, "source": "engine",
+                          "wall": 12.5},
                   events=events))
-        assert report.median_seconds == pytest.approx(0.1)
-        assert len(report.stragglers) == 1
-        label, worker, seconds, ratio = report.stragglers[0]
-        assert label == "b1[3] j3"
-        assert worker == "w1"
-        assert seconds == pytest.approx(0.9)
-        assert ratio == pytest.approx(9.0)
-        assert "stragglers" in report.render()
-
-    def test_scripted_run_renders_report_json_and_timeline(self):
-        """End-to-end: a two-worker scripted run produces a report
-        whose text, JSON, and timeline forms all carry the lanes."""
-        text = run_schedule(
-            [("ok", 10), ("ok", 20), ("duplicate", 5), ("ok", 15)],
-            n_workers=2)
-        report = analyze_trace(read_trace(io.StringIO(text)))
-        assert set(report.workers) == {"w1", "w2"}
+        assert (report.n_jobs, report.n_completed, report.n_failed,
+                report.n_cache_hits) == (3, 1, 1, 2)
+        assert report.wall == 12.5
         rendered = report.render()
-        assert "per-worker utilization" in rendered
-        assert "critical path" in rendered
-        payload = report.to_json()
-        assert payload["schema"] == "repro.batch.trace-report/1"
-        assert payload["jobs"]["completed"] == 4
-        assert payload["jobs"]["stale_results"] == 1
-        assert set(payload["workers"]) == {"w1", "w2"}
-        json.dumps(payload)  # JSON-able end to end
-        timeline = report.render_timeline(width=32)
-        assert "w1" in timeline and "w2" in timeline
-        assert "#" in timeline
+        assert "3 enqueued, 1 completed, 1 failed, 2 cache hit(s)" \
+            in rendered

@@ -1,7 +1,7 @@
 """Record a performance-trajectory run into a ``BENCH_<n>.json`` file.
 
 The repo's benchmarks (``benchmarks/bench_perf_scaling.py``) measure the
-solver hot paths and the batch/cluster throughput, but a bench run that
+solver hot paths and the batch throughput, but a bench run that
 is not *recorded* cannot prove a speedup or catch a regression.  This
 runner executes a selection of those benchmarks under pytest-benchmark,
 lowers the result to a schema-versioned *trajectory record* -- per-bench
@@ -39,10 +39,9 @@ TRAJECTORY_SCHEMA = 1
 
 #: The default bench selection: the solver hot-path micro-suite, the
 #: cold EXP-S1 grid (the end-to-end number the solvers feed), the
-#: compile-service latency benches (whose p50/p95/p99 SLO numbers ride
-#: along in ``extra_info``), and the cluster scheduling benches (whose
-#: trace-derived makespan/utilization ride along the same way).
-DEFAULT_SELECTION = "solver or stats_grid_cold or bench_serve or sched"
+#: and the compile-service latency benches (whose p50/p95/p99 SLO
+#: numbers ride along in ``extra_info``).
+DEFAULT_SELECTION = "solver or stats_grid_cold or bench_serve"
 
 #: The bench module every trajectory run executes.
 BENCH_FILE = "benchmarks/bench_perf_scaling.py"

@@ -2,10 +2,9 @@
 """Generate ``docs/PROTOCOL.md`` from the servers' declared op tables.
 
 Every server of the batch layer declares its wire schema: the op
-tables (``OPS``, and the job server's ``STREAM_OPS``) of the
-:class:`~repro.batch.service.FrameServer` subclasses, and the job
-server's result-stream ``EVENTS``.  The servers validate requests
-against those tables at runtime; this script renders the same tables
+table (``OPS``) of each :class:`~repro.batch.service.FrameServer`
+subclass.  The servers validate requests against those tables at
+runtime; this script renders the same tables
 as markdown, so the protocol reference cannot drift from the code --
 CI runs ``--check`` and fails when the committed document no longer
 matches::
@@ -25,7 +24,6 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.batch.cluster import EVENTS, JobServer  # noqa: E402
 from repro.batch.service import CacheServer, Op  # noqa: E402
 from repro.batch.serving import CompileService  # noqa: E402
 
@@ -35,10 +33,6 @@ OUTPUT = REPO_ROOT / "docs" / "PROTOCOL.md"
 SERVERS = [
     ("CacheServer", "repro.batch.service", "`repro-agu cache-serve`",
      CacheServer.OPS),
-    ("JobServer", "repro.batch.cluster", "`repro-agu job-serve`, to "
-     "workers and diagnostic probes", JobServer.OPS),
-    ("JobServer result stream", "repro.batch.cluster",
-     "`repro-agu job-serve`, to submitting clients", JobServer.STREAM_OPS),
     ("CompileService", "repro.batch.serving", "`repro-agu serve`",
      CompileService.OPS),
 ]
@@ -47,8 +41,8 @@ HEADER = """\
 # Wire protocol reference
 
 <!-- GENERATED FILE -- do not edit by hand.
-     Source of truth: the op tables (OPS, STREAM_OPS) and EVENTS
-     declared in src/repro/batch/{service,cluster,serving}.py.
+     Source of truth: the op tables (OPS) declared in
+     src/repro/batch/{service,serving}.py.
      Regenerate with:  python tools/gen_protocol.py
      CI gates drift:   python tools/gen_protocol.py --check -->
 
@@ -63,16 +57,13 @@ Requests are routed on the `"op"` key through the server's op table
 envelope**: every reply carries an `ok` boolean, and a failed one an
 `error` string.  The server answers an error frame without running any
 handler for an unknown op, a missing required field, or a field of the
-wrong JSON type; a `null` value counts as absent.  A field typed `any`
-is checked by its handler, or deliberately tolerated when malformed.
-A handler crash, or a response too large for one frame, also becomes
-an error frame on the live connection.  The tables below list the keys
-each op may answer with *in addition to* that envelope.
+wrong JSON type; a `null` value counts as absent.  A handler crash, or
+a response too large for one frame, also becomes an error frame on the
+live connection.  The tables below list the keys each op may answer
+with *in addition to* that envelope.
 
-Streamed batch notifications are routed on the `"event"` key instead
-(see [Event frames](#event-frames)).  The `WIRE-PROTOCOL` lint rule
-checks every in-repo `{"op": ...}` and `{"event": ...}` literal against
-the same tables.
+The `WIRE-PROTOCOL` lint rule checks every in-repo `{"op": ...}`
+literal against the same tables.
 """
 
 
@@ -85,7 +76,7 @@ def _render_op(name: str, op: Op) -> list[str]:
     if rows:
         lines += ["| request field | type | requiredness |",
                   "| --- | --- | --- |"]
-        lines += [f"| `{field}` | {kind or 'any'} | {need} |"
+        lines += [f"| `{field}` | {kind} | {need} |"
                   for field, kind, need in rows]
     else:
         lines.append("Takes no request fields beyond `op`.")
@@ -105,16 +96,6 @@ def render() -> str:
                   f"Served by {served_by}.  Ops: {ops}.", ""]
         for name, op in table.items():
             lines += _render_op(name, op)
-    lines += [
-        "## Event frames", "",
-        "After its `submit` is acknowledged, a client connection "
-        "receives the batch's events as frames routed on the "
-        "`\"event\"` key, in completion order, until a terminal `done` "
-        "or `aborted` (`EVENTS` in `repro.batch.cluster`).", "",
-        "| event | payload fields |", "| --- | --- |"]
-    for kind, fields in EVENTS.items():
-        rendered = ", ".join(f"`{field}`" for field in fields)
-        lines.append(f"| `{kind}` | {rendered or '(none)'} |")
     return "\n".join(lines).rstrip() + "\n"
 
 

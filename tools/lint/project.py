@@ -94,7 +94,7 @@ class FunctionUnit:
     (bound to the enclosing class through its closure), or a
     module-level function."""
 
-    #: Fully qualified (``repro.batch.cluster.JobServer.lease``).
+    #: Fully qualified (``repro.batch.service.CacheServer._op_get``).
     qualname: str
     module: Module
     node: ast.FunctionDef | ast.AsyncFunctionDef

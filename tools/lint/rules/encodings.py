@@ -4,7 +4,7 @@ Contract: results, caches, traces, and reports round-trip through
 JSON/text files across machines and hosts (the CacheBackend and Result
 contracts of ``docs/ARCHITECTURE.md``).  A text read or write without
 ``encoding=`` uses the *locale* encoding, which differs between the
-dev box, CI, and worker fleets -- the exact class of bug that breaks
+dev box, CI, and other hosts -- the exact class of bug that breaks
 bit-identical reproduction.  Flagged: ``open()`` / ``Path.open()`` in
 text mode, ``read_text()`` / ``write_text()``, and text-mode
 ``tempfile`` constructors, whenever no ``encoding=`` is passed.

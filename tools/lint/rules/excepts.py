@@ -6,7 +6,7 @@ propagate.  A bare ``except:`` (which also catches
 ``KeyboardInterrupt`` and ``SystemExit``) or a swallowed
 ``except BaseException`` breaks both everywhere; a swallowed
 ``except Exception`` additionally eats :class:`BatchError`'s failure
-attribution, so inside the engine/cluster/service modules it is
+attribution, so inside the engine and service modules it is
 flagged too.  A handler that propagates -- a bare ``raise``, or the
 catch-wrap-rethrow idiom ``raise JobFailure(i, e) from e`` -- is fine
 for ``Exception``; only a *bare* re-raise clears ``BaseException``,
@@ -27,7 +27,6 @@ from lint.registry import Module, Rule, register
 #: engine failure contract lives here.
 ENGINE_PATHS = (
     "src/repro/batch/engine.py",
-    "src/repro/batch/cluster.py",
     "src/repro/batch/service.py",
 )
 
@@ -42,8 +41,7 @@ class BroadExceptRule(Rule):
 
     rule_id = "BROAD-EXCEPT"
     description = ("no bare except; no swallowed BaseException; no "
-                   "swallowed Exception in engine/cluster/service "
-                   "modules")
+                   "swallowed Exception in engine/service modules")
     rationale = ("the Executor failure contract requires job-"
                  "attributed BatchErrors and propagating interrupts; "
                  "swallowed broad catches hide both")
@@ -77,6 +75,6 @@ class BroadExceptRule(Rule):
                 yield self.diagnostic(
                     module, node,
                     "except Exception without re-raise in engine/"
-                    "cluster/service code swallows BatchError and its "
+                    "service code swallows BatchError and its "
                     "job attribution; narrow the catch, re-raise, or "
                     "justify a suppression")

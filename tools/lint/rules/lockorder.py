@@ -1,8 +1,7 @@
 """LOCK-ORDER: a global lock-acquisition order, or a deadlock someday.
 
 Contract: the batch layer's threaded objects (``CacheServer``,
-``JobServer``, ``CompileService``, ``TieredCache``, the clients) each
-own locks, and handler threads routinely call across objects while
+``CompileService``, ``TieredCache``, the clients) each own locks, and handler threads routinely call across objects while
 holding one.  Two threads acquiring the same pair of locks in opposite
 orders is the classic deadlock -- and the overlap only exists in the
 *composition* of methods, so no per-module rule can see it.
@@ -50,9 +49,9 @@ class LockOrderRule(ProjectRule):
                    "a cycle of `with self.<lock>:` contexts (direct "
                    "or through called methods) is a potential "
                    "deadlock")
-    rationale = ("handler threads, the reaper, and batch callers "
+    rationale = ("handler threads, the dispatcher, and batch callers "
                  "cross object boundaries while holding locks; "
-                 "inconsistent pairwise order deadlocks the fleet "
+                 "inconsistent pairwise order deadlocks a server "
                  "under load, which no single-module check can see")
 
     def check_project(self,

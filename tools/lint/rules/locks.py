@@ -1,8 +1,8 @@
 """LOCK-DISCIPLINE: shared mutable state only under its lock.
 
-Contract: ``CacheServer``, ``JobServer``, and ``RemoteCache`` are
-explicitly multi-threaded -- socketserver handler threads, the reaper,
-and batch callers all touch one object -- and their correctness
+Contract: ``CacheServer``, ``CompileService``, and ``RemoteCache``
+are explicitly multi-threaded -- socketserver handler threads, the
+dispatcher, and batch callers all touch one object -- and their correctness
 argument is "every access to shared state happens inside ``with
 self._lock:``".  This rule checks that argument statically with a
 conservative intraprocedural pass:
@@ -158,8 +158,8 @@ class LockDisciplineRule(ProjectRule):
                    "classes may only be touched under `with "
                    "self.<lock>:`; calls that re-enter a held "
                    "non-reentrant lock are self-deadlocks")
-    rationale = ("service/cluster objects are shared across handler "
-                 "threads, the reaper, and batch callers; one "
+    rationale = ("service objects are shared across handler "
+                 "threads, the dispatcher, and batch callers; one "
                  "unlocked read is a race the runtime tests only "
                  "catch by luck")
 

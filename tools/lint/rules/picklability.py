@@ -2,8 +2,7 @@
 
 Contract: the Job contract (``docs/ARCHITECTURE.md``) requires every
 batch job to cross process and host boundaries as a pickle -- the
-process pool, the cluster's base64-pickle frames, and cache rebuilds
-all depend on it.  The classic ways a job class silently loses
+process pool and cache rebuilds depend on it.  The classic ways a job class silently loses
 picklability are flagged in classes that *are* (or subclass) the
 registered job types:
 
@@ -102,7 +101,7 @@ class PicklableJobRule(Rule):
                    "open handles, or module-level mutable state")
     rationale = ("the Job contract pickles jobs across process/host "
                  "boundaries; captured lambdas and handles fail at "
-                 "submit time, aliased globals desynchronize fleets")
+                 "submit time, aliased globals desynchronize processes")
 
     def check_module(self, module: Module) -> Iterable[Diagnostic]:
         mutables = _module_level_mutables(module.tree)

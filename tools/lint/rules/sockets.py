@@ -1,10 +1,10 @@
 """SOCKET-HYGIENE: sockets must not leak on exception paths.
 
-Contract: the service layer (cache server, job server, workers,
-executor streams) holds long-lived TCP connections; a socket closed
-only on the straight-line path leaks its file descriptor whenever an
-exception interrupts the function, and a worker fleet leaks them by
-the thousand.  A locally created socket must therefore be (one of):
+Contract: the service layer (cache server, compile service, their
+clients) holds long-lived TCP connections; a socket closed only on
+the straight-line path leaks its file descriptor whenever an
+exception interrupts the function, and a long-running server leaks
+them by the thousand.  A locally created socket must therefore be (one of):
 
 * opened as a context manager (``with ... as sock:``),
 * closed inside a ``finally:`` or ``except:`` block
@@ -94,8 +94,8 @@ class SocketHygieneRule(Rule):
     description = ("locally created sockets must be closed via context "
                    "manager, finally/except, or handed off to an owner")
     rationale = ("service-layer connections leak file descriptors on "
-                 "every exception path otherwise; fleets leak them by "
-                 "the thousand")
+                 "every exception path otherwise; long-running servers "
+                 "leak them by the thousand")
 
     def check_module(self, module: Module) -> Iterable[Diagnostic]:
         for function in walk_functions(module.tree):
