@@ -6,9 +6,7 @@ branch-and-bound, the greedy cover, best-pair merging, codegen, the
 simulator, and SOA -- plus the batch engine's suite throughput (cold,
 cached, and parallel), the sharded EXP-S1 grid's throughput, the
 per-point throughput of every registered ablation experiment
-(``-k ablate``), the remote cache service's round-trip and
-batched-put throughput against its local in-process baseline
-(``-k remote``), and the compile service's warm round-trip and
+(``-k ablate``), and the compile service's warm round-trip and
 concurrent-load latency SLO -- p50/p95/p99 into ``extra_info`` --
 (``-k bench_serve``).
 
@@ -354,58 +352,6 @@ def bench_solver_digest(benchmark):
 
     digests = benchmark(digest_100)
     assert len(set(digests)) == 1
-
-
-# ----------------------------------------------------------------------
-# Remote cache service (-k remote)
-# ----------------------------------------------------------------------
-#: A representative cached payload (the shape of a lowered JobResult).
-_REMOTE_PAYLOAD = {
-    "name": "bench", "digest": "d" * 64, "n_accesses": 17,
-    "n_registers": 4, "modify_range": 1, "k_tilde": 5,
-    "n_registers_used": 4, "total_cost": 3,
-    "overhead_per_iteration": 3, "baseline_overhead": 17,
-    "simulated": True, "audit_ok": True, "wall_seconds": 0.01,
-}
-
-
-def bench_remote_cache_roundtrip_local(benchmark):
-    """Baseline: one put + one get against the in-process store."""
-    cache = InMemoryLRUCache()
-
-    def roundtrip():
-        cache.put("d" * 64, _REMOTE_PAYLOAD)
-        return cache.get("d" * 64)
-
-    assert benchmark(roundtrip) == _REMOTE_PAYLOAD
-
-
-def bench_remote_cache_roundtrip_served(benchmark):
-    """One put + one get through the TCP cache service (the per-point
-    streaming cost a remote-shared run pays)."""
-    from repro.batch.service import CacheServer, RemoteCache
-
-    with CacheServer(InMemoryLRUCache()) as server:
-        client = RemoteCache(*server.address)
-
-        def roundtrip():
-            client.put("d" * 64, _REMOTE_PAYLOAD)
-            return client.get("d" * 64)
-
-        assert benchmark(roundtrip) == _REMOTE_PAYLOAD
-
-
-def bench_remote_warm_suite_through_server(benchmark):
-    """A fully cached suite run served entirely over the wire."""
-    from repro.batch.service import CacheServer, RemoteCache
-
-    jobs = jobs_from_suite("core8", AguSpec(4, 1), n_iterations=4)
-    with CacheServer(InMemoryLRUCache()) as server:
-        client = RemoteCache(*server.address)
-        BatchCompiler(cache=client).compile(jobs)
-
-        report = benchmark(BatchCompiler(cache=client).compile, jobs)
-        assert report.n_cache_hits == len(jobs)
 
 
 # ----------------------------------------------------------------------

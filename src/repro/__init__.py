@@ -34,10 +34,8 @@ from repro.batch import (
     BatchCompiler,
     BatchJob,
     BatchReport,
-    CacheServer,
     InMemoryLRUCache,
     JobResult,
-    RemoteCache,
     ShardedDirectoryCache,
     job_digest,
     job_matrix,
@@ -108,7 +106,6 @@ __all__ = [
     "BatchCompiler",
     "BatchJob",
     "BatchReport",
-    "CacheServer",
     "CompilationArtifacts",
     "CostModel",
     "InMemoryLRUCache",
@@ -121,7 +118,6 @@ __all__ = [
     "Path",
     "PathCover",
     "RandomPatternConfig",
-    "RemoteCache",
     "ShardedDirectoryCache",
     "SimulationResult",
     "allocate_with_modify_registers",

@@ -12,11 +12,11 @@ The scaling layer on top of :func:`repro.core.pipeline.compile_kernel`:
 * :mod:`repro.batch.digest` -- stable content digests that key the
   result cache;
 * :mod:`repro.batch.cache` -- in-memory LRU and sharded multi-host
-  directory stores behind one backend protocol;
-* :mod:`repro.batch.service` -- the remote cache service:
-  :class:`CacheServer` fronts any store over TCP (the ``repro-agu
-  cache-serve`` subcommand) and :class:`RemoteCache` is the matching
-  ``tcp://host:port`` client backend;
+  directory stores behind one backend protocol (processes and hosts
+  share results through one ``dir:`` store);
+* :mod:`repro.batch.service` -- the TCP core: framing, endpoint specs
+  and the :class:`~repro.batch.service.FrameServer` the compile
+  service builds on;
 * :mod:`repro.batch.engine` -- :class:`BatchCompiler` (cache
   orchestration, streaming ``as_completed`` delivery),
   the aggregated :class:`BatchReport`, and the :class:`Executor` seam
@@ -57,7 +57,6 @@ from repro.batch.engine import (
     execute_job,
     open_executor,
 )
-from repro.batch.service import CacheServer, RemoteCache
 from repro.batch.serving import (
     CompileService,
     ServeClient,
@@ -81,7 +80,6 @@ __all__ = [
     "BatchJob",
     "BatchReport",
     "CacheBackend",
-    "CacheServer",
     "CacheStats",
     "CompileService",
     "DIGEST_VERSION",
@@ -93,7 +91,6 @@ __all__ = [
     "InlineExecutor",
     "JobResult",
     "LocalPoolExecutor",
-    "RemoteCache",
     "ServeClient",
     "ServeResult",
     "ServeStats",

@@ -21,8 +21,11 @@ copies*: mutating a payload after ``put`` or a dict returned by
 ``get`` never reaches the cached state.
 
 :func:`open_cache` maps a CLI-style spec string (``mem``,
-``dir:PATH``, ``tcp://HOST:PORT``, or a bare path) to a backend.  Only *known* schemes are treated as schemes, so bare paths
-containing a colon (``C:\\cache``, ``./odd:name``) open as paths.
+``dir:PATH``, or a bare path) to a backend.  Only *known* schemes are
+treated as schemes, so bare paths containing a colon (``C:\\cache``,
+``./odd:name``) open as paths.  Results are shared between processes,
+and between hosts, through one directory store on a shared or mounted
+path; there is no cache server.
 
 Stats accounting is uniform across backends: every ``get`` counts
 exactly one hit or one miss (``hits + misses == lookups``), every
@@ -77,9 +80,8 @@ class CacheBackend(Protocol):
     """What the engine needs from a result store.
 
     Any object with these two methods (plus a ``stats`` attribute for
-    reporting) plugs into :class:`~repro.batch.engine.BatchCompiler`;
-    ``get_many(digests) -> dict`` is an optional batched lookup the
-    engine's cache scan prefers when present.
+    reporting) plugs into :class:`~repro.batch.engine.BatchCompiler`,
+    whose cache scan probes each unique digest with one ``get``.
     """
 
     def get(self, digest: str) -> dict | None: ...
@@ -164,15 +166,9 @@ class ShardedDirectoryCache:
     misses and are recompiled.
     """
 
-    def __init__(self, root: str | Path, *,
-                 discard_corrupt: bool = True):
+    def __init__(self, root: str | Path):
         self.root = Path(root)
         self.stats = CacheStats()
-        #: Whether a provably corrupt entry found by ``get`` is
-        #: unlinked so the recompiled result can take its place.  A
-        #: read-only server turns this off: serving must then never
-        #: write to the store at all.
-        self.discard_corrupt = discard_corrupt
 
     def _entry_path(self, digest: str) -> Path:
         name = digest if _FILENAME_SAFE.fullmatch(digest) else \
@@ -198,13 +194,11 @@ class ShardedDirectoryCache:
             # Provably corrupt content (atomic renames guarantee full
             # writes, so this is real damage, not a torn write):
             # discard it so the recompiled result can take its place.
-            if self.discard_corrupt:
-                self._discard(path)
+            self._discard(path)
             self.stats.misses += 1
             return None
         if not isinstance(payload, dict):
-            if self.discard_corrupt:
-                self._discard(path)
+            self._discard(path)
             self.stats.misses += 1
             return None
         self.stats.hits += 1
@@ -242,17 +236,16 @@ class TieredCache:
 
     The serving front end's cache: hot digests are answered from a
     process-local :class:`InMemoryLRUCache` without touching the
-    backing store at all (for a ``tcp://`` backend that means hot
-    kernels never touch the wire), while misses fall through to the
-    backend and *promote* -- a payload fetched once is warm from then
-    on.  Writes go to both tiers.  ``backend=None`` degrades to a
+    backing store at all, while misses fall through to the backend and
+    *promote* -- a payload fetched once is warm from then on.  Writes
+    go to both tiers.  ``backend=None`` degrades to a
     plain bounded LRU, which makes the tier usable as the serve
     endpoint's default cache with no store configured.
 
     Unlike the single-process backends, this one is thread-safe: the
     warm tier and the stats sit behind one lock, backend access behind
     another, so concurrent warm hits are never stuck behind one slow
-    backend round trip.  Backends without their own thread safety are
+    backend read.  Backends without their own thread safety are
     fine -- all backend calls are serialized.
 
     Stats follow the uniform accounting: one hit or miss per ``get``
@@ -300,39 +293,6 @@ class TieredCache:
             self.stats.hits += 1
         return payload
 
-    def get_many(self, digests) -> dict[str, dict]:
-        """Payloads for every cached digest: the warm tier answers
-        what it can, one batched backend fetch covers the rest (found
-        entries are promoted).  Counts one hit or miss per digest."""
-        digests = list(dict.fromkeys(digests))
-        found: dict[str, dict] = {}
-        missing: list[str] = []
-        with self._warm_lock:
-            for digest in digests:
-                payload = self._warm.get(digest)
-                if payload is not None:
-                    found[digest] = payload
-                else:
-                    missing.append(digest)
-        if missing and self.backend is not None:
-            with self._backend_lock:
-                get_many = getattr(self.backend, "get_many", None)
-                if get_many is not None:
-                    fetched = get_many(missing)
-                else:
-                    fetched = {digest: payload for digest in missing
-                               if (payload := self.backend.get(digest))
-                               is not None}
-            with self._warm_lock:
-                for digest, payload in fetched.items():
-                    if isinstance(payload, dict):
-                        self._warm.put(digest, payload)
-                        found[digest] = payload
-        with self._warm_lock:
-            self.stats.hits += len(found)
-            self.stats.misses += len(digests) - len(found)
-        return found
-
     def put(self, digest: str, payload: dict) -> None:
         """Store ``payload`` in both tiers."""
         with self._warm_lock:
@@ -347,30 +307,19 @@ class TieredCache:
 #: restricted to this set on purpose: a bare path that happens to
 #: contain a colon (``C:\cache``, ``./odd:name``) must open as a path,
 #: not be misparsed as a scheme-prefixed spec.
-KNOWN_CACHE_SCHEMES = ("mem", "dir", "tcp")
+KNOWN_CACHE_SCHEMES = ("mem", "dir")
 
 #: Anything shaped like ``scheme://...``; used only to *reject* unknown
 #: schemes loudly (a typo like ``redis://...`` should not silently
 #: become a directory store named "redis:").
 _URL_LIKE = re.compile(r"^(?P<scheme>[A-Za-z][A-Za-z0-9+.-]*)://")
 
-#: ``?key=value`` options ``tcp://`` specs may carry, mapped to
-#: :class:`~repro.batch.service.RemoteCache` constructor arguments.
-_TCP_OPTIONS = {"timeout": float, "retry_interval": float,
-                "batch_size": int}
-
-
-def _open_remote(text: str) -> CacheBackend:
-    """``tcp://HOST:PORT[?options]`` -> a connected-on-demand client.
-
-    The spec grammar (incl. bracketed IPv6 hosts and the option
-    allowlist mechanics) is the batch layer's shared
-    :func:`~repro.batch.service.parse_endpoint`.
-    """
-    from repro.batch.service import RemoteCache, parse_endpoint
-
-    host, port, options = parse_endpoint(text, _TCP_OPTIONS)
-    return RemoteCache(host, port, **options)
+def _unknown_scheme(scheme: str, text: str) -> BatchError:
+    """The error for a spec whose scheme :func:`open_cache` lacks."""
+    return BatchError(
+        f"unknown cache scheme {scheme!r} in spec {text!r} (known "
+        f"schemes: {', '.join(KNOWN_CACHE_SCHEMES)}; bare paths need "
+        f"no scheme)")
 
 
 def _no_file_store(text: str) -> BatchError:
@@ -387,10 +336,8 @@ def open_cache(spec: str | Path) -> CacheBackend:
 
     * ``mem`` or ``mem:CAPACITY`` -- process-local LRU;
     * ``dir:PATH``, or a bare path -- :class:`ShardedDirectoryCache`
-      (the on-disk, shared-filesystem choice);
-    * ``tcp://HOST:PORT`` -- a :class:`~repro.batch.service.RemoteCache`
-      client against a running ``repro-agu cache-serve`` (the
-      multi-process / multi-host choice).
+      (the on-disk store, shared by processes and hosts that see the
+      same path).
 
     Only the schemes above are treated as schemes; any other spec is a
     bare path, even when it contains a colon.  An unknown
@@ -403,25 +350,18 @@ def open_cache(spec: str | Path) -> CacheBackend:
     text = str(spec)
     if text == "mem":
         return InMemoryLRUCache()
-    # URL-style specs first: only tcp:// is a URL.  This also catches
+    # URL-style specs first: no cache spec is a URL.  This also catches
     # URL-style typos of the *known* schemes (dir://PATH would
     # otherwise slip through the dir: prefix check below and open a
     # store at //PATH -- the filesystem root).
     match = _URL_LIKE.match(text)
     if match is not None:
         scheme = match["scheme"].lower()
-        if scheme == "tcp":
-            return _open_remote(text)
         if scheme in KNOWN_CACHE_SCHEMES:
             raise BatchError(
                 f"malformed cache spec {text!r}: {scheme} specs use "
-                f"the single-colon form ({scheme}:...); only tcp:// "
-                f"is a URL")
-        raise BatchError(
-            f"unknown cache scheme {match['scheme']!r} in spec "
-            f"{text!r} (known schemes: "
-            f"{', '.join(KNOWN_CACHE_SCHEMES)}; bare paths need no "
-            f"scheme)")
+                f"the single-colon form ({scheme}:...)")
+        raise _unknown_scheme(match["scheme"], text)
     if text.startswith("mem:"):
         try:
             capacity = int(text[len("mem:"):])
@@ -429,7 +369,9 @@ def open_cache(spec: str | Path) -> CacheBackend:
             raise BatchError(f"invalid cache capacity in spec {text!r}")
         return InMemoryLRUCache(capacity=capacity)
     if text.startswith("tcp:"):
-        return _open_remote(text)
+        # No store is reached over TCP: a single-colon tcp spec fails
+        # loudly instead of opening a directory named "tcp:...".
+        raise _unknown_scheme("tcp", text)
     if text.startswith("json:"):
         raise _no_file_store(text)
     explicit = text.startswith("dir:")

@@ -40,8 +40,8 @@ calling process (:class:`InlineExecutor`) or on a
 contract (a :class:`~repro.errors.BatchError` naming the failing job,
 completed work persisted before the error propagates), so the
 engine's callers cannot tell them apart except by speed.  Runs on
-several processes or hosts share work through a common result store
-(a ``dir:`` store, or ``cache-serve``), not through the executor.
+several processes or hosts share work through a common ``dir:``
+result store, not through the executor.
 
 With ``trace=`` the engine records one ``enqueue`` and one ``finish``
 event per computed job and one ``cache_hit`` per slot that did not
@@ -587,24 +587,16 @@ class BatchCompiler:
         """Per-job ``(digest, cached result | None)``, the batch's
         initial cache pass.
 
-        Backends offering ``get_many`` (the remote client) answer the
-        whole scan in one batched lookup round rather than one round
-        trip per job; the rest are probed digest by digest.
-        Duplicate digests are looked up once -- later slots get a
-        defensive copy, matching the per-``get`` copy semantics of the
-        local stores.
+        Each unique digest is probed with one ``get``; later slots
+        with the same digest get a defensive copy, matching the
+        per-``get`` copy semantics of the stores.
         """
         digests = [job_digest(job) for job in jobs]
-        unique = list(dict.fromkeys(digests))
-        fetch_many = getattr(self.cache, "get_many", None)
-        if fetch_many is not None:
-            payloads = dict(fetch_many(unique))
-        else:
-            payloads = {}
-            for digest in unique:
-                payload = self.cache.get(digest)
-                if payload is not None:
-                    payloads[digest] = payload
+        payloads = {}
+        for digest in dict.fromkeys(digests):
+            payload = self.cache.get(digest)
+            if payload is not None:
+                payloads[digest] = payload
         scanned: list[tuple[str, Any]] = []
         served: set[str] = set()
         for job, digest in zip(jobs, digests):

@@ -3,9 +3,9 @@
 Everything below :mod:`repro.batch` is batch-shaped -- submit a list,
 wait for the report.  This module is the request/response layer on
 top: :class:`CompileService` answers *one kernel at a time* over the
-same length-prefixed JSON framing as the cache and job services
-(:mod:`repro.batch.service`), and :class:`ServeClient` is the matching
-pooled client.  ``repro-agu serve`` runs the service from the CLI.
+length-prefixed JSON framing of :mod:`repro.batch.service`, and
+:class:`ServeClient` is the matching pooled client.  ``repro-agu
+serve`` runs the service from the CLI.
 
 The service is three thin layers over machinery that already exists:
 
@@ -13,8 +13,7 @@ The service is three thin layers over machinery that already exists:
    that miss the cache enter a bounded in-flight queue; when it is
    full the client gets an explicit ``busy`` error frame immediately
    instead of the server growing an unbounded thread pile.  Stalled
-   connections are closed after an idle timeout, like every other
-   server in the batch layer.
+   connections are closed after an idle timeout.
 2. **Micro-batcher** -- one dispatcher thread collects the requests
    that arrive within a small window (``batch_window`` seconds, up to
    ``max_batch`` requests; no wait while only one client is connected)
@@ -27,7 +26,7 @@ The service is three thin layers over machinery that already exists:
    :class:`~repro.batch.cache.TieredCache`: a process-local LRU in
    front of whatever ``open_cache()`` backend the operator configured,
    so hot kernels are answered from memory without touching the
-   backing store (or the wire, for a remote store).
+   backing store.
 
 Wire protocol (one JSON object per frame, shared framing limits, the
 schema declared in :attr:`CompileService.OPS`):
@@ -186,7 +185,7 @@ class CompileService(FrameServer):
     cache:
         The result store behind the warm tier: a
         :class:`~repro.batch.cache.CacheBackend` or an ``open_cache``
-        spec string (``dir:PATH``, ``tcp://HOST:PORT``, ...).  ``None``
+        spec string (``dir:PATH`` or ``mem[:CAPACITY]``).  ``None``
         serves from the warm LRU alone.  Whatever is given is wrapped
         in a :class:`~repro.batch.cache.TieredCache` of
         :data:`WARM_CAPACITY` entries, so hot kernels never touch the
@@ -577,12 +576,13 @@ class ServeClient:
     requests, so concurrent callers -- the client is thread-safe --
     pay connection setup once, not per compile.  A connection the
     server closed in the meantime (idle timeout, restart) is detected
-    on use and the request retried once on a fresh connection; every
-    request is idempotent (compiles are deterministic and cached), so
-    the retry is safe.
+    on use: the rest of the pool is closed with it, since it went idle
+    the same way, and the request is retried once on a fresh
+    connection.  Every request is idempotent (compiles are
+    deterministic and cached), so the retry is safe.
 
-    Unlike the cache client, a compile client never degrades: the
-    compile *is* the point, so transport failures raise
+    A compile client never degrades: the compile *is* the point, so
+    transport failures -- a refused connection included -- raise
     :class:`~repro.errors.BatchError` and a ``busy`` rejection raises
     :class:`ServerBusyError` -- optionally after ``busy_retries``
     back-off retries.
@@ -596,7 +596,7 @@ class ServeClient:
     def __init__(self, endpoint: str, *, timeout: float = 60.0,
                  pool_size: int = 4, busy_retries: int = 0,
                  busy_backoff: float = 0.05):
-        host, port, _ = parse_endpoint(endpoint)
+        host, port = parse_endpoint(endpoint)
         if not timeout > 0:
             raise BatchError(
                 f"timeout must be > 0 seconds, got {timeout}")
@@ -627,14 +627,17 @@ class ServeClient:
         return f"ServeClient({self.endpoint!r})"
 
     # -- transport ------------------------------------------------------
-    def _acquire(self) -> socket.socket:
-        with self._lock:
-            if self._pool:
-                return self._pool.pop()
+    def _connect(self) -> socket.socket:
         sock = socket.create_connection((self.host, self.port),
                                         timeout=self.timeout)
         sock.settimeout(self.timeout)
         return sock
+
+    def _acquire(self) -> socket.socket:
+        with self._lock:
+            if self._pool:
+                return self._pool.pop()
+        return self._connect()
 
     def _release(self, sock: socket.socket) -> None:
         with self._lock:
@@ -658,19 +661,23 @@ class ServeClient:
         self.close()
 
     def _request(self, message: dict) -> dict:
-        """One round trip on a pooled connection, retried once on a
-        fresh connection if the pooled one turned out dead."""
+        """One round trip on a pooled connection.  On a transport
+        failure the pool is closed and the request retried once on a
+        fresh connection."""
         last_error: Exception | None = None
-        for attempt in (0, 1):
-            sock = self._acquire()
+        for acquire in (self._acquire, self._connect):
+            sock = None
             try:
+                sock = acquire()
                 send_frame(sock, message)
                 response = recv_frame(sock)
                 if response is None:
                     raise BatchError(
                         "serve endpoint closed the connection")
             except (OSError, BatchError) as error:
-                _close_socket(sock)
+                if sock is not None:
+                    _close_socket(sock)
+                self.close()
                 last_error = error
                 continue
             self._release(sock)

@@ -1,5 +1,5 @@
-"""Command-line interface (``repro-agu`` / ``python -m repro.cli``)."""
+"""Command-line interface (``repro-agu`` / ``python -m repro.cli``).
 
-from repro.cli.main import main
-
-__all__ = ["main"]
+The entry point is :func:`repro.cli.main.main`; it is not imported
+here, so ``python -m repro.cli.main`` runs its module exactly once.
+"""

@@ -25,10 +25,6 @@ ablate
     progress, grid overrides (``--set``), process-pool fan-out
     (``--executor local:N``), persistent (optionally shared) point
     caches, and zero-recompile cached re-runs.
-cache-serve
-    Run a remote result-cache server in front of any cache store, so
-    batch/stats/ablate runs on other processes or hosts can share one
-    store via ``--cache tcp://HOST:PORT``.
 serve
     Run the compile-as-a-service front door: a persistent TCP endpoint
     that answers single-kernel compile requests -- admission-controlled
@@ -282,40 +278,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         path = reports.save_report(report, args.json)
         print(f"(report saved to {path})")
     return 0 if report.all_audits_ok else 1
-
-
-def _cmd_cache_serve(args: argparse.Namespace) -> int:
-    import signal
-
-    from repro.batch.cache import open_cache
-    from repro.batch.service import CacheServer
-
-    store = open_cache(args.store)
-    try:
-        server = CacheServer(store, args.host, args.port,
-                             readonly=args.readonly,
-                             idle_timeout=args.idle_timeout or None)
-    except OSError as error:
-        # Port in use, unresolvable host, privileged port, ...
-        raise ReproError(
-            f"cannot serve on tcp://{args.host}:{args.port}: {error}")
-    print(f"serving cache store {args.store!r} at {server.endpoint}"
-          f"{' (read-only)' if args.readonly else ''}; "
-          f"stop with SIGINT/SIGTERM", flush=True)
-
-    def terminate(signum, frame):
-        raise KeyboardInterrupt
-
-    previous = signal.signal(signal.SIGTERM, terminate)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        signal.signal(signal.SIGTERM, previous)
-        server.shutdown()
-        print(f"cache server stopped; {store.stats}", flush=True)
-    return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -590,10 +552,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_executor_argument(batch_parser)
     batch_parser.add_argument("--cache", default=None,
                               help="result cache spec: a directory "
-                                   "(dir:PATH), mem[:CAPACITY], or "
-                                   "tcp://HOST:PORT (a running "
-                                   "cache-serve); re-runs skip "
-                                   "recompilation")
+                                   "(dir:PATH; shareable by concurrent "
+                                   "runs) or mem[:CAPACITY]; re-runs "
+                                   "skip recompilation")
     batch_parser.add_argument("--iterations", type=int, default=None,
                               help="simulated iterations per kernel")
     batch_parser.add_argument("--no-sim", action="store_true",
@@ -633,9 +594,8 @@ def build_parser() -> argparse.ArgumentParser:
     stats_parser.add_argument("--cache", default=None,
                               help="grid-point cache: a directory "
                                    "(dir:PATH; sharded store, shareable "
-                                   "across hosts) or tcp://HOST:PORT (a "
-                                   "running cache-serve); re-runs skip "
-                                   "solved points")
+                                   "across processes and hosts); "
+                                   "re-runs skip solved points")
     stats_parser.add_argument("--no-progress", action="store_true",
                               help="suppress per-point streaming output")
     stats_parser.add_argument("--json", default=None,
@@ -664,9 +624,8 @@ def build_parser() -> argparse.ArgumentParser:
     ablate_parser.add_argument("--cache", default=None,
                                help="point cache: a directory "
                                     "(dir:PATH; sharded store, shareable "
-                                    "across hosts) or tcp://HOST:PORT (a "
-                                    "running cache-serve); re-runs skip "
-                                    "solved points")
+                                    "across processes and hosts); "
+                                    "re-runs skip solved points")
     ablate_parser.add_argument("--no-progress", action="store_true",
                                help="suppress per-point streaming output")
     ablate_parser.add_argument("--json", default=None,
@@ -674,37 +633,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_trace_argument(ablate_parser)
     ablate_parser.set_defaults(func=_cmd_ablate)
 
-    serve_parser = commands.add_parser(
-        "cache-serve", help="serve a shared result cache over TCP for "
-                            "multi-process / multi-host runs")
-    serve_parser.add_argument("--store", default="mem:65536",
-                              help="backing store spec: mem[:CAPACITY] "
-                                   "or a directory (dir:PATH) (default "
-                                   "mem:65536)")
-    serve_parser.add_argument("--host", default="127.0.0.1",
-                              help="bind address (default 127.0.0.1; "
-                                   "use 0.0.0.0 to serve other hosts)")
-    serve_parser.add_argument("--port", type=int, default=8741,
-                              help="TCP port (default 8741; 0 picks an "
-                                   "ephemeral port, printed on startup)")
-    serve_parser.add_argument("--readonly", action="store_true",
-                              help="serve cache hits but reject stores "
-                                   "(clients keep working and skip "
-                                   "their puts)")
-    serve_parser.add_argument("--idle-timeout", type=float, default=300.0,
-                              help="seconds an idle connection may sit "
-                                   "between requests before the server "
-                                   "closes it (default 300; 0 disables)")
-    serve_parser.set_defaults(func=_cmd_cache_serve)
-
     compile_serve_parser = commands.add_parser(
         "serve", help="serve single-kernel compile requests over TCP "
                       "(compile-as-a-service front door)")
     compile_serve_parser.add_argument(
         "--cache", default=None,
         help="result store behind the warm tier: a directory "
-             "(dir:PATH) or tcp://HOST:PORT (a running cache-serve); "
-             "default: warm in-process LRU only")
+             "(dir:PATH); default: warm in-process LRU only")
     compile_serve_parser.add_argument(
         "--host", default="127.0.0.1",
         help="bind address (default 127.0.0.1; use 0.0.0.0 to serve "

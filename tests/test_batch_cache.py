@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -31,6 +33,15 @@ for (i = 2; i <= 100; i++) {
     A[i+1]; A[i]; A[i+2]; A[i-1]; A[i+1]; A[i]; A[i-2];
 }
 """
+
+
+def _fill_store(root: str, digests: list[str], start) -> None:
+    """One writer process of the shared-store test: wait for the
+    other writer, then put every digest (payload derived from it)."""
+    store = ShardedDirectoryCache(root)
+    start.wait(timeout=30)
+    for digest in digests:
+        store.put(digest, {"digest": digest, "body": [digest] * 20})
 
 
 def make_job(**overrides) -> BatchJob:
@@ -398,6 +409,32 @@ class TestShardedDirectoryCache:
         assert left.get("b" * 64) == {"who": "right"}
         assert right.get("a" * 64) == {"who": "left"}
 
+    def test_concurrent_processes_share_one_store(self, tmp_path):
+        """Processes (more than the host has cores) fill overlapping
+        digest sets into one store at the same time: every entry reads
+        back whole, no temp file is left behind, and the store holds
+        exactly the union."""
+        root = tmp_path / "shared"
+        digests = [f"{index:064x}" for index in range(200)]
+        parts = [digests[start:start + 80] for start in (0, 40, 80, 120)]
+        context = multiprocessing.get_context("spawn")
+        start = context.Barrier(len(parts))
+        writers = [context.Process(target=_fill_store,
+                                   args=(str(root), part[::step], start))
+                   for part, step in zip(parts, (1, -1, 1, -1))]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join(timeout=120)
+        assert not any(writer.is_alive() for writer in writers)
+        assert [writer.exitcode for writer in writers] == [0] * 4
+        store = ShardedDirectoryCache(root)
+        for digest in digests:
+            assert store.get(digest) == {"digest": digest,
+                                         "body": [digest] * 20}
+        assert not list(root.rglob("*.tmp"))
+        assert len(store) == len(set().union(*parts))
+
 
 class TestOpenCache:
     def test_spec_mapping(self, tmp_path):
@@ -456,30 +493,26 @@ class TestOpenCache:
             open_cache(f"{prefix}{precious}")
         assert precious.read_text() == "do not lose this"
 
-    def test_tcp_scheme_opens_a_remote_client(self):
-        from repro.batch.service import RemoteCache
-
-        remote = open_cache("tcp://127.0.0.1:8741")
-        assert isinstance(remote, RemoteCache)
-        assert (remote.host, remote.port) == ("127.0.0.1", 8741)
-        default_host = open_cache("tcp://:8741")
-        assert default_host.host == "127.0.0.1"
-        v6 = open_cache("tcp://[::1]:8741")
-        assert v6.host == "::1"
-
-    def test_tcp_spec_client_options(self):
-        remote = open_cache(
-            "tcp://10.0.0.5:8741?timeout=2.5&retry_interval=0.5"
-            "&batch_size=32")
-        assert remote.timeout == 2.5
-        assert remote.retry_interval == 0.5
-        assert remote.batch_size == 32
+    @pytest.mark.parametrize("spec", [
+        "tcp://127.0.0.1:8741", "tcp://:8741", "tcp://[::1]:8741",
+        "tcp://10.0.0.5:8741?timeout=2.5&retry_interval=0.5",
+        "TCP://cache-host:8741", "tcp:127.0.0.1:8741"])
+    def test_tcp_is_an_unknown_cache_scheme(self, spec, tmp_path,
+                                            monkeypatch):
+        """There is no cache server: a ``tcp://`` spec fails at open
+        time with the scheme error naming the schemes that exist, and
+        opens nothing."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(BatchError, match="unknown cache scheme") \
+                as caught:
+            open_cache(spec)
+        assert "known schemes: mem, dir;" in str(caught.value)
+        assert not list(tmp_path.iterdir())
 
     INVALID_SPECS = [
         "mem:notanumber",
-        "tcp://hostonly",          # no port
-        "tcp://host:port",         # non-numeric port
-        "tcp://host:0",            # out-of-range port
+        "tcp://hostonly",          # the retired remote scheme
+        "tcp://host:port",
         "tcp://host:8741?bogus=1",
         "tcp://host:8741?timeout=abc",
         "redis://somewhere:6379",  # unknown scheme, rejected loudly
@@ -544,6 +577,29 @@ class TestEngineCacheBehaviour:
         assert report.n_cache_hits == 0
         assert report.all_audits_ok
 
+    def test_the_scan_gets_each_unique_digest_once(self):
+        """The engine's cache scan is one ``get`` per unique digest,
+        hit or miss; duplicates share the first lookup."""
+        looked_up: list[str] = []
+
+        class Recording(InMemoryLRUCache):
+            def get(self, digest):
+                looked_up.append(digest)
+                return super().get(digest)
+
+        store = Recording()
+        jobs = jobs_from_suite("core8", self.SPEC, n_iterations=4)
+        twin = BatchJob(name="twin", spec=jobs[0].spec,
+                        source=jobs[0].source, n_iterations=4)
+        BatchCompiler(cache=store).compile([*jobs, twin])
+        digests = [job_digest(job) for job in jobs]
+        assert looked_up == digests
+        looked_up.clear()
+        warm = BatchCompiler(cache=store).compile([*jobs, twin])
+        assert warm.n_cache_hits == len(jobs) + 1
+        assert looked_up == digests
+        assert store.stats.hits == len(jobs)
+
     def test_duplicate_jobs_compile_once_per_batch(self):
         compiler = BatchCompiler()
         job = jobs_from_suite("core8", self.SPEC, n_iterations=4)[0]
@@ -555,3 +611,52 @@ class TestEngineCacheBehaviour:
         assert report.n_cache_hits == 1
         assert report.result("twin").total_cost \
             == report.results[0].total_cost
+
+
+class TestStatsInvariants:
+    """Property test: every backend's counters agree with a model dict
+    (``hits + misses == lookups``, one store per persisted entry)."""
+
+    def exercise(self, cache, seed: int) -> None:
+        rng = random.Random(seed)
+        keys = [f"digest-{i:02d}" for i in range(12)]
+        model: dict[str, dict] = {}
+        gets = hits = stores = 0
+        for _ in range(120):
+            action = rng.random()
+            key = rng.choice(keys)
+            if action < 0.5:
+                gets += 1
+                expected = model.get(key)
+                assert cache.get(key) == expected
+                hits += expected is not None
+            else:
+                payload = {"v": rng.randrange(100)}
+                cache.put(key, payload)
+                model[key] = payload
+                stores += 1
+        assert cache.stats.hits == hits
+        assert cache.stats.misses == gets - hits
+        assert cache.stats.lookups == gets
+        assert cache.stats.stores == stores
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_in_memory(self, seed):
+        self.exercise(InMemoryLRUCache(), seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sharded_directory(self, tmp_path, seed):
+        self.exercise(ShardedDirectoryCache(tmp_path / "store"), seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_tiered(self, seed):
+        self.exercise(TieredCache(InMemoryLRUCache()), seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_tiered_over_a_directory(self, tmp_path, seed):
+        self.exercise(
+            TieredCache(ShardedDirectoryCache(tmp_path / "store")), seed)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_tiered_without_a_backend(self, seed):
+        self.exercise(TieredCache(), seed)

@@ -270,105 +270,71 @@ class TestAblate:
         assert all(line in via_ablate for line in table_and_headline)
 
 
-class TestCacheServe:
-    def test_rejects_a_remote_backing_store(self, capsys):
-        assert main(["cache-serve", "--store",
-                     "tcp://127.0.0.1:8741"]) == 1
-        assert "error:" in capsys.readouterr().err
-
-    def test_rejects_an_unknown_store_scheme(self, capsys):
-        assert main(["cache-serve", "--store", "redis://x:1"]) == 1
-        assert "unknown cache scheme" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("store, message", [
-        ("", "names no path"), ("dir:", "names no path"),
-        ("results.json", "dir:PATH"), ("json:results", "dir:PATH")])
-    def test_rejects_an_empty_or_single_file_store(
-            self, store, message, tmp_path, monkeypatch, capsys):
-        """Refused before binding, and nothing lands in the working
-        directory."""
+class TestNoCacheServer:
+    @pytest.mark.parametrize("command", [
+        ["stats", "--quick", "--patterns", "2"],
+        ["ablate", "reorder", "--quick"],
+        ["batch", "--suite", "core8", "--iterations", "4"],
+    ], ids=["stats", "ablate", "batch"])
+    def test_tcp_cache_fails_before_any_point_runs(
+            self, command, tmp_path, monkeypatch, capsys):
+        """A ``tcp://`` cache is an unknown scheme: the run stops with
+        the scheme error before it computes or writes anything."""
         monkeypatch.chdir(tmp_path)
-        assert main(["cache-serve", "--store", store, "--port",
-                     "0"]) == 1
-        assert message in capsys.readouterr().err
+        assert main([*command, "--cache", "tcp://127.0.0.1:1"]) != 0
+        captured = capsys.readouterr()
+        assert "unknown cache scheme 'tcp'" in captured.err
+        assert "known schemes: mem, dir;" in captured.err
+        assert "[1/" not in captured.out
+        assert "compiled" not in captured.out
         assert not list(tmp_path.iterdir())
 
-    def test_port_in_use_reports_a_clean_error(self, capsys):
-        from repro.batch.cache import InMemoryLRUCache
-        from repro.batch.service import CacheServer
+    def test_serve_refuses_a_tcp_cache_before_binding(self, capsys):
+        assert main(["serve", "--port", "0", "--cache",
+                     "tcp://127.0.0.1:1"]) == 1
+        captured = capsys.readouterr()
+        assert "unknown cache scheme 'tcp'" in captured.err
+        assert "compile service at" not in captured.out
 
-        with CacheServer(InMemoryLRUCache()) as occupant:
-            assert main(["cache-serve", "--store", "mem", "--port",
-                         str(occupant.address[1])]) == 1
-        err = capsys.readouterr().err
-        assert "error:" in err and "cannot serve" in err
+    def test_cache_serve_is_not_a_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["cache-serve", "--store", "mem"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'cache-serve'" in capsys.readouterr().err
 
-    def test_stats_through_a_live_server(self, tmp_path, capsys):
-        """The multi-host flow end to end: two `stats` runs sharing
-        one `cache-serve` store; the second recompiles nothing."""
-        from repro.batch.cache import ShardedDirectoryCache
-        from repro.batch.service import CacheServer
 
-        store = ShardedDirectoryCache(tmp_path / "served")
-        with CacheServer(store) as server:
-            spec = server.endpoint
-            assert main([*TestStats.TINY, "--cache", spec]) == 0
-            first = capsys.readouterr().out
-            assert "2 grid point(s): 2 compiled" in first
-            assert main([*TestStats.TINY, "--cache", spec,
-                         "--executor", "local:2"]) == 0
-            second = capsys.readouterr().out
-            assert "0 compiled, 2 cache hit(s)" in second
-            assert "[cached]" in second
-        assert len(store) == 2  # persisted in the backing store
+class TestModuleEntryPoints:
+    """Both ``python -m`` spellings run the command line once."""
 
-    def test_serve_lifecycle_over_a_subprocess(self, tmp_path):
-        """`cache-serve` as deployed: ephemeral port announced on
-        stdout, clients served, SIGTERM → graceful shutdown with a
-        stats line and exit code 0."""
+    @staticmethod
+    def run_module(*argv: str):
         import os
-        import re
-        import signal
         import subprocess
         import sys
         from pathlib import Path
 
         import repro
-        from repro.batch.cache import ShardedDirectoryCache
-        from repro.batch.service import RemoteCache
 
         env = dict(os.environ)
         src = str(Path(repro.__file__).resolve().parents[1])
         env["PYTHONPATH"] = src + (
             os.pathsep + env["PYTHONPATH"]
             if env.get("PYTHONPATH") else "")
-        process = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli.main", "cache-serve",
-             "--store", str(tmp_path / "store"), "--port", "0"],
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-            text=True, env=env)
-        try:
-            match = None
-            seen = []
-            for _ in range(10):  # skip interpreter noise (warnings)
-                line = process.stdout.readline()
-                seen.append(line)
-                match = re.search(r"tcp://([0-9.]+):(\d+)", line)
-                if match or not line:
-                    break
-            assert match, f"no endpoint announced in: {seen!r}"
-            client = RemoteCache(match[1], int(match[2]))
-            client.put("a" * 64, {"v": 1})
-            assert client.get("a" * 64) == {"v": 1}
-        finally:
-            process.send_signal(signal.SIGTERM)
-            out, _err = process.communicate(timeout=30)
-        assert process.returncode == 0
-        assert "cache server stopped" in out
-        assert "1 hit(s), 0 miss(es), 1 store(s)" in out
-        # The backing store outlives the server.
-        survivor = ShardedDirectoryCache(tmp_path / "store")
-        assert survivor.get("a" * 64) == {"v": 1}
+        return subprocess.run([sys.executable, *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+
+    def test_cli_main_runs_without_a_double_import_warning(self):
+        completed = self.run_module("-W", "error::RuntimeWarning", "-m",
+                                    "repro.cli.main", "--help")
+        assert completed.returncode == 0, completed.stderr
+        assert "usage: repro-agu" in completed.stdout
+        assert "RuntimeWarning" not in completed.stderr
+
+    def test_the_cli_package_is_runnable(self):
+        completed = self.run_module("-m", "repro.cli", "--help")
+        assert completed.returncode == 0, completed.stderr
+        assert "usage: repro-agu" in completed.stdout
 
 
 class TestExperiment:
@@ -396,7 +362,7 @@ class TestNoFleet:
             if isinstance(action, argparse._SubParsersAction))
         assert set(commands) == {
             "compile", "graph", "kernels", "experiment", "batch",
-            "stats", "ablate", "cache-serve", "serve", "verify",
+            "stats", "ablate", "serve", "verify",
             "sweep", "selftest", "trace", "report"}
         with pytest.raises(SystemExit) as exit_info:
             main(["--help"])

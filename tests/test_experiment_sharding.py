@@ -313,6 +313,32 @@ class TestBitIdentityAcrossExecutors:
             == normalize_summary(warmed, keep_point_timings=True)
 
 
+class TestSharedStore:
+    """Sharing results means sharing one ``dir:`` store: two runs
+    filling one store at the same time both reproduce the baseline,
+    and a later run against it computes nothing."""
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_concurrent_runs_on_one_store(self, experiment, tmp_path):
+        from concurrent.futures import ThreadPoolExecutor
+
+        root = tmp_path / "shared"
+        config = tiny_config(experiment)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            runs = [pool.submit(run_experiment, experiment, config,
+                                cache=ShardedDirectoryCache(root))
+                    for _ in range(2)]
+            summaries = [run.result() for run in runs]
+        expected = normalize_summary(baseline_summary(experiment))
+        assert [normalize_summary(summary) for summary in summaries] \
+            == [expected, expected]
+        later = run_experiment(experiment, config,
+                               cache=ShardedDirectoryCache(root))
+        assert later.n_points_compiled == 0
+        assert normalize_summary(later) == expected
+        assert not list(root.rglob("*.tmp"))
+
+
 class TestCachePayloadIsolation:
     """PR 2's aliasing guarantee, extended to the new job type: a
     caller mutating a streamed result's ``values`` must never corrupt

@@ -1,8 +1,10 @@
 """One lifecycle contract for every server built on ``FrameServer``.
 
-``CacheServer`` and ``CompileService`` share their bind, frame loop,
-idle timeout, connection tracking and shutdown, so each case here runs
-against both: idle connections close, late registrations close,
+A server inherits its bind, frame loop, idle timeout, connection
+tracking and shutdown from ``FrameServer``, so each case here runs
+against the compile service and against a minimal echo subclass (the
+base's contract without any service logic on top): idle connections
+close, late registrations close,
 shutdown is prompt, idempotent and closes live connections, a handler
 crash is an error frame, op-table violations are error frames on a
 connection that stays usable, and a peer that breaks the framing is
@@ -17,13 +19,34 @@ import time
 
 import pytest
 
-from repro.batch.cache import InMemoryLRUCache
-from repro.batch.service import CacheServer, recv_frame, send_frame
+from repro.batch.service import FrameServer, Op, recv_frame, send_frame
 from repro.batch.serving import CompileService
 from repro.errors import BatchError
 
+class EchoServer(FrameServer):
+    """The smallest useful ``FrameServer``: two ops, no state."""
+
+    OPS = {
+        "ping": Op("_op_ping", "Liveness probe."),
+        "echo": Op("_op_echo", "Answer `text` back.",
+                   required={"text": "string"},
+                   optional={"times": "integer"},
+                   response=("text",)),
+    }
+
+    def __init__(self, *, idle_timeout: float | None = 300.0):
+        super().__init__("127.0.0.1", 0, idle_timeout)
+
+    def _op_ping(self, request: dict) -> dict:
+        return {"ok": True}
+
+    def _op_echo(self, request: dict) -> dict:
+        return {"ok": True,
+                "text": request["text"] * request.get("times", 1)}
+
+
 SERVERS = {
-    "cache": lambda **kwargs: CacheServer(InMemoryLRUCache(), **kwargs),
+    "echo": EchoServer,
     "serve": CompileService,
 }
 
@@ -31,9 +54,9 @@ SERVERS = {
 #: field and for a wrongly typed one.  ``compile`` has no required
 #: field; its handler's exactly-one-of check stands in.
 BAD_REQUESTS = {
-    "cache": [({"op": "get"}, "'get' needs a string 'digest'"),
-              ({"op": "put", "digest": "d", "payload": 3},
-               "'put' field 'payload' must be an object")],
+    "echo": [({"op": "echo"}, "'echo' needs a string 'text'"),
+             ({"op": "echo", "text": "a", "times": True},
+              "'echo' field 'times' must be an integer")],
     "serve": [({"op": "compile"}, "exactly one of"),
               ({"op": "compile", "kernel": "fir8", "registers": "four"},
                "'compile' field 'registers' must be an integer")],

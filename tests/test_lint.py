@@ -567,18 +567,28 @@ class TestWireProtocol:
         assert result.diagnostics[0].path == "src/proj/client.py"
 
     def test_undeclared_field_is_flagged(self):
-        result = wire_lint("def get(sock, digest):\n"
-                           "    send_frame(sock, {'op': 'get',\n"
-                           "                      'digets': digest})\n")
+        result = wire_lint("def build(sock, source):\n"
+                           "    send_frame(sock, {'op': 'compile',\n"
+                           "                      'sorce': source})\n")
         assert rule_ids(result) == ["WIRE-PROTOCOL"]
-        assert "does not declare field 'digets'" \
+        assert "does not declare field 'sorce'" \
+            in result.diagnostics[0].message
+
+    @pytest.mark.parametrize("op", ["get", "get_many", "put"])
+    def test_the_retired_cache_ops_are_undeclared(self, op):
+        result = wire_lint("def fetch(sock, digest):\n"
+                           f"    send_frame(sock, {{'op': '{op}',\n"
+                           "                      'digest': digest})\n")
+        assert rule_ids(result) == ["WIRE-PROTOCOL"]
+        assert f"op '{op}' is not declared" \
             in result.diagnostics[0].message
 
     def test_declared_ops_and_fields_are_clean(self):
         result = wire_lint(
-            "def calls(sock, digest, source):\n"
+            "def calls(sock, kernel, source):\n"
             "    send_frame(sock, {'op': 'ping'})\n"
-            "    send_frame(sock, {'op': 'get', 'digest': digest})\n"
+            "    send_frame(sock, {'op': 'stats'})\n"
+            "    send_frame(sock, {'op': 'compile', 'kernel': kernel})\n"
             "    send_frame(sock, {'op': 'compile', 'source': source,\n"
             "                      'listing': True})\n")
         assert result.clean
@@ -586,7 +596,7 @@ class TestWireProtocol:
     def test_computed_op_and_spread_literals_are_skipped(self):
         result = wire_lint("def call(sock, op, extra):\n"
                            "    send_frame(sock, {'op': op})\n"
-                           "    send_frame(sock, {'op': 'get', **extra})\n")
+                           "    send_frame(sock, {'op': 'compile', **extra})\n")
         assert result.clean
 
 

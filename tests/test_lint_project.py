@@ -396,7 +396,8 @@ class TestProtocolDoc:
         text = (ROOT / "docs" / "PROTOCOL.md").read_text(
             encoding="utf-8")
         assert "GENERATED FILE" in text
-        for op in ("get", "get_many", "put", "compile", "stats"):
+        for op in ("ping", "compile", "stats"):
             assert f'`op: "{op}"`' in text
-        for gone in ("lease", "submit", "Event frames"):
+        for gone in ("lease", "submit", "Event frames", '`op: "get"`',
+                     '`op: "get_many"`', '`op: "put"`', "CacheServer"):
             assert gone not in text

@@ -235,6 +235,62 @@ class TestServeProtocol:
                 ServeClient("tcp://127.0.0.1:8743", **kwargs)
 
 
+def free_port() -> int:
+    """A port nothing is listening on."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+class TestClientTransport:
+    """The pooled client's transport contract: stale connections are
+    replaced, and every transport failure is a ``BatchError``."""
+
+    def test_a_stale_pool_is_replaced_by_a_fresh_connection(self):
+        """Two pooled connections the server idle-closed must not make
+        a live server look unreachable: the retry connects afresh and
+        the rest of the stale pool is dropped."""
+        with CompileService(idle_timeout=0.3) as service, \
+                ServeClient(service.endpoint, timeout=30.0) as client:
+            for _ in range(2):
+                client._release(client._connect())
+            time.sleep(0.8)  # the server closes both idle connections
+            answer = client.compile(kernel="fir8")
+            assert answer.result.audit_ok
+            assert len(client._pool) == 1  # only the fresh connection
+            assert client.ping()
+
+    def test_ping_is_false_against_a_closed_port(self):
+        client = ServeClient(f"tcp://127.0.0.1:{free_port()}",
+                             timeout=5.0)
+        assert client.ping() is False
+
+    def test_compile_against_a_closed_port_raises_batch_error(self):
+        endpoint = f"tcp://127.0.0.1:{free_port()}"
+        client = ServeClient(endpoint, timeout=5.0)
+        with pytest.raises(BatchError, match="unreachable") as caught:
+            client.compile(kernel="fir8")
+        assert endpoint in str(caught.value)
+        assert isinstance(caught.value.__cause__, OSError)
+
+    def test_the_client_reconnects_after_a_server_restart(self):
+        first = CompileService().start()
+        port = first.address[1]
+        with ServeClient(first.endpoint, timeout=30.0) as client:
+            assert client.compile(kernel="saxpy").result.audit_ok
+            first.shutdown()
+            with CompileService(port=port) as second:
+                answer = client.compile(kernel="saxpy")
+                assert answer.result.audit_ok
+                assert second.stats.requests == 1
+
+    def test_sequential_requests_share_one_connection(self, service,
+                                                      client):
+        for _ in range(20):
+            assert client.ping()
+        assert service.n_connections == 1
+
+
 def wide_kernel(n_arrays: int, n_accesses: int) -> str:
     """Frontend source with the given array and access counts."""
     decls = ", ".join(f"a{index}[64]" for index in range(n_arrays))
@@ -608,16 +664,18 @@ class TestTieredCache:
         assert backend.lookups == 1
         assert tiered.stats.hits == 2
 
-    def test_get_many_splits_between_tiers(self):
+    def test_gets_split_between_tiers(self):
         backend = CountingBackend()
         backend.inner.put("cold", {"v": 1})
         tiered = TieredCache(backend)
         tiered.put("warm", {"v": 2})
-        found = tiered.get_many(["warm", "cold", "absent", "warm"])
-        assert found == {"warm": {"v": 2}, "cold": {"v": 1}}
-        assert tiered.stats.hits == 2  # duplicates deduped first
+        found = {digest: tiered.get(digest)
+                 for digest in ("warm", "cold", "absent")}
+        assert found == {"warm": {"v": 2}, "cold": {"v": 1},
+                         "absent": None}
+        assert tiered.stats.hits == 2
         assert tiered.stats.misses == 1
-        assert tiered.get_many(["cold"]) == {"cold": {"v": 1}}
+        assert tiered.get("cold") == {"v": 1}  # promoted: warm now
         assert backend.lookups == 2  # "cold" + "absent" only, once
 
     def test_writes_reach_both_tiers(self):
@@ -644,7 +702,8 @@ class TestTieredCache:
         assert tiered.get("k") is None
         tiered.put("k", {"v": 1})
         assert tiered.get("k") == {"v": 1}
-        assert tiered.get_many(["k", "absent"]) == {"k": {"v": 1}}
+        assert [tiered.get("k"), tiered.get("absent")] \
+            == [{"v": 1}, None]
         assert (tiered.stats.hits, tiered.stats.misses,
                 tiered.stats.stores) == (2, 2, 1)
 

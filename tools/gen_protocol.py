@@ -3,9 +3,9 @@
 
 Every server of the batch layer declares its wire schema: the op
 table (``OPS``) of each :class:`~repro.batch.service.FrameServer`
-subclass.  The servers validate requests against those tables at
-runtime; this script renders the same tables
-as markdown, so the protocol reference cannot drift from the code --
+subclass (today the one subclass is ``CompileService``).  The servers
+validate requests against those tables at runtime; this script renders
+the same tables as markdown, so the protocol reference cannot drift from the code --
 CI runs ``--check`` and fails when the committed document no longer
 matches::
 
@@ -24,15 +24,13 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.batch.service import CacheServer, Op  # noqa: E402
+from repro.batch.service import Op  # noqa: E402
 from repro.batch.serving import CompileService  # noqa: E402
 
 OUTPUT = REPO_ROOT / "docs" / "PROTOCOL.md"
 
 #: (section title, module, what serves it, op table), in document order.
 SERVERS = [
-    ("CacheServer", "repro.batch.service", "`repro-agu cache-serve`",
-     CacheServer.OPS),
     ("CompileService", "repro.batch.serving", "`repro-agu serve`",
      CompileService.OPS),
 ]
@@ -42,15 +40,15 @@ HEADER = """\
 
 <!-- GENERATED FILE -- do not edit by hand.
      Source of truth: the op tables (OPS) declared in
-     src/repro/batch/{service,serving}.py.
+     src/repro/batch/serving.py.
      Regenerate with:  python tools/gen_protocol.py
      CI gates drift:   python tools/gen_protocol.py --check -->
 
-Every service in the batch substrate speaks the same framing: one
-request or response is a single JSON object serialized with sorted
-keys, UTF-8 encoded, and prefixed with a big-endian 4-byte length
-(`struct ">I"`); frames above 64 MiB are rejected on both sides
-(`send_frame` / `recv_frame` in `src/repro/batch/service.py`).
+The compile service speaks one framing: one request or response is a
+single JSON object serialized with sorted keys, UTF-8 encoded, and
+prefixed with a big-endian 4-byte length (`struct ">I"`); frames above
+64 MiB are rejected on both sides (`send_frame` / `recv_frame` in
+`src/repro/batch/service.py`).
 
 Requests are routed on the `"op"` key through the server's op table
 (`FrameServer.handle_request`).  Responses share an **ok/error

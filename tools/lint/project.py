@@ -11,7 +11,7 @@ acquires.  This module builds that shared picture once per lint run:
   (``src/repro/batch/service.py`` -> ``repro.batch.service``); its
   ``import`` / ``from ... import`` statements become a symbol table,
   and re-exports (a package ``__init__`` importing a name to publish
-  it) are followed through so ``from repro.batch import RemoteCache``
+  it) are followed through so ``from repro.batch import TieredCache``
   resolves to the defining class.
 * **Class/method index** -- top-level classes with their methods
   (nested functions included, bound to the enclosing class so their
@@ -94,7 +94,7 @@ class FunctionUnit:
     (bound to the enclosing class through its closure), or a
     module-level function."""
 
-    #: Fully qualified (``repro.batch.service.CacheServer._op_get``).
+    #: Fully qualified (``repro.batch.serving.CompileService._op_ping``).
     qualname: str
     module: Module
     node: ast.FunctionDef | ast.AsyncFunctionDef

@@ -1,6 +1,6 @@
 """LOCK-DISCIPLINE: shared mutable state only under its lock.
 
-Contract: ``CacheServer``, ``CompileService``, and ``RemoteCache``
+Contract: ``CompileService``, ``ServeClient`` and ``TieredCache``
 are explicitly multi-threaded -- socketserver handler threads, the
 dispatcher, and batch callers all touch one object -- and their correctness
 argument is "every access to shared state happens inside ``with

@@ -1,7 +1,7 @@
 """SOCKET-HYGIENE: sockets must not leak on exception paths.
 
-Contract: the service layer (cache server, compile service, their
-clients) holds long-lived TCP connections; a socket closed only on
+Contract: the service layer (the frame server, the compile service
+and its pooled client) holds long-lived TCP connections; a socket closed only on
 the straight-line path leaks its file descriptor whenever an
 exception interrupts the function, and a long-running server leaks
 them by the thousand.  A locally created socket must therefore be (one of):

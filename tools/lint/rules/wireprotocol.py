@@ -2,7 +2,8 @@
 
 Contract: every server of the batch layer declares its wire schema --
 the op table (``OPS``) of each
-:class:`~repro.batch.service.FrameServer` subclass -- and validates
+:class:`~repro.batch.service.FrameServer` subclass, today
+``CompileService`` alone -- and validates
 each request against its table at runtime.  This rule holds the
 sending side to the same tables statically: every ``{"op": ...}`` dict
 literal must name a declared op and carry only fields some table
@@ -30,17 +31,13 @@ SRC = Path(__file__).resolve().parents[3] / "src"
 
 @functools.lru_cache(maxsize=1)
 def declared_fields() -> dict[str, set[str]]:
-    """Op name -> allowed fields, over every server's op table."""
+    """Op name -> allowed fields, from ``CompileService``'s op table."""
     if str(SRC) not in sys.path:
         sys.path.insert(0, str(SRC))
-    from repro.batch.service import CacheServer
     from repro.batch.serving import CompileService
 
-    ops: dict[str, set[str]] = {}
-    for table in (CacheServer.OPS, CompileService.OPS):
-        for name, op in table.items():
-            ops.setdefault(name, {"op"}).update(op.required, op.optional)
-    return ops
+    return {name: {"op", *op.required, *op.optional}
+            for name, op in CompileService.OPS.items()}
 
 
 def _constant_keys(node: ast.Dict) -> dict[str, ast.expr] | None:
