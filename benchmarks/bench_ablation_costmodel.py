@@ -8,7 +8,7 @@ with the literal intra-only C(P) leaves on the table in real
 
 from repro.analysis.experiments import (
     CostModelAblationConfig,
-    run_cost_model_ablation,
+    run_experiment,
 )
 from repro.analysis.render import cost_model_table
 
@@ -16,7 +16,7 @@ from _bench_util import publish, run_once
 
 
 def bench_exp_a2_cost_model(benchmark):
-    summary = run_once(benchmark, run_cost_model_ablation,
+    summary = run_once(benchmark, run_experiment, "costmodel",
                        CostModelAblationConfig())
 
     headline = (f"\nEXP-A2 headline: wrap-aware merging saves "

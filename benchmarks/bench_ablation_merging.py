@@ -6,7 +6,7 @@ and the true optimum on instances small enough to solve exactly.
 
 from repro.analysis.experiments import (
     MergingAblationConfig,
-    run_merging_ablation,
+    run_experiment,
 )
 from repro.analysis.render import merging_table
 
@@ -14,7 +14,7 @@ from _bench_util import publish, run_once
 
 
 def bench_exp_a3_merging_ablation(benchmark):
-    summary = run_once(benchmark, run_merging_ablation,
+    summary = run_once(benchmark, run_experiment, "merging",
                        MergingAblationConfig())
 
     publish("exp_a3_merging", merging_table(summary).render(), summary)

@@ -6,7 +6,7 @@ exactness costs in search nodes and milliseconds.
 
 from repro.analysis.experiments import (
     PathCoverAblationConfig,
-    run_path_cover_ablation,
+    run_experiment,
 )
 from repro.analysis.render import path_cover_table
 
@@ -14,7 +14,7 @@ from _bench_util import publish, run_once
 
 
 def bench_exp_a1_path_cover_ablation(benchmark):
-    summary = run_once(benchmark, run_path_cover_ablation,
+    summary = run_once(benchmark, run_experiment, "pathcover",
                        PathCoverAblationConfig())
 
     publish("exp_a1_pathcover", path_cover_table(summary).render(),

@@ -7,7 +7,7 @@ repeats the EXP-S1 comparison under all four generator distributions.
 
 from repro.analysis.experiments import (
     DistributionSensitivityConfig,
-    run_distribution_sensitivity,
+    run_experiment,
 )
 from repro.analysis.render import distribution_table
 
@@ -15,7 +15,7 @@ from _bench_util import publish, run_once
 
 
 def bench_exp_s3_distribution_sensitivity(benchmark):
-    summary = run_once(benchmark, run_distribution_sensitivity,
+    summary = run_once(benchmark, run_experiment, "distributions",
                        DistributionSensitivityConfig())
 
     publish("exp_s3_distributions",

@@ -8,7 +8,7 @@ paper's ref [1].
 
 from repro.analysis.experiments import (
     ArrayLayoutAblationConfig,
-    run_array_layout_ablation,
+    run_experiment,
 )
 from repro.analysis.render import array_layout_table
 
@@ -16,7 +16,7 @@ from _bench_util import publish, run_once
 
 
 def bench_exp_x3_array_layout(benchmark):
-    summary = run_once(benchmark, run_array_layout_ablation,
+    summary = run_once(benchmark, run_experiment, "arraylayout",
                        ArrayLayoutAblationConfig())
 
     headline = (f"\nEXP-X3 headline: optimized array placement cuts "

@@ -8,7 +8,7 @@ plus iterative re-merging.
 
 from repro.analysis.experiments import (
     ModRegAblationConfig,
-    run_modreg_ablation,
+    run_experiment,
 )
 from repro.analysis.render import modreg_table
 
@@ -16,7 +16,7 @@ from _bench_util import publish, run_once
 
 
 def bench_exp_x1_modify_registers(benchmark):
-    summary = run_once(benchmark, run_modreg_ablation,
+    summary = run_once(benchmark, run_experiment, "modreg",
                        ModRegAblationConfig())
 
     publish("exp_x1_modreg", modreg_table(summary).render(), summary)

@@ -9,7 +9,7 @@ search).
 
 from repro.analysis.experiments import (
     ReorderAblationConfig,
-    run_reorder_ablation,
+    run_experiment,
 )
 from repro.analysis.render import reorder_table
 
@@ -17,7 +17,7 @@ from _bench_util import publish, run_once
 
 
 def bench_exp_x2_reordering(benchmark):
-    summary = run_once(benchmark, run_reorder_ablation,
+    summary = run_once(benchmark, run_experiment, "reorder",
                        ReorderAblationConfig())
 
     headline = (f"\nEXP-X2 headline: reordering reduces addressing cost "

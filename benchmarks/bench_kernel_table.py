@@ -10,7 +10,7 @@ AGU simulator.
 from repro.agu.model import AguSpec
 from repro.analysis.experiments import (
     KernelComparisonConfig,
-    run_kernel_comparison,
+    run_experiment,
 )
 from repro.analysis.render import kernel_table
 
@@ -20,7 +20,7 @@ from _bench_util import publish, run_once
 def bench_exp_k1_kernel_comparison(benchmark):
     """Time: allocate + codegen + simulate every kernel, twice."""
     config = KernelComparisonConfig(spec=AguSpec(4, 1, "kernel_eval"))
-    summary = run_once(benchmark, run_kernel_comparison, config)
+    summary = run_once(benchmark, run_experiment, "kernels", config)
 
     headline = (
         f"\nEXP-K1 headline: mean addressing-overhead reduction "
@@ -42,6 +42,6 @@ def bench_exp_k1_kernel_comparison(benchmark):
 def bench_exp_k1_tight_registers(benchmark):
     """Same table under register pressure (K=2): merging must engage."""
     config = KernelComparisonConfig(spec=AguSpec(2, 1, "tight"))
-    summary = run_once(benchmark, run_kernel_comparison, config)
+    summary = run_once(benchmark, run_experiment, "kernels", config)
     publish("exp_k1_kernels_k2", kernel_table(summary).render(), summary)
     assert summary.mean_overhead_reduction_pct > 30.0

@@ -7,7 +7,7 @@ address registers.
 
 from repro.analysis.experiments import (
     OffsetComparisonConfig,
-    run_offset_comparison,
+    run_experiment,
 )
 from repro.analysis.render import offset_goa_table, offset_soa_table
 
@@ -15,7 +15,7 @@ from _bench_util import publish, run_once
 
 
 def bench_exp_o1_offset_assignment(benchmark):
-    summary = run_once(benchmark, run_offset_comparison,
+    summary = run_once(benchmark, run_experiment, "offset",
                        OffsetComparisonConfig())
 
     text = (offset_soa_table(summary).render() + "\n"

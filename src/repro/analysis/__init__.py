@@ -1,11 +1,17 @@
 """Evaluation harness: the paper's Results section, reproducible.
 
+* :mod:`repro.analysis.experiments` -- the experiments' configs and
+  summaries, and :func:`run_experiment`, the one way to run any of them
+  by registry id (``run_experiment("pathcover", config)``);
+  :func:`run_statistical_comparison` is EXP-S1's typed shorthand.
+* :mod:`repro.analysis.points` -- the registered per-point definitions
+  (EXP-S1/S3, EXP-K1, EXP-A1..A3, EXP-O1, EXP-X1..X3): what
+  ``repro-agu experiment NAME`` and the Markdown report iterate.
+* :mod:`repro.analysis.report` -- one Markdown report over the registry.
+* :mod:`repro.analysis.render` -- the experiments' text tables.
 * :mod:`repro.analysis.stats` -- small statistics helpers.
 * :mod:`repro.analysis.tables` -- fixed-width text tables.
 * :mod:`repro.analysis.reports` -- JSON persistence of experiment runs.
-* :mod:`repro.analysis.experiments` -- the experiments themselves
-  (statistical comparison EXP-S1/S2, kernel comparison EXP-K1,
-  ablations EXP-A1..A3); see DESIGN.md for the experiment index.
 """
 
 from repro.analysis.experiments import (
@@ -32,16 +38,7 @@ from repro.analysis.experiments import (
     StatisticalRow,
     StatisticalSummary,
     marginalize,
-    run_array_layout_ablation,
-    run_cost_model_ablation,
-    run_distribution_sensitivity,
     run_experiment,
-    run_kernel_comparison,
-    run_merging_ablation,
-    run_modreg_ablation,
-    run_offset_comparison,
-    run_path_cover_ablation,
-    run_reorder_ablation,
     run_statistical_comparison,
 )
 from repro.analysis.reports import load_report, save_report, to_jsonable
@@ -78,16 +75,7 @@ __all__ = [
     "marginalize",
     "mean",
     "percent_reduction",
-    "run_array_layout_ablation",
-    "run_cost_model_ablation",
-    "run_distribution_sensitivity",
     "run_experiment",
-    "run_kernel_comparison",
-    "run_merging_ablation",
-    "run_modreg_ablation",
-    "run_offset_comparison",
-    "run_path_cover_ablation",
-    "run_reorder_ablation",
     "run_statistical_comparison",
     "save_report",
     "stdev",

@@ -1,37 +1,42 @@
 """The experiments of the paper's Results section, plus ablations.
 
-Experiment ids follow DESIGN.md:
+Each experiment is a frozen config dataclass, its row types, and a
+frozen summary dataclass that :func:`repro.analysis.reports.save_report`
+can archive.  Every one runs the same way: :func:`run_experiment` with
+its registry id (see :mod:`repro.analysis.points`), e.g.
+``run_experiment("pathcover", PathCoverAblationConfig())``.  Experiment
+ids follow DESIGN.md:
 
-* **EXP-S1** (:func:`run_statistical_comparison`) -- the paper's
-  statistical analysis: best-pair merging vs naive arbitrary merging
-  over random patterns and a grid of ``N``, ``M``, ``K``; the paper
-  reports "about 40 %" average cost reduction.
+* **EXP-S1** (``stats``) -- the paper's statistical analysis: best-pair
+  merging vs naive arbitrary merging over random patterns and a grid of
+  ``N``, ``M``, ``K``; the paper reports "about 40 %" average cost
+  reduction.  :func:`run_statistical_comparison` is its typed shorthand.
 * **EXP-S2** (:func:`marginalize`) -- the same data marginalized per
   parameter, showing where the heuristic helps most.
-* **EXP-K1** (:func:`run_kernel_comparison`) -- optimized addressing vs
-  a regular-C-compiler baseline on DSP kernels, both simulated; the
-  paper cites up to 30 % code-size / 60 % speed potential from [1].
-* **EXP-A1** (:func:`run_path_cover_ablation`) -- exact ``K~`` vs the
-  greedy cover vs the matching lower bound.
-* **EXP-A2** (:func:`run_cost_model_ablation`) -- merging under the
-  literal intra-iteration ``C(P)`` vs the steady-state model.
-* **EXP-A3** (:func:`run_merging_ablation`) -- best-pair vs naive vs
-  the exhaustive optimum on small instances.
-
-Every experiment is seeded and returns a frozen summary dataclass that
-:func:`repro.analysis.reports.save_report` can archive.
+* **EXP-S3** (``distributions``) -- EXP-S1 under every offset
+  distribution.
+* **EXP-K1** (``kernels``) -- optimized addressing vs a
+  regular-C-compiler baseline on DSP kernels, both simulated; the paper
+  cites up to 30 % code-size / 60 % speed potential from [1].
+* **EXP-A1** (``pathcover``) -- exact ``K~`` vs the greedy cover vs the
+  matching lower bound.
+* **EXP-A2** (``costmodel``) -- merging under the literal
+  intra-iteration ``C(P)`` vs the steady-state model.
+* **EXP-A3** (``merging``) -- best-pair vs naive vs the exhaustive
+  optimum on small instances.
+* **EXP-O1** (``offset``), **EXP-X1** (``modreg``), **EXP-X2**
+  (``reorder``), **EXP-X3** (``arraylayout``) -- the offset-assignment
+  substrate and the extensions beyond the paper.
 
 Every experiment executes through the batch engine
-(:class:`~repro.batch.engine.BatchCompiler`): EXP-K1 as per-kernel
-compilation jobs, and every other experiment (EXP-S1, EXP-S3,
-EXP-A1..A3, EXP-O1, EXP-X1..X3) as the registered
+(:class:`~repro.batch.engine.BatchCompiler`) as the registered
 :class:`~repro.batch.jobs.ExperimentPointJob` points of
-:mod:`repro.analysis.points`, via :func:`run_experiment`.  Every
-registered ``run_*`` entry point therefore takes ``executor=`` (where
-the points run: inline by default, ``"local:N"`` for an ``N``-process
-pool; see :func:`~repro.batch.engine.open_executor`), ``cache=``
-(persistent, resumable point results), and ``progress=`` (per-point
-streaming callback).
+:mod:`repro.analysis.points`, so :func:`run_experiment` takes
+``executor=`` (where the points run: inline by default, ``"local:N"``
+for an ``N``-process pool; see
+:func:`~repro.batch.engine.open_executor`), ``cache=`` (persistent,
+resumable point results), ``progress=`` (per-point streaming
+callback), and ``trace=`` (the engine's per-job events).
 """
 
 from __future__ import annotations
@@ -41,10 +46,8 @@ from dataclasses import dataclass
 
 from repro.agu.model import AguSpec
 from repro.analysis.stats import mean, percent_reduction
-from repro.core.config import AllocatorConfig
 from repro.errors import ExperimentError
 from repro.merging.cost import CostModel
-from repro.workloads.kernels import KERNELS
 
 
 # ======================================================================
@@ -185,7 +188,12 @@ def marginalize(summary, axis: str) -> list[StatisticalRow]:
 # ======================================================================
 @dataclass(frozen=True)
 class KernelComparisonConfig:
-    """Configuration of the kernel comparison (EXP-K1)."""
+    """Configuration of the kernel comparison (EXP-K1).
+
+    One point per kernel: ``kernel_names`` in the given order, or the
+    whole bundled library sorted by name when empty.  The experiment
+    has no randomness.
+    """
 
     kernel_names: tuple[str, ...] = ()
     spec: AguSpec = AguSpec(4, 1, "kernel_eval")
@@ -221,66 +229,9 @@ class KernelComparisonSummary:
     mean_overhead_reduction_pct: float
     mean_speed_improvement_pct: float
     elapsed_seconds: float
-
-
-def run_kernel_comparison(
-        config: KernelComparisonConfig | None = None,
-) -> KernelComparisonSummary:
-    """EXP-K1: addressing overhead on realistic kernels, audited.
-
-    The suite runs through the batch engine
-    (:class:`~repro.batch.engine.BatchCompiler`), one job per kernel
-    with baseline measurement enabled.  Both the optimized and the
-    baseline address programs are run on the AGU simulator, so every
-    number in the table is backed by a verified address stream, not
-    just the static model.
-    """
-    from repro.batch.engine import BatchCompiler
-    from repro.batch.jobs import jobs_from_kernels
-
-    if config is None:
-        config = KernelComparisonConfig()
-    names = config.kernel_names or tuple(sorted(KERNELS))
-    started = time.perf_counter()
-
-    jobs = jobs_from_kernels(
-        names, config.spec, AllocatorConfig(cost_model=config.cost_model),
-        n_iterations=config.simulate_iterations, include_baseline=True)
-    report = BatchCompiler().compile(jobs)
-
-    rows: list[KernelComparisonRow] = []
-    for result in report.results:
-        if not result.audit_ok:  # pragma: no cover - simulate() raises
-            raise ExperimentError(
-                f"kernel {result.name!r}: dynamic cost disagrees with "
-                f"the model")
-        n = result.n_accesses
-        base_overhead = result.baseline_overhead
-        assert base_overhead is not None
-        opt_overhead = result.overhead_per_iteration
-        # One data instruction per access carries the Use operand.
-        base_total = n + base_overhead
-        opt_total = n + opt_overhead
-        rows.append(KernelComparisonRow(
-            kernel=result.name, n_accesses=n, k_tilde=result.k_tilde,
-            registers_used=result.n_registers_used,
-            baseline_overhead=base_overhead,
-            optimized_overhead=opt_overhead,
-            overhead_reduction_pct=percent_reduction(base_overhead,
-                                                     opt_overhead),
-            baseline_instructions=base_total,
-            optimized_instructions=opt_total,
-            speed_improvement_pct=percent_reduction(base_total, opt_total),
-        ))
-
-    return KernelComparisonSummary(
-        config=config, rows=tuple(rows),
-        mean_overhead_reduction_pct=mean(
-            [row.overhead_reduction_pct for row in rows]),
-        mean_speed_improvement_pct=mean(
-            [row.speed_improvement_pct for row in rows]),
-        elapsed_seconds=time.perf_counter() - started,
-    )
+    #: Kernels compiled this run vs served from the result cache.
+    n_points_compiled: int = 0
+    n_points_cached: int = 0
 
 
 # ======================================================================
@@ -290,13 +241,14 @@ def run_experiment(experiment: str, config=None, *, cache=None,
                    progress=None, executor=None, trace=None):
     """Run a registered experiment sharded through the batch engine.
 
-    The uniform execution path behind every ``run_*`` ablation below:
-    the experiment's points (see :mod:`repro.batch.registry` and
-    :mod:`repro.analysis.points`) fan out over the ``executor``
-    backend -- inline by default, ``"local:N"`` for a process pool
-    (see :func:`~repro.batch.engine.open_executor`) -- via
-    :class:`~repro.batch.engine.BatchCompiler`, every computed
-    point is persisted to ``cache`` the moment it exists (interrupted
+    The one way to run an experiment (``config`` defaults to the
+    definition's full-size configuration): the experiment's points
+    (see :mod:`repro.batch.registry` and :mod:`repro.analysis.points`)
+    fan out over the ``executor`` backend -- inline by default,
+    ``"local:N"`` for a process pool (see
+    :func:`~repro.batch.engine.open_executor`) -- via
+    :class:`~repro.batch.engine.BatchCompiler`, every computed point
+    is persisted to ``cache`` the moment it exists (interrupted
     runs resume; warm re-runs recompute nothing), ``progress(done,
     total, result)`` fires per point, and the experiment's summary
     dataclass is reassembled from the streamed results bit-identically
@@ -387,19 +339,6 @@ class PathCoverAblationSummary:
     n_points_cached: int = 0
 
 
-def run_path_cover_ablation(
-        config: PathCoverAblationConfig | None = None, *,
-        cache=None, progress=None,
-        executor=None) -> PathCoverAblationSummary:
-    """EXP-A1: how tight are the bounds, how costly is exactness.
-
-    Sharded through the batch engine (see :func:`run_experiment`):
-    one cacheable job per (N, M) grid point.
-    """
-    return run_experiment("pathcover", config, cache=cache,
-                          progress=progress, executor=executor)
-
-
 # ======================================================================
 # EXP-A2: cost-model ablation (INTRA vs STEADY_STATE)
 # ======================================================================
@@ -445,20 +384,6 @@ class CostModelAblationSummary:
     #: Points computed this run vs served from the result cache.
     n_points_compiled: int = 0
     n_points_cached: int = 0
-
-
-def run_cost_model_ablation(
-        config: CostModelAblationConfig | None = None, *,
-        cache=None, progress=None,
-        executor=None) -> CostModelAblationSummary:
-    """EXP-A2: merging with the literal intra-only ``C(P)`` leaves the
-    wrap-around costs on the table; quantify how much.
-
-    Sharded through the batch engine (see :func:`run_experiment`):
-    one cacheable job per (N, M, K) grid point.
-    """
-    return run_experiment("costmodel", config, cache=cache,
-                          progress=progress, executor=executor)
 
 
 # ======================================================================
@@ -515,21 +440,6 @@ class MergingAblationSummary:
     #: Points computed this run vs served from the result cache.
     n_points_compiled: int = 0
     n_points_cached: int = 0
-
-
-def run_merging_ablation(
-        config: MergingAblationConfig | None = None, *,
-        cache=None, progress=None,
-        executor=None) -> MergingAblationSummary:
-    """EXP-A3: position the paper's heuristic between naive and optimal.
-
-    Sharded through the batch engine (see :func:`run_experiment`):
-    one cacheable job per (N, M, K) grid point, each carrying its own
-    pattern and naive-baseline seeds (scheme on
-    :class:`MergingAblationConfig`).
-    """
-    return run_experiment("merging", config, cache=cache,
-                          progress=progress, executor=executor)
 
 
 # ======================================================================
@@ -595,22 +505,6 @@ class OffsetComparisonSummary:
     n_points_cached: int = 0
 
 
-def run_offset_comparison(
-        config: OffsetComparisonConfig | None = None, *,
-        cache=None, progress=None,
-        executor=None) -> OffsetComparisonSummary:
-    """EXP-O1: SOA heuristics vs the OFU baseline (and GOA over k ARs).
-
-    Context for the paper's "complementary" citation of refs [4, 5]:
-    scalar-variable addressing benefits from the same AGU hardware via
-    layout choice rather than register assignment.  Sharded through
-    the batch engine (see :func:`run_experiment`): one cacheable job
-    per (V, length) grid point, covering its SOA row and GOA rows.
-    """
-    return run_experiment("offset", config, cache=cache,
-                          progress=progress, executor=executor)
-
-
 # ======================================================================
 # EXP-X1: the modify-register extension
 # ======================================================================
@@ -658,24 +552,6 @@ class ModRegAblationSummary:
     n_points_cached: int = 0
 
 
-def run_modreg_ablation(
-        config: ModRegAblationConfig | None = None, *,
-        cache=None, progress=None,
-        executor=None) -> ModRegAblationSummary:
-    """EXP-X1: addressing cost vs the number of modify registers.
-
-    Extension experiment (not in the paper): quantifies how much of the
-    residual unit-cost addressing an MR file of growing size recovers,
-    using exact per-allocation value selection plus iterative
-    re-merging (:mod:`repro.modreg`).  Sharded through the batch
-    engine (see :func:`run_experiment`): one cacheable job per
-    (N, K, MR) point; the reduction-vs-no-MR column is reassembled
-    against each (N, K) pair's MR=0 point.
-    """
-    return run_experiment("modreg", config, cache=cache,
-                          progress=progress, executor=executor)
-
-
 # ======================================================================
 # EXP-X2: the access-reordering extension
 # ======================================================================
@@ -721,23 +597,6 @@ class ReorderAblationSummary:
     n_points_cached: int = 0
 
 
-def run_reorder_ablation(
-        config: ReorderAblationConfig | None = None, *,
-        cache=None, progress=None,
-        executor=None) -> ReorderAblationSummary:
-    """EXP-X2: what scheduling freedom buys on top of the paper.
-
-    Extension experiment (not in the paper): random patterns with
-    writes (so real dependences exist) are allocated with the paper's
-    fixed access order and with the reordering extension; the reordered
-    cost can never be worse by construction.  Sharded through the
-    batch engine (see :func:`run_experiment`): one cacheable job per
-    (N, K) grid point.
-    """
-    return run_experiment("reorder", config, cache=cache,
-                          progress=progress, executor=executor)
-
-
 # ======================================================================
 # EXP-X3: the array-layout extension
 # ======================================================================
@@ -781,23 +640,6 @@ class ArrayLayoutAblationSummary:
     #: Points computed this run vs served from the result cache.
     n_points_compiled: int = 0
     n_points_cached: int = 0
-
-
-def run_array_layout_ablation(
-        config: ArrayLayoutAblationConfig | None = None, *,
-        cache=None, progress=None,
-        executor=None) -> ArrayLayoutAblationSummary:
-    """EXP-X3: what choosing array base addresses buys.
-
-    Extension experiment (ref [1]'s layout angle, not in the paper):
-    multi-array random patterns are allocated once; their cost is then
-    evaluated under the reference guard-gap layout vs the optimized
-    placement of :mod:`repro.arraylayout`.  Sharded through the batch
-    engine (see :func:`run_experiment`): one cacheable job per (N, K)
-    grid point.
-    """
-    return run_experiment("arraylayout", config, cache=cache,
-                          progress=progress, executor=executor)
 
 
 # ======================================================================
@@ -847,23 +689,6 @@ class DistributionSensitivitySummary:
     #: Points computed this run vs served from the result cache.
     n_points_compiled: int = 0
     n_points_cached: int = 0
-
-
-def run_distribution_sensitivity(
-        config: DistributionSensitivityConfig | None = None, *,
-        cache=None, progress=None,
-        executor=None) -> DistributionSensitivitySummary:
-    """EXP-S3: is the ≈40 % claim an artifact of one offset shape?
-
-    Repeats EXP-S1 under every offset distribution of the random
-    generator.  The paper does not specify its distribution; a robust
-    reproduction should win under all of them.  Sharded through the
-    batch engine (see :func:`run_experiment`): one cacheable job per
-    (distribution, N, M, K) point; ``progress`` counts points across
-    all distributions.
-    """
-    return run_experiment("distributions", config, cache=cache,
-                          progress=progress, executor=executor)
 
 
 def quick_statistical_config() -> StatisticalConfig:

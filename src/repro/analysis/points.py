@@ -1,21 +1,20 @@
 """The registered per-point experiment definitions (EXP-S1, EXP-S3,
-EXP-A1..A3, EXP-O1, EXP-X1..X3).
+EXP-K1, EXP-A1..A3, EXP-O1, EXP-X1..X3).
 
-Each experiment that used to run as an ad-hoc sequential loop in
-:mod:`repro.analysis.experiments` is decomposed here into the registry
-contract of :mod:`repro.batch.registry`:
+Each experiment of :mod:`repro.analysis.experiments` is decomposed here
+into the registry contract of :mod:`repro.batch.registry`:
 
 * an ``enumerate`` function lowering its config to one JSON-able
-  params dict per grid point (including that point's *derived seeds*,
-  so the params fully determine the outcome and can serve as its cache
-  identity);
-* a ``point`` function computing one grid point from its params alone
+  params dict per point (including that point's *derived seeds*, or
+  for EXP-K1 the kernel's source text, so the params fully determine
+  the outcome and can serve as its cache identity);
+* a ``point`` function computing one point from its params alone
   (this is what runs inside pool workers); and
 * an ``assemble`` function folding the streamed point results -- in
   enumeration order -- back into the experiment's summary dataclass,
-  bit-identically to what the retired sequential loop produced.
+  bit-identically to what the retired sequential loops produced.
 
-The module registers all nine definitions at import time;
+The module registers all ten definitions at import time;
 :data:`repro.batch.registry.AUTOLOAD_MODULES` imports it on first
 lookup, so CLI processes and pool workers alike resolve experiment ids
 without any setup.
@@ -23,6 +22,7 @@ without any setup.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 from repro.agu.model import AguSpec
@@ -37,6 +37,9 @@ from repro.analysis.experiments import (
     DistributionSensitivityConfig,
     DistributionSensitivityRow,
     DistributionSensitivitySummary,
+    KernelComparisonConfig,
+    KernelComparisonRow,
+    KernelComparisonSummary,
     MergingAblationConfig,
     MergingAblationRow,
     MergingAblationSummary,
@@ -59,10 +62,12 @@ from repro.analysis.experiments import (
     quick_statistical_config,
 )
 from repro.analysis.stats import mean, percent_reduction
+from repro.batch import engine
 from repro.batch.jobs import (
     DISTRIBUTION_SEED_SPAN,
     NAIVE_SEED_STRIDE,
     PATTERN_SEED_STRIDE,
+    BatchJob,
     naive_baseline_seed,
     statistical_point,
 )
@@ -72,6 +77,7 @@ from repro.batch.registry import (
 )
 from repro.core.allocator import AddressRegisterAllocator
 from repro.core.config import AllocatorConfig
+from repro.errors import ExperimentError
 from repro.graph.access_graph import cached_access_graph
 from repro.merging.cost import CostModel, cover_cost
 from repro.merging.exhaustive import optimal_allocation
@@ -80,10 +86,12 @@ from repro.merging.naive import naive_merge
 from repro.pathcover.branch_and_bound import minimum_zero_cost_cover
 from repro.pathcover.heuristic import greedy_zero_cost_cover
 from repro.pathcover.lower_bound import intra_cover_lower_bound
+from repro.workloads.kernels import KERNELS, get_kernel
 from repro.workloads.random_patterns import (
     RandomPatternConfig,
     generate_batch,
 )
+from repro.workloads.suite import suite_kernels
 
 
 # ======================================================================
@@ -161,6 +169,63 @@ def _distribution_assemble(config: DistributionSensitivityConfig,
                                  for row in stats_rows]),
             mean_naive=mean([row.mean_naive for row in stats_rows])))
     return DistributionSensitivitySummary(config, tuple(rows), 0.0)
+
+
+# ======================================================================
+# EXP-K1: DSP kernels vs the regular-C-compiler baseline
+# ======================================================================
+def _kernel_points(config: KernelComparisonConfig) -> list[dict]:
+    return [
+        {"kernel": name, "source": get_kernel(name).source,
+         "spec": dataclasses.asdict(config.spec),
+         "cost_model": config.cost_model.value,
+         "simulate_iterations": config.simulate_iterations}
+        for name in config.kernel_names or sorted(KERNELS)
+    ]
+
+
+def _kernel_point(params: dict) -> dict:
+    # Both the optimized and the baseline address programs run on the
+    # AGU simulator, so every number is backed by a verified stream.
+    result = engine.execute_job(BatchJob(
+        name=params["kernel"], spec=AguSpec(**params["spec"]),
+        config=AllocatorConfig(cost_model=CostModel(params["cost_model"])),
+        source=params["source"],
+        n_iterations=params["simulate_iterations"], include_baseline=True))
+    if not result.audit_ok:  # pragma: no cover - simulate() raises
+        raise ExperimentError(
+            f"kernel {result.name!r}: dynamic cost disagrees with the "
+            f"model")
+    n = result.n_accesses
+    base_overhead = result.baseline_overhead
+    opt_overhead = result.overhead_per_iteration
+    # One data instruction per access carries the Use operand.
+    base_total = n + base_overhead
+    opt_total = n + opt_overhead
+    return {"kernel": result.name, "n_accesses": n,
+            "k_tilde": result.k_tilde,
+            "registers_used": result.n_registers_used,
+            "baseline_overhead": base_overhead,
+            "optimized_overhead": opt_overhead,
+            "overhead_reduction_pct": percent_reduction(base_overhead,
+                                                        opt_overhead),
+            "baseline_instructions": base_total,
+            "optimized_instructions": opt_total,
+            "speed_improvement_pct": percent_reduction(base_total,
+                                                       opt_total)}
+
+
+def _kernel_assemble(config: KernelComparisonConfig,
+                     results) -> KernelComparisonSummary:
+    rows = tuple(KernelComparisonRow(**result.values)
+                 for result in results)
+    return KernelComparisonSummary(
+        config, rows,
+        mean_overhead_reduction_pct=mean(
+            [row.overhead_reduction_pct for row in rows]),
+        mean_speed_improvement_pct=mean(
+            [row.speed_improvement_pct for row in rows]),
+        elapsed_seconds=0.0)
 
 
 # ======================================================================
@@ -647,6 +712,24 @@ register_experiment(ExperimentDefinition(
         f"{params['distribution']}-n{params['n']}-m{params['m']}"
         f"-k{params['k']}",
     render=lambda summary: (render.distribution_table(summary),),
+))
+
+register_experiment(ExperimentDefinition(
+    experiment="kernels",
+    title="EXP-K1: DSP kernels, optimized vs regular-compiler addressing",
+    config_type=KernelComparisonConfig,
+    default_config=KernelComparisonConfig,
+    quick_config=lambda: KernelComparisonConfig(kernel_names=tuple(
+        entry.name for entry in suite_kernels("core8"))),
+    enumerate_points=_kernel_points,
+    run_point=_kernel_point,
+    assemble=_kernel_assemble,
+    point_label=lambda params: params["kernel"],
+    render=lambda summary: (render.kernel_table(summary),),
+    headline=lambda summary:
+        f"mean addressing-overhead reduction "
+        f"{summary.mean_overhead_reduction_pct:.1f} %, mean speed "
+        f"improvement {summary.mean_speed_improvement_pct:.1f} %",
 ))
 
 register_experiment(ExperimentDefinition(

@@ -1,9 +1,11 @@
 """One-shot Markdown report over all experiments.
 
-``generate_report()`` runs every experiment of the harness (optionally
-with scaled-down grids) and produces a single self-contained Markdown
-document mirroring EXPERIMENTS.md's structure with freshly measured
-numbers -- the release artifact a reviewer would ask for.
+``generate_report()`` runs every experiment of the registry (optionally
+on each one's scaled-down ``quick_config``) through
+:func:`~repro.analysis.experiments.run_experiment` and produces a single
+self-contained Markdown document: one section per experiment, holding
+its definition's rendered tables and headline -- the release artifact a
+reviewer would ask for.
 """
 
 from __future__ import annotations
@@ -11,37 +13,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.analysis import render
-from repro.analysis.experiments import (
-    CostModelAblationConfig,
-    KernelComparisonConfig,
-    MergingAblationConfig,
-    ModRegAblationConfig,
-    OffsetComparisonConfig,
-    PathCoverAblationConfig,
-    ReorderAblationConfig,
-    StatisticalConfig,
-    quick_statistical_config,
-    run_cost_model_ablation,
-    run_kernel_comparison,
-    run_merging_ablation,
-    run_modreg_ablation,
-    run_offset_comparison,
-    run_path_cover_ablation,
-    run_reorder_ablation,
-    run_statistical_comparison,
-)
+from repro.analysis.experiments import run_experiment
+from repro.batch.registry import get_experiment
 
 
 @dataclass(frozen=True)
 class ReportConfig:
-    """Which grids the report runs (full by default)."""
+    """Which experiments the report runs, in section order, and on
+    which configs (each one's default, or its quick one)."""
 
     quick: bool = False
     title: str = ("Reproduction report: Register-Constrained Address "
                   "Computation in DSP Programs (DATE 1998)")
-    include: tuple[str, ...] = field(
-        default=("s1", "s2", "k1", "a1", "a2", "a3", "o1", "x1", "x2"))
+    #: Registry ids, in the paper's order: its Results section, then
+    #: the ablations and the extensions.
+    include: tuple[str, ...] = field(default=(
+        "stats", "distributions", "kernels", "pathcover", "costmodel",
+        "merging", "offset", "modreg", "reorder", "arraylayout"))
 
 
 def _code_block(text: str) -> str:
@@ -49,84 +37,25 @@ def _code_block(text: str) -> str:
 
 
 def generate_report(config: ReportConfig | None = None) -> str:
-    """Run the experiments and return the Markdown report text."""
+    """Run the experiments and return the Markdown report text.
+
+    An unknown id in ``config.include`` raises a
+    :class:`~repro.errors.BatchError` naming the registered ones,
+    before any experiment runs.
+    """
     if config is None:
         config = ReportConfig()
+    definitions = [get_experiment(name) for name in config.include]
     sections: list[str] = [f"# {config.title}\n"]
-
-    def wanted(key: str) -> bool:
-        return key in config.include
-
-    if wanted("s1") or wanted("s2"):
-        stats_config = quick_statistical_config() if config.quick \
-            else StatisticalConfig()
-        summary = run_statistical_comparison(stats_config)
-        if wanted("s1"):
-            sections.append("## EXP-S1 — statistical comparison "
-                            "(paper: ≈40 % average reduction)\n")
-            sections.append(_code_block(
-                render.statistical_table(summary).render()))
-            sections.append(
-                f"**Measured**: average reduction "
-                f"{summary.average_reduction_pct:.1f} %, overall "
-                f"{summary.overall_reduction_pct:.1f} % "
-                f"({summary.elapsed_seconds:.1f} s).\n")
-        if wanted("s2"):
-            sections.append("## EXP-S2 — parameter marginals\n")
-            for axis in ("n", "m", "k"):
-                sections.append(_code_block(
-                    render.statistical_marginal_table(summary,
-                                                      axis).render()))
-
-    if wanted("k1"):
-        summary = run_kernel_comparison(KernelComparisonConfig())
-        sections.append("## EXP-K1 — DSP kernels vs naive compiler "
-                        "(paper cites up to 30 %/60 %)\n")
-        sections.append(_code_block(render.kernel_table(summary).render()))
-        sections.append(
-            f"**Measured**: mean overhead reduction "
-            f"{summary.mean_overhead_reduction_pct:.1f} %, mean speed "
-            f"improvement {summary.mean_speed_improvement_pct:.1f} %.\n")
-
-    if wanted("a1"):
-        summary = run_path_cover_ablation(PathCoverAblationConfig())
-        sections.append("## EXP-A1 — phase-1 bounds vs exact search\n")
-        sections.append(_code_block(
-            render.path_cover_table(summary).render()))
-
-    if wanted("a2"):
-        summary = run_cost_model_ablation(CostModelAblationConfig())
-        sections.append("## EXP-A2 — cost-model ablation\n")
-        sections.append(_code_block(
-            render.cost_model_table(summary).render()))
-        sections.append(f"**Measured**: wrap-aware merging saves "
-                        f"{summary.mean_penalty_pct:.1f} % on average.\n")
-
-    if wanted("a3"):
-        summary = run_merging_ablation(MergingAblationConfig())
-        sections.append("## EXP-A3 — merging strategies vs optimum\n")
-        sections.append(_code_block(render.merging_table(summary).render()))
-
-    if wanted("o1"):
-        summary = run_offset_comparison(OffsetComparisonConfig())
-        sections.append("## EXP-O1 — offset-assignment substrate\n")
-        sections.append(_code_block(
-            render.offset_soa_table(summary).render()))
-        sections.append(_code_block(
-            render.offset_goa_table(summary).render()))
-
-    if wanted("x1"):
-        summary = run_modreg_ablation(ModRegAblationConfig())
-        sections.append("## EXP-X1 — modify-register extension\n")
-        sections.append(_code_block(render.modreg_table(summary).render()))
-
-    if wanted("x2"):
-        summary = run_reorder_ablation(ReorderAblationConfig())
-        sections.append("## EXP-X2 — access-reordering extension\n")
-        sections.append(_code_block(render.reorder_table(summary).render()))
-        sections.append(f"**Measured**: mean reduction "
-                        f"{summary.mean_reduction_pct:.1f} %.\n")
-
+    for definition in definitions:
+        summary = run_experiment(
+            definition.experiment, definition.quick_config()
+            if config.quick else definition.default_config())
+        sections.append(f"## {definition.title}\n")
+        tables = definition.render(summary) if definition.render else ()
+        sections.extend(_code_block(table.render()) for table in tables)
+        if definition.headline is not None:
+            sections.append(f"**Measured**: {definition.headline(summary)}\n")
     return "\n".join(sections)
 
 

@@ -29,8 +29,8 @@ in an :class:`ExperimentDefinition`, call :func:`register_experiment`
 at module import, and make sure that module is reachable from the
 autoload list.  The generic runner
 (:func:`repro.analysis.experiments.run_experiment`), the ``repro-agu
-ablate`` CLI, worker fan-out, and every cache backend then work
-unchanged.
+experiment`` CLI, the Markdown report, worker fan-out, and every cache
+backend then work unchanged.
 """
 
 from __future__ import annotations
@@ -71,9 +71,9 @@ class ExperimentDefinition:
     assemble: Callable[[Any, Sequence[Any]], Any]
     #: summary -> display label per point params (optional).
     point_label: Callable[[dict], str] | None = None
-    #: summary -> renderable tables (optional; used by the CLI).
+    #: summary -> renderable tables (optional; CLI and report).
     render: Callable[[Any], tuple] | None = None
-    #: summary -> one-line headline (optional; used by the CLI).
+    #: summary -> one-line headline (optional; CLI and report).
     headline: Callable[[Any], str] | None = None
 
 
@@ -130,6 +130,7 @@ def experiment_point_jobs(experiment: str | ExperimentDefinition,
     Job order is enumeration order; summaries are reassembled in it.
     """
     from repro.batch.jobs import ExperimentPointJob
+    from repro.workloads.random_patterns import DISTRIBUTIONS
 
     definition = experiment if isinstance(experiment,
                                           ExperimentDefinition) \
@@ -145,12 +146,18 @@ def experiment_point_jobs(experiment: str | ExperimentDefinition,
     for index, params in enumerate(definition.enumerate_points(config)):
         # Catch empty-work configs up front with the offending knob
         # named, instead of dying mid-experiment on an empty mean.
-        for count_key in ("patterns", "sequences", "naive_repeats"):
+        for count_key in ("patterns", "sequences", "naive_repeats",
+                          "simulate_iterations"):
             if count_key in params and params[count_key] < 1:
                 raise BatchError(
                     f"experiment {definition.experiment!r}: "
                     f"{count_key} per point must be >= 1, got "
                     f"{params[count_key]}")
+        if params.get("distribution", "uniform") not in DISTRIBUTIONS:
+            raise BatchError(
+                f"experiment {definition.experiment!r}: unknown "
+                f"distribution {params['distribution']!r} (known: "
+                f"{', '.join(sorted(DISTRIBUTIONS))})")
         label = definition.point_label(params) \
             if definition.point_label is not None else f"p{index:03d}"
         jobs.append(ExperimentPointJob(

@@ -11,20 +11,17 @@ graph
 kernels
     List or show the bundled DSP kernel library.
 experiment
-    Run one of the paper's experiments and print its table(s).
+    Run any registered experiment (EXP-S1, EXP-S3, EXP-K1, EXP-A1..A3,
+    EXP-O1, EXP-X1..X3) sharded through the batch engine and print its
+    tables: per-point streaming progress, config overrides (``--set``),
+    process-pool fan-out (``--executor local:N``), persistent
+    (optionally shared) point caches, and zero-recompile cached re-runs.
 batch
     Compile a whole kernel suite through the batch engine: process-pool
     fan-out, content-addressed result caching, aggregate report.
-stats
-    Run the EXP-S1 statistical grid: shorthand for ``ablate stats``
-    with the grid axes, pattern/repeat counts, seed, and distribution
-    as flags.
-ablate
-    Run any registered experiment (EXP-S1, EXP-S3, EXP-A1..A3, EXP-O1,
-    EXP-X1..X3) sharded through the batch engine: per-point streaming
-    progress, grid overrides (``--set``), process-pool fan-out
-    (``--executor local:N``), persistent (optionally shared) point
-    caches, and zero-recompile cached re-runs.
+report
+    Run registered experiments (all, or the ``--only`` ids) into one
+    Markdown report, through the same definitions as ``experiment``.
 serve
     Run the compile-as-a-service front door: a persistent TCP endpoint
     that answers single-kernel compile requests -- admission-controlled
@@ -37,23 +34,18 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import typing
 from pathlib import Path
 
 from repro import __version__
 from repro.agu.model import PRESETS, AguSpec
 from repro.analysis import reports
-from repro.analysis import render
-from repro.analysis.experiments import (
-    KernelComparisonConfig,
-    run_kernel_comparison,
-)
 from repro.core.pipeline import compile_kernel
 from repro.errors import ReproError
 from repro.graph.access_graph import AccessGraph
 from repro.graph.dot import graph_to_ascii, graph_to_dot
 from repro.ir.parser import parse_kernel
 from repro.workloads.kernels import KERNELS, get_kernel
-from repro.workloads.random_patterns import DISTRIBUTIONS
 from repro.workloads.suite import SUITES
 
 
@@ -319,34 +311,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _int_tuple(text: str) -> tuple[int, ...]:
-    """Argparse ``type=``: a comma-separated int list (clean usage
-    errors -- argparse turns the ValueError into one)."""
-    return tuple(int(part) for part in text.split(",") if part.strip())
-
-
-def _cmd_stats(args: argparse.Namespace) -> int:
-    from repro.batch.registry import get_experiment
-
-    definition = get_experiment("stats")
-    config = definition.quick_config() if args.quick \
-        else definition.default_config()
-    overrides = {
-        key: value for key, value in (
-            ("n_values", args.n_values), ("m_values", args.m_values),
-            ("k_values", args.k_values),
-            ("patterns_per_config", args.patterns),
-            ("naive_repeats", args.repeats), ("seed", args.seed),
-            ("distribution", args.distribution))
-        if value is not None}
-    return _run_and_print(args, definition,
-                          dataclasses.replace(config, **overrides),
-                          unit="grid point")
-
-
-def _convert_override(current, text: str):
+def _convert_override(current, text: str, declared: type):
     """Convert an ``--set`` value to the type of the field's current
-    value (configs are frozen dataclasses with fully typed defaults)."""
+    value (configs are frozen dataclasses with fully typed defaults; an
+    empty tuple takes its element type from ``declared``, the field's
+    annotation).  Structured fields such as an ``AguSpec`` cannot be
+    set from text."""
     from enum import Enum
 
     if isinstance(current, bool):
@@ -358,19 +328,21 @@ def _convert_override(current, text: str):
     if isinstance(current, float):
         return float(text)
     if isinstance(current, tuple):
-        element = current[0] if current else 0
-        cast = str if isinstance(element, str) else \
-            float if isinstance(element, float) else int
+        element = type(current[0]) if current \
+            else typing.get_args(declared)[0]
+        cast = element if element in (str, float) else int
         return tuple(cast(part) for part in text.split(",")
                      if part.strip())
     if current is None:
         return int(text)
-    return text
+    if isinstance(current, str):
+        return text
+    raise ValueError(f"a {type(current).__name__} cannot be set from text")
 
 
 def _apply_overrides(config, assignments):
-    """Apply ``field=value`` grid overrides to a config dataclass."""
-    names = {field.name for field in dataclasses.fields(config)}
+    """Apply ``field=value`` overrides to a config dataclass."""
+    declared = typing.get_type_hints(type(config))
     overrides = {}
     for assignment in assignments:
         key, sep, text = assignment.partition("=")
@@ -378,19 +350,25 @@ def _apply_overrides(config, assignments):
             raise ReproError(
                 f"override {assignment!r} is not of the form "
                 f"field=value")
-        if key not in names:
+        if key not in declared:
             raise ReproError(
                 f"unknown config field {key!r} (available: "
-                f"{', '.join(sorted(names))})")
+                f"{', '.join(sorted(declared))})")
         try:
-            overrides[key] = _convert_override(getattr(config, key), text)
+            overrides[key] = _convert_override(getattr(config, key), text,
+                                               declared[key])
         except ValueError:
             raise ReproError(
                 f"invalid value {text!r} for config field {key!r}")
     return dataclasses.replace(config, **overrides)
 
 
-def _cmd_ablate(args: argparse.Namespace) -> int:
+def _cmd_experiment(args: argparse.Namespace) -> int:
+    """Run a registered experiment sharded through the batch engine as
+    the CLI flags ask (config, executor, cache, progress, trace), then
+    print its tables, headline, and point accounting."""
+    from repro.analysis.experiments import run_experiment
+    from repro.batch.cache import open_cache
     from repro.batch.registry import get_experiment
 
     definition = get_experiment(args.which)
@@ -398,16 +376,6 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
         else definition.default_config()
     if args.set:
         config = _apply_overrides(config, args.set)
-    return _run_and_print(args, definition, config)
-
-
-def _run_and_print(args: argparse.Namespace, definition, config,
-                   unit: str = "point") -> int:
-    """Run a registered experiment sharded through the batch engine as
-    the CLI flags ask (executor, cache, progress, trace), then
-    print its tables, headline, and point accounting."""
-    from repro.analysis.experiments import run_experiment
-    from repro.batch.cache import open_cache
 
     def progress(done: int, total: int, result) -> None:
         state = "cached" if result.from_cache \
@@ -427,58 +395,11 @@ def _run_and_print(args: argparse.Namespace, definition, config,
     if definition.headline is not None:
         print(definition.headline(summary))
     n_points = summary.n_points_compiled + summary.n_points_cached
-    print(f"{n_points} {unit}(s): "
+    print(f"{n_points} point(s): "
           f"{summary.n_points_compiled} compiled, "
           f"{summary.n_points_cached} cache hit(s); "
           f"{summary.elapsed_seconds:.3f} s on "
           f"{args.executor or 'inline'}")
-    if args.json:
-        path = reports.save_report(summary, args.json)
-        print(f"(report saved to {path})")
-    return 0
-
-
-def _experiment_choices() -> tuple[str, ...]:
-    """`experiment` subcommand ids: the suite-level EXP-K1 plus
-    whatever the registry holds (a newly registered experiment appears
-    here and under `ablate` automatically)."""
-    from repro.batch.registry import registered_experiments
-
-    return ("kernels",) + registered_experiments()
-
-
-def _cmd_experiment(args: argparse.Namespace) -> int:
-    from repro.batch.registry import registered_experiments
-
-    tables = []
-    if args.which == "kernels":
-        summary = run_kernel_comparison(KernelComparisonConfig())
-        tables.append(render.kernel_table(summary))
-        headline = (f"mean addressing-overhead reduction "
-                    f"{summary.mean_overhead_reduction_pct:.1f} %, mean "
-                    f"speed improvement "
-                    f"{summary.mean_speed_improvement_pct:.1f} %")
-    elif args.which in registered_experiments():
-        # The registry is the single source of presentation truth for
-        # the per-point experiments ('ablate' and 'experiment' agree).
-        from repro.analysis.experiments import run_experiment
-        from repro.batch.registry import get_experiment
-
-        definition = get_experiment(args.which)
-        config = definition.quick_config() if args.quick \
-            else definition.default_config()
-        summary = run_experiment(args.which, config)
-        if definition.render is not None:
-            tables.extend(definition.render(summary))
-        headline = definition.headline(summary) \
-            if definition.headline is not None else ""
-    else:  # pragma: no cover - argparse restricts choices
-        raise ReproError(f"unknown experiment {args.which!r}")
-
-    for table in tables:
-        print(table.render())
-    if headline:
-        print(headline)
     if args.json:
         path = reports.save_report(summary, args.json)
         print(f"(report saved to {path})")
@@ -527,15 +448,36 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="kernel to show (omit to list)")
     kernels_parser.set_defaults(func=_cmd_kernels)
 
+    from repro.batch.registry import get_experiment, registered_experiments
+
     experiment_parser = commands.add_parser(
-        "experiment", help="run one of the paper's experiments")
-    experiment_parser.add_argument("which",
-                                   choices=_experiment_choices())
+        "experiment", help="run a registered experiment sharded through "
+                           "the batch engine")
+    experiment_parser.add_argument(
+        "which", choices=registered_experiments(),
+        help="experiment id; descriptions: " + "; ".join(
+            f"{name} = {get_experiment(name).title}"
+            for name in registered_experiments()))
     experiment_parser.add_argument("--quick", action="store_true",
-                                   help="scaled-down grid (registered "
-                                        "experiments)")
+                                   help="scaled-down config for smokes "
+                                        "and CI")
+    experiment_parser.add_argument(
+        "--set", action="append", default=[], metavar="FIELD=VALUE",
+        help="override a config field (repeatable; tuple fields take "
+             "comma-separated values, e.g. --set n_values=8,12)")
+    _add_executor_argument(experiment_parser)
+    experiment_parser.add_argument("--cache", default=None,
+                                   help="point cache: a directory "
+                                        "(dir:PATH; sharded store, "
+                                        "shareable across processes "
+                                        "and hosts); re-runs skip "
+                                        "solved points")
+    experiment_parser.add_argument("--no-progress", action="store_true",
+                                   help="suppress per-point streaming "
+                                        "output")
     experiment_parser.add_argument("--json", default=None,
                                    help="also save the summary as JSON")
+    _add_trace_argument(experiment_parser)
     experiment_parser.set_defaults(func=_cmd_experiment)
 
     batch_parser = commands.add_parser(
@@ -566,72 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="also save the report as JSON")
     _add_trace_argument(batch_parser)
     batch_parser.set_defaults(func=_cmd_batch)
-
-    stats_parser = commands.add_parser(
-        "stats", help="EXP-S1 statistical grid, sharded through the "
-                      "batch engine with streaming progress")
-    stats_parser.add_argument("--quick", action="store_true",
-                              help="start from the scaled-down grid")
-    stats_parser.add_argument("--n", dest="n_values", type=_int_tuple,
-                              default=None,
-                              help="comma-separated N values")
-    stats_parser.add_argument("--m", dest="m_values", type=_int_tuple,
-                              default=None,
-                              help="comma-separated M values")
-    stats_parser.add_argument("--k", dest="k_values", type=_int_tuple,
-                              default=None,
-                              help="comma-separated K values")
-    stats_parser.add_argument("--patterns", type=int, default=None,
-                              help="random patterns per grid point")
-    stats_parser.add_argument("--repeats", type=int, default=None,
-                              help="naive merge orders per pattern")
-    stats_parser.add_argument("--seed", type=int, default=None,
-                              help="base seed of the grid")
-    stats_parser.add_argument("--distribution", default=None,
-                              choices=sorted(DISTRIBUTIONS),
-                              help="offset distribution")
-    _add_executor_argument(stats_parser)
-    stats_parser.add_argument("--cache", default=None,
-                              help="grid-point cache: a directory "
-                                   "(dir:PATH; sharded store, shareable "
-                                   "across processes and hosts); "
-                                   "re-runs skip solved points")
-    stats_parser.add_argument("--no-progress", action="store_true",
-                              help="suppress per-point streaming output")
-    stats_parser.add_argument("--json", default=None,
-                              help="also save the summary as JSON")
-    _add_trace_argument(stats_parser)
-    stats_parser.set_defaults(func=_cmd_stats)
-
-    from repro.batch.registry import get_experiment, registered_experiments
-
-    ablate_parser = commands.add_parser(
-        "ablate", help="run a registered experiment sharded through "
-                       "the batch engine")
-    ablate_parser.add_argument(
-        "which", choices=registered_experiments(),
-        help="experiment id; descriptions: " + "; ".join(
-            f"{name} = {get_experiment(name).title}"
-            for name in registered_experiments()))
-    ablate_parser.add_argument("--quick", action="store_true",
-                               help="scaled-down grid for smokes and CI")
-    ablate_parser.add_argument("--set", action="append", default=[],
-                               metavar="FIELD=VALUE",
-                               help="override a config field (repeatable; "
-                                    "grid axes take comma-separated "
-                                    "values, e.g. --set n_values=8,12)")
-    _add_executor_argument(ablate_parser)
-    ablate_parser.add_argument("--cache", default=None,
-                               help="point cache: a directory "
-                                    "(dir:PATH; sharded store, shareable "
-                                    "across processes and hosts); "
-                                    "re-runs skip solved points")
-    ablate_parser.add_argument("--no-progress", action="store_true",
-                               help="suppress per-point streaming output")
-    ablate_parser.add_argument("--json", default=None,
-                               help="also save the summary as JSON")
-    _add_trace_argument(ablate_parser)
-    ablate_parser.set_defaults(func=_cmd_ablate)
 
     compile_serve_parser = commands.add_parser(
         "serve", help="serve single-kernel compile requests over TCP "
@@ -706,10 +582,11 @@ def build_parser() -> argparse.ArgumentParser:
     report_parser.add_argument("-o", "--output",
                                default="results/REPORT.md")
     report_parser.add_argument("--quick", action="store_true",
-                               help="scaled-down statistical grid")
+                               help="each experiment's scaled-down "
+                                    "config")
     report_parser.add_argument("--only", default=None,
-                               help="comma-separated experiment keys "
-                                    "(e.g. 's1,k1,x2')")
+                               help="comma-separated experiment ids "
+                                    "(e.g. 'stats,kernels,reorder')")
     report_parser.set_defaults(func=_cmd_report)
     return parser
 

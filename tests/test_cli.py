@@ -4,6 +4,12 @@ import json
 
 import pytest
 
+from repro.analysis.experiments import run_experiment
+from repro.batch.registry import (
+    experiment_point_jobs,
+    get_experiment,
+    registered_experiments,
+)
 from repro.cli.main import main
 
 PAPER_SOURCE = """
@@ -125,7 +131,7 @@ class TestBatch:
         assert "unknown suite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["batch", "stats", "ablate", "serve"])
+@pytest.mark.parametrize("command", ["batch", "experiment", "serve"])
 def test_executor_is_the_one_placement_flag(command, capsys):
     """Where jobs run is chosen by --executor alone: no -j/--workers
     shorthand, and serve's warm tier has no size flag."""
@@ -138,9 +144,13 @@ def test_executor_is_the_one_placement_flag(command, capsys):
         assert removed not in out
 
 
-class TestStats:
-    TINY = ["stats", "--n", "10,14", "--m", "1", "--k", "2",
-            "--patterns", "3", "--repeats", "2"]
+class TestExperimentStats:
+    """EXP-S1 through ``experiment stats``: its grid axes, counts and
+    seed are ``--set`` config fields."""
+
+    TINY = ["experiment", "stats", "--set", "n_values=10,14",
+            "--set", "m_values=1", "--set", "k_values=2",
+            "--set", "patterns_per_config=3", "--set", "naive_repeats=2"]
 
     def test_tiny_grid_streams_and_summarizes(self, capsys):
         assert main(self.TINY) == 0
@@ -148,7 +158,7 @@ class TestStats:
         assert "[1/2]" in out and "[2/2]" in out
         assert "EXP-S1" in out and "EXP-S2" in out
         assert "average reduction" in out
-        assert "2 grid point(s): 2 compiled, 0 cache hit(s)" in out
+        assert "2 point(s): 2 compiled, 0 cache hit(s)" in out
 
     def test_no_progress_suppresses_streaming_lines(self, capsys):
         assert main([*self.TINY, "--no-progress"]) == 0
@@ -174,14 +184,26 @@ class TestStats:
         assert payload["n_points_compiled"] == 2
 
     def test_quick_flag_uses_scaled_down_grid(self, capsys):
-        assert main(["stats", "--quick", "--patterns", "2",
-                     "--repeats", "2", "--no-progress"]) == 0
+        assert main(["experiment", "stats", "--quick", "--set",
+                     "patterns_per_config=2", "--set", "naive_repeats=2",
+                     "--no-progress"]) == 0
         out = capsys.readouterr().out
-        assert "8 grid point(s): 8 compiled" in out
+        assert "8 point(s): 8 compiled" in out
+
+    def test_unknown_distribution_fails_before_any_point_runs(
+            self, capsys):
+        assert main([*self.TINY, "--set", "distribution=bogus"]) == 1
+        captured = capsys.readouterr()
+        assert "unknown distribution 'bogus'" in captured.err
+        assert "clustered, mixed, sweep, uniform" in captured.err
+        assert "[1/" not in captured.out
 
 
-class TestAblate:
-    TINY = ["ablate", "pathcover", "--set", "n_values=8,12",
+class TestExperimentOverrides:
+    """Config overrides, caching and output of ``experiment`` on the
+    per-point ablations."""
+
+    TINY = ["experiment", "pathcover", "--set", "n_values=8,12",
             "--set", "m_values=1", "--set", "patterns_per_config=3"]
 
     def test_tiny_grid_streams_and_summarizes(self, capsys):
@@ -208,74 +230,122 @@ class TestAblate:
         assert "[cached]" in out
 
     def test_quick_flag_uses_scaled_down_grid(self, capsys):
-        assert main(["ablate", "reorder", "--quick", "--set",
+        assert main(["experiment", "reorder", "--quick", "--set",
                      "patterns_per_config=3", "--no-progress"]) == 0
         out = capsys.readouterr().out
         assert "EXP-X2" in out
         assert "2 point(s): 2 compiled" in out
 
     def test_headline_and_tables_render(self, capsys):
-        assert main(["ablate", "offset", "--quick", "--set",
+        assert main(["experiment", "offset", "--quick", "--set",
                      "sequences_per_config=3", "--no-progress"]) == 0
         out = capsys.readouterr().out
         assert "EXP-O1a" in out and "EXP-O1b" in out
         assert "mean SOA reduction vs OFU" in out
 
     def test_json_report(self, tmp_path, capsys):
-        target = tmp_path / "ablate.json"
+        target = tmp_path / "pathcover.json"
         assert main([*self.TINY, "--json", str(target)]) == 0
         payload = json.loads(target.read_text())
         assert len(payload["rows"]) == 2
         assert payload["n_points_compiled"] == 2
 
     def test_enum_override_round_trips(self, capsys):
-        assert main(["ablate", "merging", "--quick", "--set",
+        assert main(["experiment", "merging", "--quick", "--set",
                      "patterns_per_config=2", "--set",
                      "cost_model=intra", "--no-progress"]) == 0
         assert "EXP-A3" in capsys.readouterr().out
 
+    def test_empty_tuple_field_takes_its_declared_element_type(
+            self, capsys):
+        """EXP-K1's ``kernel_names`` defaults to ``()``: the override
+        still parses kernel names, not integers."""
+        assert main(["experiment", "kernels", "--set",
+                     "kernel_names=fir8,paper_example", "--set",
+                     "simulate_iterations=4", "--no-progress"]) == 0
+        out = capsys.readouterr().out
+        assert "fir8" in out and "paper_example" in out
+        assert "2 point(s): 2 compiled" in out
+
+    def test_structured_field_fails_cleanly(self, capsys):
+        assert main(["experiment", "kernels", "--set", "spec=4"]) == 1
+        assert "invalid value '4' for config field 'spec'" \
+            in capsys.readouterr().err
+
     def test_unknown_field_fails_cleanly(self, capsys):
-        assert main(["ablate", "pathcover", "--set", "bogus=1"]) == 1
+        assert main(["experiment", "pathcover", "--set", "bogus=1"]) == 1
         assert "unknown config field" in capsys.readouterr().err
 
     def test_malformed_override_fails_cleanly(self, capsys):
-        assert main(["ablate", "pathcover", "--set", "n_values"]) == 1
+        assert main(["experiment", "pathcover", "--set",
+                     "n_values"]) == 1
         assert "field=value" in capsys.readouterr().err
 
     def test_bad_value_fails_cleanly(self, capsys):
-        assert main(["ablate", "pathcover", "--set",
+        assert main(["experiment", "pathcover", "--set",
                      "patterns_per_config=lots"]) == 1
         assert "invalid value" in capsys.readouterr().err
 
     def test_empty_grid_fails_cleanly(self, capsys):
-        assert main(["ablate", "pathcover", "--set", "n_values="]) == 1
+        assert main(["experiment", "pathcover", "--set",
+                     "n_values="]) == 1
         assert "zero points" in capsys.readouterr().err
 
-    def test_zero_patterns_fails_cleanly(self, capsys):
-        assert main(["ablate", "pathcover", "--set",
-                     "patterns_per_config=0"]) == 1
-        assert "must be >= 1" in capsys.readouterr().err
+    @pytest.mark.parametrize("experiment, field", [
+        ("pathcover", "patterns_per_config"),
+        ("kernels", "simulate_iterations"),
+    ])
+    def test_zero_count_fails_cleanly(self, experiment, field, capsys):
+        assert main(["experiment", experiment, "--quick", "--set",
+                     f"{field}=0"]) == 1
+        captured = capsys.readouterr()
+        assert "must be >= 1" in captured.err
+        assert "[1/" not in captured.out
 
-    def test_experiment_subcommand_delegates_to_registry(self, capsys):
-        """`experiment <id> --quick` and `ablate <id> --quick` render
-        the same tables and headline for registered ablations."""
-        assert main(["experiment", "reorder", "--quick"]) == 0
-        via_experiment = capsys.readouterr().out
-        assert main(["ablate", "reorder", "--quick",
-                     "--no-progress"]) == 0
-        via_ablate = capsys.readouterr().out
-        assert "EXP-X2" in via_experiment
-        assert "mean reduction from reordering" in via_experiment
-        table_and_headline = via_experiment.strip().splitlines()
-        assert all(line in via_ablate for line in table_and_headline)
+
+@pytest.mark.parametrize("experiment", registered_experiments())
+def test_every_registered_experiment_runs_quick(experiment, capsys):
+    """``experiment ID --quick`` prints the definition's tables, its
+    headline, and the point accounting for every registered id."""
+    definition = get_experiment(experiment)
+    config = definition.quick_config()
+    summary = run_experiment(experiment, config)
+    assert main(["experiment", experiment, "--quick",
+                 "--no-progress"]) == 0
+    out = capsys.readouterr().out
+    for table in definition.render(summary):
+        title, header = table.render().splitlines()[:2]
+        assert title in out and header in out
+    if definition.headline is not None:
+        assert definition.headline(summary) in out
+    n_points = len(experiment_point_jobs(experiment, config))
+    assert f"{n_points} point(s): {n_points} compiled, 0 cache hit(s)" \
+        in out
+
+
+class TestOneExperimentSubcommand:
+    @pytest.mark.parametrize("removed", ["stats", "ablate"])
+    def test_removed_subcommands_are_invalid_choices(self, removed,
+                                                     capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([removed, "--quick"])
+        assert exit_info.value.code == 2
+        assert f"invalid choice: '{removed}'" in capsys.readouterr().err
+
+    def test_unknown_experiment_is_an_invalid_choice(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["experiment", "bogus"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 class TestNoCacheServer:
     @pytest.mark.parametrize("command", [
-        ["stats", "--quick", "--patterns", "2"],
-        ["ablate", "reorder", "--quick"],
+        ["experiment", "stats", "--quick", "--set",
+         "patterns_per_config=2"],
+        ["experiment", "reorder", "--quick"],
         ["batch", "--suite", "core8", "--iterations", "4"],
-    ], ids=["stats", "ablate", "batch"])
+    ], ids=["experiment-stats", "experiment-reorder", "batch"])
     def test_tcp_cache_fails_before_any_point_runs(
             self, command, tmp_path, monkeypatch, capsys):
         """A ``tcp://`` cache is an unknown scheme: the run stops with
@@ -362,15 +432,15 @@ class TestNoFleet:
             if isinstance(action, argparse._SubParsersAction))
         assert set(commands) == {
             "compile", "graph", "kernels", "experiment", "batch",
-            "stats", "ablate", "serve", "verify",
-            "sweep", "selftest", "trace", "report"}
+            "serve", "verify", "sweep", "selftest", "trace", "report"}
         with pytest.raises(SystemExit) as exit_info:
             main(["--help"])
         assert exit_info.value.code == 0
         assert "worker" not in capsys.readouterr().out
 
     def test_tcp_executor_fails_before_any_point_runs(self, capsys):
-        assert main(["stats", "--quick", "--patterns", "2",
+        assert main(["experiment", "stats", "--quick", "--set",
+                     "patterns_per_config=2",
                      "--executor", "tcp://127.0.0.1:1"]) != 0
         captured = capsys.readouterr()
         assert "unknown executor scheme 'tcp'" in captured.err
@@ -379,7 +449,8 @@ class TestNoFleet:
 
 
 class TestEngineTraceCli:
-    RUN = ["stats", "--quick", "--patterns", "2", "--repeats", "2",
+    RUN = ["experiment", "stats", "--quick", "--set",
+           "patterns_per_config=2", "--set", "naive_repeats=2",
            "--no-progress"]
 
     def test_rerun_with_the_same_trace_path_stays_readable(

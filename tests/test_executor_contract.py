@@ -251,14 +251,16 @@ class TestTraceAndGrid:
 
 
 @pytest.mark.parametrize("backend", ["inline", "local:2"])
-def test_stats_cli_through_executor_spec(capsys, backend):
+def test_experiment_cli_through_executor_spec(capsys, backend):
     """``--executor`` drives the same code path end to end through the
     CLI, and the footer names the backend."""
     from repro.cli.main import main
 
-    assert main(["stats", "--n", "10", "--m", "1", "--k", "2",
-                 "--patterns", "2", "--repeats", "2",
+    assert main(["experiment", "stats", "--set", "n_values=10",
+                 "--set", "m_values=1", "--set", "k_values=2",
+                 "--set", "patterns_per_config=2",
+                 "--set", "naive_repeats=2",
                  "--executor", backend]) == 0
     out = capsys.readouterr().out
-    assert "1 grid point(s): 1 compiled" in out
+    assert "1 point(s): 1 compiled" in out
     assert f"on {backend}" in out

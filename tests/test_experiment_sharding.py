@@ -1,12 +1,13 @@
 """Differential tests of the sharded experiment-point framework.
 
-For every registered experiment (EXP-S1, EXP-S3, EXP-A1..A3, EXP-O1,
-EXP-X1..X3) the suite proves the *sharding migration* off the ad-hoc
-loops changed nothing: result tables are bit-identical across worker
-counts, across cold vs cached runs and cache backends, and against
-pinned golden snapshots (``tests/golden/experiment_goldens.json``)
-captured by running the retired loops one last time, pre-migration.
-Every registered experiment must have a golden and a pinned digest.
+For every registered experiment (EXP-S1, EXP-S3, EXP-K1, EXP-A1..A3,
+EXP-O1, EXP-X1..X3) the suite proves the *sharding migration* off the
+ad-hoc loops changed nothing: result tables are bit-identical across
+worker counts, across cold vs cached runs and cache backends, and
+against pinned golden snapshots (``tests/golden/experiment_goldens.json``)
+captured by running the retired loops one last time, pre-migration
+(for EXP-K1, the retired per-suite batch runner).  Every registered
+experiment must have a golden and a pinned digest.
 
 Golden provenance caveat: the snapshots were captured *after* this
 PR's seed-reuse audit fixes landed in the sequential code, so for
@@ -68,6 +69,8 @@ PINNED_DIGESTS = {
         "96739a4d549decbcf46785a8ebe52d8ac8c5a4e71111caa270691856cfcdeae1",
     "distributions":
         "ddf8176541cb776dd21ae455f0e132f0cd8a6c0e489513a2bc4ad4393109ba9c",
+    "kernels":
+        "1eaa7ec1a2b58d4e93d85a65af0115dbe8bcf644dd8b0c43509d8ee9715ff0e6",
     "merging":
         "8b59b80e588c2336b2b0cd266acdc53d6607012c7dda0829f7f796f94eacfd84",
     "modreg":

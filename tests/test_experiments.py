@@ -10,11 +10,7 @@ from repro.analysis.experiments import (
     PathCoverAblationConfig,
     StatisticalConfig,
     marginalize,
-    run_cost_model_ablation,
-    run_kernel_comparison,
-    run_merging_ablation,
-    run_offset_comparison,
-    run_path_cover_ablation,
+    run_experiment,
     run_statistical_comparison,
 )
 from repro.agu.model import AguSpec
@@ -77,7 +73,7 @@ class TestStatisticalComparison:
 class TestKernelComparison:
     @pytest.fixture(scope="class")
     def summary(self):
-        return run_kernel_comparison(KernelComparisonConfig(
+        return run_experiment("kernels", KernelComparisonConfig(
             kernel_names=("paper_example", "fir8", "iir_biquad_df1",
                           "downsample2"),
             spec=AguSpec(4, 1), simulate_iterations=8))
@@ -104,7 +100,7 @@ class TestKernelComparison:
 class TestPathCoverAblation:
     @pytest.fixture(scope="class")
     def summary(self):
-        return run_path_cover_ablation(PathCoverAblationConfig(
+        return run_experiment("pathcover", PathCoverAblationConfig(
             n_values=(8, 12), m_values=(1,), patterns_per_config=6))
 
     def test_bounds_bracket(self, summary):
@@ -122,7 +118,7 @@ class TestPathCoverAblation:
 
 class TestCostModelAblation:
     def test_steady_merging_never_pays_more(self):
-        summary = run_cost_model_ablation(CostModelAblationConfig(
+        summary = run_experiment("costmodel", CostModelAblationConfig(
             n_values=(10, 14), m_values=(1,), k_values=(2,),
             patterns_per_config=6))
         for row in summary.rows:
@@ -133,7 +129,7 @@ class TestCostModelAblation:
 
 class TestMergingAblation:
     def test_ordering_optimal_best_naive(self):
-        summary = run_merging_ablation(MergingAblationConfig(
+        summary = run_experiment("merging", MergingAblationConfig(
             n_values=(8,), m_values=(1,), k_values=(2,),
             patterns_per_config=6))
         for row in summary.rows:
@@ -149,10 +145,9 @@ class TestDistributionSensitivity:
         full-grid per-distribution claim is asserted by the bench)."""
         from repro.analysis.experiments import (
             DistributionSensitivityConfig,
-            run_distribution_sensitivity,
         )
-        summary = run_distribution_sensitivity(
-            DistributionSensitivityConfig(
+        summary = run_experiment(
+            "distributions", DistributionSensitivityConfig(
                 n_values=(12, 20), m_values=(1, 2), k_values=(2,),
                 patterns_per_config=8))
         assert len(summary.rows) == 4
@@ -164,7 +159,7 @@ class TestDistributionSensitivity:
 class TestOffsetComparison:
     @pytest.fixture(scope="class")
     def summary(self):
-        return run_offset_comparison(OffsetComparisonConfig(
+        return run_experiment("offset", OffsetComparisonConfig(
             v_values=(5, 7), length_values=(16,),
             sequences_per_config=6, goa_k_values=(2,)))
 

@@ -13,13 +13,7 @@ from repro.analysis.experiments import (
     PathCoverAblationConfig,
     ReorderAblationConfig,
     StatisticalConfig,
-    run_cost_model_ablation,
-    run_kernel_comparison,
-    run_merging_ablation,
-    run_modreg_ablation,
-    run_offset_comparison,
-    run_path_cover_ablation,
-    run_reorder_ablation,
+    run_experiment,
     run_statistical_comparison,
 )
 
@@ -47,7 +41,7 @@ class TestStatisticalTables:
 
 class TestOtherTables:
     def test_kernel_table(self):
-        summary = run_kernel_comparison(KernelComparisonConfig(
+        summary = run_experiment("kernels", KernelComparisonConfig(
             kernel_names=("paper_example",), spec=AguSpec(2, 1),
             simulate_iterations=4))
         text = render.kernel_table(summary).render()
@@ -55,27 +49,27 @@ class TestOtherTables:
         assert "ovh(base)" in text
 
     def test_path_cover_table(self):
-        summary = run_path_cover_ablation(PathCoverAblationConfig(
+        summary = run_experiment("pathcover", PathCoverAblationConfig(
             n_values=(8,), m_values=(1,), patterns_per_config=3))
         text = render.path_cover_table(summary).render()
         assert "EXP-A1" in text and "K~" in text
 
     def test_cost_model_table(self):
-        summary = run_cost_model_ablation(CostModelAblationConfig(
+        summary = run_experiment("costmodel", CostModelAblationConfig(
             n_values=(10,), m_values=(1,), k_values=(2,),
             patterns_per_config=3))
         text = render.cost_model_table(summary).render()
         assert "EXP-A2" in text
 
     def test_merging_table(self):
-        summary = run_merging_ablation(MergingAblationConfig(
+        summary = run_experiment("merging", MergingAblationConfig(
             n_values=(8,), m_values=(1,), k_values=(2,),
             patterns_per_config=3))
         text = render.merging_table(summary).render()
         assert "EXP-A3" in text and "best-pair" in text
 
     def test_offset_tables(self):
-        summary = run_offset_comparison(OffsetComparisonConfig(
+        summary = run_experiment("offset", OffsetComparisonConfig(
             v_values=(5,), length_values=(12,), sequences_per_config=3,
             goa_k_values=(2,)))
         soa_text = render.offset_soa_table(summary).render()
@@ -84,14 +78,14 @@ class TestOtherTables:
         assert "EXP-O1b" in goa_text
 
     def test_modreg_table(self):
-        summary = run_modreg_ablation(ModRegAblationConfig(
+        summary = run_experiment("modreg", ModRegAblationConfig(
             n_values=(10,), k_values=(2,), mr_values=(0, 2),
             patterns_per_config=3))
         text = render.modreg_table(summary).render()
         assert "EXP-X1" in text and "MRs" in text
 
     def test_reorder_table(self):
-        summary = run_reorder_ablation(ReorderAblationConfig(
+        summary = run_experiment("reorder", ReorderAblationConfig(
             n_values=(8,), k_values=(2,), patterns_per_config=3))
         text = render.reorder_table(summary).render()
         assert "EXP-X2" in text and "reordered" in text

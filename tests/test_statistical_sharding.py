@@ -16,8 +16,9 @@ import pytest
 from repro.agu.model import AguSpec
 from repro.analysis.experiments import (
     DistributionSensitivityConfig,
+    PathCoverAblationConfig,
     StatisticalConfig,
-    run_distribution_sensitivity,
+    run_experiment,
     run_statistical_comparison,
 )
 from repro.batch.engine import BatchCompiler, InlineExecutor
@@ -138,6 +139,26 @@ class TestEmptyConfigsFailUpFront:
         self.assert_rejected("zero points -- check the grid axes",
                              n_values=())
 
+    @pytest.mark.parametrize("experiment, config", [
+        ("stats", dataclasses.replace(TINY, distribution="bogus")),
+        ("distributions", DistributionSensitivityConfig(
+            distributions=("uniform", "bogus"), n_values=(10,),
+            m_values=(1,), k_values=(2,), patterns_per_config=2)),
+        ("pathcover", PathCoverAblationConfig(
+            n_values=(8,), m_values=(1,), patterns_per_config=2,
+            distribution="bogus")),
+    ], ids=["stats", "distributions", "pathcover"])
+    def test_unknown_distribution(self, experiment, config):
+        """Every experiment carrying a ``distribution`` param names the
+        known ones before any point runs (EXP-S3's valid first
+        distribution included)."""
+        executor = RecordingExecutor()
+        with pytest.raises(BatchError, match=(
+                "unknown distribution 'bogus' \\(known: clustered, "
+                "mixed, sweep, uniform\\)")):
+            run_experiment(experiment, config, executor=executor)
+        assert executor.jobs == []
+
 
 class TestDistributionSensitivityExecutor:
     def test_every_point_runs_on_the_given_executor(self):
@@ -147,7 +168,8 @@ class TestDistributionSensitivityExecutor:
             n_values=(10,), m_values=(1,), k_values=(2,),
             patterns_per_config=2)
         executor = RecordingExecutor()
-        summary = run_distribution_sensitivity(config, executor=executor)
+        summary = run_experiment("distributions", config,
+                                 executor=executor)
         assert [job.params["distribution"] for job in executor.jobs] \
             == list(config.distributions)
         assert summary.n_points_compiled == len(config.distributions)
