@@ -16,7 +16,9 @@ Identical jobs inside one batch (same digest) are compiled once and
 fanned back out to every slot, so a sweep that repeats a configuration
 pays for it a single time.  Likewise each distinct source text is
 parsed once per batch (:func:`~repro.batch.jobs.parse_scope`), however
-many specs it is swept over.
+many specs it is swept over, and each distinct phase-1 group is solved
+once per batch (:func:`~repro.pathcover.branch_and_bound.cover_scope`),
+however many kernels and register counts share it.
 
 The engine aggregates summaries, not full artifacts: a
 :class:`JobResult` is a small picklable/JSON-able record, which is what
@@ -75,6 +77,7 @@ from repro.core.pipeline import (
     compile_kernel,
 )
 from repro.errors import BatchError
+from repro.pathcover.branch_and_bound import cover_scope
 
 _LOGGER = logging.getLogger("repro.batch.engine")
 
@@ -134,7 +137,7 @@ def execute_job(job: BatchJob) -> JobResult:
     allocation = artifacts.allocation
     return JobResult(
         name=job.name,
-        digest=job_digest(job),
+        digest=job.digest if job.digest is not None else job_digest(job),
         n_accesses=len(kernel.pattern),
         n_registers=job.spec.n_registers,
         modify_range=job.spec.modify_range,
@@ -162,6 +165,17 @@ def execute_any(job) -> Any:
     if execute is not None:
         return execute()
     return execute_job(job)
+
+
+def _carrying_digest(job, digest: str):
+    """A copy of ``job`` that carries the engine's ``digest`` to its
+    execution -- through a process pool too -- for job types with a
+    ``digest`` field; any other job as it is."""
+    if not hasattr(job, "digest"):
+        return job
+    carrier = copy.copy(job)
+    object.__setattr__(carrier, "digest", digest)
+    return carrier
 
 
 def _result_type(job) -> type:
@@ -508,14 +522,16 @@ class BatchReport:
 
 def _scoped_steps(stream: ExecutionStream) -> Iterator[tuple[int, Any]]:
     """Iterate ``stream`` with one :func:`~repro.batch.jobs.parse_scope`
-    over the whole batch, open only while the stream steps: a scope
-    held across a ``yield`` would leak into the consumer's code, and
+    and one :func:`~repro.pathcover.branch_and_bound.cover_scope` over
+    the whole batch, open only while the stream steps: a scope held
+    across a ``yield`` would leak into the consumer's code, and
     interleaved streams would unwind each other's scopes out of order.
     """
     kernels: dict = {}
+    groups: dict = {}
     steps = iter(stream)
     while True:
-        with parse_scope(kernels):
+        with parse_scope(kernels), cover_scope(groups):
             step = next(steps, None)
         if step is None:
             return
@@ -686,8 +702,9 @@ class BatchCompiler:
         for position, digest in enumerate(digests):
             self._trace_job("enqueue", position, pending_jobs[digest],
                             digest=digest)
-        stream = self.executor.run([pending_jobs[digest]
-                                    for digest in digests])
+        stream = self.executor.run([
+            _carrying_digest(pending_jobs[digest], digest)
+            for digest in digests])
         try:
             for position, result in _scoped_steps(stream):
                 self._trace_job(

@@ -43,7 +43,7 @@ from repro.core.config import AllocatorConfig
 from repro.errors import BatchError
 from repro.ir.parser import parse_kernel
 from repro.ir.types import AccessPattern, ArrayDecl, Kernel, Loop
-from repro.merging.cost import CostModel, cover_cost
+from repro.merging.cost import CostModel, cost_kernel, cover_cost
 from repro.merging.greedy import best_pair_merge
 from repro.merging.naive import naive_merge
 from repro.workloads.kernels import get_kernel
@@ -114,6 +114,12 @@ class BatchJob:
     #: Also generate and (when simulating) audit the unoptimized
     #: regular-C-compiler address code, for comparison experiments.
     include_baseline: bool = False
+    #: The job's content digest, when the engine has already computed
+    #: it: the engine hands executors copies that carry it, so
+    #: execution does not hash the job again.  Not an input -- it is
+    #: outside the digest, equality and ``replace``.
+    digest: str | None = field(default=None, init=False, repr=False,
+                               compare=False)
 
     def __post_init__(self) -> None:
         if (self.source is None) == (self.pattern is None):
@@ -277,14 +283,18 @@ def statistical_point(params: dict) -> dict:
             naive_costs.append(float(cost))
             continue
         constrained += 1
-        merged = best_pair_merge(cover, k, pattern, m, cost_model)
+        # One cost kernel serves the best-pair merge and every naive
+        # repeat: they all cost the same pattern under the same M.
+        cost = cost_kernel(pattern, m, cost_model)
+        merged = best_pair_merge(cover, k, pattern, m, cost_model,
+                                 cost=cost)
         optimized_costs.append(float(merged.total_cost))
         repeats = [
             naive_merge(cover, k, pattern, m, cost_model,
                         strategy="random",
                         seed=naive_baseline_seed(
-                            params["naive_seed"], pattern_index,
-                            repeat)).total_cost
+                            params["naive_seed"], pattern_index, repeat),
+                        cost=cost).total_cost
             for repeat in range(params["naive_repeats"])
         ]
         naive_costs.append(sum(repeats) / len(repeats))
@@ -391,6 +401,9 @@ class ExperimentPointJob:
     experiment: str
     index: int
     params: dict = field(default_factory=dict)
+    #: The digest the engine computed, as on :class:`BatchJob`.
+    digest: str | None = field(default=None, init=False, repr=False,
+                               compare=False)
 
     result_type = ExperimentPointResult
 
@@ -419,7 +432,9 @@ class ExperimentPointJob:
                 f"experiment {self.experiment!r}: point function must "
                 f"return a dict of values, got {type(values).__name__}")
         return ExperimentPointResult(
-            name=self.name, digest=job_digest(self),
+            name=self.name,
+            digest=self.digest if self.digest is not None
+            else job_digest(self),
             experiment=self.experiment, index=self.index, values=values,
             wall_seconds=time.perf_counter() - started)
 

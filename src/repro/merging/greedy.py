@@ -53,6 +53,7 @@ def best_pair_merge(cover: PathCover, n_registers: int,
                     pattern: AccessPattern, modify_range: int,
                     model: CostModel = CostModel.STEADY_STATE,
                     free_deltas: frozenset[int] = frozenset(),
+                    *, cost: Callable[[Sequence[int]], int] | None = None,
                     ) -> MergeResult:
     """Merge paths until at most ``n_registers`` remain (paper phase 2).
 
@@ -60,7 +61,10 @@ def best_pair_merge(cover: PathCover, n_registers: int,
     paths); any valid cover works, e.g. the intra-only fallback cover
     used when no zero-cost cover exists.  ``free_deltas`` extends the
     free-transition set for the modify-register extension
-    (:mod:`repro.modreg`).
+    (:mod:`repro.modreg`).  ``cost`` is the caller's
+    :func:`~repro.merging.cost.cost_kernel` for the same pattern,
+    ``modify_range``, ``model`` and ``free_deltas``, when it already
+    has one; otherwise it is built here.
     """
     if n_registers < 1:
         raise AllocationError(
@@ -70,7 +74,8 @@ def best_pair_merge(cover: PathCover, n_registers: int,
             f"cover is over {cover.n_accesses} accesses but the pattern "
             f"has {len(pattern)}")
 
-    cost = cost_kernel(pattern, modify_range, model, free_deltas)
+    if cost is None:
+        cost = cost_kernel(pattern, modify_range, model, free_deltas)
     # Every pair is costed once; after a merge only the new path is
     # costed against the survivors.  Heap entries are keyed
     # (merged cost, first_i, first_j) with first_i < first_j -- the

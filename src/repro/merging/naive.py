@@ -14,7 +14,7 @@ by three interchangeable strategies:
 from __future__ import annotations
 
 import random
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.errors import AllocationError
 from repro.ir.types import AccessPattern
@@ -50,11 +50,16 @@ def naive_merge(cover: PathCover, n_registers: int, pattern: AccessPattern,
                 modify_range: int,
                 model: CostModel = CostModel.STEADY_STATE,
                 strategy: str = "random",
-                seed: int | None = 0) -> MergeResult:
+                seed: int | None = 0, *,
+                cost: Callable[[Sequence[int]], int] | None = None,
+                ) -> MergeResult:
     """Merge arbitrary path pairs until ``n_registers`` remain.
 
     ``seed`` only matters for the ``random`` strategy; passing ``None``
     uses a nondeterministic seed (not recommended outside exploration).
+    ``cost`` is the caller's :func:`~repro.merging.cost.cost_kernel`
+    for the same pattern, ``modify_range`` and ``model``, when it
+    already has one; otherwise it is built here.
     """
     if n_registers < 1:
         raise AllocationError(
@@ -70,7 +75,8 @@ def naive_merge(cover: PathCover, n_registers: int, pattern: AccessPattern,
             f"unknown naive strategy {strategy!r}; available: "
             f"{sorted(NAIVE_STRATEGIES)}") from None
 
-    cost = cost_kernel(pattern, modify_range, model)
+    if cost is None:
+        cost = cost_kernel(pattern, modify_range, model)
     rng = random.Random(seed)
     paths: list[Path] = list(cover)
     steps: list[MergeStep] = []

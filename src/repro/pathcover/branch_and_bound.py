@@ -36,12 +36,22 @@ Accesses to different arrays (or with different index coefficients)
 share no zero-cost edges, so the instance decomposes into independent
 per-group subproblems that are solved separately and recombined; this is
 both an optimization and how ``K~`` naturally splits per array.
+
+Inside a :func:`cover_scope` each distinct group is solved once: a
+group's search reads only its step, coefficient, loop variables and
+offsets, ``M`` and the node budget -- never the array name, the labels
+or ``K`` -- so a sweep that meets ``x[i], x[i+1]`` in many kernels and
+under many register counts searches it a single time.
 """
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from operator import itemgetter
+from typing import Iterator
 
 from repro.errors import InfeasibleZeroCostCover, SearchBudgetExceeded
 from repro.graph.access_graph import cached_access_graph
@@ -53,6 +63,15 @@ from repro.pathcover.paths import Path, PathCover
 
 #: Default cap on explored search nodes per independent subproblem.
 DEFAULT_NODE_BUDGET = 200_000
+
+#: The open cover scope's solved groups by :func:`_group_key`, or
+#: ``None`` outside any scope.  Context-local, so each thread (and each
+#: serve dispatcher) sees only the scope it opened itself.
+_COVER_SCOPE: ContextVar[dict | None] = ContextVar(
+    "repro_cover_scope", default=None)
+# A forked process (a pool worker) starts outside any scope: workers
+# solve per job, in their own process.
+os.register_at_fork(after_in_child=lambda: _COVER_SCOPE.set(None))
 
 
 @dataclass(frozen=True)
@@ -83,6 +102,36 @@ class CoverSearchResult:
     nodes_explored: int
 
 
+@contextmanager
+def cover_scope(groups: dict | None = None) -> Iterator[dict]:
+    """Solve each distinct phase-1 group at most once while open.
+
+    Inside the scope, :func:`minimum_zero_cost_cover` remembers every
+    group it solves, keyed by exactly what the search reads (see
+    :func:`_group_key`), and serves later groups with the same key
+    from that memo.  A remembered result is in the group's own local
+    positions, so each pattern maps it back to its own.  A group
+    whose search raises is never remembered, so every pattern with it
+    raises on its own.
+
+    ``groups`` seeds the scope and then holds everything it solves, so
+    a caller can reopen the same scope later; without it, nothing
+    outlives the scope.  Scopes nest: an inner scope joins the open
+    one, adding its seeds to it.
+    """
+    outer = _COVER_SCOPE.get()
+    if outer is not None:
+        outer.update(groups or {})
+        yield outer
+        return
+    memo = groups if groups is not None else {}
+    token = _COVER_SCOPE.set(memo)
+    try:
+        yield memo
+    finally:
+        _COVER_SCOPE.reset(token)
+
+
 def minimum_zero_cost_cover(
         pattern: AccessPattern,
         modify_range: int,
@@ -100,6 +149,9 @@ def minimum_zero_cost_cover(
         best cover found so far (at worst the greedy one) is returned
         with ``optimal=False``.  Raised only if the budget dies before
         *any* cover is known.
+
+    Inside a :func:`cover_scope`, a group solved before in the scope is
+    served from its memo instead of being searched again.
     """
     n = len(pattern)
     if n == 0:
@@ -110,16 +162,24 @@ def minimum_zero_cost_cover(
     for position, access in enumerate(pattern):
         groups.setdefault(access.group_key, []).append(position)
 
+    memo = _COVER_SCOPE.get()
     all_paths: list[Path] = []
     lower_bound = 0
     upper_bound = 0
     nodes_total = 0
     optimal = True
-    for positions in groups.values():
-        sub_pattern = AccessPattern(pattern.subsequence(positions),
-                                    step=pattern.step,
-                                    loop_var=pattern.loop_var)
-        outcome = _search_group(sub_pattern, modify_range, node_budget)
+    for (_array, coefficient), positions in groups.items():
+        key = None if memo is None else _group_key(
+            pattern, coefficient, positions, modify_range, node_budget)
+        outcome = None if memo is None else memo.get(key)
+        if outcome is None:
+            sub_pattern = AccessPattern(pattern.subsequence(positions),
+                                        step=pattern.step,
+                                        loop_var=pattern.loop_var)
+            outcome = _search_group(sub_pattern, modify_range,
+                                    node_budget)
+            if memo is not None:
+                memo[key] = outcome
         lower_bound += outcome.lower_bound
         upper_bound += outcome.upper_bound
         nodes_total += outcome.nodes_explored
@@ -131,6 +191,20 @@ def minimum_zero_cost_cover(
     cover = PathCover(tuple(all_paths), n)
     return CoverSearchResult(cover, cover.n_paths, optimal, lower_bound,
                              upper_bound, nodes_total)
+
+
+def _group_key(pattern: AccessPattern, coefficient: int,
+               positions: list[int], modify_range: int,
+               node_budget: int) -> tuple:
+    """Everything :func:`_search_group` reads of one group: the step,
+    the coefficient, ``M``, the budget, and each access's offset and
+    -- when the coefficient makes it matter -- loop variable.  Array
+    names, labels and ``is_write`` are not read, so they are not in
+    it."""
+    accesses = pattern.accesses
+    return (pattern.step, coefficient, modify_range, node_budget,
+            tuple((accesses[p].index.var if coefficient else None,
+                   accesses[p].index.offset) for p in positions))
 
 
 # ----------------------------------------------------------------------
@@ -169,7 +243,7 @@ def _search_group(pattern: AccessPattern, modify_range: int,
 
     incumbent: PathCover | None
     try:
-        incumbent = greedy_zero_cost_cover(graph)
+        incumbent = greedy_zero_cost_cover(graph, matching)
     except InfeasibleZeroCostCover:
         incumbent = None
     if incumbent is not None and incumbent.n_paths == matching_bound:

@@ -23,11 +23,18 @@ from __future__ import annotations
 from repro.errors import InfeasibleZeroCostCover
 from repro.graph.access_graph import AccessGraph
 from repro.pathcover.lower_bound import min_intra_path_cover
+from repro.pathcover.matching import HopcroftKarp
 from repro.pathcover.paths import PathCover
 
 
-def greedy_zero_cost_cover(graph: AccessGraph) -> PathCover:
+def greedy_zero_cost_cover(graph: AccessGraph,
+                           matching: HopcroftKarp | None = None,
+                           ) -> PathCover:
     """A zero-cost path cover of the access graph (upper bound on ``K~``).
+
+    ``matching`` is the graph's solved
+    :func:`~repro.pathcover.lower_bound.intra_matching`, when the caller
+    already has it; otherwise it is solved here.
 
     Raises
     ------
@@ -35,7 +42,8 @@ def greedy_zero_cost_cover(graph: AccessGraph) -> PathCover:
         If even singleton paths cannot wrap for free (an access's
         per-iteration address step exceeds the modify range).
     """
-    candidates = [_scan_cover(graph), _repaired_matching_cover(graph)]
+    candidates = [_scan_cover(graph),
+                  _repaired_matching_cover(graph, matching)]
     return min(candidates, key=lambda cover: cover.n_paths)
 
 
@@ -89,8 +97,9 @@ def _scan_cover(graph: AccessGraph) -> PathCover:
 # ----------------------------------------------------------------------
 # Construction 2: minimum intra cover + wrap repair
 # ----------------------------------------------------------------------
-def _repaired_matching_cover(graph: AccessGraph) -> PathCover:
-    intra_cover = min_intra_path_cover(graph)
+def _repaired_matching_cover(graph: AccessGraph,
+                             matching: HopcroftKarp | None) -> PathCover:
+    intra_cover = min_intra_path_cover(graph, matching)
     repaired: list[list[int]] = []
     for path in intra_cover:
         repaired.extend(_repair_wrap(list(path), graph))

@@ -42,15 +42,18 @@ def intra_cover_lower_bound(graph: AccessGraph) -> int:
     return graph.n_nodes - solver.size
 
 
-def min_intra_path_cover(graph: AccessGraph) -> PathCover:
+def min_intra_path_cover(graph: AccessGraph,
+                         matching: HopcroftKarp | None = None,
+                         ) -> PathCover:
     """An exact minimum path cover of the intra-iteration DAG.
 
     The matching links each position to at most one successor; chains of
     links are the paths.  Wrap-around (inter-iteration) costs are *not*
     considered here -- see :func:`repro.pathcover.minimum_zero_cost_cover`
-    for the full phase-1 problem.
+    for the full phase-1 problem.  ``matching`` is the graph's solved
+    :func:`intra_matching`, when the caller already has it.
     """
-    solver = intra_matching(graph)
+    solver = matching if matching is not None else intra_matching(graph)
     next_of = solver.match_left
     has_predecessor = [right != -1 for right in solver.match_right]
 

@@ -28,6 +28,7 @@ from repro.batch.jobs import (
     jobs_from_suite,
     parse_scope,
 )
+from repro.batch.registry import experiment_point_jobs, get_experiment
 from repro.core.config import AllocatorConfig
 from repro.core.pipeline import compile_kernel
 from repro.errors import BatchError, ParseError, WorkloadError
@@ -309,6 +310,65 @@ class TestParseScope:
             library_matrix)
         assert [without_timing(result) for result in pooled.results] \
             == [without_timing(result) for result in inline.results]
+
+
+@pytest.fixture
+def digest_calls(monkeypatch):
+    """Every job digested through the batch layer, in call order."""
+    calls = []
+
+    def counting_digest(job):
+        calls.append(job)
+        return job_digest(job)
+
+    for module in ("repro.batch.engine", "repro.batch.jobs"):
+        monkeypatch.setattr(f"{module}.job_digest", counting_digest)
+    return calls
+
+
+class TestDigestOnce:
+    """The engine's scan digests each job once; execution reuses it."""
+
+    def test_a_library_sweep_digests_each_job_once(
+            self, library_matrix, digest_calls):
+        report = BatchCompiler().compile(library_matrix)
+        assert digest_calls == library_matrix
+        assert [result.digest for result in report.results] \
+            == [job_digest(job) for job in library_matrix]
+
+    def test_experiment_points_digest_once(self, digest_calls):
+        jobs = experiment_point_jobs(
+            "pathcover", get_experiment("pathcover").quick_config())
+        report = BatchCompiler().compile(jobs)
+        assert digest_calls == jobs
+        assert [result.digest for result in report.results] \
+            == [job_digest(job) for job in jobs]
+
+    def test_the_digest_travels_through_the_pool(self, library_matrix):
+        dispatched = []
+
+        class Recording(LocalPoolExecutor):
+            def run(self, jobs):
+                dispatched.extend(jobs)
+                return super().run(jobs)
+
+        jobs = library_matrix[:6]
+        report = BatchCompiler(executor=Recording(2)).compile(jobs)
+        assert [job.digest for job in dispatched] \
+            == [job_digest(job) for job in jobs]
+        assert [result.digest for result in report.results] \
+            == [job_digest(job) for job in jobs]
+        # The caller's jobs are not touched, and a carried digest is
+        # not an input: it stays out of equality and ``replace``.
+        assert all(job.digest is None for job in jobs)
+        assert dispatched == jobs
+        assert dataclasses.replace(dispatched[0]).digest is None
+
+    def test_direct_execution_digests_itself(self, digest_calls):
+        job = BatchJob(name="fir8", spec=SPEC,
+                       source=KERNELS["fir8"].source)
+        assert execute_job(job).digest == job_digest(job)
+        assert digest_calls == [job]
 
 
 class TestOneDeliveryPath:
