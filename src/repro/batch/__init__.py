@@ -14,9 +14,9 @@ The scaling layer on top of :func:`repro.core.pipeline.compile_kernel`:
 * :mod:`repro.batch.cache` -- in-memory LRU and sharded multi-host
   directory stores behind one backend protocol (processes and hosts
   share results through one ``dir:`` store);
-* :mod:`repro.batch.service` -- the TCP core: framing, endpoint specs
-  and the :class:`~repro.batch.service.FrameServer` the compile
-  service builds on;
+* :mod:`repro.batch.service` -- the serve wire format: framing, frame
+  limits and endpoint specs, shared by the compile service and its
+  client;
 * :mod:`repro.batch.engine` -- :class:`BatchCompiler` (cache
   orchestration, streaming ``as_completed`` delivery),
   the aggregated :class:`BatchReport`, and the :class:`Executor` seam

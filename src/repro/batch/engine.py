@@ -137,7 +137,7 @@ def execute_job(job: BatchJob) -> JobResult:
     allocation = artifacts.allocation
     return JobResult(
         name=job.name,
-        digest=job.digest if job.digest is not None else job_digest(job),
+        digest=_digest_of(job),
         n_accesses=len(kernel.pattern),
         n_registers=job.spec.n_registers,
         modify_range=job.spec.modify_range,
@@ -165,6 +165,13 @@ def execute_any(job) -> Any:
     if execute is not None:
         return execute()
     return execute_job(job)
+
+
+def _digest_of(job) -> str:
+    """The digest ``job`` carries, or a fresh one when it carries
+    none."""
+    carried = getattr(job, "digest", None)
+    return carried if carried is not None else job_digest(job)
 
 
 def _carrying_digest(job, digest: str):
@@ -603,11 +610,12 @@ class BatchCompiler:
         """Per-job ``(digest, cached result | None)``, the batch's
         initial cache pass.
 
-        Each unique digest is probed with one ``get``; later slots
-        with the same digest get a defensive copy, matching the
-        per-``get`` copy semantics of the stores.
+        A job that already carries its digest (a served request) is
+        not hashed again.  Each unique digest is probed with one
+        ``get``; later slots with the same digest get a defensive
+        copy, matching the per-``get`` copy semantics of the stores.
         """
-        digests = [job_digest(job) for job in jobs]
+        digests = [_digest_of(job) for job in jobs]
         payloads = {}
         for digest in dict.fromkeys(digests):
             payload = self.cache.get(digest)

@@ -114,9 +114,10 @@ class BatchJob:
     #: Also generate and (when simulating) audit the unoptimized
     #: regular-C-compiler address code, for comparison experiments.
     include_baseline: bool = False
-    #: The job's content digest, when the engine has already computed
-    #: it: the engine hands executors copies that carry it, so
-    #: execution does not hash the job again.  Not an input -- it is
+    #: The job's content digest, when it has already been computed:
+    #: the engine hands executors copies that carry it, and the serve
+    #: handler sets it on the job it queues, so neither execution nor
+    #: the engine's scan hashes the job again.  Not an input -- it is
     #: outside the digest, equality and ``replace``.
     digest: str | None = field(default=None, init=False, repr=False,
                                compare=False)

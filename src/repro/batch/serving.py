@@ -51,11 +51,13 @@ request: the service adds routing, not semantics.
 
 from __future__ import annotations
 
+import dataclasses
 import queue
 import socket
+import socketserver
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.agu.model import AguSpec
 from repro.batch.cache import CacheBackend, TieredCache, open_cache
@@ -63,10 +65,8 @@ from repro.batch.digest import job_digest
 from repro.batch.engine import BatchCompiler, Executor, JobResult
 from repro.batch.jobs import BatchJob, parse_scope
 from repro.batch.service import (
-    FrameServer,
-    Op,
+    FrameTooLargeError,
     _close_socket,
-    field_or,
     format_endpoint,
     parse_endpoint,
     recv_frame,
@@ -150,15 +150,14 @@ class ServeResult:
 class _PendingCompile:
     """One admitted compile request, in flight between a handler
     thread (which waits on ``ready``) and the dispatcher (which sets
-    the outcome, then ``ready``).  ``kernel`` is the handler's parse of
-    the job's source, so the dispatcher need not parse it again."""
+    the outcome, then ``ready``).  ``job`` carries the handler's
+    digest and ``kernel`` is the handler's parse of the job's source,
+    so the dispatcher neither digests nor parses it again."""
 
-    __slots__ = ("job", "digest", "kernel", "payload", "cached", "error",
-                 "ready")
+    __slots__ = ("job", "kernel", "payload", "cached", "error", "ready")
 
-    def __init__(self, job: BatchJob, digest: str, kernel: Kernel):
+    def __init__(self, job: BatchJob, kernel: Kernel):
         self.job = job
-        self.digest = digest
         self.kernel = kernel
         self.payload: dict | None = None
         self.cached = False
@@ -177,8 +176,84 @@ class _PendingCompile:
         self.ready.set()
 
 
-class CompileService(FrameServer):
+#: The JSON types an op table may declare a request field with, and
+#: the Python values that carry each (a ``bool`` is never a number).
+JSON_TYPES: dict[str, tuple[type, ...]] = {
+    "string": (str,), "integer": (int,), "number": (int, float),
+    "boolean": (bool,), "list": (list,), "object": (dict,)}
+
+
+def _a(kind: str) -> str:
+    return f"an {kind}" if kind[0] in "aeiou" else f"a {kind}"
+
+
+def _has_type(value, kind: str) -> bool:
+    if isinstance(value, bool) and kind != "boolean":
+        return False
+    return isinstance(value, JSON_TYPES[kind])
+
+
+def field_or(request: dict, name: str, default):
+    """``request[name]``, or ``default`` when the field is absent or
+    ``null`` (the op table treats both alike)."""
+    value = request.get(name)
+    return default if value is None else value
+
+
+@dataclass(frozen=True)
+class Op:
+    """One entry of :attr:`CompileService.OPS`: an op's wire schema.
+
+    Op ``x`` is answered by the method ``_op_x``.  ``summary`` is its
+    one-line description in ``docs/PROTOCOL.md``.  ``required`` and
+    ``optional`` map request fields to a :data:`JSON_TYPES` name.  A
+    ``null`` value counts as absent.  ``response`` lists the keys an
+    answer may carry beyond the ``ok``/``error`` envelope.
+    """
+
+    summary: str
+    required: dict[str, str] = field(default_factory=dict)
+    optional: dict[str, str] = field(default_factory=dict)
+    response: tuple[str, ...] = ()
+
+    def check(self, op: str, request: dict) -> str | None:
+        """Why ``request`` does not fit this schema, or ``None``."""
+        for name, kind in self.required.items():
+            if request.get(name) is None:
+                return f"{op!r} needs {_a(kind)} {name!r}"
+        for fields in (self.required, self.optional):
+            for name, kind in fields.items():
+                value = request.get(name)
+                if value is not None and not _has_type(value, kind):
+                    return f"{op!r} field {name!r} must be {_a(kind)}"
+        return None
+
+
+class _TcpServer(socketserver.ThreadingTCPServer):
+    allow_reuse_address = True
+    daemon_threads = True
+
+
+class _TcpServer6(_TcpServer):
+    address_family = socket.AF_INET6
+
+
+class _FrameHandler(socketserver.BaseRequestHandler):
+    """One accepted connection, handed to its :class:`CompileService`."""
+
+    def handle(self) -> None:
+        self.server.service.serve_connection(  # type: ignore
+            self.request)
+
+
+class CompileService:
     """Serve single-kernel compile requests over TCP.
+
+    One handler thread per connection runs the frame loop: receive a
+    request, answer it through :attr:`OPS`, repeat.  Unknown ops and
+    requests that miss their op's schema are answered error frames
+    before any handler runs, so handlers only make the checks a field
+    type cannot express.
 
     Parameters
     ----------
@@ -190,8 +265,10 @@ class CompileService(FrameServer):
         in a :class:`~repro.batch.cache.TieredCache` of
         :data:`WARM_CAPACITY` entries, so hot kernels never touch the
         backing store.
-    host, port, idle_timeout:
-        As for :class:`~repro.batch.service.FrameServer`.
+    host, port:
+        Bind address; ``port=0`` picks an ephemeral port (see
+        :attr:`address` / :attr:`endpoint` for the bound one).  A
+        colon in ``host`` makes it an IPv6 literal.
     executor:
         Where cache misses compile -- the same seam as
         :class:`~repro.batch.engine.BatchCompiler` (which is what runs
@@ -211,6 +288,12 @@ class CompileService(FrameServer):
         Bound of the in-flight queue -- admission control.  A request
         arriving with ``max_pending`` compiles already queued is
         answered with a ``busy`` error frame instead of queueing.
+    idle_timeout:
+        Seconds a connection may sit idle between frames before the
+        server closes it (``None`` disables the timeout).  Stalled or
+        half-open peers would otherwise pin a handler thread forever
+        and wedge graceful shutdown; well-behaved clients that went
+        quiet simply reconnect on their next request.
 
     Run blocking with :meth:`serve_forever` (the CLI does) or on a
     background thread via :meth:`start` / the context-manager form
@@ -222,18 +305,19 @@ class CompileService(FrameServer):
         ...     answer = client.compile(kernel="fir")
     """
 
+    #: op name -> :class:`Op`: what :meth:`handle_request` dispatches.
     OPS = {
-        "ping": Op("_op_ping", "Liveness probe; reports the executor's "
-                   "parallelism width.", response=("server", "workers")),
-        "stats": Op("_op_stats", "The `ServeStats` counters, plus the "
-                    "tiered cache's hits/misses/stores under `cache`.",
+        "ping": Op("Liveness probe; reports the executor's parallelism "
+                   "width.", response=("server", "workers")),
+        "stats": Op("The `ServeStats` counters, plus the tiered cache's "
+                    "hits/misses/stores under `cache`.",
                     response=("requests", "served_warm",
                               "busy_rejections", "batches", "compiled",
                               "failures", "cache")),
         "compile": Op(
-            "_op_compile", "Compile one kernel, named by exactly one of "
-            "`source` (frontend text) and `kernel` (a library name); "
-            "`busy` marks an admission rejection.",
+            "Compile one kernel, named by exactly one of `source` "
+            "(frontend text) and `kernel` (a library name); `busy` marks "
+            "an admission rejection.",
             optional={"source": "string", "kernel": "string",
                       "name": "string", "registers": "integer",
                       "modify_range": "integer", "iterations": "integer",
@@ -241,7 +325,6 @@ class CompileService(FrameServer):
                       "listing": "boolean"},
             response=("digest", "cached", "result", "listing", "busy")),
     }
-    thread_name = "repro-compile-service"
 
     def __init__(self, cache: CacheBackend | str | None = None, *,
                  host: str = "127.0.0.1", port: int = 0,
@@ -258,6 +341,11 @@ class CompileService(FrameServer):
         if max_pending < 1:
             raise BatchError(
                 f"max_pending must be >= 1, got {max_pending}")
+        if idle_timeout is not None and not idle_timeout > 0:
+            raise BatchError(
+                f"idle_timeout must be > 0 seconds or None, got "
+                f"{idle_timeout}")
+        self.idle_timeout = idle_timeout
         backend = open_cache(cache) if isinstance(cache, str) else cache
         self.cache = TieredCache(backend, capacity=WARM_CAPACITY)
         # The compiler is driven only by the dispatcher thread; the
@@ -273,7 +361,20 @@ class CompileService(FrameServer):
         self._queue: queue.Queue[_PendingCompile | None] = queue.Queue(
             maxsize=max_pending)
         self._stop = threading.Event()
-        super().__init__(host, port, idle_timeout)
+        server_class = _TcpServer6 if ":" in host else _TcpServer
+        self._server = server_class((host, port), _FrameHandler)
+        self._server.service = self  # type: ignore[attr-defined]
+        self._thread = threading.Thread(
+            target=self._server.serve_forever,
+            kwargs={"poll_interval": 0.1}, name="repro-compile-service",
+            daemon=True)
+        # An Event, not a bool: shutdown() consults it from whatever
+        # thread tears the server down while serve_forever runs
+        # elsewhere, so the flag itself must be race-free.
+        self._serving = threading.Event()
+        self._connections: set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
+        self._closing = False
         # Only after the bind succeeded -- a failed construction must
         # not leak a dispatcher thread.
         self._dispatcher = threading.Thread(
@@ -286,20 +387,104 @@ class CompileService(FrameServer):
         """The underlying executor's parallelism width."""
         return self._compiler.n_workers
 
+    @property
+    def address(self) -> tuple[str, int]:
+        """The bound ``(host, port)``."""
+        host, port = self._server.server_address[:2]
+        return str(host), int(port)
+
+    @property
+    def endpoint(self) -> str:
+        """The ``tcp://host:port`` spec clients should open (IPv6
+        hosts come bracketed, ready for :class:`ServeClient`)."""
+        return format_endpoint(*self.address)
+
+    # -- connections (handler threads) ---------------------------------
+    @property
+    def n_connections(self) -> int:
+        """Number of client connections open right now."""
+        with self._connections_lock:
+            return len(self._connections)
+
+    def track_connection(self, sock: socket.socket,
+                         alive: bool) -> None:
+        """Handler bookkeeping so :meth:`shutdown` can close live
+        connections instead of leaving them serving after "stopped".
+        A connection that registers after shutdown drained the set (a
+        handler spawned in the accept/shutdown race window) is closed
+        on the spot instead of being allowed to serve."""
+        with self._connections_lock:
+            if not alive:
+                self._connections.discard(sock)
+                return
+            if not self._closing:
+                self._connections.add(sock)
+                return
+        _close_socket(sock)
+
+    def serve_connection(self, sock: socket.socket) -> None:
+        """Run one accepted connection on its handler thread: receive
+        a request, send :meth:`handle_request`'s answer, repeat until
+        the peer hangs up or breaks the protocol.  A handler crash
+        becomes an error frame on the live connection."""
+        self.track_connection(sock, alive=True)
+        if self.idle_timeout is not None:
+            # A blocking recv raises TimeoutError (an OSError) after
+            # idle_timeout seconds and the connection closes cleanly.
+            sock.settimeout(self.idle_timeout)
+        try:
+            while True:
+                try:
+                    request = recv_frame(sock)
+                except (BatchError, OSError):
+                    return
+                if request is None:
+                    return
+                try:
+                    # Through the instance, so a handle_request wrapped
+                    # on the class (as profilers do) sees every request.
+                    response = self.handle_request(request)
+                # repro-lint: disable=BROAD-EXCEPT -- not swallowed: the error goes back to the peer as an error frame, keeping the connection alive
+                except Exception as error:
+                    response = {"ok": False,
+                                "error": f"{type(error).__name__}: {error}"}
+                try:
+                    send_frame(sock, response)
+                except FrameTooLargeError as error:
+                    # The *response* outgrew a frame (a giant result
+                    # or listing): answer an error frame so the peer
+                    # sees a failed request on a live connection, not a
+                    # dropped one it would misread as a dead server.
+                    try:
+                        send_frame(sock, {"ok": False, "error": str(error)})
+                    except (BatchError, OSError):
+                        return
+                except (BatchError, OSError):
+                    return
+        finally:
+            self.track_connection(sock, alive=False)
+
     # -- request handling (handler threads) ----------------------------
+    def handle_request(self, request: dict) -> dict:
+        """Answer one request frame through :attr:`OPS`: op ``x`` is
+        answered by ``self._op_x(request)`` once the request fits the
+        op's schema (exposed for protocol tests)."""
+        name = request.get("op")
+        op = self.OPS.get(name) if isinstance(name, str) else None
+        if op is None:
+            return {"ok": False, "error": f"unknown op {name!r}"}
+        problem = op.check(name, request)
+        if problem is not None:
+            return {"ok": False, "error": problem}
+        return getattr(self, f"_op_{name}")(request)
+
     def _op_ping(self, request: dict) -> dict:
         return {"ok": True, "server": "repro-agu serve",
                 "workers": self.n_workers}
 
     def _op_stats(self, request: dict) -> dict:
         with self._stats_lock:
-            counters = {
-                "requests": self.stats.requests,
-                "served_warm": self.stats.served_warm,
-                "busy_rejections": self.stats.busy_rejections,
-                "batches": self.stats.batches,
-                "compiled": self.stats.compiled,
-                "failures": self.stats.failures}
+            counters = dataclasses.asdict(self.stats)
         cache = self.cache.stats
         return {"ok": True, **counters,
                 "cache": {"hits": cache.hits, "misses": cache.misses,
@@ -310,12 +495,13 @@ class CompileService(FrameServer):
             self.stats.requests += 1
         try:
             job = self._job_from_request(request)
-        # Not swallowed: every request-shaping error (an unknown
-        # library kernel, an oversized source) is this request's error
-        # frame, never a batch failure that could fail other work.
+        # repro-lint: disable=BROAD-EXCEPT -- not swallowed: every request-shaping error (an unknown library kernel, an oversized source) is this request's error frame, never a batch failure that could fail other work
         except Exception as error:
             return self._reject(error)
+        # The job carries its digest into the engine batch, so the
+        # engine's scan does not hash it again.
         digest = job_digest(job)
+        object.__setattr__(job, "digest", digest)
         want_listing = bool(request.get("listing"))
 
         # A hit skips the parse: its digest covers the exact source
@@ -326,16 +512,15 @@ class CompileService(FrameServer):
         if result is not None:
             with self._stats_lock:
                 self.stats.served_warm += 1
-            return self._answer(job, digest, result.payload(),
-                                cached=True, want_listing=want_listing)
+            return self._answer(job, result.payload(), cached=True,
+                                want_listing=want_listing)
         try:
             kernel = self._check_kernel(job)
-        # Not swallowed either: a frontend syntax error or an
-        # over-limit kernel is this request's error frame.
+        # repro-lint: disable=BROAD-EXCEPT -- not swallowed: a frontend syntax error or an over-limit kernel is this request's error frame
         except Exception as error:
             return self._reject(error)
 
-        pending = _PendingCompile(job, digest, kernel)
+        pending = _PendingCompile(job, kernel)
         if self._stop.is_set():
             with self._stats_lock:
                 self.stats.failures += 1
@@ -356,8 +541,7 @@ class CompileService(FrameServer):
             return {"ok": False,
                     "error": pending.error or "compile produced no "
                                               "result"}
-        return self._answer(job, digest, pending.payload,
-                            cached=pending.cached,
+        return self._answer(job, pending.payload, cached=pending.cached,
                             want_listing=want_listing, kernel=kernel)
 
     def _reject(self, error: Exception) -> dict:
@@ -377,19 +561,17 @@ class CompileService(FrameServer):
                                 "request was compiled"
                 return
 
-    def _answer(self, job: BatchJob, digest: str, payload: dict, *,
-                cached: bool, want_listing: bool,
-                kernel: Kernel | None = None) -> dict:
+    def _answer(self, job: BatchJob, payload: dict, *, cached: bool,
+                want_listing: bool, kernel: Kernel | None = None) -> dict:
         # Display metadata follows the request being served, not
         # whoever stored the cache entry -- engine semantics.
-        response = {"ok": True, "digest": digest, "cached": cached,
+        response = {"ok": True, "digest": job.digest, "cached": cached,
                     "result": {**payload, "name": job.name}}
         if want_listing:
-            response["listing"] = self._listing_for(job, digest, kernel)
+            response["listing"] = self._listing_for(job, kernel)
         return response
 
-    def _listing_for(self, job: BatchJob, digest: str,
-                     kernel: Kernel | None) -> str:
+    def _listing_for(self, job: BatchJob, kernel: Kernel | None) -> str:
         """The job's generated AGU code, cached under its own key.
 
         Batch results are small summaries by design, so the listing is
@@ -398,7 +580,7 @@ class CompileService(FrameServer):
         the result payload.  ``kernel`` is the request's parse, when
         it has one (a warm hit does not).
         """
-        key = f"{digest}/listing"
+        key = f"{job.digest}/listing"
         stored = self.cache.get(key)
         if stored is not None and isinstance(stored.get("listing"), str):
             return stored["listing"]
@@ -524,7 +706,7 @@ class CompileService(FrameServer):
             except BatchError as error:
                 digest = getattr(error, "digest", None)
                 culprits = [entry for entry in pending
-                            if entry.digest == digest]
+                            if entry.job.digest == digest]
                 if not culprits:
                     # No (matching) attribution -- e.g. a dead process
                     # pool that cannot name its killer: fail the whole
@@ -538,8 +720,7 @@ class CompileService(FrameServer):
                              if entry not in culprits]
                 pending = survivors
                 continue
-            # Dispatcher last resort: an unexpected error resolves every
-            # waiting request instead of stranding its handler thread.
+            # repro-lint: disable=BROAD-EXCEPT -- dispatcher last resort, not swallowed: every waiting request is answered the error instead of stranding its handler thread
             except Exception as error:
                 for entry in pending:
                     entry.fail(f"{type(error).__name__}: {error}")
@@ -550,20 +731,52 @@ class CompileService(FrameServer):
                 entry.resolve(result.payload(), result.from_cache)
             return
 
-    # -- lifecycle -----------------------------------------------------
-    def _after_shutdown(self) -> None:
-        """No new work can arrive once the listener and connections are
-        closed, so stop the dispatcher.  Admission is a promise:
-        requests already in the bounded queue are compiled and
-        resolved before the dispatcher exits; only a request that
-        slips in after its final pass is failed with a shutdown
-        error."""
+    # -- lifecycle (the controlling thread) ----------------------------
+    def serve_forever(self) -> None:
+        """Serve on the calling thread until :meth:`shutdown`."""
+        self._serving.set()
+        self._server.serve_forever(poll_interval=0.1)
+
+    def start(self) -> "CompileService":
+        """Serve on a daemon background thread; returns ``self``."""
+        self._serving.set()
+        self._thread.start()
+        return self
+
+    def shutdown(self) -> None:
+        """Stop serving (idempotent): close the listener and every
+        live connection, so no handler thread keeps answering
+        afterwards, then stop the dispatcher.
+
+        Admission is a promise: requests already in the bounded queue
+        are compiled and resolved before the dispatcher exits; only a
+        request that slips in after its final pass is failed with a
+        shutdown error.
+        """
+        if self._serving.is_set():
+            self._server.shutdown()
+            self._serving.clear()
+        self._server.server_close()
+        with self._connections_lock:
+            self._closing = True
+            live, self._connections = self._connections, set()
+        for sock in live:
+            _close_socket(sock)
+        if self._thread.is_alive():
+            self._thread.join(timeout=5.0)
+        # No new work can arrive now, so stop the dispatcher.
         self._stop.set()
         try:
             self._queue.put_nowait(None)  # wake an idle dispatcher now
         except queue.Full:
             pass  # a busy dispatcher sees the stop after the drain
         self._dispatcher.join(timeout=10.0)
+
+    def __enter__(self) -> "CompileService":
+        return self.start()
+
+    def __exit__(self, *exc_info) -> None:
+        self.shutdown()
 
 
 # ----------------------------------------------------------------------

@@ -1,62 +1,35 @@
-"""One lifecycle contract for every server built on ``FrameServer``.
+"""The compile service's connection and lifecycle contract.
 
-A server inherits its bind, frame loop, idle timeout, connection
-tracking and shutdown from ``FrameServer``, so each case here runs
-against the compile service and against a minimal echo subclass (the
-base's contract without any service logic on top): idle connections
-close, late registrations close,
-shutdown is prompt, idempotent and closes live connections, a handler
-crash is an error frame, op-table violations are error frames on a
-connection that stays usable, and a peer that breaks the framing is
-hung up on without disturbing anyone else.
+The bind, frame loop, idle timeout, connection tracking and shutdown
+of ``CompileService``, without any compile on top: idle connections
+close, late registrations close, shutdown is prompt, idempotent and
+closes live connections, a handler crash is an error frame, op-table
+violations are error frames on a connection that stays usable, and a
+peer that breaks the framing is hung up on without disturbing anyone
+else.  Each case is parametrized by the server it runs against.
 """
 
 from __future__ import annotations
 
 import socket
 import struct
+import threading
 import time
 
 import pytest
 
-from repro.batch.service import FrameServer, Op, recv_frame, send_frame
+from repro.batch.service import recv_frame, send_frame
 from repro.batch.serving import CompileService
 from repro.errors import BatchError
 
-class EchoServer(FrameServer):
-    """The smallest useful ``FrameServer``: two ops, no state."""
-
-    OPS = {
-        "ping": Op("_op_ping", "Liveness probe."),
-        "echo": Op("_op_echo", "Answer `text` back.",
-                   required={"text": "string"},
-                   optional={"times": "integer"},
-                   response=("text",)),
-    }
-
-    def __init__(self, *, idle_timeout: float | None = 300.0):
-        super().__init__("127.0.0.1", 0, idle_timeout)
-
-    def _op_ping(self, request: dict) -> dict:
-        return {"ok": True}
-
-    def _op_echo(self, request: dict) -> dict:
-        return {"ok": True,
-                "text": request["text"] * request.get("times", 1)}
-
-
 SERVERS = {
-    "echo": EchoServer,
     "serve": CompileService,
 }
 
-#: Per server: (request, expected error text) for a missing required
-#: field and for a wrongly typed one.  ``compile`` has no required
-#: field; its handler's exactly-one-of check stands in.
+#: Per server: (request, expected error text) for a missing field and
+#: for a wrongly typed one.  ``compile`` has no required field; its
+#: handler's exactly-one-of check stands in.
 BAD_REQUESTS = {
-    "echo": [({"op": "echo"}, "'echo' needs a string 'text'"),
-             ({"op": "echo", "text": "a", "times": True},
-              "'echo' field 'times' must be an integer")],
     "serve": [({"op": "compile"}, "exactly one of"),
               ({"op": "compile", "kernel": "fir8", "registers": "four"},
                "'compile' field 'registers' must be an integer")],
@@ -188,3 +161,35 @@ def test_shutdown_is_idempotent_and_drops_every_connection(kind):
 def test_a_non_positive_idle_timeout_is_rejected(kind, idle_timeout):
     with pytest.raises(BatchError, match="idle_timeout must be > 0"):
         SERVERS[kind](idle_timeout=idle_timeout)
+
+
+def test_an_ipv6_host_binds_an_ipv6_listener(kind):
+    try:
+        server = SERVERS[kind](host="::1")
+    except OSError as error:
+        pytest.skip(f"no IPv6 loopback here: {error}")
+    with server:
+        host, port = server.address
+        assert host == "::1"
+        assert server.endpoint == f"tcp://[::1]:{port}"
+        with socket.create_connection(("::1", port), timeout=5) as sock:
+            assert ask(sock, {"op": "ping"})["ok"] is True
+
+
+def test_serve_forever_blocks_its_thread_until_shutdown(kind):
+    server = SERVERS[kind]()
+    serving = threading.Thread(target=server.serve_forever, daemon=True)
+    serving.start()
+    with socket.create_connection(server.address, timeout=5) as sock:
+        assert ask(sock, {"op": "ping"})["ok"] is True
+    assert serving.is_alive()
+    server.shutdown()
+    serving.join(timeout=5.0)
+    assert not serving.is_alive()
+
+
+def test_shutdown_stops_the_dispatcher(kind):
+    server = SERVERS[kind]().start()
+    assert server._dispatcher.is_alive()
+    server.shutdown()
+    assert not server._dispatcher.is_alive()

@@ -550,7 +550,7 @@ class TestLockOrder:
 
 
 # ----------------------------------------------------------------------
-# WIRE-PROTOCOL (checks against the real op tables in src/)
+# WIRE-PROTOCOL (checks against the real op table in src/)
 # ----------------------------------------------------------------------
 def wire_lint(source: str):
     return lint_source(source, relpath="src/proj/client.py",

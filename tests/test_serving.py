@@ -20,9 +20,11 @@ from repro.batch.engine import (
     execute_any,
     execute_job,
 )
+from repro.batch.digest import job_digest
 from repro.batch.jobs import BatchJob
 from repro.batch.serving import (
     CompileService,
+    Op,
     ServeClient,
     ServerBusyError,
 )
@@ -235,6 +237,97 @@ class TestServeProtocol:
                 ServeClient("tcp://127.0.0.1:8743", **kwargs)
 
 
+def assert_declared(op: str, answer: dict) -> None:
+    """``answer`` carries only the envelope and ``op``'s declared
+    response keys."""
+    allowed = {"ok", "error", *CompileService.OPS[op].response}
+    assert set(answer) <= allowed, sorted(set(answer) - allowed)
+
+
+class TestOpTable:
+    """``OPS`` is the schema both ways: requests are checked against
+    it, and every answer stays inside its declared response keys."""
+
+    def test_a_missing_required_field_is_named(self):
+        op = Op("Answer `text` back.", required={"text": "string"},
+                optional={"times": "integer"}, response=("text",))
+        assert op.check("echo", {}) == "'echo' needs a string 'text'"
+        assert op.check("echo", {"text": None}) \
+            == "'echo' needs a string 'text'"
+        assert op.check("echo", {"text": "a", "times": True}) \
+            == "'echo' field 'times' must be an integer"
+        assert op.check("echo", {"text": "a", "times": 2}) is None
+
+    def test_answers_carry_only_declared_keys(self, service):
+        ping = service.handle_request({"op": "ping"})
+        assert ping["ok"] is True
+        assert_declared("ping", ping)
+        cold = service.handle_request(compile_request("saxpy"))
+        warm = service.handle_request(compile_request("saxpy"))
+        listing = service.handle_request(
+            compile_request("fir8", listing=True))
+        assert (cold["cached"], warm["cached"]) == (False, True)
+        assert "listing" in listing
+        error = service.handle_request(
+            {"op": "compile", "source": "for (i = 0;"})
+        assert error["ok"] is False
+        for answer in (cold, warm, listing, error):
+            assert_declared("compile", answer)
+        stats = service.handle_request({"op": "stats"})
+        assert set(stats) == {"ok", *CompileService.OPS["stats"].response}
+        assert stats["requests"] == 4
+        # A busy rejection is checked in TestAdmissionControl's
+        # full-queue test.
+
+
+@pytest.fixture
+def digested(monkeypatch):
+    """Every job digested on the serve path, in call order: by the
+    handler, the engine's scan or execution."""
+    calls = []
+
+    def counting_digest(job):
+        calls.append(job)
+        return job_digest(job)
+
+    for module in ("repro.batch.serving", "repro.batch.engine",
+                   "repro.batch.jobs"):
+        monkeypatch.setattr(f"{module}.job_digest", counting_digest)
+    return calls
+
+
+class TestDigestOnce:
+    """A served compile request is digested once, by its handler; the
+    engine batch reuses the digest the job carries."""
+
+    def test_one_digest_per_compile_request(self, service, digested):
+        kernels = ["saxpy", "fir8", "saxpy", "energy", "fir8"]
+        answers = [service.handle_request(compile_request(kernel))
+                   for kernel in kernels]
+        assert [answer["cached"] for answer in answers] \
+            == [False, False, True, False, True]
+        assert len(digested) == len(kernels)
+        assert [answer["digest"] for answer in answers] \
+            == [job_digest(job) for job in digested]
+
+    def test_the_digested_job_is_the_one_compiled(self, service,
+                                                  digested,
+                                                  monkeypatch):
+        compiled = []
+        engine_compile = BatchCompiler.compile
+
+        def recording(compiler, jobs):
+            jobs = list(jobs)
+            compiled.extend(jobs)
+            return engine_compile(compiler, jobs)
+
+        monkeypatch.setattr(BatchCompiler, "compile", recording)
+        service.handle_request(compile_request("energy", listing=True))
+        assert len(compiled) == 1
+        assert [id(job) for job in digested] == [id(compiled[0])]
+        assert compiled[0].digest == job_digest(compiled[0])
+
+
 def free_port() -> int:
     """A port nothing is listening on."""
     with socket.socket() as probe:
@@ -408,6 +501,7 @@ class TestAdmissionControl:
             assert busy == {"ok": False, "busy": True,
                             "error": "server busy: 1 compile(s) "
                                      "already in flight"}
+            assert_declared("compile", busy)
             gate.hold.clear()
             gate.release.set()
             blocker.join(timeout=30.0)

@@ -1,13 +1,11 @@
 #!/usr/bin/env python
-"""Generate ``docs/PROTOCOL.md`` from the servers' declared op tables.
+"""Generate ``docs/PROTOCOL.md`` from the compile service's op table.
 
-Every server of the batch layer declares its wire schema: the op
-table (``OPS``) of each :class:`~repro.batch.service.FrameServer`
-subclass (today the one subclass is ``CompileService``).  The servers
-validate requests against those tables at runtime; this script renders
-the same tables as markdown, so the protocol reference cannot drift from the code --
-CI runs ``--check`` and fails when the committed document no longer
-matches::
+``CompileService.OPS`` is the serve wire schema.  The service
+validates requests against it at runtime; this script renders the
+same table as markdown, so the protocol reference cannot drift from
+the code -- CI runs ``--check`` and fails when the committed document
+no longer matches::
 
     python tools/gen_protocol.py           # rewrite docs/PROTOCOL.md
     python tools/gen_protocol.py --check   # exit 1 on drift (CI gate)
@@ -24,22 +22,15 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.batch.service import Op  # noqa: E402
-from repro.batch.serving import CompileService  # noqa: E402
+from repro.batch.serving import CompileService, Op  # noqa: E402
 
 OUTPUT = REPO_ROOT / "docs" / "PROTOCOL.md"
-
-#: (section title, module, what serves it, op table), in document order.
-SERVERS = [
-    ("CompileService", "repro.batch.serving", "`repro-agu serve`",
-     CompileService.OPS),
-]
 
 HEADER = """\
 # Wire protocol reference
 
 <!-- GENERATED FILE -- do not edit by hand.
-     Source of truth: the op tables (OPS) declared in
+     Source of truth: the op table (CompileService.OPS) declared in
      src/repro/batch/serving.py.
      Regenerate with:  python tools/gen_protocol.py
      CI gates drift:   python tools/gen_protocol.py --check -->
@@ -50,8 +41,8 @@ prefixed with a big-endian 4-byte length (`struct ">I"`); frames above
 64 MiB are rejected on both sides (`send_frame` / `recv_frame` in
 `src/repro/batch/service.py`).
 
-Requests are routed on the `"op"` key through the server's op table
-(`FrameServer.handle_request`).  Responses share an **ok/error
+Requests are routed on the `"op"` key through the service's op table
+(`CompileService.handle_request`).  Responses share an **ok/error
 envelope**: every reply carries an `ok` boolean, and a failed one an
 `error` string.  The server answers an error frame without running any
 handler for an unknown op, a missing required field, or a field of the
@@ -61,7 +52,7 @@ live connection.  The tables below list the keys each op may answer
 with *in addition to* that envelope.
 
 The `WIRE-PROTOCOL` lint rule checks every in-repo `{"op": ...}`
-literal against the same tables.
+literal against the same table.
 """
 
 
@@ -86,14 +77,12 @@ def _render_op(name: str, op: Op) -> list[str]:
 
 
 def render() -> str:
-    """The whole document, from the declared tables."""
-    lines = [HEADER]
-    for title, module, served_by, table in SERVERS:
-        ops = ", ".join(f"`{name}`" for name in table)
-        lines += [f"## {title} (`{module}`)", "",
-                  f"Served by {served_by}.  Ops: {ops}.", ""]
-        for name, op in table.items():
-            lines += _render_op(name, op)
+    """The whole document, from the declared table."""
+    ops = ", ".join(f"`{name}`" for name in CompileService.OPS)
+    lines = [HEADER, "## CompileService (`repro.batch.serving`)", "",
+             f"Served by `repro-agu serve`.  Ops: {ops}.", ""]
+    for name, op in CompileService.OPS.items():
+        lines += _render_op(name, op)
     return "\n".join(lines).rstrip() + "\n"
 
 

@@ -28,6 +28,7 @@ from lint.registry import Module, Rule, register
 ENGINE_PATHS = (
     "src/repro/batch/engine.py",
     "src/repro/batch/service.py",
+    "src/repro/batch/serving.py",
 )
 
 #: Spellings of the interrupt-swallowing catch-alls.

@@ -1,9 +1,10 @@
 """LOCK-ORDER: a global lock-acquisition order, or a deadlock someday.
 
-Contract: the batch layer's threaded objects (``FrameServer``,
-``CompileService``, ``TieredCache``, ``ServeClient``) each own locks,
-and handler threads routinely call across objects while holding one.  Two threads acquiring the same pair of locks in opposite
-orders is the classic deadlock -- and the overlap only exists in the
+Contract: the batch layer's threaded objects (``CompileService``,
+``TieredCache``, ``ServeClient``) each own locks, and handler threads
+routinely call across objects while holding one.  Two threads
+acquiring the same pair of locks in opposite orders is the classic
+deadlock -- and the overlap only exists in the
 *composition* of methods, so no per-module rule can see it.
 
 This rule builds the project-wide lock graph from the

@@ -1,10 +1,10 @@
 """SOCKET-HYGIENE: sockets must not leak on exception paths.
 
-Contract: the service layer (the frame server, the compile service
-and its pooled client) holds long-lived TCP connections; a socket closed only on
-the straight-line path leaks its file descriptor whenever an
-exception interrupts the function, and a long-running server leaks
-them by the thousand.  A locally created socket must therefore be (one of):
+Contract: the service layer (the compile service and its pooled
+client) holds long-lived TCP connections; a socket closed only on the
+straight-line path leaks its file descriptor whenever an exception
+interrupts the function, and a long-running server leaks them by the
+thousand.  A locally created socket must therefore be (one of):
 
 * opened as a context manager (``with ... as sock:``),
 * closed inside a ``finally:`` or ``except:`` block

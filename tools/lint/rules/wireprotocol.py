@@ -1,16 +1,13 @@
 """WIRE-PROTOCOL: clients send only declared ops and fields.
 
-Contract: every server of the batch layer declares its wire schema --
-the op table (``OPS``) of each
-:class:`~repro.batch.service.FrameServer` subclass, today
-``CompileService`` alone -- and validates
-each request against its table at runtime.  This rule holds the
-sending side to the same tables statically: every ``{"op": ...}`` dict
-literal must name a declared op and carry only fields some table
-declares for it.  A misspelt op or field then fails CI instead of the
+Contract: the compile service declares its wire schema -- the op
+table ``CompileService.OPS`` -- and validates each request against it
+at runtime.  This rule holds the sending side to the same table
+statically: every ``{"op": ...}`` dict literal must name a declared op
+and carry only the fields the table declares for it.  A misspelt op or field then fails CI instead of the
 one request path the tests did not exercise.
 
-The rule imports the tables from ``src/`` (the same ones
+The rule imports the table from ``src/`` (the same one
 ``tools/gen_protocol.py`` renders as ``docs/PROTOCOL.md``).  Literals
 whose op is computed, or that spread ``**`` another dict, are skipped.
 """
@@ -54,12 +51,12 @@ def _constant_keys(node: ast.Dict) -> dict[str, ast.expr] | None:
 
 @register
 class WireProtocolRule(Rule):
-    """Check op literals against the declared tables."""
+    """Check op literals against the declared table."""
 
     rule_id = "WIRE-PROTOCOL"
     description = ("`{\"op\": ...}` literals must name a declared op "
                    "and carry only its declared fields")
-    rationale = ("the servers enforce their op tables at runtime; a "
+    rationale = ("the service enforces its op table at runtime; a "
                  "misspelt op or field fails exactly the request path "
                  "the tests did not exercise")
 
@@ -79,7 +76,7 @@ class WireProtocolRule(Rule):
             if name not in declared:
                 yield self.diagnostic(
                     module, node,
-                    f"op {name!r} is not declared by any server table "
+                    f"op {name!r} is not declared by the op table "
                     f"(declared: {', '.join(sorted(declared))})")
                 continue
             for extra in sorted(set(keys) - declared[name]):
