@@ -6,7 +6,9 @@ close, late registrations close, shutdown is prompt, idempotent and
 closes live connections, a handler crash is an error frame, op-table
 violations are error frames on a connection that stays usable, and a
 peer that breaks the framing is hung up on without disturbing anyone
-else.  Each case is parametrized by the server it runs against.
+else.  Each case runs against the compile service and against an echo
+subclass that swaps in its own op table, so the loop and the op-table
+check are held to the same contract whatever ops sit on top.
 """
 
 from __future__ import annotations
@@ -19,17 +21,41 @@ import time
 import pytest
 
 from repro.batch.service import recv_frame, send_frame
-from repro.batch.serving import CompileService
+from repro.batch.serving import CompileService, Op
 from repro.errors import BatchError
 
+
+class EchoServer(CompileService):
+    """``CompileService`` answering through its own two-op table."""
+
+    OPS = {
+        "ping": Op("Liveness probe."),
+        "echo": Op("Answer `text` back.",
+                   required={"text": "string"},
+                   optional={"times": "integer"},
+                   response=("text",)),
+    }
+
+    def _op_ping(self, request: dict) -> dict:
+        return {"ok": True}
+
+    def _op_echo(self, request: dict) -> dict:
+        return {"ok": True,
+                "text": request["text"] * request.get("times", 1)}
+
+
 SERVERS = {
+    "echo": EchoServer,
     "serve": CompileService,
 }
 
-#: Per server: (request, expected error text) for a missing field and
-#: for a wrongly typed one.  ``compile`` has no required field; its
+#: Per server: (request, expected error text) for a missing required
+#: field and for a wrongly typed one.  ``compile`` has no required field; its
 #: handler's exactly-one-of check stands in.
 BAD_REQUESTS = {
+    "echo": [({"op": "echo"}, "'echo' needs a string 'text'"),
+             ({"op": "echo", "text": "a", "times": True},
+              "'echo' field 'times' must be an integer")],
     "serve": [({"op": "compile"}, "exactly one of"),
               ({"op": "compile", "kernel": "fir8", "registers": "four"},
                "'compile' field 'registers' must be an integer")],
@@ -87,6 +113,17 @@ def test_handler_crash_is_an_error_frame_on_a_live_connection(
                               "error": "RuntimeError: handler exploded"}
             monkeypatch.undo()
             assert ask(sock, {"op": "ping"})["ok"] is True
+
+
+def test_an_op_answers_through_its_server_s_table(kind):
+    """``echo`` is only in the echo server's table."""
+    with SERVERS[kind]() as server:
+        with socket.create_connection(server.address, timeout=5) as sock:
+            answer = ask(sock, {"op": "echo", "text": "ab", "times": 2})
+    if kind == "echo":
+        assert answer == {"ok": True, "text": "abab"}
+    else:
+        assert answer == {"ok": False, "error": "unknown op 'echo'"}
 
 
 def test_op_table_violations_answer_errors_on_a_live_connection(kind):
