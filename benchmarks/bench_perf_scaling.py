@@ -3,22 +3,21 @@
 Micro-benchmarks over the building blocks so performance regressions in
 the solvers show up directly: graph construction, matching, the exact
 branch-and-bound, the greedy cover, best-pair merging, codegen, the
-simulator, and SOA -- plus the batch engine's suite throughput (cold,
-cached, and parallel), the sharded EXP-S1 grid's throughput, the
-per-point throughput of every registered ablation experiment
-(``-k ablate``), and the compile service's warm round-trip and
-concurrent-load latency SLO -- p50/p95/p99 into ``extra_info`` --
-(``-k bench_serve``).
+simulator, and SOA -- plus the batch engine's and the sharded EXP-S1
+grid's throughput across process-pool widths, and the per-point
+throughput of every registered ablation experiment (``-k ablate``).
+Cold and warm library sweeps, the EXP-S1 grid and the compile service
+are measured by the repository benchmark (``perfbench/``), not here.
 
 The ``-k solver`` micro-suite times the single-point hot paths (access
 graph construction and memoized lookup, the exact branch-and-bound,
 best-pair and naive merging, greedy GOA, the SOA oracle, and
-job-payload digesting); it is what
+job-payload digesting).  It is the only selection
 ``tools/bench_trajectory.py`` records into the repo's ``BENCH_*.json``
-perf trajectory and what ``tools/check_bench_regression.py`` gates in
-CI -- see ``docs/BENCHMARKS.md``.
+perf trajectory, next to traced perfbench runs, and what
+``tools/check_bench_regression.py`` holds to 3x in CI -- see
+``docs/BENCHMARKS.md``.
 """
-
 import pytest
 
 from _bench_util import run_once
@@ -135,27 +134,6 @@ def bench_soa_tiebreak(benchmark, length):
     assert sorted(layout) == sorted(sequence.variables())
 
 
-def bench_batch_suite_cold(benchmark):
-    """Suite throughput with an empty cache: every job compiles."""
-    jobs = jobs_from_suite("core8", AguSpec(4, 1), n_iterations=4)
-
-    def run_cold():
-        return BatchCompiler(cache=InMemoryLRUCache()).compile(jobs)
-
-    report = benchmark(run_cold)
-    assert report.n_compiled == report.n_jobs and report.all_audits_ok
-
-
-def bench_batch_suite_cached(benchmark):
-    """Suite throughput on a warm cache: zero recompilations."""
-    compiler = BatchCompiler()
-    jobs = jobs_from_suite("core8", AguSpec(4, 1), n_iterations=4)
-    compiler.compile(jobs)
-
-    report = benchmark(compiler.compile, jobs)
-    assert report.n_cache_hits == report.n_jobs
-
-
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def bench_batch_full_suite_parallel(benchmark, workers):
     """Whole-library throughput vs process-pool width (cold cache)."""
@@ -172,25 +150,6 @@ def bench_batch_full_suite_parallel(benchmark, workers):
 _STATS_GRID = StatisticalConfig(
     n_values=(10, 15, 20), m_values=(1, 2), k_values=(2, 3),
     patterns_per_config=10, naive_repeats=3)
-
-
-def bench_stats_grid_cold(benchmark):
-    """EXP-S1 grid throughput with an empty cache: every point runs."""
-    summary = run_once(benchmark, run_statistical_comparison,
-                       _STATS_GRID)
-    assert summary.n_points_compiled == len(_STATS_GRID.grid())
-    assert summary.n_points_cached == 0
-
-
-def bench_stats_grid_cached(benchmark):
-    """EXP-S1 grid on a warm shared cache: zero recomputations."""
-    cache = InMemoryLRUCache()
-    run_statistical_comparison(_STATS_GRID, cache=cache)
-
-    summary = run_once(benchmark, run_statistical_comparison,
-                       _STATS_GRID, cache=cache)
-    assert summary.n_points_compiled == 0
-    assert summary.n_points_cached == len(_STATS_GRID.grid())
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
@@ -352,112 +311,3 @@ def bench_solver_digest(benchmark):
 
     digests = benchmark(digest_100)
     assert len(set(digests)) == 1
-
-
-# ----------------------------------------------------------------------
-# Compile service (-k bench_serve)
-# ----------------------------------------------------------------------
-#: The kernel-library rotation the serve benches request (distinct
-#: digests, all small).
-_SERVE_KERNELS = ("fir8", "saxpy", "energy", "vector_add",
-                  "dot_product", "moving_average4")
-
-
-def _percentile_ms(latencies, quantile: float) -> float:
-    """The ``quantile`` latency (nearest-rank) in milliseconds."""
-    ranked = sorted(latencies)
-    rank = max(0, int(len(ranked) * quantile + 0.5) - 1)
-    return ranked[rank] * 1000.0
-
-
-def bench_serve_warm_roundtrip(benchmark):
-    """One warm compile request through the serve endpoint: the
-    hot-path floor (warm in-process tier, no engine, no batching)."""
-    from repro.batch.serving import CompileService, ServeClient
-
-    with CompileService() as service:
-        client = ServeClient(service.endpoint)
-        client.compile(kernel="fir8")  # prime the warm tier
-
-        answer = benchmark(client.compile, kernel="fir8")
-        assert answer.cached
-
-
-def bench_serve_cold_burst_coalesces(benchmark):
-    """A concurrent cold burst (6 distinct kernels at once): what
-    micro-batching buys -- the requests coalesce into a handful of
-    engine batches instead of one batch per request."""
-    import threading
-
-    from repro.batch.serving import CompileService, ServeClient
-
-    def burst():
-        with CompileService(batch_window=0.02) as service:
-            client = ServeClient(service.endpoint,
-                                 pool_size=len(_SERVE_KERNELS))
-            answers = [None] * len(_SERVE_KERNELS)
-
-            def request(index: int, name: str) -> None:
-                answers[index] = client.compile(kernel=name)
-
-            threads = [threading.Thread(target=request, args=pair)
-                       for pair in enumerate(_SERVE_KERNELS)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120.0)
-            return answers, service.stats.batches
-
-    answers, batches = run_once(benchmark, burst)
-    assert all(answer is not None for answer in answers)
-    assert 1 <= batches <= len(_SERVE_KERNELS)
-
-
-def bench_serve_latency_slo(benchmark):
-    """Request latency under concurrent load: 8 client threads, 96
-    warm requests total, one shared pooled client.  Records the
-    p50/p95/p99 SLO numbers into ``extra_info`` so the perf
-    trajectory (``tools/bench_trajectory.py``) archives them."""
-    import threading
-    import time as time_module
-
-    from repro.batch.serving import CompileService, ServeClient
-
-    n_threads, per_thread = 8, 12
-    with CompileService(batch_window=0.002) as service:
-        client = ServeClient(service.endpoint, pool_size=n_threads)
-        for name in _SERVE_KERNELS:
-            client.compile(kernel=name)  # prime every kernel
-
-        def load() -> list[float]:
-            latencies: list[list[float]] = [[] for _ in range(n_threads)]
-
-            def drive(slot: int) -> None:
-                for index in range(per_thread):
-                    name = _SERVE_KERNELS[
-                        (slot + index) % len(_SERVE_KERNELS)]
-                    started = time_module.perf_counter()
-                    answer = client.compile(kernel=name)
-                    elapsed = time_module.perf_counter() - started
-                    latencies[slot].append(elapsed)
-                    assert answer.cached
-
-            threads = [threading.Thread(target=drive, args=(slot,))
-                       for slot in range(n_threads)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120.0)
-            return [sample for bucket in latencies
-                    for sample in bucket]
-
-        samples = run_once(benchmark, load)
-    assert len(samples) == n_threads * per_thread
-    p50 = _percentile_ms(samples, 0.50)
-    p95 = _percentile_ms(samples, 0.95)
-    p99 = _percentile_ms(samples, 0.99)
-    assert p50 <= p95 <= p99
-    benchmark.extra_info["requests"] = len(samples)
-    benchmark.extra_info["p50_ms"] = round(p50, 3)
-    benchmark.extra_info["p95_ms"] = round(p95, 3)
-    benchmark.extra_info["p99_ms"] = round(p99, 3)

@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import contextlib
 import copy
-import dataclasses
 import logging
 import os
 import re
@@ -703,8 +702,10 @@ class BatchCompiler:
             for index in duplicates:
                 self._trace_job("cache_hit", index, jobs[index],
                                 digest=digest)
-                yield index, dataclasses.replace(
-                    result, name=jobs[index].name, from_cache=True)
+                # Built as a cache hit is, so display metadata (name,
+                # a point's index) comes from this slot's own job.
+                yield index, _result_type(jobs[index]).from_payload(
+                    result.payload(), jobs[index])
 
         digests = list(pending)
         for position, digest in enumerate(digests):

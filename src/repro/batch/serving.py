@@ -20,8 +20,8 @@ The service is three thin layers over machinery that already exists:
    and runs them as *one*
    :class:`~repro.batch.engine.BatchCompiler` batch through the
    existing :class:`~repro.batch.engine.Executor` seam.  Concurrent
-   load therefore reuses the digest dedup, the cache orchestration,
-   and -- with a ``local:N`` executor -- the process pool, unchanged.
+   load therefore reuses the digest dedup and the cache orchestration
+   unchanged.
 3. **Warm tier** -- the service's cache is a
    :class:`~repro.batch.cache.TieredCache`: a process-local LRU in
    front of whatever ``open_cache()`` backend the operator configured,
@@ -41,8 +41,17 @@ flag, the :class:`~repro.batch.engine.JobResult` payload under
 ``listing``.  Failures are ``ok: false`` error frames; an admission
 rejection additionally sets ``busy: true`` so clients can distinguish
 "overloaded, retry" from "wrong, don't".  Untrusted work is bounded
-before anything is queued: a request over :data:`MAX_SOURCE_BYTES`,
-:data:`MAX_ACCESSES` or :data:`MAX_ARRAYS` is answered an error frame.
+before anything is compiled, and each path answers a request over a
+bound with the same error frame:
+
+* every request: :data:`MAX_SOURCE_BYTES`, before the cache is asked;
+* a cache miss (cold): :data:`MAX_ACCESSES` and :data:`MAX_ARRAYS`, on
+  the handler thread's parse, before the request is queued;
+* a cache hit (warm): :data:`MAX_ACCESSES`, on the stored result's
+  ``n_accesses`` -- a shared ``dir:`` store may hold results that
+  ``repro-agu batch`` computed without these bounds;
+* a listing not yet stored: all three, as cold, before the listing is
+  compiled on the handler thread.
 
 Served output is bit-identical to what a direct
 :class:`~repro.batch.engine.BatchCompiler` run produces for the same
@@ -89,6 +98,15 @@ MAX_ARRAYS = 32
 #: Entry bound of the warm in-process LRU tier in front of the result
 #: store.
 WARM_CAPACITY = 4096
+
+
+def _check_accesses(n_accesses: int) -> None:
+    """Raise the error frame's :class:`BatchError` for a kernel over
+    :data:`MAX_ACCESSES`."""
+    if n_accesses > MAX_ACCESSES:
+        raise BatchError(
+            f"kernel has {n_accesses} array accesses per iteration; "
+            f"this server accepts at most {MAX_ACCESSES}")
 
 
 class ServerBusyError(BatchError):
@@ -510,10 +528,16 @@ class CompileService:
         result = JobResult.from_payload(payload, job) \
             if payload is not None else None
         if result is not None:
+            try:
+                _check_accesses(result.n_accesses)
+                response = self._answer(job, result.payload(),
+                                        cached=True,
+                                        want_listing=want_listing)
+            except BatchError as error:
+                return self._reject(error)
             with self._stats_lock:
                 self.stats.served_warm += 1
-            return self._answer(job, result.payload(), cached=True,
-                                want_listing=want_listing)
+            return response
         try:
             kernel = self._check_kernel(job)
         # repro-lint: disable=BROAD-EXCEPT -- not swallowed: a frontend syntax error or an over-limit kernel is this request's error frame
@@ -578,14 +602,16 @@ class CompileService:
         produced on demand -- an allocation-only rerun of the pipeline
         (no simulation), deterministic and therefore cacheable next to
         the result payload.  ``kernel`` is the request's parse, when
-        it has one (a warm hit does not).
+        it has one; a warm hit has none, and its parse is bounded like
+        a cold request's before it is compiled here.
         """
         key = f"{job.digest}/listing"
         stored = self.cache.get(key)
         if stored is not None and isinstance(stored.get("listing"), str):
             return stored["listing"]
-        artifacts = compile_kernel(kernel or job.kernel(), job.spec,
-                                   job.config, run_simulation=False)
+        artifacts = compile_kernel(kernel or self._check_kernel(job),
+                                   job.spec, job.config,
+                                   run_simulation=False)
         self.cache.put(key, {"listing": artifacts.listing})
         return artifacts.listing
 
@@ -633,10 +659,7 @@ class CompileService:
         known to parse, within the limits.  Returns the kernel, which
         the request carries on so that it is parsed only here."""
         kernel = job.kernel()
-        if len(kernel.pattern) > MAX_ACCESSES:
-            raise BatchError(
-                f"kernel has {len(kernel.pattern)} array accesses per "
-                f"iteration; this server accepts at most {MAX_ACCESSES}")
+        _check_accesses(len(kernel.pattern))
         if len(kernel.arrays) > MAX_ARRAYS:
             raise BatchError(
                 f"kernel declares {len(kernel.arrays)} arrays; this "

@@ -25,8 +25,9 @@ report
 serve
     Run the compile-as-a-service front door: a persistent TCP endpoint
     that answers single-kernel compile requests -- admission-controlled
-    and micro-batched through the batch engine, with a warm in-process
-    cache tier in front of any cache store and any executor backend.
+    and micro-batched through the batch engine (compiling inline on
+    the service process), with a warm in-process cache tier in front
+    of any cache store.
 """
 
 from __future__ import annotations
@@ -281,7 +282,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         service = CompileService(
             args.cache, host=args.host, port=args.port,
-            executor=args.executor,
             batch_window=args.batch_window, max_batch=args.max_batch,
             max_pending=args.max_pending,
             idle_timeout=args.idle_timeout or None)
@@ -524,7 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8743,
         help="TCP port (default 8743; 0 picks an ephemeral port, "
              "printed on startup)")
-    _add_executor_argument(compile_serve_parser)
     compile_serve_parser.add_argument(
         "--batch-window", type=float, default=0.005,
         help="seconds to wait for concurrent requests to coalesce "

@@ -397,6 +397,20 @@ class TestOneDeliveryPath:
         assert report.n_cache_hits == len(warm) + 1  # + the twin
         assert report.result("twin").from_cache
 
+    def test_an_in_batch_duplicate_point_keeps_its_own_index(self):
+        """A duplicate slot is built as a cache hit is: its display
+        metadata (name, a point's index) comes from its own job."""
+        config = dataclasses.replace(
+            get_experiment("kernels").quick_config(),
+            kernel_names=("fir8", "saxpy", "fir8"))
+        jobs = experiment_point_jobs("kernels", config)
+        assert job_digest(jobs[0]) == job_digest(jobs[2])
+        report = BatchCompiler().compile(jobs)
+        assert [result.index for result in report.results] == [0, 1, 2]
+        assert [result.from_cache for result in report.results] \
+            == [False, False, True]
+        assert report.results[2].payload() == report.results[0].payload()
+
 
 class TestBatchReport:
     @pytest.fixture(scope="class")

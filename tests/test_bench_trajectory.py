@@ -1,15 +1,19 @@
 """Unit tests for the perf-trajectory layer (tools/).
 
-``tools/bench_trajectory.py`` records labelled benchmark runs into
-``BENCH_<n>.json``; ``tools/check_bench_regression.py`` gates fresh
-runs against the committed trajectory and proves speedups between two
-labelled runs.  These tests cover the pure parts -- schema round-trip,
+``tools/bench_trajectory.py`` records labelled runs -- the solver
+micro-suite plus one traced perfbench run per workload -- into
+``BENCH_<n>.json``; ``tools/check_bench_regression.py`` gates a fresh
+run against the committed one (exact perfbench counts, ``failed``, the
+solver benches' wall time) and proves speedups between two labelled
+runs.  These tests cover the pure parts on JSON -- schema round-trip,
 run upsert/lookup, gate pass/fail/tolerance edges, the speedup
-geomean -- without ever spawning a real pytest-benchmark subprocess.
+geomean -- without ever spawning pytest-benchmark or perfbench.
 """
 
 import importlib.util
+import json
 import random
+import shutil
 import sys
 from pathlib import Path
 
@@ -30,6 +34,9 @@ def _load(name: str):
 
 trajectory = _load("bench_trajectory")
 gate = _load("check_bench_regression")
+catalogue = trajectory.perfbench_catalogue()
+REPO_ROOT = TOOLS.parent
+WORKLOADS = [workload.name for workload in catalogue.WORKLOADS]
 
 
 def make_entries(**seconds: float) -> dict:
@@ -38,12 +45,32 @@ def make_entries(**seconds: float) -> dict:
             for name, value in seconds.items()}
 
 
+def make_workloads(failed: int = 0) -> dict:
+    """A perfbench ``workloads`` map: every workload's result line, one
+    distinct value per metric."""
+    return {
+        name: {"correct": failed == 0, "attempted": 100,
+               "failed": failed,
+               "metrics": {metric.name: {"value": float(index),
+                                         "unit": metric.unit}
+                           for index, metric in
+                           enumerate(catalogue.PER_LAYER)}}
+        for name in WORKLOADS}
+
+
+def edited(workloads: dict, workload: str, metric: str,
+           value=12345.5) -> dict:
+    copy = json.loads(json.dumps(workloads))
+    copy[workload]["metrics"][metric]["value"] = value
+    return copy
+
+
 class TestTrajectorySchema:
     def test_round_trip(self, tmp_path):
         record = trajectory.empty_trajectory()
         run = trajectory.build_run(
             "before", make_entries(bench_a=0.5, bench_b=0.01),
-            selection="solver", note="seed state")
+            make_workloads(), note="seed state")
         trajectory.upsert_run(record, run)
         path = tmp_path / "BENCH_T.json"
         trajectory.save_trajectory(path, record)
@@ -52,14 +79,14 @@ class TestTrajectorySchema:
         assert loaded["schema"] == trajectory.TRAJECTORY_SCHEMA
         got = trajectory.get_run(loaded, "before")
         assert got["entries"] == run["entries"]
+        assert got["workloads"] == run["workloads"]
         assert got["note"] == "seed state"
-        assert got["selection"] == "solver"
         assert "machine" in got and "git_rev" in got
 
     def test_save_is_deterministic(self, tmp_path):
         record = trajectory.empty_trajectory()
         run = trajectory.build_run("x", make_entries(b=1.0, a=2.0),
-                                   selection="all")
+                                   make_workloads())
         trajectory.upsert_run(record, run)
         first = tmp_path / "a.json"
         second = tmp_path / "b.json"
@@ -84,9 +111,9 @@ class TestTrajectorySchema:
     def test_upsert_replaces_same_label(self):
         record = trajectory.empty_trajectory()
         trajectory.upsert_run(record, trajectory.build_run(
-            "ci", make_entries(a=1.0), selection="s"))
+            "ci", make_entries(a=1.0), {}))
         trajectory.upsert_run(record, trajectory.build_run(
-            "ci", make_entries(a=2.0), selection="s"))
+            "ci", make_entries(a=2.0), {}))
         assert len(record["runs"]) == 1
         assert trajectory.get_run(record, "ci")["entries"]["a"][
             "seconds"] == 2.0
@@ -94,9 +121,9 @@ class TestTrajectorySchema:
     def test_get_run_default_is_last(self):
         record = trajectory.empty_trajectory()
         trajectory.upsert_run(record, trajectory.build_run(
-            "before", make_entries(a=1.0), selection="s"))
+            "before", make_entries(a=1.0), {}))
         trajectory.upsert_run(record, trajectory.build_run(
-            "after", make_entries(a=0.5), selection="s"))
+            "after", make_entries(a=0.5), {}))
         assert trajectory.get_run(record)["label"] == "after"
         with pytest.raises(ValueError, match="no run labelled"):
             trajectory.get_run(record, "nope")
@@ -116,6 +143,40 @@ class TestTrajectorySchema:
         assert list(entries) == ["bench_a", "bench_z"]  # sorted
         assert entries["bench_z"] == {"seconds": 0.2,
                                       "mean_seconds": 0.3, "rounds": 7}
+
+    @pytest.mark.parametrize("name, runs", [
+        ("BENCH_6.json", ("before", "after")),
+        ("BENCH_7.json", ("before-trace", "no-fleet")),
+    ])
+    def test_schema_1_files_still_load_for_compare(self, name, runs,
+                                                    capsys):
+        path = REPO_ROOT / name
+        assert trajectory.load_trajectory(path)["schema"] == 1
+        assert gate.main(["--trajectory", str(path), "--compare", *runs,
+                          "--match", "solver"]) == 0
+        assert "geometric-mean speedup" in capsys.readouterr().out
+
+    def test_recording_into_a_schema_1_file_is_refused(self, tmp_path,
+                                                       capsys):
+        """Checked before anything is measured."""
+        old = tmp_path / "BENCH_7.json"
+        shutil.copy(REPO_ROOT / "BENCH_7.json", old)
+        with pytest.raises(SystemExit) as exit_info:
+            trajectory.main(["--label", "x", "--output", str(old)])
+        assert exit_info.value.code == 2
+        assert "schema-1" in capsys.readouterr().err
+
+    def test_the_committed_baseline_covers_every_workload(self):
+        path = trajectory.default_trajectory_path()
+        record = trajectory.load_trajectory(path)
+        assert record["schema"] == trajectory.TRAJECTORY_SCHEMA
+        run = trajectory.get_run(record)
+        assert run["entries"] and all(
+            "solver" in name for name in run["entries"])
+        assert sorted(run["workloads"]) == sorted(WORKLOADS)
+        for result in run["workloads"].values():
+            assert result["failed"] == 0
+            assert set(gate.exact_metrics()) <= set(result["metrics"])
 
 
 class TestRegressionGate:
@@ -175,15 +236,95 @@ class TestRegressionGate:
             gate.speedup_report(base, cur, match="nothing-like-this")
 
 
+class TestCountGate:
+    def test_identical_runs_pass(self):
+        lines, failures = gate.compare_workloads(make_workloads(),
+                                                 make_workloads())
+        assert failures == []
+        assert len(lines) == len(WORKLOADS)
+
+    def test_editing_any_exact_count_fails_naming_it(self):
+        base = make_workloads()
+        for workload in WORKLOADS:
+            for metric in gate.exact_metrics():
+                _lines, failures = gate.compare_workloads(
+                    base, edited(base, workload, metric))
+                assert len(failures) == 1
+                assert failures[0].startswith(f"{workload}: {metric} ")
+
+    def test_times_and_timing_dependent_counts_never_fail(self):
+        free = [metric.name for metric in catalogue.PER_LAYER
+                if metric.name not in gate.exact_metrics()]
+        assert any(name.endswith("_ms") for name in free)
+        assert any(metric.timing_dependent
+                   for metric in catalogue.PER_LAYER)
+        current = make_workloads()
+        for workload in WORKLOADS:
+            for metric in free:
+                current = edited(current, workload, metric, value=1e9)
+        assert gate.compare_workloads(make_workloads(), current)[1] == []
+
+    def test_a_missing_workload_fails(self):
+        current = make_workloads()
+        del current["batch-warm"]
+        _lines, failures = gate.compare_workloads(make_workloads(),
+                                                  current)
+        assert failures == ["batch-warm: missing from current run"]
+
+    def test_failed_operations_fail(self):
+        _lines, failures = gate.compare_workloads(
+            make_workloads(), make_workloads(failed=2))
+        assert sorted(failures) == sorted(
+            f"{name}: failed = 2 of 100" for name in WORKLOADS)
+
+    def test_a_new_workload_passes_unless_it_failed(self):
+        base = make_workloads()
+        del base["serve"]
+        assert gate.compare_workloads(base, make_workloads())[1] == []
+        current = make_workloads()
+        current["serve"]["failed"] = 1
+        assert gate.compare_workloads(base, current)[1] \
+            == ["serve: failed = 1 of 100"]
+
+    def test_exact_metrics_are_read_from_the_catalogue(self, monkeypatch):
+        assert set(gate.exact_metrics()) == {
+            metric.name for metric in catalogue.PER_LAYER
+            if metric.unit in ("count", "ratio")
+            and not metric.timing_dependent}
+        added = catalogue.Metric("new.calls", "count", "lower", "new")
+        monkeypatch.setattr(catalogue, "PER_LAYER",
+                            (*catalogue.PER_LAYER, added))
+        assert "new.calls" in gate.exact_metrics()
+
+
 class TestGateCli:
-    def _write(self, tmp_path, name, runs):
+    def _write(self, tmp_path, name, runs, workloads=None):
         record = trajectory.empty_trajectory()
         for label, entries in runs:
             trajectory.upsert_run(record, trajectory.build_run(
-                label, entries, selection="solver"))
+                label, entries, workloads or make_workloads()))
         path = tmp_path / name
         trajectory.save_trajectory(path, record)
         return path
+
+    def test_gate_mode_fails_on_one_edited_count(self, tmp_path, capsys):
+        committed = self._write(tmp_path, "BENCH_T.json",
+                                [("baseline", make_entries(a=0.1))])
+        fresh = self._write(
+            tmp_path, "fresh.json", [("ci", make_entries(a=0.1))],
+            edited(make_workloads(), "library", "merge.steps"))
+        assert gate.main(["--trajectory", str(committed),
+                          "--current", str(fresh)]) == 1
+        assert "library: merge.steps" in capsys.readouterr().err
+
+    def test_gate_mode_needs_a_schema_2_baseline(self, tmp_path, capsys):
+        fresh = self._write(tmp_path, "fresh.json",
+                            [("ci", make_entries(a=0.1))])
+        with pytest.raises(SystemExit) as exit_info:
+            gate.main(["--trajectory", str(REPO_ROOT / "BENCH_7.json"),
+                       "--current", str(fresh)])
+        assert exit_info.value.code == 2
+        assert "no perfbench workloads" in capsys.readouterr().err
 
     def test_gate_mode_pass_and_fail(self, tmp_path, capsys):
         committed = self._write(tmp_path, "BENCH_T.json",

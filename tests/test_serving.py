@@ -416,6 +416,32 @@ class TestFrontDoorLimits:
         assert service.stats.failures == 1
         assert service.stats.batches == 1
 
+    @pytest.mark.parametrize("source, listing, match", [
+        (wide_kernel(1, serving.MAX_ACCESSES + 4), False,
+         "array accesses"),
+        (wide_kernel(1, serving.MAX_ACCESSES + 4), True,
+         "array accesses"),
+        (wide_kernel(serving.MAX_ARRAYS + 1, serving.MAX_ARRAYS + 1),
+         True, "declares"),
+    ], ids=["accesses", "accesses-listing", "arrays-listing"])
+    def test_a_stored_over_limit_result_gets_the_cold_error_frame(
+            self, source, listing, match):
+        """A shared store may hold a result that a batch run computed
+        without the serve bounds.  A warm hit over MAX_ACCESSES, and a
+        listing compiled for a warm hit, are answered as cold."""
+        request = {"op": "compile", "source": source, "listing": listing}
+        with CompileService() as cold:
+            cold_answer = cold.handle_request(dict(request))
+        store = InMemoryLRUCache()
+        BatchCompiler(cache=store).compile(
+            [BatchJob(name="wide", spec=SPEC, source=source)])
+        with CompileService(store) as warm:
+            answer = warm.handle_request(dict(request))
+            assert warm.stats.failures == 1
+            assert warm.stats.served_warm == 0
+        assert match in answer["error"]
+        assert answer == cold_answer
+
     def test_kernels_at_the_limits_compile(self, service, client):
         at_limit = wide_kernel(serving.MAX_ARRAYS, serving.MAX_ACCESSES)
         answer = client.compile(at_limit, registers=8)

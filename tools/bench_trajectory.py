@@ -1,22 +1,23 @@
 """Record a performance-trajectory run into a ``BENCH_<n>.json`` file.
 
-The repo's benchmarks (``benchmarks/bench_perf_scaling.py``) measure the
-solver hot paths and the batch throughput, but a bench run that
-is not *recorded* cannot prove a speedup or catch a regression.  This
-runner executes a selection of those benchmarks under pytest-benchmark,
-lowers the result to a schema-versioned *trajectory record* -- per-bench
-wall seconds, a machine fingerprint, the git revision -- and merges it
-into a ``BENCH_<n>.json`` file at the repo root, one labelled run per
-measurement campaign (e.g. ``before`` / ``after`` an optimization PR).
+One run measures two things:
 
-``tools/check_bench_regression.py`` consumes the same file: CI re-runs
-the suite and compares fresh numbers against the committed trajectory.
-See ``docs/BENCHMARKS.md`` for the full workflow.
+* the ``-k solver`` micro-suite of ``benchmarks/bench_perf_scaling.py``
+  under pytest-benchmark, lowered to per-bench wall seconds;
+* the repository benchmark, ``perfbench/run.py --trace 1``, once per
+  workload in ``perfbench/catalogue.py`` at a fixed seed and run
+  length, kept as the result line that run prints (its exact work
+  counts, per-layer times, and ``failed``).
+
+The run -- labelled, with a machine fingerprint and the git revision --
+is merged into a schema-versioned trajectory file at the repo root.
+``tools/check_bench_regression.py`` consumes the same file: CI records
+a fresh run and gates it against the committed one.  See
+``docs/BENCHMARKS.md`` for the full workflow.
 
 Usage::
 
-    python tools/bench_trajectory.py --label after            # default -k
-    python tools/bench_trajectory.py --label before -k solver
+    python tools/bench_trajectory.py --label baseline
     python tools/bench_trajectory.py --label ci --output /tmp/fresh.json
 """
 
@@ -24,6 +25,8 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
+import importlib.util
 import json
 import os
 import platform
@@ -32,30 +35,51 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Any
+from types import ModuleType
 
 #: Version of the trajectory record layout; bump on breaking changes.
-TRAJECTORY_SCHEMA = 1
+#: Schema 2 added the perfbench ``workloads`` map to each run.
+TRAJECTORY_SCHEMA = 2
+#: Schemas :func:`load_trajectory` reads.  Schema-1 runs hold only
+#: bench ``entries``, which ``--compare`` still works on.
+READABLE_SCHEMAS = (1, 2)
 
-#: The default bench selection: the solver hot-path micro-suite, the
-#: cold EXP-S1 grid (the end-to-end number the solvers feed), the
-#: and the compile-service latency benches (whose p50/p95/p99 SLO
-#: numbers ride along in ``extra_info``).
-DEFAULT_SELECTION = "solver or stats_grid_cold or bench_serve"
-
-#: The bench module every trajectory run executes.
+#: The bench module and ``-k`` selection every trajectory run records.
 BENCH_FILE = "benchmarks/bench_perf_scaling.py"
+BENCH_SELECTION = "solver"
+
+#: perfbench's seed and run length.  The exact counts are per round and
+#: do not depend on the run length (every run times at least two traced
+#: rounds); two seconds keeps a recording to about half a minute.
+PERFBENCH_SEED = 3
+PERFBENCH_SECONDS = 2
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+@functools.cache
+def perfbench_catalogue() -> ModuleType:
+    """``perfbench/catalogue.py``: the workloads and the metrics, with
+    their units and which counts are timing-dependent.
+
+    Loaded from its file under a name of its own, so the benchmark's
+    directory never joins ``sys.path``.
+    """
+    name = "perfbench_catalogue"
+    spec = importlib.util.spec_from_file_location(
+        name, REPO_ROOT / "perfbench" / "catalogue.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def machine_fingerprint() -> dict:
     """A stable identification of the machine a run was measured on.
 
     Trajectory comparisons across different fingerprints are still
-    possible (wall-clock ratios transfer roughly), but the gate warns,
-    and regenerating the committed trajectory on the CI machine class
-    is the supported way to tighten tolerances.
+    possible (wall-clock ratios transfer roughly, counts exactly), but
+    the gate warns.
     """
     return {
         "platform": platform.platform(),
@@ -77,10 +101,9 @@ def git_revision(repo_root: Path = REPO_ROOT) -> str:
     return out.stdout.strip() if out.returncode == 0 else "unknown"
 
 
-def run_benchmarks(selection: str,
-                   repo_root: Path = REPO_ROOT,
-                   bench_file: str = BENCH_FILE) -> dict:
-    """Run the bench suite under pytest-benchmark, return its JSON.
+def run_solver_suite(repo_root: Path = REPO_ROOT) -> dict:
+    """Run the solver micro-suite under pytest-benchmark, return its
+    JSON report.
 
     Raises ``RuntimeError`` when pytest fails or selects nothing.
     """
@@ -94,12 +117,12 @@ def run_benchmarks(selection: str,
     with tempfile.TemporaryDirectory(prefix="bench-trajectory-") as tmp:
         report = Path(tmp) / "benchmark.json"
         command = [
-            sys.executable, "-m", "pytest", bench_file,
+            sys.executable, "-m", "pytest", BENCH_FILE,
             "-o", "python_files=bench_*.py",
             "-o", "python_functions=bench_*",
             "--benchmark-only", "-q", "-p", "no:cacheprovider",
             f"--benchmark-json={report}",
-            "-k", selection,
+            "-k", BENCH_SELECTION,
         ]
         proc = subprocess.run(command, cwd=repo_root, env=env,
                               capture_output=True, text=True)
@@ -110,7 +133,7 @@ def run_benchmarks(selection: str,
         data = json.loads(report.read_text(encoding="utf-8"))
     if not data.get("benchmarks"):
         raise RuntimeError(
-            f"selection {selection!r} matched no benchmarks")
+            f"selection {BENCH_SELECTION!r} matched no benchmarks")
     return data
 
 
@@ -120,26 +143,45 @@ def entries_from_pytest_benchmark(data: dict) -> dict[str, dict]:
     One entry per bench, keyed by the parametrized bench name; wall
     times are seconds.  ``seconds`` (the per-round minimum) is what the
     regression gate compares -- it is the most machine-noise-resistant
-    single number pytest-benchmark reports.  A bench's ``extra_info``
-    (e.g. the serve SLO's p50/p95/p99 milliseconds) is carried through
-    verbatim so the committed trajectory archives it.
+    single number pytest-benchmark reports.
     """
     entries: dict[str, dict] = {}
     for bench in data["benchmarks"]:
         stats = bench["stats"]
-        entry = {
+        entries[bench["name"]] = {
             "seconds": stats["min"],
             "mean_seconds": stats["mean"],
             "rounds": stats["rounds"],
         }
-        if bench.get("extra_info"):
-            entry["extra_info"] = bench["extra_info"]
-        entries[bench["name"]] = entry
     return dict(sorted(entries.items()))
 
 
-def build_run(label: str, entries: dict[str, dict], *,
-              selection: str,
+def run_perfbench(workload: str, repo_root: Path = REPO_ROOT) -> dict:
+    """One traced perfbench run of ``workload``: its result line
+    (``{"correct", "attempted", "failed", "metrics"}``).
+
+    Raises ``RuntimeError`` when the run exits nonzero or its last
+    line is not a JSON result.
+    """
+    command = [sys.executable, str(repo_root / "perfbench" / "run.py"),
+               "--workload", workload, "--seed", str(PERFBENCH_SEED),
+               "--seconds", str(PERFBENCH_SECONDS), "--trace", "1"]
+    proc = subprocess.run(command, cwd=repo_root, capture_output=True,
+                          text=True)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1]) if lines else None
+    except json.JSONDecodeError:
+        result = None
+    if proc.returncode != 0 or not isinstance(result, dict):
+        raise RuntimeError(
+            f"perfbench {workload} failed (exit {proc.returncode}):\n"
+            f"{proc.stdout}\n{proc.stderr}")
+    return result
+
+
+def build_run(label: str, entries: dict[str, dict],
+              workloads: dict[str, dict], *,
               note: str | None = None,
               repo_root: Path = REPO_ROOT) -> dict:
     """Assemble one labelled trajectory run record."""
@@ -148,9 +190,9 @@ def build_run(label: str, entries: dict[str, dict], *,
         "created": datetime.datetime.now(datetime.timezone.utc)
         .isoformat(timespec="seconds"),
         "git_rev": git_revision(repo_root),
-        "selection": selection,
         "machine": machine_fingerprint(),
         "entries": entries,
+        "workloads": workloads,
     }
     if note:
         run["note"] = note
@@ -159,18 +201,17 @@ def build_run(label: str, entries: dict[str, dict], *,
 
 def empty_trajectory() -> dict:
     """A fresh trajectory record with no runs."""
-    return {"schema": TRAJECTORY_SCHEMA,
-            "suite": Path(BENCH_FILE).stem, "runs": []}
+    return {"schema": TRAJECTORY_SCHEMA, "runs": []}
 
 
 def load_trajectory(path: Path) -> dict:
-    """Load and schema-check a trajectory file."""
+    """Load and schema-check a trajectory file (schema 1 or 2)."""
     record = json.loads(path.read_text(encoding="utf-8"))
     schema = record.get("schema")
-    if schema != TRAJECTORY_SCHEMA:
+    if schema not in READABLE_SCHEMAS:
         raise ValueError(
             f"{path}: unsupported trajectory schema {schema!r} "
-            f"(this tool speaks schema {TRAJECTORY_SCHEMA})")
+            f"(this tool reads schemas {READABLE_SCHEMAS})")
     if not isinstance(record.get("runs"), list):
         raise ValueError(f"{path}: malformed trajectory (no runs list)")
     return record
@@ -221,13 +262,11 @@ def default_trajectory_path(repo_root: Path = REPO_ROOT) -> Path:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = argparse.ArgumentParser(
-        description="record a labelled benchmark run into the perf "
+        description="record a labelled run (solver micro-suite plus "
+                    "traced perfbench workloads) into the perf "
                     "trajectory (BENCH_<n>.json)")
     parser.add_argument("--label", required=True,
-                        help="run label (e.g. before, after, ci)")
-    parser.add_argument("-k", "--selection", default=DEFAULT_SELECTION,
-                        help=f"pytest -k bench selection "
-                             f"(default: {DEFAULT_SELECTION!r})")
+                        help="run label (e.g. baseline, ci)")
     parser.add_argument("--output", type=Path, default=None,
                         help="trajectory file (default: the highest-"
                              "numbered BENCH_<n>.json at the repo root)")
@@ -240,24 +279,34 @@ def main(argv: list[str] | None = None) -> int:
 
     output: Path = args.output if args.output is not None \
         else default_trajectory_path()
-    print(f"running: pytest {BENCH_FILE} -k {args.selection!r} ...")
-    data = run_benchmarks(args.selection)
-    entries = entries_from_pytest_benchmark(data)
-    run = build_run(args.label, entries, selection=args.selection,
-                    note=args.note)
-
+    record = empty_trajectory()
     if output.exists() and not args.fresh:
         record = load_trajectory(output)
-    else:
-        record = empty_trajectory()
+        if record["schema"] != TRAJECTORY_SCHEMA:
+            parser.error(f"{output} is a schema-{record['schema']} "
+                         f"trajectory; record into a new file (--fresh)")
+
+    names = [workload.name for workload in perfbench_catalogue().WORKLOADS]
+    print(f"running: pytest {BENCH_FILE} -k {BENCH_SELECTION!r} ...")
+    entries = entries_from_pytest_benchmark(run_solver_suite())
+    workloads = {}
+    for name in names:
+        print(f"running: perfbench/run.py --workload {name} --seed "
+              f"{PERFBENCH_SEED} --seconds {PERFBENCH_SECONDS} "
+              f"--trace 1 ...")
+        workloads[name] = run_perfbench(name)
+    run = build_run(args.label, entries, workloads, note=args.note)
     upsert_run(record, run)
     save_trajectory(output, record)
 
-    width = max(len(name) for name in entries)
-    print(f"\ntrajectory run {args.label!r} "
-          f"({len(entries)} benches) -> {output}")
+    width = max(len(name) for name in [*entries, *workloads])
+    print(f"\ntrajectory run {args.label!r} ({len(entries)} benches, "
+          f"{len(workloads)} workloads) -> {output}")
     for name, entry in entries.items():
         print(f"  {name:<{width}}  {entry['seconds'] * 1000:10.3f} ms")
+    for name, result in workloads.items():
+        print(f"  {name:<{width}}  {result['attempted']} attempted, "
+              f"{result['failed']} failed")
     return 0
 
 

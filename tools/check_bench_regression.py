@@ -1,20 +1,25 @@
-"""Gate the committed perf trajectory against a fresh benchmark run.
+"""Gate the committed perf trajectory against a fresh run.
 
 Two modes over the ``BENCH_<n>.json`` files that
 ``tools/bench_trajectory.py`` writes:
 
-* **gate** (default): compare a freshly measured run against the
-  committed trajectory's baseline run; any bench slower than
-  ``tolerance x`` its committed wall time fails the check.  This is the
-  CI regression gate: it keeps the trajectory honest without flaking on
-  machine noise (the default tolerance is deliberately loose; tighten
-  it once the trajectory is regenerated on the CI machine class).
+* **gate** (default): compare a freshly recorded run against the
+  committed trajectory's baseline run.  It fails when an exact
+  perfbench metric -- unit ``count`` or ``ratio`` and not
+  ``timing_dependent`` in ``perfbench/catalogue.py`` -- differs from
+  the baseline on any workload, when a baseline workload is missing or
+  any workload reports ``failed`` above 0, or when a solver micro-bench
+  is slower than ``tolerance x`` its committed wall time.  Per-layer
+  times are recorded but not gated: the benchmark's bounds apply to
+  untraced end-to-end metrics, and their spread on a CI runner is
+  unmeasured.
 
 * **compare** (``--compare A B``): print the per-bench speedup between
   two labelled runs of one trajectory file (e.g. ``before`` vs
   ``after``), optionally enforcing a minimum geometric-mean speedup
   over a name filter -- how this repo proves "the solver micro-suite
-  got >= 3x faster" in CI rather than in prose.
+  got >= 3x faster" in CI rather than in prose.  Schema-1 files load
+  here too.
 
 See ``docs/BENCHMARKS.md`` for the workflow.
 """
@@ -26,12 +31,50 @@ import math
 import sys
 from pathlib import Path
 
-from bench_trajectory import get_run, load_trajectory
+from bench_trajectory import get_run, load_trajectory, perfbench_catalogue
 
 #: Default slowdown factor tolerated before the gate fails.  Generous
 #: on purpose: CI machines are noisy and heterogenous; real hot-path
 #: regressions are well above this.
 DEFAULT_TOLERANCE = 3.0
+
+
+def exact_metrics() -> tuple[str, ...]:
+    """The per-layer metrics the gate holds equal, in catalogue order:
+    every count or ratio perfbench does not mark timing-dependent."""
+    return tuple(
+        metric.name for metric in perfbench_catalogue().PER_LAYER
+        if metric.unit in ("count", "ratio")
+        and not metric.timing_dependent)
+
+
+def compare_workloads(baseline: dict[str, dict], current: dict[str, dict]
+                      ) -> tuple[list[str], list[str]]:
+    """Compare two perfbench ``workloads`` maps; returns
+    ``(report_lines, failures)``, each failure naming the workload and,
+    when one moved, the metric.  A workload or metric newer than the
+    baseline has nothing to equal yet, but must not fail either.
+    """
+    lines: list[str] = []
+    failures: list[str] = []
+    for name in sorted(set(baseline) | set(current)):
+        if name not in current:
+            failures.append(f"{name}: missing from current run")
+            continue
+        result = current[name]
+        if result["failed"] > 0:
+            failures.append(f"{name}: failed = {result['failed']} "
+                            f"of {result['attempted']}")
+        base = baseline.get(name, {}).get("metrics", {})
+        checked = [metric for metric in exact_metrics() if metric in base]
+        for metric in checked:
+            was = base[metric]["value"]
+            now = result["metrics"].get(metric, {}).get("value")
+            if now != was:
+                failures.append(f"{name}: {metric} {was} -> {now}")
+        lines.append(f"  {name}: {len(checked)} exact metrics checked, "
+                     f"failed = {result['failed']}")
+    return lines, failures
 
 
 def compare_entries(baseline: dict[str, dict], current: dict[str, dict],
@@ -126,8 +169,9 @@ def main(argv: list[str] | None = None) -> int:
                              "(default: the last run)")
     parser.add_argument("--tolerance", type=float,
                         default=DEFAULT_TOLERANCE,
-                        help="allowed slowdown factor before the gate "
-                             f"fails (default {DEFAULT_TOLERANCE:g})")
+                        help="allowed solver-bench slowdown factor "
+                             "before the gate fails (default "
+                             f"{DEFAULT_TOLERANCE:g})")
     parser.add_argument("--require-all", action="store_true",
                         help="fail when a committed bench is missing "
                              "from the current run")
@@ -167,23 +211,33 @@ def main(argv: list[str] | None = None) -> int:
     if args.current is None:
         parser.error("gate mode needs --current (or use --compare)")
     baseline_run = get_run(trajectory, args.baseline_label)
+    if not baseline_run.get("workloads"):
+        parser.error(f"run {baseline_run['label']!r} of "
+                     f"{args.trajectory} records no perfbench workloads; "
+                     f"gate against a schema-2 trajectory")
     current_run = get_run(load_trajectory(args.current),
                           args.current_label)
     _warn_on_machine_mismatch(baseline_run, current_run)
-    lines, failures = compare_entries(
+    count_lines, count_failures = compare_workloads(
+        baseline_run["workloads"], current_run.get("workloads", {}))
+    bench_lines, bench_failures = compare_entries(
         baseline_run["entries"], current_run["entries"],
         tolerance=args.tolerance, require_all=args.require_all)
     print(f"regression gate vs {args.trajectory.name} "
-          f"run {baseline_run['label']!r} "
-          f"(tolerance {args.tolerance:g}x):")
-    print("\n".join(lines))
+          f"run {baseline_run['label']!r}")
+    print("perfbench exact counts (seed and run length fixed):")
+    print("\n".join(count_lines))
+    print(f"solver micro-suite (tolerance {args.tolerance:g}x):")
+    print("\n".join(bench_lines))
+    failures = count_failures + bench_failures
     if failures:
-        print(f"\nFAIL: {len(failures)} bench(es) regressed past "
-              f"{args.tolerance:g}x:", file=sys.stderr)
+        print(f"\nFAIL: {len(failures)} check(s) failed:",
+              file=sys.stderr)
         for failure in failures:
             print(f"  {failure}", file=sys.stderr)
         return 1
-    print("\nOK: no bench regressed past the tolerance")
+    print("\nOK: every exact count equals the baseline, no workload "
+          "failed, no bench regressed past the tolerance")
     return 0
 
 
