@@ -38,6 +38,15 @@ class AddressProgram:
     ``overhead_per_iteration`` counts the unit-cost instructions in the
     body; by construction it equals the allocation's steady-state cost,
     and the simulator re-verifies that dynamically.
+
+    The instructions carry no text: the listing derives each comment
+    from the pattern and cover, and relies on this layout, which it
+    checks as it renders.  The prologue holds the ``LoadMr`` preloads,
+    then one ``PointTo`` per path (register ``r`` at ``cover.paths[r]``'s
+    first access).  The body holds one ``Use`` per access in program
+    order; a ``Modify`` or ``PointTo`` in it retargets the register of
+    the ``Use`` right before it.  In the ``baseline`` program instead,
+    each ``Use`` is right after the ``PointTo`` that addresses it.
     """
 
     spec: AguSpec
@@ -48,6 +57,8 @@ class AddressProgram:
     #: MR extension: the constants preloaded into modify registers
     #: (``modify_values[j]`` lives in ``MRj``).  Empty = paper's model.
     modify_values: tuple[int, ...] = ()
+    #: True for :func:`generate_unoptimized_code`'s program.
+    baseline: bool = False
 
     @property
     def overhead_per_iteration(self) -> int:
@@ -116,40 +127,28 @@ def generate_address_code(pattern: AccessPattern, cover: PathCover,
                    for index, value in enumerate(modify_values)}
 
     register_of = cover.assignment()
-    paths = cover.paths
+    next_of = cover.successors()
 
     prologue: list[AddressInstruction] = []
     for index, value in enumerate(modify_values):
-        prologue.append(LoadMr(index, value,
-                               comment="MR extension preload"))
-    for register, path in enumerate(paths):
+        prologue.append(LoadMr(index, value))
+    for register, path in enumerate(cover.paths):
         first = pattern[path.first]
         prologue.append(PointTo(register, first.array, first.coefficient,
-                                first.offset,
-                                comment=f"{pattern.label(path.first)} of "
-                                        f"first iteration"))
+                                first.offset))
 
     body: list[AddressInstruction] = []
-    for position in range(len(pattern)):
+    for position, access in enumerate(pattern):
         register = register_of[position]
-        path = paths[register]
-        access = pattern[position]
-        rank = path.indices.index(position)
-        is_last = rank == len(path) - 1
-
+        target = pattern[next_of[position]]
+        is_last = next_of[position] <= position
         if not is_last:
-            target_position = path.indices[rank + 1]
-            target = pattern[target_position]
             delta = intra_distance(access, target)
-            target_comment = pattern.label(target_position)
             # The target is touched in the same iteration: point at its
             # address for the *current* loop value.
             retarget_offset = target.offset
         else:
-            target_position = path.first
-            target = pattern[target_position]
             delta = wrap_distance(access, target, pattern.step)
-            target_comment = pattern.label(target_position) + "'"
             # The target is touched in the *next* iteration: evaluated
             # with the current loop value, its offset must absorb one
             # loop step.
@@ -168,31 +167,19 @@ def generate_address_code(pattern: AccessPattern, cover: PathCover,
                 delta = concrete_wrap_distance(access, target,
                                                pattern.step, layout)
 
-        use_comment = (f"{pattern.label(position)}: {access}"
-                       f"  then -> {target_comment}")
         if delta is not None and abs(delta) <= spec.modify_range:
-            if delta == 0:
-                body.append(Use(register, position, post_modify=None,
-                                comment=use_comment))
-            else:
-                body.append(Use(register, position, post_modify=delta,
-                                comment=use_comment))
+            body.append(Use(register, position,
+                            post_modify=delta if delta else None))
         elif delta is not None and delta in mr_index_of:
             body.append(Use(register, position,
-                            post_modify_mr=mr_index_of[delta],
-                            comment=use_comment))
+                            post_modify_mr=mr_index_of[delta]))
         elif delta is not None:
-            body.append(Use(register, position, post_modify=None,
-                            comment=use_comment))
-            body.append(Modify(register, delta,
-                               comment=f"-> {target_comment}"))
+            body.append(Use(register, position))
+            body.append(Modify(register, delta))
         else:
-            body.append(Use(register, position, post_modify=None,
-                            comment=use_comment))
+            body.append(Use(register, position))
             body.append(PointTo(register, target.array, target.coefficient,
-                                retarget_offset,
-                                comment=f"-> {target_comment} "
-                                        f"(cross-array)"))
+                                retarget_offset))
 
     program = AddressProgram(spec, pattern, cover, tuple(prologue),
                              tuple(body), tuple(modify_values))
@@ -213,18 +200,18 @@ def generate_unoptimized_code(pattern: AccessPattern,
     and optimized numbers come from the same audited machinery.
     """
     if len(pattern) == 0:
-        return AddressProgram(spec, pattern, PathCover((), 0), (), ())
+        return AddressProgram(spec, pattern, PathCover((), 0), (), (),
+                              baseline=True)
     # A single path covering everything (the register is re-pointed
     # before every access anyway, so the path structure is nominal).
     cover = PathCover.from_lists([range(len(pattern))], len(pattern))
     body: list[AddressInstruction] = []
     for position, access in enumerate(pattern):
         body.append(PointTo(0, access.array, access.coefficient,
-                            access.offset,
-                            comment=f"{pattern.label(position)} address"))
-        body.append(Use(0, position,
-                        comment=f"{pattern.label(position)}: {access}"))
-    return AddressProgram(spec, pattern, cover, (), tuple(body))
+                            access.offset))
+        body.append(Use(0, position))
+    return AddressProgram(spec, pattern, cover, (), tuple(body),
+                          baseline=True)
 
 
 def _check_static_cost(program: AddressProgram,

@@ -38,7 +38,6 @@ class PointTo:
     array: str
     coefficient: int
     offset: int
-    comment: str = ""
 
     #: Unit cost: one extra instruction word, one extra cycle.
     cost = 1
@@ -64,7 +63,6 @@ class Modify:
 
     register: int
     delta: int
-    comment: str = ""
 
     #: Unit cost: one extra instruction word, one extra cycle.
     cost = 1
@@ -88,7 +86,6 @@ class LoadMr:
 
     mr_index: int
     value: int
-    comment: str = ""
 
     #: Unit cost: one extra instruction word, one extra cycle.
     cost = 1
@@ -118,7 +115,6 @@ class Use:
     position: int
     post_modify: int | None = None
     post_modify_mr: int | None = None
-    comment: str = ""
 
     #: The access itself costs nothing extra.
     cost = 0

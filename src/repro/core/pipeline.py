@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.agu.codegen import AddressProgram, generate_address_code
 from repro.agu.listing import program_listing
@@ -27,8 +28,16 @@ class CompilationArtifacts:
     allocation: AllocationResult
     program: AddressProgram
     layout: MemoryLayout
-    listing: str
     simulation: SimulationResult | None
+
+    @cached_property
+    def listing(self) -> str:
+        """The program's assembly listing, titled with the kernel name.
+
+        Rendered on first read: most compiles (every batch job) never
+        read it.
+        """
+        return program_listing(self.program, title=self.kernel.name)
 
     @property
     def overhead_per_iteration(self) -> int:
@@ -84,7 +93,6 @@ def compile_kernel(kernel: Kernel | str, spec: AguSpec,
         layout = MemoryLayout.for_kernel(kernel, gap=spec.modify_range + 1)
         program = generate_address_code(kernel.pattern, allocation.cover,
                                         spec)
-    listing = program_listing(program, title=kernel.name)
 
     simulation = None
     if run_simulation:
@@ -94,4 +102,4 @@ def compile_kernel(kernel: Kernel | str, spec: AguSpec,
         simulation = simulate(program, kernel.loop, layout,
                               n_iterations=count)
     return CompilationArtifacts(kernel, allocation, program, layout,
-                                listing, simulation)
+                                simulation)

@@ -10,13 +10,17 @@ C's ``[A-Za-z_][A-Za-z0-9_]*``.  Whitespace is anything ``str.isspace``
 accepts, and comments may hold any text.  Any other character -- a
 Unicode digit such as ``'²'`` included -- is a :class:`ParseError`
 naming its line and column.
+
+Tokens are plain tuples (:class:`Token` is a ``NamedTuple``), one per
+match of a single compiled pattern that also skips the whitespace and
+comments in front of each token.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum, unique
+from typing import NamedTuple
 
 from repro.errors import ParseError
 
@@ -34,8 +38,7 @@ class TokenType(Enum):
     EOF = "end-of-input"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexical token with its 1-based source position."""
 
     type: TokenType
@@ -49,18 +52,25 @@ class Token:
         return f"{self.value!r}"
 
 
-#: The whole token language as one pattern, tried at each position in
-#: turn.  Comments come before operators so ``//`` and ``/*`` never scan
-#: as division, and two-character operators before their one-character
-#: prefixes (maximal munch).  Whatever starts no token is ``bad``.
+#: The whole token language as one pattern: one match per token, the
+#: last one the empty ``eof`` at the end of the source.  The prefix
+#: skips the whitespace and complete comments before the token, so
+#: ``//`` and ``/*`` never scan as division; an unterminated ``/*``
+#: is left for ``open_comment``, which is tried before the operators.
+#: Two-character operators come before their one-character prefixes
+#: (maximal munch).  Whatever starts no token is ``bad``, so the group
+#: after the prefix matches at every position and the greedy prefix is
+#: never backtracked into.
 _TOKEN_PATTERN = re.compile(r"""
-      (?P<space>\s+)
-    | (?P<comment>//[^\n]*|/\*.*?\*/)
+    (?:\s+|//[^\n]*|/\*.*?\*/)*
+    (?:
+      (?P<word>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<open_comment>/\*)
-    | (?P<int>[0-9]+)(?P<int_suffix>[A-Za-z_])?
-    | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<op><=|>=|==|!=|\+\+|--|\+=|-=|\*=|/=|[-+*/%<>=;,(){}\[\]])
+    | (?P<int>[0-9]+)(?P<int_suffix>[A-Za-z_])?
     | (?P<bad>.)
+    | (?P<eof>\Z)
+    )
 """, re.VERBOSE | re.DOTALL)
 
 #: Error message templates of the pattern's error groups, formatted
@@ -80,27 +90,38 @@ def tokenize(source: str) -> list[Token]:
         run into a letter, or a character that starts no token.
     """
     tokens: list[Token] = []
+    append = tokens.append
     line = 1
     line_start = 0  # index of the first character of ``line``
+    end = 0  # where the previous token ended
     for match in _TOKEN_PATTERN.finditer(source):
         kind = match.lastgroup
-        text = match.group()
-        if kind == "space" or kind == "comment":
-            newlines = text.count("\n")
+        text = match.group(kind)
+        stop = match.end()
+        start = stop - len(text)
+        if start != end:  # whitespace or comments were skipped
+            newlines = source.count("\n", end, start)
             if newlines:
                 line += newlines
-                line_start = match.start() + text.rindex("\n") + 1
-            continue
-        column = match.start() - line_start + 1
-        if kind == "op":
-            tokens.append(Token(TokenType.OP, text, line, column))
-        elif kind == "word":
-            tokens.append(Token(TokenType.KEYWORD if text in KEYWORDS
-                                else TokenType.IDENT, text, line, column))
+                line_start = source.rindex("\n", end, start) + 1
+        end = stop
+        column = start - line_start + 1
+        if kind == "word":
+            append(Token(TokenType.KEYWORD if text in KEYWORDS
+                         else TokenType.IDENT, text, line, column))
+        elif kind == "op":
+            append(Token(TokenType.OP, text, line, column))
         elif kind == "int":
-            tokens.append(Token(TokenType.INT, text, line, column))
+            append(Token(TokenType.INT, text, line, column))
+        elif kind == "eof":
+            # Return at once: ``finditer`` would match ``eof`` again,
+            # empty, after a match that ends at the end of the source.
+            append(Token(TokenType.EOF, "", line, column))
+            return tokens
         else:
+            if kind == "int_suffix":  # report the whole literal
+                start = match.start("int")
+                text = source[start:end]
+                column = start - line_start + 1
             raise ParseError(_ERRORS[kind].format(text), line, column)
-    tokens.append(Token(TokenType.EOF, "", line,
-                        len(source) - line_start + 1))
-    return tokens
+    raise AssertionError("the token pattern always ends with eof")

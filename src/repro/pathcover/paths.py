@@ -165,6 +165,21 @@ class PathCover:
                 owner[position] = register
         return tuple(owner)
 
+    def successors(self) -> tuple[int, ...]:
+        """The position each access's register moves to next.
+
+        ``successors()[p]`` is the access after ``p`` on its path or,
+        for the path's last access, the path's first access of the next
+        iteration.  Paths increase strictly, so ``successors()[p] <= p``
+        exactly at that wrap-around.
+        """
+        successor = [0] * self.n_accesses
+        for path in self.paths:
+            indices = path.indices
+            for here, there in zip(indices, indices[1:] + indices[:1]):
+                successor[here] = there
+        return tuple(successor)
+
     def path_of(self, position: int) -> Path:
         """The path containing a given access position."""
         if not 0 <= position < self.n_accesses:

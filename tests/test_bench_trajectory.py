@@ -14,6 +14,7 @@ import importlib.util
 import json
 import random
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -177,6 +178,37 @@ class TestTrajectorySchema:
         for result in run["workloads"].values():
             assert result["failed"] == 0
             assert set(gate.exact_metrics()) <= set(result["metrics"])
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+class TestGitRevision:
+    @staticmethod
+    def git(root, *args):
+        return subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@example.com",
+             "-c", "commit.gpgsign=false", *args], cwd=root, check=True,
+            capture_output=True, text=True).stdout.strip()
+
+    @pytest.fixture
+    def repo(self, tmp_path):
+        self.git(tmp_path, "init", "-q")
+        (tmp_path / "tracked.txt").write_text("one\n", encoding="utf-8")
+        self.git(tmp_path, "add", "tracked.txt")
+        self.git(tmp_path, "commit", "-q", "-m", "initial")
+        return tmp_path
+
+    def test_a_clean_tree_gives_the_bare_sha(self, repo):
+        sha = self.git(repo, "rev-parse", "HEAD")
+        assert trajectory.git_revision(repo) == sha
+
+    def test_an_untracked_file_keeps_the_tree_clean(self, repo):
+        (repo / "notes.txt").write_text("x\n", encoding="utf-8")
+        assert not trajectory.git_revision(repo).endswith("-dirty")
+
+    def test_an_edited_tracked_file_marks_the_sha_dirty(self, repo):
+        sha = self.git(repo, "rev-parse", "HEAD")
+        (repo / "tracked.txt").write_text("two\n", encoding="utf-8")
+        assert trajectory.git_revision(repo) == f"{sha}-dirty"
 
 
 class TestRegressionGate:

@@ -1,5 +1,7 @@
 """Unit tests for address code generation."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.agu.codegen import (
@@ -115,3 +117,21 @@ class TestListing:
         assert "prologue" in text
         assert "USE" in text
         assert "AR0" in text and "AR1" in text
+
+    def test_listing_rejects_a_body_out_of_codegen_order(self,
+                                                         paper_pattern):
+        cover = minimum_zero_cost_cover(paper_pattern, 1).cover
+        program = generate_address_code(paper_pattern, cover,
+                                        AguSpec(cover.n_paths, 1))
+        # A retargeting instruction must follow the Use of its register.
+        stray = replace(program, body=(Modify(0, 1),) + program.body)
+        with pytest.raises(CodegenError, match="does not retarget"):
+            program_listing(stray)
+
+    def test_listing_rejects_a_baseline_out_of_order(self, paper_pattern):
+        program = generate_unoptimized_code(paper_pattern, AguSpec(1, 1))
+        assert program.baseline
+        swapped = replace(program, body=program.body[1::-1]
+                          + program.body[2:])
+        with pytest.raises(CodegenError, match="baseline body pair"):
+            program_listing(swapped)

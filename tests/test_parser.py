@@ -167,6 +167,16 @@ class TestStatementForms:
         with pytest.raises(ParseError, match="left-hand side"):
             parse_kernel("for (i = 0; i < 3; i++) { A[i]+1 = 2; }")
 
+    def test_bad_assignment_target_reported_at_the_operator(self):
+        # Not at the next statement's first token (line 3, column 3).
+        with pytest.raises(ParseError, match="left-hand side") as info:
+            parse_kernel("for (i = 0; i < 8; i++) {\n  1 = A[i];\n  B[i];\n}")
+        assert (info.value.line, info.value.column) == (2, 5)
+
+    def test_division_assignment_accepted(self):
+        kernel = parse_kernel("for (i = 0; i < 3; i++) { A[i] /= B[i]; }")
+        assert [str(a) for a in kernel.pattern] == ["B[i]", "A[i]", "A[i]="]
+
     def test_loop_variable_assignment_rejected(self):
         with pytest.raises(ParseError, match="must not be assigned"):
             parse_kernel("for (i = 0; i < 3; i++) { i = A[i]; }")

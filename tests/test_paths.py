@@ -97,6 +97,11 @@ class TestPathCover:
         cover = PathCover((Path((0, 2)), Path((1, 3))), 4)
         assert cover.assignment() == (0, 1, 0, 1)
 
+    def test_successors_wrap_to_the_path_start(self):
+        cover = PathCover((Path((0, 2, 3)), Path((1,))), 4)
+        assert cover.successors() == (2, 1, 3, 0)
+        assert PathCover((), 0).successors() == ()
+
     def test_path_of(self):
         cover = PathCover((Path((0, 2)), Path((1,))), 3)
         assert cover.path_of(1).indices == (1,)

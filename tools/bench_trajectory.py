@@ -91,14 +91,22 @@ def machine_fingerprint() -> dict:
 
 
 def git_revision(repo_root: Path = REPO_ROOT) -> str:
-    """The current git commit hash, or ``"unknown"`` outside a repo."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"], cwd=repo_root,
-            capture_output=True, text=True, timeout=30)
-    except (OSError, subprocess.TimeoutExpired):
+    """The current git commit hash, ``<hash>-dirty`` when tracked files
+    have uncommitted changes (the run measured code no commit holds),
+    or ``"unknown"`` outside a repo."""
+    def git(*args: str) -> str | None:
+        try:
+            out = subprocess.run(["git", *args], cwd=repo_root,
+                                 capture_output=True, text=True, timeout=30)
+        except (OSError, subprocess.TimeoutExpired):
+            return None
+        return out.stdout.strip() if out.returncode == 0 else None
+
+    head = git("rev-parse", "HEAD")
+    if head is None:
         return "unknown"
-    return out.stdout.strip() if out.returncode == 0 else "unknown"
+    changes = git("status", "--porcelain", "--untracked-files=no")
+    return f"{head}-dirty" if changes else head
 
 
 def run_solver_suite(repo_root: Path = REPO_ROOT) -> dict:

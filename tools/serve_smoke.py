@@ -8,7 +8,9 @@ end:
 * the repeat wave is answered entirely from cache (``cached: true``)
   with **zero additional compiles** in the server's counters;
 * every repeat response is bit-identical to its first-wave answer
-  (same digest, same result payload).
+  (same digest, same result payload);
+* one ``listing=true`` request answers the listing a direct
+  ``compile_kernel(source, spec, run_simulation=False)`` renders here.
 
 Exit code 0 on success, 1 with a diagnostic on any violation -- CI
 runs this against a backgrounded ``repro-agu serve``.
@@ -50,6 +52,34 @@ def fire_wave(client, n_requests: int) -> list:
     for thread in threads:
         thread.join(timeout=300.0)
     return answers
+
+
+#: The kernel of the ``listing=true`` request (sent as source text)
+#: and the AGU spec it asks for.
+LISTING_KERNEL = "complex_mac"
+LISTING_REGISTERS = 4
+LISTING_MODIFY_RANGE = 1
+
+
+def check_listing(client) -> str | None:
+    """Ask the server for one kernel's listing; a diagnostic when it
+    differs from the listing a direct compile renders, else None."""
+    from repro.agu.model import AguSpec
+    from repro.core.pipeline import compile_kernel
+    from repro.workloads.kernels import get_kernel
+
+    source = get_kernel(LISTING_KERNEL).source
+    answer = client.compile(source, name=LISTING_KERNEL, listing=True,
+                            registers=LISTING_REGISTERS,
+                            modify_range=LISTING_MODIFY_RANGE)
+    spec = AguSpec(LISTING_REGISTERS, LISTING_MODIFY_RANGE)
+    direct = compile_kernel(source, spec, run_simulation=False,
+                            name=LISTING_KERNEL)
+    if answer.listing != direct.listing:
+        return (f"the served {LISTING_KERNEL} listing differs from a "
+                f"direct compile's:\n{answer.listing}\n---\n"
+                f"{direct.listing}")
+    return None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -105,11 +135,17 @@ def main(argv: list[str] | None = None) -> int:
               f"compile(s))")
         return 1
 
+    mismatch = check_listing(client)
+    if mismatch is not None:
+        print(f"FAIL: {mismatch}")
+        return 1
+
     print(f"serve smoke OK: {args.requests} requests/wave, "
           f"{stats['compiled']} compiled, {stats['served_warm']} warm, "
           f"{stats['batches']} micro-batch(es), "
           f"{stats['busy_rejections']} busy-rejected; repeat wave was "
-          f"100% cache-hot and bit-identical")
+          f"100% cache-hot and bit-identical; the listing=true answer "
+          f"equals a direct compile's")
     return 0
 
 
