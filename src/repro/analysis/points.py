@@ -62,7 +62,6 @@ from repro.analysis.experiments import (
     quick_statistical_config,
 )
 from repro.analysis.stats import mean, percent_reduction
-from repro.batch import engine
 from repro.batch.jobs import (
     DISTRIBUTION_SEED_SPAN,
     NAIVE_SEED_STRIDE,
@@ -187,11 +186,12 @@ def _kernel_points(config: KernelComparisonConfig) -> list[dict]:
 def _kernel_point(params: dict) -> dict:
     # Both the optimized and the baseline address programs run on the
     # AGU simulator, so every number is backed by a verified stream.
-    result = engine.execute_job(BatchJob(
+    result = BatchJob(
         name=params["kernel"], spec=AguSpec(**params["spec"]),
         config=AllocatorConfig(cost_model=CostModel(params["cost_model"])),
         source=params["source"],
-        n_iterations=params["simulate_iterations"], include_baseline=True))
+        n_iterations=params["simulate_iterations"],
+        include_baseline=True).execute()
     if not result.audit_ok:  # pragma: no cover - simulate() raises
         raise ExperimentError(
             f"kernel {result.name!r}: dynamic cost disagrees with the "

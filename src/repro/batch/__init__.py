@@ -2,7 +2,8 @@
 
 The scaling layer on top of :func:`repro.core.pipeline.compile_kernel`:
 
-* :mod:`repro.batch.jobs` -- picklable :class:`BatchJob` units, the
+* :mod:`repro.batch.jobs` -- the job contract: picklable
+  :class:`BatchJob` units (which compile into a :class:`JobResult`), the
   factories that mass-produce them (suites, kernel lists, random
   families, spec/config matrices), and :class:`ExperimentPointJob`
   (one point of a registered experiment as a cacheable work unit);
@@ -51,7 +52,6 @@ from repro.batch.engine import (
     BatchReport,
     Executor,
     InlineExecutor,
-    JobResult,
     LocalPoolExecutor,
     execute_any,
     execute_job,
@@ -68,6 +68,7 @@ from repro.batch.jobs import (
     BatchJob,
     ExperimentPointJob,
     ExperimentPointResult,
+    JobResult,
     job_matrix,
     jobs_from_kernels,
     jobs_from_random,

@@ -15,7 +15,7 @@ plus hit/miss statistics; see :class:`CacheBackend`):
 The engine stores each result with one ``put`` the moment it exists.
 
 Payloads are plain JSON-able dicts (the lowered
-:class:`~repro.batch.engine.JobResult`); keys are the content digests
+:class:`~repro.batch.jobs.JobResult`); keys are the content digests
 of :mod:`repro.batch.digest`.  Stores hand out and keep *defensive
 copies*: mutating a payload after ``put`` or a dict returned by
 ``get`` never reaches the cached state.

@@ -1,9 +1,9 @@
 """Stable content digests for batch compilation jobs.
 
 The result cache is *content-addressed*: a job's cache key is a SHA-256
-digest of everything that determines its compilation outcome -- the
-kernel (source text or lowered access pattern), the target
-:class:`~repro.agu.model.AguSpec`, the
+digest of its ``cache_key()`` payload, everything that determines its
+outcome -- for a compilation unit the kernel (source text or lowered
+access pattern), the target :class:`~repro.agu.model.AguSpec`, the
 :class:`~repro.core.config.AllocatorConfig`, and the execution options
 (simulation on/off, iteration count, baseline generation).  The job's
 display *name* is deliberately excluded, so the same kernel compiled
@@ -126,25 +126,6 @@ def digest_payload(payload: Any) -> str:
 
 
 def job_digest(job) -> str:
-    """The content-addressed cache key of a batch job.
-
-    A job class may define its own key payload via a ``cache_key()``
-    method (e.g. :class:`~repro.batch.jobs.ExperimentPointJob`, whose
-    outcome is determined by grid parameters and seeds rather than a
-    kernel); plain :class:`~repro.batch.jobs.BatchJob` compilation
-    units digest the kernel + spec + config + options layout below.
-    """
-    cache_key = getattr(job, "cache_key", None)
-    if cache_key is not None:
-        return digest_payload(cache_key())
-    return digest_payload({
-        "v": DIGEST_VERSION,
-        "kernel": job.source if job.source is not None else job.pattern,
-        "spec": job.spec,
-        "config": job.config,
-        "options": {
-            "run_simulation": job.run_simulation,
-            "n_iterations": job.n_iterations,
-            "include_baseline": job.include_baseline,
-        },
-    })
+    """The content-addressed cache key of a batch job: the digest of
+    its ``cache_key()`` payload (see :mod:`repro.batch.jobs`)."""
+    return digest_payload(job.cache_key())

@@ -7,10 +7,11 @@ and produces a :class:`BatchReport`.  Per job it either
   result cache -- keyed by the content digest of
   :mod:`repro.batch.digest`, so *what* is compiled, not what it is
   called, decides -- or
-* compiles through :func:`repro.core.pipeline.compile_kernel`, on the
-  calling process (``executor="inline"``, the default) or a
-  ``concurrent.futures`` process pool (``executor="local:N"``), and
-  stores the summary back into the cache.
+* runs the job's ``execute()`` (for a :class:`~repro.batch.jobs.BatchJob`
+  a compile), on the calling process (``executor="inline"``, the
+  default) or a ``concurrent.futures`` process pool
+  (``executor="local:N"``), and stores the summary back into the
+  cache.
 
 Identical jobs inside one batch (same digest) are compiled once and
 fanned back out to every slot, so a sweep that repeats a configuration
@@ -28,8 +29,9 @@ need listings or simulation traces compile those kernels individually.
 There is one delivery path: :meth:`BatchCompiler.as_completed`
 streams results as they finish and stores each in the cache the moment
 it exists; :meth:`BatchCompiler.compile` collects that stream into a
-:class:`BatchReport` in job order.  Both run any job type that offers
-the ``execute()``/``payload()`` protocol -- compilation units
+:class:`BatchReport` in job order.  Both run any job that implements
+the job contract of :mod:`repro.batch.jobs` (``name``, ``digest``,
+``cache_key()``, ``execute()``, ``result_type``) -- compilation units
 (:class:`~repro.batch.jobs.BatchJob`) and experiment points
 (:class:`~repro.batch.jobs.ExperimentPointJob`) alike.
 
@@ -65,128 +67,33 @@ from concurrent.futures.process import BrokenProcessPool \
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Sequence
 
-from repro.agu.codegen import generate_unoptimized_code
-from repro.agu.simulator import simulate
 from repro.batch.cache import InMemoryLRUCache
 from repro.batch.digest import job_digest
-from repro.batch.jobs import BatchJob, CacheableResult, parse_scope
-from repro.batch.trace import NULL_TRACER, open_tracer
-from repro.core.pipeline import (
-    DEFAULT_SIMULATION_ITERATIONS,
-    compile_kernel,
-)
+from repro.batch.jobs import BatchJob, JobResult, parse_scope
+from repro.batch.trace import open_tracer
 from repro.errors import BatchError
 from repro.pathcover.branch_and_bound import cover_scope
 
 _LOGGER = logging.getLogger("repro.batch.engine")
 
 
-@dataclass(frozen=True)
-class JobResult(CacheableResult):
-    """Per-job summary the engine aggregates (picklable, JSON-able)."""
-
-    name: str
-    digest: str
-    n_accesses: int
-    n_registers: int
-    modify_range: int
-    k_tilde: int | None
-    n_registers_used: int
-    #: Unit-cost address computations per iteration (the model).
-    total_cost: int
-    #: Static per-iteration overhead of the generated program.
-    overhead_per_iteration: int
-    #: Overhead of the unoptimized baseline, when the job asked for it.
-    baseline_overhead: int | None
-    #: Whether the simulator ran (and, see ``audit_ok``, agreed).
-    simulated: bool
-    #: Dynamic (simulated) cost equals the modelled cost.  Trivially
-    #: true for unsimulated jobs; the simulator raises on mismatches,
-    #: so a False here never actually reaches a report.
-    audit_ok: bool
-    wall_seconds: float
-    from_cache: bool = False
-
-
-def execute_job(job: BatchJob) -> JobResult:
-    """Compile one job on the calling process (the pool's map target)."""
-    started = time.perf_counter()
-    kernel = job.kernel()
-    iterations = job.n_iterations
-    if iterations is not None and kernel.loop.n_iterations is not None:
-        iterations = min(iterations, kernel.loop.n_iterations)
-    artifacts = compile_kernel(kernel, job.spec, job.config,
-                               run_simulation=job.run_simulation,
-                               n_iterations=iterations)
-    simulation = artifacts.simulation
-
-    baseline_overhead: int | None = None
-    if job.include_baseline:
-        baseline = generate_unoptimized_code(kernel.pattern, job.spec)
-        if job.run_simulation:
-            count = iterations
-            if count is None and kernel.loop.n_iterations is None:
-                count = DEFAULT_SIMULATION_ITERATIONS
-            baseline_overhead = simulate(
-                baseline, kernel.loop, artifacts.layout,
-                n_iterations=count).overhead_per_iteration
-        else:
-            baseline_overhead = baseline.overhead_per_iteration
-
-    allocation = artifacts.allocation
-    return JobResult(
-        name=job.name,
-        digest=_digest_of(job),
-        n_accesses=len(kernel.pattern),
-        n_registers=job.spec.n_registers,
-        modify_range=job.spec.modify_range,
-        k_tilde=allocation.k_tilde,
-        n_registers_used=allocation.n_registers_used,
-        total_cost=allocation.total_cost,
-        overhead_per_iteration=artifacts.program.overhead_per_iteration,
-        baseline_overhead=baseline_overhead,
-        simulated=simulation is not None,
-        audit_ok=simulation is None
-        or simulation.overhead_per_iteration == allocation.total_cost,
-        wall_seconds=time.perf_counter() - started,
-    )
-
-
 def execute_any(job) -> Any:
-    """Run one job of any supported type (the pool's submit target).
-
-    Job classes that define their own ``execute()`` (e.g.
-    :class:`~repro.batch.jobs.ExperimentPointJob`) run it; plain
-    :class:`~repro.batch.jobs.BatchJob` compilation units go through
-    :func:`execute_job`.
-    """
-    execute = getattr(job, "execute", None)
-    if execute is not None:
-        return execute()
-    return execute_job(job)
+    """Run one job on the calling process (the executors' submit
+    target)."""
+    return job.execute()
 
 
-def _digest_of(job) -> str:
-    """The digest ``job`` carries, or a fresh one when it carries
-    none."""
-    carried = getattr(job, "digest", None)
-    return carried if carried is not None else job_digest(job)
+#: The same entry point under the name callers use for one
+#: :class:`~repro.batch.jobs.BatchJob`.
+execute_job = execute_any
 
 
 def _carrying_digest(job, digest: str):
     """A copy of ``job`` that carries the engine's ``digest`` to its
-    execution -- through a process pool too -- for job types with a
-    ``digest`` field; any other job as it is."""
-    if not hasattr(job, "digest"):
-        return job
+    execution -- through a process pool too."""
     carrier = copy.copy(job)
     object.__setattr__(carrier, "digest", digest)
     return carrier
-
-
-def _result_type(job) -> type:
-    """The result class a job's cache payloads rebuild into."""
-    return getattr(job, "result_type", JobResult)
 
 
 def _job_failure(job, digest: str, error: Exception) -> BatchError:
@@ -199,7 +106,7 @@ def _job_failure(job, digest: str, error: Exception) -> BatchError:
     cannot say *which* in-flight job killed the worker, so that
     message names the job only as "in flight" rather than blaming it.
     """
-    name = getattr(job, "name", None) or "<unnamed>"
+    name = job.name or "<unnamed>"
     if isinstance(error, _BrokenProcessPool):
         return BatchError(
             f"worker process pool died with batch job {name!r} "
@@ -597,10 +504,7 @@ class BatchCompiler:
         """Emit one engine-side trace event for a job slot."""
         if not self.trace.enabled:
             return
-        fields: dict = {"index": index}
-        name = getattr(job, "name", None)
-        if name is not None:
-            fields["name"] = str(name)
+        fields: dict = {"index": index, "name": str(job.name)}
         fields.update({key: value for key, value in extra.items()
                        if value is not None})
         self.trace.emit(kind, **fields)
@@ -614,7 +518,8 @@ class BatchCompiler:
         ``get``; later slots with the same digest get a defensive
         copy, matching the per-``get`` copy semantics of the stores.
         """
-        digests = [_digest_of(job) for job in jobs]
+        digests = [job.digest if job.digest is not None
+                   else job_digest(job) for job in jobs]
         payloads = {}
         for digest in dict.fromkeys(digests):
             payload = self.cache.get(digest)
@@ -626,7 +531,7 @@ class BatchCompiler:
             payload = payloads.get(digest)
             if payload is not None and digest in served:
                 payload = copy.deepcopy(payload)
-            result = _result_type(job).from_payload(payload, job) \
+            result = job.result_type.from_payload(payload, job) \
                 if payload is not None else None
             if result is not None:
                 served.add(digest)
@@ -704,7 +609,7 @@ class BatchCompiler:
                                 digest=digest)
                 # Built as a cache hit is, so display metadata (name,
                 # a point's index) comes from this slot's own job.
-                yield index, _result_type(jobs[index]).from_payload(
+                yield index, jobs[index].result_type.from_payload(
                     result.payload(), jobs[index])
 
         digests = list(pending)

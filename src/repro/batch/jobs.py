@@ -7,6 +7,12 @@ plain frozen dataclasses end to end, jobs travel across process
 boundaries unchanged, which is what lets the engine fan a suite out
 over a process pool.
 
+Every job type implements the one contract the engine relies on: a
+display ``name``, a carried ``digest``, ``cache_key()`` (the digest
+payload), ``execute()`` (the work, returning a ``result_type``).  A
+:class:`BatchJob` executes as a compile and returns a
+:class:`JobResult`.
+
 Factories cover the common batch shapes:
 
 * :func:`jobs_from_suite` / :func:`jobs_from_kernels` -- the bundled
@@ -29,23 +35,25 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import time
-from contextlib import contextmanager
-from contextvars import ContextVar
+from contextlib import AbstractContextManager
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Sequence
 
+from repro.agu.codegen import generate_unoptimized_code
 from repro.agu.model import AguSpec
+from repro.agu.simulator import simulate
 from repro.batch.digest import DIGEST_VERSION, job_digest
 from repro.core.allocator import AddressRegisterAllocator
 from repro.core.config import AllocatorConfig
+from repro.core.pipeline import DEFAULT_SIMULATION_ITERATIONS, compile_kernel
 from repro.errors import BatchError
 from repro.ir.parser import parse_kernel
 from repro.ir.types import AccessPattern, ArrayDecl, Kernel, Loop
 from repro.merging.cost import CostModel, cost_kernel, cover_cost
 from repro.merging.greedy import best_pair_merge
 from repro.merging.naive import naive_merge
+from repro.scope import ScopedMemo
 from repro.workloads.kernels import get_kernel
 from repro.workloads.random_patterns import (
     RandomPatternConfig,
@@ -54,19 +62,12 @@ from repro.workloads.random_patterns import (
 from repro.workloads.suite import suite_kernels
 
 
-#: The open parse scope's kernels by exact source text, or ``None``
-#: outside any scope.  Context-local, so each thread (and each serve
-#: dispatcher) sees only the scope it opened itself.
-_PARSE_SCOPE: ContextVar[dict[str, Kernel] | None] = ContextVar(
-    "repro_parse_scope", default=None)
-# A forked process (a pool worker) starts outside any scope: workers
-# parse per job, in their own process.
-os.register_at_fork(after_in_child=lambda: _PARSE_SCOPE.set(None))
+#: The open parse scope's kernels by exact source text.
+_PARSE_SCOPE = ScopedMemo("repro_parse_scope")
 
 
-@contextmanager
 def parse_scope(kernels: dict[str, Kernel] | None = None
-                ) -> Iterator[dict[str, Kernel]]:
+                ) -> AbstractContextManager[dict[str, Kernel]]:
     """Parse each distinct source text at most once while open.
 
     A kernel's parse does not depend on the AGU spec, yet a sweep
@@ -77,22 +78,62 @@ def parse_scope(kernels: dict[str, Kernel] | None = None
     remembered, so each job with a bad source still raises on its own.
 
     ``kernels`` (keyed by :attr:`~repro.ir.types.Kernel.source`) seeds
-    the scope with already parsed kernels and then holds everything the
-    scope parses, so a caller can reopen the same scope later; without
-    it, nothing outlives the scope.  Scopes nest: an inner scope joins
-    the open one, adding its seeds to it.
+    the scope and then holds everything it parses; seeding, nesting and
+    forking follow :mod:`repro.scope`.
     """
-    outer = _PARSE_SCOPE.get()
-    if outer is not None:
-        outer.update(kernels or {})
-        yield outer
-        return
-    memo = kernels if kernels is not None else {}
-    token = _PARSE_SCOPE.set(memo)
-    try:
-        yield memo
-    finally:
-        _PARSE_SCOPE.reset(token)
+    return _PARSE_SCOPE.scope(kernels)
+
+
+class CacheableResult:
+    """The cache round-trip protocol shared by engine result types.
+
+    Mixed into frozen result dataclasses that carry a ``name`` (display
+    label, excluded from content addressing) and a ``from_cache`` flag;
+    the payload is every other field.
+    """
+
+    def payload(self) -> dict:
+        """The JSON-able cache payload (cache-state flag excluded)."""
+        record = dataclasses.asdict(self)
+        del record["from_cache"]
+        return record
+
+    @classmethod
+    def from_payload(cls, payload: dict, job):
+        """Rebuild from a cache payload for ``job``; ``None`` if the
+        payload is malformed.  Display metadata (the name) comes from
+        the job being served, not from whoever stored the entry."""
+        try:
+            return cls(**{**payload, "name": job.name, "from_cache": True})
+        except TypeError:
+            return None
+
+
+@dataclass(frozen=True)
+class JobResult(CacheableResult):
+    """Per-job summary of a :class:`BatchJob` (picklable, JSON-able)."""
+
+    name: str
+    digest: str
+    n_accesses: int
+    n_registers: int
+    modify_range: int
+    k_tilde: int | None
+    n_registers_used: int
+    #: Unit-cost address computations per iteration (the model).
+    total_cost: int
+    #: Static per-iteration overhead of the generated program.
+    overhead_per_iteration: int
+    #: Overhead of the unoptimized baseline, when the job asked for it.
+    baseline_overhead: int | None
+    #: Whether the simulator ran (and, see ``audit_ok``, agreed).
+    simulated: bool
+    #: Dynamic (simulated) cost equals the modelled cost.  Trivially
+    #: true for unsimulated jobs; the simulator raises on mismatches,
+    #: so a False here never actually reaches a report.
+    audit_ok: bool
+    wall_seconds: float
+    from_cache: bool = False
 
 
 @dataclass(frozen=True)
@@ -122,6 +163,8 @@ class BatchJob:
     digest: str | None = field(default=None, init=False, repr=False,
                                compare=False)
 
+    result_type = JobResult
+
     def __post_init__(self) -> None:
         if (self.source is None) == (self.pattern is None):
             raise BatchError(
@@ -131,6 +174,65 @@ class BatchJob:
             raise BatchError(
                 f"job {self.name!r}: n_iterations must be >= 1, got "
                 f"{self.n_iterations}")
+
+    def cache_key(self) -> dict:
+        """The digest payload: kernel + spec + config + options."""
+        return {
+            "v": DIGEST_VERSION,
+            "kernel": self.source if self.source is not None
+            else self.pattern,
+            "spec": self.spec,
+            "config": self.config,
+            "options": {
+                "run_simulation": self.run_simulation,
+                "n_iterations": self.n_iterations,
+                "include_baseline": self.include_baseline,
+            },
+        }
+
+    def execute(self) -> JobResult:
+        """Compile this job on the calling process."""
+        started = time.perf_counter()
+        kernel = self.kernel()
+        iterations = self.n_iterations
+        if iterations is not None and kernel.loop.n_iterations is not None:
+            iterations = min(iterations, kernel.loop.n_iterations)
+        artifacts = compile_kernel(kernel, self.spec, self.config,
+                                   run_simulation=self.run_simulation,
+                                   n_iterations=iterations)
+        simulation = artifacts.simulation
+
+        baseline_overhead: int | None = None
+        if self.include_baseline:
+            baseline = generate_unoptimized_code(kernel.pattern, self.spec)
+            if self.run_simulation:
+                count = iterations
+                if count is None and kernel.loop.n_iterations is None:
+                    count = DEFAULT_SIMULATION_ITERATIONS
+                baseline_overhead = simulate(
+                    baseline, kernel.loop, artifacts.layout,
+                    n_iterations=count).overhead_per_iteration
+            else:
+                baseline_overhead = baseline.overhead_per_iteration
+
+        allocation = artifacts.allocation
+        return JobResult(
+            name=self.name,
+            digest=self.digest if self.digest is not None
+            else job_digest(self),
+            n_accesses=len(kernel.pattern),
+            n_registers=self.spec.n_registers,
+            modify_range=self.spec.modify_range,
+            k_tilde=allocation.k_tilde,
+            n_registers_used=allocation.n_registers_used,
+            total_cost=allocation.total_cost,
+            overhead_per_iteration=artifacts.program.overhead_per_iteration,
+            baseline_overhead=baseline_overhead,
+            simulated=simulation is not None,
+            audit_ok=simulation is None
+            or simulation.overhead_per_iteration == allocation.total_cost,
+            wall_seconds=time.perf_counter() - started,
+        )
 
     def kernel(self) -> Kernel:
         """The job's kernel: parsed from source (once per source text
@@ -308,31 +410,6 @@ def statistical_point(params: dict) -> dict:
             "mean_naive": sum(naive_costs) / count,
             "sum_optimized": sum(optimized_costs),
             "sum_naive": sum(naive_costs)}
-
-
-class CacheableResult:
-    """The cache round-trip protocol shared by engine result types.
-
-    Mixed into frozen result dataclasses that carry a ``name`` (display
-    label, excluded from content addressing) and a ``from_cache`` flag;
-    the payload is every other field.
-    """
-
-    def payload(self) -> dict:
-        """The JSON-able cache payload (cache-state flag excluded)."""
-        record = dataclasses.asdict(self)
-        del record["from_cache"]
-        return record
-
-    @classmethod
-    def from_payload(cls, payload: dict, job):
-        """Rebuild from a cache payload for ``job``; ``None`` if the
-        payload is malformed.  Display metadata (the name) comes from
-        the job being served, not from whoever stored the entry."""
-        try:
-            return cls(**{**payload, "name": job.name, "from_cache": True})
-        except TypeError:
-            return None
 
 
 # ----------------------------------------------------------------------

@@ -36,7 +36,7 @@ from the bundled library (``kernel``: a library name), plus the spec
 knobs ``registers`` / ``modify_range`` and the execution options
 ``simulate`` / ``iterations`` / ``baseline`` / ``listing``.  A
 successful response carries the content ``digest``, the ``cached``
-flag, the :class:`~repro.batch.engine.JobResult` payload under
+flag, the :class:`~repro.batch.jobs.JobResult` payload under
 ``result``, and -- when asked -- the generated AGU code under
 ``listing``.  Failures are ``ok: false`` error frames; an admission
 rejection additionally sets ``busy: true`` so clients can distinguish
@@ -71,8 +71,8 @@ from dataclasses import dataclass, field
 from repro.agu.model import AguSpec
 from repro.batch.cache import CacheBackend, TieredCache, open_cache
 from repro.batch.digest import job_digest
-from repro.batch.engine import BatchCompiler, Executor, JobResult
-from repro.batch.jobs import BatchJob, parse_scope
+from repro.batch.engine import BatchCompiler, Executor
+from repro.batch.jobs import BatchJob, JobResult, parse_scope
 from repro.batch.service import (
     FrameTooLargeError,
     _close_socket,
@@ -530,8 +530,7 @@ class CompileService:
         if result is not None:
             try:
                 _check_accesses(result.n_accesses)
-                response = self._answer(job, result.payload(),
-                                        cached=True,
+                response = self._answer(job, payload, cached=True,
                                         want_listing=want_listing)
             except BatchError as error:
                 return self._reject(error)

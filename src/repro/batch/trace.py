@@ -75,8 +75,6 @@ class Tracer:
     clock:
         Monotonic-clock callable; injectable so virtual-clock tests
         produce deterministic timestamps.
-    meta:
-        Free-form JSON-able annotations for the header.
 
     The header line is written eagerly at construction, so even an
     empty run leaves a valid, attributable trace artifact.
@@ -87,8 +85,7 @@ class Tracer:
     enabled = True
 
     def __init__(self, sink: Any, *, source: str = "unknown",
-                 clock: Callable[[], float] = time.monotonic,
-                 meta: dict | None = None):
+                 clock: Callable[[], float] = time.monotonic):
         self._clock = clock
         self._lock = threading.Lock()
         self._owns_sink = isinstance(sink, (str, Path))
@@ -107,8 +104,6 @@ class Tracer:
             "monotonic": self._origin,
             "pid": os.getpid(),
         }
-        if meta:
-            header["meta"] = meta
         self._write_line(header)
 
     def _write_line(self, record: dict) -> None:
@@ -163,9 +158,7 @@ class _NullTracer:
 NULL_TRACER = _NullTracer()
 
 
-def open_tracer(spec: Any, *, source: str,
-                clock: Callable[[], float] = time.monotonic,
-                meta: dict | None = None) -> Tracer | _NullTracer:
+def open_tracer(spec: Any, *, source: str) -> Tracer | _NullTracer:
     """Build a :class:`Tracer` from a configuration value.
 
     ``None`` (tracing off) returns :data:`NULL_TRACER`; an existing
@@ -176,7 +169,7 @@ def open_tracer(spec: Any, *, source: str,
         return NULL_TRACER
     if hasattr(spec, "emit"):
         return spec
-    return Tracer(spec, source=source, clock=clock, meta=meta)
+    return Tracer(spec, source=source)
 
 
 @dataclass

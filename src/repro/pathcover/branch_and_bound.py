@@ -46,12 +46,9 @@ under many register counts searches it a single time.
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from contextvars import ContextVar
+from contextlib import AbstractContextManager
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterator
 
 from repro.errors import InfeasibleZeroCostCover, SearchBudgetExceeded
 from repro.graph.access_graph import cached_access_graph
@@ -60,18 +57,13 @@ from repro.pathcover.assignment import cycle_cover_bound
 from repro.pathcover.heuristic import greedy_zero_cost_cover
 from repro.pathcover.lower_bound import intra_matching
 from repro.pathcover.paths import Path, PathCover
+from repro.scope import ScopedMemo
 
 #: Default cap on explored search nodes per independent subproblem.
 DEFAULT_NODE_BUDGET = 200_000
 
-#: The open cover scope's solved groups by :func:`_group_key`, or
-#: ``None`` outside any scope.  Context-local, so each thread (and each
-#: serve dispatcher) sees only the scope it opened itself.
-_COVER_SCOPE: ContextVar[dict | None] = ContextVar(
-    "repro_cover_scope", default=None)
-# A forked process (a pool worker) starts outside any scope: workers
-# solve per job, in their own process.
-os.register_at_fork(after_in_child=lambda: _COVER_SCOPE.set(None))
+#: The open cover scope's solved groups by :func:`_group_key`.
+_COVER_SCOPE = ScopedMemo("repro_cover_scope")
 
 
 @dataclass(frozen=True)
@@ -102,8 +94,7 @@ class CoverSearchResult:
     nodes_explored: int
 
 
-@contextmanager
-def cover_scope(groups: dict | None = None) -> Iterator[dict]:
+def cover_scope(groups: dict | None = None) -> AbstractContextManager[dict]:
     """Solve each distinct phase-1 group at most once while open.
 
     Inside the scope, :func:`minimum_zero_cost_cover` remembers every
@@ -114,22 +105,10 @@ def cover_scope(groups: dict | None = None) -> Iterator[dict]:
     whose search raises is never remembered, so every pattern with it
     raises on its own.
 
-    ``groups`` seeds the scope and then holds everything it solves, so
-    a caller can reopen the same scope later; without it, nothing
-    outlives the scope.  Scopes nest: an inner scope joins the open
-    one, adding its seeds to it.
+    ``groups`` seeds the scope and then holds everything it solves;
+    seeding, nesting and forking follow :mod:`repro.scope`.
     """
-    outer = _COVER_SCOPE.get()
-    if outer is not None:
-        outer.update(groups or {})
-        yield outer
-        return
-    memo = groups if groups is not None else {}
-    token = _COVER_SCOPE.set(memo)
-    try:
-        yield memo
-    finally:
-        _COVER_SCOPE.reset(token)
+    return _COVER_SCOPE.scope(groups)
 
 
 def minimum_zero_cost_cover(

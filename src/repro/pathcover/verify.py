@@ -10,7 +10,7 @@ from __future__ import annotations
 from repro.errors import PathCoverError
 from repro.graph.distance import intra_distance, is_zero_cost, wrap_distance
 from repro.ir.types import AccessPattern
-from repro.pathcover.paths import Path, PathCover
+from repro.pathcover.paths import Path
 
 
 def path_intra_distances(path: Path,
@@ -46,17 +46,6 @@ def is_zero_cost_path(path: Path, pattern: AccessPattern,
     if include_wrap:
         return is_zero_cost(path_wrap_distance(path, pattern), modify_range)
     return True
-
-
-def is_zero_cost_cover(cover: PathCover, pattern: AccessPattern,
-                       modify_range: int, include_wrap: bool = True) -> bool:
-    """Whether every path of the cover is zero-cost."""
-    if cover.n_accesses != len(pattern):
-        raise PathCoverError(
-            f"cover is over {cover.n_accesses} accesses but the pattern "
-            f"has {len(pattern)}")
-    return all(is_zero_cost_path(path, pattern, modify_range, include_wrap)
-               for path in cover)
 
 
 def _check_positions(path: Path, pattern: AccessPattern) -> None:

@@ -15,7 +15,7 @@ local process pool.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import pytest
 
@@ -31,7 +31,7 @@ from repro.batch.engine import (
     LocalPoolExecutor,
     execute_any,
 )
-from repro.batch.jobs import jobs_from_suite
+from repro.batch.jobs import JobResult, jobs_from_suite
 from repro.errors import BatchError
 
 SPEC = AguSpec(4, 1)
@@ -43,6 +43,10 @@ class CrashingJob:
     """A job whose execution raises (a plain worker exception)."""
 
     name: str
+    digest: str | None = field(default=None, init=False, repr=False,
+                               compare=False)
+
+    result_type = JobResult
 
     def cache_key(self) -> dict:
         return {"v": 0, "crash-test": self.name}
@@ -57,6 +61,10 @@ class InterruptingJob:
     lands inside a worker; the pool re-raises it at ``result()``)."""
 
     name: str
+    digest: str | None = field(default=None, init=False, repr=False,
+                               compare=False)
+
+    result_type = JobResult
 
     def cache_key(self) -> dict:
         return {"v": 0, "interrupt-test": self.name}
@@ -71,6 +79,10 @@ class WorkerKillerJob:
     crosses the pipe), breaking the process pool."""
 
     name: str
+    digest: str | None = field(default=None, init=False, repr=False,
+                               compare=False)
+
+    result_type = JobResult
 
     def cache_key(self) -> dict:
         return {"v": 0, "worker-killer": self.name}

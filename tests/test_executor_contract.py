@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import io
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import pytest
 
@@ -25,7 +25,7 @@ from repro.analysis.experiments import (
 from repro.batch.cache import InMemoryLRUCache, ShardedDirectoryCache
 from repro.batch.digest import job_digest
 from repro.batch.engine import BatchCompiler, LocalPoolExecutor
-from repro.batch.jobs import BatchJob, jobs_from_suite
+from repro.batch.jobs import BatchJob, JobResult, jobs_from_suite
 from repro.batch.trace import analyze_trace, read_trace
 from repro.errors import BatchError
 from repro.ir.builder import pattern_from_offsets
@@ -64,6 +64,10 @@ class CountedCrashJob:
 
     name: str
     log: str
+    digest: str | None = field(default=None, init=False, repr=False,
+                               compare=False)
+
+    result_type = JobResult
 
     def cache_key(self) -> dict:
         return {"v": 0, "counted-crash": self.name}

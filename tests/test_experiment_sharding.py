@@ -35,6 +35,7 @@ import pytest
 
 from _sharding_util import config_from_kwargs, normalize_summary
 
+from repro.agu.model import AguSpec
 from repro.analysis.experiments import run_experiment
 from repro.batch.cache import InMemoryLRUCache, ShardedDirectoryCache
 from repro.batch.digest import job_digest
@@ -42,6 +43,9 @@ from repro.batch.engine import BatchCompiler, execute_any
 from repro.batch.jobs import (
     ExperimentPointJob,
     ExperimentPointResult,
+    JobResult,
+    jobs_from_kernels,
+    jobs_from_random,
     naive_baseline_seed,
 )
 from repro.batch.registry import (
@@ -49,7 +53,10 @@ from repro.batch.registry import (
     get_experiment,
     registered_experiments,
 )
+from repro.core.config import AllocatorConfig
 from repro.errors import BatchError
+from repro.merging.cost import CostModel
+from repro.workloads.random_patterns import RandomPatternConfig
 
 #: Every registered experiment (each must have a golden and a pin).
 EXPERIMENTS = registered_experiments()
@@ -83,6 +90,32 @@ PINNED_DIGESTS = {
         "f4466442e8076eb5de459b61cc23e6fc9c1ad53d2fccbdbae161e86ba0495ff3",
     "stats":
         "0886893df216e64c8db4bf834f8c95f269a204618f8f5575ebfccce4563f87df",
+}
+
+#: Content digests of representative compilation units, one per part
+#: of the ``BatchJob`` key layout: the source text, a lowered random
+#: pattern, a non-default allocator config, and the execution options.
+PINNED_BATCH_JOBS = {
+    "library-source": (
+        lambda: jobs_from_kernels(["fir8"], AguSpec(4, 1))[0],
+        "dabdd0bcf71a8b2b88b8cb567adba57fcb2feb4de1f1b33b89035af8246e65a6"),
+    "random-pattern": (
+        lambda: jobs_from_random(RandomPatternConfig(12, offset_span=6),
+                                 3, AguSpec(2, 1), seed=7)[2],
+        "70b9a8c0d069d9fd901903b1f156ea69b648db7b46a51cdc256b481fd28f6fe0"),
+    "allocator-config": (
+        lambda: jobs_from_kernels(
+            ["saxpy"], AguSpec(2, 2),
+            AllocatorConfig(cost_model=CostModel.INTRA,
+                            exact_cover_limit=24, cover_node_budget=5_000,
+                            naive_strategy="first_pair",
+                            naive_seed=None))[0],
+        "67ea2e4be410afa51be799d7ec725f4cfcb2845265064feb18d33ec8f3ab8c2a"),
+    "options": (
+        lambda: jobs_from_kernels(["iir_biquad_df1"], AguSpec(2, 1),
+                                  n_iterations=16,
+                                  include_baseline=True)[0],
+        "47441d326ef49d7f16b94f797decf688fbd6d6a9b98f89f783cbd42103e4b1dd"),
 }
 
 
@@ -176,6 +209,13 @@ class TestPointJobs:
         job = experiment_point_jobs(experiment)[0]
         assert job_digest(job) == PINNED_DIGESTS[experiment]
 
+    @pytest.mark.parametrize("case", sorted(PINNED_BATCH_JOBS))
+    def test_pinned_batch_job_digest(self, case):
+        """The same for compilation units: one pin per part of the
+        ``BatchJob`` key layout."""
+        build, digest = PINNED_BATCH_JOBS[case]
+        assert job_digest(build()) == digest
+
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
     def test_jobs_round_trip_through_pickle(self, experiment):
         for job in experiment_point_jobs(experiment,
@@ -230,6 +270,45 @@ class TestPointJobs:
                 job.execute()
         finally:
             object.__setattr__(definition, "run_point", original)
+
+
+@dataclasses.dataclass(frozen=True)
+class KeylessJob:
+    """Everything of the job contract except ``cache_key``."""
+
+    name: str
+    digest: str | None = None
+
+    result_type = JobResult
+
+    def execute(self):  # pragma: no cover - never reached
+        raise AssertionError("a job without a cache key must not run")
+
+
+class TestJobContract:
+    """Every job type implements the one contract the engine uses."""
+
+    @pytest.mark.parametrize("job, result_type", [
+        (PINNED_BATCH_JOBS["library-source"][0](), JobResult),
+        (experiment_point_jobs("reorder", tiny_config("reorder"))[0],
+         ExperimentPointResult),
+    ], ids=["BatchJob", "ExperimentPointJob"])
+    def test_both_job_types_expose_the_contract(self, job, result_type):
+        assert isinstance(job.name, str)
+        assert job.digest is None
+        assert isinstance(job.cache_key(), dict)
+        assert job.result_type is result_type
+        result = job.execute()
+        assert isinstance(result, result_type)
+        assert result.digest == job_digest(job)
+        assert result_type.from_payload(result.payload(), job) \
+            == dataclasses.replace(result, from_cache=True)
+
+    def test_a_job_without_a_cache_key_is_named_as_such(self):
+        with pytest.raises(AttributeError, match="cache_key"):
+            job_digest(KeylessJob(name="keyless"))
+        with pytest.raises(AttributeError, match="cache_key"):
+            BatchCompiler().compile([KeylessJob(name="keyless")])
 
 
 class TestBitIdentity:

@@ -823,11 +823,3 @@ class TestRepositoryIsClean:
         assert completed.returncode == 0, completed.stdout
         payload = json.loads(completed.stdout)
         assert payload["diagnostics"] == []
-
-    def test_docstring_shim_still_reports_coverage(self):
-        completed = subprocess.run(
-            [sys.executable,
-             str(ROOT / "tools" / "check_docstrings.py")],
-            capture_output=True, text=True, timeout=300)
-        assert completed.returncode == 0, completed.stdout
-        assert "public docstring coverage" in completed.stdout

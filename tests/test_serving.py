@@ -4,6 +4,7 @@ served output against direct batch compilation."""
 
 from __future__ import annotations
 
+import json
 import socket
 import threading
 import time
@@ -123,6 +124,17 @@ class TestServeProtocol:
         stats = client.server_stats()
         assert stats["served_warm"] == 1
         assert stats["compiled"] == 1
+
+    def test_a_warm_hit_answers_under_the_requests_name(self, service):
+        cold = service.handle_request(compile_request("saxpy"))
+        warm = service.handle_request(
+            {**compile_request("saxpy"), "name": "renamed"})
+        assert (cold["cached"], warm["cached"]) == (False, True)
+        assert warm["digest"] == cold["digest"]
+        # The stored payload, renamed: same keys in the same order, so
+        # the answer frame is byte-identical apart from the name.
+        assert json.dumps(warm["result"]) \
+            == json.dumps({**cold["result"], "name": "renamed"})
 
     def test_library_kernel_request(self, service, client):
         by_name = client.compile(kernel="fir8")

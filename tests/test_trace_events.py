@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import hypothesis.strategies as st
 import pytest
@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from repro.agu.model import AguSpec
 from repro.batch.cache import InMemoryLRUCache
 from repro.batch.engine import BatchCompiler
-from repro.batch.jobs import BatchJob
+from repro.batch.jobs import BatchJob, JobResult
 from repro.batch.trace import (
     EVENT_KINDS,
     NULL_TRACER,
@@ -58,6 +58,10 @@ class PoisonJob:
     """A job whose execution raises."""
 
     name: str
+    digest: str | None = field(default=None, init=False, repr=False,
+                               compare=False)
+
+    result_type = JobResult
 
     def cache_key(self) -> dict:
         return {"v": 0, "poison": self.name}

@@ -1,8 +1,9 @@
 """DOCSTRING-PUBLIC: the docstring-coverage gate, as a lint rule.
 
-This folds ``tools/check_docstrings.py`` (the repo's dependency-free
-stand-in for ``interrogate``) into the lint framework; that script is
-now a thin shim over this module.  Two enforcement tiers, unchanged:
+The repo's dependency-free stand-in for ``interrogate``.  CI's docs
+lint step runs it alone (``python tools/run_lint.py --select
+DOCSTRING-PUBLIC``); the full lint run includes it too.  Two
+enforcement tiers:
 
 * every public name in the strict packages (:data:`STRICT_PACKAGES` --
   the ``repro`` API surface, ``repro.batch.*``, ``repro.cli.*``) must
