@@ -20,15 +20,11 @@ def program_listing(program: AddressProgram, title: str | None = None) -> str:
     text nobody reads.
     """
     pattern = program.pattern
-    lines: list[str] = []
-    if title:
-        lines.append(f"; {title}")
-    lines.append(f"; AGU: {program.spec}")
-    lines.append(f"; registers used: {program.n_registers_used}, "
-                 f"unit-cost instructions/iteration: "
-                 f"{program.overhead_per_iteration}")
-
-    lines.append("; --- prologue ---")
+    lines = [f"; AGU: {program.spec}",
+             f"; registers used: {program.n_registers_used}, "
+             f"unit-cost instructions/iteration: "
+             f"{program.overhead_per_iteration}",
+             "; --- prologue ---"]
     paths = program.cover.paths
     for instruction in program.prologue:
         if isinstance(instruction, LoadMr):
@@ -47,7 +43,12 @@ def program_listing(program: AddressProgram, title: str | None = None) -> str:
                 else _body_comments(program))
     for instruction, comment in zip(program.body, comments, strict=True):
         lines.append(_format(instruction, comment))
-    return "\n".join(lines) + "\n"
+    return titled("\n".join(lines) + "\n", title)
+
+
+def titled(listing: str, title: str | None) -> str:
+    """``listing`` under a ``; title`` first line, if ``title``."""
+    return f"; {title}\n{listing}" if title else listing
 
 
 def _body_comments(program: AddressProgram) -> Iterator[str]:

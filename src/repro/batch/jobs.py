@@ -133,6 +133,9 @@ class JobResult(CacheableResult):
     #: so a False here never actually reaches a report.
     audit_ok: bool
     wall_seconds: float
+    #: The generated AGU code without its title line, when the job
+    #: asked for it (the title is the display name, outside the digest).
+    listing: str | None = None
     from_cache: bool = False
 
 
@@ -155,6 +158,8 @@ class BatchJob:
     #: Also generate and (when simulating) audit the unoptimized
     #: regular-C-compiler address code, for comparison experiments.
     include_baseline: bool = False
+    #: Also render the generated AGU code into the result.
+    listing: bool = False
     #: The job's content digest, when it has already been computed:
     #: the engine hands executors copies that carry it, and the serve
     #: handler sets it on the job it queues, so neither execution nor
@@ -187,6 +192,8 @@ class BatchJob:
                 "run_simulation": self.run_simulation,
                 "n_iterations": self.n_iterations,
                 "include_baseline": self.include_baseline,
+                # Only when set: digests from before the field hold.
+                **({"listing": True} if self.listing else {}),
             },
         }
 
@@ -231,6 +238,7 @@ class BatchJob:
             simulated=simulation is not None,
             audit_ok=simulation is None
             or simulation.overhead_per_iteration == allocation.total_cost,
+            listing=artifacts.untitled_listing if self.listing else None,
             wall_seconds=time.perf_counter() - started,
         )
 

@@ -38,7 +38,8 @@ knobs ``registers`` / ``modify_range`` and the execution options
 successful response carries the content ``digest``, the ``cached``
 flag, the :class:`~repro.batch.jobs.JobResult` payload under
 ``result``, and -- when asked -- the generated AGU code under
-``listing``.  Failures are ``ok: false`` error frames; an admission
+``listing`` (an output of the job: such a request is cold or warm
+like any other).  Failures are ``ok: false`` error frames; an admission
 rejection additionally sets ``busy: true`` so clients can distinguish
 "overloaded, retry" from "wrong, don't".  Untrusted work is bounded
 before anything is compiled, and each path answers a request over a
@@ -49,9 +50,7 @@ bound with the same error frame:
   the handler thread's parse, before the request is queued;
 * a cache hit (warm): :data:`MAX_ACCESSES`, on the stored result's
   ``n_accesses`` -- a shared ``dir:`` store may hold results that
-  ``repro-agu batch`` computed without these bounds;
-* a listing not yet stored: all three, as cold, before the listing is
-  compiled on the handler thread.
+  ``repro-agu batch`` computed without these bounds.
 
 Served output is bit-identical to what a direct
 :class:`~repro.batch.engine.BatchCompiler` run produces for the same
@@ -66,8 +65,9 @@ import socket
 import socketserver
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
+from repro.agu.listing import titled
 from repro.agu.model import AguSpec
 from repro.batch.cache import CacheBackend, TieredCache, open_cache
 from repro.batch.digest import job_digest
@@ -81,7 +81,6 @@ from repro.batch.service import (
     recv_frame,
     send_frame,
 )
-from repro.core.pipeline import compile_kernel
 from repro.errors import BatchError
 from repro.ir.types import Kernel
 from repro.workloads.kernels import get_kernel
@@ -153,7 +152,7 @@ class ServeStats:
 class ServeResult:
     """One answered compile request, as :class:`ServeClient` sees it."""
 
-    #: Content digest of the compiled job (the cache key).
+    #: Content digest of the compiled job, listing left out.
     digest: str
     #: Whether the server answered from its cache (warm tier or
     #: backing store) rather than compiling.
@@ -350,6 +349,8 @@ class CompileService:
                  batch_window: float = 0.005, max_batch: int = 16,
                  max_pending: int = 64,
                  idle_timeout: float | None = 300.0):
+        if not 0 <= port <= 65535:
+            raise BatchError(f"port must be in 0..65535, got {port}")
         if batch_window < 0:
             raise BatchError(
                 f"batch_window must be >= 0 seconds, got {batch_window}")
@@ -516,27 +517,27 @@ class CompileService:
         # repro-lint: disable=BROAD-EXCEPT -- not swallowed: every request-shaping error (an unknown library kernel, an oversized source) is this request's error frame, never a batch failure that could fail other work
         except Exception as error:
             return self._reject(error)
-        # The job carries its digest into the engine batch, so the
-        # engine's scan does not hash it again.
-        digest = job_digest(job)
-        object.__setattr__(job, "digest", digest)
-        want_listing = bool(request.get("listing"))
+        # The answer is the listing-less job's result under its digest.
+        # The job queued is hashed last and carries its digest into the
+        # engine batch, so the engine's scan does not hash it again.
+        digest = job_digest(replace(job, listing=False)) \
+            if job.listing else None
+        object.__setattr__(job, "digest", job_digest(job))
+        digest = digest or job.digest
 
         # A hit skips the parse: its digest covers the exact source
         # text, which parsed (within the limits) when it was stored.
-        payload = self.cache.get(digest)
+        payload = self.cache.get(job.digest)
         result = JobResult.from_payload(payload, job) \
             if payload is not None else None
         if result is not None:
             try:
                 _check_accesses(result.n_accesses)
-                response = self._answer(job, payload, cached=True,
-                                        want_listing=want_listing)
             except BatchError as error:
                 return self._reject(error)
             with self._stats_lock:
                 self.stats.served_warm += 1
-            return response
+            return self._answer(job, digest, payload, cached=True)
         try:
             kernel = self._check_kernel(job)
         # repro-lint: disable=BROAD-EXCEPT -- not swallowed: a frontend syntax error or an over-limit kernel is this request's error frame
@@ -564,8 +565,8 @@ class CompileService:
             return {"ok": False,
                     "error": pending.error or "compile produced no "
                                               "result"}
-        return self._answer(job, pending.payload, cached=pending.cached,
-                            want_listing=want_listing, kernel=kernel)
+        return self._answer(job, digest, pending.payload,
+                            cached=pending.cached)
 
     def _reject(self, error: Exception) -> dict:
         """Count a request-shaping failure; its error frame."""
@@ -584,35 +585,18 @@ class CompileService:
                                 "request was compiled"
                 return
 
-    def _answer(self, job: BatchJob, payload: dict, *, cached: bool,
-                want_listing: bool, kernel: Kernel | None = None) -> dict:
-        # Display metadata follows the request being served, not
-        # whoever stored the cache entry -- engine semantics.
-        response = {"ok": True, "digest": job.digest, "cached": cached,
-                    "result": {**payload, "name": job.name}}
-        if want_listing:
-            response["listing"] = self._listing_for(job, kernel)
+    @staticmethod
+    def _answer(job: BatchJob, digest: str, payload: dict, *,
+                cached: bool) -> dict:
+        """``payload`` answered as the listing-less job's result, its
+        listing titled with the request's name -- display metadata
+        follows the request, not whoever stored the entry."""
+        response = {"ok": True, "digest": digest, "cached": cached,
+                    "result": {**payload, "name": job.name,
+                               "digest": digest, "listing": None}}
+        if job.listing:
+            response["listing"] = titled(payload["listing"], job.name)
         return response
-
-    def _listing_for(self, job: BatchJob, kernel: Kernel | None) -> str:
-        """The job's generated AGU code, cached under its own key.
-
-        Batch results are small summaries by design, so the listing is
-        produced on demand -- an allocation-only rerun of the pipeline
-        (no simulation), deterministic and therefore cacheable next to
-        the result payload.  ``kernel`` is the request's parse, when
-        it has one; a warm hit has none, and its parse is bounded like
-        a cold request's before it is compiled here.
-        """
-        key = f"{job.digest}/listing"
-        stored = self.cache.get(key)
-        if stored is not None and isinstance(stored.get("listing"), str):
-            return stored["listing"]
-        artifacts = compile_kernel(kernel or self._check_kernel(job),
-                                   job.spec, job.config,
-                                   run_simulation=False)
-        self.cache.put(key, {"listing": artifacts.listing})
-        return artifacts.listing
 
     def _job_from_request(self, request: dict) -> BatchJob:
         """Shape one compile request into a job.
@@ -648,7 +632,8 @@ class CompileService:
             source=source,
             run_simulation=field_or(request, "simulate", True),
             n_iterations=iterations,
-            include_baseline=field_or(request, "baseline", False))
+            include_baseline=field_or(request, "baseline", False),
+            listing=field_or(request, "listing", False))
 
     @staticmethod
     def _check_kernel(job: BatchJob) -> Kernel:
@@ -898,7 +883,9 @@ class ServeClient:
     def _request(self, message: dict) -> dict:
         """One round trip on a pooled connection.  On a transport
         failure the pool is closed and the request retried once on a
-        fresh connection."""
+        fresh connection.  A request over the frame limit raises
+        :class:`FrameTooLargeError` at once; its connection, which
+        sent nothing, stays pooled."""
         last_error: Exception | None = None
         for acquire in (self._acquire, self._connect):
             sock = None
@@ -909,6 +896,10 @@ class ServeClient:
                 if response is None:
                     raise BatchError(
                         "serve endpoint closed the connection")
+            except FrameTooLargeError:
+                # Only send_frame raises it, before sending a byte.
+                self._release(sock)
+                raise
             except (OSError, BatchError) as error:
                 if sock is not None:
                     _close_socket(sock)
@@ -940,18 +931,12 @@ class ServeClient:
         ``busy_retries``; any other rejection raises
         :class:`~repro.errors.BatchError` with the server's error.
         """
-        request: dict = {"op": "compile", "registers": registers,
-                         "modify_range": modify_range,
-                         "simulate": simulate, "baseline": baseline,
-                         "listing": listing}
-        if source is not None:
-            request["source"] = source
-        if kernel is not None:
-            request["kernel"] = kernel
-        if name is not None:
-            request["name"] = name
-        if iterations is not None:
-            request["iterations"] = iterations
+        # The op table reads a null field as an absent one.
+        request = {"op": "compile", "source": source, "kernel": kernel,
+                   "name": name, "registers": registers,
+                   "modify_range": modify_range, "simulate": simulate,
+                   "iterations": iterations, "baseline": baseline,
+                   "listing": listing}
         for attempt in range(self.busy_retries + 1):
             response = self._request(request)
             if response.get("ok"):

@@ -370,6 +370,14 @@ class TestNoCacheServer:
         assert "unknown cache scheme 'tcp'" in captured.err
         assert "compile service at" not in captured.out
 
+    @pytest.mark.parametrize("port", ["70000", "-1"])
+    def test_serve_rejects_a_port_out_of_range(self, port, capsys):
+        assert main(["serve", "--port", port]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: port must be in 0..65535, "
+                                f"got {port}\n")
+        assert "compile service at" not in captured.out
+
     def test_cache_serve_is_not_a_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["cache-serve", "--store", "mem"])

@@ -29,7 +29,8 @@ from repro.batch.serving import (
     ServeClient,
     ServerBusyError,
 )
-from repro.batch.service import recv_frame, send_frame
+from repro.batch.service import FrameTooLargeError, recv_frame, send_frame
+from repro.core import allocator
 from repro.core.pipeline import compile_kernel
 from repro.errors import BatchError
 from repro.workloads.kernels import get_kernel
@@ -144,12 +145,17 @@ class TestServeProtocol:
 
     def test_served_result_is_bit_identical_to_direct_batch(
             self, service, client):
+        """With or without a listing, the answer is the listing-less
+        job's result, under that job's digest."""
         job = BatchJob(name="saxpy", spec=SPEC,
                        source=SOURCES["saxpy"])
         direct = BatchCompiler().compile([job]).results[0]
-        served = client.compile(SOURCES["saxpy"], name="saxpy").result
-        assert payload_modulo_timing(served) \
-            == payload_modulo_timing(direct)
+        for listing in (False, True):
+            answer = client.compile(SOURCES["saxpy"], name="saxpy",
+                                    listing=listing)
+            assert answer.digest == job_digest(job)
+            assert payload_modulo_timing(answer.result) \
+                == payload_modulo_timing(direct)
 
     def test_spec_and_execution_options_reach_the_job(self, service,
                                                       client):
@@ -166,16 +172,18 @@ class TestServeProtocol:
 
     def test_listing_is_bit_identical_to_compile_kernel(self, service,
                                                         client):
-        answer = client.compile(SOURCES["energy"], name="energy",
-                                listing=True)
-        direct = compile_kernel(SOURCES["energy"], SPEC,
-                                run_simulation=False, name="energy")
-        assert answer.listing == direct.listing
-        # And again warm: the listing is cached next to the result.
-        again = client.compile(SOURCES["energy"], name="energy",
-                               listing=True)
-        assert again.cached
-        assert again.listing == direct.listing
+        """Cold, warm, and warm under another name: the stored listing
+        has no title, so each answer is titled with its own request's
+        name, like its result."""
+        for name, cached in (("alpha", False), ("alpha", True),
+                             ("beta", True)):
+            answer = client.compile(SOURCES["energy"], name=name,
+                                    listing=True)
+            direct = compile_kernel(SOURCES["energy"], SPEC,
+                                    run_simulation=False, name=name)
+            assert answer.cached is cached
+            assert answer.listing == direct.listing
+            assert answer.result.name == name
 
     def test_no_listing_unless_asked(self, service, client):
         assert client.compile(SOURCES["saxpy"]).listing is None
@@ -238,7 +246,8 @@ class TestServeProtocol:
         assert all(payload == payloads[0] for payload in payloads)
 
     def test_rejects_invalid_configuration(self):
-        for kwargs in ({"batch_window": -0.1}, {"max_batch": 0},
+        for kwargs in ({"port": 65536}, {"port": -1},
+                       {"batch_window": -0.1}, {"max_batch": 0},
                        {"max_pending": 0}, {"idle_timeout": 0},
                        {"idle_timeout": -1.0}):
             with pytest.raises(BatchError):
@@ -309,8 +318,9 @@ def digested(monkeypatch):
 
 
 class TestDigestOnce:
-    """A served compile request is digested once, by its handler; the
-    engine batch reuses the digest the job carries."""
+    """A served compile request is digested by its handler -- once, or
+    with a listing also as the listing-less job its answer names; the
+    engine batch reuses the digest the queued job carries."""
 
     def test_one_digest_per_compile_request(self, service, digested):
         kernels = ["saxpy", "fir8", "saxpy", "energy", "fir8"]
@@ -334,9 +344,14 @@ class TestDigestOnce:
             return engine_compile(compiler, jobs)
 
         monkeypatch.setattr(BatchCompiler, "compile", recording)
-        service.handle_request(compile_request("energy", listing=True))
+        answer = service.handle_request(
+            compile_request("energy", listing=True))
         assert len(compiled) == 1
-        assert [id(job) for job in digested] == [id(compiled[0])]
+        # The answer's listing-less job first, then the one queued.
+        answered, queued = digested
+        assert not answered.listing and answer["digest"] \
+            == answer["result"]["digest"] == job_digest(answered)
+        assert queued is compiled[0] and queued.listing
         assert compiled[0].digest == job_digest(compiled[0])
 
 
@@ -364,6 +379,20 @@ class TestClientTransport:
             assert answer.result.audit_ok
             assert len(client._pool) == 1  # only the fresh connection
             assert client.ping()
+
+    def test_an_oversized_request_keeps_the_pool(self, service, client,
+                                                 monkeypatch):
+        """A request over the frame limit is the caller's error: it is
+        raised as such, on the pooled connection, which stays."""
+        assert client.ping()
+        pooled = list(client._pool)
+        monkeypatch.setattr("repro.batch.service.MAX_FRAME_BYTES", 1024)
+        with pytest.raises(FrameTooLargeError, match="1024-byte limit"):
+            client.compile("/*" + "x" * 2048 + "*/ " + SOURCES["saxpy"])
+        assert client._pool == pooled
+        assert client.ping()
+        assert client._pool == pooled
+        assert service.n_connections == 1
 
     def test_ping_is_false_against_a_closed_port(self):
         client = ServeClient(f"tcp://127.0.0.1:{free_port()}",
@@ -483,15 +512,29 @@ class TestWarmPathSkipsTheParse:
         assert len(parse_calls) == 1
 
     def test_a_cold_listing_request_parses_once(self, service, client,
-                                                parse_calls):
+                                                parse_calls,
+                                                monkeypatch):
+        """...and compiles once: the listing is an output of the job
+        the engine batch runs, not of a second compile."""
+        covers = []
+        exact_cover = allocator.minimum_zero_cost_cover
+
+        def counting_cover(*args, **kwargs):
+            covers.append(args[0])
+            return exact_cover(*args, **kwargs)
+
+        monkeypatch.setattr(allocator, "minimum_zero_cost_cover",
+                            counting_cover)
         cold = client.compile(SOURCES["energy"], name="energy",
                               listing=True)
         assert not cold.cached and cold.listing
         assert parse_calls == [SOURCES["energy"]]
+        assert len(covers) == 1
         warm = client.compile(SOURCES["energy"], name="energy",
                               listing=True)
         assert warm.cached and warm.listing == cold.listing
         assert parse_calls == [SOURCES["energy"]]
+        assert len(covers) == 1
 
     def test_syntax_errors_still_get_their_own_error_frame(self, service):
         with socket.create_connection(service.address, timeout=5) as sock:
