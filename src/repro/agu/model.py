@@ -62,11 +62,6 @@ class AguSpec:
         return AguSpec(self.n_registers, modify_range, self.name,
                        self.n_modify_registers)
 
-    def with_modify_registers(self, n_modify_registers: int) -> "AguSpec":
-        """Same AGU with a different modify-register count (MR sweeps)."""
-        return AguSpec(self.n_registers, self.modify_range, self.name,
-                       n_modify_registers)
-
     def __str__(self) -> str:
         text = f"{self.name}(K={self.n_registers}, M={self.modify_range}"
         if self.n_modify_registers:

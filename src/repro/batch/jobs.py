@@ -45,6 +45,7 @@ from repro.agu.model import AguSpec
 from repro.agu.simulator import simulate
 from repro.batch.digest import DIGEST_VERSION, job_digest
 from repro.core.allocator import AddressRegisterAllocator
+from repro.core import pipeline
 from repro.core.config import AllocatorConfig
 from repro.core.pipeline import DEFAULT_SIMULATION_ITERATIONS, compile_kernel
 from repro.errors import BatchError
@@ -137,6 +138,21 @@ class JobResult(CacheableResult):
     #: asked for it (the title is the display name, outside the digest).
     listing: str | None = None
     from_cache: bool = False
+
+    def payload(self) -> dict:
+        """The cache payload; without a listing it has no ``listing``
+        key, the layout of results from before the field."""
+        record = super().payload()
+        if record["listing"] is None:
+            del record["listing"]
+        return record
+
+    @classmethod
+    def from_payload(cls, payload: dict, job: "BatchJob"):
+        """``None`` also for a listing job's payload without one."""
+        result = super().from_payload(payload, job)
+        listed = isinstance(getattr(result, "listing", None), str)
+        return result if listed or not job.listing else None
 
 
 @dataclass(frozen=True)
@@ -238,7 +254,9 @@ class BatchJob:
             simulated=simulation is not None,
             audit_ok=simulation is None
             or simulation.overhead_per_iteration == allocation.total_cost,
-            listing=artifacts.untitled_listing if self.listing else None,
+            # Untitled, through the module global that profilers wrap.
+            listing=pipeline.program_listing(artifacts.program)
+            if self.listing else None,
             wall_seconds=time.perf_counter() - started,
         )
 

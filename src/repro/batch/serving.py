@@ -517,7 +517,8 @@ class CompileService:
         # repro-lint: disable=BROAD-EXCEPT -- not swallowed: every request-shaping error (an unknown library kernel, an oversized source) is this request's error frame, never a batch failure that could fail other work
         except Exception as error:
             return self._reject(error)
-        # The answer is the listing-less job's result under its digest.
+        # The answer is the listing-less job's result under its digest;
+        # a listing job's result is also stored there once compiled.
         # The job queued is hashed last and carries its digest into the
         # engine batch, so the engine's scan does not hash it again.
         digest = job_digest(replace(job, listing=False)) \
@@ -527,6 +528,7 @@ class CompileService:
 
         # A hit skips the parse: its digest covers the exact source
         # text, which parsed (within the limits) when it was stored.
+        # A listing job's entry without a listing is a miss.
         payload = self.cache.get(job.digest)
         result = JobResult.from_payload(payload, job) \
             if payload is not None else None
@@ -565,8 +567,11 @@ class CompileService:
             return {"ok": False,
                     "error": pending.error or "compile produced no "
                                               "result"}
-        return self._answer(job, digest, pending.payload,
-                            cached=pending.cached)
+        answer = self._answer(job, digest, pending.payload,
+                              cached=pending.cached)
+        if digest != job.digest and not pending.cached:
+            self.cache.put(digest, answer["result"])
+        return answer
 
     def _reject(self, error: Exception) -> dict:
         """Count a request-shaping failure; its error frame."""
@@ -591,9 +596,11 @@ class CompileService:
         """``payload`` answered as the listing-less job's result, its
         listing titled with the request's name -- display metadata
         follows the request, not whoever stored the entry."""
+        result = {key: value for key, value in payload.items()
+                  if key != "listing"}
         response = {"ok": True, "digest": digest, "cached": cached,
-                    "result": {**payload, "name": job.name,
-                               "digest": digest, "listing": None}}
+                    "result": {**result, "name": job.name,
+                               "digest": digest}}
         if job.listing:
             response["listing"] = titled(payload["listing"], job.name)
         return response
@@ -931,12 +938,18 @@ class ServeClient:
         ``busy_retries``; any other rejection raises
         :class:`~repro.errors.BatchError` with the server's error.
         """
-        # The op table reads a null field as an absent one.
-        request = {"op": "compile", "source": source, "kernel": kernel,
-                   "name": name, "registers": registers,
-                   "modify_range": modify_range, "simulate": simulate,
-                   "iterations": iterations, "baseline": baseline,
-                   "listing": listing}
+        request: dict = {"op": "compile", "registers": registers,
+                         "modify_range": modify_range,
+                         "simulate": simulate, "baseline": baseline,
+                         "listing": listing}
+        if source is not None:
+            request["source"] = source
+        if kernel is not None:
+            request["kernel"] = kernel
+        if name is not None:
+            request["name"] = name
+        if iterations is not None:
+            request["iterations"] = iterations
         for attempt in range(self.busy_retries + 1):
             response = self._request(request)
             if response.get("ok"):

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from repro.agu.codegen import AddressProgram, generate_address_code
-from repro.agu.listing import program_listing, titled
+from repro.agu.listing import program_listing
 from repro.agu.model import AguSpec
 from repro.agu.simulator import SimulationResult, simulate
 from repro.core.allocator import AddressRegisterAllocator
@@ -37,12 +37,7 @@ class CompilationArtifacts:
         Rendered on first read: most compiles (every batch job) never
         read it.
         """
-        return titled(self.untitled_listing, self.kernel.name)
-
-    @cached_property
-    def untitled_listing(self) -> str:
-        """:attr:`listing` without its title line (the kernel name)."""
-        return program_listing(self.program)
+        return program_listing(self.program, title=self.kernel.name)
 
     @property
     def overhead_per_iteration(self) -> int:

@@ -185,6 +185,51 @@ class TestServeProtocol:
             assert answer.listing == direct.listing
             assert answer.result.name == name
 
+    def test_a_listing_request_leaves_the_plain_request_warm(
+            self, service, client):
+        """A compiled listing job's result is also stored under the
+        listing-less job's digest, which its answer names: a plain
+        repeat is warm and compiles nothing."""
+        answer = client.compile(kernel="fir8", listing=True)
+        repeat = client.compile(kernel="fir8")
+        assert not answer.cached and repeat.cached
+        assert repeat.digest == answer.digest
+        assert repeat.result.payload() == answer.result.payload()
+        assert service.stats.compiled == 1
+
+    def test_a_result_without_a_listing_has_no_listing_key(self, service):
+        """Listing-less payloads, stored and served, keep the layout of
+        results from before the listing field."""
+        plain = service.handle_request(compile_request("saxpy"))
+        listed = service.handle_request(
+            compile_request("fir8", listing=True))
+        for answer in (plain, listed):
+            assert "listing" not in answer["result"]
+            assert "listing" not in service.cache.get(answer["digest"])
+
+    @pytest.mark.parametrize("stored", [{}, {"listing": None},
+                                        {"listing": 7}],
+                             ids=["absent", "null", "not-text"])
+    def test_a_stored_listing_job_without_a_listing_is_a_miss(self, stored):
+        """A shared store is outside input: an entry under a listing
+        job's digest whose listing is not text is compiled again."""
+        job = BatchJob(name="energy", spec=SPEC, source=SOURCES["energy"],
+                       listing=True)
+        payload = execute_job(job).payload()
+        del payload["listing"]
+        store = InMemoryLRUCache()
+        store.put(job_digest(job), {**payload, **stored})
+        with CompileService(store) as poisoned:
+            answer = poisoned.handle_request(
+                compile_request("energy", listing=True))
+            assert poisoned.stats.served_warm == 0
+            assert poisoned.stats.compiled == 1
+        assert answer["ok"] and not answer["cached"]
+        assert answer["listing"] == compile_kernel(
+            SOURCES["energy"], SPEC, run_simulation=False,
+            name="energy").listing
+        assert isinstance(store.get(job_digest(job))["listing"], str)
+
     def test_no_listing_unless_asked(self, service, client):
         assert client.compile(SOURCES["saxpy"]).listing is None
 
