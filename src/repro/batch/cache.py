@@ -37,7 +37,6 @@ place (transient read errors are not, to protect shared stores).
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import os
@@ -89,16 +88,31 @@ class CacheBackend(Protocol):
     def put(self, digest: str, payload: dict) -> None: ...
 
 
-def _atomic_write_json(target: Path, payload) -> None:
+def copy_json(value):
+    """A copy of a JSON-able value that shares no container with it.
+
+    Dicts and lists are rebuilt level by level; every other JSON value
+    (str, number, bool, None) is immutable and shared.  Payloads are
+    JSON-able by contract, so this is all a defensive copy needs.
+    """
+    if isinstance(value, dict):
+        return {key: copy_json(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [copy_json(item) for item in value]
+    return value
+
+
+def _atomic_write_json(target: str, payload) -> None:
     """Write ``payload`` as JSON via temp file + rename.
 
     A failed write cleans up its temp file, but a cleanup failure must
     never mask the original error -- that is what callers need to see.
     """
-    target.parent.mkdir(parents=True, exist_ok=True)
+    directory, name = os.path.split(target)
+    os.makedirs(directory, exist_ok=True)
     handle = tempfile.NamedTemporaryFile(
-        "w", encoding="utf-8", dir=target.parent,
-        prefix=target.name + ".", suffix=".tmp", delete=False)
+        "w", encoding="utf-8", dir=directory,
+        prefix=name + ".", suffix=".tmp", delete=False)
     try:
         with handle:
             json.dump(payload, handle, sort_keys=True)
@@ -136,11 +150,11 @@ class InMemoryLRUCache:
             return None
         self._entries.move_to_end(digest)
         self.stats.hits += 1
-        return copy.deepcopy(payload)
+        return copy_json(payload)
 
     def put(self, digest: str, payload: dict) -> None:
         """Store a copy of ``payload``; evicts the least recently used."""
-        self._entries[digest] = copy.deepcopy(payload)
+        self._entries[digest] = copy_json(payload)
         self._entries.move_to_end(digest)
         self.stats.stores += 1
         while len(self._entries) > self.capacity:
@@ -164,16 +178,33 @@ class ShardedDirectoryCache:
     and write one store concurrently without locks: a reader sees a
     complete entry or none.  Unreadable or corrupt entries degrade to
     misses and are recompiled.
+
+    An entry is read as bytes and decoded strictly as UTF-8 before
+    ``json.loads`` parses it once, so an entry in any other encoding
+    (``json.loads`` would auto-detect UTF-16 and UTF-32 in bytes) is
+    corrupt, like one that is not JSON.  Entry paths are built by
+    string operations on the root's normalised form, the same paths
+    ``root / shard / file`` names.
     """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.stats = CacheStats()
+        self._prefix = os.path.join(str(self.root), "")
 
-    def _entry_path(self, digest: str) -> Path:
+    def _entry_path(self, digest: str) -> str:
         name = digest if _FILENAME_SAFE.fullmatch(digest) else \
             hashlib.sha256(digest.encode("utf-8")).hexdigest()
-        return self.root / name[:2] / f"{name}.json"
+        return f"{self._prefix}{name[:2]}{os.sep}{name}.json"
+
+    @staticmethod
+    def _load(path: str):
+        """The parsed entry at ``path``.  Raises ``OSError`` when it
+        cannot be read and ``ValueError`` when its bytes are not UTF-8
+        JSON."""
+        with open(path, "rb") as handle:
+            data = handle.read()
+        return json.loads(data.decode("utf-8"))
 
     def __len__(self) -> int:
         return sum(1 for _ in self.root.glob("*/*.json"))
@@ -183,7 +214,7 @@ class ShardedDirectoryCache:
         count a miss (see the discard rules above)."""
         path = self._entry_path(digest)
         try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
+            payload = self._load(path)
         except OSError:
             # Missing or unreadable: a miss, but never a discard -- a
             # transient EIO/ESTALE on a shared mount must not destroy
@@ -204,15 +235,15 @@ class ShardedDirectoryCache:
         self.stats.hits += 1
         return payload
 
-    @staticmethod
-    def _discard(path: Path) -> None:
+    @classmethod
+    def _discard(cls, path: str) -> None:
         """Remove a corrupt entry -- after re-checking that it still
         *is* corrupt, so a concurrent writer's fresh atomic rename onto
         the same path is (almost) never the thing unlinked.  The re-read
         narrows the race to unlink-after-verify; losing that one costs a
         recompile, never a wrong result."""
         try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
+            payload = cls._load(path)
         except OSError:
             return
         except ValueError:
@@ -220,7 +251,7 @@ class ShardedDirectoryCache:
         if isinstance(payload, dict):
             return
         try:
-            path.unlink()
+            os.unlink(path)
         except OSError:
             pass
 

@@ -82,6 +82,32 @@ def _sort_key(value: Any) -> tuple:
                          for key, item in value.items()))
 
 
+#: Each type's dataclass init-field names in definition order, or
+#: ``None`` for a type that is not a dataclass, filled on first sight
+#: by :func:`_init_fields`.  Keyed by type, never by a value, so it
+#: holds one entry per class the payloads are built from.
+_INIT_FIELDS: dict[type, tuple[str, ...] | None] = {}
+
+#: The exact scalar types :func:`canonical` returns unchanged.
+_SCALARS = frozenset((str, int, float, bool))
+
+#: Encodes canonical values the way ``json.dumps(sort_keys=True,
+#: separators=(",", ":"))`` does, built once instead of per digest.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _init_fields(kind: type) -> tuple[str, ...] | None:
+    """The init-field names of instances of ``kind``, or ``None`` when
+    they do not lower as dataclasses (a class object never does, so a
+    dataclass metaclass counts as no dataclass)."""
+    names = None
+    if dataclasses.is_dataclass(kind) and not issubclass(kind, type):
+        names = tuple(field.name for field in dataclasses.fields(kind)
+                      if field.init)
+    _INIT_FIELDS[kind] = names
+    return names
+
+
 def canonical(value: Any) -> Any:
     """Lower a value to JSON-able types, deterministically.
 
@@ -91,16 +117,28 @@ def canonical(value: Any) -> Any:
     :func:`_encode_key` so differently-typed keys can never produce
     colliding digests.
     """
+    kind = type(value)
     # Exact-type scalar fast path: leaves dominate real payloads, and
     # exact matching keeps Enum / str subclasses on their slow paths.
-    if value is None or type(value) in (str, int, float, bool):
+    if value is None or kind in _SCALARS:
         return value
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {field.name: canonical(getattr(value, field.name))
-                for field in dataclasses.fields(value) if field.init}
+    try:
+        names = _INIT_FIELDS[kind]
+    except KeyError:
+        names = _init_fields(kind)
+    if names is not None:
+        return {name: canonical(getattr(value, name)) for name in names}
     if isinstance(value, Enum):
         return value.value
     if isinstance(value, dict):
+        if kind is dict:
+            for key in value:
+                if type(key) is not str or key.startswith(_KEY_ESCAPE):
+                    break
+            else:
+                # Plain keys encode as themselves: sort them directly.
+                return {key: canonical(value[key])
+                        for key in sorted(value)}
         # Encoded keys are pairwise distinct (distinct dict keys never
         # encode alike), so sorting on the key alone is total.
         items = sorted(((_encode_key(key), item)
@@ -120,8 +158,7 @@ def canonical(value: Any) -> Any:
 
 def digest_payload(payload: Any) -> str:
     """SHA-256 hex digest of a payload's canonical JSON form."""
-    text = json.dumps(canonical(payload), sort_keys=True,
-                      separators=(",", ":"))
+    text = _ENCODER.encode(canonical(payload))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 

@@ -67,7 +67,7 @@ from concurrent.futures.process import BrokenProcessPool \
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Sequence
 
-from repro.batch.cache import InMemoryLRUCache
+from repro.batch.cache import InMemoryLRUCache, copy_json
 from repro.batch.digest import job_digest
 from repro.batch.jobs import BatchJob, JobResult, parse_scope
 from repro.batch.trace import open_tracer
@@ -530,7 +530,7 @@ class BatchCompiler:
         for job, digest in zip(jobs, digests):
             payload = payloads.get(digest)
             if payload is not None and digest in served:
-                payload = copy.deepcopy(payload)
+                payload = copy_json(payload)
             result = job.result_type.from_payload(payload, job) \
                 if payload is not None else None
             if result is not None:

@@ -43,6 +43,7 @@ from typing import Any, Iterable, Sequence
 from repro.agu.codegen import generate_unoptimized_code
 from repro.agu.model import AguSpec
 from repro.agu.simulator import simulate
+from repro.batch.cache import copy_json
 from repro.batch.digest import DIGEST_VERSION, job_digest
 from repro.core.allocator import AddressRegisterAllocator
 from repro.core import pipeline
@@ -94,10 +95,11 @@ class CacheableResult:
     """
 
     def payload(self) -> dict:
-        """The JSON-able cache payload (cache-state flag excluded)."""
-        record = dataclasses.asdict(self)
-        del record["from_cache"]
-        return record
+        """The JSON-able cache payload (cache-state flag excluded); its
+        containers are copies, detached from this result."""
+        return {field.name: copy_json(getattr(self, field.name))
+                for field in dataclasses.fields(self)
+                if field.name != "from_cache"}
 
     @classmethod
     def from_payload(cls, payload: dict, job):

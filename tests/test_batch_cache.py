@@ -23,7 +23,11 @@ from repro.batch.cache import (
 )
 from repro.batch.digest import job_digest
 from repro.batch.engine import BatchCompiler
-from repro.batch.jobs import BatchJob, jobs_from_suite
+from repro.batch.jobs import (
+    BatchJob,
+    ExperimentPointResult,
+    jobs_from_suite,
+)
 from repro.core.config import AllocatorConfig
 from repro.errors import BatchError
 from repro.ir.builder import pattern_from_offsets
@@ -221,6 +225,21 @@ class TestCachePayloadIsolation:
         self._mutate(payload)
         assert cache.get("k") == self.PAYLOAD
 
+    def test_a_point_payload_is_detached_from_its_result(self):
+        """``payload()`` copies the measured values: mutating the
+        payload (as a store's caller may) leaves the result alone."""
+        values = {"rows": [{"n": 10, "cost": [1.5, 2]}], "k": 2}
+        result = ExperimentPointResult(
+            name="p", digest="d", experiment="stats", index=3,
+            values=values, wall_seconds=0.25)
+        payload = result.payload()
+        assert payload == {"digest": "d", "experiment": "stats",
+                           "values": values, "wall_seconds": 0.25}
+        payload["values"]["rows"][0]["cost"].append(99)
+        payload["values"]["k"] = 0
+        assert result.values == {"rows": [{"n": 10, "cost": [1.5, 2]}],
+                                 "k": 2}
+
     @pytest.mark.parametrize("store", ["dir", "tiered-dir"])
     def test_mutation_never_reaches_disk(self, tmp_path, store):
         cache = STORES[store](tmp_path)
@@ -286,7 +305,7 @@ class TestShardedDirectoryCache:
         cache = ShardedDirectoryCache(tmp_path / "store")
         digest = "ab" * 32
         cache.put(digest, {"b": 1, "a": {"d": 2, "c": 3}})
-        stored = json.loads(cache._entry_path(digest).read_text())
+        stored = json.loads(Path(cache._entry_path(digest)).read_text())
         assert list(stored) == ["a", "b"]
         assert list(stored["a"]) == ["c", "d"]
 
@@ -296,7 +315,7 @@ class TestShardedDirectoryCache:
         good, bad = "aa" * 32, "ab" * 32
         cache.put(good, {"x": 1})
         cache.put(bad, {"x": 2})
-        cache._entry_path(bad).write_text("oops")
+        Path(cache._entry_path(bad)).write_text("oops")
         assert cache.get(good) == {"x": 1}
         assert cache.get(bad) is None
         assert len(cache) == 1
@@ -319,7 +338,7 @@ class TestShardedDirectoryCache:
         cache = ShardedDirectoryCache(tmp_path / "store")
         assert cache.get("feed" * 16) is None
         cache.put("feed" * 16, {"x": 1})
-        cache._entry_path("feed" * 16).write_text("{ not json")
+        Path(cache._entry_path("feed" * 16)).write_text("{ not json")
         assert cache.get("feed" * 16) is None
         assert cache.stats.misses == 2
 
@@ -329,7 +348,7 @@ class TestShardedDirectoryCache:
         cache = ShardedDirectoryCache(tmp_path / "store")
         digest = "feed" * 16
         cache.put(digest, {"x": 1})
-        entry = cache._entry_path(digest)
+        entry = Path(cache._entry_path(digest))
         entry.write_text("{ not json")
         assert cache.get(digest) is None
         assert not entry.exists()
@@ -340,7 +359,7 @@ class TestShardedDirectoryCache:
         cache = ShardedDirectoryCache(tmp_path / "store")
         digest = "beef" * 16
         cache.put(digest, {"x": 1})
-        entry = cache._entry_path(digest)
+        entry = Path(cache._entry_path(digest))
         entry.write_text(json.dumps([1, 2, 3]))
         assert cache.get(digest) is None
         assert not entry.exists()
@@ -369,7 +388,7 @@ class TestShardedDirectoryCache:
         destroy what may be another host's valid entry."""
         cache = ShardedDirectoryCache(tmp_path / "store")
         digest = "cafe" * 16
-        entry = cache._entry_path(digest)
+        entry = Path(cache._entry_path(digest))
         entry.mkdir(parents=True)
         assert cache.get(digest) is None
         assert cache.stats.misses == 1
@@ -381,10 +400,62 @@ class TestShardedDirectoryCache:
         for key in ("../escape/attempt", "..evil", ".hidden-entry"):
             cache.put(key, {"key": key})
             assert cache.get(key) == {"key": key}
-            entry = cache._entry_path(key)
+            entry = Path(cache._entry_path(key))
             assert entry.resolve().is_relative_to(
                 (tmp_path / "store").resolve())
         assert not list(tmp_path.glob("*.json"))  # nothing beside root
+
+    @pytest.mark.parametrize("encoding", ["utf-16", "utf-16-le",
+                                          "utf-32", "utf-8-sig"])
+    def test_an_entry_in_another_encoding_is_corrupt(self, tmp_path,
+                                                     encoding):
+        """Entries are UTF-8.  ``json.loads`` would accept these bytes
+        (it detects UTF-16/32 and skips a UTF-8 BOM); the store must
+        not: each is a miss and is discarded."""
+        cache = ShardedDirectoryCache(tmp_path / "store")
+        digest = "feed" * 16
+        entry = Path(cache._entry_path(digest))
+        entry.parent.mkdir(parents=True)
+        entry.write_bytes(json.dumps({"x": 1}).encode(encoding))
+        assert cache.get(digest) is None
+        assert cache.stats.misses == 1 and cache.stats.hits == 0
+        assert not entry.exists()
+
+    def test_an_entry_that_is_not_utf8_is_corrupt(self, tmp_path):
+        cache = ShardedDirectoryCache(tmp_path / "store")
+        digest = "feed" * 16
+        entry = Path(cache._entry_path(digest))
+        entry.parent.mkdir(parents=True)
+        entry.write_bytes(b'{"x": "\xff\xfe"}')
+        assert cache.get(digest) is None
+        assert cache.stats.misses == 1
+        assert not entry.exists()
+
+    @pytest.mark.parametrize("root", ["store", "store/", "./store",
+                                      "store//", "./store/."])
+    def test_relative_and_trailing_separator_roots(self, tmp_path,
+                                                   monkeypatch, root):
+        """A root given relative or with trailing separators reads the
+        entries of the ``root / shard / file`` layout, and writes
+        there."""
+        monkeypatch.chdir(tmp_path)
+        old, unsafe = "ab12" + "0" * 60, "../not a file name"
+        rehashed = ShardedDirectoryCache("x")._entry_path(unsafe)
+        name = Path(rehashed).name
+        for digest, file_name in ((old, f"{old}.json"), (unsafe, name)):
+            entry = tmp_path / "store" / file_name[:2] / file_name
+            entry.parent.mkdir(parents=True, exist_ok=True)
+            entry.write_text(json.dumps({"digest": digest}),
+                             encoding="utf-8")
+        cache = ShardedDirectoryCache(root.replace("/", os.sep))
+        assert cache.get(old) == {"digest": old}
+        assert cache.get(unsafe) == {"digest": unsafe}
+        assert cache.stats.hits == 2
+        cache.put("cd34" + "0" * 60, {"y": 2})
+        assert json.loads((tmp_path / "store" / "cd" /
+                           f"cd34{'0' * 60}.json").read_text()) \
+            == {"y": 2}
+        assert len(cache) == 3
 
     def test_engine_integration_cold_then_warm(self, tmp_path):
         root = tmp_path / "store"
