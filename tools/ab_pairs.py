@@ -25,10 +25,10 @@ Usage::
     python tools/ab_pairs.py --base main~1 --workload serve --pairs 4 \\
         --seconds 8 --trace
 
-The tool reads nothing but perfbench's output and writes no file in the
-repository (perfbench's own scratch directory aside); trajectory files
-(``BENCH_<n>.json``) are recorded by ``bench_trajectory.py`` only.  It
-exits 1 when a run's correctness gate failed (``failed > 0``).
+The tool writes no file in the repository (perfbench's own scratch
+directory aside); trajectory files (``BENCH_<n>.json``) are recorded by
+``bench_trajectory.py`` only.  It exits 1 when a run's correctness gate
+failed (``failed > 0``).
 """
 
 from __future__ import annotations
