@@ -49,13 +49,3 @@ def percent_reduction(baseline: float, improved: float) -> float:
     if baseline == 0:
         return 0.0
     return 100.0 * (1.0 - improved / baseline)
-
-
-def weighted_overall_reduction(baselines: Sequence[float],
-                               improveds: Sequence[float]) -> float:
-    """Reduction of the summed cost (weights heavy instances more)."""
-    if len(baselines) != len(improveds):
-        raise ExperimentError(
-            f"length mismatch: {len(baselines)} baselines vs "
-            f"{len(improveds)} improved values")
-    return percent_reduction(sum(baselines), sum(improveds))

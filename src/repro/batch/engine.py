@@ -366,11 +366,6 @@ class BatchReport:
         return sum(result.total_cost for result in self.results)
 
     @property
-    def total_accesses(self) -> int:
-        """Summed pattern sizes over all jobs."""
-        return sum(result.n_accesses for result in self.results)
-
-    @property
     def mean_overhead_per_iteration(self) -> float:
         """Mean generated overhead per iteration (0.0 when empty)."""
         if not self.results:

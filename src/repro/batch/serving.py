@@ -16,8 +16,8 @@ The service is three thin layers over machinery that already exists:
    connections are closed after an idle timeout.
 2. **Micro-batcher** -- one dispatcher thread collects the requests
    that arrive within a small window (``batch_window`` seconds, up to
-   ``max_batch`` requests; no wait while only one client is connected)
-   and runs them as *one*
+   ``max_batch`` requests; the dispatcher waits only while another open
+   connection could still join the batch) and runs them as *one*
    :class:`~repro.batch.engine.BatchCompiler` batch through the
    existing :class:`~repro.batch.engine.Executor` seam.  Concurrent
    load therefore reuses the digest dedup and the cache orchestration
@@ -293,12 +293,13 @@ class CompileService:
         ``open_executor`` spec -- ``"local:N"`` for a process pool.
         ``None`` (the default) compiles inline.
     batch_window:
-        Seconds the dispatcher waits, after the first queued request,
-        for more requests to coalesce into one engine batch.  Bounds
+        Seconds the dispatcher waits at most, after the first queued
+        request, for more requests to coalesce into one engine batch.  Bounds
         the latency cost of micro-batching; ``0`` batches only what
-        is already queued.  While at most one client connection is
-        open the dispatcher does not wait: a lone client has no one
-        to batch with.
+        is already queued.  The dispatcher waits only while another
+        open connection could still join the batch: each connection
+        has at most one request in flight, so a batch holding one
+        request per open connection is dispatched at once.
     max_batch:
         Upper bound on requests per micro-batch.
     max_pending:
@@ -669,12 +670,14 @@ class CompileService:
                     break
                 continue
             batch = [first]
-            # A lone client has no one to batch with: waiting would only
-            # delay it.  Requests already queued still join the batch.
-            window = self.batch_window if self.n_connections > 1 else 0.0
-            deadline = time.monotonic() + window
+            deadline = time.monotonic() + self.batch_window
             while len(batch) < self.max_batch:
-                remaining = deadline - time.monotonic()
+                # A connection has one request in flight at a time, so
+                # once the batch holds as many as there are connections
+                # no one else can join: take only what is already
+                # queued.
+                remaining = (deadline - time.monotonic()
+                             if len(batch) < self.n_connections else 0.0)
                 try:
                     entry = self._queue.get(timeout=max(0.0, remaining))
                 except queue.Empty:

@@ -526,9 +526,10 @@ def build_parser() -> argparse.ArgumentParser:
              "printed on startup)")
     compile_serve_parser.add_argument(
         "--batch-window", type=float, default=0.005,
-        help="seconds to wait for concurrent requests to coalesce "
-             "into one engine batch; no wait while only one client is "
-             "connected (default 0.005)")
+        help="seconds to wait at most for concurrent requests to "
+             "coalesce into one engine batch; the dispatcher waits "
+             "only while another open connection could still join the "
+             "batch (default 0.005)")
     compile_serve_parser.add_argument(
         "--max-batch", type=int, default=16,
         help="requests per micro-batch at most (default 16)")

@@ -138,13 +138,3 @@ class HopcroftKarp:
             if self._distance[partner] == self._distance[left] + 1:
                 stack.append((partner, 0, (left, right)))
         return False
-
-
-def maximum_bipartite_matching(
-        n_left: int, n_right: int,
-        adjacency: Mapping[int, Sequence[int]] | Sequence[Sequence[int]],
-) -> tuple[int, list[int]]:
-    """Convenience wrapper returning ``(matching size, match_left)``."""
-    solver = HopcroftKarp(n_left, n_right, adjacency)
-    size = solver.solve()
-    return size, list(solver.match_left)

@@ -5,7 +5,7 @@ import random
 import networkx as nx
 import pytest
 
-from repro.pathcover.matching import HopcroftKarp, maximum_bipartite_matching
+from repro.pathcover.matching import HopcroftKarp
 
 
 class TestSmallGraphs:
@@ -71,8 +71,7 @@ class TestAgainstNetworkx:
                     for _ in range(rng.randint(0, n_right))})
             for _ in range(n_left)
         ]
-        size, _match = maximum_bipartite_matching(n_left, n_right,
-                                                  adjacency)
+        size = HopcroftKarp(n_left, n_right, adjacency).solve()
 
         graph = nx.Graph()
         graph.add_nodes_from((f"L{i}" for i in range(n_left)),

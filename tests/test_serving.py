@@ -4,6 +4,7 @@ served output against direct batch compilation."""
 
 from __future__ import annotations
 
+import contextlib
 import json
 import socket
 import threading
@@ -734,6 +735,55 @@ class TestMicroBatching:
                 elapsed = time.monotonic() - started
         assert not answer.cached
         assert elapsed < 5.0
+
+    @staticmethod
+    def pinged(service, stack: contextlib.ExitStack,
+               n: int) -> list[ServeClient]:
+        """``n`` clients, each holding one open connection."""
+        clients = [stack.enter_context(
+            ServeClient(service.endpoint, timeout=60.0))
+            for _ in range(n)]
+        for connected in clients:
+            assert connected.ping()
+        assert service.n_connections == n
+        return clients
+
+    def test_a_full_batch_does_not_wait_out_the_window(self):
+        """A batch holding a request from every open connection is
+        dispatched at once: no further request can join it."""
+        with CompileService(batch_window=30.0) as service, \
+                contextlib.ExitStack() as stack:
+            clients = self.pinged(service, stack, 2)
+            answers = {}
+
+            def request(connected: ServeClient, kernel: str) -> None:
+                answers[kernel] = connected.compile(SOURCES[kernel],
+                                                    name=kernel)
+
+            threads = [threading.Thread(target=request, args=pair)
+                       for pair in zip(clients, ("saxpy", "fir8"))]
+            started = time.monotonic()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            elapsed = time.monotonic() - started
+            assert sorted(answers) == ["fir8", "saxpy"]
+            assert not any(answer.cached for answer in answers.values())
+            assert elapsed < 5.0
+            assert service.stats.batches == 1
+
+    def test_the_window_waits_while_a_connection_could_join(self):
+        """With a second connection open, a lone cold request waits
+        out the window for a batch-mate that could still come."""
+        with CompileService(batch_window=0.3) as service, \
+                contextlib.ExitStack() as stack:
+            clients = self.pinged(service, stack, 2)
+            started = time.monotonic()
+            answer = clients[0].compile(kernel="fir8")
+            elapsed = time.monotonic() - started
+        assert not answer.cached
+        assert elapsed >= 0.3
 
     def test_failed_job_only_fails_its_own_requests(self):
         """Failure isolation inside a micro-batch: the culprit's

@@ -10,7 +10,6 @@ from repro.analysis.stats import (
     mean,
     percent_reduction,
     stdev,
-    weighted_overall_reduction,
 )
 from repro.analysis.tables import Column, Table
 from repro.errors import ExperimentError
@@ -43,12 +42,6 @@ class TestStats:
         assert percent_reduction(10, 6) == pytest.approx(40.0)
         assert percent_reduction(0, 0) == 0.0
         assert percent_reduction(10, 12) == pytest.approx(-20.0)
-
-    def test_weighted_overall(self):
-        assert weighted_overall_reduction([10, 0], [5, 0]) == \
-            pytest.approx(50.0)
-        with pytest.raises(ExperimentError):
-            weighted_overall_reduction([1], [1, 2])
 
 
 class TestTable:
