@@ -20,11 +20,12 @@ def program_listing(program: AddressProgram, title: str | None = None) -> str:
     text nobody reads.
     """
     pattern = program.pattern
-    lines = [f"; AGU: {program.spec}",
-             f"; registers used: {program.n_registers_used}, "
-             f"unit-cost instructions/iteration: "
-             f"{program.overhead_per_iteration}",
-             "; --- prologue ---"]
+    lines = [f"; {title}"] if title else []
+    lines += [f"; AGU: {program.spec}",
+              f"; registers used: {program.n_registers_used}, "
+              f"unit-cost instructions/iteration: "
+              f"{program.overhead_per_iteration}",
+              "; --- prologue ---"]
     paths = program.cover.paths
     for instruction in program.prologue:
         if isinstance(instruction, LoadMr):
@@ -43,12 +44,7 @@ def program_listing(program: AddressProgram, title: str | None = None) -> str:
                 else _body_comments(program))
     for instruction, comment in zip(program.body, comments, strict=True):
         lines.append(_format(instruction, comment))
-    return titled("\n".join(lines) + "\n", title)
-
-
-def titled(listing: str, title: str | None) -> str:
-    """``listing`` under a ``; title`` first line, if ``title``."""
-    return f"; {title}\n{listing}" if title else listing
+    return "\n".join(lines) + "\n"
 
 
 def _body_comments(program: AddressProgram) -> Iterator[str]:

@@ -88,17 +88,22 @@ class CacheBackend(Protocol):
     def put(self, digest: str, payload: dict) -> None: ...
 
 
+#: The JSON scalar types: immutable, so copies share them.
+_SCALARS = (str, int, float, bool, type(None))
+
+
 def copy_json(value):
     """A copy of a JSON-able value that shares no container with it.
 
-    Dicts and lists are rebuilt level by level; every other JSON value
-    (str, number, bool, None) is immutable and shared.  Payloads are
-    JSON-able by contract, so this is all a defensive copy needs.
+    Dicts, lists and tuples (as lists) are rebuilt level by level;
+    scalars are shared, without a call per item.
     """
     if isinstance(value, dict):
-        return {key: copy_json(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [copy_json(item) for item in value]
+        return {key: item if type(item) in _SCALARS else copy_json(item)
+                for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [item if type(item) in _SCALARS else copy_json(item)
+                for item in value]
     return value
 
 

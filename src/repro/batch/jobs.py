@@ -46,7 +46,6 @@ from repro.agu.simulator import simulate
 from repro.batch.cache import copy_json
 from repro.batch.digest import DIGEST_VERSION, job_digest
 from repro.core.allocator import AddressRegisterAllocator
-from repro.core import pipeline
 from repro.core.config import AllocatorConfig
 from repro.core.pipeline import DEFAULT_SIMULATION_ITERATIONS, compile_kernel
 from repro.errors import BatchError
@@ -135,26 +134,15 @@ class JobResult(CacheableResult):
     #: true for unsimulated jobs; the simulator raises on mismatches,
     #: so a False here never actually reaches a report.
     audit_ok: bool
+    #: The allocation's cover as the register serving each access
+    #: position (``PathCover.assignment``); listings render from it.
+    assignment: tuple[int, ...]
     wall_seconds: float
-    #: The generated AGU code without its title line, when the job
-    #: asked for it (the title is the display name, outside the digest).
-    listing: str | None = None
     from_cache: bool = False
 
-    def payload(self) -> dict:
-        """The cache payload; without a listing it has no ``listing``
-        key, the layout of results from before the field."""
-        record = super().payload()
-        if record["listing"] is None:
-            del record["listing"]
-        return record
-
-    @classmethod
-    def from_payload(cls, payload: dict, job: "BatchJob"):
-        """``None`` also for a listing job's payload without one."""
-        result = super().from_payload(payload, job)
-        listed = isinstance(getattr(result, "listing", None), str)
-        return result if listed or not job.listing else None
+    def __post_init__(self) -> None:
+        # From a JSON list; not iterable raises the TypeError of a miss.
+        object.__setattr__(self, "assignment", tuple(self.assignment))
 
 
 @dataclass(frozen=True)
@@ -176,8 +164,6 @@ class BatchJob:
     #: Also generate and (when simulating) audit the unoptimized
     #: regular-C-compiler address code, for comparison experiments.
     include_baseline: bool = False
-    #: Also render the generated AGU code into the result.
-    listing: bool = False
     #: The job's content digest, when it has already been computed:
     #: the engine hands executors copies that carry it, and the serve
     #: handler sets it on the job it queues, so neither execution nor
@@ -210,8 +196,6 @@ class BatchJob:
                 "run_simulation": self.run_simulation,
                 "n_iterations": self.n_iterations,
                 "include_baseline": self.include_baseline,
-                # Only when set: digests from before the field hold.
-                **({"listing": True} if self.listing else {}),
             },
         }
 
@@ -256,9 +240,7 @@ class BatchJob:
             simulated=simulation is not None,
             audit_ok=simulation is None
             or simulation.overhead_per_iteration == allocation.total_cost,
-            # Untitled, through the module global that profilers wrap.
-            listing=pipeline.program_listing(artifacts.program)
-            if self.listing else None,
+            assignment=allocation.cover.assignment(),
             wall_seconds=time.perf_counter() - started,
         )
 

@@ -38,8 +38,8 @@ knobs ``registers`` / ``modify_range`` and the execution options
 successful response carries the content ``digest``, the ``cached``
 flag, the :class:`~repro.batch.jobs.JobResult` payload under
 ``result``, and -- when asked -- the generated AGU code under
-``listing`` (an output of the job: such a request is cold or warm
-like any other).  Failures are ``ok: false`` error frames; an admission
+``listing`` (rendered from the stored result's register assignment,
+not compiled).  Failures are ``ok: false`` error frames; an admission
 rejection additionally sets ``busy: true`` so clients can distinguish
 "overloaded, retry" from "wrong, don't".  Untrusted work is bounded
 before anything is compiled, and each path answers a request over a
@@ -50,7 +50,8 @@ bound with the same error frame:
   the handler thread's parse, before the request is queued;
 * a cache hit (warm): :data:`MAX_ACCESSES`, on the stored result's
   ``n_accesses`` -- a shared ``dir:`` store may hold results that
-  ``repro-agu batch`` computed without these bounds.
+  ``repro-agu batch`` computed without these bounds; a listing also
+  parses, under a miss's bounds.
 
 Served output is bit-identical to what a direct
 :class:`~repro.batch.engine.BatchCompiler` run produces for the same
@@ -65,9 +66,8 @@ import socket
 import socketserver
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from repro.agu.listing import titled
 from repro.agu.model import AguSpec
 from repro.batch.cache import CacheBackend, TieredCache, open_cache
 from repro.batch.digest import job_digest
@@ -81,8 +81,10 @@ from repro.batch.service import (
     recv_frame,
     send_frame,
 )
-from repro.errors import BatchError
+from repro.core import pipeline
+from repro.errors import BatchError, CodegenError, PathCoverError
 from repro.ir.types import Kernel
+from repro.pathcover.paths import PathCover
 from repro.workloads.kernels import get_kernel
 
 #: Front-door bounds on one ``compile`` request.  Compile cost grows
@@ -152,7 +154,7 @@ class ServeStats:
 class ServeResult:
     """One answered compile request, as :class:`ServeClient` sees it."""
 
-    #: Content digest of the compiled job, listing left out.
+    #: Content digest of the compiled job.
     digest: str
     #: Whether the server answered from its cache (warm tier or
     #: backing store) rather than compiling.
@@ -518,29 +520,29 @@ class CompileService:
         # repro-lint: disable=BROAD-EXCEPT -- not swallowed: every request-shaping error (an unknown library kernel, an oversized source) is this request's error frame, never a batch failure that could fail other work
         except Exception as error:
             return self._reject(error)
-        # The answer is the listing-less job's result under its digest;
-        # a listing job's result is also stored there once compiled.
-        # The job queued is hashed last and carries its digest into the
-        # engine batch, so the engine's scan does not hash it again.
-        digest = job_digest(replace(job, listing=False)) \
-            if job.listing else None
+        listing = field_or(request, "listing", False)
+        # The job queued carries its digest into the engine batch, so
+        # the engine's scan does not hash it again.
         object.__setattr__(job, "digest", job_digest(job))
-        digest = digest or job.digest
 
-        # A hit skips the parse: its digest covers the exact source
-        # text, which parsed (within the limits) when it was stored.
-        # A listing job's entry without a listing is a miss.
+        # A plain hit skips the parse: its digest covers the exact
+        # source text, which parsed (within the limits) when it was
+        # stored.  A listing hit parses, to render from the kernel.
         payload = self.cache.get(job.digest)
         result = JobResult.from_payload(payload, job) \
             if payload is not None else None
         if result is not None:
             try:
                 _check_accesses(result.n_accesses)
-            except BatchError as error:
+                kernel = self._check_kernel(job) if listing else None
+            # repro-lint: disable=BROAD-EXCEPT -- not swallowed: an over-limit kernel is this request's error frame
+            except Exception as error:
                 return self._reject(error)
-            with self._stats_lock:
-                self.stats.served_warm += 1
-            return self._answer(job, digest, payload, cached=True)
+            answer = self._answer(job, payload, kernel, cached=True)
+            if answer["ok"]:
+                with self._stats_lock:
+                    self.stats.served_warm += 1
+            return answer
         try:
             kernel = self._check_kernel(job)
         # repro-lint: disable=BROAD-EXCEPT -- not swallowed: a frontend syntax error or an over-limit kernel is this request's error frame
@@ -568,11 +570,9 @@ class CompileService:
             return {"ok": False,
                     "error": pending.error or "compile produced no "
                                               "result"}
-        answer = self._answer(job, digest, pending.payload,
-                              cached=pending.cached)
-        if digest != job.digest and not pending.cached:
-            self.cache.put(digest, answer["result"])
-        return answer
+        return self._answer(job, pending.payload,
+                            kernel if listing else None,
+                            cached=pending.cached)
 
     def _reject(self, error: Exception) -> dict:
         """Count a request-shaping failure; its error frame."""
@@ -591,19 +591,25 @@ class CompileService:
                                 "request was compiled"
                 return
 
-    @staticmethod
-    def _answer(job: BatchJob, digest: str, payload: dict, *,
-                cached: bool) -> dict:
-        """``payload`` answered as the listing-less job's result, its
-        listing titled with the request's name -- display metadata
-        follows the request, not whoever stored the entry."""
-        result = {key: value for key, value in payload.items()
-                  if key != "listing"}
-        response = {"ok": True, "digest": digest, "cached": cached,
-                    "result": {**result, "name": job.name,
-                               "digest": digest}}
-        if job.listing:
-            response["listing"] = titled(payload["listing"], job.name)
+    def _answer(self, job: BatchJob, payload: dict, kernel: Kernel | None,
+                *, cached: bool) -> dict:
+        """``payload`` under the request's name (display metadata follows
+        the request), plus, given the ``kernel``, the listing rendered
+        from the payload's assignment."""
+        response = {"ok": True, "digest": job.digest, "cached": cached,
+                    "result": {**payload, "name": job.name}}
+        if kernel is not None:
+            try:
+                cover = PathCover.from_assignment(payload["assignment"])
+                # Through the module globals that profilers wrap.
+                response["listing"] = pipeline.program_listing(
+                    pipeline.generate_address_code(kernel.pattern, cover,
+                                                   job.spec),
+                    title=job.name)
+            except (CodegenError, PathCoverError) as error:
+                return self._reject(BatchError(
+                    f"stored result {job.digest} does not render: "
+                    f"{error}"))
         return response
 
     def _job_from_request(self, request: dict) -> BatchJob:
@@ -640,16 +646,15 @@ class CompileService:
             source=source,
             run_simulation=field_or(request, "simulate", True),
             n_iterations=iterations,
-            include_baseline=field_or(request, "baseline", False),
-            listing=field_or(request, "listing", False))
+            include_baseline=field_or(request, "baseline", False))
 
     @staticmethod
     def _check_kernel(job: BatchJob) -> Kernel:
-        """Parse a cache miss on the handler thread and bound its size,
-        so a syntax error or an oversized kernel is this request's
-        error frame -- by the time a job reaches the dispatcher it is
-        known to parse, within the limits.  Returns the kernel, which
-        the request carries on so that it is parsed only here."""
+        """Parse a cache miss (or a listing hit) on the handler thread
+        and bound its size, so a syntax error or an oversized kernel is
+        this request's error frame -- by the time a job reaches the
+        dispatcher it is known to parse, within the limits.  Returns the
+        kernel, which the request carries on so it is parsed only here."""
         kernel = job.kernel()
         _check_accesses(len(kernel.pattern))
         if len(kernel.arrays) > MAX_ARRAYS:

@@ -5,7 +5,6 @@
 * :mod:`repro.graph.access_graph` -- the graph ``G = (V, E)`` of the
   paper's Figure 1, including inter-iteration (wrap-around) edges.
 * :mod:`repro.graph.dot` -- Graphviz/ASCII rendering.
-* :mod:`repro.graph.properties` -- structural statistics.
 """
 
 from repro.graph.access_graph import AccessGraph

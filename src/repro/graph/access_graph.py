@@ -31,7 +31,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator
 
 from repro.errors import GraphError
 from repro.ir.types import AccessPattern
@@ -220,19 +219,6 @@ class AccessGraph:
         return GraphStats(
             self.n_nodes, sum(mask.bit_count() for mask in self.succ_bits),
             sum(mask.bit_count() for mask in self.wrap_bits))
-
-    def paths_from(self, node: int) -> Iterator[tuple[int, ...]]:
-        """Enumerate all simple intra-iteration paths starting at ``node``.
-
-        Exponential in general; intended for tests and tiny instances.
-        """
-        self._check_node(node)
-        stack: list[tuple[int, ...]] = [(node,)]
-        while stack:
-            path = stack.pop()
-            yield path
-            for succ in self._successor_tuples[path[-1]]:
-                stack.append(path + (succ,))
 
     def __repr__(self) -> str:
         stats = self.stats()

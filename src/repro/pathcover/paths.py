@@ -134,6 +134,17 @@ class PathCover:
                    n_accesses)
 
     @classmethod
+    def from_assignment(cls, assignment: Sequence[int]) -> "PathCover":
+        """The inverse of :meth:`assignment`: one path per register,
+        holding the positions that register serves."""
+        groups: dict[int, list[int]] = {}
+        for position, register in enumerate(assignment):
+            if type(register) is not int:
+                raise PathCoverError(f"register {register!r} is not an int")
+            groups.setdefault(register, []).append(position)
+        return cls.from_lists(groups.values(), len(assignment))
+
+    @classmethod
     def finest(cls, n_accesses: int) -> "PathCover":
         """One singleton path per access (the trivial cover)."""
         return cls(tuple(Path((position,))

@@ -2,8 +2,9 @@
 
 A stub runner stands in for perfbench: it prints a progress line and
 then a fixed JSON result line per (side, seed), so the medians, the
-base side's interquartile range, the wins and the "resolved" verdict
-are checked on known numbers without running the benchmark.
+base side's interquartile range, the wins and losses and the
+"resolved" verdict are checked on known numbers without running the
+benchmark.
 """
 
 import importlib.util
@@ -60,16 +61,19 @@ class StubRunner:
 
 ROOTS = {"base": Path("/base"), "head": Path("/head")}
 
-#: Base p50 has quartiles 11 and 13 (IQR 2, median 12).
+#: Ten pairs.  Base p50 has quartiles 11 and 13 (IQR 2, median 12);
+#: the head wins nine of them.
 VALUES = {
-    "p50_ms": {"base": [10, 11, 12, 13, 14], "head": [7, 8, 9, 10, 15]},
-    "ops_per_s": {"base": [100, 100, 100, 100, 100],
-                  "head": [100, 101, 99, 100, 102]},
-    "p99_ms": {"base": [20, 22, 24, 26, 28], "head": [19, 21, 23, 25, 27]},
+    "p50_ms": {"base": [10, 11, 12, 13, 14] * 2,
+               "head": [7, 8, 9, 10, 15, 7, 8, 9, 10, 9]},
+    "ops_per_s": {"base": [100] * 10,
+                  "head": [100, 101, 99, 100, 102] * 2},
+    "p99_ms": {"base": [20, 22, 24, 26, 28] * 2,
+               "head": [19, 21, 23, 25, 27] * 2},
 }
 
 
-def comparisons(values=VALUES, pairs=5) -> dict:
+def comparisons(values=VALUES, pairs=10) -> dict:
     runner = StubRunner(ROOTS, values)
     results = ab.run_pairs(runner, ROOTS, "batch-warm", pairs, 2.0, False)
     return {row.metric: row
@@ -77,7 +81,7 @@ def comparisons(values=VALUES, pairs=5) -> dict:
 
 
 def test_pairs_alternate_order_and_derive_seeds_from_a_fixed_base():
-    _, runner = comparisons()
+    _, runner = comparisons(pairs=5)
     assert [call[:2] for call in runner.calls] == [
         ("base", 101), ("head", 101), ("head", 102), ("base", 102),
         ("base", 103), ("head", 103), ("head", 104), ("base", 104),
@@ -93,7 +97,7 @@ def test_median_iqr_wins_and_a_resolved_gain():
     assert (p50.base_median, p50.head_median) == (12, 9)
     assert p50.base_iqr == 2
     assert p50.change == -3 and p50.change_pct == -25
-    assert (p50.wins, p50.pairs) == (4, 5)
+    assert (p50.wins, p50.losses, p50.pairs) == (9, 1, 10)
     assert p50.resolved and p50.verdict == "resolved better"
 
 
@@ -101,24 +105,47 @@ def test_a_change_within_the_base_iqr_is_unresolved():
     rows, _ = comparisons()
     p99 = rows["p99_ms"]
     assert p99.change == -1 and p99.base_iqr == 4
-    assert p99.wins == 5
+    assert p99.wins == 10
     assert not p99.resolved and p99.verdict == "unresolved"
 
 
 def test_ties_count_for_neither_side_and_direction_follows_the_metric():
     rows, _ = comparisons()
     ops = rows["ops_per_s"]
-    # Higher is better: 101 and 102 win, 99 loses, two ties.
-    assert ops.wins == 2
+    # Higher is better: 101 and 102 win, 99 loses, two ties, twice.
+    assert (ops.wins, ops.losses) == (4, 2)
     # Equal medians are unresolved, even over a zero-width range.
     assert ops.base_iqr == 0 and ops.change == 0 and not ops.resolved
 
 
 def test_a_resolved_regression_reads_worse():
-    values = {"p50_ms": {"base": [10, 10, 11, 11], "head": [13, 14, 12, 15]}}
-    rows, _ = comparisons(values, pairs=4)
+    """Nine losses in ten pairs, beyond the base IQR."""
+    values = {"p50_ms": {"base": [10, 10, 11, 11, 10] * 2,
+                         "head": [13, 14, 12, 15, 13] * 2}}
+    values["p50_ms"]["head"][9] = 9
+    rows, _ = comparisons(values)
+    assert (rows["p50_ms"].wins, rows["p50_ms"].losses) == (1, 9)
     assert rows["p50_ms"].verdict == "resolved worse"
-    assert rows["p50_ms"].wins == 0
+
+
+def test_three_pairs_beyond_the_iqr_are_unresolved():
+    """Three runs give a narrow range by chance: every pair won and the
+    medians apart by more than the IQR is still too few pairs."""
+    values = {"p50_ms": {"base": [10, 10.5, 11], "head": [5, 5, 5]}}
+    rows, _ = comparisons(values, pairs=3)
+    p50 = rows["p50_ms"]
+    assert p50.wins == 3 and abs(p50.change) > p50.base_iqr
+    assert not p50.resolved and p50.verdict == "unresolved"
+
+
+def test_eight_wins_in_ten_pairs_are_unresolved():
+    values = {"p50_ms": {"base": [10, 11, 12, 13, 14] * 2,
+                         "head": [7, 8, 9, 10, 15, 7, 8, 9, 10, 15]}}
+    rows, _ = comparisons(values)
+    p50 = rows["p50_ms"]
+    assert (p50.wins, p50.losses) == (8, 2)
+    assert abs(p50.change) > p50.base_iqr
+    assert p50.verdict == "unresolved"
 
 
 def test_one_pair_has_no_range_and_resolves_nothing():
@@ -147,7 +174,7 @@ def test_render_lists_every_row():
     assert table[0].split()[:2] == ["metric", "unit"]
     assert [line.split()[0] for line in table[1:]] \
         == ["p50_ms", "p99_ms", "ops_per_s"]
-    assert "-25.0%" in table[1] and "4/5" in table[1]
+    assert table[1].split()[4:7] == ["-25.0%", "9/10", "1/10"]
 
 
 def _in_git_checkout() -> bool:

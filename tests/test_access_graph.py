@@ -5,12 +5,6 @@ import pytest
 from repro.errors import GraphError
 from repro.graph.access_graph import AccessGraph
 from repro.graph.dot import graph_to_ascii, graph_to_dot
-from repro.graph.properties import (
-    degree_summary,
-    intra_density,
-    isolated_nodes,
-    undirected_components,
-)
 from repro.ir.builder import LoopBuilder, pattern_from_offsets
 
 
@@ -103,15 +97,6 @@ class TestConstructionRules:
             paper_graph.predecessors(-1)
 
 
-class TestPathsFrom:
-    def test_enumerates_simple_paths(self, paper_graph):
-        paths = set(paper_graph.paths_from(2))  # a_3
-        assert (2,) in paths
-        assert (2, 4) in paths
-        assert (2, 4, 5) in paths
-        assert len(paths) == 3
-
-
 class TestRendering:
     def test_ascii_contains_labels(self, paper_graph):
         text = graph_to_ascii(paper_graph, include_inter=True)
@@ -127,30 +112,3 @@ class TestRendering:
     def test_dot_with_inter_edges(self, paper_graph):
         dot = graph_to_dot(paper_graph, include_inter=True)
         assert "dashed" in dot
-
-
-class TestProperties:
-    def test_density_bounds(self, paper_graph):
-        assert intra_density(paper_graph) == pytest.approx(11 / 21)
-
-    def test_density_empty(self):
-        assert intra_density(AccessGraph(pattern_from_offsets([]), 1)) == 0.0
-        assert intra_density(AccessGraph(pattern_from_offsets([5]), 1)) == 0.0
-
-    def test_degree_summary(self, paper_graph):
-        summary = degree_summary(paper_graph)
-        assert summary.max_out == 4   # a_1
-        assert summary.min_out == 0   # a_6, a_7
-        assert summary.mean_out == pytest.approx(11 / 7)
-        assert summary.mean_in == pytest.approx(11 / 7)
-
-    def test_isolated_nodes(self):
-        graph = AccessGraph(pattern_from_offsets([0, 100, 1]), 1)
-        assert isolated_nodes(graph) == (1,)
-
-    def test_components(self):
-        graph = AccessGraph(pattern_from_offsets([0, 100, 1, 101]), 1)
-        assert undirected_components(graph) == [(0, 2), (1, 3)]
-
-    def test_single_component_when_dense(self, paper_graph):
-        assert undirected_components(paper_graph) == [tuple(range(7))]

@@ -8,7 +8,6 @@ import os
 
 import pytest
 
-from repro.agu.listing import titled
 from repro.agu.model import AguSpec
 from repro.analysis.reports import to_jsonable
 from repro.batch.cache import InMemoryLRUCache
@@ -30,7 +29,6 @@ from repro.batch.jobs import (
     parse_scope,
 )
 from repro.batch.registry import experiment_point_jobs, get_experiment
-from repro.core import pipeline
 from repro.core.config import AllocatorConfig
 from repro.core.pipeline import compile_kernel
 from repro.errors import BatchError, ParseError, WorkloadError
@@ -72,35 +70,6 @@ class TestBatchJob:
         assert result.simulated and result.audit_ok
         assert result.n_accesses == 7
         assert result.total_cost == 2  # the paper's K=2 example
-
-    def test_a_listing_job_renders_its_code_once_untitled(self,
-                                                          monkeypatch):
-        source = KERNELS["fir8"].source
-        plain = BatchJob(name="fir8", spec=SPEC, source=source)
-        job = dataclasses.replace(plain, name="shown", listing=True)
-        renders = []
-        render = pipeline.program_listing
-
-        def counting_render(*args, **kwargs):
-            renders.append(kwargs.get("title"))
-            return render(*args, **kwargs)
-
-        monkeypatch.setattr(pipeline, "program_listing", counting_render)
-        result = execute_job(job)
-        # Rendered once, through the pipeline, without the title: the
-        # name is outside the digest, so a stored listing cannot be.
-        assert renders == [None]
-        direct = compile_kernel(source, SPEC, run_simulation=False,
-                                name="shown")
-        assert titled(result.listing, "shown") == direct.listing
-        assert execute_job(plain).listing is None
-        assert job_digest(job) != job_digest(plain)
-        # Otherwise the payloads agree; a listing-less one has no
-        # listing key, the layout of results from before the field.
-        listed = without_timing(result)
-        assert listed.pop("listing") == result.listing
-        assert listed == {**without_timing(execute_job(plain)),
-                          "name": "shown", "digest": job_digest(job)}
 
 
 class TestJobFactories:

@@ -126,6 +126,27 @@ class TestBatch:
         assert len(payload["results"]) == 8
         assert payload["results"][0]["digest"]
 
+    def test_json_results_say_which_accesses_share_a_register(
+            self, tmp_path, capsys):
+        """Each result carries its allocation as the register of each
+        access: a cost is explained from the result alone."""
+        from repro.agu.model import AguSpec
+        from repro.core.pipeline import compile_kernel
+        from repro.workloads.kernels import get_kernel
+        from repro.workloads.suite import SUITES
+
+        target = tmp_path / "batch.json"
+        assert main(["batch", "--suite", "core8", "--no-sim",
+                     "--json", str(target)]) == 0
+        results = json.loads(target.read_text())["results"]
+        assert [result["name"] for result in results] \
+            == list(SUITES["core8"])
+        for result in results:
+            direct = compile_kernel(get_kernel(result["name"]).source,
+                                    AguSpec(4, 1), run_simulation=False)
+            assert result["assignment"] \
+                == list(direct.allocation.cover.assignment())
+
     def test_unknown_suite_fails_cleanly(self, capsys):
         assert main(["batch", "--suite", "nope"]) == 1
         assert "unknown suite" in capsys.readouterr().err

@@ -94,9 +94,7 @@ PINNED_DIGESTS = {
 
 #: Content digests of representative compilation units, one per part
 #: of the ``BatchJob`` key layout: the source text, a lowered random
-#: pattern, a non-default allocator config, and the execution options
-#: (``listing`` enters the key only when set, so it gets a pin of its
-#: own: the same job as ``library-source``, a different digest).
+#: pattern, a non-default allocator config, and the execution options.
 PINNED_BATCH_JOBS = {
     "library-source": (
         lambda: jobs_from_kernels(["fir8"], AguSpec(4, 1))[0],
@@ -118,10 +116,6 @@ PINNED_BATCH_JOBS = {
                                   n_iterations=16,
                                   include_baseline=True)[0],
         "47441d326ef49d7f16b94f797decf688fbd6d6a9b98f89f783cbd42103e4b1dd"),
-    "listing": (
-        lambda: dataclasses.replace(
-            jobs_from_kernels(["fir8"], AguSpec(4, 1))[0], listing=True),
-        "9cce23d5b39190686f5dc4993bbc0f35a93883b9464182b125dff530e7675a16"),
 }
 
 

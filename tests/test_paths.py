@@ -97,6 +97,33 @@ class TestPathCover:
         cover = PathCover((Path((0, 2)), Path((1, 3))), 4)
         assert cover.assignment() == (0, 1, 0, 1)
 
+    def test_from_assignment_inverts_assignment(self):
+        cover = PathCover((Path((0, 2)), Path((1, 3)), Path((4,))), 5)
+        assert PathCover.from_assignment(cover.assignment()) == cover
+        assert PathCover.from_assignment([0, 1, 0, 1, 2]) == cover
+        assert PathCover.from_assignment(()) == PathCover((), 0)
+
+    @pytest.mark.parametrize("assignment", [("a", 0), (0, None),
+                                            ([0], 0), (True, 0)],
+                             ids=["text", "null", "list", "bool"])
+    def test_from_assignment_rejects_non_int_registers(self, assignment):
+        with pytest.raises(PathCoverError, match="is not an int"):
+            PathCover.from_assignment(assignment)
+
+    def test_from_assignment_inverts_every_library_allocation(self):
+        """The cover a result stores as its assignment comes back
+        whole, on every kernel of the library."""
+        from repro.agu.model import AguSpec
+        from repro.core.pipeline import compile_kernel
+        from repro.workloads.kernels import KERNELS
+
+        assert len(KERNELS) == 26
+        for name, entry in sorted(KERNELS.items()):
+            cover = compile_kernel(entry.kernel(), AguSpec(2, 1),
+                                   run_simulation=False).allocation.cover
+            assert PathCover.from_assignment(cover.assignment()) \
+                == cover, name
+
     def test_successors_wrap_to_the_path_start(self):
         cover = PathCover((Path((0, 2, 3)), Path((1,))), 4)
         assert cover.successors() == (2, 1, 3, 0)

@@ -57,6 +57,22 @@ def payload_modulo_timing(result) -> dict:
 
 
 @pytest.fixture
+def cover_calls(monkeypatch):
+    """Every phase-1 exact cover search the allocator runs, by pattern.
+    """
+    calls = []
+    exact_cover = allocator.minimum_zero_cost_cover
+
+    def counting_cover(*args, **kwargs):
+        calls.append(args[0])
+        return exact_cover(*args, **kwargs)
+
+    monkeypatch.setattr(allocator, "minimum_zero_cost_cover",
+                        counting_cover)
+    return calls
+
+
+@pytest.fixture
 def service():
     with CompileService(batch_window=0.01) as running:
         yield running
@@ -146,8 +162,8 @@ class TestServeProtocol:
 
     def test_served_result_is_bit_identical_to_direct_batch(
             self, service, client):
-        """With or without a listing, the answer is the listing-less
-        job's result, under that job's digest."""
+        """With or without a listing, the answer is the job's result,
+        under the job's digest."""
         job = BatchJob(name="saxpy", spec=SPEC,
                        source=SOURCES["saxpy"])
         direct = BatchCompiler().compile([job]).results[0]
@@ -173,9 +189,8 @@ class TestServeProtocol:
 
     def test_listing_is_bit_identical_to_compile_kernel(self, service,
                                                         client):
-        """Cold, warm, and warm under another name: the stored listing
-        has no title, so each answer is titled with its own request's
-        name, like its result."""
+        """Cold, warm, and warm under another name: each listing is
+        rendered titled with its own request's name, like its result."""
         for name, cached in (("alpha", False), ("alpha", True),
                              ("beta", True)):
             answer = client.compile(SOURCES["energy"], name=name,
@@ -187,20 +202,44 @@ class TestServeProtocol:
             assert answer.result.name == name
 
     def test_a_listing_request_leaves_the_plain_request_warm(
-            self, service, client):
-        """A compiled listing job's result is also stored under the
-        listing-less job's digest, which its answer names: a plain
-        repeat is warm and compiles nothing."""
+            self, service, client, cover_calls):
+        """A listing request is the plain request's job under the same
+        digest: a plain repeat is warm and compiles nothing, so the
+        kernel's cover is searched once in all."""
         answer = client.compile(kernel="fir8", listing=True)
         repeat = client.compile(kernel="fir8")
         assert not answer.cached and repeat.cached
         assert repeat.digest == answer.digest
         assert repeat.result.payload() == answer.result.payload()
         assert service.stats.compiled == 1
+        assert len(cover_calls) == 1
+
+    def test_a_listing_after_a_plain_request_is_warm(self, service,
+                                                     client, cover_calls):
+        """The listing is rendered from the stored result's assignment:
+        no cover search, no merge, no simulation."""
+        plain = client.compile(kernel="fir8")
+        assert not plain.cached and len(cover_calls) == 1
+        listed = client.compile(kernel="fir8", listing=True)
+        assert listed.cached
+        assert len(cover_calls) == 1
+        assert service.stats.compiled == 1
+        assert listed.listing == compile_kernel(
+            SOURCES["fir8"], SPEC, run_simulation=False,
+            name="fir8").listing
+
+    def test_a_warm_listing_under_a_second_name(self, service, client):
+        client.compile(SOURCES["energy"], name="first")
+        second = client.compile(SOURCES["energy"], name="second",
+                                listing=True)
+        assert second.cached and second.result.name == "second"
+        assert second.listing == compile_kernel(
+            SOURCES["energy"], SPEC, run_simulation=False,
+            name="second").listing
 
     def test_a_result_without_a_listing_has_no_listing_key(self, service):
-        """Listing-less payloads, stored and served, keep the layout of
-        results from before the listing field."""
+        """A listing is rendered for its request, never stored: neither
+        the answer's result nor the stored entry carries one."""
         plain = service.handle_request(compile_request("saxpy"))
         listed = service.handle_request(
             compile_request("fir8", listing=True))
@@ -208,28 +247,66 @@ class TestServeProtocol:
             assert "listing" not in answer["result"]
             assert "listing" not in service.cache.get(answer["digest"])
 
-    @pytest.mark.parametrize("stored", [{}, {"listing": None},
-                                        {"listing": 7}],
-                             ids=["absent", "null", "not-text"])
-    def test_a_stored_listing_job_without_a_listing_is_a_miss(self, stored):
-        """A shared store is outside input: an entry under a listing
-        job's digest whose listing is not text is compiled again."""
-        job = BatchJob(name="energy", spec=SPEC, source=SOURCES["energy"],
-                       listing=True)
+    @pytest.mark.parametrize("listing", [False, True],
+                             ids=["plain", "listing"])
+    @pytest.mark.parametrize("stored", [None, 7],
+                             ids=["absent", "not-iterable"])
+    def test_a_stored_result_without_an_assignment_is_a_miss(
+            self, stored, listing):
+        """A shared store is outside input, and every entry written
+        before results carried their assignment lacks one: such an
+        entry is compiled again and overwritten."""
+        job = BatchJob(name="energy", spec=SPEC, source=SOURCES["energy"])
         payload = execute_job(job).payload()
-        del payload["listing"]
+        del payload["assignment"]
+        if stored is not None:
+            payload["assignment"] = stored
         store = InMemoryLRUCache()
-        store.put(job_digest(job), {**payload, **stored})
+        store.put(job_digest(job), payload)
         with CompileService(store) as poisoned:
             answer = poisoned.handle_request(
-                compile_request("energy", listing=True))
+                compile_request("energy", listing=listing))
             assert poisoned.stats.served_warm == 0
             assert poisoned.stats.compiled == 1
         assert answer["ok"] and not answer["cached"]
-        assert answer["listing"] == compile_kernel(
-            SOURCES["energy"], SPEC, run_simulation=False,
-            name="energy").listing
-        assert isinstance(store.get(job_digest(job))["listing"], str)
+        direct = execute_job(job).payload()
+        assert {**answer["result"], "wall_seconds": 0} \
+            == {**direct, "wall_seconds": 0}
+        if listing:
+            assert answer["listing"] == compile_kernel(
+                SOURCES["energy"], SPEC, run_simulation=False,
+                name="energy").listing
+        assert store.get(job_digest(job))["assignment"] \
+            == direct["assignment"]
+
+    @pytest.mark.parametrize("assignment, match", [
+        ([0, 1, 0], "cover is over 3 accesses"),
+        (list(range(len(get_kernel("fir8").kernel().pattern))),
+         "address registers"),
+    ], ids=["wrong-length", "too-many-registers"])
+    def test_a_stored_assignment_that_does_not_render_is_an_error_frame(
+            self, assignment, match):
+        """A stored assignment is not checked on a hit; one that fails
+        to render answers an error frame naming the digest, and the
+        connection keeps serving."""
+        job = BatchJob(name="fir8", spec=SPEC, source=SOURCES["fir8"])
+        digest = job_digest(job)
+        store = InMemoryLRUCache()
+        store.put(digest, {**execute_job(job).payload(),
+                           "assignment": assignment})
+        with CompileService(store) as poisoned, \
+                socket.create_connection(poisoned.address,
+                                         timeout=5) as sock:
+            send_frame(sock, compile_request("fir8", listing=True))
+            answer = recv_frame(sock)
+            assert answer["ok"] is False
+            assert digest in answer["error"]
+            assert match in answer["error"]
+            send_frame(sock, compile_request("fir8"))
+            plain = recv_frame(sock)
+            assert plain["ok"] and plain["cached"]
+            assert poisoned.stats.failures == 1
+            assert poisoned.stats.served_warm == 1
 
     def test_no_listing_unless_asked(self, service, client):
         assert client.compile(SOURCES["saxpy"]).listing is None
@@ -364,9 +441,9 @@ def digested(monkeypatch):
 
 
 class TestDigestOnce:
-    """A served compile request is digested by its handler -- once, or
-    with a listing also as the listing-less job its answer names; the
-    engine batch reuses the digest the queued job carries."""
+    """A served compile request is digested by its handler once, with
+    or without a listing; the engine batch reuses the digest the queued
+    job carries."""
 
     def test_one_digest_per_compile_request(self, service, digested):
         kernels = ["saxpy", "fir8", "saxpy", "energy", "fir8"]
@@ -393,12 +470,10 @@ class TestDigestOnce:
         answer = service.handle_request(
             compile_request("energy", listing=True))
         assert len(compiled) == 1
-        # The answer's listing-less job first, then the one queued.
-        answered, queued = digested
-        assert not answered.listing and answer["digest"] \
-            == answer["result"]["digest"] == job_digest(answered)
-        assert queued is compiled[0] and queued.listing
-        assert compiled[0].digest == job_digest(compiled[0])
+        [queued] = digested
+        assert queued is compiled[0]
+        assert answer["digest"] == answer["result"]["digest"] \
+            == compiled[0].digest == job_digest(queued)
 
 
 def free_port() -> int:
@@ -558,29 +633,19 @@ class TestWarmPathSkipsTheParse:
         assert len(parse_calls) == 1
 
     def test_a_cold_listing_request_parses_once(self, service, client,
-                                                parse_calls,
-                                                monkeypatch):
-        """...and compiles once: the listing is an output of the job
-        the engine batch runs, not of a second compile."""
-        covers = []
-        exact_cover = allocator.minimum_zero_cost_cover
-
-        def counting_cover(*args, **kwargs):
-            covers.append(args[0])
-            return exact_cover(*args, **kwargs)
-
-        monkeypatch.setattr(allocator, "minimum_zero_cost_cover",
-                            counting_cover)
+                                                parse_calls, cover_calls):
+        """...and compiles once; the listing renders from that parse.
+        A warm listing parses once, to render, and compiles nothing."""
         cold = client.compile(SOURCES["energy"], name="energy",
                               listing=True)
         assert not cold.cached and cold.listing
         assert parse_calls == [SOURCES["energy"]]
-        assert len(covers) == 1
+        assert len(cover_calls) == 1
         warm = client.compile(SOURCES["energy"], name="energy",
                               listing=True)
         assert warm.cached and warm.listing == cold.listing
-        assert parse_calls == [SOURCES["energy"]]
-        assert len(covers) == 1
+        assert parse_calls == [SOURCES["energy"]] * 2
+        assert len(cover_calls) == 1
 
     def test_syntax_errors_still_get_their_own_error_frame(self, service):
         with socket.create_connection(service.address, timeout=5) as sock:

@@ -11,10 +11,17 @@ invocations with the same arguments run the same inputs.
 
 Per metric the report gives both sides' medians, the median change
 (head median minus base median, and that as a share of the base), the
-pairs the head side won (ties count for neither side), the
-interquartile range of the base side's runs, and a verdict: "resolved"
-only when the medians differ by more than that range, "unresolved"
-otherwise (always, with fewer than two pairs: one run has no range).
+pairs the head side won and lost (ties count for neither side), the
+interquartile range of the base side's runs, and a verdict.  It reads
+"resolved better" or "resolved worse" only when all of these hold, and
+"unresolved" otherwise:
+
+* at least :data:`MIN_PAIRS` pairs ran;
+* the head side won (or lost) at least nine of every ten pairs;
+* the medians differ by more than the base side's interquartile range.
+
+A few pairs have a narrow range by chance, so noise alone would
+otherwise read "resolved".
 Untraced runs (the default) compare the end-to-end metrics; ``--trace``
 runs compare the per-layer ones.
 
@@ -50,6 +57,10 @@ from bench_trajectory import REPO_ROOT, git_revision, perfbench_catalogue
 #: Pair ``i`` runs both sides with seed ``SEED_BASE + i``.
 SEED_BASE = 101
 
+#: A verdict needs this many pairs, and one side winning nine tenths
+#: of them.
+MIN_PAIRS = 10
+
 SIDES = ("base", "head")
 
 #: ``runner(root, workload, seed, seconds, trace)``: the standard output
@@ -68,6 +79,8 @@ class Comparison:
     head_median: float
     #: Pairs whose head value beat the base value (ties excluded).
     wins: int
+    #: Pairs whose base value beat the head value (ties excluded).
+    losses: int
     pairs: int
     #: Interquartile range of the base side; ``None`` below two pairs.
     base_iqr: float | None
@@ -85,18 +98,27 @@ class Comparison:
         return 100 * self.change / self.base_median
 
     @property
+    def improved(self) -> bool:
+        """The head median is on the better side of the base median."""
+        return (self.change < 0) == (self.better == "lower")
+
+    @property
     def resolved(self) -> bool:
-        """The medians differ by more than the base side's IQR."""
-        return self.base_iqr is not None \
-            and abs(self.change) > self.base_iqr
+        """At least :data:`MIN_PAIRS` pairs, the side the medians favour
+        winning nine tenths of them, and the medians differing by more
+        than the base side's IQR."""
+        decisive = self.wins if self.improved else self.losses
+        return (self.pairs >= MIN_PAIRS
+                and 10 * decisive >= 9 * self.pairs
+                and self.base_iqr is not None
+                and abs(self.change) > self.base_iqr)
 
     @property
     def verdict(self) -> str:
         """``resolved better``/``resolved worse`` or ``unresolved``."""
         if not self.resolved:
             return "unresolved"
-        improved = (self.change < 0) == (self.better == "lower")
-        return f"resolved {'better' if improved else 'worse'}"
+        return f"resolved {'better' if self.improved else 'worse'}"
 
 
 def pair_plan(pairs: int) -> list[tuple[int, tuple[str, str]]]:
@@ -171,25 +193,29 @@ def compare(results: dict[str, list[dict]], metrics) -> list[Comparison]:
             continue
         lower = metric.better == "lower"
         wins = sum(h < b if lower else h > b for b, h in zip(base, head))
+        losses = sum(h > b if lower else h < b
+                     for b, h in zip(base, head))
         rows.append(Comparison(
             metric=metric.name, unit=metric.unit, better=metric.better,
             base_median=statistics.median(base),
             head_median=statistics.median(head), wins=wins,
-            pairs=len(base), base_iqr=interquartile_range(base)))
+            losses=losses, pairs=len(base),
+            base_iqr=interquartile_range(base)))
     return rows
 
 
 def render(rows: list[Comparison]) -> str:
     """The comparison as an aligned text table."""
     header = ("metric", "unit", "base median", "head median", "change",
-              "wins", "base IQR", "verdict")
+              "wins", "losses", "base IQR", "verdict")
     table = [header]
     for row in rows:
         pct = "n/a" if row.change_pct is None else f"{row.change_pct:+.1f}%"
         iqr = "n/a" if row.base_iqr is None else f"{row.base_iqr:.4g}"
         table.append((row.metric, row.unit, f"{row.base_median:.4g}",
                       f"{row.head_median:.4g}", pct,
-                      f"{row.wins}/{row.pairs}", iqr, row.verdict))
+                      f"{row.wins}/{row.pairs}",
+                      f"{row.losses}/{row.pairs}", iqr, row.verdict))
     widths = [max(len(line[column]) for line in table)
               for column in range(len(header))]
     return "\n".join("  ".join(cell.ljust(width)
