@@ -8,6 +8,9 @@ grid's throughput across process-pool widths, and the per-point
 throughput of every registered ablation experiment (``-k ablate``).
 Cold and warm library sweeps, the EXP-S1 grid and the compile service
 are measured by the repository benchmark (``perfbench/``), not here.
+The paper's tables are regenerated by ``repro-agu experiment NAME``
+and ``repro-agu report``, and the claims they support are asserted by
+``tests/test_paper_claims.py``.
 
 The ``-k solver`` micro-suite times the single-point hot paths (access
 graph construction and memoized lookup, the exact branch-and-bound,
@@ -19,8 +22,6 @@ perf trajectory, next to traced perfbench runs, and what
 ``docs/BENCHMARKS.md``.
 """
 import pytest
-
-from _bench_util import run_once
 
 from repro.analysis.experiments import (
     StatisticalConfig,
@@ -51,6 +52,12 @@ from repro.workloads.random_patterns import (
     RandomPatternConfig,
     generate_pattern,
 )
+
+
+def run_once(benchmark, func, *args, **kwargs):
+    """Benchmark a heavyweight experiment with a single round."""
+    return benchmark.pedantic(func, args=args, kwargs=kwargs,
+                              rounds=1, iterations=1, warmup_rounds=0)
 
 
 @pytest.mark.parametrize("n", [20, 40, 80])

@@ -76,11 +76,6 @@ class AddressProgram:
         """
         return self.cover.n_paths
 
-    def body_uses(self) -> list[Use]:
-        """The body's access operands, in program order."""
-        return [instruction for instruction in self.body
-                if isinstance(instruction, Use)]
-
 
 def generate_address_code(pattern: AccessPattern, cover: PathCover,
                           spec: AguSpec,

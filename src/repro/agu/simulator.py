@@ -55,12 +55,6 @@ class SimulationResult:
     n_accesses_verified: int
     trace: tuple[TraceEntry, ...] = field(repr=False, default=())
 
-    @property
-    def total_address_instructions(self) -> int:
-        """Unit-cost address instructions over prologue plus loop body.
-        """
-        return self.prologue_instructions + self.loop_overhead_instructions
-
 
 def simulate(program: AddressProgram, loop: Loop, layout: MemoryLayout,
              n_iterations: int | None = None,

@@ -1,8 +1,8 @@
 """Render experiment summaries as text tables.
 
-Shared by the command-line interface and the benchmark harness so that
-``repro-agu experiment ...`` and ``pytest benchmarks/`` print identical
-rows for the same experiment.
+Shared by ``repro-agu experiment ...`` and ``repro-agu report`` (via
+each experiment's registered ``render``), so both print identical rows
+for the same experiment.
 """
 
 from __future__ import annotations

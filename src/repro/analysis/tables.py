@@ -1,14 +1,14 @@
 """Fixed-width text tables for experiment output.
 
-The benchmark harness prints the same rows the paper's Results section
-talks about; this renderer keeps them aligned and terminal-friendly
-without any dependency.
+The experiment CLI and report print the same rows the paper's Results
+section talks about; this renderer keeps them aligned and
+terminal-friendly without any dependency.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from repro.errors import ExperimentError
 
@@ -46,16 +46,6 @@ class Table:
     def add_row(self, **values: Any) -> None:
         """Append one row (missing keys render as empty)."""
         self._rows.append(values)
-
-    def add_rows(self, rows: Iterable[dict[str, Any]]) -> None:
-        """Append many rows at once (each a key -> value dict)."""
-        for row in rows:
-            self._rows.append(dict(row))
-
-    @property
-    def n_rows(self) -> int:
-        """Number of data rows added so far."""
-        return len(self._rows)
 
     def render(self) -> str:
         """The table as aligned text with a header rule."""

@@ -366,14 +366,6 @@ class BatchReport:
         return sum(result.total_cost for result in self.results)
 
     @property
-    def mean_overhead_per_iteration(self) -> float:
-        """Mean generated overhead per iteration (0.0 when empty)."""
-        if not self.results:
-            return 0.0
-        return sum(result.overhead_per_iteration
-                   for result in self.results) / self.n_jobs
-
-    @property
     def all_audits_ok(self) -> bool:
         """Whether every simulated job agreed with the cost model."""
         return all(result.audit_ok for result in self.results)

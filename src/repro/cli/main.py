@@ -96,12 +96,21 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
 # ----------------------------------------------------------------------
 # Subcommand implementations
 # ----------------------------------------------------------------------
+def _checked_iterations(args: argparse.Namespace) -> int | None:
+    """``--iterations``, refusing a count that would verify nothing."""
+    if args.iterations is not None and args.iterations < 1:
+        raise ReproError(
+            f"--iterations must be >= 1, got {args.iterations}")
+    return args.iterations
+
+
 def _cmd_compile(args: argparse.Namespace) -> int:
+    n_iterations = _checked_iterations(args)
     source = _read_source(args.file)
     spec = _spec_from_args(args)
     artifacts = compile_kernel(source, spec,
                                run_simulation=not args.no_sim,
-                               n_iterations=args.iterations,
+                               n_iterations=n_iterations,
                                name=Path(args.file).stem
                                if args.file != "-" else "stdin")
     print(artifacts.allocation.summary())
@@ -181,10 +190,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    n_iterations = _checked_iterations(args)
     source = _read_source(args.file)
     spec = _spec_from_args(args)
     artifacts = compile_kernel(source, spec,
-                               n_iterations=args.iterations,
+                               n_iterations=n_iterations,
                                name=Path(args.file).stem
                                if args.file != "-" else "stdin")
     simulation = artifacts.simulation

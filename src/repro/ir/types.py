@@ -186,10 +186,6 @@ class AccessPattern:
         """The accesses at the given positions, in the given order."""
         return tuple(self.accesses[position] for position in positions)
 
-    def with_step(self, step: int) -> "AccessPattern":
-        """A copy of this pattern with a different loop step."""
-        return AccessPattern(self.accesses, step=step, loop_var=self.loop_var)
-
     def __str__(self) -> str:
         body = ", ".join(
             f"{self.label(position)}:{access}"
@@ -228,7 +224,8 @@ class Loop:
 
     def iteration_count(self, count: int | None = None) -> int:
         """The iteration count to run: ``count``, else the loop's own
-        ``n_iterations``; it must be given when the bound is symbolic.
+        ``n_iterations``; it must be given when the bound is symbolic,
+        and an explicit count must not be negative.
         """
         if count is None:
             count = self.n_iterations
@@ -237,6 +234,8 @@ class Loop:
                 "loop bound is symbolic"
                 + (f" ({self.bound_symbol})" if self.bound_symbol else "")
                 + "; supply an explicit iteration count")
+        if count < 0:
+            raise IrError(f"iteration count must be >= 0, got {count}")
         return count
 
     def iteration_values(self, count: int | None = None) -> list[int]:

@@ -191,17 +191,6 @@ class PathCover:
                 successor[here] = there
         return tuple(successor)
 
-    def path_of(self, position: int) -> Path:
-        """The path containing a given access position."""
-        if not 0 <= position < self.n_accesses:
-            raise PathCoverError(
-                f"position {position} out of range for "
-                f"{self.n_accesses} accesses")
-        for path in self.paths:
-            if position in path:
-                return path
-        raise PathCoverError(f"position {position} not covered")  # unreachable
-
     def replace(self, remove: tuple[Path, Path], add: Path) -> "PathCover":
         """A new cover with two paths replaced by their merge result."""
         first, second = remove

@@ -6,6 +6,7 @@ from repro.errors import GraphError
 from repro.graph.access_graph import AccessGraph
 from repro.graph.dot import graph_to_ascii, graph_to_dot
 from repro.ir.builder import LoopBuilder, pattern_from_offsets
+from repro.ir.types import AccessPattern
 
 
 class TestFigure1:
@@ -77,7 +78,7 @@ class TestConstructionRules:
 
     def test_step_changes_inter_edges_only(self, paper_pattern):
         g1 = AccessGraph(paper_pattern, 1)
-        g3 = AccessGraph(paper_pattern.with_step(3), 1)
+        g3 = AccessGraph(AccessPattern(paper_pattern.accesses, step=3), 1)
         assert g1.intra_edges == g3.intra_edges
         assert g1.inter_edges != g3.inter_edges
 

@@ -349,6 +349,25 @@ class TestGateCli:
                           "--current", str(fresh)]) == 1
         assert "library: merge.steps" in capsys.readouterr().err
 
+    def test_gate_mode_defaults_to_the_newest_trajectory(
+            self, tmp_path, capsys, monkeypatch):
+        """Without ``--trajectory`` the gate reads the highest-numbered
+        ``BENCH_<n>.json`` (numerically, so 12 after 3)."""
+        self._write(tmp_path, "BENCH_3.json",
+                    [("baseline", make_entries(a=0.1))])
+        self._write(tmp_path, "BENCH_12.json",
+                    [("baseline", make_entries(a=0.1))],
+                    edited(make_workloads(), "grid", "merge.steps"))
+        fresh = self._write(tmp_path, "fresh.json",
+                            [("ci", make_entries(a=0.1))])
+        monkeypatch.setattr(
+            gate, "default_trajectory_path",
+            lambda: trajectory.default_trajectory_path(tmp_path))
+        assert gate.main(["--current", str(fresh)]) == 1
+        captured = capsys.readouterr()
+        assert "regression gate vs BENCH_12.json" in captured.out
+        assert "grid: merge.steps" in captured.err
+
     def test_gate_mode_needs_a_schema_2_baseline(self, tmp_path, capsys):
         fresh = self._write(tmp_path, "fresh.json",
                             [("ci", make_entries(a=0.1))])

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.analysis.experiments import run_experiment
+from repro.analysis.reports import load_report, to_jsonable
 from repro.batch.registry import (
     experiment_point_jobs,
     get_experiment,
@@ -63,6 +64,16 @@ class TestCompile:
         bad.write_text("for (i = 0; i < 3; i++) { A[i] }")
         assert main(["compile", str(bad)]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+@pytest.mark.parametrize("command", ["compile", "verify"])
+def test_an_iteration_count_that_verifies_nothing_is_refused(
+        command, count, kernel_file, capsys):
+    assert main([command, kernel_file, "--iterations", count]) == 1
+    captured = capsys.readouterr()
+    assert f"error: --iterations must be >= 1, got {count}" in captured.err
+    assert "verified" not in captured.out
 
 
 class TestGraph:
@@ -448,8 +459,12 @@ class TestExperiment:
         out = capsys.readouterr().out
         assert "EXP-S1" in out
         assert "average reduction" in out
-        payload = json.loads(target.read_text())
-        assert "rows" in payload and "average_reduction_pct" in payload
+        written = load_report(target)
+        expected = to_jsonable(run_experiment(
+            "stats", get_experiment("stats").quick_config()))
+        for payload in (written, expected):
+            del payload["elapsed_seconds"]
+        assert written == expected
 
 
 class TestNoFleet:

@@ -25,7 +25,8 @@ class TestStructure:
     def test_one_use_per_access_in_order(self, paper_pattern):
         cover = minimum_zero_cost_cover(paper_pattern, 1).cover
         program = generate_address_code(paper_pattern, cover, AguSpec(3, 1))
-        uses = program.body_uses()
+        uses = [instruction for instruction in program.body
+                if isinstance(instruction, Use)]
         assert [use.position for use in uses] == list(range(7))
 
     def test_prologue_points_each_register(self, paper_pattern):

@@ -114,11 +114,6 @@ class TestAccessPattern:
         subset = paper_pattern.subsequence([0, 2, 4])
         assert [a.offset for a in subset] == [1, 2, 1]
 
-    def test_with_step(self, paper_pattern):
-        stepped = paper_pattern.with_step(4)
-        assert stepped.step == 4
-        assert stepped.accesses == paper_pattern.accesses
-
     def test_rejects_zero_step(self):
         with pytest.raises(IrError):
             AccessPattern((), step=0)

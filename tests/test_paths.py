@@ -129,12 +129,6 @@ class TestPathCover:
         assert cover.successors() == (2, 1, 3, 0)
         assert PathCover((), 0).successors() == ()
 
-    def test_path_of(self):
-        cover = PathCover((Path((0, 2)), Path((1,))), 3)
-        assert cover.path_of(1).indices == (1,)
-        with pytest.raises(PathCoverError):
-            cover.path_of(9)
-
     def test_replace_merges_two_paths(self):
         p1, p2, p3 = Path((0,)), Path((1,)), Path((2,))
         cover = PathCover((p1, p2, p3), 3)

@@ -11,7 +11,7 @@ from repro.agu.codegen import (
 from repro.agu.isa import Modify, Use
 from repro.agu.model import AguSpec
 from repro.agu.simulator import simulate
-from repro.errors import SimulationError
+from repro.errors import IrError, SimulationError
 from repro.ir.builder import loop_from_offsets, pattern_from_offsets
 from repro.ir.layout import MemoryLayout
 from repro.ir.types import ArrayDecl, Loop
@@ -38,14 +38,18 @@ class TestVerifiedRuns:
         assert result.n_accesses_verified == 30 * 7
         assert result.overhead_per_iteration == 2
         assert result.loop_overhead_instructions == 60
-        assert result.total_address_instructions == 60 + 2
 
     def test_zero_iterations(self, layout):
         loop = loop_from_offsets([0, 1], start=0, n_iterations=0)
         program = build_program(loop.pattern, 2, 1)
         result = simulate(program, loop, layout)
         assert result.n_accesses_verified == 0
-        assert result.total_address_instructions == 0
+
+    def test_negative_iterations_rejected(self, layout):
+        loop = loop_from_offsets([0, 1], start=0, n_iterations=4)
+        program = build_program(loop.pattern, 2, 1)
+        with pytest.raises(IrError, match="iteration count"):
+            simulate(program, loop, layout, n_iterations=-1)
 
     def test_trace_recording(self, layout):
         loop = loop_from_offsets([0, 1], start=3, n_iterations=2)

@@ -70,11 +70,6 @@ class TestTable:
         table.add_row(x=3)
         assert table.render()  # no crash
 
-    def test_add_rows_bulk(self):
-        table = Table([Column("x", "x")])
-        table.add_rows([{"x": 1}, {"x": 2}])
-        assert table.n_rows == 2
-
     def test_empty_columns_rejected(self):
         with pytest.raises(ExperimentError):
             Table([])

@@ -117,10 +117,9 @@ def run_solver_suite(repo_root: Path = REPO_ROOT) -> dict:
     """
     env = dict(os.environ)
     src = str(repo_root / "src")
-    benches = str(repo_root / "benchmarks")
     existing = env.get("PYTHONPATH")
     env["PYTHONPATH"] = os.pathsep.join(
-        [src, benches] + ([existing] if existing else []))
+        [src] + ([existing] if existing else []))
 
     with tempfile.TemporaryDirectory(prefix="bench-trajectory-") as tmp:
         report = Path(tmp) / "benchmark.json"

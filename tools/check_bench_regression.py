@@ -4,12 +4,14 @@ Two modes over the ``BENCH_<n>.json`` files that
 ``tools/bench_trajectory.py`` writes:
 
 * **gate** (default): compare a freshly recorded run against the
-  committed trajectory's baseline run.  It fails when an exact
-  perfbench metric -- unit ``count`` or ``ratio`` and not
-  ``timing_dependent`` in ``perfbench/catalogue.py`` -- differs from
-  the baseline on any workload, when a baseline workload is missing or
-  any workload reports ``failed`` above 0, or when a solver micro-bench
-  is slower than ``tolerance x`` its committed wall time.  Per-layer
+  committed trajectory's baseline run (``--trajectory`` defaults to
+  the highest-numbered ``BENCH_<n>.json``, where the recorder
+  writes).  It fails when an exact perfbench metric -- unit
+  ``count`` or ``ratio`` and not ``timing_dependent`` in
+  ``perfbench/catalogue.py`` -- differs from the baseline on any
+  workload, when a baseline workload is missing or any workload
+  reports ``failed`` above 0, or when a solver micro-bench is slower
+  than ``tolerance x`` its committed wall time.  Per-layer
   times are recorded but not gated: the benchmark's bounds apply to
   untraced end-to-end metrics, and their spread on a CI runner is
   unmeasured.
@@ -31,7 +33,12 @@ import math
 import sys
 from pathlib import Path
 
-from bench_trajectory import get_run, load_trajectory, perfbench_catalogue
+from bench_trajectory import (
+    default_trajectory_path,
+    get_run,
+    load_trajectory,
+    perfbench_catalogue,
+)
 
 #: Default slowdown factor tolerated before the gate fails.  Generous
 #: on purpose: CI machines are noisy and heterogenous; real hot-path
@@ -156,8 +163,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="compare benchmark trajectory runs and gate "
                     "regressions")
-    parser.add_argument("--trajectory", type=Path, required=True,
-                        help="the committed BENCH_<n>.json")
+    parser.add_argument("--trajectory", type=Path,
+                        default=default_trajectory_path(),
+                        help="the committed BENCH_<n>.json (default: "
+                             "the highest-numbered one at the repo "
+                             "root)")
     parser.add_argument("--baseline-label", default=None,
                         help="baseline run label inside --trajectory "
                              "(default: the last run)")
