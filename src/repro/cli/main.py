@@ -96,16 +96,16 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
 # ----------------------------------------------------------------------
 # Subcommand implementations
 # ----------------------------------------------------------------------
-def _checked_iterations(args: argparse.Namespace) -> int | None:
-    """``--iterations``, refusing a count that would verify nothing."""
-    if args.iterations is not None and args.iterations < 1:
-        raise ReproError(
-            f"--iterations must be >= 1, got {args.iterations}")
-    return args.iterations
+def _at_least_one(value: int | None, option: str) -> int | None:
+    """``option``'s ``value``, refusing a count that would check
+    nothing."""
+    if value is not None and value < 1:
+        raise ReproError(f"{option} must be >= 1, got {value}")
+    return value
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
-    n_iterations = _checked_iterations(args)
+    n_iterations = _at_least_one(args.iterations, "--iterations")
     source = _read_source(args.file)
     spec = _spec_from_args(args)
     artifacts = compile_kernel(source, spec,
@@ -190,7 +190,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    n_iterations = _checked_iterations(args)
+    n_iterations = _at_least_one(args.iterations, "--iterations")
     source = _read_source(args.file)
     spec = _spec_from_args(args)
     artifacts = compile_kernel(source, spec,
@@ -210,6 +210,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.analysis.tables import Column, Table
     from repro.core.allocator import AddressRegisterAllocator
 
+    max_registers = _at_least_one(args.max_registers, "--max-registers")
     source = _read_source(args.file)
     kernel = parse_kernel(source)
     modify_range = args.modify_range if args.modify_range is not None else 1
@@ -219,7 +220,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         Column("cost/iter", "cost"),
     ], title=f"register-pressure sweep (M={modify_range}, "
              f"N={len(kernel.pattern)})")
-    for k in range(args.max_registers, 0, -1):
+    for k in range(max_registers, 0, -1):
         allocator = AddressRegisterAllocator(AguSpec(k, modify_range))
         result = allocator.allocate(kernel)
         table.add_row(k=k, k_tilde=result.k_tilde,
@@ -232,7 +233,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_selftest(args: argparse.Namespace) -> int:
     from repro.analysis.selftest import run_self_test
 
-    report = run_self_test(n_instances=args.instances, seed=args.seed)
+    report = run_self_test(
+        n_instances=_at_least_one(args.instances, "--instances"),
+        seed=args.seed)
     print(report.summary())
     return 0
 

@@ -15,12 +15,14 @@ subpackage provides:
   path cover it induces.
 * :mod:`repro.pathcover.assignment` -- the stronger cycle-cover lower
   bound: a min-cost assignment in which each wrap-around costs 1,
-  warm-started from the matching.
+  warm-started from the matching, and the assignment itself as a
+  cover when each of its cycles holds one wrap-around.
 * :mod:`repro.pathcover.heuristic` -- a wrap-aware greedy cover giving a
   tight upper bound.
 * :mod:`repro.pathcover.branch_and_bound` -- the exact search of the
-  companion paper [3], settled by the bounds where they meet and
-  bounded by the cycle-cover bound where they do not.
+  companion paper [3], settled by the bounds where they meet or by the
+  assignment where it is a cover, and bounded by the cycle-cover
+  bound where neither holds.
 """
 
 from repro.pathcover.assignment import cycle_cover_bound

@@ -23,6 +23,13 @@ matching: that matching costs 0, so it is a cheapest matching of its
 size and all-zero potentials are feasible for it.  Each Dijkstra round
 then grows the matching by one, so the rounds number the matching
 bound, not ``N``.
+
+The optimal assignment itself is often a cover.  When every one of its
+cycles holds exactly one wrap arc ``l -> f``, each cycle is the
+zero-cost path ``f -> ... -> l``, so the assignment is a cover with as
+many paths as the bound: a minimum one, found without a search
+(:func:`assignment_cover`).  A cycle with two or more wrap arcs is not
+a path, and then only a search can tell.
 """
 
 from __future__ import annotations
@@ -44,6 +51,19 @@ def cycle_cover_bound(graph: AccessGraph,
     :func:`~repro.pathcover.lower_bound.intra_matching`) to warm-start
     from; it is not modified.  Returns ``None`` when no perfect
     assignment exists, which proves that no zero-cost cover exists.
+    """
+    solved = cheapest_assignment(graph, matching)
+    return None if solved is None else solved[0]
+
+
+def cheapest_assignment(graph: AccessGraph,
+                        matching: HopcroftKarp | None = None,
+                        ) -> tuple[int, list[int]] | None:
+    """:func:`cycle_cover_bound` and the assignment that attains it.
+
+    Returns ``(bound, successor)``, where ``successor[u]`` is the node
+    the optimal assignment sends ``u`` to, or ``None`` when no perfect
+    assignment exists.
     """
     n = graph.n_nodes
     if matching is None:
@@ -109,4 +129,27 @@ def cycle_cover_bound(graph: AccessGraph,
             v = previous
 
     # A wrap arc is the only kind that does not move forward.
-    return sum(1 for u, v in enumerate(match_left) if v <= u)
+    return sum(1 for u, v in enumerate(match_left) if v <= u), match_left
+
+
+def assignment_cover(successor: list[int]) -> list[list[int]] | None:
+    """The assignment's cycles as zero-cost paths, or ``None``.
+
+    ``successor`` is an assignment as :func:`cheapest_assignment`
+    returns it.  Each wrap arc ``last -> first`` starts a walk from
+    ``first`` along intra arcs; the walk ends at the tail of a wrap
+    arc, and the cycle holds that one wrap arc only if the tail is
+    ``last``.  Returns one path per wrap arc when every cycle holds
+    exactly one, and ``None`` when some cycle holds more.
+    """
+    paths = []
+    for last, first in enumerate(successor):
+        if first > last:
+            continue  # an intra arc
+        path = [first]
+        while successor[path[-1]] > path[-1]:
+            path.append(successor[path[-1]])
+        if path[-1] != last:
+            return None
+        paths.append(path)
+    return paths

@@ -33,9 +33,10 @@ ab = _load("ab_pairs")
 catalogue = trajectory.perfbench_catalogue()
 
 
-def result_line(failed: int = 0, **values: float) -> str:
+def result_line(failed: int = 0, attempted: int = 100,
+                **values: float) -> str:
     return json.dumps({
-        "correct": failed == 0, "attempted": 100, "failed": failed,
+        "correct": failed == 0, "attempted": attempted, "failed": failed,
         "metrics": {name: {"value": value, "unit": "ms"}
                     for name, value in values.items()}})
 
@@ -186,26 +187,78 @@ def _in_git_checkout() -> bool:
         return False
 
 
+def test_peak_memory_is_marked_when_the_sides_ran_different_op_counts():
+    """The row is starred and a note names both op counts; the verdict
+    is computed as for every other metric."""
+    values = {"peak_rss_mb": {"base": [50.0] * 10, "head": [51.0] * 10},
+              "p50_ms": VALUES["p50_ms"]}
+    results = ab.run_pairs(StubRunner(ROOTS, values), ROOTS, "grid", 10,
+                           2.0, False)
+    rows = ab.compare(results, catalogue.END_TO_END)
+    assert ab.op_counts(results) == {"base": 100, "head": 100}
+    assert "*" not in ab.render(rows, ab.op_counts(results))
+    for run in results["head"]:
+        run["attempted"] = 110
+    table = ab.render(rows, ab.op_counts(results)).splitlines()
+    assert [line.split()[0] for line in table[1:3]] \
+        == ["p50_ms", "peak_rss_mb*"]
+    assert table[2].endswith("resolved worse")
+    assert table[-1].startswith("* not comparable: the sides ran 100 "
+                                "(base) and 110 (head) ops per run")
+    assert "*" not in ab.render(rows)
+
+
+def test_the_head_side_copies_tracked_files_with_their_edits(tmp_path):
+    repo = tmp_path / "repo"
+    (repo / "pkg").mkdir(parents=True)
+    for name in ("pkg/kept.py", "pkg/edited.py", "pkg/deleted.py"):
+        (repo / name).write_text("committed\n")
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t"]
+    try:
+        subprocess.run(git + ["init", "-q"], cwd=repo, check=True)
+        subprocess.run(git + ["add", "-A"], cwd=repo, check=True)
+        subprocess.run(git + ["commit", "-qm", "c"], cwd=repo, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        pytest.skip("needs git")
+    (repo / "pkg/edited.py").write_text("uncommitted\n")
+    (repo / "pkg/deleted.py").unlink()
+    (repo / "untracked.py").write_text("untracked\n")
+    (repo / "pkg/__pycache__").mkdir()
+    (repo / "pkg/__pycache__/kept.pyc").write_bytes(b"\0")
+
+    head = tmp_path / "head"
+    ab.working_tree(head, repo)
+    assert sorted(str(path.relative_to(head)) for path in head.rglob("*")
+                  if path.is_file()) == ["pkg/edited.py", "pkg/kept.py"]
+    assert (head / "pkg/edited.py").read_text() == "uncommitted\n"
+
+
 @pytest.mark.skipif(not _in_git_checkout(), reason="needs a git checkout")
 def test_main_archives_the_base_and_writes_no_bench_file(capsys):
     before = sorted(path.name for path in TOOLS.parent.glob("BENCH_*"))
-    archived = []
+    roots = {}
 
     def runner(root, workload, seed, seconds, trace):
-        if root != ab.REPO_ROOT:
-            archived.append((root / "perfbench" / "run.py").is_file())
-        side = "head" if root == ab.REPO_ROOT else "base"
+        side = root.name
+        assert (root / "perfbench" / "run.py").is_file()
+        roots.setdefault(side, root)
         value = {"base": 10.0, "head": 8.0}[side]
         return result_line(failed=1 if side == "head" else 0,
-                           p50_ms=value, p99_ms=value)
+                           attempted={"base": 100, "head": 120}[side],
+                           p50_ms=value, p99_ms=value, peak_rss_mb=value)
 
     code = ab.main(["--base", "HEAD", "--workload", "batch-warm",
                     "--pairs", "2", "--seconds", "1"], runner=runner)
     out = capsys.readouterr().out
-    assert archived == [True, True]
+    # Both sides are unpacked trees, next to each other and outside
+    # the working tree.
+    assert sorted(roots) == ["base", "head"]
+    assert roots["base"].parent == roots["head"].parent
+    assert ab.REPO_ROOT not in roots["head"].parents
     assert code == 1  # the head side reported a failed op
     assert "failed ops: base 0, head 2" in out
     assert out.splitlines()[1].startswith("head: ")
+    assert "peak_rss_mb*" in out and "* not comparable" in out
     assert sorted(path.name for path in TOOLS.parent.glob("BENCH_*")) \
         == before
 

@@ -7,6 +7,9 @@ exhaustive oracles.
   enumerating every partition of the accesses into paths (N <= 10).
 * It never undercuts the matching bound it warm-starts from, and it
   leaves that matching untouched.
+* The assignment that attains it is a cover exactly when each of its
+  cycles holds one wrap arc, and then every path is zero-cost and
+  there are as many as the bound (Hypothesis, N <= 10).
 
 The oracles read the graph only through its edge-set views and the
 distance functions, not through the bitmasks the solver uses.
@@ -17,15 +20,21 @@ from __future__ import annotations
 import random
 
 import hypothesis.strategies as st
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 
 from repro.graph.access_graph import AccessGraph
 from repro.graph.distance import intra_distance, is_zero_cost, wrap_distance
 from repro.ir.builder import pattern_from_offsets
 from repro.ir.expr import AffineExpr
 from repro.ir.types import AccessPattern, ArrayAccess
-from repro.pathcover.assignment import cycle_cover_bound
+from repro.pathcover.assignment import (
+    assignment_cover,
+    cheapest_assignment,
+    cycle_cover_bound,
+)
 from repro.pathcover.lower_bound import intra_cover_lower_bound, intra_matching
+from repro.pathcover.paths import Path, PathCover
+from repro.pathcover.verify import is_zero_cost_path
 
 
 def brute_force_assignment(graph: AccessGraph) -> int | None:
@@ -132,3 +141,57 @@ class TestWarmStart:
     def test_empty_graph(self):
         assert cycle_cover_bound(AccessGraph(pattern_from_offsets([]), 1)) \
             == 0
+
+
+def wraps_per_cycle(successor: list[int]) -> list[int]:
+    """The number of wrap arcs (``v <= u``) on each cycle of an
+    assignment, by walking every cycle from its smallest node."""
+    seen = [False] * len(successor)
+    counts = []
+    for start in range(len(successor)):
+        if seen[start]:
+            continue
+        node, wraps = start, 0
+        while not seen[node]:
+            seen[node] = True
+            wraps += successor[node] <= node
+            node = successor[node]
+        counts.append(wraps)
+    return counts
+
+
+class TestAssignmentCover:
+    @settings(max_examples=300, deadline=None)
+    @given(small_instances(max_n=10))
+    def test_a_cover_exactly_when_each_cycle_holds_one_wrap(self,
+                                                           instance):
+        pattern, modify_range = instance
+        graph = AccessGraph(pattern, modify_range)
+        solved = cheapest_assignment(graph)
+        assume(solved is not None)
+        bound, successor = solved
+        assert bound == cycle_cover_bound(graph)
+        paths = assignment_cover(successor)
+        one_each = all(wraps == 1 for wraps in wraps_per_cycle(successor))
+        assert (paths is not None) == one_each
+        if paths is None:
+            return
+        cover = PathCover.from_lists(paths, len(pattern))
+        assert cover.n_paths == bound
+        assert all(is_zero_cost_path(path, pattern, modify_range)
+                   for path in cover)
+
+    def test_the_paper_pattern_assignment_is_a_minimum_cover(
+            self, paper_pattern, paper_graph):
+        bound, successor = cheapest_assignment(paper_graph)
+        paths = assignment_cover(successor)
+        assert bound == 3
+        assert paths == [[0, 2, 4], [1, 3, 5], [6]]
+        assert all(is_zero_cost_path(Path(tuple(path)), paper_pattern, 1)
+                   for path in paths)
+
+    def test_a_cycle_with_two_wraps_is_no_cover(self):
+        # 0 -> 1 -> 2 -> 4 -> 3 -> 0 wraps at 4 -> 3 and at 3 -> 0.
+        assert assignment_cover([1, 2, 4, 0, 3]) is None
+        assert assignment_cover([1, 2, 4, 0, 3, 5]) is None
+        assert assignment_cover([1, 0, 2]) == [[0, 1], [2]]

@@ -7,7 +7,7 @@ import pytest
 from repro.errors import InfeasibleZeroCostCover, SearchBudgetExceeded
 from repro.graph.access_graph import AccessGraph
 from repro.ir.builder import LoopBuilder, pattern_from_offsets
-from repro.pathcover.assignment import cycle_cover_bound
+from repro.pathcover.assignment import cheapest_assignment, cycle_cover_bound
 from repro.pathcover.branch_and_bound import minimum_zero_cost_cover
 from repro.pathcover.heuristic import greedy_zero_cost_cover
 from repro.pathcover.lower_bound import intra_cover_lower_bound
@@ -19,6 +19,10 @@ from conftest import random_offsets
 #: Offsets (loop step 4, M=2) of a group whose cycle-cover bound, 2,
 #: is below its K~, 3.
 GAP_OFFSETS = (0, 2, 1, 1, 2, -1, -2, -2, 2, 1, 0, 2)
+
+#: Offsets (loop step 1, M=2) of a group whose cheapest assignment is
+#: one cycle with two wrap arcs, below a greedy cover of 3 paths.
+MULTI_WRAP_OFFSETS = (-2, 0, 2, -1, 2)
 
 
 def brute_force_k_tilde(pattern, modify_range) -> int | None:
@@ -158,15 +162,38 @@ class TestBudget:
         assert result.k_tilde <= greedy_zero_cost_cover(graph).n_paths
         assert result.k_tilde >= intra_cover_lower_bound(graph)
 
-    def test_budget_exhaustion_flagged(self, paper_pattern):
+    def test_budget_exhaustion_flagged(self):
+        # The greedy cover (3 paths) is above the cycle-cover bound (2),
+        # and the cheapest assignment is one cycle 0->1->2->4->3->0 with
+        # two wrap arcs, so it is no cover and the search must run.
+        # 3 nodes cannot reach a leaf of a 5-access instance: the greedy
+        # incumbent comes back unproven.
+        pattern = pattern_from_offsets(MULTI_WRAP_OFFSETS)
+        graph = AccessGraph(pattern, 2)
+        assert cheapest_assignment(graph) == (2, [1, 2, 4, 0, 3])
+        assert greedy_zero_cost_cover(graph).n_paths == 3
+        result = minimum_zero_cost_cover(pattern, 2, node_budget=3)
+        assert not result.optimal
+        assert result.k_tilde == 3
+        assert result.nodes_explored == 4
+        proven = minimum_zero_cost_cover(pattern, 2)
+        assert proven.optimal and proven.k_tilde == 2
+
+    def test_the_root_assignment_settles_the_paper_pattern(
+            self, paper_pattern):
         # The greedy cover (7 paths) is above the cycle-cover bound (3),
-        # so the search must run, and 3 nodes cannot reach a leaf of a
-        # 7-access instance: the greedy incumbent comes back unproven.
+        # but each cycle of the cheapest assignment holds one wrap arc:
+        # that assignment is a minimum cover, proven with no search
+        # even on a budget that could reach no leaf.
         graph = AccessGraph(paper_pattern, 1)
         assert cycle_cover_bound(graph) == 3
+        assert greedy_zero_cost_cover(graph).n_paths == 7
         result = minimum_zero_cost_cover(paper_pattern, 1, node_budget=3)
-        assert not result.optimal
-        assert result.k_tilde == 7
+        assert result.optimal
+        assert result.k_tilde == 3
+        assert result.nodes_explored == 0
+        assert all(is_zero_cost_path(path, paper_pattern, 1)
+                   for path in result.cover)
 
     def test_search_proves_k_tilde_above_the_cycle_bound(self):
         # The cheapest assignment uses 2 wraps, but no 2-path zero-cost

@@ -76,6 +76,24 @@ def test_an_iteration_count_that_verifies_nothing_is_refused(
     assert "verified" not in captured.out
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_a_sweep_over_no_register_count_is_refused(count, kernel_file,
+                                                   capsys):
+    assert main(["sweep", kernel_file, "--max-registers", count]) == 1
+    captured = capsys.readouterr()
+    assert f"error: --max-registers must be >= 1, got {count}" \
+        in captured.err
+    assert "register-pressure sweep" not in captured.out
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_a_selftest_of_no_instance_is_refused(count, capsys):
+    assert main(["selftest", "--instances", count]) == 1
+    captured = capsys.readouterr()
+    assert f"error: --instances must be >= 1, got {count}" in captured.err
+    assert "self-test passed" not in captured.out
+
+
 class TestGraph:
     def test_ascii(self, kernel_file, capsys):
         assert main(["graph", kernel_file]) == 0

@@ -8,6 +8,10 @@ them:
 
 * phase 1: ``greedy cover >= exact K~ >= cycle-cover bound >=
   matching lower bound``;
+* phase 1 against the search alone (``_reference_branch_and_bound.py``,
+  which never takes the root assignment as its cover), here and on a
+  grid-like corpus: ``K~`` is no larger, equal and proven wherever the
+  reference proved it, and no more search nodes are explored;
 * phase 2: every merging strategy's cost dominates the exhaustive
   optimum, all strategies agree when no merging is needed, and each
   strategy's incremental cost bookkeeping matches a from-scratch
@@ -31,11 +35,16 @@ from repro.pathcover.branch_and_bound import minimum_zero_cost_cover
 from repro.pathcover.heuristic import greedy_zero_cost_cover
 from repro.pathcover.lower_bound import intra_cover_lower_bound
 from repro.pathcover.paths import PathCover
+from repro.pathcover.verify import is_zero_cost_path
 from repro.workloads.random_patterns import (
     RandomPatternConfig,
+    generate_batch,
     generate_pattern,
 )
 
+from _reference_branch_and_bound import (
+    minimum_zero_cost_cover as reference_cover,
+)
 from _reference_merge import (
     reference_best_pair_merge,
     reference_naive_merge,
@@ -108,6 +117,67 @@ class TestPhase1CoverChain:
             assert cover_cost(outcome.cover, pattern, 1,
                               CostModel.INTRA) == 0
             assert cover_cost(greedy, pattern, 1, CostModel.INTRA) == 0
+
+
+#: Offsets (M=1) of an EXP-A1 pattern (N=20) that the search alone
+#: leaves unproven at 10 paths within 2,000 nodes; its cheapest
+#: assignment is a 7-path cover.
+ROOT_SETTLED_OFFSETS = (-6, 2, 1, -3, 0, 1, 6, -3, 0, -5, 5, 5, 0, 0, -1,
+                        4, 4, 0, 3, 6)
+
+
+def grid_corpus():
+    """EXP-S1-like groups: its generator (offset span 8) at N in
+    {10, 15, 20} and M in {1, 2, 4}, 30 patterns each."""
+    for n in (10, 15, 20):
+        for m in (1, 2, 4):
+            for pattern in generate_batch(
+                    RandomPatternConfig(n, offset_span=8), 30,
+                    seed=1998 + 31 * n + m):
+                yield pattern, m
+
+
+def no_worse_than_the_search_alone(pattern, modify_range, node_budget):
+    """Phase 1 and the reference on one instance, after asserting that
+    phase 1 is no worse on ``K~``, proof and nodes."""
+    outcome = minimum_zero_cost_cover(pattern, modify_range, node_budget)
+    reference = reference_cover(pattern, modify_range, node_budget)
+    assert outcome.k_tilde <= reference.k_tilde
+    if reference.optimal:
+        assert outcome.optimal
+        assert outcome.k_tilde == reference.k_tilde
+    assert outcome.nodes_explored <= reference.nodes_explored
+    return outcome, reference
+
+
+class TestPhase1AgainstTheSearchAlone:
+    """The root assignment only ever settles a group sooner."""
+
+    @pytest.mark.parametrize("modify_range", [1, 2])
+    def test_differential_corpus(self, modify_range):
+        for seed in CORPUS_SEEDS:
+            no_worse_than_the_search_alone(corpus_pattern(seed),
+                                           modify_range, 200_000)
+
+    def test_grid_corpus(self):
+        settled = 0
+        for pattern, modify_range in grid_corpus():
+            outcome, reference = no_worse_than_the_search_alone(
+                pattern, modify_range, 30_000)
+            assert all(is_zero_cost_path(path, pattern, modify_range)
+                       for path in outcome.cover)
+            settled += outcome.nodes_explored < reference.nodes_explored
+        # The corpus must reach the root assignment somewhere.
+        assert settled > 0
+
+    def test_a_group_the_search_leaves_unproven_is_settled_at_the_root(
+            self):
+        pattern = pattern_from_offsets(ROOT_SETTLED_OFFSETS)
+        outcome, reference = no_worse_than_the_search_alone(pattern, 1,
+                                                            2_000)
+        assert (reference.k_tilde, reference.optimal) == (10, False)
+        assert (outcome.k_tilde, outcome.optimal) == (7, True)
+        assert outcome.nodes_explored == 0
 
 
 class TestPhase2MergingChain:

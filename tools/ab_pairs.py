@@ -1,13 +1,15 @@
 """Paired A/B runs of the repository benchmark: a base revision against
 the working tree.
 
-Each pair runs ``perfbench/run.py`` once per side with one seed.  The
-base side is ``git archive REV`` of the local repository, unpacked into
-a temporary directory; the head side is the working tree as it stands
-(marked ``-dirty`` when tracked files have uncommitted changes, as
-``bench_trajectory.git_revision`` does).  Pairs alternate which side
-runs first, and pair ``i`` uses seed ``SEED_BASE + i``, so two
-invocations with the same arguments run the same inputs.
+Each pair runs ``perfbench/run.py`` once per side with one seed.  Both
+sides are the same kind of tree, unpacked side by side into one
+temporary directory: the base side is ``git archive REV`` of the local
+repository, and the head side is a copy of the working tree's tracked
+files as they stand, uncommitted edits included (marked ``-dirty``, as
+``bench_trajectory.git_revision`` does).  Untracked files, caches and
+build leftovers of the working tree stay out of it.  Pairs alternate
+which side runs first, and pair ``i`` uses seed ``SEED_BASE + i``, so
+two invocations with the same arguments run the same inputs.
 
 Per metric the report gives both sides' medians, the median change
 (head median minus base median, and that as a share of the base), the
@@ -22,6 +24,11 @@ interquartile range of the base side's runs, and a verdict.  It reads
 
 A few pairs have a narrow range by chance, so noise alone would
 otherwise read "resolved".
+
+Peak memory grows with the operations a run completes, so when the two
+sides' median op counts differ the report marks ``peak_rss_mb`` as not
+comparable (the verdict itself is computed as for every metric).
+
 Untraced runs (the default) compare the end-to-end metrics; ``--trace``
 runs compare the per-layer ones.
 
@@ -32,10 +39,11 @@ Usage::
     python tools/ab_pairs.py --base main~1 --workload serve --pairs 4 \\
         --seconds 8 --trace
 
-The tool writes no file in the repository (perfbench's own scratch
-directory aside); trajectory files (``BENCH_<n>.json``) are recorded by
-``bench_trajectory.py`` only.  It exits 1 when a run's correctness gate
-failed (``failed > 0``).
+The tool writes no file in the repository: both sides run, and keep
+perfbench's scratch directory, in the temporary directory.  Trajectory
+files (``BENCH_<n>.json``) are recorded by ``bench_trajectory.py``
+only.  It exits 1 when a run's correctness gate failed
+(``failed > 0``).
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -62,6 +71,10 @@ SEED_BASE = 101
 MIN_PAIRS = 10
 
 SIDES = ("base", "head")
+
+#: Metrics that grow with the ops a run completes: comparable only
+#: between sides that completed as many.
+PER_OP_METRICS = ("peak_rss_mb",)
 
 #: ``runner(root, workload, seed, seconds, trace)``: the standard output
 #: of one perfbench run in the checkout at ``root``.
@@ -204,23 +217,48 @@ def compare(results: dict[str, list[dict]], metrics) -> list[Comparison]:
     return rows
 
 
-def render(rows: list[Comparison]) -> str:
-    """The comparison as an aligned text table."""
+def op_counts(results: dict[str, list[dict]]) -> dict[str, float]:
+    """Each side's median number of ops per run."""
+    return {side: statistics.median(run["attempted"]
+                                    for run in results[side])
+            for side in SIDES}
+
+
+def render(rows: list[Comparison],
+           ops: dict[str, float] | None = None) -> str:
+    """The comparison as an aligned text table.
+
+    ``ops`` are the sides' median op counts (:func:`op_counts`); when
+    they differ, the :data:`PER_OP_METRICS` rows are starred and a note
+    under the table says why they are not comparable.
+    """
     header = ("metric", "unit", "base median", "head median", "change",
               "wins", "losses", "base IQR", "verdict")
     table = [header]
+    uneven = ops is not None and ops["base"] != ops["head"]
+    starred = False
     for row in rows:
         pct = "n/a" if row.change_pct is None else f"{row.change_pct:+.1f}%"
         iqr = "n/a" if row.base_iqr is None else f"{row.base_iqr:.4g}"
-        table.append((row.metric, row.unit, f"{row.base_median:.4g}",
+        metric = row.metric
+        if uneven and metric in PER_OP_METRICS:
+            metric += "*"
+            starred = True
+        table.append((metric, row.unit, f"{row.base_median:.4g}",
                       f"{row.head_median:.4g}", pct,
                       f"{row.wins}/{row.pairs}",
                       f"{row.losses}/{row.pairs}", iqr, row.verdict))
     widths = [max(len(line[column]) for line in table)
               for column in range(len(header))]
-    return "\n".join("  ".join(cell.ljust(width)
-                               for cell, width in zip(line, widths))
-                     .rstrip() for line in table)
+    lines = ["  ".join(cell.ljust(width)
+                       for cell, width in zip(line, widths)).rstrip()
+             for line in table]
+    if starred:
+        lines.append(
+            f"* not comparable: the sides ran {ops['base']:g} (base) and "
+            f"{ops['head']:g} (head) ops per run in the median, and "
+            f"this metric grows with the ops a run completes")
+    return "\n".join(lines)
 
 
 def resolve_revision(rev: str, repo_root: Path = REPO_ROOT) -> str:
@@ -239,6 +277,25 @@ def archive(commit: str, dest: Path, repo_root: Path = REPO_ROOT) -> None:
                           cwd=repo_root, capture_output=True, check=True)
     with tarfile.TarFile(fileobj=io.BytesIO(proc.stdout)) as tar:
         tar.extractall(dest, filter="data")
+
+
+def working_tree(dest: Path, repo_root: Path = REPO_ROOT) -> None:
+    """Copy the working tree's tracked files into ``dest``.
+
+    Each file is copied as it stands, uncommitted edits included; a
+    tracked file deleted from the working tree is left out, and so is
+    everything untracked.
+    """
+    proc = subprocess.run(["git", "ls-files", "-z"], cwd=repo_root,
+                          capture_output=True, check=True)
+    for name in proc.stdout.decode().split("\0"):
+        source = repo_root / name
+        if not name or not source.is_file():
+            continue
+        target = dest / name
+        target.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copyfile(source, target)
+        shutil.copymode(source, target)
 
 
 def main(argv: list[str] | None = None,
@@ -277,13 +334,14 @@ def main(argv: list[str] | None = None,
           f"{SEED_BASE + args.pairs - 1}, "
           f"{'traced' if args.trace else 'untraced'}", flush=True)
     with tempfile.TemporaryDirectory(prefix="ab-pairs-") as scratch:
-        base_root = Path(scratch) / "base"
-        archive(commit, base_root)
+        roots = {side: Path(scratch) / side for side in SIDES}
+        archive(commit, roots["base"])
+        working_tree(roots["head"])
         results = run_pairs(
-            runner, {"base": base_root, "head": REPO_ROOT}, args.workload,
-            args.pairs, args.seconds, args.trace,
+            runner, roots, args.workload, args.pairs, args.seconds,
+            args.trace,
             log=lambda line: print(line, file=sys.stderr, flush=True))
-    print(render(compare(results, metrics)))
+    print(render(compare(results, metrics), op_counts(results)))
     failed = {side: sum(run["failed"] for run in results[side])
               for side in SIDES}
     print(f"failed ops: base {failed['base']}, head {failed['head']}")
