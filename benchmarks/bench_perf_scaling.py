@@ -216,13 +216,7 @@ def bench_ablate_grid_parallel(benchmark, workers):
 # Solver hot-path micro-suite (-k solver)
 # ----------------------------------------------------------------------
 # The per-point costs underneath every experiment grid.  These benches
-# feed the persisted perf trajectory (BENCH_*.json); they run against
-# optimized and pre-optimization checkouts alike, so the fallbacks
-# below let the same bench file record honest "before" numbers.
-try:
-    from repro.graph.access_graph import cached_access_graph
-except ImportError:  # pre-memoization baseline checkouts
-    cached_access_graph = AccessGraph
+# feed the persisted perf trajectory (BENCH_*.json).
 
 #: One loop iteration's accesses, sized like a large EXP-S1 point.
 _SOLVER_GRAPH_PATTERN = generate_pattern(
@@ -236,14 +230,6 @@ _SOLVER_COVER_PATTERN = generate_pattern(
 def bench_solver_access_graph(benchmark):
     """Raw access-graph construction (the O(edges) hot loop)."""
     graph = benchmark(AccessGraph, _SOLVER_GRAPH_PATTERN, 4)
-    assert graph.n_nodes == 96
-
-
-def bench_solver_access_graph_memoized(benchmark):
-    """Warm per-(pattern, M) graph lookup, as the EXP grids see it."""
-    cached_access_graph(_SOLVER_GRAPH_PATTERN, 4)  # prime the memo
-
-    graph = benchmark(cached_access_graph, _SOLVER_GRAPH_PATTERN, 4)
     assert graph.n_nodes == 96
 
 

@@ -253,9 +253,8 @@ def _pathcover_point(params: dict) -> dict:
     exact_ms, greedy_ms = [], []
     lb_tight = greedy_tight = proven = 0
     for pattern in patterns:
-        # The exact cover below rebuilds the same graph internally;
-        # the shared memo makes that a cache hit instead of a second
-        # O(E + n log n) construction per pattern.
+        # This graph serves the bound and the greedy cover; the exact
+        # cover below builds its own, per group, inside its timing.
         graph = cached_access_graph(pattern, m)
         lb = intra_cover_lower_bound(graph)
 

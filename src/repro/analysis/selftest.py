@@ -64,10 +64,11 @@ def run_self_test(n_instances: int = 100, seed: int = 0,
     ------
     ReproError
         (or a subclass) on the first inconsistency found -- an address
-        mismatch, a cost-accounting disagreement, or a bound violation.
+        mismatch, a cost-accounting disagreement, or a bound violation
+        -- and for fewer than one instance, which would check nothing.
     """
-    if n_instances < 0:
-        raise ReproError(f"n_instances must be >= 0, got {n_instances}")
+    if n_instances < 1:
+        raise ReproError(f"n_instances must be >= 1, got {n_instances}")
     rng = random.Random(seed)
     started = time.perf_counter()
 

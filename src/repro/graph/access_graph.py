@@ -21,9 +21,9 @@ and ``wrap_bits[q]`` the free wrap targets of ``q`` -- plus
 ``max_wrap_source``, the latest free wrap source of every node.  Phase 1
 reads these directly (one shift-and-test per edge probe).  The edge sets
 and neighbour tuples (:attr:`AccessGraph.intra_edges`,
-:meth:`AccessGraph.successors`, ...) are derived from the bitmasks the
-first time they are read, so a memoized graph that only ever feeds the
-solvers never holds them.
+:attr:`AccessGraph.successor_tuples`, ...) are derived from the
+bitmasks the first time they are read; the solvers read the successor
+tuples only, and no graph builds its edge sets unless asked.
 """
 
 from __future__ import annotations
@@ -167,7 +167,7 @@ class AccessGraph:
     def intra_edges(self) -> frozenset[tuple[int, int]]:
         """Zero-cost intra-iteration edges ``(p, q)``, ``p < q``."""
         return frozenset((p, q) for p, successors in
-                         enumerate(self._successor_tuples)
+                         enumerate(self.successor_tuples)
                          for q in successors)
 
     @cached_property
@@ -187,7 +187,7 @@ class AccessGraph:
     def successors(self, node: int) -> tuple[int, ...]:
         """Intra-iteration successors of ``node`` (later positions)."""
         self._check_node(node)
-        return self._successor_tuples[node]
+        return self.successor_tuples[node]
 
     def predecessors(self, node: int) -> tuple[int, ...]:
         """Intra-iteration predecessors of ``node`` (earlier positions)."""
@@ -195,13 +195,16 @@ class AccessGraph:
         return self._predecessor_tuples[node]
 
     @cached_property
-    def _successor_tuples(self) -> tuple[tuple[int, ...], ...]:
+    def successor_tuples(self) -> tuple[tuple[int, ...], ...]:
+        """Every node's intra successors, indexed by node: the
+        adjacency the matching and the assignment solver read, derived
+        from :attr:`succ_bits` once per graph."""
         return tuple(tuple(set_bits(mask)) for mask in self.succ_bits)
 
     @cached_property
     def _predecessor_tuples(self) -> tuple[tuple[int, ...], ...]:
         predecessors: list[list[int]] = [[] for _ in self.succ_bits]
-        for p, successors in enumerate(self._successor_tuples):
+        for p, successors in enumerate(self.successor_tuples):
             for q in successors:
                 predecessors[q].append(p)
         return tuple(tuple(nodes) for nodes in predecessors)
@@ -250,19 +253,17 @@ def _variable_masks(pattern: AccessPattern,
     return {p: by_variable[pattern[p].index.var] for p in positions}
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=0)
 def cached_access_graph(pattern: AccessPattern,
                         modify_range: int) -> AccessGraph:
-    """A process-wide memoized :class:`AccessGraph` constructor.
+    """Build an :class:`AccessGraph`, counting the call.
 
-    Experiment grids evaluate the same ``(pattern, M)`` pair several
-    times per point (lower bound, greedy cover, branch-and-bound, cost
-    audits), and :class:`AccessGraph` is immutable once built -- so the
-    hot paths share one instance per key instead of re-running edge
-    construction.  Patterns are frozen dataclasses, hence hashable;
-    pool workers each hold their own cache.
-
-    Use plain :class:`AccessGraph` when measuring construction itself
-    or when mutating experiment internals (never the graph) matters.
+    A counting wrapper kept for the benchmark harness, which reads
+    ``cache_info()`` (every call a miss) and resets it with
+    ``cache_clear()`` each round.  ``maxsize=0`` keeps no graph and
+    never hashes the pattern: an EXP-S1 grid never builds one
+    ``(pattern, M)`` twice and the kernel library seldom does, so a
+    memo would cost a whole-pattern hash per call and hold graphs for
+    next to no hits.
     """
     return AccessGraph(pattern, modify_range)

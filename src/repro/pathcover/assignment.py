@@ -71,7 +71,8 @@ def cheapest_assignment(graph: AccessGraph,
     match_left = list(matching.match_left)
     match_right = list(matching.match_right)
     # arcs[u]: (v, cost) for every assignable u -> v.
-    arcs = [[(v, 0) for v in set_bits(graph.succ_bits[u])]
+    successors = graph.successor_tuples
+    arcs = [[(v, 0) for v in successors[u]]
             + [(v, 1) for v in set_bits(graph.wrap_bits[u]
                                         & ((2 << u) - 1))]
             for u in range(n)]

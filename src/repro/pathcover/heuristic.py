@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from repro.errors import InfeasibleZeroCostCover
 from repro.graph.access_graph import AccessGraph
-from repro.pathcover.lower_bound import min_intra_path_cover
+from repro.pathcover.lower_bound import intra_chains, intra_matching
 from repro.pathcover.matching import HopcroftKarp
 from repro.pathcover.paths import PathCover
 
@@ -42,15 +42,17 @@ def greedy_zero_cost_cover(graph: AccessGraph,
         If even singleton paths cannot wrap for free (an access's
         per-iteration address step exceeds the modify range).
     """
-    candidates = [_scan_cover(graph),
-                  _repaired_matching_cover(graph, matching)]
-    return min(candidates, key=lambda cover: cover.n_paths)
+    scan = _scan_cover(graph)
+    repaired = _repaired_matching_cover(graph, matching)
+    # A tie goes to the scan.
+    best = repaired if len(repaired) < len(scan) else scan
+    return PathCover.from_lists(best, graph.n_nodes)
 
 
 # ----------------------------------------------------------------------
 # Construction 1: wrap-aware greedy scan
 # ----------------------------------------------------------------------
-def _scan_cover(graph: AccessGraph) -> PathCover:
+def _scan_cover(graph: AccessGraph) -> list[list[int]]:
     pattern = graph.pattern
     modify_range = graph.modify_range
     succ_bits, wrap_bits = graph.succ_bits, graph.wrap_bits
@@ -91,19 +93,21 @@ def _scan_cover(graph: AccessGraph) -> PathCover:
     repaired: list[list[int]] = []
     for path, _home in open_paths:
         repaired.extend(_repair_wrap(path, graph))
-    return PathCover.from_lists(repaired, graph.n_nodes)
+    return repaired
 
 
 # ----------------------------------------------------------------------
 # Construction 2: minimum intra cover + wrap repair
 # ----------------------------------------------------------------------
 def _repaired_matching_cover(graph: AccessGraph,
-                             matching: HopcroftKarp | None) -> PathCover:
-    intra_cover = min_intra_path_cover(graph, matching)
+                             matching: HopcroftKarp | None,
+                             ) -> list[list[int]]:
+    if matching is None:
+        matching = intra_matching(graph)
     repaired: list[list[int]] = []
-    for path in intra_cover:
-        repaired.extend(_repair_wrap(list(path), graph))
-    return PathCover.from_lists(repaired, graph.n_nodes)
+    for chain in intra_chains(matching):
+        repaired.extend(_repair_wrap(chain, graph))
+    return repaired
 
 
 # ----------------------------------------------------------------------

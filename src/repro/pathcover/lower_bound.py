@@ -18,17 +18,17 @@ exists (``M`` smaller than the per-iteration step).
 
 from __future__ import annotations
 
-from repro.graph.access_graph import AccessGraph, set_bits
+from repro.graph.access_graph import AccessGraph
 from repro.pathcover.matching import HopcroftKarp
-from repro.pathcover.paths import Path, PathCover
+from repro.pathcover.paths import PathCover
 
 
 def intra_matching(graph: AccessGraph) -> HopcroftKarp:
     """A solved maximum matching of the intra DAG's split graph: left
     node ``p`` may match right node ``q`` iff the intra edge ``p -> q``
     is free."""
-    adjacency = [set_bits(mask) for mask in graph.succ_bits]
-    solver = HopcroftKarp(graph.n_nodes, graph.n_nodes, adjacency)
+    solver = HopcroftKarp(graph.n_nodes, graph.n_nodes,
+                          graph.successor_tuples)
     solver.solve()
     return solver
 
@@ -54,15 +54,20 @@ def min_intra_path_cover(graph: AccessGraph,
     :func:`intra_matching`, when the caller already has it.
     """
     solver = matching if matching is not None else intra_matching(graph)
-    next_of = solver.match_left
-    has_predecessor = [right != -1 for right in solver.match_right]
+    return PathCover.from_lists(intra_chains(solver), graph.n_nodes)
 
-    paths: list[Path] = []
-    for start in graph.nodes():
-        if has_predecessor[start]:
+
+def intra_chains(matching: HopcroftKarp) -> list[list[int]]:
+    """The chains of a solved :func:`intra_matching`, by first position:
+    each unmatched right node starts one and follows the matched links
+    (the paths of :func:`min_intra_path_cover`)."""
+    next_of = matching.match_left
+    chains: list[list[int]] = []
+    for start, predecessor in enumerate(matching.match_right):
+        if predecessor != -1:
             continue
         chain = [start]
         while next_of[chain[-1]] != -1:
             chain.append(next_of[chain[-1]])
-        paths.append(Path(tuple(chain)))
-    return PathCover(tuple(paths), graph.n_nodes)
+        chains.append(chain)
+    return chains

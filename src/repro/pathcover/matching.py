@@ -46,10 +46,12 @@ class HopcroftKarp:
         self._adjacency: list[tuple[int, ...]] = []
         for row in rows:
             neighbors = tuple(row)
-            for right in neighbors:
-                if not 0 <= right < n_right:
-                    raise ValueError(
-                        f"right node {right} out of range 0..{n_right - 1}")
+            if neighbors and not (0 <= min(neighbors)
+                                  and max(neighbors) < n_right):
+                for right in neighbors:
+                    if not 0 <= right < n_right:
+                        raise ValueError(f"right node {right} out of "
+                                         f"range 0..{n_right - 1}")
             self._adjacency.append(neighbors)
         #: match_left[u] = matched right node or -1; similarly match_right.
         self.match_left = [-1] * n_left

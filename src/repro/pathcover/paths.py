@@ -26,22 +26,35 @@ class Path:
     indices: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.indices, tuple):
-            object.__setattr__(self, "indices", tuple(self.indices))
-        if not self.indices:
+        indices = self.indices
+        if not isinstance(indices, tuple):
+            indices = tuple(indices)
+            object.__setattr__(self, "indices", indices)
+        # One pass accepts plain ints rising strictly from >= 0; only
+        # what it rejects (an int subclass included) runs the checks
+        # below, which accept it or word the error.
+        previous = -1
+        for value in indices:
+            if type(value) is not int or value <= previous:
+                break
+            previous = value
+        else:
+            if indices:
+                return
+        if not indices:
             raise PathCoverError("a path must contain at least one access")
-        for value in self.indices:
+        for value in indices:
             if not isinstance(value, int) or isinstance(value, bool):
                 raise PathCoverError(
                     f"path positions must be ints, got {value!r}")
             if value < 0:
                 raise PathCoverError(
                     f"path positions must be >= 0, got {value}")
-        for earlier, later in zip(self.indices, self.indices[1:]):
+        for earlier, later in zip(indices, indices[1:]):
             if later <= earlier:
                 raise PathCoverError(
                     f"path positions must be strictly increasing, got "
-                    f"{self.indices}")
+                    f"{indices}")
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -78,12 +91,12 @@ class Path:
         Example: merging ``(a_1, a_4, a_6)`` and ``(a_3, a_5)`` gives
         ``(a_1, a_3, a_4, a_5, a_6)``.
         """
-        overlap = set(self.indices) & set(other.indices)
-        if overlap:
+        if not set(self.indices).isdisjoint(other.indices):
+            overlap = set(self.indices) & set(other.indices)
             raise PathCoverError(
                 f"cannot merge overlapping paths (shared positions "
                 f"{sorted(overlap)})")
-        return Path(tuple(sorted((*self.indices, *other.indices))))
+        return Path(tuple(sorted(self.indices + other.indices)))
 
     def __str__(self) -> str:
         body = ", ".join(f"a_{position + 1}" for position in self.indices)
@@ -107,19 +120,31 @@ class PathCover:
         ordered = tuple(sorted(self.paths, key=lambda path: path.first))
         object.__setattr__(self, "paths", ordered)
 
+        # Paths hold ints >= 0, so N positions, all distinct and all
+        # below N, are exactly 0 .. N-1.  Only a cover this rejects
+        # runs the loop below, which words the error.
+        n_accesses = self.n_accesses
         seen: set[int] = set()
-        for path in self.paths:
+        count = 0
+        for path in ordered:
+            seen.update(path.indices)
+            count += len(path.indices)
+        if count == len(seen) == n_accesses and (
+                not seen or max(seen) < n_accesses):
+            return
+        seen.clear()
+        for path in ordered:
             for position in path:
                 if position in seen:
                     raise PathCoverError(
                         f"position {position} covered twice")
-                if position >= self.n_accesses:
+                if position >= n_accesses:
                     raise PathCoverError(
                         f"position {position} out of range for "
-                        f"{self.n_accesses} accesses")
+                        f"{n_accesses} accesses")
                 seen.add(position)
-        if len(seen) != self.n_accesses:
-            missing = sorted(set(range(self.n_accesses)) - seen)
+        if len(seen) != n_accesses:
+            missing = sorted(set(range(n_accesses)) - seen)
             raise PathCoverError(
                 f"cover misses positions {missing}")
 

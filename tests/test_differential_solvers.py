@@ -12,6 +12,9 @@ them:
   which never takes the root assignment as its cover), here and on a
   grid-like corpus: ``K~`` is no larger, equal and proven wherever the
   reference proved it, and no more search nodes are explored;
+* the greedy cover against the heuristic it replaced
+  (``_reference_heuristic.py``): the identical cover, here and on an
+  EXP-S1-shaped corpus up to N=40;
 * phase 2: every merging strategy's cost dominates the exhaustive
   optimum, all strategies agree when no merging is needed, and each
   strategy's incremental cost bookkeeping matches a from-scratch
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.errors import InfeasibleZeroCostCover
 from repro.graph.access_graph import AccessGraph
 from repro.ir.builder import pattern_from_offsets
 from repro.merging.cost import CostModel, cover_cost
@@ -33,7 +37,10 @@ from repro.merging.naive import NAIVE_STRATEGIES, naive_merge
 from repro.pathcover.assignment import cycle_cover_bound
 from repro.pathcover.branch_and_bound import minimum_zero_cost_cover
 from repro.pathcover.heuristic import greedy_zero_cost_cover
-from repro.pathcover.lower_bound import intra_cover_lower_bound
+from repro.pathcover.lower_bound import (
+    intra_cover_lower_bound,
+    intra_matching,
+)
 from repro.pathcover.paths import PathCover
 from repro.pathcover.verify import is_zero_cost_path
 from repro.workloads.random_patterns import (
@@ -45,6 +52,7 @@ from repro.workloads.random_patterns import (
 from _reference_branch_and_bound import (
     minimum_zero_cost_cover as reference_cover,
 )
+from _reference_heuristic import _scan_cover, reference_greedy_cover
 from _reference_merge import (
     reference_best_pair_merge,
     reference_naive_merge,
@@ -178,6 +186,55 @@ class TestPhase1AgainstTheSearchAlone:
         assert (reference.k_tilde, reference.optimal) == (10, False)
         assert (outcome.k_tilde, outcome.optimal) == (7, True)
         assert outcome.nodes_explored == 0
+
+
+def exp_s1_corpus():
+    """EXP-S1-shaped groups: its generator (offset span 8) at N in
+    {10, 20, 30, 40} and M in {1, 2, 4}, 30 patterns each."""
+    for n in (10, 20, 30, 40):
+        for m in (1, 2, 4):
+            for pattern in generate_batch(
+                    RandomPatternConfig(n, offset_span=8), 30,
+                    seed=0x51 + 31 * n + m):
+                yield pattern, m
+
+
+def greedy_outcome(greedy, graph, matching):
+    """The cover ``greedy`` returns, or the text of the infeasibility it
+    raises."""
+    try:
+        return greedy(graph, matching)
+    except InfeasibleZeroCostCover as error:
+        return str(error)
+
+
+class TestGreedyMatchesReference:
+    """The greedy cover is the one the reference heuristic returns
+    (``_reference_heuristic.py``, which builds and validates both
+    candidate covers): same paths, same infeasibility, ties to the
+    scan."""
+
+    def assert_same_covers(self, instances):
+        repaired_wins = 0
+        for pattern, modify_range in instances:
+            graph = AccessGraph(pattern, modify_range)
+            for matching in (None, intra_matching(graph)):
+                cover = greedy_outcome(greedy_zero_cost_cover, graph,
+                                       matching)
+                assert cover == greedy_outcome(reference_greedy_cover,
+                                               graph, matching)
+            if isinstance(cover, PathCover):
+                repaired_wins += cover != _scan_cover(graph)
+        # The corpus must reach the repaired construction somewhere.
+        assert repaired_wins > 0
+
+    def test_differential_corpus(self):
+        self.assert_same_covers(
+            (corpus_pattern(seed), modify_range)
+            for seed in CORPUS_SEEDS for modify_range in (0, 1, 2, 4))
+
+    def test_exp_s1_corpus(self):
+        self.assert_same_covers(exp_s1_corpus())
 
 
 class TestPhase2MergingChain:

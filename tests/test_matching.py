@@ -59,6 +59,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             HopcroftKarp(1, 1, [[3]])
 
+    @pytest.mark.parametrize("rows, bad", [
+        ([[0, 5, 1]], 5), ([[1], [0, -1]], -1), ([[], [1, 2, 7]], 2)])
+    def test_range_error_names_the_first_bad_neighbor(self, rows, bad):
+        with pytest.raises(ValueError,
+                           match=rf"right node {bad} out of range 0\.\.1$"):
+            HopcroftKarp(2, 2, rows)
+
 
 class TestAgainstNetworkx:
     @pytest.mark.parametrize("seed", range(20))

@@ -29,13 +29,10 @@ class TestRunSelfTest:
         assert first.n_unit_cost_instructions == \
             second.n_unit_cost_instructions
 
-    def test_zero_instances(self):
-        report = run_self_test(n_instances=0)
-        assert report.n_accesses_verified == 0
-
-    def test_negative_instances_rejected(self):
-        with pytest.raises(ReproError):
-            run_self_test(n_instances=-1)
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_fewer_than_one_instance_rejected(self, count):
+        with pytest.raises(ReproError, match=f"must be >= 1, got {count}"):
+            run_self_test(n_instances=count)
 
 
 class TestCliVerbs:
