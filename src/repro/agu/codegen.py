@@ -212,17 +212,10 @@ def generate_unoptimized_code(pattern: AccessPattern,
 def _check_static_cost(program: AddressProgram,
                        layout: "MemoryLayout | None" = None) -> None:
     """Codegen must agree with the cost model by construction."""
-    if layout is not None:
-        from repro.arraylayout.distance import layout_cover_cost
-        modelled = layout_cover_cost(
-            program.cover, program.pattern, layout,
-            program.spec.modify_range, CostModel.STEADY_STATE,
-            free_deltas=frozenset(program.modify_values))
-    else:
-        modelled = cover_cost(program.cover, program.pattern,
-                              program.spec.modify_range,
-                              CostModel.STEADY_STATE,
-                              free_deltas=frozenset(program.modify_values))
+    modelled = cover_cost(program.cover, program.pattern,
+                          program.spec.modify_range, CostModel.STEADY_STATE,
+                          free_deltas=frozenset(program.modify_values),
+                          layout=layout)
     emitted = program.overhead_per_iteration
     if modelled != emitted:
         raise CodegenError(

@@ -11,7 +11,10 @@ the address-calculation-by-layout idea of the paper's ref [1]
 (Liem/Paulin/Jerraya).
 
 * :mod:`repro.arraylayout.distance` -- concrete (layout-resolved)
-  distances and the layout-aware cost model.
+  distances.  An allocation's cost under a layout is
+  :func:`~repro.merging.cost.cover_cost` with ``layout=``: the one cost
+  kernel, with the coefficient as the group and each offset shifted by
+  its array's base.
 * :mod:`repro.arraylayout.optimize` -- gap selection between adjacently
   placed arrays (greedy, most-frequent-transition first), optionally
   over all placement orders for small array counts.
@@ -24,8 +27,6 @@ AGU simulator verifies every address as usual.
 from repro.arraylayout.distance import (
     concrete_intra_distance,
     concrete_wrap_distance,
-    layout_cover_cost,
-    layout_path_cost,
 )
 from repro.arraylayout.optimize import LayoutPlan, optimize_layout
 
@@ -33,7 +34,5 @@ __all__ = [
     "LayoutPlan",
     "concrete_intra_distance",
     "concrete_wrap_distance",
-    "layout_cover_cost",
-    "layout_path_cost",
     "optimize_layout",
 ]

@@ -1,27 +1,18 @@
-"""Concrete (layout-resolved) address distances and costs.
+"""Concrete (layout-resolved) address distances.
 
 With a concrete :class:`~repro.ir.layout.MemoryLayout`, the address of
 ``A[c*i + d]`` is ``base_A + c*i + d`` (word-addressed), so the distance
 between two accesses is loop-invariant exactly when their coefficients
 agree -- *regardless of the arrays involved*.  These helpers mirror
-:mod:`repro.graph.distance` and :mod:`repro.merging.cost` with the
-layout plugged in.
+:mod:`repro.graph.distance` with the layout plugged in: code generation
+derives its deltas from them, and the tests hold
+:func:`~repro.merging.cost.cover_cost`'s ``layout`` pricing to them.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
-
-from repro.graph.distance import transition_cost
 from repro.ir.layout import MemoryLayout
-from repro.ir.types import AccessPattern, ArrayAccess
-from repro.merging.cost import CostModel
-from repro.pathcover.paths import Path, PathCover
-
-
-def _base(layout: MemoryLayout, access: ArrayAccess) -> int:
-    placement = layout.placement(access.array)
-    return placement.base
+from repro.ir.types import ArrayAccess
 
 
 def concrete_intra_distance(source: ArrayAccess, target: ArrayAccess,
@@ -32,8 +23,8 @@ def concrete_intra_distance(source: ArrayAccess, target: ArrayAccess,
     """
     if source.coefficient != target.coefficient:
         return None
-    return (_base(layout, target) + target.offset) \
-        - (_base(layout, source) + source.offset)
+    return (layout.base(target.array) + target.offset) \
+        - (layout.base(source.array) + source.offset)
 
 
 def concrete_wrap_distance(last: ArrayAccess, first: ArrayAccess,
@@ -42,33 +33,5 @@ def concrete_wrap_distance(last: ArrayAccess, first: ArrayAccess,
     ``first`` (iteration ``t + 1``)."""
     if last.coefficient != first.coefficient:
         return None
-    return (_base(layout, first) + first.coefficient * step
-            + first.offset) - (_base(layout, last) + last.offset)
-
-
-def layout_path_cost(path: Path, pattern: AccessPattern,
-                     layout: MemoryLayout, modify_range: int,
-                     model: CostModel = CostModel.STEADY_STATE,
-                     free_deltas: frozenset[int] = frozenset()) -> int:
-    """Unit-cost computations of a path under a concrete layout."""
-    cost = 0
-    for p, q in path.transitions():
-        distance = concrete_intra_distance(pattern[p], pattern[q], layout)
-        cost += transition_cost(distance, modify_range, free_deltas)
-    if model is CostModel.STEADY_STATE:
-        distance = concrete_wrap_distance(pattern[path.last],
-                                          pattern[path.first],
-                                          pattern.step, layout)
-        cost += transition_cost(distance, modify_range, free_deltas)
-    return cost
-
-
-def layout_cover_cost(paths: PathCover | Iterable[Path],
-                      pattern: AccessPattern, layout: MemoryLayout,
-                      modify_range: int,
-                      model: CostModel = CostModel.STEADY_STATE,
-                      free_deltas: frozenset[int] = frozenset()) -> int:
-    """Total allocation cost under a concrete layout."""
-    return sum(layout_path_cost(path, pattern, layout, modify_range,
-                                model, free_deltas)
-               for path in paths)
+    return (layout.base(first.array) + first.coefficient * step
+            + first.offset) - (layout.base(last.array) + last.offset)

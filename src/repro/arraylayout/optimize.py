@@ -19,11 +19,10 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations
 
-from repro.arraylayout.distance import layout_cover_cost
 from repro.errors import LayoutError
 from repro.ir.layout import MemoryLayout
 from repro.ir.types import AccessPattern, ArrayDecl
-from repro.merging.cost import CostModel
+from repro.merging.cost import CostModel, cover_cost
 from repro.pathcover.paths import PathCover
 
 #: Above this many arrays, only the natural (first-use) order is tried.
@@ -156,8 +155,8 @@ def optimize_layout(pattern: AccessPattern, cover: PathCover,
     reference = MemoryLayout.contiguous(
         [by_name[name] for name in natural_order], origin=origin,
         gap=modify_range + 1)
-    baseline_cost = layout_cover_cost(cover, pattern, reference,
-                                      modify_range, model)
+    baseline_cost = cover_cost(cover, pattern, modify_range, model,
+                               layout=reference)
 
     demands = _cross_array_demands(cover, pattern, model)
     orders: list[tuple[str, ...]] = [natural_order]
@@ -171,8 +170,8 @@ def optimize_layout(pattern: AccessPattern, cover: PathCover,
     for order in orders:
         layout = _optimize_gaps_for_order(order, demands, by_name,
                                           modify_range, origin)
-        cost = layout_cover_cost(cover, pattern, layout, modify_range,
-                                 model)
+        cost = cover_cost(cover, pattern, modify_range, model,
+                          layout=layout)
         if cost < best_cost:
             best_layout, best_cost, best_order = layout, cost, order
     return LayoutPlan(layout=best_layout, cost=best_cost,

@@ -80,9 +80,9 @@ class AccessGraph:
 
         # Distances are compile-time constants only inside a group of
         # accesses to the same array with the same index coefficient
-        # (intra distances additionally require the same loop variable
-        # when the coefficient is non-zero).  Edges therefore only ever
-        # connect group members whose offsets fall within a +-M window.
+        # (the pattern indexes with one loop variable).  Edges therefore
+        # only ever connect group members whose offsets fall within a
+        # +-M window.
         # Sorting a group by offset turns every window into a slice,
         # and prefix ORs of the members' bits turn a slice into one
         # bitmask: O(n log n) big-integer operations per graph.
@@ -102,10 +102,6 @@ class AccessGraph:
             prefix = [0]
             for _offset, p in by_offset:
                 prefix.append(prefix[-1] | 1 << p)
-            # Intra edges also need a common loop variable, so a
-            # coefficient-c group splits by variable; c = 0 does not.
-            same_variable = _variable_masks(pattern, positions) \
-                if coefficient != 0 else None
             # The wrap distance q -> p is c*S + offset_p - offset_q; it
             # is free iff offset_p lies within M of offset_q - c*S.
             home = coefficient * step
@@ -114,8 +110,6 @@ class AccessGraph:
                                               offset + modify_range)]
                           ^ prefix[bisect_left(sorted_offsets,
                                                offset - modify_range)])
-                if same_variable is not None:
-                    window &= same_variable[p]
                 succ_bits[p] = window >> (p + 1) << (p + 1)
                 wrap_bits[p] = (
                     prefix[bisect_right(sorted_offsets,
@@ -238,19 +232,6 @@ def set_bits(mask: int) -> list[int]:
         positions.append(low.bit_length() - 1)
         mask ^= low
     return positions
-
-
-def _variable_masks(pattern: AccessPattern,
-                    positions: list[int]) -> dict[int, int] | None:
-    """For each position, the bitmask of the positions whose index uses
-    the same loop variable -- or ``None`` when all of them do."""
-    by_variable: dict[str, int] = {}
-    for p in positions:
-        variable = pattern[p].index.var
-        by_variable[variable] = by_variable.get(variable, 0) | 1 << p
-    if len(by_variable) == 1:
-        return None
-    return {p: by_variable[pattern[p].index.var] for p in positions}
 
 
 @lru_cache(maxsize=0)

@@ -78,8 +78,10 @@ class ArrayAccess:
     def group_key(self) -> tuple[str, int]:
         """Key identifying accesses with loop-invariant mutual distance.
 
-        Two accesses have a compile-time-constant address distance iff
-        they touch the same array with the same index coefficient.
+        Two accesses of one :class:`AccessPattern` have a
+        compile-time-constant address distance iff they touch the same
+        array with the same index coefficient: the pattern guarantees
+        that every non-constant index uses its one loop variable.
         """
         return (self.array, self.coefficient)
 
@@ -117,7 +119,10 @@ class AccessPattern:
         address distance of a register from iteration ``t`` to ``t+1``
         depends on it.
     loop_var:
-        Name of the loop variable, for rendering only.
+        Name of the loop variable.  Every access with a non-zero index
+        coefficient indexes with it, so the distance rule needs only
+        the array and the coefficient (:attr:`ArrayAccess.group_key`);
+        a constant index may carry any variable name.
     """
 
     accesses: tuple[ArrayAccess, ...]
@@ -129,11 +134,17 @@ class AccessPattern:
             object.__setattr__(self, "accesses", tuple(self.accesses))
         if self.step == 0:
             raise IrError("loop step must be non-zero")
+        loop_var = self.loop_var
         for position, access in enumerate(self.accesses):
             if not isinstance(access, ArrayAccess):
                 raise IrError(
                     f"pattern element {position} is not an ArrayAccess: "
                     f"{access!r}")
+            index = access.index
+            if index.coefficient and index.var != loop_var:
+                raise IrError(
+                    f"pattern element {position} ({access}) indexes with "
+                    f"{index.var!r}, not the loop variable {loop_var!r}")
 
     # ------------------------------------------------------------------
     # Sequence protocol

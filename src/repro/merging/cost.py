@@ -23,14 +23,20 @@ the pattern once, in O(N), and then costs any sorted position sequence
 with one loop over integers instead of re-deriving each transition from
 the :mod:`repro.graph.distance` definitions.  Per position it stores:
 
-* the *intra group*: ``(array, coefficient, var)``, with ``var`` only
-  when the coefficient is non-zero -- two accesses have a constant
-  :func:`~repro.graph.distance.intra_distance` exactly when their intra
-  groups agree, and it is then their offset difference;
-* the *wrap group*: ``(array, coefficient)`` -- the same rule for
-  :func:`~repro.graph.distance.wrap_distance`, whose constant value is
-  ``coefficient * step + offset_first - offset_last``;
+* the *group*: ``(array, coefficient)``, the access's
+  :attr:`~repro.ir.types.ArrayAccess.group_key`.  The pattern indexes
+  with one loop variable, so two accesses have a constant
+  :func:`~repro.graph.distance.intra_distance` or
+  :func:`~repro.graph.distance.wrap_distance` exactly when their groups
+  agree.  The intra distance is then their offset difference, the wrap
+  distance ``coefficient * step + offset_first - offset_last``;
 * the offset, and ``coefficient * step``.
+
+Under a concrete :class:`~repro.ir.layout.MemoryLayout` the group is
+the coefficient alone and each offset is shifted by its array's base:
+cross-array distances become constants, exactly the
+:func:`~repro.arraylayout.distance.concrete_intra_distance` and
+:func:`~repro.arraylayout.distance.concrete_wrap_distance` definitions.
 
 A transition then costs 1 when the groups differ, and otherwise when
 its distance ``d`` has ``|d| > M`` and ``d`` is not in ``free_deltas``
@@ -45,6 +51,7 @@ from enum import Enum, unique
 from typing import Callable, Iterable, Sequence
 
 from repro.errors import GraphError, PathCoverError
+from repro.ir.layout import MemoryLayout
 from repro.ir.types import AccessPattern
 from repro.pathcover.paths import Path, PathCover
 
@@ -61,33 +68,39 @@ class CostModel(Enum):
 
 def cost_kernel(pattern: AccessPattern, modify_range: int,
                 model: CostModel = CostModel.STEADY_STATE,
-                free_deltas: frozenset[int] = frozenset(),
+                free_deltas: frozenset[int] = frozenset(), *,
+                layout: MemoryLayout | None = None,
                 ) -> Callable[[Sequence[int]], int]:
     """The cost function ``C`` over one pattern's positions.
 
     The returned function takes a strictly increasing, non-empty
     sequence of positions (a path's indices, or the sorted union of two
-    paths' indices) and returns its cost under ``model``.  Raises
-    :class:`~repro.errors.GraphError` for a negative ``modify_range``.
+    paths' indices) and returns its cost under ``model``.  ``layout``
+    prices the distances between the arrays' concrete addresses instead
+    of the symbolic ones.  Raises :class:`~repro.errors.GraphError` for
+    a negative ``modify_range`` and
+    :class:`~repro.errors.LayoutError` for an array ``layout`` does not
+    place.
     """
     if modify_range < 0:
         raise GraphError(f"modify range must be >= 0, got {modify_range}")
-    intra_ids: dict[tuple, int] = {}
-    wrap_ids: dict[tuple[str, int], int] = {}
-    intra_group: list[int] = []
-    wrap_group: list[int] = []
+    ids: dict[object, int] = {}
+    group: list[int] = []
     offset: list[int] = []
     stride: list[int] = []
-    for access in pattern:
+    step = pattern.step
+    for access in pattern.accesses:
         index = access.index
         coefficient = index.coefficient
-        intra_group.append(intra_ids.setdefault(
-            (access.array, coefficient, index.var if coefficient else None),
-            len(intra_ids)))
-        wrap_group.append(wrap_ids.setdefault(
-            (access.array, coefficient), len(wrap_ids)))
-        offset.append(index.offset)
-        stride.append(coefficient * pattern.step)
+        if layout is None:
+            key: object = (access.array, coefficient)
+            base = 0
+        else:
+            key = coefficient
+            base = layout.base(access.array)
+        group.append(ids.setdefault(key, len(ids)))
+        offset.append(base + index.offset)
+        stride.append(coefficient * step)
     n_accesses = len(pattern)
     steady = model is CostModel.STEADY_STATE
 
@@ -100,7 +113,7 @@ def cost_kernel(pattern: AccessPattern, modify_range: int,
         total = 0
         previous = first
         for position in indices[1:]:
-            if intra_group[previous] != intra_group[position]:
+            if group[previous] != group[position]:
                 total += 1
             else:
                 distance = offset[position] - offset[previous]
@@ -109,7 +122,7 @@ def cost_kernel(pattern: AccessPattern, modify_range: int,
                     total += 1
             previous = position
         if steady:
-            if wrap_group[last] != wrap_group[first]:
+            if group[last] != group[first]:
                 total += 1
             else:
                 distance = stride[first] + offset[first] - offset[last]
@@ -138,13 +151,17 @@ def path_cost(path: Path, pattern: AccessPattern, modify_range: int,
 def cover_cost(paths: PathCover | Iterable[Path], pattern: AccessPattern,
                modify_range: int,
                model: CostModel = CostModel.STEADY_STATE,
-               free_deltas: frozenset[int] = frozenset()) -> int:
+               free_deltas: frozenset[int] = frozenset(), *,
+               layout: MemoryLayout | None = None) -> int:
     """Total unit-cost address computations of an allocation.
 
     The allocation's cost is simply the sum of its path costs: registers
     are independent of each other.  ``paths`` is iterated once.
+    ``layout`` prices it under concrete array bases (see
+    :func:`cost_kernel`).
     """
-    cost = cost_kernel(pattern, modify_range, model, free_deltas)
+    cost = cost_kernel(pattern, modify_range, model, free_deltas,
+                       layout=layout)
     return sum(cost(path.indices) for path in paths)
 
 

@@ -7,6 +7,9 @@ choice).  This module searches all such partitions with cost-based
 pruning, yielding the true optimum -- used to measure how close the
 paper's two-phase heuristic gets (experiment EXP-A3) and as a test
 oracle.  Exponential: intended for ``N`` up to roughly 12.
+
+It prices allocations with :func:`~repro.merging.cost.cost_kernel`,
+the same rule the heuristics it judges are priced by.
 """
 
 from __future__ import annotations
@@ -14,9 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import AllocationError, SearchBudgetExceeded
-from repro.graph.distance import intra_distance, transition_cost, wrap_distance
 from repro.ir.types import AccessPattern
-from repro.merging.cost import CostModel
+from repro.merging.cost import CostModel, cost_kernel
 from repro.pathcover.paths import PathCover
 
 #: Default cap on explored assignment nodes.
@@ -57,23 +59,16 @@ def optimal_allocation(pattern: AccessPattern, n_registers: int,
         return OptimalAllocation(PathCover((), 0), 0, 0, True)
     limit = min(n_registers, n)
 
-    include_wrap = model is CostModel.STEADY_STATE
-    step = pattern.step
+    # One step's cost is the INTRA cost of the pair; a leaf's total is
+    # every register's cost under the requested model.
+    step_cost = cost_kernel(pattern, modify_range, CostModel.INTRA)
+    cost_of = cost_kernel(pattern, modify_range, model)
 
     groups: list[list[int]] = []
     best_cost: int | None = None
     best_groups: list[tuple[int, ...]] | None = None
     nodes = 0
     budget_hit = False
-
-    def leaf_wrap_cost() -> int:
-        if not include_wrap:
-            return 0
-        return sum(
-            transition_cost(
-                wrap_distance(pattern[group[-1]], pattern[group[0]], step),
-                modify_range)
-            for group in groups)
 
     def descend(position: int, cost: int) -> None:
         nonlocal nodes, best_cost, best_groups, budget_hit
@@ -86,16 +81,14 @@ def optimal_allocation(pattern: AccessPattern, n_registers: int,
         if best_cost is not None and cost >= best_cost:
             return
         if position == n:
-            total = cost + leaf_wrap_cost()
+            total = sum(cost_of(group) for group in groups)
             if best_cost is None or total < best_cost:
                 best_cost = total
                 best_groups = [tuple(group) for group in groups]
             return
 
         for group in groups:
-            extra = transition_cost(
-                intra_distance(pattern[group[-1]], pattern[position]),
-                modify_range)
+            extra = step_cost((group[-1], position))
             group.append(position)
             descend(position + 1, cost + extra)
             group.pop()

@@ -78,10 +78,12 @@ def naive_merge(cover: PathCover, n_registers: int, pattern: AccessPattern,
     if cost is None:
         cost = cost_kernel(pattern, modify_range, model)
     rng = random.Random(seed)
+    # The cover's paths are in canonical order (by first access), and a
+    # merge keeps paths[i].first, so writing it back at i keeps the
+    # order with no sort.
     paths: list[Path] = list(cover)
     steps: list[MergeStep] = []
     while len(paths) > n_registers:
-        paths.sort(key=lambda path: path.first)
         i, j = picker(paths, rng)
         if not (0 <= i < j < len(paths)):
             raise AllocationError(
@@ -89,9 +91,8 @@ def naive_merge(cover: PathCover, n_registers: int, pattern: AccessPattern,
         merged = paths[i].merge(paths[j])
         steps.append(MergeStep(paths[i], paths[j], merged,
                                cost(merged.indices)))
+        paths[i] = merged
         del paths[j]
-        del paths[i]
-        paths.append(merged)
 
     final = PathCover(tuple(paths), cover.n_accesses)
     total = sum(cost(path.indices) for path in final)

@@ -63,10 +63,13 @@ def allocate_with_modify_registers(
     model: CostModel = config.cost_model
     allocator = AddressRegisterAllocator(spec, config)
 
-    base = allocator.allocate(pattern)
+    # The MR-free baseline is what ``allocate`` returns, without a
+    # second phase 1: best-pair merging of the cover with no free
+    # deltas (a no-op when the cover already fits).
+    initial_cover = allocator.initial_cover(pattern)[0]
+    base = best_pair_merge(initial_cover, spec.n_registers, pattern,
+                           spec.modify_range, model)
     baseline_cost = base.total_cost
-    initial_cover, _kt, _feasible, _optimal = \
-        allocator.initial_cover(pattern)
 
     best_cover = base.cover
     best_values = select_modify_values(base.cover, pattern,

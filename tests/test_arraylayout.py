@@ -1,6 +1,8 @@
 """Unit tests for the array-layout extension."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.agu.codegen import generate_address_code
 from repro.agu.isa import PointTo
@@ -9,21 +11,24 @@ from repro.agu.simulator import simulate
 from repro.arraylayout.distance import (
     concrete_intra_distance,
     concrete_wrap_distance,
-    layout_cover_cost,
 )
 from repro.arraylayout.optimize import optimize_layout
 from repro.core.allocator import AddressRegisterAllocator
 from repro.core.pipeline import compile_kernel
 from repro.errors import LayoutError
+from repro.graph.distance import transition_cost
 from repro.ir.builder import LoopBuilder
 from repro.ir.expr import AffineExpr
 from repro.ir.layout import MemoryLayout
 from repro.ir.types import ArrayAccess, ArrayDecl
-from repro.merging.cost import cover_cost
+from repro.merging.cost import CostModel, cover_cost
+from repro.pathcover.paths import PathCover
 from repro.workloads.random_patterns import (
     RandomPatternConfig,
     generate_batch,
 )
+
+from test_cost import mixed_patterns
 
 
 def acc(array, coeff, offset):
@@ -148,8 +153,8 @@ class TestLayoutAwareCodegen:
         assert result.overhead_per_iteration == plan.cost
 
     def test_static_check_uses_layout_model(self, two_arrays_layout):
-        # layout_cover_cost and codegen accounting must agree on any
-        # cover; exercise via a ping-pong allocation.
+        # The layout-priced cover cost and codegen accounting must
+        # agree on any cover; exercise via a ping-pong allocation.
         kernel = (LoopBuilder(n_iterations=4)
                   .array("x", length=8).array("y", length=8)
                   .read("x", 0).read("y", 0).build())
@@ -158,8 +163,8 @@ class TestLayoutAwareCodegen:
         program = generate_address_code(kernel.pattern, allocation.cover,
                                         AguSpec(1, 1),
                                         layout=two_arrays_layout)
-        assert program.overhead_per_iteration == layout_cover_cost(
-            allocation.cover, kernel.pattern, two_arrays_layout, 1)
+        assert program.overhead_per_iteration == cover_cost(
+            allocation.cover, kernel.pattern, 1, layout=two_arrays_layout)
 
     def test_without_layout_behaviour_unchanged(self, paper_pattern):
         allocation = AddressRegisterAllocator(AguSpec(2, 1)) \
@@ -178,8 +183,6 @@ class TestCostModelConsistency:
         one model with different knowledge."""
         import random
 
-        from repro.pathcover.paths import PathCover
-
         rng = random.Random(123)
         for _ in range(20):
             n = rng.randint(2, 10)
@@ -194,8 +197,54 @@ class TestCostModelConsistency:
             decls = [ArrayDecl(name, length=32)
                      for name in pattern.arrays()]
             guard = MemoryLayout.contiguous(decls, gap=2)
-            assert layout_cover_cost(cover, pattern, guard, 1) == \
+            assert cover_cost(cover, pattern, 1, layout=guard) == \
                 cover_cost(cover, pattern, 1)
+
+
+def defined_layout_cost(cover, pattern, layout, modify_range, model,
+                        free_deltas):
+    """An allocation's cost under ``layout`` from the definitions: one
+    :func:`transition_cost` per concrete intra transition, plus the
+    concrete wrap-around under the steady-state model."""
+    total = 0
+    for path in cover:
+        for p, q in path.transitions():
+            total += transition_cost(
+                concrete_intra_distance(pattern[p], pattern[q], layout),
+                modify_range, free_deltas)
+        if model is CostModel.STEADY_STATE:
+            total += transition_cost(
+                concrete_wrap_distance(pattern[path.last],
+                                       pattern[path.first], pattern.step,
+                                       layout),
+                modify_range, free_deltas)
+    return total
+
+
+class TestLayoutPricingMatchesDefinitions:
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_patterns(), st.data())
+    def test_cover_cost_with_layout(self, pattern, data):
+        # Arrays without a length have no footprint, so any bases
+        # (equal ones included) form a valid layout.
+        bases = {name: data.draw(st.integers(0, 20), label=name)
+                 for name in "ABC"}
+        layout = MemoryLayout.explicit(
+            bases, [ArrayDecl(name) for name in "ABC"])
+        modify_range = data.draw(st.integers(0, 3))
+        model = data.draw(st.sampled_from(list(CostModel)))
+        free_deltas = data.draw(st.frozensets(st.integers(-12, 12),
+                                              max_size=4))
+        owner = data.draw(st.lists(st.integers(0, 2),
+                                   min_size=len(pattern),
+                                   max_size=len(pattern)))
+        cover = PathCover.from_lists(
+            [[p for p, g in enumerate(owner) if g == group]
+             for group in sorted(set(owner))], len(pattern))
+        assert cover_cost(cover, pattern, modify_range, model,
+                          free_deltas, layout=layout) == \
+            defined_layout_cost(cover, pattern, layout, modify_range,
+                                model, free_deltas)
 
 
 class TestPipelineFlag:

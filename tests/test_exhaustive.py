@@ -6,10 +6,12 @@ import random
 import pytest
 
 from repro.errors import AllocationError
-from repro.ir.builder import pattern_from_offsets
+from repro.ir.builder import LoopBuilder, pattern_from_offsets
 from repro.merging.cost import CostModel, cover_cost
 from repro.merging.exhaustive import optimal_allocation
 from repro.pathcover.paths import PathCover
+
+from conftest import PAPER_OFFSETS
 
 
 def brute_force_cost(pattern, n_registers, modify_range, model):
@@ -83,3 +85,41 @@ class TestEdgeCases:
         costs = [optimal_allocation(pattern, k, 1).total_cost
                  for k in (1, 2, 3)]
         assert costs[0] >= costs[1] >= costs[2]
+
+
+# ----------------------------------------------------------------------
+# Pinned searches: the search visits the same nodes, in the same order,
+# whichever way its steps and leaves are priced.
+# ----------------------------------------------------------------------
+TWO_ARRAYS = (LoopBuilder("two").array("x").array("y")
+              .read("x", 0).read("y", 1).read("x", 3).write("y", 0)
+              .read("x", 1).read("y", -1).read("x", 0, coefficient=2)
+              .build().pattern)
+
+PINNED = [
+    # (pattern, K, M, model, node budget) -> (cover, cost, nodes, proven)
+    ((pattern_from_offsets(PAPER_OFFSETS), 2, 1, CostModel.STEADY_STATE,
+      None), ([(0, 1, 3, 6), (2, 4, 5)], 2, 84, True)),
+    ((pattern_from_offsets(PAPER_OFFSETS), 1, 1, CostModel.INTRA, None),
+     ([(0, 1, 2, 3, 4, 5, 6)], 4, 8, True)),
+    ((pattern_from_offsets(PAPER_OFFSETS), 3, 0, CostModel.STEADY_STATE,
+      None), ([(0, 1, 2), (3, 4, 5), (6,)], 5, 551, True)),
+    ((pattern_from_offsets(PAPER_OFFSETS), 3, 0, CostModel.STEADY_STATE,
+      50), ([(0, 1, 2), (3, 4, 5), (6,)], 5, 51, False)),
+    ((TWO_ARRAYS, 2, 1, CostModel.STEADY_STATE, None),
+     ([(0, 2, 4), (1, 3, 5, 6)], 4, 118, True)),
+    ((TWO_ARRAYS, 3, 2, CostModel.INTRA, None),
+     ([(0, 1, 3, 5), (2, 4), (6,)], 1, 65, True)),
+    ((pattern_from_offsets([0, 3, -1, 4, 2, 1], step=2), 2, 1,
+      CostModel.STEADY_STATE, None), ([(0, 2, 4, 5), (1, 3)], 1, 46, True)),
+]
+
+
+@pytest.mark.parametrize("case, expected", PINNED)
+def test_pinned_search(case, expected):
+    pattern, n_registers, modify_range, model, budget = case
+    kwargs = {} if budget is None else {"node_budget": budget}
+    result = optimal_allocation(pattern, n_registers, modify_range, model,
+                                **kwargs)
+    assert ([path.indices for path in result.cover], result.total_cost,
+            result.nodes_explored, result.proven_optimal) == expected

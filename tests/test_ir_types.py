@@ -122,6 +122,21 @@ class TestAccessPattern:
         with pytest.raises(IrError):
             AccessPattern(("A[i]",))
 
+    def test_rejects_a_second_loop_variable(self):
+        accesses = (ArrayAccess("x", AffineExpr(1, 0, "i")),
+                    ArrayAccess("x", AffineExpr(1, 2, "j")))
+        with pytest.raises(IrError) as error:
+            AccessPattern(accesses, loop_var="i")
+        message = str(error.value)
+        assert "element 1" in message and "x[j+2]" in message
+        assert "'j'" in message and "'i'" in message
+
+    def test_constant_index_may_name_any_variable(self):
+        pattern = AccessPattern((ArrayAccess("x", AffineExpr(1, 0, "n")),
+                                 ArrayAccess("y", AffineExpr(0, 3, "q"))),
+                                loop_var="n")
+        assert pattern.group_keys() == (("x", 1), ("y", 0))
+
     def test_empty_pattern_allowed(self):
         pattern = AccessPattern(())
         assert len(pattern) == 0
