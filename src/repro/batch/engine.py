@@ -67,7 +67,7 @@ from concurrent.futures.process import BrokenProcessPool \
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Sequence
 
-from repro.batch.cache import InMemoryLRUCache, copy_json
+from repro.batch.cache import InMemoryLRUCache
 from repro.batch.digest import job_digest
 from repro.batch.jobs import BatchJob, JobResult, parse_scope
 from repro.batch.trace import open_tracer
@@ -502,26 +502,30 @@ class BatchCompiler:
 
         A job that already carries its digest (a served request) is
         not hashed again.  Each unique digest is probed with one
-        ``get``; later slots with the same digest get a defensive
-        copy, matching the per-``get`` copy semantics of the stores.
+        ``get``, and its payload becomes a result at once, so a warm
+        pass keeps alive only its results: every payload held beside
+        them doubles the objects the garbage collector tracks, and a
+        pass of a few hundred hits then triggers collections that
+        reach the oldest generation.  Later slots with the
+        same digest are rebuilt from the first slot's result, as
+        :meth:`as_completed` rebuilds duplicates of a computed job,
+        so they share no container with it.
         """
         digests = [job.digest if job.digest is not None
                    else job_digest(job) for job in jobs]
-        payloads = {}
-        for digest in dict.fromkeys(digests):
-            payload = self.cache.get(digest)
-            if payload is not None:
-                payloads[digest] = payload
+        first: dict[str, Any] = {}
         scanned: list[tuple[str, Any]] = []
-        served: set[str] = set()
         for job, digest in zip(jobs, digests):
-            payload = payloads.get(digest)
-            if payload is not None and digest in served:
-                payload = copy_json(payload)
-            result = job.result_type.from_payload(payload, job) \
-                if payload is not None else None
-            if result is not None:
-                served.add(digest)
+            if digest not in first:
+                payload = self.cache.get(digest)
+                result = first[digest] = \
+                    job.result_type.from_payload(payload, job) \
+                    if payload is not None else None
+            elif first[digest] is not None:
+                result = job.result_type.from_payload(
+                    first[digest].payload(), job)
+            else:
+                result = None
             scanned.append((digest, result))
         return scanned
 

@@ -411,6 +411,24 @@ class TestOneDeliveryPath:
             == [False, False, True]
         assert report.results[2].payload() == report.results[0].payload()
 
+    def test_a_warm_duplicate_point_is_a_detached_hit(self):
+        """In the cache scan, a later slot with a digest already served
+        is rebuilt from the first slot's result: equal, with its own
+        index, and sharing no container with the first."""
+        config = dataclasses.replace(
+            get_experiment("kernels").quick_config(),
+            kernel_names=("fir8", "saxpy", "fir8"))
+        jobs = experiment_point_jobs("kernels", config)
+        compiler = BatchCompiler()
+        compiler.compile(jobs)
+        report = compiler.compile(jobs)
+        first, _, twin = report.results
+        assert [result.from_cache for result in report.results] \
+            == [True, True, True]
+        assert (first.index, twin.index) == (0, 2)
+        assert twin.payload() == first.payload()
+        assert twin.values is not first.values
+
 
 class TestBatchReport:
     @pytest.fixture(scope="class")
