@@ -13,9 +13,9 @@ and ``repro-agu report``, and the claims they support are asserted by
 ``tests/test_paper_claims.py``.
 
 The ``-k solver`` micro-suite times the single-point hot paths (access
-graph construction and memoized lookup, the exact branch-and-bound,
-best-pair and naive merging, greedy GOA, the SOA oracle, and
-job-payload digesting).  It is the only selection
+graph construction, the exact branch-and-bound, best-pair and naive
+merging, greedy GOA, the SOA oracle, job-payload digesting, and the
+frontend's parse of the kernel library).  It is the only selection
 ``tools/bench_trajectory.py`` records into the repo's ``BENCH_*.json``
 perf trajectory, next to traced perfbench runs, and what
 ``tools/check_bench_regression.py`` holds to 3x in CI -- see
@@ -106,16 +106,6 @@ def bench_best_pair_merging(benchmark, n):
 
     result = benchmark(merge)
     assert result.n_registers <= 2
-
-
-def bench_parser_on_kernel_library(benchmark):
-    sources = [entry.source for entry in KERNELS.values()]
-
-    def parse_all():
-        return [parse_kernel(source) for source in sources]
-
-    kernels = benchmark(parse_all)
-    assert len(kernels) == len(KERNELS)
 
 
 def bench_codegen_and_simulation(benchmark):
@@ -280,6 +270,17 @@ def bench_solver_optimal_assignment(benchmark):
     layout = benchmark(optimal_assignment, sequence, 1, 8)
     assert assignment_cost(layout, sequence) \
         == assignment_cost(optimal_assignment(sequence, 1, 8), sequence)
+
+
+def bench_solver_parse_library(benchmark):
+    """The frontend: lex and parse all 26 library kernel sources."""
+    sources = [entry.source for entry in KERNELS.values()]
+
+    def parse_all():
+        return [parse_kernel(source) for source in sources]
+
+    kernels = benchmark(parse_all)
+    assert len(kernels) == len(KERNELS)
 
 
 #: A nested job-payload shape (dataclass-free slice of a point job).

@@ -1,8 +1,8 @@
 """Unit tests for ``tools/ab_pairs.py``, the paired A/B benchmark tool.
 
 A stub runner stands in for perfbench: it prints a progress line and
-then a fixed JSON result line per (side, seed), so the medians, the
-base side's interquartile range, the wins and losses and the
+then a fixed JSON result line per (side, seed), so the medians, each
+side's interquartile range, the wins and losses and the
 "resolved" verdict are checked on known numbers without running the
 benchmark.
 """
@@ -167,6 +167,26 @@ def test_the_last_line_is_the_result():
     for bad in ("", "no json here", "[1, 2]", '{"correct": true}'):
         with pytest.raises(ValueError):
             ab.parse_result(bad)
+
+
+def test_the_head_side_range_is_reported_next_to_the_base_side_range():
+    """A head side that spreads more than its base shows it, and the
+    verdict stays the one the base side's range gives."""
+    values = {"p50_ms": {"base": [10, 11, 12, 13, 14] * 2,
+                         "head": [4, 6, 8, 10, 12] * 2}}
+    rows, _ = comparisons(values)
+    p50 = rows["p50_ms"]
+    assert (p50.base_iqr, p50.head_iqr) == (2, 4)
+    assert p50.verdict == "resolved better"
+    table = ab.render([p50]).splitlines()
+    assert table[0].split()[-5:] == ["base", "IQR", "head", "IQR",
+                                     "verdict"]
+    assert table[1].split()[7:] == ["2", "4", "resolved", "better"]
+    one_pair, _ = comparisons({"p50_ms": {"base": [10], "head": [5]}},
+                              pairs=1)
+    assert one_pair["p50_ms"].head_iqr is None
+    assert ab.render(list(one_pair.values())).splitlines()[1].split()[7:9] \
+        == ["n/a", "n/a"]
 
 
 def test_render_lists_every_row():

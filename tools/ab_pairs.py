@@ -14,7 +14,7 @@ two invocations with the same arguments run the same inputs.
 Per metric the report gives both sides' medians, the median change
 (head median minus base median, and that as a share of the base), the
 pairs the head side won and lost (ties count for neither side), the
-interquartile range of the base side's runs, and a verdict.  It reads
+interquartile range of each side's runs, and a verdict.  It reads
 "resolved better" or "resolved worse" only when all of these hold, and
 "unresolved" otherwise:
 
@@ -23,7 +23,9 @@ interquartile range of the base side's runs, and a verdict.  It reads
 * the medians differ by more than the base side's interquartile range.
 
 A few pairs have a narrow range by chance, so noise alone would
-otherwise read "resolved".
+otherwise read "resolved".  The head side's range plays no part in the
+verdict; it is shown because a change can widen the spread of its own
+runs, which the base side's range cannot show.
 
 Peak memory grows with the operations a run completes, so when the two
 sides' median op counts differ the report marks ``peak_rss_mb`` as not
@@ -97,6 +99,8 @@ class Comparison:
     pairs: int
     #: Interquartile range of the base side; ``None`` below two pairs.
     base_iqr: float | None
+    #: Interquartile range of the head side; ``None`` below two pairs.
+    head_iqr: float | None
 
     @property
     def change(self) -> float:
@@ -213,7 +217,8 @@ def compare(results: dict[str, list[dict]], metrics) -> list[Comparison]:
             base_median=statistics.median(base),
             head_median=statistics.median(head), wins=wins,
             losses=losses, pairs=len(base),
-            base_iqr=interquartile_range(base)))
+            base_iqr=interquartile_range(base),
+            head_iqr=interquartile_range(head)))
     return rows
 
 
@@ -233,13 +238,14 @@ def render(rows: list[Comparison],
     under the table says why they are not comparable.
     """
     header = ("metric", "unit", "base median", "head median", "change",
-              "wins", "losses", "base IQR", "verdict")
+              "wins", "losses", "base IQR", "head IQR", "verdict")
     table = [header]
     uneven = ops is not None and ops["base"] != ops["head"]
     starred = False
     for row in rows:
         pct = "n/a" if row.change_pct is None else f"{row.change_pct:+.1f}%"
-        iqr = "n/a" if row.base_iqr is None else f"{row.base_iqr:.4g}"
+        iqrs = ["n/a" if iqr is None else f"{iqr:.4g}"
+                for iqr in (row.base_iqr, row.head_iqr)]
         metric = row.metric
         if uneven and metric in PER_OP_METRICS:
             metric += "*"
@@ -247,7 +253,7 @@ def render(rows: list[Comparison],
         table.append((metric, row.unit, f"{row.base_median:.4g}",
                       f"{row.head_median:.4g}", pct,
                       f"{row.wins}/{row.pairs}",
-                      f"{row.losses}/{row.pairs}", iqr, row.verdict))
+                      f"{row.losses}/{row.pairs}", *iqrs, row.verdict))
     widths = [max(len(line[column]) for line in table)
               for column in range(len(header))]
     lines = ["  ".join(cell.ljust(width)
