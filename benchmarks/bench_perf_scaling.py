@@ -28,10 +28,10 @@ from repro.analysis.experiments import (
     run_experiment,
     run_statistical_comparison,
 )
+from repro.analysis.points import get_experiment, registered_experiments
 from repro.batch.cache import InMemoryLRUCache
 from repro.batch.engine import BatchCompiler
 from repro.batch.jobs import jobs_from_suite
-from repro.batch.registry import get_experiment, registered_experiments
 
 from repro.agu.codegen import generate_address_code
 from repro.agu.model import AguSpec

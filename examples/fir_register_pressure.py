@@ -9,7 +9,7 @@ Run:  python examples/fir_register_pressure.py
 """
 
 from repro import AddressRegisterAllocator, AguSpec
-from repro.analysis.tables import Column, Table
+from repro.tables import Column, Table
 from repro.workloads.kernels import get_kernel
 
 

@@ -10,7 +10,7 @@ Run:  python examples/heuristic_showdown.py
 
 from repro import AddressRegisterAllocator, AguSpec, optimal_allocation
 from repro.analysis.stats import mean, percent_reduction
-from repro.analysis.tables import Column, Table
+from repro.tables import Column, Table
 from repro.workloads.random_patterns import (
     RandomPatternConfig,
     generate_batch,

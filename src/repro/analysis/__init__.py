@@ -2,15 +2,19 @@
 
 * :mod:`repro.analysis.experiments` -- the experiments' configs and
   summaries, and :func:`run_experiment`, the one way to run any of them
-  by registry id (``run_experiment("pathcover", config)``);
+  by id (``run_experiment("pathcover", config)``);
   :func:`run_statistical_comparison` is EXP-S1's typed shorthand.
-* :mod:`repro.analysis.points` -- the registered per-point definitions
-  (EXP-S1/S3, EXP-K1, EXP-A1..A3, EXP-O1, EXP-X1..X3): what
-  ``repro-agu experiment NAME`` and the Markdown report iterate.
-* :mod:`repro.analysis.report` -- one Markdown report over the registry.
-* :mod:`repro.analysis.render` -- the experiments' text tables.
+* :mod:`repro.analysis.points` -- the experiment table: the ten
+  per-point definitions (EXP-S1/S3, EXP-K1, EXP-A1..A3, EXP-O1,
+  EXP-X1..X3) and the :class:`~repro.analysis.points.ExperimentPointJob`
+  points they shard into; what ``repro-agu experiment NAME`` and the
+  Markdown report iterate.  Not imported here: :func:`run_experiment`
+  and the CLI import it on first use.
+* :mod:`repro.analysis.report` -- one Markdown report over the table.
+* :mod:`repro.analysis.render` -- the experiments' text tables, built
+  on :mod:`repro.tables` (``Column`` and ``Table`` are re-exported
+  here).
 * :mod:`repro.analysis.stats` -- small statistics helpers.
-* :mod:`repro.analysis.tables` -- fixed-width text tables.
 * :mod:`repro.analysis.reports` -- JSON persistence of experiment runs.
 """
 
@@ -43,7 +47,7 @@ from repro.analysis.experiments import (
 )
 from repro.analysis.reports import load_report, save_report, to_jsonable
 from repro.analysis.stats import confidence_interval95, mean, percent_reduction, stdev
-from repro.analysis.tables import Column, Table
+from repro.tables import Column, Table
 
 __all__ = [
     "ArrayLayoutAblationConfig",

@@ -3,7 +3,7 @@
 Each experiment is a frozen config dataclass, its row types, and a
 frozen summary dataclass that :func:`repro.analysis.reports.save_report`
 can archive.  Every one runs the same way: :func:`run_experiment` with
-its registry id (see :mod:`repro.analysis.points`), e.g.
+its id in the experiment table (:mod:`repro.analysis.points`), e.g.
 ``run_experiment("pathcover", PathCoverAblationConfig())``.  Experiment
 ids follow DESIGN.md:
 
@@ -29,8 +29,8 @@ ids follow DESIGN.md:
   substrate and the extensions beyond the paper.
 
 Every experiment executes through the batch engine
-(:class:`~repro.batch.engine.BatchCompiler`) as the registered
-:class:`~repro.batch.jobs.ExperimentPointJob` points of
+(:class:`~repro.batch.engine.BatchCompiler`) as the
+:class:`~repro.analysis.points.ExperimentPointJob` points of
 :mod:`repro.analysis.points`, so :func:`run_experiment` takes
 ``executor=`` (where the points run: inline by default, ``"local:N"``
 for an ``N``-process pool; see
@@ -239,13 +239,12 @@ class KernelComparisonSummary:
 # ======================================================================
 def run_experiment(experiment: str, config=None, *, cache=None,
                    progress=None, executor=None, trace=None):
-    """Run a registered experiment sharded through the batch engine.
+    """Run an experiment of the table sharded through the batch engine.
 
     The one way to run an experiment (``config`` defaults to the
     definition's full-size configuration): the experiment's points
-    (see :mod:`repro.batch.registry` and :mod:`repro.analysis.points`)
-    fan out over the ``executor`` backend -- inline by default,
-    ``"local:N"`` for a process pool (see
+    (see :mod:`repro.analysis.points`) fan out over the ``executor``
+    backend -- inline by default, ``"local:N"`` for a process pool (see
     :func:`~repro.batch.engine.open_executor`) -- via
     :class:`~repro.batch.engine.BatchCompiler`, every computed point
     is persisted to ``cache`` the moment it exists (interrupted
@@ -259,8 +258,9 @@ def run_experiment(experiment: str, config=None, *, cache=None,
     """
     import dataclasses as _dataclasses
 
+    # The table imports this module, so it is imported on first run.
+    from repro.analysis.points import experiment_point_jobs, get_experiment
     from repro.batch.engine import BatchCompiler
-    from repro.batch.registry import experiment_point_jobs, get_experiment
 
     definition = get_experiment(experiment)
     if config is None:

@@ -1,29 +1,47 @@
-"""The registered per-point experiment definitions (EXP-S1, EXP-S3,
-EXP-K1, EXP-A1..A3, EXP-O1, EXP-X1..X3).
+"""The experiment table: the ten per-point experiment definitions
+(EXP-S1, EXP-S3, EXP-K1, EXP-A1..A3, EXP-O1, EXP-X1..X3) and the batch
+jobs that run their points.
 
-Each experiment of :mod:`repro.analysis.experiments` is decomposed here
-into the registry contract of :mod:`repro.batch.registry`:
+An :class:`ExperimentDefinition` is what lets the batch engine shard an
+experiment without knowing anything about it:
 
-* an ``enumerate`` function lowering its config to one JSON-able
-  params dict per point (including that point's *derived seeds*, or
-  for EXP-K1 the kernel's source text, so the params fully determine
-  the outcome and can serve as its cache identity);
-* a ``point`` function computing one point from its params alone
-  (this is what runs inside pool workers); and
-* an ``assemble`` function folding the streamed point results -- in
-  enumeration order -- back into the experiment's summary dataclass,
-  bit-identically to what the retired sequential loops produced.
+* ``enumerate_points(config)`` lowers a config to an ordered list of
+  JSON-able parameter dicts -- one per independently computable,
+  cacheable point.  Everything a point's outcome depends on (grid
+  coordinates, *derived seeds*, allocator/solver settings, or for
+  EXP-K1 the kernel's source text) must appear in its params, because
+  the params are the point's cache identity (see
+  :meth:`ExperimentPointJob.cache_key`).
+* ``run_point(params)`` computes one point and returns its measured
+  values as a JSON-able dict.  It must be a pure function of its
+  params: no hidden config, no shared RNG state.  This is what runs
+  inside pool workers.
+* ``assemble(config, results)`` folds the streamed
+  :class:`ExperimentPointResult`s (in enumeration order) back into the
+  experiment's summary dataclass -- bit-identically, whatever mix of
+  workers and cache hits produced them.
 
-The module registers all ten definitions at import time;
-:data:`repro.batch.registry.AUTOLOAD_MODULES` imports it on first
-lookup, so CLI processes and pool workers alike resolve experiment ids
-without any setup.
+:data:`EXPERIMENTS` holds the ten definitions in the paper's order, and
+:func:`experiment_point_jobs` turns (definition, config) into the
+picklable point jobs (:class:`ExperimentPointJob`) that
+:class:`~repro.batch.engine.BatchCompiler` runs.  A job carries its
+experiment's id, not a function: a freshly spawned worker that
+unpickles one imports this module, and with it the table.
+
+Adding a new experiment is: write the three functions above, and add
+an :class:`ExperimentDefinition` entry to :data:`EXPERIMENTS`.  The
+generic runner (:func:`repro.analysis.experiments.run_experiment`),
+the ``repro-agu experiment`` CLI, the Markdown report, worker fan-out,
+and every cache backend then work unchanged.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import time
+from dataclasses import dataclass, field
+from typing import Any, Callable, Sequence
 
 from repro.agu.model import AguSpec
 from repro.analysis import render
@@ -62,21 +80,19 @@ from repro.analysis.experiments import (
     quick_statistical_config,
 )
 from repro.analysis.stats import mean, percent_reduction
+from repro.batch.digest import DIGEST_VERSION, job_digest
 from repro.batch.jobs import (
     DISTRIBUTION_SEED_SPAN,
     NAIVE_SEED_STRIDE,
     PATTERN_SEED_STRIDE,
     BatchJob,
+    CacheableResult,
     naive_baseline_seed,
     statistical_point,
 )
-from repro.batch.registry import (
-    ExperimentDefinition,
-    register_experiment,
-)
 from repro.core.allocator import AddressRegisterAllocator
 from repro.core.config import AllocatorConfig
-from repro.errors import ExperimentError
+from repro.errors import BatchError, ExperimentError
 from repro.graph.access_graph import cached_access_graph
 from repro.merging.cost import CostModel, cover_cost
 from repro.merging.exhaustive import optimal_allocation
@@ -87,10 +103,146 @@ from repro.pathcover.heuristic import greedy_zero_cost_cover
 from repro.pathcover.lower_bound import intra_cover_lower_bound
 from repro.workloads.kernels import KERNELS, get_kernel
 from repro.workloads.random_patterns import (
+    DISTRIBUTIONS,
     RandomPatternConfig,
     generate_batch,
 )
 from repro.workloads.suite import suite_kernels
+
+
+# ======================================================================
+# The contract, and one experiment point as a batch job
+# ======================================================================
+@dataclass(frozen=True)
+class ExperimentDefinition:
+    """Everything the engine, the CLI and the report need to run one
+    experiment."""
+
+    #: Stable id (also the CLI name); enters every point digest, so
+    #: renaming an experiment invalidates its cache entries.
+    experiment: str
+    #: One-line human description (CLI listings, report sections).
+    title: str
+    #: The frozen config dataclass this experiment is parameterized by.
+    config_type: type
+    #: The experiment's full-size default configuration.
+    default_config: Callable[[], Any]
+    #: A scaled-down configuration for smokes, tests, and CI.
+    quick_config: Callable[[], Any]
+    #: config -> ordered JSON-able params dicts, one per point.
+    enumerate_points: Callable[[Any], Sequence[dict]]
+    #: params -> JSON-able measured values for one point.
+    run_point: Callable[[dict], dict]
+    #: (config, results in enumeration order) -> summary dataclass.
+    assemble: Callable[[Any, Sequence[Any]], Any]
+    #: point params -> the point's display label (job names).
+    point_label: Callable[[dict], str]
+    #: summary -> renderable tables (CLI and report).
+    render: Callable[[Any], tuple]
+    #: summary -> one-line headline (optional; CLI and report).
+    headline: Callable[[Any], str] | None = None
+
+
+@dataclass(frozen=True)
+class ExperimentPointResult(CacheableResult):
+    """One experiment point's measurements (picklable, JSON-able).
+
+    What the engine caches and streams for an
+    :class:`ExperimentPointJob`.  ``values`` holds whatever the
+    experiment's point function measured, already in JSON-canonical
+    form (dicts, lists, scalars -- see
+    :meth:`ExperimentPointJob.execute`), so a result rebuilt from any
+    cache backend is bit-identical to the freshly computed one.
+    """
+
+    name: str
+    digest: str
+    #: Id of the experiment this point belongs to.
+    experiment: str
+    #: Position in the *current* enumeration.  Display metadata, like
+    #: ``name``: excluded from the cache payload and rebuilt from the
+    #: job being served, so a cache hit against a reordered grid never
+    #: replays a stale position.
+    index: int
+    #: The point function's measurements, JSON-canonical.
+    values: dict
+    wall_seconds: float
+    from_cache: bool = False
+
+    def payload(self) -> dict:
+        """The cache payload, minus the display metadata (name, index).
+        """
+        record = super().payload()
+        del record["name"]
+        del record["index"]
+        return record
+
+    @classmethod
+    def from_payload(cls, payload: dict, job):
+        """Rebuild from a payload; display metadata comes from ``job``.
+        """
+        try:
+            return cls(**{**payload, "name": job.name, "index": job.index,
+                          "from_cache": True})
+        except TypeError:
+            return None
+
+
+@dataclass(frozen=True)
+class ExperimentPointJob:
+    """One point of an experiment of :data:`EXPERIMENTS` as a cacheable
+    batch job.
+
+    Self-contained and picklable: ``experiment`` names an
+    :class:`ExperimentDefinition` (resolved at execution time, so the
+    job itself stays a plain data record across process boundaries)
+    and ``params`` carries everything that point's outcome depends on
+    -- grid coordinates, derived seeds, and allocator/solver settings,
+    all JSON-able.  The content digest covers the experiment id and the
+    params; ``name`` and ``index`` are display/ordering metadata and
+    deliberately excluded, so relabeled or re-enumerated points keep
+    hitting the same cache entries.
+    """
+
+    name: str
+    experiment: str
+    index: int
+    params: dict = field(default_factory=dict)
+    #: The digest the engine computed, as on
+    #: :class:`~repro.batch.jobs.BatchJob`.
+    digest: str | None = field(default=None, init=False, repr=False,
+                               compare=False)
+
+    result_type = ExperimentPointResult
+
+    def cache_key(self) -> dict:
+        """The digest payload: experiment id + point parameters."""
+        return {"v": DIGEST_VERSION,
+                "experiment": f"exp-point/{self.experiment}",
+                "params": self.params}
+
+    def execute(self) -> ExperimentPointResult:
+        """Run this point on the calling process.
+
+        The measured values are canonicalized through a JSON round
+        trip, so the cold path hands back exactly what a cache hit
+        would (a point function returning anything JSON cannot encode
+        fails loudly here instead of corrupting the cache).
+        """
+        started = time.perf_counter()
+        definition = get_experiment(self.experiment)
+        values: Any = definition.run_point(dict(self.params))
+        values = json.loads(json.dumps(values, sort_keys=True))
+        if not isinstance(values, dict):
+            raise BatchError(
+                f"experiment {self.experiment!r}: point function must "
+                f"return a dict of values, got {type(values).__name__}")
+        return ExperimentPointResult(
+            name=self.name,
+            digest=self.digest if self.digest is not None
+            else job_digest(self),
+            experiment=self.experiment, index=self.index, values=values,
+            wall_seconds=time.perf_counter() - started)
 
 
 # ======================================================================
@@ -672,186 +824,243 @@ def _arraylayout_assemble(config: ArrayLayoutAblationConfig,
 
 
 # ======================================================================
-# Registration
+# The table
 # ======================================================================
-register_experiment(ExperimentDefinition(
-    experiment="stats",
-    title="EXP-S1: best-pair vs naive merging on random patterns",
-    config_type=StatisticalConfig,
-    default_config=StatisticalConfig,
-    quick_config=quick_statistical_config,
-    enumerate_points=_stats_points,
-    run_point=statistical_point,
-    assemble=lambda config, results:
-        StatisticalSummary(config, *_stats_rows(results), 0.0),
-    point_label=lambda params:
-        f"n{params['n']}-m{params['m']}-k{params['k']}",
-    render=lambda summary: (
-        render.statistical_table(summary),
-        *(render.statistical_marginal_table(summary, axis)
-          for axis in ("n", "m", "k"))),
-    headline=lambda summary:
-        f"average reduction: {summary.average_reduction_pct:.1f} % "
-        f"(paper: about 40 %); overall "
-        f"{summary.overall_reduction_pct:.1f} %",
-))
+#: Every experiment, in the paper's order: its Results section, then
+#: the ablations and the extensions.  The CLI lists these ids, and the
+#: Markdown report runs them in this order.
+EXPERIMENTS: tuple[ExperimentDefinition, ...] = (
+    ExperimentDefinition(
+        experiment="stats",
+        title="EXP-S1: best-pair vs naive merging on random patterns",
+        config_type=StatisticalConfig,
+        default_config=StatisticalConfig,
+        quick_config=quick_statistical_config,
+        enumerate_points=_stats_points,
+        run_point=statistical_point,
+        assemble=lambda config, results:
+            StatisticalSummary(config, *_stats_rows(results), 0.0),
+        point_label=lambda params:
+            f"n{params['n']}-m{params['m']}-k{params['k']}",
+        render=lambda summary: (
+            render.statistical_table(summary),
+            *(render.statistical_marginal_table(summary, axis)
+              for axis in ("n", "m", "k"))),
+        headline=lambda summary:
+            f"average reduction: {summary.average_reduction_pct:.1f} % "
+            f"(paper: about 40 %); overall "
+            f"{summary.overall_reduction_pct:.1f} %",
+    ),
+    ExperimentDefinition(
+        experiment="distributions",
+        title="EXP-S3: EXP-S1 under every offset distribution",
+        config_type=DistributionSensitivityConfig,
+        default_config=DistributionSensitivityConfig,
+        quick_config=lambda: DistributionSensitivityConfig(
+            n_values=(10, 15), m_values=(1,), k_values=(2,),
+            patterns_per_config=6),
+        enumerate_points=_distribution_points,
+        run_point=statistical_point,
+        assemble=_distribution_assemble,
+        point_label=lambda params:
+            f"{params['distribution']}-n{params['n']}-m{params['m']}"
+            f"-k{params['k']}",
+        render=lambda summary: (render.distribution_table(summary),),
+    ),
+    ExperimentDefinition(
+        experiment="kernels",
+        title="EXP-K1: DSP kernels, optimized vs regular-compiler addressing",
+        config_type=KernelComparisonConfig,
+        default_config=KernelComparisonConfig,
+        quick_config=lambda: KernelComparisonConfig(kernel_names=tuple(
+            entry.name for entry in suite_kernels("core8"))),
+        enumerate_points=_kernel_points,
+        run_point=_kernel_point,
+        assemble=_kernel_assemble,
+        point_label=lambda params: params["kernel"],
+        render=lambda summary: (render.kernel_table(summary),),
+        headline=lambda summary:
+            f"mean addressing-overhead reduction "
+            f"{summary.mean_overhead_reduction_pct:.1f} %, mean speed "
+            f"improvement {summary.mean_speed_improvement_pct:.1f} %",
+    ),
+    ExperimentDefinition(
+        experiment="pathcover",
+        title="EXP-A1: exact K~ vs greedy cover vs matching lower bound",
+        config_type=PathCoverAblationConfig,
+        default_config=PathCoverAblationConfig,
+        quick_config=lambda: PathCoverAblationConfig(
+            n_values=(8, 12), m_values=(1,), patterns_per_config=6,
+            node_budget=50_000),
+        enumerate_points=_pathcover_points,
+        run_point=_pathcover_point,
+        assemble=_pathcover_assemble,
+        point_label=lambda params: f"n{params['n']}-m{params['m']}",
+        render=lambda summary: (render.path_cover_table(summary),),
+    ),
+    ExperimentDefinition(
+        experiment="costmodel",
+        title="EXP-A2: merging under intra-only vs steady-state cost",
+        config_type=CostModelAblationConfig,
+        default_config=CostModelAblationConfig,
+        quick_config=lambda: CostModelAblationConfig(
+            n_values=(10, 14), m_values=(1,), k_values=(2,),
+            patterns_per_config=6),
+        enumerate_points=_costmodel_points,
+        run_point=_costmodel_point,
+        assemble=_costmodel_assemble,
+        point_label=lambda params:
+            f"n{params['n']}-m{params['m']}-k{params['k']}",
+        render=lambda summary: (render.cost_model_table(summary),),
+        headline=lambda summary:
+            f"mean steady-state saving from wrap-aware merging: "
+            f"{summary.mean_penalty_pct:.1f} %",
+    ),
+    ExperimentDefinition(
+        experiment="merging",
+        title="EXP-A3: best-pair vs naive vs the exhaustive optimum",
+        config_type=MergingAblationConfig,
+        default_config=MergingAblationConfig,
+        quick_config=lambda: MergingAblationConfig(
+            n_values=(8, 10), m_values=(1,), k_values=(2,),
+            patterns_per_config=6),
+        enumerate_points=_merging_points,
+        run_point=_merging_point,
+        assemble=_merging_assemble,
+        point_label=lambda params:
+            f"n{params['n']}-m{params['m']}-k{params['k']}",
+        render=lambda summary: (render.merging_table(summary),),
+    ),
+    ExperimentDefinition(
+        experiment="offset",
+        title="EXP-O1: SOA heuristics vs OFU (and GOA over k ARs)",
+        config_type=OffsetComparisonConfig,
+        default_config=OffsetComparisonConfig,
+        quick_config=lambda: OffsetComparisonConfig(
+            v_values=(5, 7), length_values=(16,), sequences_per_config=6,
+            goa_k_values=(2,)),
+        enumerate_points=_offset_points,
+        run_point=_offset_point,
+        assemble=_offset_assemble,
+        point_label=lambda params:
+            f"v{params['n_variables']}-l{params['length']}",
+        render=lambda summary: (render.offset_soa_table(summary),
+                                render.offset_goa_table(summary)),
+        headline=lambda summary:
+            f"mean SOA reduction vs OFU: Liao "
+            f"{summary.mean_liao_reduction_pct:.1f} %, tie-break "
+            f"{summary.mean_tiebreak_reduction_pct:.1f} %",
+    ),
+    ExperimentDefinition(
+        experiment="modreg",
+        title="EXP-X1: addressing cost vs the number of modify registers",
+        config_type=ModRegAblationConfig,
+        default_config=ModRegAblationConfig,
+        quick_config=lambda: ModRegAblationConfig(
+            n_values=(12,), k_values=(2,), mr_values=(0, 1, 2),
+            patterns_per_config=6),
+        enumerate_points=_modreg_points,
+        run_point=_modreg_point,
+        assemble=_modreg_assemble,
+        point_label=lambda params:
+            f"n{params['n']}-k{params['k']}-mr{params['n_modify_registers']}",
+        render=lambda summary: (render.modreg_table(summary),),
+        headline=lambda summary:
+            "(extension: not part of the original paper)",
+    ),
+    ExperimentDefinition(
+        experiment="reorder",
+        title="EXP-X2: fixed access order vs the reordering extension",
+        config_type=ReorderAblationConfig,
+        default_config=ReorderAblationConfig,
+        quick_config=lambda: ReorderAblationConfig(
+            n_values=(8, 10), k_values=(2,), patterns_per_config=6),
+        enumerate_points=_reorder_points,
+        run_point=_reorder_point,
+        assemble=_reorder_assemble,
+        point_label=lambda params: f"n{params['n']}-k{params['k']}",
+        render=lambda summary: (render.reorder_table(summary),),
+        headline=lambda summary:
+            f"mean reduction from reordering: "
+            f"{summary.mean_reduction_pct:.1f} % "
+            f"(extension: not part of the original paper)",
+    ),
+    ExperimentDefinition(
+        experiment="arraylayout",
+        title="EXP-X3: default vs optimized array base placement",
+        config_type=ArrayLayoutAblationConfig,
+        default_config=ArrayLayoutAblationConfig,
+        quick_config=lambda: ArrayLayoutAblationConfig(
+            n_values=(10,), k_values=(1, 2), patterns_per_config=6),
+        enumerate_points=_arraylayout_points,
+        run_point=_arraylayout_point,
+        assemble=_arraylayout_assemble,
+        point_label=lambda params: f"n{params['n']}-k{params['k']}",
+        render=lambda summary: (render.array_layout_table(summary),),
+        headline=lambda summary:
+            f"mean reduction from array placement: "
+            f"{summary.mean_reduction_pct:.1f} % "
+            f"(extension: not part of the original paper)",
+    ),
+)
 
-register_experiment(ExperimentDefinition(
-    experiment="distributions",
-    title="EXP-S3: EXP-S1 under every offset distribution",
-    config_type=DistributionSensitivityConfig,
-    default_config=DistributionSensitivityConfig,
-    quick_config=lambda: DistributionSensitivityConfig(
-        n_values=(10, 15), m_values=(1,), k_values=(2,),
-        patterns_per_config=6),
-    enumerate_points=_distribution_points,
-    run_point=statistical_point,
-    assemble=_distribution_assemble,
-    point_label=lambda params:
-        f"{params['distribution']}-n{params['n']}-m{params['m']}"
-        f"-k{params['k']}",
-    render=lambda summary: (render.distribution_table(summary),),
-))
 
-register_experiment(ExperimentDefinition(
-    experiment="kernels",
-    title="EXP-K1: DSP kernels, optimized vs regular-compiler addressing",
-    config_type=KernelComparisonConfig,
-    default_config=KernelComparisonConfig,
-    quick_config=lambda: KernelComparisonConfig(kernel_names=tuple(
-        entry.name for entry in suite_kernels("core8"))),
-    enumerate_points=_kernel_points,
-    run_point=_kernel_point,
-    assemble=_kernel_assemble,
-    point_label=lambda params: params["kernel"],
-    render=lambda summary: (render.kernel_table(summary),),
-    headline=lambda summary:
-        f"mean addressing-overhead reduction "
-        f"{summary.mean_overhead_reduction_pct:.1f} %, mean speed "
-        f"improvement {summary.mean_speed_improvement_pct:.1f} %",
-))
+def registered_experiments() -> tuple[str, ...]:
+    """Every experiment id of :data:`EXPERIMENTS`, sorted."""
+    return tuple(sorted(definition.experiment
+                        for definition in EXPERIMENTS))
 
-register_experiment(ExperimentDefinition(
-    experiment="pathcover",
-    title="EXP-A1: exact K~ vs greedy cover vs matching lower bound",
-    config_type=PathCoverAblationConfig,
-    default_config=PathCoverAblationConfig,
-    quick_config=lambda: PathCoverAblationConfig(
-        n_values=(8, 12), m_values=(1,), patterns_per_config=6,
-        node_budget=50_000),
-    enumerate_points=_pathcover_points,
-    run_point=_pathcover_point,
-    assemble=_pathcover_assemble,
-    point_label=lambda params: f"n{params['n']}-m{params['m']}",
-    render=lambda summary: (render.path_cover_table(summary),),
-))
 
-register_experiment(ExperimentDefinition(
-    experiment="costmodel",
-    title="EXP-A2: merging under intra-only vs steady-state cost",
-    config_type=CostModelAblationConfig,
-    default_config=CostModelAblationConfig,
-    quick_config=lambda: CostModelAblationConfig(
-        n_values=(10, 14), m_values=(1,), k_values=(2,),
-        patterns_per_config=6),
-    enumerate_points=_costmodel_points,
-    run_point=_costmodel_point,
-    assemble=_costmodel_assemble,
-    point_label=lambda params:
-        f"n{params['n']}-m{params['m']}-k{params['k']}",
-    render=lambda summary: (render.cost_model_table(summary),),
-    headline=lambda summary:
-        f"mean steady-state saving from wrap-aware merging: "
-        f"{summary.mean_penalty_pct:.1f} %",
-))
+def get_experiment(experiment: str) -> ExperimentDefinition:
+    """Look an experiment up by id."""
+    for definition in EXPERIMENTS:
+        if definition.experiment == experiment:
+            return definition
+    raise BatchError(
+        f"unknown experiment {experiment!r} (registered: "
+        f"{', '.join(registered_experiments())})")
 
-register_experiment(ExperimentDefinition(
-    experiment="merging",
-    title="EXP-A3: best-pair vs naive vs the exhaustive optimum",
-    config_type=MergingAblationConfig,
-    default_config=MergingAblationConfig,
-    quick_config=lambda: MergingAblationConfig(
-        n_values=(8, 10), m_values=(1,), k_values=(2,),
-        patterns_per_config=6),
-    enumerate_points=_merging_points,
-    run_point=_merging_point,
-    assemble=_merging_assemble,
-    point_label=lambda params:
-        f"n{params['n']}-m{params['m']}-k{params['k']}",
-    render=lambda summary: (render.merging_table(summary),),
-))
 
-register_experiment(ExperimentDefinition(
-    experiment="offset",
-    title="EXP-O1: SOA heuristics vs OFU (and GOA over k ARs)",
-    config_type=OffsetComparisonConfig,
-    default_config=OffsetComparisonConfig,
-    quick_config=lambda: OffsetComparisonConfig(
-        v_values=(5, 7), length_values=(16,), sequences_per_config=6,
-        goa_k_values=(2,)),
-    enumerate_points=_offset_points,
-    run_point=_offset_point,
-    assemble=_offset_assemble,
-    point_label=lambda params:
-        f"v{params['n_variables']}-l{params['length']}",
-    render=lambda summary: (render.offset_soa_table(summary),
-                            render.offset_goa_table(summary)),
-    headline=lambda summary:
-        f"mean SOA reduction vs OFU: Liao "
-        f"{summary.mean_liao_reduction_pct:.1f} %, tie-break "
-        f"{summary.mean_tiebreak_reduction_pct:.1f} %",
-))
+def experiment_point_jobs(experiment: str | ExperimentDefinition,
+                          config: Any = None) -> list[ExperimentPointJob]:
+    """The experiment's points as picklable, cacheable batch jobs.
 
-register_experiment(ExperimentDefinition(
-    experiment="modreg",
-    title="EXP-X1: addressing cost vs the number of modify registers",
-    config_type=ModRegAblationConfig,
-    default_config=ModRegAblationConfig,
-    quick_config=lambda: ModRegAblationConfig(
-        n_values=(12,), k_values=(2,), mr_values=(0, 1, 2),
-        patterns_per_config=6),
-    enumerate_points=_modreg_points,
-    run_point=_modreg_point,
-    assemble=_modreg_assemble,
-    point_label=lambda params:
-        f"n{params['n']}-k{params['k']}-mr{params['n_modify_registers']}",
-    render=lambda summary: (render.modreg_table(summary),),
-    headline=lambda summary:
-        "(extension: not part of the original paper)",
-))
-
-register_experiment(ExperimentDefinition(
-    experiment="reorder",
-    title="EXP-X2: fixed access order vs the reordering extension",
-    config_type=ReorderAblationConfig,
-    default_config=ReorderAblationConfig,
-    quick_config=lambda: ReorderAblationConfig(
-        n_values=(8, 10), k_values=(2,), patterns_per_config=6),
-    enumerate_points=_reorder_points,
-    run_point=_reorder_point,
-    assemble=_reorder_assemble,
-    point_label=lambda params: f"n{params['n']}-k{params['k']}",
-    render=lambda summary: (render.reorder_table(summary),),
-    headline=lambda summary:
-        f"mean reduction from reordering: "
-        f"{summary.mean_reduction_pct:.1f} % "
-        f"(extension: not part of the original paper)",
-))
-
-register_experiment(ExperimentDefinition(
-    experiment="arraylayout",
-    title="EXP-X3: default vs optimized array base placement",
-    config_type=ArrayLayoutAblationConfig,
-    default_config=ArrayLayoutAblationConfig,
-    quick_config=lambda: ArrayLayoutAblationConfig(
-        n_values=(10,), k_values=(1, 2), patterns_per_config=6),
-    enumerate_points=_arraylayout_points,
-    run_point=_arraylayout_point,
-    assemble=_arraylayout_assemble,
-    point_label=lambda params: f"n{params['n']}-k{params['k']}",
-    render=lambda summary: (render.array_layout_table(summary),),
-    headline=lambda summary:
-        f"mean reduction from array placement: "
-        f"{summary.mean_reduction_pct:.1f} % "
-        f"(extension: not part of the original paper)",
-))
+    ``config`` defaults to the definition's full-size configuration.
+    Job order is enumeration order; summaries are reassembled in it.
+    """
+    definition = experiment if isinstance(experiment,
+                                          ExperimentDefinition) \
+        else get_experiment(experiment)
+    if config is None:
+        config = definition.default_config()
+    if not isinstance(config, definition.config_type):
+        raise BatchError(
+            f"experiment {definition.experiment!r} expects a "
+            f"{definition.config_type.__name__}, got "
+            f"{type(config).__name__}")
+    jobs = []
+    for index, params in enumerate(definition.enumerate_points(config)):
+        # Catch empty-work configs up front with the offending knob
+        # named, instead of dying mid-experiment on an empty mean.
+        for count_key in ("patterns", "sequences", "naive_repeats",
+                          "simulate_iterations"):
+            if count_key in params and params[count_key] < 1:
+                raise BatchError(
+                    f"experiment {definition.experiment!r}: "
+                    f"{count_key} per point must be >= 1, got "
+                    f"{params[count_key]}")
+        if params.get("distribution", "uniform") not in DISTRIBUTIONS:
+            raise BatchError(
+                f"experiment {definition.experiment!r}: unknown "
+                f"distribution {params['distribution']!r} (known: "
+                f"{', '.join(sorted(DISTRIBUTIONS))})")
+        jobs.append(ExperimentPointJob(
+            name=f"{definition.experiment}-"
+                 f"{definition.point_label(params)}",
+            experiment=definition.experiment, index=index,
+            params=params))
+    if not jobs:
+        raise BatchError(
+            f"experiment {definition.experiment!r}: the configuration "
+            f"enumerates zero points -- check the grid axes")
+    return jobs

@@ -1,7 +1,7 @@
 """Render experiment summaries as text tables.
 
 Shared by ``repro-agu experiment ...`` and ``repro-agu report`` (via
-each experiment's registered ``render``), so both print identical rows
+each table entry's ``render``), so both print identical rows
 for the same experiment.
 """
 
@@ -20,7 +20,7 @@ from repro.analysis.experiments import (
     StatisticalSummary,
     marginalize,
 )
-from repro.analysis.tables import Column, Table
+from repro.tables import Column, Table
 
 
 def statistical_table(summary: StatisticalSummary) -> Table:

@@ -1,6 +1,7 @@
 """One-shot Markdown report over all experiments.
 
-``generate_report()`` runs every experiment of the registry (optionally
+``generate_report()`` runs every experiment of the table
+(:data:`repro.analysis.points.EXPERIMENTS`, in its order; optionally
 on each one's scaled-down ``quick_config``) through
 :func:`~repro.analysis.experiments.run_experiment` and produces a single
 self-contained Markdown document: one section per experiment, holding
@@ -10,11 +11,11 @@ reviewer would ask for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.analysis.experiments import run_experiment
-from repro.batch.registry import get_experiment
+from repro.analysis.points import EXPERIMENTS, get_experiment
 
 
 @dataclass(frozen=True)
@@ -25,11 +26,9 @@ class ReportConfig:
     quick: bool = False
     title: str = ("Reproduction report: Register-Constrained Address "
                   "Computation in DSP Programs (DATE 1998)")
-    #: Registry ids, in the paper's order: its Results section, then
-    #: the ablations and the extensions.
-    include: tuple[str, ...] = field(default=(
-        "stats", "distributions", "kernels", "pathcover", "costmodel",
-        "merging", "offset", "modreg", "reorder", "arraylayout"))
+    #: Experiment ids; by default every one, in the table's order.
+    include: tuple[str, ...] = tuple(
+        definition.experiment for definition in EXPERIMENTS)
 
 
 def _code_block(text: str) -> str:
@@ -40,7 +39,7 @@ def generate_report(config: ReportConfig | None = None) -> str:
     """Run the experiments and return the Markdown report text.
 
     An unknown id in ``config.include`` raises a
-    :class:`~repro.errors.BatchError` naming the registered ones,
+    :class:`~repro.errors.BatchError` naming the known ones,
     before any experiment runs.
     """
     if config is None:
@@ -52,8 +51,8 @@ def generate_report(config: ReportConfig | None = None) -> str:
             definition.experiment, definition.quick_config()
             if config.quick else definition.default_config())
         sections.append(f"## {definition.title}\n")
-        tables = definition.render(summary) if definition.render else ()
-        sections.extend(_code_block(table.render()) for table in tables)
+        sections.extend(_code_block(table.render())
+                        for table in definition.render(summary))
         if definition.headline is not None:
             sections.append(f"**Measured**: {definition.headline(summary)}\n")
     return "\n".join(sections)

@@ -3,13 +3,9 @@
 The scaling layer on top of :func:`repro.core.pipeline.compile_kernel`:
 
 * :mod:`repro.batch.jobs` -- the job contract: picklable
-  :class:`BatchJob` units (which compile into a :class:`JobResult`), the
-  factories that mass-produce them (suites, kernel lists, random
-  families, spec/config matrices), and :class:`ExperimentPointJob`
-  (one point of a registered experiment as a cacheable work unit);
-* :mod:`repro.batch.registry` -- the experiment registry:
-  :class:`ExperimentDefinition` contracts that let any experiment
-  shard as :class:`ExperimentPointJob` points;
+  :class:`BatchJob` units (which compile into a :class:`JobResult`) and
+  the factories that mass-produce them (suites, kernel lists, random
+  families, spec/config matrices);
 * :mod:`repro.batch.digest` -- stable content digests that key the
   result cache;
 * :mod:`repro.batch.cache` -- in-memory LRU and sharded multi-host
@@ -29,6 +25,10 @@ The scaling layer on top of :func:`repro.core.pipeline.compile_kernel`:
   micro-batched through the engine, fronted by a warm
   :class:`TieredCache` -- and :class:`ServeClient` is the matching
   pooled client.
+
+The package runs jobs and names no experiment: the paper's experiments
+shard as the :class:`~repro.analysis.points.ExperimentPointJob` points
+of the analysis layer's table, which keep the same job contract.
 """
 
 from repro.batch.cache import (
@@ -40,13 +40,6 @@ from repro.batch.cache import (
     open_cache,
 )
 from repro.batch.digest import DIGEST_VERSION, job_digest
-from repro.batch.registry import (
-    ExperimentDefinition,
-    experiment_point_jobs,
-    get_experiment,
-    register_experiment,
-    registered_experiments,
-)
 from repro.batch.engine import (
     BatchCompiler,
     BatchReport,
@@ -66,8 +59,6 @@ from repro.batch.serving import (
 )
 from repro.batch.jobs import (
     BatchJob,
-    ExperimentPointJob,
-    ExperimentPointResult,
     JobResult,
     job_matrix,
     jobs_from_kernels,
@@ -85,9 +76,6 @@ __all__ = [
     "CompileService",
     "DIGEST_VERSION",
     "Executor",
-    "ExperimentDefinition",
-    "ExperimentPointJob",
-    "ExperimentPointResult",
     "InMemoryLRUCache",
     "InlineExecutor",
     "JobResult",
@@ -99,8 +87,6 @@ __all__ = [
     "ShardedDirectoryCache",
     "TieredCache",
     "execute_any",
-    "experiment_point_jobs",
-    "get_experiment",
     "execute_job",
     "job_digest",
     "job_matrix",
@@ -108,8 +94,6 @@ __all__ = [
     "jobs_from_random",
     "jobs_from_suite",
     "naive_baseline_seed",
-    "register_experiment",
-    "registered_experiments",
     "open_cache",
     "open_executor",
 ]

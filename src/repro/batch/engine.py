@@ -33,7 +33,8 @@ it exists; :meth:`BatchCompiler.compile` collects that stream into a
 the job contract of :mod:`repro.batch.jobs` (``name``, ``digest``,
 ``cache_key()``, ``execute()``, ``result_type``) -- compilation units
 (:class:`~repro.batch.jobs.BatchJob`) and experiment points
-(:class:`~repro.batch.jobs.ExperimentPointJob`) alike.
+(:class:`~repro.analysis.points.ExperimentPointJob`, defined above
+this layer) alike.
 
 *Where* cache misses execute is an :class:`Executor`: inline on the
 calling process (:class:`InlineExecutor`) or on a
@@ -386,7 +387,7 @@ class BatchReport:
 
     def render(self, title: str = "batch compilation") -> str:
         """Fixed-width table of the per-job rows."""
-        from repro.analysis.tables import Column, Table
+        from repro.tables import Column, Table
 
         table = Table([
             Column("kernel", "kernel", align="<"),

@@ -22,23 +22,26 @@ Factories cover the common batch shapes:
 * :func:`job_matrix` -- the cross product of a job list with an
   ``AguSpec`` x ``AllocatorConfig`` grid, for sweep-style batches.
 
-Besides compilation units, the module defines the generic
-:class:`ExperimentPointJob`, which turns one point of any experiment
-registered in :mod:`repro.batch.registry` into the same kind of unit,
-sharded over the same engine, process pool, and result caches as
-kernel suites are.  It also holds the seed scheme and the point
-function (:func:`statistical_point`) of the paper's statistical
-comparison (EXP-S1), which :mod:`repro.analysis.points` registers.
+:class:`CacheableResult` is the cache round trip every result type
+shares, :class:`JobResult` and the experiment points' results alike.
+The module also holds the seed scheme and the point function
+(:func:`statistical_point`) of the paper's statistical comparison
+(EXP-S1), which the experiment table of :mod:`repro.analysis.points`
+runs.  That point function stays here because ``perfbench``'s tracer
+wraps this module's ``best_pair_merge``, ``naive_merge`` and
+``job_digest`` names.  The experiment table and its job types
+(:class:`~repro.analysis.points.ExperimentPointJob`) live in the
+analysis layer: the batch layer runs jobs and names no experiment
+table.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import time
 from contextlib import AbstractContextManager
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.agu.codegen import generate_unoptimized_code
 from repro.agu.model import AguSpec
@@ -420,111 +423,6 @@ def statistical_point(params: dict) -> dict:
             "mean_naive": sum(naive_costs) / count,
             "sum_optimized": sum(optimized_costs),
             "sum_naive": sum(naive_costs)}
-
-
-# ----------------------------------------------------------------------
-# Generic experiment points as batch jobs
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ExperimentPointResult(CacheableResult):
-    """One experiment point's measurements (picklable, JSON-able).
-
-    What the engine caches and streams for an
-    :class:`ExperimentPointJob`.  ``values`` holds whatever the
-    experiment's point function measured, already in JSON-canonical
-    form (dicts, lists, scalars -- see
-    :meth:`ExperimentPointJob.execute`), so a result rebuilt from any
-    cache backend is bit-identical to the freshly computed one.
-    """
-
-    name: str
-    digest: str
-    #: Registry id of the experiment this point belongs to.
-    experiment: str
-    #: Position in the *current* enumeration.  Display metadata, like
-    #: ``name``: excluded from the cache payload and rebuilt from the
-    #: job being served, so a cache hit against a reordered grid never
-    #: replays a stale position.
-    index: int
-    #: The point function's measurements, JSON-canonical.
-    values: dict
-    wall_seconds: float
-    from_cache: bool = False
-
-    def payload(self) -> dict:
-        """The cache payload, minus the display metadata (name, index).
-        """
-        record = super().payload()
-        del record["name"]
-        del record["index"]
-        return record
-
-    @classmethod
-    def from_payload(cls, payload: dict, job):
-        """Rebuild from a payload; display metadata comes from ``job``.
-        """
-        try:
-            return cls(**{**payload, "name": job.name, "index": job.index,
-                          "from_cache": True})
-        except TypeError:
-            return None
-
-
-@dataclass(frozen=True)
-class ExperimentPointJob:
-    """One point of a registered experiment as a cacheable batch job.
-
-    Self-contained and picklable: ``experiment`` names an
-    :class:`~repro.batch.registry.ExperimentDefinition` (resolved at
-    execution time, so the job itself stays a plain data record across
-    process boundaries) and ``params`` carries everything that point's
-    outcome depends on -- grid coordinates, derived seeds, and
-    allocator/solver settings, all JSON-able.  The content digest
-    covers the experiment id and the params; ``name`` and ``index`` are
-    display/ordering metadata and deliberately excluded, so relabeled
-    or re-enumerated points keep hitting the same cache entries.
-    """
-
-    name: str
-    experiment: str
-    index: int
-    params: dict = field(default_factory=dict)
-    #: The digest the engine computed, as on :class:`BatchJob`.
-    digest: str | None = field(default=None, init=False, repr=False,
-                               compare=False)
-
-    result_type = ExperimentPointResult
-
-    def cache_key(self) -> dict:
-        """The digest payload: experiment id + point parameters."""
-        return {"v": DIGEST_VERSION,
-                "experiment": f"exp-point/{self.experiment}",
-                "params": self.params}
-
-    def execute(self) -> ExperimentPointResult:
-        """Run this point on the calling process.
-
-        The measured values are canonicalized through a JSON round
-        trip, so the cold path hands back exactly what a cache hit
-        would (a point function returning anything JSON cannot encode
-        fails loudly here instead of corrupting the cache).
-        """
-        from repro.batch.registry import get_experiment
-
-        started = time.perf_counter()
-        definition = get_experiment(self.experiment)
-        values: Any = definition.run_point(dict(self.params))
-        values = json.loads(json.dumps(values, sort_keys=True))
-        if not isinstance(values, dict):
-            raise BatchError(
-                f"experiment {self.experiment!r}: point function must "
-                f"return a dict of values, got {type(values).__name__}")
-        return ExperimentPointResult(
-            name=self.name,
-            digest=self.digest if self.digest is not None
-            else job_digest(self),
-            experiment=self.experiment, index=self.index, values=values,
-            wall_seconds=time.perf_counter() - started)
 
 
 def job_matrix(jobs: Iterable[BatchJob], specs: Sequence[AguSpec],

@@ -11,7 +11,7 @@ graph
 kernels
     List or show the bundled DSP kernel library.
 experiment
-    Run any registered experiment (EXP-S1, EXP-S3, EXP-K1, EXP-A1..A3,
+    Run any experiment of the table (EXP-S1, EXP-S3, EXP-K1, EXP-A1..A3,
     EXP-O1, EXP-X1..X3) sharded through the batch engine and print its
     tables: per-point streaming progress, config overrides (``--set``),
     process-pool fan-out (``--executor local:N``), persistent
@@ -20,7 +20,7 @@ batch
     Compile a whole kernel suite through the batch engine: process-pool
     fan-out, content-addressed result caching, aggregate report.
 report
-    Run registered experiments (all, or the ``--only`` ids) into one
+    Run the table's experiments (all, or the ``--only`` ids) into one
     Markdown report, through the same definitions as ``experiment``.
 serve
     Run the compile-as-a-service front door: a persistent TCP endpoint
@@ -207,8 +207,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.analysis.tables import Column, Table
     from repro.core.allocator import AddressRegisterAllocator
+    from repro.tables import Column, Table
 
     max_registers = _at_least_one(args.max_registers, "--max-registers")
     source = _read_source(args.file)
@@ -377,12 +377,12 @@ def _apply_overrides(config, assignments):
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    """Run a registered experiment sharded through the batch engine as
-    the CLI flags ask (config, executor, cache, progress, trace), then
-    print its tables, headline, and point accounting."""
+    """Run an experiment of the table sharded through the batch engine
+    as the CLI flags ask (config, executor, cache, progress, trace),
+    then print its tables, headline, and point accounting."""
     from repro.analysis.experiments import run_experiment
+    from repro.analysis.points import get_experiment
     from repro.batch.cache import open_cache
-    from repro.batch.registry import get_experiment
 
     definition = get_experiment(args.which)
     config = definition.quick_config() if args.quick \
@@ -402,9 +402,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         executor=args.executor, trace=args.trace)
 
     print()
-    if definition.render is not None:
-        for table in definition.render(summary):
-            print(table.render())
+    for table in definition.render(summary):
+        print(table.render())
     if definition.headline is not None:
         print(definition.headline(summary))
     n_points = summary.n_points_compiled + summary.n_points_cached
@@ -461,11 +460,11 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="kernel to show (omit to list)")
     kernels_parser.set_defaults(func=_cmd_kernels)
 
-    from repro.batch.registry import get_experiment, registered_experiments
+    from repro.analysis.points import get_experiment, registered_experiments
 
     experiment_parser = commands.add_parser(
-        "experiment", help="run a registered experiment sharded through "
-                           "the batch engine")
+        "experiment", help="run an experiment sharded through the batch "
+                           "engine")
     experiment_parser.add_argument(
         "which", choices=registered_experiments(),
         help="experiment id; descriptions: " + "; ".join(

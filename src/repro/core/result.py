@@ -64,10 +64,6 @@ class AllocationResult:
         """True when every address computation rides along for free."""
         return self.total_cost == 0
 
-    def register_of(self, position: int) -> int:
-        """Address register serving the access at ``position``."""
-        return self.cover.assignment()[position]
-
     def summary(self) -> str:
         """Multi-line human-readable account of the allocation."""
         lines = [

@@ -207,7 +207,8 @@ class Parser:
             raise self._error("expected a 'for' loop")
         header, statements = self._parse_for_loop()
         if self._peek():
-            raise self._expected(TokenType.EOF.value, "after the loop")
+            raise self._error(f"expected {TokenType.EOF.value!r} after the "
+                              f"loop, found {_describe(self._peek())}")
 
         self._loop_header = header
         for statement in statements:

@@ -1,8 +1,10 @@
-"""Fixed-width text tables for experiment output.
+"""Fixed-width text tables for experiment and batch output.
 
 The experiment CLI and report print the same rows the paper's Results
-section talks about; this renderer keeps them aligned and
-terminal-friendly without any dependency.
+section talks about, and :meth:`repro.batch.engine.BatchReport.render`
+prints a batch's per-job rows; this renderer keeps them aligned and
+terminal-friendly without any dependency.  It imports only
+:mod:`repro.errors`, so every layer may use it.
 """
 
 from __future__ import annotations

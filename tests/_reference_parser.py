@@ -141,7 +141,11 @@ class Parser:
         if not self._check(TokenType.KEYWORD, "for"):
             raise self._error("expected a 'for' loop")
         header, statements = self._parse_for_loop()
-        self._expect(TokenType.EOF, context="after the loop")
+        token = self._peek()
+        if token.type is not TokenType.EOF:
+            raise ParseError(
+                f"expected {TokenType.EOF.value!r} after the loop, "
+                f"found {token}", token.line, token.column)
 
         self._loop_header = header
         for statement in statements:

@@ -14,6 +14,7 @@ import pytest
 
 import repro
 from repro.agu.model import AguSpec
+from repro.analysis.points import ExperimentPointResult
 from repro.batch.cache import (
     CacheStats,
     InMemoryLRUCache,
@@ -23,11 +24,7 @@ from repro.batch.cache import (
 )
 from repro.batch.digest import job_digest
 from repro.batch.engine import BatchCompiler
-from repro.batch.jobs import (
-    BatchJob,
-    ExperimentPointResult,
-    jobs_from_suite,
-)
+from repro.batch.jobs import BatchJob, jobs_from_suite
 from repro.core.config import AllocatorConfig
 from repro.errors import BatchError
 from repro.ir.builder import pattern_from_offsets

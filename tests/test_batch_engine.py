@@ -9,6 +9,7 @@ import os
 import pytest
 
 from repro.agu.model import AguSpec
+from repro.analysis.points import experiment_point_jobs, get_experiment
 from repro.analysis.reports import to_jsonable
 from repro.batch.cache import InMemoryLRUCache
 from repro.batch.digest import job_digest
@@ -28,7 +29,6 @@ from repro.batch.jobs import (
     jobs_from_suite,
     parse_scope,
 )
-from repro.batch.registry import experiment_point_jobs, get_experiment
 from repro.core.config import AllocatorConfig
 from repro.core.pipeline import compile_kernel
 from repro.errors import BatchError, ParseError, WorkloadError

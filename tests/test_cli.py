@@ -5,12 +5,12 @@ import json
 import pytest
 
 from repro.analysis.experiments import run_experiment
-from repro.analysis.reports import load_report, to_jsonable
-from repro.batch.registry import (
+from repro.analysis.points import (
     experiment_point_jobs,
     get_experiment,
     registered_experiments,
 )
+from repro.analysis.reports import load_report, to_jsonable
 from repro.cli.main import main
 
 PAPER_SOURCE = """

@@ -20,7 +20,7 @@ results?  They deliberately do not freeze the pre-fix behavior.
 
 The suite also pins one point digest per experiment (cache-key drift
 silently invalidates shared caches -- it must fail CI loudly instead)
-and property-tests the :class:`~repro.batch.jobs.ExperimentPointJob`
+and property-tests the :class:`~repro.analysis.points.ExperimentPointJob`
 pickle/cache round trips.
 """
 
@@ -37,21 +37,21 @@ from _sharding_util import config_from_kwargs, normalize_summary
 
 from repro.agu.model import AguSpec
 from repro.analysis.experiments import run_experiment
+from repro.analysis.points import (
+    ExperimentPointJob,
+    ExperimentPointResult,
+    experiment_point_jobs,
+    get_experiment,
+    registered_experiments,
+)
 from repro.batch.cache import InMemoryLRUCache, ShardedDirectoryCache
 from repro.batch.digest import job_digest
 from repro.batch.engine import BatchCompiler, execute_any
 from repro.batch.jobs import (
-    ExperimentPointJob,
-    ExperimentPointResult,
     JobResult,
     jobs_from_kernels,
     jobs_from_random,
     naive_baseline_seed,
-)
-from repro.batch.registry import (
-    experiment_point_jobs,
-    get_experiment,
-    registered_experiments,
 )
 from repro.core.config import AllocatorConfig
 from repro.errors import BatchError

@@ -27,8 +27,8 @@ from repro.analysis.experiments import (
     marginalize,
     run_experiment,
 )
+from repro.analysis.points import registered_experiments
 from repro.analysis.selftest import run_self_test
-from repro.batch.registry import registered_experiments
 from repro.graph.access_graph import AccessGraph
 from repro.ir.builder import pattern_from_offsets
 from repro.pathcover.branch_and_bound import minimum_zero_cost_cover

@@ -2,12 +2,12 @@
 
 import pytest
 
+from repro.analysis.points import EXPERIMENTS, registered_experiments
 from repro.analysis.report import (
     ReportConfig,
     generate_report,
     save_report_markdown,
 )
-from repro.batch.registry import registered_experiments
 from repro.errors import ReproError
 
 
@@ -56,7 +56,13 @@ class TestGenerateReport:
         assert "fir8" in report
         assert "autocorr4" not in report
 
-    def test_default_covers_the_registry(self):
+    def test_default_is_the_table_in_its_order(self):
+        # The paper's order: its Results section, then the ablations
+        # and the extensions.
+        assert ReportConfig().include == tuple(
+            definition.experiment for definition in EXPERIMENTS) == (
+            "stats", "distributions", "kernels", "pathcover", "costmodel",
+            "merging", "offset", "modreg", "reorder", "arraylayout")
         assert sorted(ReportConfig().include) \
             == list(registered_experiments())
 

@@ -2,9 +2,9 @@
 checks, executor pass-through, and the streaming engine.
 
 Job shape, digests, bit-identity across workers/executors/caches, and
-the pinned goldens of both experiments (registry ids ``stats`` and
-``distributions``) are covered by the parametrized registry suite in
-``tests/test_experiment_sharding.py``.
+the pinned goldens of both experiments (ids ``stats`` and
+``distributions``) are covered by the suite parametrized over the
+experiment table in ``tests/test_experiment_sharding.py``.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from repro.analysis.experiments import (
     run_experiment,
     run_statistical_comparison,
 )
+from repro.analysis.points import experiment_point_jobs
 from repro.batch.engine import BatchCompiler, InlineExecutor
 from repro.batch.jobs import (
     NAIVE_PATTERN_STRIDE,
@@ -30,7 +31,6 @@ from repro.batch.jobs import (
     naive_baseline_seed,
     statistical_point,
 )
-from repro.batch.registry import experiment_point_jobs
 from repro.errors import BatchError
 
 TINY = StatisticalConfig(n_values=(10, 14), m_values=(1, 2), k_values=(2,),

@@ -11,10 +11,10 @@ from repro.analysis.stats import (
     percent_reduction,
     stdev,
 )
-from repro.analysis.tables import Column, Table
 from repro.errors import ExperimentError
 from repro.merging.cost import CostModel
 from repro.pathcover.paths import Path
+from repro.tables import Column, Table
 
 
 class TestStats:

@@ -81,7 +81,7 @@ class TestErrorPositions:
 
     @pytest.mark.parametrize("source, error", [
         ("for (i = 0; i < 8; i++) {\r\n\tA[i];\r\n}\r\n\tB",
-         ("line 4, column 2: expected 'end-of-input' in after the loop, "
+         ("line 4, column 2: expected 'end-of-input' after the loop, "
           "found 'B'", 4, 2)),
         ("for (i = 0; i < 8; i++) { A[i]; } /* x\n */ @",
          ("line 2, column 5: unexpected character '@'", 2, 5)),
