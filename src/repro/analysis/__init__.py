@@ -10,12 +10,12 @@
   points they shard into; what ``repro-agu experiment NAME`` and the
   Markdown report iterate.  Not imported here: :func:`run_experiment`
   and the CLI import it on first use.
-* :mod:`repro.analysis.report` -- one Markdown report over the table.
+* :mod:`repro.analysis.report` -- one Markdown report over the table,
+  and JSON persistence of experiment runs.
 * :mod:`repro.analysis.render` -- the experiments' text tables, built
   on :mod:`repro.tables` (``Column`` and ``Table`` are re-exported
   here).
 * :mod:`repro.analysis.stats` -- small statistics helpers.
-* :mod:`repro.analysis.reports` -- JSON persistence of experiment runs.
 """
 
 from repro.analysis.experiments import (
@@ -45,7 +45,7 @@ from repro.analysis.experiments import (
     run_experiment,
     run_statistical_comparison,
 )
-from repro.analysis.reports import load_report, save_report, to_jsonable
+from repro.analysis.report import load_report, save_report, to_jsonable
 from repro.analysis.stats import confidence_interval95, mean, percent_reduction, stdev
 from repro.tables import Column, Table
 

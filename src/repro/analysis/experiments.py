@@ -1,7 +1,7 @@
 """The experiments of the paper's Results section, plus ablations.
 
 Each experiment is a frozen config dataclass, its row types, and a
-frozen summary dataclass that :func:`repro.analysis.reports.save_report`
+frozen summary dataclass that :func:`repro.analysis.report.save_report`
 can archive.  Every one runs the same way: :func:`run_experiment` with
 its id in the experiment table (:mod:`repro.analysis.points`), e.g.
 ``run_experiment("pathcover", PathCoverAblationConfig())``.  Experiment

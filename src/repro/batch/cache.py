@@ -173,6 +173,15 @@ class InMemoryLRUCache:
 _FILENAME_SAFE = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9_.-]{2,199}")
 
 
+#: Flags an entry is opened with: read-only, and binary where the
+#: platform tells text from binary (``O_BINARY`` exists only there).
+_READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)
+
+#: Bytes asked for per ``os.read``: more than a typical entry, so one
+#: read takes it whole and a second finds EOF.
+_READ_CHUNK = 1 << 16
+
+
 class ShardedDirectoryCache:
     """A shareable result cache: one file per entry, sharded directories.
 
@@ -184,12 +193,14 @@ class ShardedDirectoryCache:
     complete entry or none.  Unreadable or corrupt entries degrade to
     misses and are recompiled.
 
-    An entry is read as bytes and decoded strictly as UTF-8 before
-    ``json.loads`` parses it once, so an entry in any other encoding
-    (``json.loads`` would auto-detect UTF-16 and UTF-32 in bytes) is
-    corrupt, like one that is not JSON.  Entry paths are built by
-    string operations on the root's normalised form, the same paths
-    ``root / shard / file`` names.
+    An entry is read with raw ``os.open``/``os.read`` calls until
+    ``os.read`` returns no bytes (EOF), the descriptor closed in a
+    ``finally``; there is no buffered file object.  Its bytes are
+    decoded strictly as UTF-8 before ``json.loads`` parses them once,
+    so an entry in any other encoding (``json.loads`` would auto-detect
+    UTF-16 and UTF-32 in bytes) is corrupt, like one that is not JSON.
+    Entry paths are built by string operations on the root's normalised
+    form, the same paths ``root / shard / file`` names.
     """
 
     def __init__(self, root: str | Path):
@@ -207,9 +218,15 @@ class ShardedDirectoryCache:
         """The parsed entry at ``path``.  Raises ``OSError`` when it
         cannot be read and ``ValueError`` when its bytes are not UTF-8
         JSON."""
-        with open(path, "rb") as handle:
-            data = handle.read()
-        return json.loads(data.decode("utf-8"))
+        # repro-lint: disable=IO-ENCODING -- a raw descriptor has no text mode
+        fd = os.open(path, _READ_FLAGS)
+        try:
+            chunks = []
+            while chunk := os.read(fd, _READ_CHUNK):
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
+        return json.loads(b"".join(chunks).decode("utf-8"))
 
     def __len__(self) -> int:
         return sum(1 for _ in self.root.glob("*/*.json"))

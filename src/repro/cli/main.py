@@ -40,7 +40,11 @@ from pathlib import Path
 
 from repro import __version__
 from repro.agu.model import PRESETS, AguSpec
-from repro.analysis import reports
+from repro.analysis.report import (
+    ReportConfig,
+    save_report,
+    save_report_markdown,
+)
 from repro.core.pipeline import compile_kernel
 from repro.errors import ReproError
 from repro.graph.access_graph import AccessGraph
@@ -178,8 +182,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.analysis.report import ReportConfig, save_report_markdown
-
     config = ReportConfig(quick=args.quick)
     if args.only:
         config = ReportConfig(quick=args.quick,
@@ -281,7 +283,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     print(report.render(title=title))
     print(report.summary())
     if args.json:
-        path = reports.save_report(report, args.json)
+        path = save_report(report, args.json)
         print(f"(report saved to {path})")
     return 0 if report.all_audits_ok else 1
 
@@ -413,7 +415,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
           f"{summary.elapsed_seconds:.3f} s on "
           f"{args.executor or 'inline'}")
     if args.json:
-        path = reports.save_report(summary, args.json)
+        path = save_report(summary, args.json)
         print(f"(report saved to {path})")
     return 0
 

@@ -20,6 +20,7 @@ from repro.batch.cache import (
     InMemoryLRUCache,
     ShardedDirectoryCache,
     TieredCache,
+    _READ_CHUNK,
     open_cache,
 )
 from repro.batch.digest import job_digest
@@ -427,6 +428,41 @@ class TestShardedDirectoryCache:
         assert cache.get(digest) is None
         assert cache.stats.misses == 1
         assert not entry.exists()
+
+    def test_an_entry_larger_than_one_read_round_trips(self, tmp_path):
+        """An entry is read in ``os.read`` chunks until EOF, so one
+        spanning several chunks comes back whole."""
+        cache = ShardedDirectoryCache(tmp_path / "store")
+        digest = "feed" * 16
+        payload = {"text": "x" * (200 * 1024), "tail": [1, 2]}
+        cache.put(digest, payload)
+        assert os.path.getsize(cache._entry_path(digest)) > _READ_CHUNK
+        assert ShardedDirectoryCache(cache.root).get(digest) == payload
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc/self/fd to count descriptors")
+    def test_no_descriptor_leaks_on_any_outcome(self, tmp_path):
+        """A hit, a miss, a directory at the entry path (``os.open``
+        succeeds on it, ``os.read`` raises ``EISDIR``), a corrupt entry
+        and a non-UTF-8 one each close what they opened."""
+        cache = ShardedDirectoryCache(tmp_path / "store")
+        hit, missing, directory, corrupt, not_utf8 = (
+            f"{index:02x}" * 32 for index in range(5))
+        cache.put(hit, {"x": 1})
+        Path(cache._entry_path(directory)).mkdir(parents=True)
+        for digest, data in ((corrupt, b"{ not json"),
+                             (not_utf8, b'{"x": "\xff"}')):
+            entry = Path(cache._entry_path(digest))
+            entry.parent.mkdir(parents=True, exist_ok=True)
+            entry.write_bytes(data)
+        before = len(os.listdir("/proc/self/fd"))
+        assert cache.get(hit) == {"x": 1}
+        for digest in (missing, directory, corrupt, not_utf8):
+            assert cache.get(digest) is None
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert cache.stats.hits == 1 and cache.stats.misses == 4
+        assert Path(cache._entry_path(directory)).is_dir()
+        assert not Path(cache._entry_path(corrupt)).exists()
 
     @pytest.mark.parametrize("root", ["store", "store/", "./store",
                                       "store//", "./store/."])

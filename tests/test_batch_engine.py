@@ -10,7 +10,7 @@ import pytest
 
 from repro.agu.model import AguSpec
 from repro.analysis.points import experiment_point_jobs, get_experiment
-from repro.analysis.reports import to_jsonable
+from repro.analysis.report import to_jsonable
 from repro.batch.cache import InMemoryLRUCache
 from repro.batch.digest import job_digest
 from repro.batch.engine import (

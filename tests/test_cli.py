@@ -10,7 +10,7 @@ from repro.analysis.points import (
     get_experiment,
     registered_experiments,
 )
-from repro.analysis.reports import load_report, to_jsonable
+from repro.analysis.report import load_report, to_jsonable
 from repro.cli.main import main
 
 PAPER_SOURCE = """

@@ -1,13 +1,14 @@
 """Differential oracle for the digest's canonical-JSON lowering.
 
-:func:`repro.batch.digest.digest_payload` looks dataclass fields up in
-a per-type table and sorts plain-``str``-keyed dicts directly;
-:func:`_reference_digest.reference_digest_payload` is the lowering it
-replaced.  Both must give the same digest, or raise the same error, on
-random payloads (NUL-prefixed and mixed scalar dict keys, mixed sets,
-``str``/``int`` subclasses, enums, tuples, nested frozen dataclasses
-with ``init=False`` fields, classes and other objects) and on the
-digest payloads of real jobs.
+:func:`repro.batch.digest.digest_payload` writes canonical JSON in one
+walk, from per-type field tables and plain-``str``-keyed dicts sorted
+directly; :func:`_reference_digest.reference_digest_payload` is the
+lowering it replaced.  Both must give the same digest, or raise the
+same error, on random payloads (NUL-prefixed and mixed scalar dict
+keys, mixed sets, ``str``/``int`` subclasses, enums, tuples, nested
+frozen dataclasses with ``init=False`` fields or fields declared out
+of sorted order, classes and other objects) and on the digest payloads
+of real jobs.
 """
 
 from __future__ import annotations
@@ -67,6 +68,16 @@ class Branch(Node):
     memo: str = field(default="m", init=False, compare=False)
 
 
+@dataclass(frozen=True)
+class Unsorted:
+    """Fields declared out of sorted order.  The text lists them
+    sorted, but ``canonical`` keeps this order, which ``_sort_key``
+    reads when it orders set items."""
+
+    z: Any
+    a: Any = 0
+
+
 def outcome(digest, payload):
     """``("ok", digest)`` or ``("error", type, message)``: the oracle
     fails on some payloads (a non-scalar key, an enum value that is
@@ -97,6 +108,7 @@ hashables = st.recursive(
     scalars | subclassed,
     lambda inner: (st.tuples(inner, inner)
                    | st.builds(Leaf, inner, inner)
+                   | st.builds(Unsorted, inner, inner)
                    | st.frozensets(inner, max_size=3)),
     max_leaves=6)
 keys = scalars | st.builds(Tag, text)
@@ -112,7 +124,8 @@ def containers(inner):
             | st.frozensets(hashables, max_size=4)
             | st.builds(Leaf, inner, inner)
             | st.builds(Node, inner, inner)
-            | st.builds(Branch, inner, inner, inner))
+            | st.builds(Branch, inner, inner, inner)
+            | st.builds(Unsorted, inner, inner))
 
 
 payloads = st.recursive(scalars | subclassed | others | hashables,
@@ -143,6 +156,19 @@ def test_plain_and_mixed_key_dicts_digest_like_the_reference(plain, mixed):
 ], ids=["tuple", "nested-dataclass", "frozenset"])
 def test_non_scalar_keys_fail_like_the_reference(payload):
     assert assert_agree(payload)[0] == "error"
+
+
+@pytest.mark.parametrize("payload", [
+    {Unsorted(1, 2), Unsorted(2, 1)},
+    {"value": Unsorted(2, 1), "set": frozenset({Unsorted("b", "a"),
+                                                Unsorted("a", "b")})},
+    Unsorted(Unsorted(3, 4), {Unsorted(Unsorted(1, 0), 5),
+                              Unsorted(Unsorted(0, 1), 5)}),
+], ids=["in-a-set", "dict-values", "nested"])
+def test_unsorted_fields_digest_like_the_reference(payload):
+    """Set items sort by their fields in definition order (``z``
+    first), which is not the order the text lists them in."""
+    assert assert_agree(payload)[0] == "ok"
 
 
 def test_init_false_fields_stay_outside_the_digest():

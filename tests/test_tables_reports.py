@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.analysis.reports import load_report, save_report, to_jsonable
+from repro.analysis.report import load_report, save_report, to_jsonable
 from repro.analysis.stats import (
     confidence_interval95,
     mean,
